@@ -15,7 +15,7 @@ Contents
 --------
     FermionState        : dense state container
     basis_state, random_state
-    apply_rotation      : single-particle unitary acting via its compound
+    apply_rotation      : single-particle unitary, applied as a Givens network
     apply_rdm_operator  : transition operator applied to a state
     expectation_rdm     : <state| transition |state>
     rdm_matrix          : all k-body expectations at once
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import binom, rank_subset, subsets, unrank_subset, validate_subset
-from .linalg import compound_matrix
+from .linalg import givens_rotate
 
 
 @dataclass
@@ -75,7 +75,7 @@ def random_state(n: int, eta: int, rng: np.random.Generator) -> FermionState:
 def apply_rotation(state: FermionState, u: np.ndarray) -> FermionState:
     """Rotate every mode by the single-particle unitary u."""
     assert u.shape == (state.n, state.n)
-    return FermionState(state.n, state.eta, compound_matrix(u, state.eta) @ state.amps)
+    return FermionState(state.n, state.eta, givens_rotate(u[None], state.amps, state.eta)[0])
 
 
 # ------------------------------------------------- bitmask sign helpers

@@ -6,9 +6,12 @@ Contents
     minor_det       : determinant of a row/column submatrix
     minors_batch    : dets of many submatrices of a stack of matrices
     compound_matrix : k-th multiplicative compound (action on k-subsets)
+    givens_rotate   : k-particle amplitudes rotated by a stack of unitaries
     pfaffian        : Pfaffian of an even skew-symmetric matrix
     eigenvalues     : eigenvalues of a small dense matrix
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +135,82 @@ def compound_batch(u: np.ndarray, k: int) -> np.ndarray:
     n = u.shape[-1]
     idx = subset_index_array(n, k)
     return minors_batch(np.asarray(u, dtype=np.complex128), idx, idx)
+
+
+# ---------------------------------------------------------------- Givens
+
+@lru_cache(maxsize=None)
+def _adjacent_pairs(n: int, k: int) -> tuple:
+    """Rank tables of the k-subsets of [n] that hold one of the modes m, m+1.
+
+    Entry m (0-based) is (lo, hi): lo[t] is the rank of a subset holding m
+    but not m+1, hi[t] the rank of the same subset with m+1 in place of m.
+    """
+    # colex rank order is ascending bitmask order, so a mask's rank is its
+    # position in the sorted mask list
+    masks = (1 << subset_index_array(n, k)).sum(axis=1)
+    out = []
+    for m in range(n - 1):
+        both = 3 << m
+        lo = np.flatnonzero((masks & both) == 1 << m)
+        hi = np.searchsorted(masks, masks[lo] ^ both)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def givens_rotate(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
+    """k-particle amplitudes rotated by each unitary of a stack.
+
+    u is (N, n, n) and amps is (C(n,k),); returns (N, C(n,k)), equal to
+    compound_batch(u, k) @ amps at O(n^2 C(n,k)) per matrix instead of
+    O(C(n,k)^2 k^3).  Adjacent-row Givens rotations reduce each u to a
+    diagonal, G_K ... G_1 u = D, so the compound of u = G_1^dag ... G_K^dag D
+    is the product of the factors' compounds.  D multiplies each amplitude by
+    the phases of the subset's modes.  G^dag on modes (m, m+1) mixes each
+    amplitude pair (S+m, S+m+1) by its 2x2 block: adjacent modes carry no
+    fermionic sign, and subsets holding both modes pick up det G^dag = 1.
+    Only elementwise operations act across the stack, so each row of the
+    result does not depend on the other matrices or on the stack size.
+    """
+    u = np.asarray(u)
+    amps = np.asarray(amps, dtype=np.complex128)
+    count, n = u.shape[0], u.shape[-1]
+    idx = subset_index_array(n, k)
+    if u.shape != (count, n, n) or amps.shape != (idx.shape[0],):
+        raise ValueError(f"need (N, n, n) unitaries and C(n, {k}) amplitudes, "
+                         f"got {u.shape} and {amps.shape}")
+    # stack axis last, so every slice below is contiguous over the stack
+    w = np.array(np.moveaxis(u, 0, -1), dtype=np.complex128, order="C")
+    steps = []
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            # G = [[conj(c), conj(s)], [-s, c]] on rows (i-1, i) zeroes w[i, j]
+            x, y = w[i - 1, j], w[i, j]
+            r = np.hypot(np.abs(x), np.abs(y))
+            nonzero = r > 0
+            safe = np.where(nonzero, r, 1.0)
+            c = np.where(nonzero, x / safe, 1.0)      # r = 0: the identity
+            s = y / safe
+            top, bot = w[i - 1, j + 1:], w[i, j + 1:]
+            new_top = c.conj() * top + s.conj() * bot
+            w[i, j + 1:] = c * bot - s * top
+            w[i - 1, j + 1:] = new_top
+            w[i - 1, j] = r
+            steps.append((i - 1, c, s))
+    d = np.diagonal(w).T                              # (n, N)
+    out = np.repeat(amps[:, None], count, axis=1)    # (C, N)
+    for t in range(k):
+        out *= d[idx[:, t]]
+    pairs = _adjacent_pairs(n, k)
+    for m, c, s in reversed(steps):
+        # G^dag = [[c, -conj(s)], [s, conj(c)]]
+        lo, hi = pairs[m]
+        x, y = out[lo], out[hi]
+        out[lo] = c * x - s.conj() * y
+        out[hi] = s * x + c.conj() * y
+    return np.ascontiguousarray(out.T)
 
 
 # ---------------------------------------------------------------- pfaffian

@@ -1,9 +1,10 @@
 """Randomized-measurement protocol: sampling, estimation, variance bookkeeping.
 
-One round draws a Haar unitary u, rotates the eta-particle state by the
-compound of u, and reads out an occupation subset z.  The estimator for a
-k-body transition (p, q) conjugates a fixed diagonal estimation operator by
-the compound of v_z^dag u, where v_z relabels z to the first eta modes.
+One round draws a Haar unitary u, rotates the eta-particle state by u
+through a network of adjacent-mode Givens rotations (linalg.givens_rotate),
+and reads out an occupation subset z.  The estimator for a k-body
+transition (p, q) conjugates a fixed diagonal estimation operator by the
+compound of v_z^dag u, where v_z relabels z to the first eta modes.
 
 Randomness is counter-based: shadow i of a run seeded with s uses its own
 Philox generator keyed by (s, i), so serial and concurrent collection give
@@ -37,7 +38,14 @@ import numpy as np
 from .combinat import binom, canonical_permutation, falling, rank_subset, validate_subset
 from .channel import overlap_class_array
 from .fock import FermionState
-from .linalg import compound_batch, ginibre, minors_batch, subset_index_array, unitary_from_ginibre
+from .linalg import (
+    compound_batch,
+    ginibre,
+    givens_rotate,
+    minors_batch,
+    subset_index_array,
+    unitary_from_ginibre,
+)
 
 
 @dataclass
@@ -64,7 +72,11 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
 
 def collect_shadow_arrays(state: FermionState, count: int, seed: int,
                           start_index: int = 0, chunk: int = 8192):
-    """Collect shadows as stacked arrays (U (N,n,n), Z (N,eta) 1-based)."""
+    """Collect shadows as stacked arrays (U (N,n,n), Z (N,eta) 1-based).
+
+    Raises RuntimeError if a rotated state's Born probabilities miss 1 by
+    more than 1e-6, e.g. for an unnormalized state.
+    """
     n, eta = state.n, state.eta
     us = np.empty((count, n, n), dtype=np.complex128)
     zs = np.empty((count, eta), dtype=np.int64)
@@ -78,10 +90,12 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int,
             gin[i - lo] = ginibre(n, rng)
             u01[i - lo] = rng.random()
         u = unitary_from_ginibre(gin)
-        rotated = compound_batch(u, eta) @ state.amps
-        probs = np.abs(rotated) ** 2
+        probs = np.abs(givens_rotate(u, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
-        assert np.max(np.abs(totals - 1.0)) <= 1e-6, "probability defect"
+        defect = float(np.max(np.abs(totals - 1.0)))
+        if not defect <= 1e-6:     # NaN fails too
+            raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
+                               "is the state normalized?")
         us[lo:hi] = u
         zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], u01)]
     return us, zs

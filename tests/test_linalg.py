@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
@@ -7,6 +8,7 @@ from fermishadow.linalg import (
     compound_matrix,
     eigenvalues,
     ginibre,
+    givens_rotate,
     haar_unitary,
     minor_det,
     minors_batch,
@@ -101,6 +103,46 @@ def test_compound_batch_matches_single():
     got = compound_batch(us, 3)
     for i in range(4):
         assert np.allclose(got[i], compound_matrix(us[i], 3), atol=1e-12)
+
+
+def _unitary_of_kind(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar, or a phased permutation / diagonal, whose zero entries hit r = 0."""
+    if kind == "haar":
+        return haar_unitary(n, rng)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    if kind == "diagonal":
+        return np.diag(phases)
+    return np.eye(n)[rng.permutation(n)] * phases
+
+
+KINDS = ["haar", "permutation", "diagonal"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=(8, 0), kinds=KINDS, seed=0)
+@example(size=(8, 8), kinds=KINDS, seed=1)
+@example(size=(8, 4), kinds=KINDS, seed=2)
+@example(size=(1, 1), kinds=KINDS, seed=3)
+def test_givens_rotate_matches_compound(size, kinds, seed):
+    n, eta = size
+    rng = np.random.default_rng(seed)
+    u = np.stack([_unitary_of_kind(kind, n, rng) for kind in kinds])
+    dim = binom(n, eta)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps /= np.linalg.norm(amps)
+    got = givens_rotate(u, amps, eta)
+    assert got.shape == (len(kinds), dim)
+    assert np.max(np.abs(got - compound_batch(u, eta) @ amps)) <= 1e-12
+
+
+def test_givens_rotate_rejects_mismatched_amplitudes():
+    with pytest.raises(ValueError):
+        givens_rotate(np.eye(4)[None], np.ones(5), 2)
 
 
 def test_pfaffian_canonical_blocks():

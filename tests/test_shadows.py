@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fermishadow.combinat import binom, rank_subset, subsets
-from fermishadow.fock import basis_state, random_state, rdm_matrix
+from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.shadows import (
     ClassicalShadow,
     RdmObservable,
@@ -99,6 +99,9 @@ def test_collection_is_thread_and_index_deterministic():
     serial = collect_shadows(state, 7, seed=40, threads=1)
     threaded = collect_shadows(state, 7, seed=40, threads=3)
     tail = collect_shadows(state, 5, seed=40, start_index=2)
+    us, zs = collect_shadow_arrays(state, 7, seed=40)
+    us3, zs3 = collect_shadow_arrays(state, 7, seed=40, chunk=3)
+    assert np.array_equal(us, us3) and np.array_equal(zs, zs3)
     for i in range(7):
         assert np.array_equal(serial[i].u, threaded[i].u)
         assert serial[i].z == threaded[i].z
@@ -109,6 +112,13 @@ def test_collection_is_thread_and_index_deterministic():
         if i >= 2:
             assert np.array_equal(serial[i].u, tail[i - 2].u)
             assert serial[i].z == tail[i - 2].z
+
+
+def test_collection_rejects_unnormalized_state():
+    state = random_state(4, 2, np.random.default_rng(2))
+    doubled = FermionState(4, 2, 2 * state.amps)
+    with pytest.raises(RuntimeError, match="probability defect"):
+        collect_shadow_arrays(doubled, 3, seed=40)
 
 
 def test_effective_frame_invariance():
