@@ -11,8 +11,8 @@ Modules
     linalg     : Haar sampling, minors, compounds, Pfaffians
     fock       : dense eta-particle states, transitions, sampling
     channel    : exact algebra of the measurement channel
-    shadows    : the protocol itself plus variance bookkeeping
-    fastpath   : the Pfaffian estimator
+    shadows    : the protocol on stacked (us, zs) arrays, variance bookkeeping
+    fastpath   : the Pfaffian estimator for one shadow (u, z)
     identities : brute-vs-closed verification sums
     cli        : command-line entry points
 """
@@ -35,17 +35,14 @@ from .channel import (
     symmetrized_difference,
 )
 from .shadows import (
-    ClassicalShadow,
     RdmObservable,
     aggregate,
     avg_shadow_norm_sq,
-    collect_shadows,
+    batch_estimate_matrices,
+    collect_shadow_arrays,
     estimate_observable,
-    estimate_rdm,
-    estimate_rdm_matrix,
     estimation_matrix,
     q_value,
-    sample_shadow,
     variance_bound,
 )
 from .fastpath import fast_estimate_rdm
@@ -67,17 +64,14 @@ __all__ = [
     "inverse_channel_on_projector",
     "structure_factor",
     "symmetrized_difference",
-    "ClassicalShadow",
     "RdmObservable",
     "aggregate",
     "avg_shadow_norm_sq",
-    "collect_shadows",
+    "batch_estimate_matrices",
+    "collect_shadow_arrays",
     "estimate_observable",
-    "estimate_rdm",
-    "estimate_rdm_matrix",
     "estimation_matrix",
     "q_value",
-    "sample_shadow",
     "variance_bound",
     "fast_estimate_rdm",
 ]

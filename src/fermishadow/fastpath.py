@@ -28,7 +28,7 @@ Contents
     build_m, trace_powers, inverse_trace_sequence
     pfaffian_derivatives    : d^x Pf[A]|_0 for x = 0..x_max
     decompose_rdm           : exact off-diagonal-to-diagonal decomposition
-    fast_estimate_rdm       : full fast estimator, equal to the dense one
+    fast_estimate_rdm       : one shadow's (u, z) estimate, equal to the dense one
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ from math import comb, factorial
 import numpy as np
 
 from .combinat import binom, validate_subset
-from .shadows import ClassicalShadow, estimation_entry
+from .shadows import estimation_entry
 
 Y = np.array([[0.0, -1.0], [1.0, 0.0]])
 YHAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -361,20 +361,21 @@ def _diag_estimate_from_block(w_block: np.ndarray, n: int, eta: int, k: int,
     return ((-1) ** (n - k)) * total
 
 
-def fast_estimate_rdm(shadow: ClassicalShadow, eta: int, k: int, p, q) -> complex:
-    """Single-shadow transition estimate along the Pfaffian path.
+def fast_estimate_rdm(u: np.ndarray, z, eta: int, k: int, p, q) -> complex:
+    """Transition estimate of the shadow with rotation u and readout z.
 
-    Equal to estimate_rdm up to roundoff, at O(k^2 eta) per term instead of
-    O(C(n,k) k^3) total.
+    Equal to entry [rank p, rank q] of batch_estimate_matrices up to
+    roundoff, at O(k^2 eta) per term and without the C(n,k) x C(n,k) matrix.
     """
-    n = shadow.u.shape[0]
-    assert eta == len(shadow.z)
+    n = u.shape[0]
+    if len(z) != eta:
+        raise ValueError(f"readout has {len(z)} modes, expected eta={eta}")
     decomp = decompose_rdm(tuple(p), tuple(q), n)
     weights = alpha_coeffs(n, eta, k).derivative_weights
-    zidx = np.asarray(shadow.z, dtype=np.int64) - 1
+    zidx = np.asarray(z, dtype=np.int64) - 1
     acc = 0.0 + 0.0j
     for term in decomp.terms:
-        cols = shadow.u[zidx[:, None, None], term.col_rows[None, :, :] - 1]
+        cols = u[zidx[:, None, None], term.col_rows[None, :, :] - 1]
         w_block = (cols * term.col_vals[None, :, :]).sum(axis=2)
         acc += term.coeff * _diag_estimate_from_block(w_block, n, eta, k, weights)
     return complex(decomp.sign * acc)

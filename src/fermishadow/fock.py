@@ -184,7 +184,10 @@ def measure_occupation(state: FermionState, u: np.ndarray, rng: np.random.Genera
     rotated = apply_rotation(state, u)
     probs = np.abs(rotated.amps) ** 2
     total = probs.sum()
-    assert abs(total - 1.0) <= 1e-6, f"probability defect {total - 1.0:.2e}"
+    defect = abs(total - 1.0)
+    if not defect <= 1e-6:     # NaN fails too
+        raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
+                           "is the state normalized?")
     r = int(np.searchsorted(np.cumsum(probs / total), rng.random(), side="right"))
     r = min(r, probs.size - 1)
     return unrank_subset(r, state.n, state.eta)

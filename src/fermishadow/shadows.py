@@ -6,20 +6,19 @@ and reads out an occupation subset z.  The estimator for a k-body
 transition (p, q) conjugates a fixed diagonal estimation operator by the
 compound of v_z^dag u, where v_z relabels z to the first eta modes.
 
-Randomness is counter-based: shadow i of a run seeded with s uses its own
-Philox generator keyed by (s, i), so serial and concurrent collection give
-bit-identical shadows.
+A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
+i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
+counter-based: shadow i of a run seeded with s uses its own Philox generator
+keyed by (s, i), so any chunking or start index gives bit-identical shadows.
 
 Contents
 --------
-    ClassicalShadow, shadow_rng, sample_shadow, collect_shadows
-    collect_shadow_arrays      : batched (U, Z) collection
+    shadow_rng                 : the per-shadow generator
+    collect_shadow_arrays      : batched (us, zs) collection
     estimation_entry           : overlap-class value of the estimation operator
     estimation_matrix          : the diagonal estimation operator on k-subsets
     trace_e_squared            : exact Tr of its square
-    estimate_rdm               : one transition estimate from one shadow
-    estimate_rdm_matrix        : all k-body estimates from one shadow
-    batch_estimate_matrices    : same, over stacked shadows
+    batch_estimate_matrices    : all k-body estimates, per shadow of a batch
     RdmObservable, estimate_observable : linear functionals of the estimates
     aggregate                  : mean / median-of-means over many shadows
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
@@ -27,35 +26,22 @@ Contents
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .combinat import binom, canonical_permutation, falling, rank_subset, validate_subset
+from .combinat import binom, falling, rank_subset, validate_subset
 from .channel import overlap_class_array
 from .fock import FermionState
 from .linalg import (
     compound_batch,
     ginibre,
     givens_rotate,
-    minors_batch,
     subset_index_array,
     unitary_from_ginibre,
 )
-
-
-@dataclass
-class ClassicalShadow:
-    """One measurement round: the rotation used, the readout, and its stream."""
-
-    u: np.ndarray
-    z: tuple
-    seed: int
-    index: int
 
 
 def shadow_rng(seed: int, index: int) -> np.random.Generator:
@@ -99,38 +85,6 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int,
         us[lo:hi] = u
         zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], u01)]
     return us, zs
-
-
-def sample_shadow(state: FermionState, seed: int, index: int = 0) -> ClassicalShadow:
-    """One shadow from the stream (seed, index)."""
-    u, z = collect_shadow_arrays(state, 1, seed, start_index=index)
-    return ClassicalShadow(u[0], tuple(int(m) for m in z[0]), seed, index)
-
-
-def collect_shadows(state: FermionState, count: int, seed: int,
-                    start_index: int = 0, threads: int = None) -> list:
-    """Collect `count` shadows; the thread count never changes the result."""
-    if threads is None:
-        threads = int(os.environ.get("FERMISHADOW_THREADS", "1"))
-    assert threads >= 1
-    bounds = np.linspace(0, count, threads + 1).astype(int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def run(job):
-        lo, hi = job
-        return collect_shadow_arrays(state, hi - lo, seed, start_index=start_index + lo)
-
-    if len(jobs) <= 1:
-        parts = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    out = []
-    for (lo, hi), (u, z) in zip(jobs, parts):
-        for i in range(hi - lo):
-            out.append(ClassicalShadow(u[i], tuple(int(m) for m in z[i]),
-                                       seed, start_index + lo + i))
-    return out
 
 
 # ------------------------------------------------- estimation operator
@@ -187,38 +141,6 @@ def trace_e_squared(n: int, eta: int, k: int) -> Fraction:
 
 # ------------------------------------------------- estimators
 
-def _effective_rotation(u: np.ndarray, z) -> np.ndarray:
-    """Rows of u gathered so the readout subset sits on the first eta modes."""
-    return u[canonical_permutation(z, u.shape[0]) - 1, :]
-
-
-def estimate_rdm(shadow: ClassicalShadow, eta: int, k: int, p, q) -> complex:
-    """Single-shadow estimate of the transition (p, q).
-
-    Cost O(C(n,k) k^3): only the two needed compound columns are formed.
-    """
-    n = shadow.u.shape[0]
-    assert eta == len(shadow.z)
-    p = validate_subset(p, n)
-    q = validate_subset(q, n)
-    assert len(p) == len(q) == k
-    if rank_subset(p) > rank_subset(q):
-        # evaluate the canonical orientation so conj(est(p,q)) == est(q,p) exactly
-        return complex(estimate_rdm(shadow, eta, k, q, p)).conjugate()
-    w = _effective_rotation(shadow.u, shadow.z)
-    rows = subset_index_array(n, k)
-    cols = np.array([p, q], dtype=np.int64) - 1
-    b = minors_batch(w[None], rows, cols)[0]        # [r, 0] = <r|..|p>, [r, 1] = <r|..|q>
-    e = estimation_matrix(n, eta, k).expand()
-    return complex(np.sum(b[:, 1].conj() * e * b[:, 0]))
-
-
-def estimate_rdm_matrix(shadow: ClassicalShadow, eta: int, k: int) -> np.ndarray:
-    """All k-body estimates from one shadow; entry [rank p, rank q]."""
-    out = batch_estimate_matrices(shadow.u[None], np.array([shadow.z]), eta, k)
-    return out[0]
-
-
 def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
                             chunk: int = 4096) -> np.ndarray:
     """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
@@ -270,11 +192,13 @@ class RdmObservable:
         return cls(n, k, coeffs)
 
 
-def estimate_observable(shadow: ClassicalShadow, obs: RdmObservable, eta: int) -> complex:
-    """Estimate the observable's expectation from one shadow."""
-    assert shadow.u.shape[0] == obs.n
-    est = estimate_rdm_matrix(shadow, eta, obs.k)
-    return complex(np.sum(obs.coeffs * est))
+def estimate_observable(us: np.ndarray, zs: np.ndarray, obs: RdmObservable,
+                        eta: int) -> np.ndarray:
+    """Per-shadow estimates (N,) of the observable's expectation over a batch."""
+    if us.shape[-1] != obs.n:
+        raise ValueError(f"observable acts on {obs.n} modes, shadows on {us.shape[-1]}")
+    est = batch_estimate_matrices(us, zs, eta, obs.k)
+    return (obs.coeffs * est).sum(axis=(1, 2))
 
 
 def aggregate(values, mode: str = "mean", batches: int = None):
@@ -287,7 +211,8 @@ def aggregate(values, mode: str = "mean", batches: int = None):
     """
     x = np.asarray(values, dtype=np.complex128)
     nsamp = x.size
-    assert nsamp > 0
+    if nsamp == 0:
+        raise ValueError("no values to aggregate")
     if mode == "mean":
         val = complex(x.mean())
         if nsamp == 1:
@@ -296,8 +221,8 @@ def aggregate(values, mode: str = "mean", batches: int = None):
         err_im = x.imag.std(ddof=1) / np.sqrt(nsamp)
         return val, complex(err_re + 1j * err_im)
     if mode == "median_of_means":
-        assert batches is not None and batches >= 1
-        assert nsamp % batches == 0, "batches must divide the sample count"
+        if batches is None or batches < 1 or nsamp % batches != 0:
+            raise ValueError(f"batches must divide the sample count {nsamp}, got {batches!r}")
         means = x.reshape(batches, -1).mean(axis=1)
         val = complex(np.median(means.real) + 1j * np.median(means.imag))
         if batches == 1:
@@ -355,25 +280,39 @@ def variance_bound(n: int, eta: int, k: int) -> Fraction:
 
 # ------------------------------------------------- serialization
 
-def shadows_to_jsonl(shadows) -> str:
+def shadows_to_jsonl(us: np.ndarray, zs: np.ndarray, seed: int, start_index: int = 0) -> str:
+    """One JSON line per shadow, recording its stream (seed, start_index + i)."""
     lines = []
-    for s in shadows:
+    for i, (u, z) in enumerate(zip(us, zs)):
         body = {
-            "seed": s.seed,
-            "index": s.index,
-            "u": [[[float(v.real), float(v.imag)] for v in row] for row in s.u],
-            "z": list(s.z),
+            "seed": seed,
+            "index": start_index + i,
+            "u": [[[float(v.real), float(v.imag)] for v in row] for row in u],
+            "z": [int(m) for m in z],
         }
         lines.append(json.dumps(body))
     return "\n".join(lines) + "\n"
 
 
-def shadows_from_jsonl(text: str) -> list:
-    out = []
+def shadows_from_jsonl(text: str):
+    """Load (us, zs) written by shadows_to_jsonl.
+
+    Raises ValueError unless there is at least one row, every u is unitary to
+    1e-10, every z is strictly increasing within 1..n, and all rows share one
+    shape.
+    """
+    us, zs = [], []
     for line in text.splitlines():
         if not line.strip():
             continue
         body = json.loads(line)
         u = np.array([[complex(re, im) for re, im in row] for row in body["u"]])
-        out.append(ClassicalShadow(u, tuple(body["z"]), body["seed"], body["index"]))
-    return out
+        z = np.array(body["z"], dtype=np.int64)
+        n = u.shape[0]
+        if u.shape != (n, n) or np.linalg.norm(u @ u.conj().T - np.eye(n)) > 1e-10:
+            raise ValueError(f"shadow {len(us)}: u is not a unitary matrix")
+        if z.ndim != 1 or np.any(np.diff(z) <= 0) or np.any((z < 1) | (z > n)):
+            raise ValueError(f"shadow {len(us)}: z must be strictly increasing within 1..{n}")
+        us.append(u)
+        zs.append(z)
+    return np.stack(us), np.stack(zs)      # ValueError on differing shapes or no rows

@@ -29,13 +29,10 @@ from fermishadow.linalg import (
     unitary_from_ginibre,
 )
 from fermishadow.shadows import (
-    ClassicalShadow,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
-    estimate_rdm_matrix,
     q_slater,
-    sample_shadow,
     trace_e_squared,
     variance_bound,
 )
@@ -133,15 +130,14 @@ def test_criterion_04_per_shadow_invariant():
     for n in range(2, 7):
         for eta in range(1, n + 1):
             state = random_state(n, eta, rng)
-            for index in range(3):
-                shadow = sample_shadow(state, seed=600 + n, index=index)
-                for k in range(1, eta + 1):
-                    est = estimate_rdm_matrix(shadow, eta, k)
-                    got = float(np.sum(np.abs(est) ** 2))
-                    want = float(trace_e_squared(n, eta, k))
-                    worst = max(worst, abs(got - want) / want)
-                    if (n, eta, k) == (2, 1, 1) and frozen is None:
-                        frozen = got
+            us, zs = collect_shadow_arrays(state, 3, seed=600 + n)
+            for k in range(1, eta + 1):
+                ests = batch_estimate_matrices(us, zs, eta, k)
+                got = (np.abs(ests) ** 2).sum(axis=(1, 2))
+                want = float(trace_e_squared(n, eta, k))
+                worst = max(worst, float(np.max(np.abs(got - want))) / want)
+                if (n, eta, k) == (2, 1, 1):
+                    frozen = float(got[0])
     assert abs(frozen - 5.0) < 5e-8
     _verdict(4, "per-shadow squared-norm identity n<=6", worst < 1e-8,
              f"worst relative gap {worst:.2e}, (2,1,1) sum {frozen:.9f} = 5")
@@ -198,14 +194,11 @@ def test_criterion_07_fast_path_equivalence():
                 ests = batch_estimate_matrices(us, zs, eta, k)
                 ss = list(subsets(n, k))
                 for i in range(4):
-                    shadow = ClassicalShadow(
-                        us[i], tuple(int(m) for m in zs[i]), 0, i
-                    )
                     for _ in range(50):
                         p = ss[rng.integers(len(ss))]
                         q = ss[rng.integers(len(ss))]
                         dense = ests[i, rank_subset(p), rank_subset(q)]
-                        fast = fast_estimate_rdm(shadow, eta, k, p, q)
+                        fast = fast_estimate_rdm(us[i], zs[i], eta, k, p, q)
                         worst = max(worst, abs(dense - fast) / max(1.0, abs(dense)))
                         triples += 1
     fd_worst = 0.0
@@ -299,19 +292,18 @@ def test_criterion_10_fast_path_scaling():
         n = 2 * eta
         u = unitary_from_ginibre(ginibre(n, rng))
         z = tuple(sorted(rng.choice(np.arange(1, n + 1), size=eta, replace=False).tolist()))
-        shadow = ClassicalShadow(u, z, 0, 0)
         pairs = []
         for _ in range(40):
             p = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             q = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             pairs.append((p, q))
         for p, q in pairs:
-            fast_estimate_rdm(shadow, eta, k, p, q)   # warm caches
+            fast_estimate_rdm(u, z, eta, k, p, q)   # warm caches
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
             for p, q in pairs:
-                fast_estimate_rdm(shadow, eta, k, p, q)
+                fast_estimate_rdm(u, z, eta, k, p, q)
             best = min(best, (time.perf_counter() - t0) / len(pairs))
         times[eta] = best
     slope = float(np.log(times[64] / times[8]) / np.log(64 / 8))

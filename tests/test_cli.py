@@ -13,7 +13,8 @@ from fermishadow.cli import (
     main,
     run_validation,
 )
-from fermishadow.fock import random_state, state_to_json
+from fermishadow import shadows
+from fermishadow.fock import FermionState, random_state, state_to_json
 
 
 def _read_csv(text):
@@ -72,6 +73,18 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert main(["estimate", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
+    state = random_state(4, 2, np.random.default_rng(2))
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(FermionState(4, 2, 2 * state.amps)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "eta": 2, "k": 1, "samples": 5, "seed": 1,
+                               "state_source": f"file:{path}"}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "norm 2" in err
 
 
 def test_estimate_deterministic_output_files(tmp_path, capsys):
@@ -202,8 +215,17 @@ def test_validate_quick_passes(tmp_path, capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_validation_negative_control():
-    report = run_validation("quick", seed=2024, corrupt_estimation=True)
+def test_validation_negative_control(monkeypatch):
+    # a wrong estimation operator must trip the suite
+    exact = shadows.estimation_matrix
+
+    def off_by_one(n, eta, k):
+        emat = exact(n, eta, k)
+        emat.class_values = (emat.class_values[0] + 1,) + emat.class_values[1:]
+        return emat
+
+    monkeypatch.setattr(shadows, "estimation_matrix", off_by_one)
+    report = run_validation("quick", seed=2024)
     by_name = {c["name"]: c["passed"] for c in report["checks"]}
     assert by_name["per_shadow_norm_sum"] is False
     assert report["passed"] is False

@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+import pytest
 
-from fermishadow.combinat import binom, falling, subsets
+from fermishadow.combinat import binom, falling, rank_subset, subsets
 from fermishadow.fastpath import (
     YHAT,
     alpha_coeffs,
@@ -27,7 +28,7 @@ from fermishadow.linalg import (
     subset_index_array,
     unitary_from_ginibre,
 )
-from fermishadow.shadows import estimate_rdm, sample_shadow
+from fermishadow.shadows import batch_estimate_matrices, collect_shadow_arrays
 
 
 def _haar(n, rng):
@@ -194,8 +195,6 @@ def test_decomposition_resolves_transition_operator():
         k = dec.k
         dim = binom(n, k)
         ref = np.zeros((dim, dim), dtype=np.complex128)
-        from fermishadow.combinat import rank_subset
-
         ref[rank_subset(p), rank_subset(q)] = 1.0
         acc = np.zeros((dim, dim), dtype=np.complex128)
         col_rank = rank_subset(tuple(range(1, k + 1)))
@@ -210,13 +209,14 @@ def test_fast_matches_dense_estimator():
     cases = [(3, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 2), (6, 3, 3)]
     for n, eta, k in cases:
         state = random_state(n, eta, rng)
-        shadow = sample_shadow(state, seed=int(rng.integers(1 << 30)), index=0)
+        us, zs = collect_shadow_arrays(state, 1, seed=int(rng.integers(1 << 30)), start_index=0)
+        ests = batch_estimate_matrices(us, zs, eta, k)[0]
         ranks = list(subsets(n, k))
         for _ in range(12):
             p = ranks[rng.integers(len(ranks))]
             q = ranks[rng.integers(len(ranks))]
-            dense = estimate_rdm(shadow, eta, k, p, q)
-            fast = fast_estimate_rdm(shadow, eta, k, p, q)
+            dense = ests[rank_subset(p), rank_subset(q)]
+            fast = fast_estimate_rdm(us[0], zs[0], eta, k, p, q)
             assert abs(dense - fast) < 1e-8 * max(1.0, abs(dense))
 
 
@@ -225,12 +225,19 @@ def test_fast_estimator_diagonal_norm():
     rng = np.random.default_rng(7)
     n, eta, k = 5, 2, 2
     state = random_state(n, eta, rng)
-    shadow = sample_shadow(state, seed=99, index=1)
+    us, zs = collect_shadow_arrays(state, 1, seed=99, start_index=1)
+    ests = batch_estimate_matrices(us, zs, eta, k)[0]
     for p in subsets(n, k):
-        dense = estimate_rdm(shadow, eta, k, p, p)
-        fast = fast_estimate_rdm(shadow, eta, k, p, p)
+        dense = ests[rank_subset(p), rank_subset(p)]
+        fast = fast_estimate_rdm(us[0], zs[0], eta, k, p, p)
         assert abs(fast.imag) < 1e-9
         assert abs(dense - fast) < 1e-8
+
+
+def test_fast_estimate_rejects_wrong_readout_length():
+    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))
+    with pytest.raises(ValueError, match="eta=2"):
+        fast_estimate_rdm(u, (1, 2, 3), 2, 1, (1,), (2,))
 
 
 def test_derivative_recursion_on_identity_frame():

@@ -122,6 +122,13 @@ def test_measure_occupation_eigenstate():
         assert measure_occupation(st, np.eye(4), rng) == (1, 2)
 
 
+def test_measure_occupation_rejects_unnormalized_state():
+    st = random_state(4, 2, np.random.default_rng(6))
+    doubled = FermionState(4, 2, 2 * st.amps)
+    with pytest.raises(RuntimeError, match="probability defect"):
+        measure_occupation(doubled, np.eye(4), np.random.default_rng(6))
+
+
 def test_measure_occupation_statistics():
     n, eta = 4, 2
     st = random_state(n, eta, np.random.default_rng(7))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,21 +7,16 @@ import pytest
 from fermishadow.combinat import binom, rank_subset, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.shadows import (
-    ClassicalShadow,
     RdmObservable,
     aggregate,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
-    collect_shadows,
     estimate_observable,
-    estimate_rdm,
-    estimate_rdm_matrix,
     estimation_entry,
     estimation_matrix,
     q_slater,
     q_value,
-    sample_shadow,
     shadows_from_jsonl,
     shadows_to_jsonl,
     trace_e_squared,
@@ -60,28 +56,18 @@ def test_per_shadow_norm_identity():
     rng = np.random.default_rng(11)
     for n, eta, k in [(2, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 2)]:
         state = random_state(n, eta, rng)
-        shadow = sample_shadow(state, seed=7, index=3)
-        est = estimate_rdm_matrix(shadow, eta, k)
+        us, zs = collect_shadow_arrays(state, 1, seed=7, start_index=3)
+        est = batch_estimate_matrices(us, zs, eta, k)[0]
         want = float(trace_e_squared(n, eta, k))
         assert abs(np.sum(np.abs(est) ** 2) - want) < 1e-8 * want
 
 
 def test_per_shadow_hermiticity():
     state = random_state(5, 2, np.random.default_rng(3))
-    shadow = sample_shadow(state, seed=1, index=0)
+    us, zs = collect_shadow_arrays(state, 1, seed=1, start_index=0)
     for k in (1, 2):
-        est = estimate_rdm_matrix(shadow, 2, k)
+        est = batch_estimate_matrices(us, zs, 2, k)[0]
         assert np.array_equal(est.conj().T, est)
-
-
-def test_estimate_rdm_matches_matrix_entry():
-    n, eta, k = 5, 3, 2
-    state = random_state(n, eta, np.random.default_rng(8))
-    shadow = sample_shadow(state, seed=21, index=5)
-    est = estimate_rdm_matrix(shadow, eta, k)
-    for p, q in [((1, 2), (1, 2)), ((1, 3), (2, 5)), ((4, 5), (1, 2))]:
-        single = estimate_rdm(shadow, eta, k, p, q)
-        assert abs(single - est[rank_subset(p), rank_subset(q)]) < 1e-10
 
 
 def test_batch_matches_single():
@@ -90,28 +76,19 @@ def test_batch_matches_single():
     us, zs = collect_shadow_arrays(state, 6, seed=13)
     batch = batch_estimate_matrices(us, zs, eta, k)
     for i in range(6):
-        shadow = ClassicalShadow(us[i], tuple(int(m) for m in zs[i]), 13, i)
-        assert np.allclose(batch[i], estimate_rdm_matrix(shadow, eta, k))
+        assert np.allclose(batch[i], batch_estimate_matrices(us[i:i + 1], zs[i:i + 1], eta, k)[0])
 
 
-def test_collection_is_thread_and_index_deterministic():
+def test_collection_is_index_deterministic():
     state = random_state(4, 2, np.random.default_rng(2))
-    serial = collect_shadows(state, 7, seed=40, threads=1)
-    threaded = collect_shadows(state, 7, seed=40, threads=3)
-    tail = collect_shadows(state, 5, seed=40, start_index=2)
     us, zs = collect_shadow_arrays(state, 7, seed=40)
+    tail_us, tail_zs = collect_shadow_arrays(state, 5, seed=40, start_index=2)
     us3, zs3 = collect_shadow_arrays(state, 7, seed=40, chunk=3)
     assert np.array_equal(us, us3) and np.array_equal(zs, zs3)
+    assert np.array_equal(us[2:], tail_us) and np.array_equal(zs[2:], tail_zs)
     for i in range(7):
-        assert np.array_equal(serial[i].u, threaded[i].u)
-        assert serial[i].z == threaded[i].z
-        assert serial[i].index == i
-        one = sample_shadow(state, seed=40, index=i)
-        assert np.array_equal(serial[i].u, one.u)
-        assert serial[i].z == one.z
-        if i >= 2:
-            assert np.array_equal(serial[i].u, tail[i - 2].u)
-            assert serial[i].z == tail[i - 2].z
+        one_u, one_z = collect_shadow_arrays(state, 1, seed=40, start_index=i)
+        assert np.array_equal(us[i], one_u[0]) and np.array_equal(zs[i], one_z[0])
 
 
 def test_collection_rejects_unnormalized_state():
@@ -128,16 +105,16 @@ def test_effective_frame_invariance():
     rng = np.random.default_rng(31)
     n, eta, k = 6, 3, 2
     state = random_state(n, eta, rng)
-    shadow = sample_shadow(state, seed=3, index=1)
-    v = canonical_permutation(shadow.z, n)
-    w = shadow.u[v - 1]
-    ref = estimate_rdm_matrix(shadow, eta, k)
+    us, zs = collect_shadow_arrays(state, 1, seed=3, start_index=1)
+    v = canonical_permutation(tuple(zs[0]), n)
+    w = us[0][v - 1]
+    ref = batch_estimate_matrices(us, zs, eta, k)[0]
     for _ in range(3):
         perm = np.concatenate([rng.permutation(eta), eta + rng.permutation(n - eta)])
-        u_alt = np.empty_like(shadow.u)
+        u_alt = np.empty_like(us[0])
         u_alt[v - 1] = w[perm]
-        alt = ClassicalShadow(u_alt, shadow.z, 0, 0)
-        assert np.max(np.abs(estimate_rdm_matrix(alt, eta, k) - ref)) < 1e-10
+        alt = batch_estimate_matrices(u_alt[None], zs, eta, k)[0]
+        assert np.max(np.abs(alt - ref)) < 1e-10
 
 
 def test_particle_number_estimate_is_exact():
@@ -145,10 +122,10 @@ def test_particle_number_estimate_is_exact():
     n, eta = 5, 3
     state = random_state(n, eta, np.random.default_rng(17))
     obs = RdmObservable(n, 1, np.eye(n))
-    for index in range(4):
-        shadow = sample_shadow(state, seed=9, index=index)
-        got = estimate_observable(shadow, obs, eta)
-        assert abs(got - eta) < 1e-9
+    us, zs = collect_shadow_arrays(state, 4, seed=9)
+    got = estimate_observable(us, zs, obs, eta)
+    assert got.shape == (4,)
+    assert np.all(np.abs(got - eta) < 1e-9)
 
 
 def test_rdm_observable_from_terms():
@@ -186,8 +163,10 @@ def test_aggregate_median_of_means():
     data = [1.0, 2.0, 30.0, 4.0, 5.0, 6.0]
     val, _ = aggregate(data, mode="median_of_means", batches=3)
     assert val == np.median([1.5, 17.0, 5.5])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         aggregate(data, mode="median_of_means", batches=4)
+    with pytest.raises(ValueError):
+        aggregate(data, mode="median_of_means")
     with pytest.raises(ValueError):
         aggregate(data, mode="trimmed")
 
@@ -223,14 +202,35 @@ def test_frozen_variance_quantities():
 
 def test_jsonl_roundtrip():
     state = basis_state((1, 3), 4)
-    shadows = collect_shadows(state, 3, seed=55)
-    text = shadows_to_jsonl(shadows)
+    us, zs = collect_shadow_arrays(state, 3, seed=55)
+    text = shadows_to_jsonl(us, zs, 55)
     assert text.endswith("\n")
-    back = shadows_from_jsonl(text)
-    assert len(back) == 3
-    for a, b in zip(shadows, back):
-        assert np.array_equal(a.u, b.u)
-        assert a.z == b.z and a.seed == b.seed and a.index == b.index
-    est_a = estimate_rdm_matrix(shadows[1], 2, 1)
-    est_b = estimate_rdm_matrix(back[1], 2, 1)
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert [(b["seed"], b["index"]) for b in lines] == [(55, 0), (55, 1), (55, 2)]
+    back_us, back_zs = shadows_from_jsonl(text)
+    assert np.array_equal(us, back_us) and np.array_equal(zs, back_zs)
+    est_a = batch_estimate_matrices(us, zs, 2, 1)
+    est_b = batch_estimate_matrices(back_us, back_zs, 2, 1)
     assert np.array_equal(est_a, est_b)
+    tail = json.loads(shadows_to_jsonl(us[1:], zs[1:], 55, start_index=1).splitlines()[0])
+    assert tail == lines[1]
+
+    def line(u, z):
+        return json.dumps({"seed": 0, "index": 0, "z": z,
+                           "u": [[[float(v.real), float(v.imag)] for v in row] for row in u]})
+
+    eye = np.eye(2)
+    for bad in (
+        line([[2, 0], [0, 1]], [2, 1]),          # non-unitary u, unsorted z
+        line([[2, 0], [0, 1]], [1]),             # non-unitary u
+        line(eye, [2, 1]),                       # z not increasing
+        line(eye, [1, 1]),                       # repeated mode
+        line(eye, [0]),                          # mode below 1
+        line(eye, [3]),                          # mode above n
+        line(eye, [1]) + "\n" + line(np.eye(3), [1]),  # rows of differing shape
+        line(eye, [1]) + "\n" + line(eye, [1, 2]),
+        "",
+    ):
+        with pytest.raises(ValueError):
+            shadows_from_jsonl(bad)
+    assert shadows_from_jsonl(line(eye, [2]))[1].tolist() == [[2]]
