@@ -33,8 +33,8 @@ from math import factorial
 
 import numpy as np
 
-from .combinat import binom, falling, subsets, validate_subset
-from .linalg import compound_batch, ginibre, unitary_from_ginibre
+from .combinat import binom, falling, subset_masks, subsets, validate_subset
+from .linalg import compound_batch, ginibre, subset_index_array, unitary_from_ginibre
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,7 @@ class DiagonalOperator:
 
 def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:
     """t_r = |r cap [eta]| for every d-subset r of [n], colex order."""
-    out = np.zeros(binom(n, d), dtype=np.int64)
-    for r, z in enumerate(subsets(n, d)):
-        out[r] = sum(1 for m in z if m <= eta)
-    return out
+    return (subset_index_array(n, d) < eta).sum(axis=1, dtype=np.int64)
 
 
 def structure_factor(n: int, eta: int, k: int) -> Fraction:
@@ -187,18 +184,8 @@ def kernel_numerators(n: int, eta: int):
 
 def _intersection_table(n: int, eta: int) -> np.ndarray:
     """(C, C) int64 table of |r cap r'| over the eta sector."""
-    masks = []
-    for z in subsets(n, eta):
-        m = 0
-        for mode in z:
-            m |= 1 << (mode - 1)
-        masks.append(m)
-    c = len(masks)
-    t = np.zeros((c, c), dtype=np.int64)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            t[i, j] = (mi & mj).bit_count()
-    return t
+    occ = (subset_masks(n, eta)[:, None] >> np.arange(n)) & 1
+    return occ @ occ.T
 
 
 def apply_channel_diagonal(spec: ChannelSpec, op: DiagonalOperator) -> DiagonalOperator:

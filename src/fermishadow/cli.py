@@ -101,7 +101,7 @@ def build_state(config: ExperimentConfig) -> FermionState:
             raise ConfigError(f"basis state has {len(z)} modes, config says eta={config.eta}")
         try:
             return basis_state(z, config.n)
-        except AssertionError:
+        except ValueError:
             raise ConfigError(f"invalid basis subset {z} for n={config.n}") from None
     path = src[len("file:"):]
     try:
@@ -119,6 +119,17 @@ def build_state(config: ExperimentConfig) -> FermionState:
     return state
 
 
+def _target_subset(z, n: int, size: int, item) -> tuple:
+    """z as a validated size-subset of 1..n; a ConfigError naming item otherwise."""
+    try:
+        z = validate_subset(tuple(int(m) for m in z), n)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad target {item!r}") from None
+    if len(z) != size:
+        raise ConfigError(f"target {item!r} needs {size}-subsets of 1..{n}")
+    return z
+
+
 def _resolve_targets(config: ExperimentConfig):
     """List of (p, q) subset pairs to estimate, in deterministic order."""
     if config.targets == "all_krdm":
@@ -130,13 +141,9 @@ def _resolve_targets(config: ExperimentConfig):
     for item in config.targets:
         try:
             p, q = item
-            p = validate_subset(tuple(int(m) for m in p), config.n)
-            q = validate_subset(tuple(int(m) for m in q), config.n)
-        except (TypeError, ValueError, AssertionError):
+        except (TypeError, ValueError):
             raise ConfigError(f"bad target pair {item!r}") from None
-        if len(p) != config.k or len(q) != config.k:
-            raise ConfigError(f"target pair {item!r} is not a pair of {config.k}-subsets")
-        out.append((p, q))
+        out.append(tuple(_target_subset(z, config.n, config.k, item) for z in (p, q)))
     return out
 
 
@@ -418,17 +425,16 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     if rotation is not None:
         state = apply_rotation(state, np.asarray(rotation, dtype=complex).conj().T)
     n, eta = config.n, config.eta
+    if isinstance(config.targets, list):
+        qs = [_target_subset(q, n, eta, q) for q in config.targets]
+    else:
+        qs = list(subsets(n, eta))
     big = slater_superposition(state)
     ref = tuple(range(n + 1, n + eta + 1))
     ref_rank = rank_subset(ref)
 
     us, zs = collect_shadow_arrays(big, config.samples, config.seed)
     ests = batch_estimate_matrices(us, zs, eta, eta)
-
-    if isinstance(config.targets, list):
-        qs = [validate_subset(tuple(int(m) for m in q), n) for q in config.targets]
-    else:
-        qs = list(subsets(n, eta))
 
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]

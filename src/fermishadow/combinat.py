@@ -4,23 +4,26 @@ Occupation vectors are sorted tuples of 1-based mode indices.  The d-subsets
 of [n] are enumerated in colexicographic order, so the rank of a subset does
 not depend on n and basis vectors embed consistently across mode counts.
 
+A subset is also an occupation bitmask with bit m-1 set for mode m, and
+colex order is ascending mask order.  The sign rule of the mode operators,
+(-1)^(occupied modes below m) for acting on mode m, lives in apply_string.
+
 Contents
 --------
     binom                  : binomial coefficient, 0 outside the triangle
     rank_subset            : colex rank of a subset
     unrank_subset          : inverse of rank_subset
     subsets                : iterate all d-subsets of [n] in colex order
+    subset_masks           : bitmasks of all d-subsets, colex (= ascending) order
+    apply_string           : annihilator/creator string on one bitmask, with sign
     overlap_count          : |p cap q|
     canonical_permutation  : permutation sending [d] onto a subset
-    Rational               : exact scalar type used across the package
 """
 
-from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
-
-Rational = Fraction
 
 
 def binom(a: int, b: int) -> int:
@@ -40,10 +43,15 @@ def falling(a: int, b: int) -> int:
 
 
 def validate_subset(z, n: int) -> tuple:
-    """Check that z is a strictly increasing tuple of modes in 1..n."""
+    """Check that z is a strictly increasing tuple of modes in 1..n.
+
+    Raises ValueError otherwise.
+    """
     z = tuple(int(m) for m in z)
-    assert all(1 <= m <= n for m in z), f"modes out of range 1..{n}: {z}"
-    assert all(z[i] < z[i + 1] for i in range(len(z) - 1)), f"not increasing: {z}"
+    if not all(1 <= m <= n for m in z):
+        raise ValueError(f"modes out of range 1..{n}: {z}")
+    if not all(z[i] < z[i + 1] for i in range(len(z) - 1)):
+        raise ValueError(f"not increasing: {z}")
     return z
 
 
@@ -87,6 +95,38 @@ def _colex(n: int, d: int):
     for top in range(d, n + 1):
         for rest in _colex(top - 1, d - 1):
             yield rest + (top,)
+
+
+@lru_cache(maxsize=None)
+def subset_masks(n: int, d: int) -> np.ndarray:
+    """Read-only int64 bitmasks of the d-subsets of [n] in colex order.
+
+    Colex order is ascending mask order, so np.searchsorted gives the rank.
+    """
+    masks = np.array([sum(1 << (m - 1) for m in z) for z in subsets(n, d)], dtype=np.int64)
+    masks.setflags(write=False)
+    return masks
+
+
+def apply_string(mask: int, annihilate=(), create=()):
+    """Act on the occupation ket `mask` with a string of mode operators.
+
+    Annihilators act first in ascending mode order, then creators in
+    descending order, so apply_string(mask, q, p) applies the transition
+    operator for the sorted subsets (p, q).  Each operator on mode m picks up
+    (-1)^(occupied modes below m).  Works on Python ints of any width.
+    Returns (mask, sign), or (None, 0) if the string kills the ket.
+    """
+    parity = 0
+    steps = [(m, True) for m in sorted(annihilate)]
+    steps += [(m, False) for m in sorted(create, reverse=True)]
+    for mode, occupied in steps:
+        bit = 1 << (mode - 1)
+        if bool(mask & bit) != occupied:
+            return None, 0
+        mask ^= bit
+        parity += (mask & (bit - 1)).bit_count()
+    return mask, -1 if parity & 1 else 1
 
 
 def overlap_count(p, q) -> int:

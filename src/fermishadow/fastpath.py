@@ -21,13 +21,14 @@ pattern choices, times a global fermionic reordering sign.
 
 Contents
 --------
-    majorana_rotation       : orthogonal doubled images of a unitary
+    majorana_rotation       : orthogonal doubled image of a unitary
     assemble_a_matrix       : the Pfaffian kernel A(kappa)
     generating_function_value
     f_ks, alpha_coeffs      : expansion weights of the estimation operator
     build_m, trace_powers, inverse_trace_sequence
     pfaffian_derivatives    : d^x Pf[A]|_0 for x = 0..x_max
-    decompose_rdm           : exact off-diagonal-to-diagonal decomposition
+    decompose_rdm           : exact off-diagonal-to-diagonal decomposition; its
+                              global sign comes from combinat.apply_string
     fast_estimate_rdm       : one shadow's (u, z) estimate, equal to the dense one
 """
 
@@ -38,7 +39,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .combinat import binom, validate_subset
+from .combinat import apply_string, binom, validate_subset
 from .shadows import estimation_entry
 
 Y = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -47,24 +48,16 @@ YHAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # ------------------------------------------------- doubled-space images
 
-def majorana_rotation(u: np.ndarray):
-    """Orthogonal images (u_tilde, iu_tilde) of a unitary on doubled space.
-
-    u_tilde represents the rotation itself; iu_tilde represents i times it.
-    Both are real; u_tilde is special orthogonal.
-    """
-    re, im = u.real, u.imag
-    i2 = np.eye(2)
-    u_tilde = np.kron(re, i2) + np.kron(im, Y)
-    iu_tilde = np.kron(-im, i2) + np.kron(re, Y)
-    return u_tilde, iu_tilde
+def majorana_rotation(u: np.ndarray) -> np.ndarray:
+    """Real special orthogonal image u_tilde of a unitary on doubled space."""
+    return np.kron(u.real, np.eye(2)) + np.kron(u.imag, Y)
 
 
 def assemble_a_matrix(u_eff: np.ndarray, eta: int, k: int, kappa: float) -> np.ndarray:
     """Pfaffian kernel A(kappa) for the effective rotation u_eff."""
     n = u_eff.shape[0]
     assert 0 <= k <= eta <= n
-    u_tilde, _ = majorana_rotation(u_eff)
+    u_tilde = majorana_rotation(u_eff)
     j = np.zeros((2 * n, 2 * n))
     for m in range(eta):
         j[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = YHAT
@@ -106,7 +99,6 @@ class FastCoefficients:
     eta: int
     k: int
     e_prime: tuple          # estimation entries per overlap class s
-    alpha: tuple            # complex weights of the pair-product expectations
     derivative_weights: tuple  # real c_x with estimate = sum_x c_x d^x Pf / x!
 
 
@@ -116,8 +108,7 @@ def alpha_coeffs(n: int, eta: int, k: int) -> FastCoefficients:
     cs = []
     for x in range(k + 1):
         cs.append(sum((-1) ** s * f_ks(eta, k, s, x) * e_prime[s] for s in range(k + 1)))
-    alpha = tuple((1j ** x) * complex(c) for x, c in enumerate(cs))
-    return FastCoefficients(n, eta, k, e_prime, alpha, tuple(cs))
+    return FastCoefficients(n, eta, k, e_prime, tuple(cs))
 
 
 # ------------------------------------------------- trace recursion
@@ -141,9 +132,7 @@ def _m_from_block(w_block: np.ndarray) -> np.ndarray:
 
 def trace_powers(m: np.ndarray, count: int) -> list:
     """[Tr m^y for y = 1..count] via eigenvalues."""
-    from .linalg import eigenvalues
-
-    lam = eigenvalues(m)
+    lam = np.linalg.eigvals(m)
     out = []
     acc = np.ones_like(lam)
     for _ in range(count):
@@ -152,12 +141,10 @@ def trace_powers(m: np.ndarray, count: int) -> list:
     return out
 
 
-def inverse_trace_sequence(traces: list, j_max: int, eta: int, k: int = None) -> list:
+def inverse_trace_sequence(traces: list, j_max: int, eta: int) -> list:
     """[T_j for j = 1..j_max]: traces of powers of A(0)^-1 dA/dkappa.
 
-    T_j = (-1)^j (2 eta + sum_{y=1}^{j} (-2)^y C(j,y) Tr[M^y]).  k names
-    the block size the traces came from; only eta and the Tr[M^y] values
-    enter the result.
+    T_j = (-1)^j (2 eta + sum_{y=1}^{j} (-2)^y C(j,y) Tr[M^y]).
     """
     assert len(traces) >= j_max
     out = []
@@ -192,7 +179,7 @@ def pfaffian_derivatives(u_eff: np.ndarray, eta: int, k: int, x_max: int = None)
         x_max = eta
     pf0 = float(pfaffian(assemble_a_matrix(u_eff, eta, k, 0.0)).real)
     m = build_m(u_eff, k, eta)
-    t_list = inverse_trace_sequence(trace_powers(m, x_max), x_max, eta, k)
+    t_list = inverse_trace_sequence(trace_powers(m, x_max), x_max, eta)
     return _pf_derivative_recursion(pf0, t_list, x_max)
 
 
@@ -253,41 +240,18 @@ class RdmDecomposition:
         return pm_vpq @ w @ pm_vx
 
 
-def _mask(modes) -> int:
-    m = 0
-    for mode in modes:
-        m |= 1 << (mode - 1)
-    return m
-
-
-def _apply_sign(mask: int, mode: int, create: bool):
-    bit = 1 << (mode - 1)
-    if create == bool(mask & bit):
-        return None, 0
-    sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-    return (mask | bit) if create else (mask & ~bit), sign
-
-
-def _reordering_sign(p, q, p_only, q_only, shared) -> int:
+def _reordering_sign(p, q, p_only, q_only) -> int:
     """Parity relating the transition string to the paired product form.
 
     Both strings map the reference ket on q to the ket on p; the ratio of
     the two resulting signs is the global parity of the decomposition.
     """
-    mask, sd = _mask(q), 1
-    for mode in q:
-        mask, s = _apply_sign(mask, mode, create=False)
-        sd *= s
-    for mode in reversed(p):
-        mask, s = _apply_sign(mask, mode, create=True)
-        sd *= s
-    mask, sx = _mask(q), 1
+    mask, _ = apply_string(0, create=q)
+    _, sign = apply_string(mask, q, p)
     for pj, qj in reversed(list(zip(p_only, q_only))):
-        mask, s = _apply_sign(mask, qj, create=False)
-        sx *= s
-        mask, s = _apply_sign(mask, pj, create=True)
-        sx *= s
-    return sd * sx
+        mask, s = apply_string(mask, (qj,), (pj,))
+        sign *= s
+    return sign
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +274,7 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> RdmDecomposition:
     q_only = tuple(m for m in q if m not in shared)
     kp = len(p_only)
     mshared = len(shared)
-    sign = _reordering_sign(p, q, p_only, q_only, shared)
+    sign = _reordering_sign(p, q, p_only, q_only)
     terms = []
     for r in range(kp + 1):
         phi = np.pi * r / (kp + 1)
@@ -353,7 +317,7 @@ def _diag_estimate_from_block(w_block: np.ndarray, n: int, eta: int, k: int,
                               weights) -> float:
     """Estimate of the leading diagonal pattern from the eta x k block."""
     m = _m_from_block(w_block)
-    t_list = inverse_trace_sequence(trace_powers(m, k), k, eta, k)
+    t_list = inverse_trace_sequence(trace_powers(m, k), k, eta)
     derivs = _pf_derivative_recursion(float((-1) ** (n - k)), t_list, k)
     total = 0.0
     for x in range(k + 1):

@@ -5,7 +5,8 @@ of [n] in colex rank order.  The basis ket for the subset z = (z_1 < ... <
 z_eta) is built by applying creation operators in increasing mode order to
 the vacuum, and every sign in this module follows from that single
 convention: annihilating (or creating) mode m picks up (-1)^(number of
-occupied modes below m).
+occupied modes below m).  That rule and the subset-to-bitmask encoding
+under it live in combinat.apply_string and combinat.subset_masks.
 
 Transition operators are specified by two sorted k-subsets p, q and act as
 the creator string for p times the annihilator string for q (annihilators
@@ -26,11 +27,18 @@ Contents
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .combinat import binom, rank_subset, subsets, unrank_subset, validate_subset
+from .combinat import (
+    apply_string,
+    binom,
+    rank_subset,
+    subset_masks,
+    subsets,
+    unrank_subset,
+    validate_subset,
+)
 from .linalg import givens_rotate
 
 
@@ -43,9 +51,12 @@ class FermionState:
     amps: np.ndarray
 
     def __post_init__(self):
-        assert 0 <= self.eta <= self.n
+        if not 0 <= self.eta <= self.n:
+            raise ValueError(f"need 0 <= eta <= n, got n={self.n} eta={self.eta}")
         self.amps = np.asarray(self.amps, dtype=np.complex128)
-        assert self.amps.shape == (binom(self.n, self.eta),)
+        if self.amps.shape != (binom(self.n, self.eta),):
+            raise ValueError(f"need C({self.n},{self.eta}) = {binom(self.n, self.eta)} "
+                             f"amplitudes, got shape {self.amps.shape}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -78,85 +89,22 @@ def apply_rotation(state: FermionState, u: np.ndarray) -> FermionState:
     return FermionState(state.n, state.eta, givens_rotate(u[None], state.amps, state.eta)[0])
 
 
-# ------------------------------------------------- bitmask sign helpers
-
-@lru_cache(maxsize=None)
-def _sector(n: int, d: int):
-    """(masks list, mask -> rank dict) for the d-subsets of [n]."""
-    masks = []
-    for z in subsets(n, d):
-        m = 0
-        for mode in z:
-            m |= 1 << (mode - 1)
-        masks.append(m)
-    return masks, {m: r for r, m in enumerate(masks)}
-
-
-def _annihilate(mask: int, mode: int):
-    bit = 1 << (mode - 1)
-    if not mask & bit:
-        return None, 0
-    sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-    return mask & ~bit, sign
-
-
-def _create(mask: int, mode: int):
-    bit = 1 << (mode - 1)
-    if mask & bit:
-        return None, 0
-    sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-    return mask | bit, sign
-
-
-def _annihilator_string_matrix(n: int, eta: int, q) -> np.ndarray:
-    """Matrix of the annihilator string for q, from the eta to eta-k sector.
-
-    Entry [s', s] is the amplitude <s'| a_q1 applied first ... |s> with the
-    annihilators taken in ascending q order.
-    """
-    k = len(q)
-    masks_in, _ = _sector(n, eta)
-    _, rank_out = _sector(n, eta - k)
-    a = np.zeros((binom(n, eta - k), binom(n, eta)))
-    for r, mask in enumerate(masks_in):
-        m, total = mask, 1
-        for mode in q:
-            m, s = _annihilate(m, mode)
-            if m is None:
-                break
-            total *= s
-        else:
-            a[rank_out[m], r] = total
-    return a
-
+# ------------------------------------------------- transition operators
 
 def apply_rdm_operator(state: FermionState, p, q) -> FermionState:
     """Apply the transition operator for (p, q); the result is unnormalized."""
     p = validate_subset(p, state.n)
     q = validate_subset(q, state.n)
-    assert len(p) == len(q)
-    masks_in, _ = _sector(state.n, state.eta)
-    _, rank_in = _sector(state.n, state.eta)
+    if len(p) != len(q):
+        raise ValueError(f"p and q differ in size: {p}, {q}")
+    masks = subset_masks(state.n, state.eta)
     out = np.zeros_like(state.amps)
-    for r, mask in enumerate(masks_in):
+    for r, mask in enumerate(masks.tolist()):
         if state.amps[r] == 0:
             continue
-        m, total = mask, 1
-        for mode in q:
-            m, s = _annihilate(m, mode)
-            if m is None:
-                break
-            total *= s
-        if m is None:
-            continue
-        for mode in reversed(p):
-            m, s = _create(m, mode)
-            if m is None:
-                break
-            total *= s
-        if m is None:
-            continue
-        out[rank_in[m]] += total * state.amps[r]
+        m, sign = apply_string(mask, q, p)
+        if m is not None:
+            out[np.searchsorted(masks, m)] += sign * state.amps[r]
     return FermionState(state.n, state.eta, out)
 
 
@@ -172,10 +120,14 @@ def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
     string for q, so the result is hermitian by construction.
     """
     assert 0 <= k <= state.eta
-    cols = binom(state.n, k)
-    a = np.zeros((binom(state.n, state.eta - k), cols), dtype=np.complex128)
+    masks = subset_masks(state.n, state.eta).tolist()
+    masks_out = subset_masks(state.n, state.eta - k)
+    a = np.zeros((masks_out.size, binom(state.n, k)), dtype=np.complex128)
     for c, q in enumerate(subsets(state.n, k)):
-        a[:, c] = _annihilator_string_matrix(state.n, state.eta, q) @ state.amps
+        for r, mask in enumerate(masks):
+            m, sign = apply_string(mask, q)
+            if m is not None:
+                a[np.searchsorted(masks_out, m), c] = sign * state.amps[r]
     return a.conj().T @ a
 
 

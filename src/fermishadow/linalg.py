@@ -8,14 +8,13 @@ Contents
     compound_matrix : k-th multiplicative compound (action on k-subsets)
     givens_rotate   : k-particle amplitudes rotated by a stack of unitaries
     pfaffian        : Pfaffian of an even skew-symmetric matrix
-    eigenvalues     : eigenvalues of a small dense matrix
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .combinat import binom, subsets
+from .combinat import subset_masks, subsets
 
 
 # ---------------------------------------------------------------- Haar
@@ -148,11 +147,11 @@ def _adjacent_pairs(n: int, k: int) -> tuple:
     """
     # colex rank order is ascending bitmask order, so a mask's rank is its
     # position in the sorted mask list
-    masks = (1 << subset_index_array(n, k)).sum(axis=1)
+    masks, bits = subset_masks(n, k), subset_masks(n, 1)
     out = []
     for m in range(n - 1):
-        both = 3 << m
-        lo = np.flatnonzero((masks & both) == 1 << m)
+        both = bits[m] | bits[m + 1]
+        lo = np.flatnonzero((masks & both) == bits[m])
         hi = np.searchsorted(masks, masks[lo] ^ both)
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -248,9 +247,3 @@ def pfaffian(a: np.ndarray) -> complex:
             a[j + 2:, j + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return complex(val)
 
-
-# ---------------------------------------------------------------- eigen
-
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a dense square matrix (LAPACK nonsymmetric solver)."""
-    return np.linalg.eigvals(np.asarray(m))

@@ -7,6 +7,7 @@ import pytest
 from fermishadow.channel import (
     ChannelSpec,
     DiagonalOperator,
+    _intersection_table,
     a_coeff,
     apply_channel_diagonal,
     channel_apply_int_batch,
@@ -171,6 +172,19 @@ def test_inverse_channel_matches_estimation_entries():
 def test_overlap_class_array():
     got = overlap_class_array(4, 2, 2)
     assert list(got) == [2, 1, 1, 1, 1, 0]
+    for n in range(7):
+        for d in range(n + 1):
+            for eta in range(n + 1):
+                want = [sum(1 for m in z if m <= eta) for z in subsets(n, d)]
+                assert overlap_class_array(n, d, eta).tolist() == want
+
+
+def test_intersection_table_matches_sets():
+    for n in range(1, 7):
+        for eta in range(n + 1):
+            ss = list(subsets(n, eta))
+            want = [[len(set(a) & set(b)) for b in ss] for a in ss]
+            assert _intersection_table(n, eta).tolist() == want
 
 
 def test_mc_channel_estimate_agrees():

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from fermishadow.cli import (
     ConfigError,
     ExperimentConfig,
     build_state,
+    cmd_slater_overlap,
     main,
     run_validation,
 )
@@ -85,6 +90,33 @@ def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "norm 2" in err
+
+
+def test_estimate_rejects_wrong_amplitude_count(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": 4, "eta": 2, "amplitudes": [[0.2, 0.0]] * 5}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "eta": 2, "k": 1, "samples": 5, "seed": 1,
+                               "state_source": f"file:{path}"}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "amplitudes" in err
+
+
+def test_config_errors_survive_optimized_mode(tmp_path):
+    # python -O strips assert statements; boundary checks must not depend on them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    base = {"n": 3, "eta": 2, "k": 1, "samples": 5, "seed": 1}
+    for extra in ({"targets": [[[4], [1]]]}, {"state_source": "basis:2,9"}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(base, **extra)))
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "fermishadow.cli", "estimate", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("config error:"), out.stderr
 
 
 def test_estimate_deterministic_output_files(tmp_path, capsys):
@@ -261,3 +293,10 @@ def test_slater_overlap_json_format(capsys):
     assert set(data[0]) == {"q", "overlap_re", "overlap_im", "stderr_re",
                             "stderr_im", "oracle_re", "oracle_im",
                             "overlap_var_single_shot"}
+
+
+def test_slater_overlap_rejects_bad_targets():
+    # [[1]] at eta=2 once gave a row labelled 1 holding the values of (1, 2)
+    for targets in ([[1, 5]], [[1]], [[2, 1]], [3]):
+        with pytest.raises(ConfigError, match="target"):
+            cmd_slater_overlap(ExperimentConfig(3, 2, 2, 5, 1, targets=targets))

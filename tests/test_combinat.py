@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fermishadow.combinat import (
+    apply_string,
     binom,
     canonical_permutation,
     falling,
     overlap_count,
     permutation_matrix,
     rank_subset,
+    subset_masks,
     subsets,
     unrank_subset,
     validate_subset,
@@ -62,14 +64,49 @@ def test_rank_is_embedding_stable():
 
 
 def test_validate_subset_rejects():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         validate_subset((2, 1), 4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         validate_subset((0, 1), 4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         validate_subset((1, 5), 4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         validate_subset((2, 2), 4)
+
+
+def test_subset_masks_are_colex_bitmasks():
+    assert subset_masks(4, 2).tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    assert subset_masks(3, 0).tolist() == [0]
+    for n in range(7):
+        for k in range(n + 1):
+            masks = subset_masks(n, k)
+            assert masks.dtype == np.int64 and not masks.flags.writeable
+            want = [sum(2 ** (m - 1) for m in z) for z in subsets(n, k)]
+            assert masks.tolist() == want == sorted(want)
+            for r, z in enumerate(subsets(n, k)):
+                assert np.searchsorted(masks, want[r]) == rank_subset(z, n)
+
+
+def test_apply_string_hand_signs():
+    # a_2 on |1 2 3> passes one occupied mode; a^dag_1 a_2 |2 3> = |1 3>
+    assert apply_string(0b111, annihilate=(2,)) == (0b101, -1)
+    assert apply_string(0b110, (2,), (1,)) == (0b101, 1)
+    # a^dag_3 a_1 |1 2> = -|2 3>, a^dag_1 a_1 |1 2> = |1 2>
+    assert apply_string(0b011, (1,), (3,)) == (0b110, -1)
+    assert apply_string(0b011, (1,), (1,)) == (0b011, 1)
+    # creators act in descending order on the vacuum: a^dag_1 a^dag_3 |0> = |1 3>
+    assert apply_string(0, create=(1, 3)) == (0b101, 1)
+    # annihilators act in ascending order: a_3 a_1 |1 2 3> = -|2>
+    assert apply_string(0b111, annihilate=(3, 1)) == (0b010, -1)
+    assert apply_string(0b111, annihilate=(1, 3)) == (0b010, -1)
+    assert apply_string(1 << 127, (128,), (1,)) == (1, 1)
+
+
+def test_apply_string_kills():
+    assert apply_string(0b011, (3,), (1,)) == (None, 0)     # 3 is empty
+    assert apply_string(0b011, (1,), (2,)) == (None, 0)     # 2 is still full
+    assert apply_string(0b011, annihilate=(1, 1)) == (None, 0)
+    assert apply_string(0, create=(2, 2)) == (None, 0)
 
 
 def test_overlap_count():

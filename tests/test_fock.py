@@ -1,7 +1,9 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermishadow.combinat import binom, rank_subset, subsets
 from fermishadow.fock import (
@@ -25,6 +27,14 @@ def test_basis_state_ranks():
     assert np.argmax(np.abs(basis_state((3, 4), 4).amps)) == 5
     assert np.argmax(np.abs(basis_state((2,), 3).amps)) == 1
     assert abs(basis_state((1, 3), 4).norm() - 1.0) < 1e-14
+
+
+def test_fermion_state_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="amplitudes"):
+        FermionState(4, 2, np.ones(5))
+    for eta in (-1, 4):
+        with pytest.raises(ValueError, match="eta"):
+            FermionState(3, eta, np.ones(1))
 
 
 def test_random_state_normalized():
@@ -66,6 +76,48 @@ def test_expectation_hermiticity():
                 a = expectation_rdm(st, p, q)
                 b = expectation_rdm(st, q, p)
                 assert abs(np.conj(a) - b) < 1e-12
+
+
+@lru_cache(maxsize=None)
+def _jordan_wigner(n):
+    """Dense a_m on 2^n, basis index = occupation bitmask (bit m-1 for mode m)."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])       # |1> -> |0> on one mode
+    ops = []
+    for m in range(1, n + 1):
+        # kron puts its first factor on the highest bit: modes n..m+1, m, m-1..1
+        a = np.kron(np.eye(2 ** (n - m)), lower)
+        for _ in range(m - 1):
+            a = np.kron(a, np.diag([1.0, -1.0]))
+        ops.append(a)
+    return ops
+
+
+def _sector_transition(n, eta, p, q):
+    """a^dag_p1 .. a^dag_pk a_qk .. a_q1 restricted to the colex eta-sector basis."""
+    a = _jordan_wigner(n)
+    op = np.eye(2 ** n)
+    for m in q:
+        op = a[m - 1] @ op
+    for m in reversed(p):
+        op = a[m - 1].T @ op
+    basis = [sum(2 ** (m - 1) for m in z) for z in subsets(n, eta)]
+    return op[np.ix_(basis, basis)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_transitions_match_jordan_wigner(n, data):
+    eta = data.draw(st.integers(0, n))
+    k = data.draw(st.integers(0, eta))
+    ks = list(subsets(n, k))
+    p = ks[data.draw(st.integers(0, len(ks) - 1))]
+    q = ks[data.draw(st.integers(0, len(ks) - 1))]
+    state = random_state(n, eta, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+    dense = _sector_transition(n, eta, p, q)
+    assert np.allclose(apply_rdm_operator(state, p, q).amps, dense @ state.amps, atol=1e-13)
+    want = np.array([[np.vdot(state.amps, _sector_transition(n, eta, a, b) @ state.amps)
+                      for b in ks] for a in ks])
+    assert np.allclose(rdm_matrix(state, k), want, atol=1e-12)
 
 
 def test_rdm_matrix_matches_expectations():

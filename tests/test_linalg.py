@@ -6,7 +6,6 @@ from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
     compound_batch,
     compound_matrix,
-    eigenvalues,
     ginibre,
     givens_rotate,
     haar_unitary,
@@ -180,7 +179,3 @@ def test_pfaffian_rejects_bad_input():
     with pytest.raises(AssertionError):
         pfaffian(np.ones((2, 2)))
 
-
-def test_eigenvalues_trace():
-    a = RNG.standard_normal((5, 5))
-    assert abs(eigenvalues(a).sum() - np.trace(a)) < 1e-10

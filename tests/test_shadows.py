@@ -133,7 +133,7 @@ def test_rdm_observable_from_terms():
     assert obs.coeffs[rank_subset((1, 2)), rank_subset((3, 4))] == 2.0
     assert obs.coeffs[rank_subset((1, 3)), rank_subset((1, 3))] == 1j
     assert np.count_nonzero(obs.coeffs) == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RdmObservable.from_terms(4, 2, {((1, 1), (1, 2)): 1.0})
 
 
