@@ -12,7 +12,7 @@ Modules
     fock       : dense eta-particle states, transitions, sampling
     channel    : exact algebra of the measurement channel
     shadows    : the protocol on stacked (us, zs) arrays, variance bookkeeping
-    fastpath   : the Pfaffian estimator for one shadow (u, z)
+    fastpath   : the Pfaffian estimator over stacked shadows (us, zs)
     identities : brute-vs-closed verification sums
     cli        : command-line entry points
 """

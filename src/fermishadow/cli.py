@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ConfigError(f"state_source must be random_pure, basis:..., or file:..., got {src!r}")
         if self.estimator not in ("dense", "fast", "both"):
             raise ConfigError(f"estimator must be dense, fast, or both, got {self.estimator!r}")
+        if self.estimator != "dense" and self.k == 0:
+            raise ConfigError(f"estimator {self.estimator} needs k >= 1; use dense for k = 0")
         agg = self.aggregation
         if agg != "mean" and not agg.startswith("median_of_means:"):
             raise ConfigError(f"aggregation must be mean or median_of_means:B, got {agg!r}")
@@ -218,12 +220,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
         }
     fast = None
     if config.estimator in ("fast", "both"):
-        fast = {}
-        for p, q in set(targets):
-            vals = np.empty(config.samples, dtype=np.complex128)
-            for i in range(config.samples):
-                vals[i] = fast_estimate_rdm(us[i], zs[i], eta, k, p, q)
-            fast[(p, q)] = vals
+        fast = {(p, q): fast_estimate_rdm(us, zs, eta, k, p, q) for p, q in set(targets)}
 
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     if config.estimator == "both":
@@ -369,7 +366,7 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
                     p = ss[rng.integers(len(ss))]
                     q = ss[rng.integers(len(ss))]
                     d = ests[rank_subset(p), rank_subset(q)]
-                    f = fast_estimate_rdm(us[0], zs[0], eta, k, p, q)
+                    f = fast_estimate_rdm(us, zs, eta, k, p, q)[0]
                     worst = max(worst, abs(d - f) / max(1.0, abs(d)))
     record("fast_vs_dense", worst < 1e-8, f"worst relative gap {worst:.2e}")
 

@@ -12,12 +12,21 @@ mode-doubled space, J puts a Yhat block on the first eta pairs, Lambda =
 generates the needed occupation-polynomial expectations; A(0) never depends
 on u_eff and Pf[A(0)] = (-1)^(n-k) exactly.  Derivatives at 0 come from a
 trace recursion whose inputs are eigenvalue power sums of a 2k x 2k Gram
-block, so one estimate costs O(k^2 eta) after O(k eta) column gathers.
+block.  That block is the doubled real image of the k x k Hermitian Gram
+W^H W of the eta x k block W of u_eff, so Tr M^y = 2 Tr (W^H W)^y and one
+estimate costs O(k^2 eta) after O(k eta) column gathers.
 
 Off-diagonal transitions (p, q) reduce exactly to diagonal estimates in
 rotated frames: pair rotations at k'+1 discrete angles (k' = modes where p
 and q differ) combined by a DFT, times a 2^k' inclusion-exclusion over
 pattern choices, times a global fermionic reordering sign.
+
+fast_estimate_rdm evaluates one target over a stack of shadows at once: it
+stacks the T terms' column tables, gathers the (N, T, eta, k) blocks W from
+the readout rows of each u, takes the power sums of the Grams with one
+batched eigvalsh, runs the trace and derivative recursions elementwise on
+(N, T) arrays, and contracts with the term weights.  Shots go in chunks of
+bounded size, so memory does not grow with N.
 
 Contents
 --------
@@ -29,7 +38,8 @@ Contents
     pfaffian_derivatives    : d^x Pf[A]|_0 for x = 0..x_max
     decompose_rdm           : exact off-diagonal-to-diagonal decomposition; its
                               global sign comes from combinat.apply_string
-    fast_estimate_rdm       : one shadow's (u, z) estimate, equal to the dense one
+    fast_estimate_rdm       : (N,) estimates of stacked shadows (us, zs), equal
+                              to the dense ones, in one vectorized pass
 """
 
 from dataclasses import dataclass
@@ -114,13 +124,12 @@ def alpha_coeffs(n: int, eta: int, k: int) -> FastCoefficients:
 # ------------------------------------------------- trace recursion
 
 def build_m(u_eff: np.ndarray, k: int, eta: int) -> np.ndarray:
-    """2k x 2k real Gram block M driving the trace recursion."""
-    return _m_from_block(u_eff[:eta, :k])
+    """2k x 2k real Gram block M = m'^T m' driving the trace recursion.
 
-
-def _m_from_block(w_block: np.ndarray) -> np.ndarray:
-    """M = m'^T m' where m' is the doubled image of the eta x k block of i u_eff."""
-    eta, k = w_block.shape
+    m' is the doubled real image of the eta x k block of i u_eff, so M is the
+    doubled image of the k x k Hermitian Gram of that block.
+    """
+    w_block = u_eff[:eta, :k]
     m = np.empty((2 * eta, 2 * k))
     re, im = w_block.real, w_block.imag
     m[0::2, 0::2] = -im
@@ -130,21 +139,23 @@ def _m_from_block(w_block: np.ndarray) -> np.ndarray:
     return m.T @ m
 
 
-def trace_powers(m: np.ndarray, count: int) -> list:
-    """[Tr m^y for y = 1..count] via eigenvalues."""
-    lam = np.linalg.eigvals(m)
-    out = []
+def trace_powers(h: np.ndarray, count: int) -> np.ndarray:
+    """(count, ...) array of Tr h^y, y = 1..count, for a stack (..., d, d) of
+    Hermitian matrices, via eigenvalues."""
+    lam = np.linalg.eigvalsh(h)
+    out = np.empty((count,) + lam.shape[:-1])
     acc = np.ones_like(lam)
-    for _ in range(count):
+    for y in range(count):
         acc = acc * lam
-        out.append(complex(acc.sum()).real)
+        out[y] = acc.sum(axis=-1)
     return out
 
 
-def inverse_trace_sequence(traces: list, j_max: int, eta: int) -> list:
+def inverse_trace_sequence(traces, j_max: int, eta: int) -> list:
     """[T_j for j = 1..j_max]: traces of powers of A(0)^-1 dA/dkappa.
 
-    T_j = (-1)^j (2 eta + sum_{y=1}^{j} (-2)^y C(j,y) Tr[M^y]).
+    T_j = (-1)^j (2 eta + sum_{y=1}^{j} (-2)^y C(j,y) Tr[M^y]), where
+    traces[y-1] = Tr[M^y] is a number or an array (elementwise).
     """
     assert len(traces) >= j_max
     out = []
@@ -157,7 +168,10 @@ def inverse_trace_sequence(traces: list, j_max: int, eta: int) -> list:
 
 
 def _pf_derivative_recursion(pf0: float, t_list: list, x_max: int) -> list:
-    """d^x Pf|_0 from d Pf/Pf = T_1/2 and T_1^(j) = (-1)^j j! T_{j+1}."""
+    """d^x Pf|_0 from d Pf/Pf = T_1/2 and T_1^(j) = (-1)^j j! T_{j+1}.
+
+    Elementwise when the T_j are arrays.
+    """
     out = [pf0]
     for x in range(1, x_max + 1):
         acc = 0.0
@@ -265,9 +279,10 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> RdmDecomposition:
     of coeff * (rotated diagonal estimate) times `sign` reproduces the
     transition estimate of any shadow exactly.
     """
+    if len(p) != len(q) or len(p) == 0:
+        raise ValueError(f"need nonempty p and q of equal length, got {p} and {q}")
     p = validate_subset(p, n)
     q = validate_subset(q, n)
-    assert len(p) == len(q) >= 1
     k = len(p)
     shared = tuple(sorted(set(p) & set(q)))
     p_only = tuple(m for m in p if m not in shared)
@@ -313,33 +328,58 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> RdmDecomposition:
 
 # ------------------------------------------------- full fast estimator
 
-def _diag_estimate_from_block(w_block: np.ndarray, n: int, eta: int, k: int,
-                              weights) -> float:
-    """Estimate of the leading diagonal pattern from the eta x k block."""
-    m = _m_from_block(w_block)
-    t_list = inverse_trace_sequence(trace_powers(m, k), k, eta)
-    derivs = _pf_derivative_recursion(float((-1) ** (n - k)), t_list, k)
-    total = 0.0
-    for x in range(k + 1):
-        total += float(weights[x]) * derivs[x] / factorial(x)
-    return ((-1) ** (n - k)) * total
+# shots per pass are chosen so one pass holds at most this many block entries
+_BLOCK_ENTRIES = 1 << 17
 
 
-def fast_estimate_rdm(u: np.ndarray, z, eta: int, k: int, p, q) -> complex:
-    """Transition estimate of the shadow with rotation u and readout z.
+def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) -> np.ndarray:
+    """(N,) transition estimates of the shadows with rotations us and readouts zs.
 
-    Equal to entry [rank p, rank q] of batch_estimate_matrices up to
-    roundoff, at O(k^2 eta) per term and without the C(n,k) x C(n,k) matrix.
+    Entry i equals entry [i, rank p, rank q] of batch_estimate_matrices up to
+    roundoff, without the C(n,k) x C(n,k) matrix: one vectorized pass per
+    chunk of shots over all T decomposition terms, O(T k^2 eta) per shot.
+    Raises ValueError for us not (N, n, n), for |p|, |q| other than k or
+    not 1 <= k <= eta <= n, for zs not (N, eta), or for a readout row that is
+    not strictly increasing within 1..n.
     """
-    n = u.shape[0]
-    if len(z) != eta:
-        raise ValueError(f"readout has {len(z)} modes, expected eta={eta}")
+    us = np.asarray(us)
+    zs = np.asarray(zs)
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError(f"us must be a stack (N, n, n) of rotations, got shape {us.shape}")
+    n = us.shape[-1]
+    if not (len(p) == len(q) == k and 1 <= k <= eta <= n):
+        raise ValueError(f"need |p| = |q| = k with 1 <= k <= eta <= n, got n={n} "
+                         f"eta={eta} k={k}, p={tuple(p)}, q={tuple(q)}")
+    if zs.shape != (us.shape[0], eta):
+        raise ValueError(f"zs must be (N, eta={eta}) readouts with N = {us.shape[0]} "
+                         f"as in us, got shape {zs.shape}")
+    if (zs.dtype.kind not in "iu" or np.any(np.diff(zs, axis=1) <= 0)
+            or np.any((zs < 1) | (zs > n))):
+        raise ValueError(f"every readout must be integers strictly increasing within 1..{n}")
     decomp = decompose_rdm(tuple(p), tuple(q), n)
-    weights = alpha_coeffs(n, eta, k).derivative_weights
-    zidx = np.asarray(z, dtype=np.int64) - 1
-    acc = 0.0 + 0.0j
-    for term in decomp.terms:
-        cols = u[zidx[:, None, None], term.col_rows[None, :, :] - 1]
-        w_block = (cols * term.col_vals[None, :, :]).sum(axis=2)
-        acc += term.coeff * _diag_estimate_from_block(w_block, n, eta, k, weights)
-    return complex(decomp.sign * acc)
+    sign = float((-1) ** (n - k))
+    weights = [float(c) / factorial(x)
+               for x, c in enumerate(alpha_coeffs(n, eta, k).derivative_weights)]
+    # row 0 marks an empty slot; its value 0 cancels the wrapped index -1
+    rows = np.stack([t.col_rows for t in decomp.terms]) - 1       # (T, k, 2)
+    vals = np.stack([t.col_vals for t in decomp.terms])           # (T, k, 2)
+    coeffs = np.array([t.coeff for t in decomp.terms])            # (T,)
+    out = np.empty(us.shape[0], dtype=np.complex128)
+    step = max(1, _BLOCK_ENTRIES // (len(coeffs) * eta * k))
+    for lo in range(0, us.shape[0], step):
+        hi = min(lo + step, us.shape[0])
+        # readout rows of each u, transposed to (shots, n, eta)
+        ut = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1].transpose(0, 2, 1)
+        # wt[i, t] = (eta x k block of u_i at term t's columns)^T, (shots, T, k, eta)
+        wt = (ut[:, rows] * vals[..., None]).sum(axis=-2)
+        gram = np.empty(wt.shape[:2] + (k, k), dtype=np.complex128)
+        for a in range(k):
+            for b in range(a, k):
+                gram[:, :, a, b] = (wt[:, :, a].conj() * wt[:, :, b]).sum(axis=-1)
+                gram[:, :, b, a] = gram[:, :, a, b].conj()
+        # M is the doubled real image of the Gram, so Tr M^y = 2 Tr gram^y
+        t_list = inverse_trace_sequence(2.0 * trace_powers(gram, k), k, eta)
+        derivs = _pf_derivative_recursion(sign, t_list, k)
+        diag = sign * sum(wx * dx for wx, dx in zip(weights, derivs))
+        out[lo:hi] = decomp.sign * (diag @ coeffs)
+    return out

@@ -218,15 +218,17 @@ def pfaffian(a: np.ndarray) -> complex:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
     Parlett-Reid tridiagonalization with partial pivoting; O(m^3).  The input
-    is copied.  Returns 0 for odd dimension only if asserts are disabled; odd
-    input is rejected.
+    is copied.  Raises ValueError unless the input is square, of even
+    dimension and skew-symmetric to 1e-10 of its largest entry.
     """
     a = np.array(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"Pfaffian needs a square matrix, got shape {a.shape}")
     m = a.shape[0]
-    assert a.shape == (m, m), "square matrix required"
-    assert m % 2 == 0, "Pfaffian needs even dimension"
-    assert np.allclose(a, -a.T, atol=1e-10 * max(1.0, np.abs(a).max(initial=0.0))), \
-        "matrix is not skew-symmetric"
+    if m % 2:
+        raise ValueError(f"Pfaffian needs even dimension, got {m}")
+    if not np.allclose(a, -a.T, atol=1e-10 * max(1.0, np.abs(a).max(initial=0.0))):
+        raise ValueError("Pfaffian needs a skew-symmetric matrix")
     if m == 0:
         return 1.0 + 0.0j
     val = 1.0 + 0.0j

@@ -198,7 +198,7 @@ def test_criterion_07_fast_path_equivalence():
                         p = ss[rng.integers(len(ss))]
                         q = ss[rng.integers(len(ss))]
                         dense = ests[i, rank_subset(p), rank_subset(q)]
-                        fast = fast_estimate_rdm(us[i], zs[i], eta, k, p, q)
+                        fast = fast_estimate_rdm(us[i : i + 1], zs[i : i + 1], eta, k, p, q)[0]
                         worst = max(worst, abs(dense - fast) / max(1.0, abs(dense)))
                         triples += 1
     fd_worst = 0.0
@@ -290,20 +290,20 @@ def test_criterion_10_fast_path_scaling():
     times = {}
     for eta in (8, 16, 32, 64):
         n = 2 * eta
-        u = unitary_from_ginibre(ginibre(n, rng))
-        z = tuple(sorted(rng.choice(np.arange(1, n + 1), size=eta, replace=False).tolist()))
+        us = unitary_from_ginibre(ginibre(n, rng))[None]
+        zs = np.array([sorted(rng.choice(np.arange(1, n + 1), size=eta, replace=False).tolist())])
         pairs = []
         for _ in range(40):
             p = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             q = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             pairs.append((p, q))
         for p, q in pairs:
-            fast_estimate_rdm(u, z, eta, k, p, q)   # warm caches
+            fast_estimate_rdm(us, zs, eta, k, p, q)   # warm caches
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
             for p, q in pairs:
-                fast_estimate_rdm(u, z, eta, k, p, q)
+                fast_estimate_rdm(us, zs, eta, k, p, q)
             best = min(best, (time.perf_counter() - t0) / len(pairs))
         times[eta] = best
     slope = float(np.log(times[64] / times[8]) / np.log(64 / 8))

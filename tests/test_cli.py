@@ -37,12 +37,14 @@ def test_config_validation_messages():
         (dict(good, seed=-1), "seed"),
         (dict(good, state_source="mystery"), "state_source"),
         (dict(good, estimator="oracle"), "estimator"),
+        (dict(good, k=0, estimator="fast"), "k >= 1"),
+        (dict(good, k=0, estimator="both"), "k >= 1"),
         (dict(good, aggregation="median_of_means:3"), "divide"),
         (dict(good, aggregation="median_of_means:x"), "batch"),
         (dict(good, targets=17), "targets"),
     ]
-    for fields, _ in bad:
-        with pytest.raises(ConfigError):
+    for fields, msg in bad:
+        with pytest.raises(ConfigError, match=msg):
             ExperimentConfig(**fields).validate()
 
 
@@ -117,6 +119,39 @@ def test_config_errors_survive_optimized_mode(tmp_path):
         )
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("config error:"), out.stderr
+
+
+def test_input_checks_survive_optimized_mode():
+    # the library's own input checks must raise ValueError under python -O too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = """
+import numpy as np
+from fermishadow.fastpath import decompose_rdm, fast_estimate_rdm
+from fermishadow.linalg import pfaffian
+if __debug__:
+    raise SystemExit("asserts are on")
+u = np.eye(4, dtype=complex)[None]
+calls = {
+    "fast k != |p|": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (1,), (2,)),
+    "fast repeated readout": lambda: fast_estimate_rdm(u, [(1, 1)], 2, 1, (1,), (2,)),
+    "fast count mismatch": lambda: fast_estimate_rdm(u, [(1, 2), (1, 3)], 2, 1, (1,), (2,)),
+    "decompose |p| != |q|": lambda: decompose_rdm((1, 2), (3,), 4),
+    "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
+    "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit(f"{name}: no ValueError")
+print("ok")
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_estimate_deterministic_output_files(tmp_path, capsys):

@@ -1,12 +1,15 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fermishadow import fastpath
 from fermishadow.combinat import binom, falling, rank_subset, subsets
 from fermishadow.fastpath import (
     YHAT,
+    _pf_derivative_recursion,
     alpha_coeffs,
     assemble_a_matrix,
     build_m,
@@ -28,7 +31,11 @@ from fermishadow.linalg import (
     subset_index_array,
     unitary_from_ginibre,
 )
-from fermishadow.shadows import batch_estimate_matrices, collect_shadow_arrays
+from fermishadow.shadows import (
+    batch_estimate_matrices,
+    collect_shadow_arrays,
+    estimation_matrix,
+)
 
 
 def _haar(n, rng):
@@ -212,7 +219,7 @@ def test_fast_matches_dense_estimator():
             p = ranks[rng.integers(len(ranks))]
             q = ranks[rng.integers(len(ranks))]
             dense = ests[rank_subset(p), rank_subset(q)]
-            fast = fast_estimate_rdm(us[0], zs[0], eta, k, p, q)
+            fast = fast_estimate_rdm(us, zs, eta, k, p, q)[0]
             assert abs(dense - fast) < 1e-8 * max(1.0, abs(dense))
 
 
@@ -225,7 +232,7 @@ def test_fast_estimator_diagonal_norm():
     ests = batch_estimate_matrices(us, zs, eta, k)[0]
     for p in subsets(n, k):
         dense = ests[rank_subset(p), rank_subset(p)]
-        fast = fast_estimate_rdm(us[0], zs[0], eta, k, p, p)
+        fast = fast_estimate_rdm(us, zs, eta, k, p, p)[0]
         assert abs(fast.imag) < 1e-9
         assert abs(dense - fast) < 1e-8
 
@@ -233,7 +240,136 @@ def test_fast_estimator_diagonal_norm():
 def test_fast_estimate_rejects_wrong_readout_length():
     u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))
     with pytest.raises(ValueError, match="eta=2"):
-        fast_estimate_rdm(u, (1, 2, 3), 2, 1, (1,), (2,))
+        fast_estimate_rdm(u[None], [(1, 2, 3)], 2, 1, (1,), (2,))
+
+
+def test_fast_estimate_rejects_bad_input():
+    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None]
+    z = [(1, 2)]
+    cases = [
+        ((u, z, 2, 2, (1,), (2,)), "k=2"),                  # |p| = |q| != k
+        ((u, z, 2, 1, (1,), (2, 3)), "k=1"),                # |p| != |q|
+        ((u, z, 2, 3, (1, 2, 3), (2, 3, 4)), "k <= eta"),   # k > eta
+        ((u, [(1, 2), (1, 3)], 2, 1, (1,), (2,)), "N = 1"),  # counts differ
+        ((u[0], (1, 2), 2, 1, (1,), (2,)), "stack"),        # one unstacked shot
+        ((u, [(1, 1)], 2, 1, (1,), (2,)), "strictly increasing"),
+        ((u, [(2, 1)], 2, 1, (1,), (2,)), "strictly increasing"),
+        ((u, [(0, 2)], 2, 1, (1,), (2,)), "within 1..4"),
+        ((u, [(3, 5)], 2, 1, (1,), (2,)), "within 1..4"),
+        ((u, [(1.0, 2.0)], 2, 1, (1,), (2,)), "integers"),
+    ]
+    for args, match in cases:
+        with pytest.raises(ValueError, match=match):
+            fast_estimate_rdm(*args)
+
+
+def test_decompose_rdm_rejects_bad_pairs():
+    for p, q in [((1, 2), (3,)), ((), ()), ((1,), ())]:
+        with pytest.raises(ValueError, match="equal length"):
+            decompose_rdm(p, q, 4)
+    with pytest.raises(ValueError):
+        decompose_rdm((1, 5), (2, 3), 4)
+
+
+def _loop_estimate(u, z, eta, k, p, q):
+    """Reference: one shadow, one 2k x 2k nonsymmetric eigvals per term.
+
+    The per-term loop fast_estimate_rdm replaced; it takes the power sums of
+    the real Gram block M itself instead of twice those of the Hermitian Gram.
+    """
+    n = u.shape[0]
+    decomp = decompose_rdm(tuple(p), tuple(q), n)
+    weights = alpha_coeffs(n, eta, k).derivative_weights
+    sign = (-1) ** (n - k)
+    zidx = np.asarray(z, dtype=np.int64) - 1
+    acc = 0.0 + 0.0j
+    for term in decomp.terms:
+        cols = u[zidx[:, None, None], term.col_rows[None, :, :] - 1]
+        w_block = (cols * term.col_vals[None, :, :]).sum(axis=2)
+        lam = np.linalg.eigvals(build_m(w_block, k, eta))
+        traces = [complex((lam**y).sum()).real for y in range(1, k + 1)]
+        derivs = _pf_derivative_recursion(
+            float(sign), inverse_trace_sequence(traces, k, eta), k
+        )
+        total = sum(float(weights[x]) * derivs[x] / factorial(x) for x in range(k + 1))
+        acc += term.coeff * sign * total
+    return complex(decomp.sign * acc)
+
+
+def _random_shadows(n, eta, count, rng):
+    us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
+    zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
+    return us, zs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_fast_path_matches_oracles(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    eta = data.draw(st.integers(1, n), label="eta")
+    k = data.draw(st.integers(1, eta), label="k")
+    count = data.draw(st.sampled_from([1, 2, 5]), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    us, zs = _random_shadows(n, eta, count, rng)
+    ss = list(subsets(n, k))
+    p, q = ss[rng.integers(len(ss))], ss[rng.integers(len(ss))]
+
+    got = fast_estimate_rdm(us, zs, eta, k, p, q)
+    assert got.shape == (count,)
+    loop = np.array([_loop_estimate(us[i], zs[i], eta, k, p, q) for i in range(count)])
+    assert np.all(np.abs(got - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
+    dense = batch_estimate_matrices(us, zs, eta, k)[:, rank_subset(p), rank_subset(q)]
+    assert np.all(np.abs(got - dense) <= 1e-8 * np.maximum(1.0, np.abs(dense)))
+
+    # a shot's value does not depend on the batch around it
+    alone = np.array([fast_estimate_rdm(us[i : i + 1], zs[i : i + 1], eta, k, p, q)[0]
+                      for i in range(count)])
+    extra_us, extra_zs = _random_shadows(n, eta, 3, rng)
+    inside = fast_estimate_rdm(np.concatenate([extra_us[:1], us, extra_us[1:]]),
+                               np.concatenate([extra_zs[:1], zs, extra_zs[1:]]),
+                               eta, k, p, q)[1 : count + 1]
+    terms = len(decompose_rdm(p, q, n).terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath, "_BLOCK_ENTRIES", 2 * terms * eta * k)   # 2 shots per pass
+        chunked = fast_estimate_rdm(us, zs, eta, k, p, q)
+    for other in (alone, inside, chunked):
+        assert np.all(np.abs(other - got) <= 1e-13 * np.maximum(1.0, np.abs(got)))
+
+
+def _pair_with_difference(n, k, kp, rng):
+    # k-subsets p, q of 1..n that differ in exactly kp modes
+    perm = [int(m) + 1 for m in rng.permutation(n)]
+    shared = perm[: k - kp]
+    return (tuple(sorted(shared + perm[k - kp : k])),
+            tuple(sorted(shared + perm[k : k + kp])))
+
+
+@pytest.mark.parametrize("n, eta", [(12, 6), (16, 8)])
+def test_fast_path_precision_envelope(n, eta):
+    # one-column dense oracle: minors of u_eff^T on rows p and q against every
+    # k-subset r give the compound columns b[:, p], b[:, q]; the estimate is
+    # sum_r conj(b[r, q]) e_r b[r, p]
+    rng = np.random.default_rng(n)
+    us, zs = _random_shadows(n, eta, 3, rng)
+    mask = np.zeros((len(us), n), dtype=bool)
+    mask[np.arange(len(us))[:, None], zs - 1] = True
+    ueffs = us[np.arange(len(us))[:, None], np.argsort(~mask, axis=1, kind="stable")]
+    worst = {}
+    for k in range(1, 7):
+        e = estimation_matrix(n, eta, k).expand()
+        cols = subset_index_array(n, k)
+        worst[k] = 0.0
+        for kp in sorted({0, 1, k // 2, k}):
+            p, q = _pair_with_difference(n, k, kp, rng)
+            fast = fast_estimate_rdm(us, zs, eta, k, p, q)
+            rows = np.array([p, q], dtype=np.int64) - 1
+            b = minors_batch(ueffs.transpose(0, 2, 1), rows, cols)       # (N, 2, C)
+            dense = (b[:, 1].conj() * e * b[:, 0]).sum(axis=1)
+            gap = np.abs(fast - dense) / np.maximum(1.0, np.abs(dense))
+            worst[k] = max(worst[k], float(gap.max()))
+    print(f"({n},{eta}) fast/dense gap by k:",
+          ", ".join(f"k={k}: {g:.1e}" for k, g in worst.items()))
+    assert max(worst.values()) < 1e-10
 
 
 def test_derivative_recursion_on_identity_frame():

@@ -174,8 +174,10 @@ def test_pfaffian_congruence_covariance():
 
 
 def test_pfaffian_rejects_bad_input():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="even dimension"):
         pfaffian(np.zeros((3, 3)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         pfaffian(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        pfaffian(np.zeros((2, 4)))
 
