@@ -7,9 +7,9 @@ operator or along an O(k^2 eta) Pfaffian route.
 
 Modules
 -------
-    combinat   : subsets in colex order, binomials, permutation helpers
-    linalg     : Haar sampling, minors, compounds, Pfaffians
-    fock       : dense eta-particle states, transitions, sampling
+    combinat   : subsets in colex order, binomials, bitmasks and the sign rule
+    linalg     : Haar sampling, minors, compounds, Givens rotation, Pfaffians
+    fock       : dense eta-particle states, rotations, transitions, JSON form
     channel    : exact algebra of the measurement channel
     shadows    : the protocol on stacked (us, zs) arrays, variance bookkeeping
     fastpath   : the Pfaffian estimator over stacked shadows (us, zs)

@@ -233,7 +233,11 @@ def inverse_channel_on_projector(n: int, eta: int) -> DiagonalOperator:
     return DiagonalOperator(n, eta, vals)
 
 
-def mc_channel_estimate(spec: ChannelSpec, p, samples: int, rng, chunk: int = 1024):
+# Haar draws per pass of mc_channel_estimate
+_MC_CHUNK = 1024
+
+
+def mc_channel_estimate(spec: ChannelSpec, p, samples: int, rng):
     """Monte Carlo estimate of the twirl image of the projector onto ket p.
 
     rng is a numpy Generator or an integer seed.  Returns (mean, stderr)
@@ -252,7 +256,7 @@ def mc_channel_estimate(spec: ChannelSpec, p, samples: int, rng, chunk: int = 10
     total_sq = np.zeros(dim)
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_MC_CHUNK, samples - done)
         g = np.stack([ginibre(n, rng) for _ in range(m)])
         b = compound_batch(unitary_from_ginibre(g), eta)
         prob = np.abs(b) ** 2                      # [i, z, r]

@@ -66,8 +66,9 @@ def rank_subset(z, n: int = None) -> int:
 
 
 def unrank_subset(r: int, n: int, d: int) -> tuple:
-    """Subset of [n] with |z| = d and colex rank r."""
-    assert 0 <= r < binom(n, d), f"rank {r} out of range for C({n},{d})"
+    """Subset of [n] with |z| = d and colex rank r; ValueError for r out of range."""
+    if not 0 <= r < binom(n, d):
+        raise ValueError(f"rank {r} out of range for C({n},{d})")
     out = []
     for j in range(d, 0, -1):
         # largest m with C(m, j) <= r, found 0-based then shifted

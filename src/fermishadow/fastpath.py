@@ -22,11 +22,12 @@ and q differ) combined by a DFT, times a 2^k' inclusion-exclusion over
 pattern choices, times a global fermionic reordering sign.
 
 fast_estimate_rdm evaluates one target over a stack of shadows at once: it
-stacks the T terms' column tables, gathers the (N, T, eta, k) blocks W from
-the readout rows of each u, takes the power sums of the Grams with one
-batched eigvalsh, runs the trace and derivative recursions elementwise on
-(N, T) arrays, and contracts with the term weights.  Shots go in chunks of
-bounded size, so memory does not grow with N.
+reads the T terms' column tables (built once per (p, q, n) and cached),
+gathers the (N, T, eta, k) blocks W from the readout rows of each u, takes
+the power sums of the Grams with one batched eigvalsh, runs the trace and
+derivative recursions elementwise on (N, T) arrays, and contracts with the
+term weights.  Shots go in chunks of bounded size, so memory does not grow
+with N.
 
 Contents
 --------
@@ -36,13 +37,13 @@ Contents
     f_ks, alpha_coeffs      : expansion weights of the estimation operator
     build_m, trace_powers, inverse_trace_sequence
     pfaffian_derivatives    : d^x Pf[A]|_0 for x = 0..x_max
-    decompose_rdm           : exact off-diagonal-to-diagonal decomposition; its
-                              global sign comes from combinat.apply_string
+    decompose_rdm           : exact off-diagonal-to-diagonal decomposition as
+                              cached read-only (rows, vals, coeffs) term tables;
+                              the global sign comes from combinat.apply_string
     fast_estimate_rdm       : (N,) estimates of stacked shadows (us, zs), equal
                               to the dense ones, in one vectorized pass
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -93,32 +94,24 @@ def f_ks(eta: int, k: int, s: int, j: int) -> Fraction:
     """Weight of the j-th elementary pair-product in the overlap-s projector.
 
     f(j) = sum_{x=j}^{k} (-1)^x C(x,s) 2^(-x) C(eta-j, x-j); zero for j > k.
+    Raises ValueError unless 0 <= s <= k <= eta and j >= 0.
     """
-    assert 0 <= s <= k <= eta and j >= 0
+    if not (0 <= s <= k <= eta and j >= 0):
+        raise ValueError(f"need 0 <= s <= k <= eta and j >= 0, got eta={eta} k={k} s={s} j={j}")
     total = Fraction(0)
     for x in range(j, k + 1):
         total += Fraction((-1) ** x * comb(x, s) * binom(eta - j, x - j), 2**x)
     return total
 
 
-@dataclass
-class FastCoefficients:
-    """Precomputed weights turning Pfaffian derivatives into one estimate."""
-
-    n: int
-    eta: int
-    k: int
-    e_prime: tuple          # estimation entries per overlap class s
-    derivative_weights: tuple  # real c_x with estimate = sum_x c_x d^x Pf / x!
-
-
 @lru_cache(maxsize=None)
-def alpha_coeffs(n: int, eta: int, k: int) -> FastCoefficients:
-    e_prime = tuple(estimation_entry(n, eta, k, s) for s in range(k + 1))
-    cs = []
-    for x in range(k + 1):
-        cs.append(sum((-1) ** s * f_ks(eta, k, s, x) * e_prime[s] for s in range(k + 1)))
-    return FastCoefficients(n, eta, k, e_prime, tuple(cs))
+def alpha_coeffs(n: int, eta: int, k: int) -> tuple:
+    """Exact weights c_x, x = 0..k, with estimate = sum_x c_x d^x Pf / x!."""
+    e_prime = [estimation_entry(n, eta, k, s) for s in range(k + 1)]
+    return tuple(
+        sum((-1) ** s * f_ks(eta, k, s, x) * e_prime[s] for s in range(k + 1))
+        for x in range(k + 1)
+    )
 
 
 # ------------------------------------------------- trace recursion
@@ -155,9 +148,11 @@ def inverse_trace_sequence(traces, j_max: int, eta: int) -> list:
     """[T_j for j = 1..j_max]: traces of powers of A(0)^-1 dA/dkappa.
 
     T_j = (-1)^j (2 eta + sum_{y=1}^{j} (-2)^y C(j,y) Tr[M^y]), where
-    traces[y-1] = Tr[M^y] is a number or an array (elementwise).
+    traces[y-1] = Tr[M^y] is a number or an array (elementwise).  Raises
+    ValueError if fewer than j_max traces are given.
     """
-    assert len(traces) >= j_max
+    if len(traces) < j_max:
+        raise ValueError(f"need {j_max} traces, got {len(traces)}")
     out = []
     for j in range(1, j_max + 1):
         s = 2.0 * eta
@@ -199,61 +194,6 @@ def pfaffian_derivatives(u_eff: np.ndarray, eta: int, k: int, x_max: int = None)
 
 # ------------------------------------------------- off-diagonal reduction
 
-@dataclass
-class DecompositionTerm:
-    """One rotated diagonal pattern with its complex weight.
-
-    col_rows/col_vals give the first k columns of the composed mode map as
-    at most two (1-based row, value) entries per column; rows of u at the
-    readout modes against these columns build the estimate's eta x k block.
-    """
-
-    coeff: complex
-    phi: float
-    pattern: tuple
-    col_rows: np.ndarray
-    col_vals: np.ndarray
-
-
-@dataclass
-class RdmDecomposition:
-    """Exact expansion of a transition operator over rotated diagonal ones."""
-
-    n: int
-    k: int
-    p: tuple
-    q: tuple
-    shared: tuple           # z = p cap q
-    p_only: tuple
-    q_only: tuple
-    sign: int
-    terms: tuple
-
-    def term_rotation_matrix(self, term: DecompositionTerm) -> np.ndarray:
-        """Dense n x n unitary of one term (test and cross-check use)."""
-        n, kp = self.n, len(self.p_only)
-        # relabeling: j -> p'_j, k'+j -> q'_j, 2k'+j -> z_j, rest ascending
-        head = list(self.p_only) + list(self.q_only) + list(self.shared)
-        rest = [m for m in range(1, n + 1) if m not in set(head)]
-        vpq = np.array(head + rest, dtype=np.int64)
-        pm_vpq = np.zeros((n, n), dtype=np.complex128)
-        pm_vpq[vpq - 1, np.arange(n)] = 1.0
-        w = np.eye(n, dtype=np.complex128)
-        half = np.exp(0.5j * term.phi) / np.sqrt(2.0)
-        for j in range(kp):
-            a, b = j, kp + j
-            w[a, a] = half
-            w[a, b] = half
-            w[b, a] = half.conjugate()
-            w[b, b] = -half.conjugate()
-        head_x = list(term.pattern)
-        rest_x = [m for m in range(1, n + 1) if m not in set(head_x)]
-        vx = np.array(head_x + rest_x, dtype=np.int64)
-        pm_vx = np.zeros((n, n), dtype=np.complex128)
-        pm_vx[vx - 1, np.arange(n)] = 1.0
-        return pm_vpq @ w @ pm_vx
-
-
 def _reordering_sign(p, q, p_only, q_only) -> int:
     """Parity relating the transition string to the paired product form.
 
@@ -269,15 +209,19 @@ def _reordering_sign(p, q, p_only, q_only) -> int:
 
 
 @lru_cache(maxsize=None)
-def decompose_rdm(p: tuple, q: tuple, n: int) -> RdmDecomposition:
+def decompose_rdm(p: tuple, q: tuple, n: int) -> tuple:
     """Expand the transition (p, q) over rotated diagonal patterns, exactly.
 
-    With k' the number of modes where p and q differ, returns (k'+1) 2^k'
-    terms: DFT angles phi_r = pi r/(k'+1) with weights e^(-i k' phi_r)/(k'+1)
-    isolate the wanted pair monomial, and an inclusion-exclusion over the
-    2^k' pattern choices expands the paired occupation differences.  The sum
-    of coeff * (rotated diagonal estimate) times `sign` reproduces the
-    transition estimate of any shadow exactly.
+    With k' the number of modes where p and q differ, there are
+    T = (k'+1) 2^k' terms: DFT angles phi_r = pi r/(k'+1) with weights
+    e^(-i k' phi_r)/(k'+1) isolate the wanted pair monomial, and an
+    inclusion-exclusion over the 2^k' pattern choices expands the paired
+    occupation differences.  Returns read-only tables (rows (T, k, 2),
+    vals (T, k, 2), coeffs (T,)): column c of term t's n x k block W_t holds
+    vals[t, c, j] at 0-based row rows[t, c, j] (an unused slot has row -1
+    and value 0), and the global fermionic sign is folded into coeffs.  The
+    sum over t of coeffs[t] times the diagonal estimate in the frame of W_t
+    reproduces the transition estimate of any shadow exactly.
     """
     if len(p) != len(q) or len(p) == 0:
         raise ValueError(f"need nonempty p and q of equal length, got {p} and {q}")
@@ -288,42 +232,30 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> RdmDecomposition:
     p_only = tuple(m for m in p if m not in shared)
     q_only = tuple(m for m in q if m not in shared)
     kp = len(p_only)
-    mshared = len(shared)
     sign = _reordering_sign(p, q, p_only, q_only)
-    terms = []
+    pairs = [(a - 1, b - 1) for a, b in zip(p_only, q_only)]
+    count = (kp + 1) * 2**kp
+    rows = np.full((count, k, 2), -1, dtype=np.int64)
+    vals = np.zeros((count, k, 2), dtype=np.complex128)
+    coeffs = np.empty(count, dtype=np.complex128)
+    t = 0
     for r in range(kp + 1):
         phi = np.pi * r / (kp + 1)
         cr = np.exp(-1j * kp * phi) / (kp + 1)
+        half = np.exp(0.5j * phi) / np.sqrt(2.0)
         for sel in range(2**kp):
             chosen = [j for j in range(kp) if (sel >> j) & 1]
-            parity = (-1) ** len(chosen)
-            pattern = sorted(
-                [j + 1 for j in range(kp) if j not in chosen]
-                + [kp + j + 1 for j in chosen]
-                + [2 * kp + i + 1 for i in range(mshared)]
-            )
-            col_rows = np.zeros((k, 2), dtype=np.int64)
-            col_vals = np.zeros((k, 2), dtype=np.complex128)
-            half = np.exp(0.5j * phi) / np.sqrt(2.0)
-            for col, x in enumerate(pattern):
-                if x <= 2 * kp:
-                    jj = x - 1 if x <= kp else x - kp - 1
-                    top = p_only[jj]
-                    bot = q_only[jj]
-                    col_rows[col] = (top, bot)
-                    if x <= kp:
-                        col_vals[col] = (half, half.conjugate())
-                    else:
-                        col_vals[col] = (half, -half.conjugate())
-                else:
-                    col_rows[col, 0] = shared[x - 2 * kp - 1]
-                    col_vals[col, 0] = 1.0
-            terms.append(
-                DecompositionTerm(
-                    complex(cr * parity), float(phi), tuple(pattern), col_rows, col_vals
-                )
-            )
-    return RdmDecomposition(n, k, p, q, shared, p_only, q_only, sign, tuple(terms))
+            kept = [j for j in range(kp) if j not in chosen]
+            # columns: kept pairs, chosen pairs, then the shared modes
+            rows[t] = [pairs[j] for j in kept + chosen] + [(m - 1, -1) for m in shared]
+            vals[t] = ([(half, half.conjugate())] * len(kept)
+                       + [(half, -half.conjugate())] * len(chosen)
+                       + [(1.0, 0.0)] * len(shared))
+            coeffs[t] = sign * complex(cr * (-1) ** len(chosen))
+            t += 1
+    for table in (rows, vals, coeffs):
+        table.setflags(write=False)
+    return rows, vals, coeffs
 
 
 # ------------------------------------------------- full fast estimator
@@ -356,14 +288,10 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
     if (zs.dtype.kind not in "iu" or np.any(np.diff(zs, axis=1) <= 0)
             or np.any((zs < 1) | (zs > n))):
         raise ValueError(f"every readout must be integers strictly increasing within 1..{n}")
-    decomp = decompose_rdm(tuple(p), tuple(q), n)
+    # an unused slot's value 0 cancels its wrapped row index -1
+    rows, vals, coeffs = decompose_rdm(tuple(p), tuple(q), n)
     sign = float((-1) ** (n - k))
-    weights = [float(c) / factorial(x)
-               for x, c in enumerate(alpha_coeffs(n, eta, k).derivative_weights)]
-    # row 0 marks an empty slot; its value 0 cancels the wrapped index -1
-    rows = np.stack([t.col_rows for t in decomp.terms]) - 1       # (T, k, 2)
-    vals = np.stack([t.col_vals for t in decomp.terms])           # (T, k, 2)
-    coeffs = np.array([t.coeff for t in decomp.terms])            # (T,)
+    weights = [float(c) / factorial(x) for x, c in enumerate(alpha_coeffs(n, eta, k))]
     out = np.empty(us.shape[0], dtype=np.complex128)
     step = max(1, _BLOCK_ENTRIES // (len(coeffs) * eta * k))
     for lo in range(0, us.shape[0], step):
@@ -381,5 +309,5 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
         t_list = inverse_trace_sequence(2.0 * trace_powers(gram, k), k, eta)
         derivs = _pf_derivative_recursion(sign, t_list, k)
         diag = sign * sum(wx * dx for wx, dx in zip(weights, derivs))
-        out[lo:hi] = decomp.sign * (diag @ coeffs)
+        out[lo:hi] = diag @ coeffs
     return out

@@ -20,9 +20,8 @@ Contents
     apply_rdm_operator  : transition operator applied to a state
     expectation_rdm     : <state| transition |state>
     rdm_matrix          : all k-body expectations at once
-    measure_occupation  : sample one occupation readout after a rotation
     slater_superposition: overlap-estimation embedding on n+eta modes
-    state_to_json, state_from_json
+    state_to_json, state_from_json : JSON form; loading rejects a non-normalized state
 """
 
 import json
@@ -36,7 +35,6 @@ from .combinat import (
     rank_subset,
     subset_masks,
     subsets,
-    unrank_subset,
     validate_subset,
 )
 from .linalg import givens_rotate
@@ -84,8 +82,9 @@ def random_state(n: int, eta: int, rng: np.random.Generator) -> FermionState:
 
 
 def apply_rotation(state: FermionState, u: np.ndarray) -> FermionState:
-    """Rotate every mode by the single-particle unitary u."""
-    assert u.shape == (state.n, state.n)
+    """Rotate every mode by the single-particle unitary u; ValueError unless u is n x n."""
+    if np.shape(u) != (state.n, state.n):
+        raise ValueError(f"need a {state.n} x {state.n} rotation, got shape {np.shape(u)}")
     return FermionState(state.n, state.eta, givens_rotate(u[None], state.amps, state.eta)[0])
 
 
@@ -117,9 +116,11 @@ def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
     """All k-body expectations at once, entry [rank(p), rank(q)].
 
     Built as A^dag A where column q of A is the state hit by the annihilator
-    string for q, so the result is hermitian by construction.
+    string for q, so the result is hermitian by construction.  Raises
+    ValueError unless 0 <= k <= eta.
     """
-    assert 0 <= k <= state.eta
+    if not 0 <= k <= state.eta:
+        raise ValueError(f"need 0 <= k <= eta = {state.eta}, got k={k}")
     masks = subset_masks(state.n, state.eta).tolist()
     masks_out = subset_masks(state.n, state.eta - k)
     a = np.zeros((masks_out.size, binom(state.n, k)), dtype=np.complex128)
@@ -129,20 +130,6 @@ def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
             if m is not None:
                 a[np.searchsorted(masks_out, m), c] = sign * state.amps[r]
     return a.conj().T @ a
-
-
-def measure_occupation(state: FermionState, u: np.ndarray, rng: np.random.Generator):
-    """Rotate by u and sample one occupation subset from the Born rule."""
-    rotated = apply_rotation(state, u)
-    probs = np.abs(rotated.amps) ** 2
-    total = probs.sum()
-    defect = abs(total - 1.0)
-    if not defect <= 1e-6:     # NaN fails too
-        raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
-                           "is the state normalized?")
-    r = int(np.searchsorted(np.cumsum(probs / total), rng.random(), side="right"))
-    r = min(r, probs.size - 1)
-    return unrank_subset(r, state.n, state.eta)
 
 
 def slater_superposition(state: FermionState) -> FermionState:
@@ -172,6 +159,10 @@ def state_to_json(state: FermionState) -> str:
 
 
 def state_from_json(text: str) -> FermionState:
+    """Load a state_to_json state; ValueError if its norm misses 1 by more than 1e-6."""
     body = json.loads(text)
     amps = np.array([complex(re, im) for re, im in body["amplitudes"]])
-    return FermionState(int(body["n"]), int(body["eta"]), amps)
+    state = FermionState(int(body["n"]), int(body["eta"]), amps)
+    if not abs(state.norm() - 1.0) <= 1e-6:     # NaN fails too
+        raise ValueError(f"state has norm {state.norm():.6g}, not 1")
+    return state

@@ -2,10 +2,10 @@
 
 Contents
 --------
-    haar_unitary    : one Haar-distributed unitary from a numpy Generator
+    ginibre, unitary_from_ginibre : Haar-distributed unitaries via gauge-fixed QR
     minor_det       : determinant of a row/column submatrix
     minors_batch    : dets of many submatrices of a stack of matrices
-    compound_matrix : k-th multiplicative compound (action on k-subsets)
+    compound_batch  : k-th multiplicative compounds (action on k-subsets) of a stack
     givens_rotate   : k-particle amplitudes rotated by a stack of unitaries
     pfaffian        : Pfaffian of an even skew-symmetric matrix
 """
@@ -36,18 +36,6 @@ def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """n x n complex standard Ginibre matrix; one RNG call, fixed draw order."""
     g = rng.standard_normal((n, 2 * n))
     return (g[:, :n] + 1j * g[:, n:]) / np.sqrt(2.0)
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary.
-
-    Redraws once if the Ginibre sample is numerically singular (measure
-    zero; the retry keeps the draw count deterministic in practice).
-    """
-    g = ginibre(n, rng)
-    if np.linalg.matrix_rank(g) < n:
-        g = ginibre(n, rng)
-    return unitary_from_ginibre(g)
 
 
 # ---------------------------------------------------------------- minors
@@ -118,19 +106,13 @@ def subset_index_array(n: int, k: int) -> np.ndarray:
     return np.array(list(subsets(n, k)), dtype=np.int64) - 1
 
 
-def compound_matrix(u: np.ndarray, k: int) -> np.ndarray:
-    """k-th compound of u: entry [r, c] = det of u on subsets r (rows), c (cols).
-
-    Rows and columns are indexed by colex rank.  The compound of a product is
-    the product of compounds, so this is the k-particle action of u.
-    """
-    n = u.shape[0]
-    idx = subset_index_array(n, k)
-    return minors_batch(u[None, :, :].astype(np.complex128), idx, idx)[0]
-
-
 def compound_batch(u: np.ndarray, k: int) -> np.ndarray:
-    """k-th compounds of a stack (N, n, n) -> (N, C(n,k), C(n,k))."""
+    """k-th compounds of a stack (N, n, n) -> (N, C(n,k), C(n,k)).
+
+    Entry [i, r, c] is the det of u[i] on the k-subsets of colex ranks r
+    (rows) and c (columns).  The compound of a product is the product of
+    compounds, so this is the k-particle action of each u[i].
+    """
     n = u.shape[-1]
     idx = subset_index_array(n, k)
     return minors_batch(np.asarray(u, dtype=np.complex128), idx, idx)

@@ -44,9 +44,18 @@ from .linalg import (
 )
 
 
+# shots per pass of collect_shadow_arrays and of batch_estimate_matrices
+_COLLECT_CHUNK = 8192
+_ESTIMATE_CHUNK = 4096
+
+
 def shadow_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator owned by shadow (seed, index)."""
-    assert 0 <= seed < 2**64 and 0 <= index < 2**64
+    """Counter-based generator owned by shadow (seed, index).
+
+    Raises ValueError unless seed and index are both in 0..2^64-1.
+    """
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError(f"seed and index must be in 0..2^64-1, got {seed} and {index}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
@@ -56,8 +65,7 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def collect_shadow_arrays(state: FermionState, count: int, seed: int,
-                          start_index: int = 0, chunk: int = 8192):
+def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
     """Collect shadows as stacked arrays (U (N,n,n), Z (N,eta) 1-based).
 
     Raises RuntimeError if a rotated state's Born probabilities miss 1 by
@@ -67,8 +75,8 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int,
     us = np.empty((count, n, n), dtype=np.complex128)
     zs = np.empty((count, eta), dtype=np.int64)
     ranks = subset_index_array(n, eta) + 1
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
+    for lo in range(0, count, _COLLECT_CHUNK):
+        hi = min(lo + _COLLECT_CHUNK, count)
         gin = np.empty((hi - lo, n, n), dtype=np.complex128)
         u01 = np.empty(hi - lo)
         for i in range(lo, hi):
@@ -93,9 +101,11 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
     """Diagonal value of the estimation operator on the class s' = |r cap [eta]|.
 
     r runs over k-subsets in the frame where the readout occupies the first
-    eta modes.  Vanishing binomials give 0.
+    eta modes.  Vanishing binomials give 0.  Raises ValueError unless
+    0 <= k <= eta <= n.
     """
-    assert 0 <= k <= eta <= n
+    if not 0 <= k <= eta <= n:
+        raise ValueError(f"need 0 <= k <= eta <= n, got n={n} eta={eta} k={k}")
     if not 0 <= s_prime <= k:
         return Fraction(0)
     num = binom(eta - s_prime, k - s_prime) * binom(n - eta + s_prime, s_prime)
@@ -141,8 +151,7 @@ def trace_e_squared(n: int, eta: int, k: int) -> Fraction:
 
 # ------------------------------------------------- estimators
 
-def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
-                            chunk: int = 4096) -> np.ndarray:
+def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) -> np.ndarray:
     """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
 
     Entry [i, rank p, rank q] is shadow i's estimate for the transition
@@ -156,8 +165,8 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
     mask[np.arange(count)[:, None], zs - 1] = True
     order = np.argsort(~mask, axis=1, kind="stable")
     out = np.empty((count, cdim, cdim), dtype=np.complex128)
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
+    for lo in range(0, count, _ESTIMATE_CHUNK):
+        hi = min(lo + _ESTIMATE_CHUNK, count)
         ueff = us[lo:hi][np.arange(hi - lo)[:, None], order[lo:hi], :]
         b = compound_batch(ueff, k)
         block = np.einsum("nrq,r,nrp->npq", b.conj(), e, b)
@@ -170,7 +179,8 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
 class RdmObservable:
     """Linear functional of the k-body transitions: sum_pq coeffs[p, q] D^p_q.
 
-    coeffs is a C(n,k) x C(n,k) array indexed by colex ranks of (p, q).
+    coeffs is a C(n,k) x C(n,k) array indexed by colex ranks of (p, q);
+    any other shape raises ValueError.
     """
 
     n: int
@@ -180,7 +190,9 @@ class RdmObservable:
     def __post_init__(self):
         dim = binom(self.n, self.k)
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        assert self.coeffs.shape == (dim, dim)
+        if self.coeffs.shape != (dim, dim):
+            raise ValueError(f"need C({self.n},{self.k}) x C({self.n},{self.k}) = {dim} x {dim} "
+                             f"coefficients, got shape {self.coeffs.shape}")
 
     @classmethod
     def from_terms(cls, n: int, k: int, terms: dict) -> "RdmObservable":

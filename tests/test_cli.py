@@ -42,6 +42,12 @@ def test_config_validation_messages():
         (dict(good, aggregation="median_of_means:3"), "divide"),
         (dict(good, aggregation="median_of_means:x"), "batch"),
         (dict(good, targets=17), "targets"),
+        (dict(good, n=True), "integers"),
+        (dict(good, k=False), "integers"),
+        (dict(good, samples=True), "samples"),
+        (dict(good, seed=True), "seed"),
+        (dict(good, state_source=5), "state_source"),
+        (dict(good, aggregation=10), "aggregation"),
     ]
     for fields, msg in bad:
         with pytest.raises(ConfigError, match=msg):
@@ -80,6 +86,15 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert main(["estimate", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_variance_sweep_config_errors(capsys):
+    # a repeated flag overrides the earlier one
+    base = ["variance-sweep", "--n", "4", "--eta", "2", "--k", "1"]
+    for extra in (["--n", "a"], ["--k", "1,x"], ["--samples", "-3"], ["--seed", "-1"],
+                  ["--k", "1,2", "--samples", "5", "--seed", str(2**64 - 1)]):
+        assert main(base + extra) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
@@ -127,8 +142,11 @@ def test_input_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = """
 import numpy as np
-from fermishadow.fastpath import decompose_rdm, fast_estimate_rdm
+from fermishadow.combinat import unrank_subset
+from fermishadow.fastpath import decompose_rdm, f_ks, fast_estimate_rdm, inverse_trace_sequence
+from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
 from fermishadow.linalg import pfaffian
+from fermishadow.shadows import RdmObservable, estimation_entry, shadow_rng
 if __debug__:
     raise SystemExit("asserts are on")
 u = np.eye(4, dtype=complex)[None]
@@ -139,6 +157,15 @@ calls = {
     "decompose |p| != |q|": lambda: decompose_rdm((1, 2), (3,), 4),
     "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
     "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
+    "estimation_entry eta > n": lambda: estimation_entry(3, 5, 1, 0),
+    "RdmObservable shape": lambda: RdmObservable(4, 1, np.ones((2, 2))),
+    "unrank_subset rank": lambda: unrank_subset(99, 4, 2),
+    "f_ks k > eta": lambda: f_ks(1, 2, 0, 0),
+    "inverse_trace_sequence short": lambda: inverse_trace_sequence([1.0], 2, 2),
+    "shadow_rng index": lambda: shadow_rng(1, 2**64),
+    "shadow_rng seed": lambda: shadow_rng(-1, 0),
+    "rdm_matrix k > eta": lambda: rdm_matrix(FermionState(4, 1, np.ones(4) / 2), 2),
+    "apply_rotation shape": lambda: apply_rotation(FermionState(4, 1, np.ones(4) / 2), np.eye(3)),
 }
 for name, call in calls.items():
     try:

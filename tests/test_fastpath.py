@@ -24,7 +24,6 @@ from fermishadow.fastpath import (
 )
 from fermishadow.fock import random_state
 from fermishadow.linalg import (
-    compound_matrix,
     ginibre,
     minors_batch,
     pfaffian,
@@ -97,10 +96,8 @@ def test_f_ks_values():
 
 
 def test_alpha_coeffs_frozen():
-    fc = alpha_coeffs(2, 1, 1)
-    assert fc.e_prime == (Fraction(-1), Fraction(2))
-    assert fc.derivative_weights == (Fraction(1, 2), Fraction(3, 2))
-    assert len(alpha_coeffs(6, 4, 2).derivative_weights) == 3
+    assert alpha_coeffs(2, 1, 1) == (Fraction(1, 2), Fraction(3, 2))
+    assert len(alpha_coeffs(6, 4, 2)) == 3
 
 
 def test_inverse_trace_sequence_matches_dense():
@@ -170,41 +167,51 @@ def test_pfaffian_derivatives_match_finite_differences():
     assert abs(derivs[2] - d2) < 1e-4 * max(1.0, abs(d2))
 
 
+def _term_blocks(rows, vals, n):
+    """Each term's dense n x k column block W_t, rebuilt from the tables."""
+    blocks = np.zeros((len(rows), n, rows.shape[1]), dtype=np.complex128)
+    for t, col, j in np.ndindex(rows.shape):
+        if rows[t, col, j] >= 0:
+            blocks[t, rows[t, col, j], col] += vals[t, col, j]
+        else:
+            assert vals[t, col, j] == 0
+    return blocks
+
+
 def test_decomposition_structure():
     cases = [((1,), (2,), 3), ((1, 2), (1, 3), 4), ((1, 2), (3, 4), 5), ((2, 4), (2, 4), 5)]
     for p, q, n in cases:
-        dec = decompose_rdm(p, q, n)
-        kp = len(dec.p_only)
-        assert len(dec.terms) == (kp + 1) * 2**kp
-        assert dec.sign in (-1, 1)
-        for term in dec.terms:
-            v = dec.term_rotation_matrix(term)
-            assert np.allclose(v.conj().T @ v, np.eye(n))
-            # sparse column map agrees with the dense rotation
-            dense_cols = v[:, : dec.k]
-            for col in range(dec.k):
-                rebuilt = np.zeros(n, dtype=np.complex128)
-                for rowv, val in zip(term.col_rows[col], term.col_vals[col]):
-                    if rowv > 0:
-                        rebuilt[rowv - 1] += val
-                assert np.allclose(rebuilt, dense_cols[:, col])
+        rows, vals, coeffs = decompose_rdm(p, q, n)
+        k, kp = len(p), len(set(p) - set(q))
+        assert rows.shape == vals.shape == ((kp + 1) * 2**kp, k, 2)
+        assert coeffs.shape == (len(rows),)
+        for w in _term_blocks(rows, vals, n):
+            assert np.allclose(w.conj().T @ w, np.eye(k))
+
+
+def test_decomposition_tables_are_read_only():
+    rows, vals, coeffs = decompose_rdm((1, 2), (3, 4), 5)
+    for table in (rows, vals, coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert decompose_rdm((1, 2), (3, 4), 5)[0] is rows
 
 
 def test_decomposition_resolves_transition_operator():
-    # sign * sum_t coeff_t C(V_t)|[k]><[k]|C(V_t)^dag == |p><q| on the k sector
-    cases = [((1,), (2,), 3), ((1, 2), (1, 3), 4), ((1, 2), (3, 4), 4), ((1, 3), (2, 4), 5)]
+    # sum_t coeff_t c_t c_t^dag == |p><q| on the k sector, c_t the k x k minors of W_t;
+    # (1, 2), (2, 3) has a global sign of -1
+    cases = [((1,), (2,), 3), ((1, 2), (1, 3), 4), ((1, 2), (3, 4), 4), ((1, 3), (2, 4), 5),
+             ((1, 2), (2, 3), 4)]
     for p, q, n in cases:
-        dec = decompose_rdm(p, q, n)
-        k = dec.k
+        rows, vals, coeffs = decompose_rdm(p, q, n)
+        k = len(p)
         dim = binom(n, k)
         ref = np.zeros((dim, dim), dtype=np.complex128)
         ref[rank_subset(p), rank_subset(q)] = 1.0
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        col_rank = rank_subset(tuple(range(1, k + 1)))
-        for term in dec.terms:
-            cv = compound_matrix(dec.term_rotation_matrix(term), k)[:, col_rank]
-            acc += term.coeff * np.outer(cv, cv.conj())
-        assert np.max(np.abs(dec.sign * acc - ref)) < 1e-12
+        cols = np.arange(k, dtype=np.int64)[None, :]
+        c = minors_batch(_term_blocks(rows, vals, n), subset_index_array(n, k), cols)[:, :, 0]
+        acc = np.einsum("t,tr,ts->rs", coeffs, c, c.conj())
+        assert np.max(np.abs(acc - ref)) < 1e-12
 
 
 def test_fast_matches_dense_estimator():
@@ -278,22 +285,22 @@ def _loop_estimate(u, z, eta, k, p, q):
     the real Gram block M itself instead of twice those of the Hermitian Gram.
     """
     n = u.shape[0]
-    decomp = decompose_rdm(tuple(p), tuple(q), n)
-    weights = alpha_coeffs(n, eta, k).derivative_weights
+    rows, vals, coeffs = decompose_rdm(tuple(p), tuple(q), n)
+    weights = alpha_coeffs(n, eta, k)
     sign = (-1) ** (n - k)
     zidx = np.asarray(z, dtype=np.int64) - 1
     acc = 0.0 + 0.0j
-    for term in decomp.terms:
-        cols = u[zidx[:, None, None], term.col_rows[None, :, :] - 1]
-        w_block = (cols * term.col_vals[None, :, :]).sum(axis=2)
+    for t in range(len(coeffs)):
+        cols = u[zidx[:, None, None], rows[t][None, :, :]]
+        w_block = (cols * vals[t][None, :, :]).sum(axis=2)
         lam = np.linalg.eigvals(build_m(w_block, k, eta))
         traces = [complex((lam**y).sum()).real for y in range(1, k + 1)]
         derivs = _pf_derivative_recursion(
             float(sign), inverse_trace_sequence(traces, k, eta), k
         )
         total = sum(float(weights[x]) * derivs[x] / factorial(x) for x in range(k + 1))
-        acc += term.coeff * sign * total
-    return complex(decomp.sign * acc)
+        acc += coeffs[t] * sign * total
+    return complex(acc)
 
 
 def _random_shadows(n, eta, count, rng):
@@ -328,7 +335,7 @@ def test_batched_fast_path_matches_oracles(data):
     inside = fast_estimate_rdm(np.concatenate([extra_us[:1], us, extra_us[1:]]),
                                np.concatenate([extra_zs[:1], zs, extra_zs[1:]]),
                                eta, k, p, q)[1 : count + 1]
-    terms = len(decompose_rdm(p, q, n).terms)
+    terms = len(decompose_rdm(p, q, n)[2])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fastpath, "_BLOCK_ENTRIES", 2 * terms * eta * k)   # 2 shots per pass
         chunked = fast_estimate_rdm(us, zs, eta, k, p, q)

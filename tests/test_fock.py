@@ -5,21 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermishadow.combinat import binom, rank_subset, subsets
+from fermishadow.combinat import subsets
 from fermishadow.fock import (
     FermionState,
     apply_rdm_operator,
     apply_rotation,
     basis_state,
     expectation_rdm,
-    measure_occupation,
     random_state,
     rdm_matrix,
     slater_superposition,
     state_from_json,
     state_to_json,
 )
-from fermishadow.linalg import compound_matrix, haar_unitary
+from fermishadow.linalg import compound_batch, ginibre, unitary_from_ginibre
+
+
+def _haar(n, rng):
+    return unitary_from_ginibre(ginibre(n, rng))
 
 
 def test_basis_state_ranks():
@@ -147,8 +150,8 @@ def test_apply_rotation_hand_minor():
 def test_apply_rotation_composition_and_inverse():
     rng = np.random.default_rng(4)
     st = random_state(4, 2, rng)
-    u = haar_unitary(4, rng)
-    v = haar_unitary(4, rng)
+    u = _haar(4, rng)
+    v = _haar(4, rng)
     a = apply_rotation(apply_rotation(st, u), v)
     b = apply_rotation(st, v @ u)
     assert np.allclose(a.amps, b.amps, atol=1e-10)
@@ -161,39 +164,10 @@ def test_rotated_rdm_transforms_by_compound():
     rng = np.random.default_rng(5)
     n, eta, k = 5, 2, 2
     st = random_state(n, eta, rng)
-    u = haar_unitary(n, rng)
-    b = compound_matrix(u, k)
+    u = _haar(n, rng)
+    b = compound_batch(u[None], k)[0]
     rotated = rdm_matrix(apply_rotation(st, u), k)
     assert np.allclose(rotated, b.conj() @ rdm_matrix(st, k) @ b.T, atol=1e-10)
-
-
-def test_measure_occupation_eigenstate():
-    st = basis_state((1, 2), 4)
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        assert measure_occupation(st, np.eye(4), rng) == (1, 2)
-
-
-def test_measure_occupation_rejects_unnormalized_state():
-    st = random_state(4, 2, np.random.default_rng(6))
-    doubled = FermionState(4, 2, 2 * st.amps)
-    with pytest.raises(RuntimeError, match="probability defect"):
-        measure_occupation(doubled, np.eye(4), np.random.default_rng(6))
-
-
-def test_measure_occupation_statistics():
-    n, eta = 4, 2
-    st = random_state(n, eta, np.random.default_rng(7))
-    u = haar_unitary(n, np.random.default_rng(8))
-    probs = np.abs(apply_rotation(st, u).amps) ** 2
-    rng = np.random.default_rng(9)
-    counts = np.zeros(binom(n, eta))
-    draws = 40000
-    for _ in range(draws):
-        counts[rank_subset(measure_occupation(st, u, rng), n)] += 1
-    freq = counts / draws
-    sigma = np.sqrt(probs * (1 - probs) / draws)
-    assert np.all(np.abs(freq - probs) < 5 * np.maximum(sigma, 1e-4))
 
 
 def test_slater_superposition_layout():
@@ -223,3 +197,5 @@ def test_state_json_roundtrip():
     assert np.allclose(back.amps, st.amps)
     body = json.loads(text)
     assert set(body) == {"n", "eta", "amplitudes"}
+    with pytest.raises(ValueError, match="norm 2"):
+        state_from_json(state_to_json(FermionState(4, 2, 2 * st.amps)))

@@ -5,10 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
     compound_batch,
-    compound_matrix,
     ginibre,
     givens_rotate,
-    haar_unitary,
     minor_det,
     minors_batch,
     pfaffian,
@@ -19,9 +17,17 @@ from fermishadow.linalg import (
 RNG = np.random.default_rng(20240816)
 
 
+def _haar(n, rng):
+    return unitary_from_ginibre(ginibre(n, rng))
+
+
+def _compound(u, k):
+    return compound_batch(u[None], k)[0]
+
+
 def test_haar_unitary_is_unitary():
     for n in (1, 2, 5, 9):
-        u = haar_unitary(n, np.random.default_rng(n))
+        u = _haar(n, np.random.default_rng(n))
         assert np.allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
 
 
@@ -69,27 +75,27 @@ def test_minors_batch_matches_minor_det():
 
 def test_compound_is_multiplicative():
     rng = np.random.default_rng(4)
-    u = haar_unitary(5, rng)
-    v = haar_unitary(5, rng)
+    u = _haar(5, rng)
+    v = _haar(5, rng)
     for k in (1, 2, 3):
-        left = compound_matrix(u @ v, k)
-        right = compound_matrix(u, k) @ compound_matrix(v, k)
+        left = _compound(u @ v, k)
+        right = _compound(u, k) @ _compound(v, k)
         assert np.allclose(left, right, atol=1e-10)
 
 
 def test_compound_of_unitary_is_unitary():
-    u = haar_unitary(6, np.random.default_rng(5))
+    u = _haar(6, np.random.default_rng(5))
     for k in (1, 2, 3):
-        b = compound_matrix(u, k)
+        b = _compound(u, k)
         dim = binom(6, k)
         assert b.shape == (dim, dim)
         assert np.allclose(b @ b.conj().T, np.eye(dim), atol=1e-10)
 
 
 def test_compound_entries_are_minors():
-    u = haar_unitary(5, np.random.default_rng(6))
+    u = _haar(5, np.random.default_rng(6))
     k = 2
-    b = compound_matrix(u, k)
+    b = _compound(u, k)
     ss = list(subsets(5, k))
     for a, p in enumerate(ss):
         for c, q in enumerate(ss):
@@ -98,16 +104,16 @@ def test_compound_entries_are_minors():
 
 def test_compound_batch_matches_single():
     rng = np.random.default_rng(7)
-    us = np.stack([haar_unitary(5, rng) for _ in range(4)])
+    us = np.stack([_haar(5, rng) for _ in range(4)])
     got = compound_batch(us, 3)
     for i in range(4):
-        assert np.allclose(got[i], compound_matrix(us[i], 3), atol=1e-12)
+        assert np.allclose(got[i], _compound(us[i], 3), atol=1e-12)
 
 
 def _unitary_of_kind(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar, or a phased permutation / diagonal, whose zero entries hit r = 0."""
     if kind == "haar":
-        return haar_unitary(n, rng)
+        return _haar(n, rng)
     phases = np.exp(2j * np.pi * rng.random(n))
     if kind == "diagonal":
         return np.diag(phases)

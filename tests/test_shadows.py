@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fermishadow.combinat import binom, rank_subset, subsets
+from fermishadow import shadows
+from fermishadow.combinat import binom, rank_subset, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
+from fermishadow.linalg import compound_batch
 from fermishadow.shadows import (
     RdmObservable,
     aggregate,
@@ -83,12 +85,37 @@ def test_collection_is_index_deterministic():
     state = random_state(4, 2, np.random.default_rng(2))
     us, zs = collect_shadow_arrays(state, 7, seed=40)
     tail_us, tail_zs = collect_shadow_arrays(state, 5, seed=40, start_index=2)
-    us3, zs3 = collect_shadow_arrays(state, 7, seed=40, chunk=3)
-    assert np.array_equal(us, us3) and np.array_equal(zs, zs3)
     assert np.array_equal(us[2:], tail_us) and np.array_equal(zs[2:], tail_zs)
     for i in range(7):
         one_u, one_z = collect_shadow_arrays(state, 1, seed=40, start_index=i)
         assert np.array_equal(us[i], one_u[0]) and np.array_equal(zs[i], one_z[0])
+
+
+def test_chunking_is_bit_identical(monkeypatch):
+    state = random_state(5, 3, np.random.default_rng(2))
+    us, zs = collect_shadow_arrays(state, 7, seed=40)
+    ests = [batch_estimate_matrices(us, zs, 3, k) for k in (1, 2, 3)]
+    for chunk in (2, 3):
+        monkeypatch.setattr(shadows, "_COLLECT_CHUNK", chunk)
+        monkeypatch.setattr(shadows, "_ESTIMATE_CHUNK", chunk)
+        cus, czs = collect_shadow_arrays(state, 7, seed=40)
+        assert cus.tobytes() == us.tobytes() and np.array_equal(czs, zs)
+        for k, want in zip((1, 2, 3), ests):
+            assert batch_estimate_matrices(us, zs, 3, k).tobytes() == want.tobytes()
+
+
+def test_collection_born_statistics():
+    # readout counts against each shot's own Born rule, with compound_batch
+    # (not the Givens kernel the collector uses) rotating the state
+    n, eta, draws = 4, 2, 40000
+    state = random_state(n, eta, np.random.default_rng(7))
+    us, zs = collect_shadow_arrays(state, draws, seed=9)
+    probs = np.abs(compound_batch(us, eta) @ state.amps) ** 2        # (draws, C)
+    ranks = np.searchsorted(subset_masks(n, eta), (1 << (zs - 1)).sum(axis=1))
+    counts = np.bincount(ranks, minlength=binom(n, eta))
+    expected = probs.sum(axis=0)
+    sigma = np.sqrt((probs * (1 - probs)).sum(axis=0))
+    assert np.all(np.abs(counts - expected) < 5 * np.maximum(sigma, 1e-4 * draws))
 
 
 def test_collection_rejects_unnormalized_state():
