@@ -45,7 +45,8 @@ class ChannelSpec:
     eta: int
 
     def __post_init__(self):
-        assert 0 <= self.eta <= self.n
+        if not 0 <= self.eta <= self.n:
+            raise ValueError(f"need 0 <= eta <= n, got n={self.n} eta={self.eta}")
 
 
 @dataclass
@@ -57,7 +58,9 @@ class DiagonalOperator:
     values: list
 
     def __post_init__(self):
-        assert len(self.values) == binom(self.n, self.eta)
+        if not (0 <= self.eta <= self.n and len(self.values) == binom(self.n, self.eta)):
+            raise ValueError(f"need 0 <= eta <= n and C(n, eta) values, got n={self.n} "
+                             f"eta={self.eta} and {len(self.values)} values")
 
     def as_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
@@ -76,8 +79,12 @@ def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:
 
 
 def structure_factor(n: int, eta: int, k: int) -> Fraction:
-    """Haar-averaged readout weight, a function of the overlap k = |z cap p|."""
-    assert 0 <= k <= eta <= n
+    """Haar-averaged readout weight, a function of the overlap k = |z cap p|.
+
+    Raises ValueError unless 0 <= k <= eta <= n.
+    """
+    if not 0 <= k <= eta <= n:
+        raise ValueError(f"need 0 <= k <= eta <= n, got n={n} eta={eta} k={k}")
     return Fraction(eta + 1, (eta + 1 - k)) / (binom(n + 1, eta) * binom(n, eta))
 
 
@@ -86,9 +93,17 @@ def eigenvalue(n: int, d: int) -> Fraction:
     return Fraction(1, binom(n + 1, d))
 
 
+def _check_depth(n: int, eta: int, d: int):
+    if not 0 <= d <= min(eta, n - eta):
+        raise ValueError(f"need 0 <= d <= min(eta, n - eta), got n={n} eta={eta} d={d}")
+
+
 def a_coeff(n: int, eta: int, d: int) -> Fraction:
-    """Weight of the degree-d eigenoperator in the sector projector."""
-    assert 0 <= d <= min(eta, n - eta)
+    """Weight of the degree-d eigenoperator in the sector projector.
+
+    Raises ValueError unless 0 <= d <= min(eta, n - eta).
+    """
+    _check_depth(n, eta, d)
     return Fraction(
         (n - 2 * d + 1) * factorial(n - d - eta) * factorial(eta - d),
         factorial(n - d + 1),
@@ -98,9 +113,10 @@ def a_coeff(n: int, eta: int, d: int) -> Fraction:
 def nd_class_values(n: int, eta: int, d: int) -> list:
     """Values of the degree-d symmetrized difference on the class t = |r cap [eta]|.
 
-    Integer for every t = 0..eta.
+    Integer for every t = 0..eta.  Raises ValueError unless
+    0 <= d <= min(eta, n - eta).
     """
-    assert 0 <= d <= min(eta, n - eta)
+    _check_depth(n, eta, d)
     out = []
     for t in range(eta + 1):
         g = 0
@@ -145,10 +161,14 @@ def symmetrized_difference_bruteforce(n: int, eta: int, d: int) -> DiagonalOpera
 
 
 def eigenoperator_diagonal(n: int, eta: int, x, y) -> DiagonalOperator:
-    """Product of (n_x_j - n_y_j) over pairs, as a diagonal on the eta sector."""
+    """Product of (n_x_j - n_y_j) over pairs, as a diagonal on the eta sector.
+
+    Raises ValueError unless x and y have equal length and 2|x| distinct modes.
+    """
     x = tuple(x)
     y = tuple(y)
-    assert len(x) == len(y) and len(set(x) | set(y)) == 2 * len(x)
+    if not (len(x) == len(y) and len(set(x) | set(y)) == 2 * len(x)):
+        raise ValueError(f"need equal-length disjoint mode tuples, got {x} and {y}")
     vals = []
     for z in subsets(n, eta):
         occ = set(z)
@@ -191,7 +211,9 @@ def _intersection_table(n: int, eta: int) -> np.ndarray:
 def apply_channel_diagonal(spec: ChannelSpec, op: DiagonalOperator) -> DiagonalOperator:
     """Exact channel image of a diagonal operator on the eta sector."""
     eta = spec.eta
-    assert op.n == spec.n and op.eta == eta
+    if (op.n, op.eta) != (spec.n, eta):
+        raise ValueError(f"operator on (n, eta) = ({op.n}, {op.eta}), "
+                         f"channel on ({spec.n}, {eta})")
     kappa = channel_kernel(op.n, eta)
     table = _intersection_table(op.n, eta)
     vals = []

@@ -8,6 +8,7 @@ output byte is reproducible.  Exit codes: 0 success, 1 validation failure,
 import argparse
 import csv
 import json
+import platform
 import subprocess
 import sys
 import time
@@ -180,6 +181,42 @@ def _git_describe():
         return None
 
 
+class _Stages:
+    """Seconds spent per named stage, each lap measured from the previous one."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._last = time.monotonic()
+
+    def lap(self, name: str):
+        now = time.monotonic()
+        self.seconds[name] = round(now - self._last, 4)
+        self._last = now
+
+
+def _peak_rss_mb():
+    """Peak resident set of this process in MB; None where resource is missing."""
+    try:
+        import resource
+    except ImportError:         # not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
+def _run_manifest(command: str, config: ExperimentConfig, t0: float, stages: _Stages) -> dict:
+    return {
+        "command": command,
+        "config": asdict(config),
+        "git_describe": _git_describe(),
+        "wall_time_s": round(time.monotonic() - t0, 3),
+        "stages_s": dict(stages.seconds),
+        "peak_rss_mb": _peak_rss_mb(),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+    }
+
+
 def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
     """Emit rows as CSV or JSON; manifest goes next to a file, stdout otherwise."""
     if fmt == "csv":
@@ -213,7 +250,9 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     targets = _resolve_targets(config)
     n, eta, k = config.n, config.eta, config.k
 
+    stages = _Stages()
     us, zs = collect_shadow_arrays(state, config.samples, config.seed)
+    stages.lap("collect")
     dense = None
     if config.estimator in ("dense", "both"):
         ests = batch_estimate_matrices(us, zs, eta, k)
@@ -223,6 +262,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     fast = None
     if config.estimator in ("fast", "both"):
         fast = {(p, q): fast_estimate_rdm(us, zs, eta, k, p, q) for p, q in set(targets)}
+    stages.lap("estimate")
 
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     if config.estimator == "both":
@@ -239,14 +279,9 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
             row += [_fmt(fval.real), _fmt(fval.imag)]
             mismatch = max(mismatch, abs(fval - val))
         rows.append(row)
+    stages.lap("aggregate")
 
-    manifest = {
-        "command": "estimate",
-        "config": asdict(config),
-        "git_describe": _git_describe(),
-        "wall_time_s": round(time.monotonic() - t0, 3),
-    }
-    _write_rows(rows, header, out, fmt, manifest)
+    _write_rows(rows, header, out, fmt, _run_manifest("estimate", config, t0, stages))
     if config.estimator == "both" and mismatch > 1e-8 * max(1.0, float(np.abs(ests).max())):
         print(f"dense and fast estimators disagree by {mismatch:.3e}", file=sys.stderr)
         return 1
@@ -433,14 +468,18 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     ref = tuple(range(n + 1, n + eta + 1))
     ref_rank = rank_subset(ref)
 
+    stages = _Stages()
     us, zs = collect_shadow_arrays(big, config.samples, config.seed)
-    ests = batch_estimate_matrices(us, zs, eta, eta)
+    stages.lap("collect")
+    # only the reference row: (N, C) instead of (N, C, C)
+    ests = batch_estimate_matrices(us, zs, eta, eta, rows=[ref_rank])[:, 0]
+    stages.lap("estimate")
 
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
     rows = []
     for q in qs:
-        vals = 2.0 * ests[:, ref_rank, rank_subset(q)]
+        vals = 2.0 * ests[:, rank_subset(q)]
         val, err = _aggregate_columns(vals, config.aggregation)
         oracle = complex(state.amplitude(q))
         var1 = float(np.mean(np.abs(vals - vals.mean()) ** 2))
@@ -449,13 +488,8 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
             _fmt(val.real), _fmt(val.imag), _fmt(err.real), _fmt(err.imag),
             _fmt(oracle.real), _fmt(oracle.imag), _fmt(var1),
         ])
-    manifest = {
-        "command": "slater-overlap",
-        "config": asdict(config),
-        "git_describe": _git_describe(),
-        "wall_time_s": round(time.monotonic() - t0, 3),
-    }
-    _write_rows(rows, header, out, fmt, manifest)
+    stages.lap("aggregate")
+    _write_rows(rows, header, out, fmt, _run_manifest("slater-overlap", config, t0, stages))
     return 0
 
 

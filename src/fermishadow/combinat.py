@@ -34,8 +34,12 @@ def binom(a: int, b: int) -> int:
 
 
 def falling(a: int, b: int) -> int:
-    """Falling factorial a (a-1) ... (a-b+1), with falling(a, 0) = 1."""
-    assert b >= 0
+    """Falling factorial a (a-1) ... (a-b+1), with falling(a, 0) = 1.
+
+    Raises ValueError for b < 0.
+    """
+    if b < 0:
+        raise ValueError(f"need b >= 0, got {b}")
     out = 1
     for i in range(b):
         out *= a - i

@@ -51,7 +51,7 @@ from math import comb, factorial
 import numpy as np
 
 from .combinat import apply_string, binom, validate_subset
-from .shadows import estimation_entry
+from .shadows import check_shadows, estimation_entry
 
 Y = np.array([[0.0, -1.0], [1.0, 0.0]])
 YHAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -67,7 +67,8 @@ def majorana_rotation(u: np.ndarray) -> np.ndarray:
 def assemble_a_matrix(u_eff: np.ndarray, eta: int, k: int, kappa: float) -> np.ndarray:
     """Pfaffian kernel A(kappa) for the effective rotation u_eff."""
     n = u_eff.shape[0]
-    assert 0 <= k <= eta <= n
+    if not 0 <= k <= eta <= n:
+        raise ValueError(f"need 0 <= k <= eta <= n, got n={n} eta={eta} k={k}")
     u_tilde = majorana_rotation(u_eff)
     j = np.zeros((2 * n, 2 * n))
     for m in range(eta):
@@ -268,26 +269,18 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
     """(N,) transition estimates of the shadows with rotations us and readouts zs.
 
     Entry i equals entry [i, rank p, rank q] of batch_estimate_matrices up to
-    roundoff, without the C(n,k) x C(n,k) matrix: one vectorized pass per
-    chunk of shots over all T decomposition terms, O(T k^2 eta) per shot.
-    Raises ValueError for us not (N, n, n), for |p|, |q| other than k or
-    not 1 <= k <= eta <= n, for zs not (N, eta), or for a readout row that is
-    not strictly increasing within 1..n.
+    roundoff, without any C(n,k)-sized array: one vectorized pass per chunk
+    of shots over all T decomposition terms, O(T k^2 eta) per shot.  Raises
+    ValueError for the inputs shadows.check_shadows rejects (us not
+    (N, n, n), zs not (N, eta), a readout row that is not integers strictly
+    increasing within 1..n) and for |p|, |q| other than k or not
+    1 <= k <= eta <= n.
     """
-    us = np.asarray(us)
-    zs = np.asarray(zs)
-    if us.ndim != 3 or us.shape[1] != us.shape[2]:
-        raise ValueError(f"us must be a stack (N, n, n) of rotations, got shape {us.shape}")
+    us, zs = check_shadows(us, zs, eta)
     n = us.shape[-1]
     if not (len(p) == len(q) == k and 1 <= k <= eta <= n):
         raise ValueError(f"need |p| = |q| = k with 1 <= k <= eta <= n, got n={n} "
                          f"eta={eta} k={k}, p={tuple(p)}, q={tuple(q)}")
-    if zs.shape != (us.shape[0], eta):
-        raise ValueError(f"zs must be (N, eta={eta}) readouts with N = {us.shape[0]} "
-                         f"as in us, got shape {zs.shape}")
-    if (zs.dtype.kind not in "iu" or np.any(np.diff(zs, axis=1) <= 0)
-            or np.any((zs < 1) | (zs > n))):
-        raise ValueError(f"every readout must be integers strictly increasing within 1..{n}")
     # an unused slot's value 0 cancels its wrapped row index -1
     rows, vals, coeffs = decompose_rdm(tuple(p), tuple(q), n)
     sign = float((-1) ** (n - k))

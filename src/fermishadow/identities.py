@@ -46,9 +46,11 @@ def trace_nd_squared(n: int, eta: int, d: int) -> SumReport:
     """Tr of the squared degree-d eigenoperator on the eta sector.
 
     Brute route: class values squared times class multiplicities.  Closed
-    route: a single product of factorials.  d = 0 gives C(n, eta).
+    route: a single product of factorials.  d = 0 gives C(n, eta).  Raises
+    ValueError unless 0 <= d <= min(eta, n - eta).
     """
-    assert 0 <= d <= min(eta, n - eta)
+    if not 0 <= d <= min(eta, n - eta):
+        raise ValueError(f"need 0 <= d <= min(eta, n - eta), got n={n} eta={eta} d={d}")
     brute = Fraction(0)
     for t in range(eta + 1):
         g = 0
@@ -78,10 +80,12 @@ def t_sum(n: int, eta: int, k: int, s: int) -> SumReport:
     a k-subset with s modes outside the readout; the closed form is the
     estimation entry at overlap k - s.  Defined on the realizable classes
     s <= min(k, n - eta); beyond them the literal summand leaves the
-    integer domain while the closed form merely continues it.
+    integer domain while the closed form merely continues it.  Raises
+    ValueError unless 0 <= s <= k <= eta <= n and s <= n - eta.
     """
-    assert 0 <= s <= k <= eta <= n
-    assert s <= n - eta
+    if not (0 <= s <= k <= eta <= n and s <= n - eta):
+        raise ValueError(f"need 0 <= s <= min(k, n - eta) and k <= eta <= n, "
+                         f"got n={n} eta={eta} k={k} s={s}")
     brute = Fraction(0)
     for d in range(min(eta, n - eta) + 1):
         a_d = Fraction(
@@ -117,14 +121,20 @@ def weingarten_xi(n: int, eta: int) -> Fraction:
     """The single moment weight of the readout twirl on the eta sector.
 
     Equals 1 / (eta!^2 C(n, eta) C(n+1, eta)); n = 1, eta = 1 gives 1/2.
+    Raises ValueError unless 0 <= eta <= n.
     """
-    assert 0 <= eta <= n
+    if not 0 <= eta <= n:
+        raise ValueError(f"need 0 <= eta <= n, got n={n} eta={eta}")
     return Fraction(1, factorial(eta) ** 2 * binom(n, eta) * binom(n + 1, eta))
 
 
 def g_eta(eta: int, k: int) -> Fraction:
-    """Multiplicity factor with g_eta(k) * weingarten_xi = structure_factor."""
-    assert 0 <= k <= eta
+    """Multiplicity factor with g_eta(k) * weingarten_xi = structure_factor.
+
+    Raises ValueError unless 0 <= k <= eta.
+    """
+    if not 0 <= k <= eta:
+        raise ValueError(f"need 0 <= k <= eta, got eta={eta} k={k}")
     return Fraction(factorial(eta) ** 2 * (eta + 1), eta + 1 - k)
 
 

@@ -41,10 +41,14 @@ def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------- minors
 
 def minor_det(u: np.ndarray, rows, cols) -> complex:
-    """det of the submatrix of u on the given 1-based rows and columns."""
+    """det of the submatrix of u on the given 1-based rows and columns.
+
+    Raises ValueError unless rows and cols have the same shape.
+    """
     ridx = np.asarray(rows, dtype=np.int64) - 1
     cidx = np.asarray(cols, dtype=np.int64) - 1
-    assert ridx.shape == cidx.shape
+    if ridx.shape != cidx.shape:
+        raise ValueError(f"need as many rows as columns, got {ridx.shape} and {cidx.shape}")
     if ridx.size == 0:
         return 1.0 + 0.0j
     return complex(np.linalg.det(u[np.ix_(ridx, cidx)]))

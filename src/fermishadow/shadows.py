@@ -3,8 +3,14 @@
 One round draws a Haar unitary u, rotates the eta-particle state by u
 through a network of adjacent-mode Givens rotations (linalg.givens_rotate),
 and reads out an occupation subset z.  The estimator for a k-body
-transition (p, q) conjugates a fixed diagonal estimation operator by the
-compound of v_z^dag u, where v_z relabels z to the first eta modes.
+transition (p, q) is a fixed diagonal estimation operator, with exact
+class values e'_s, carried to the shadow's frame.  It is evaluated in
+projector form: with U_z the eta readout rows of u, Pi = U_z^H U_z and
+M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
+C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
+coefficients.  Only the rows p asked for are computed, so the overlap
+command's single reference row costs 2 C(n,k) minors per pair of roots,
+not C(n,k)^2 minors plus a C(n,k)^3 contraction.
 
 A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
 i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
@@ -18,7 +24,8 @@ Contents
     estimation_entry           : overlap-class value of the estimation operator
     estimation_matrix          : the diagonal estimation operator on k-subsets
     trace_e_squared            : exact Tr of its square
-    batch_estimate_matrices    : all k-body estimates, per shadow of a batch
+    check_shadows              : input checks shared by both estimators
+    batch_estimate_matrices    : k-body estimates (all rows or chosen rows) per shadow
     RdmObservable, estimate_observable : linear functionals of the estimates
     aggregate                  : mean / median-of-means over many shadows
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
@@ -33,12 +40,11 @@ from math import factorial
 import numpy as np
 
 from .combinat import binom, falling, rank_subset, validate_subset
-from .channel import overlap_class_array
 from .fock import FermionState
 from .linalg import (
-    compound_batch,
     ginibre,
     givens_rotate,
+    minors_batch,
     subset_index_array,
     unitary_from_ginibre,
 )
@@ -123,11 +129,6 @@ class EstimationMatrix:
     k: int
     class_values: tuple
 
-    def expand(self) -> np.ndarray:
-        """Float diagonal over all k-subsets of [n], colex order."""
-        cls = np.array([float(v) for v in self.class_values])
-        return cls[overlap_class_array(self.n, self.k, self.eta)]
-
     def trace(self) -> Fraction:
         return sum(
             binom(self.eta, s) * binom(self.n - self.eta, self.k - s) * v
@@ -151,27 +152,96 @@ def trace_e_squared(n: int, eta: int, k: int) -> Fraction:
 
 # ------------------------------------------------- estimators
 
-def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) -> np.ndarray:
-    """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
+def check_shadows(us, zs, eta: int):
+    """(us, zs) as arrays, checked to be a batch of eta-particle shadows.
 
-    Entry [i, rank p, rank q] is shadow i's estimate for the transition
-    (p, q); each slice is hermitian.
+    Raises ValueError for us not (N, n, n), for zs not (N, eta), or for a
+    readout row that is not integers strictly increasing within 1..n.
     """
+    us = np.asarray(us)
+    zs = np.asarray(zs)
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError(f"us must be a stack (N, n, n) of rotations, got shape {us.shape}")
     n = us.shape[-1]
-    count = us.shape[0]
-    e = estimation_matrix(n, eta, k).expand()
-    cdim = e.size
-    mask = np.zeros((count, n), dtype=bool)
-    mask[np.arange(count)[:, None], zs - 1] = True
-    order = np.argsort(~mask, axis=1, kind="stable")
-    out = np.empty((count, cdim, cdim), dtype=np.complex128)
+    if zs.shape != (us.shape[0], eta):
+        raise ValueError(f"zs must be (N, eta={eta}) readouts with N = {us.shape[0]} "
+                         f"as in us, got shape {zs.shape}")
+    if (zs.dtype.kind not in "iu" or np.any(np.diff(zs, axis=1) <= 0)
+            or np.any((zs < 1) | (zs > n))):
+        raise ValueError(f"every readout must be integers strictly increasing within 1..{n}")
+    return us, zs
+
+
+def _dft_points(n: int, eta: int, k: int) -> tuple:
+    """(w_0, ((x_j, w_j), ...)): DFT weights w_j of the roots of unity x_j.
+
+    w_j = sum_s e'_s x_j^-s / (k+1), so that sum_j w_j x_j^t = e'_t for
+    t = 0..k, and the estimation operator is sum_j w_j C_k(D(x_j)) with
+    D(x) putting x on the readout modes.  x_0 = 1 gives the identity, so
+    only its exact weight is returned.  Of each conjugate pair only the root
+    in the upper half plane is listed, since its partner contributes the
+    complex conjugate; x = -1 (k odd) is exact and its weight real.
+    """
+    vals = estimation_matrix(n, eta, k).class_values
+    m = k + 1
+    points = []
+    for j in range(1, m // 2 + 1):
+        if 2 * j == m:
+            points.append((-1.0, float(sum((-1) ** s * v for s, v in enumerate(vals)) / m)))
+        else:
+            x = np.exp(2j * np.pi * j / m)
+            points.append((x, sum(float(v) * x ** -s for s, v in enumerate(vals)) / m))
+    return float(sum(vals) / m), tuple(points)
+
+
+def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
+                            rows=None) -> np.ndarray:
+    """Estimate matrices for stacked shadows: (N, len(rows), C(n,k)).
+
+    Entry [i, a, rank q] is shadow i's estimate for the transition (p, q)
+    with p the k-subset of colex rank rows[a]; rows=None means every rank,
+    and then each C(n,k) x C(n,k) slice is exactly hermitian.  Projector
+    form: with Pi = U_z^H U_z built from the readout rows of us[i] and
+    M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
+    and the coefficients come from a DFT over the k+1 roots of unity.  x = 1
+    gives the identity and M(conj x) = M(x)^H, so each remaining pair of
+    roots costs len(rows) x C(n,k) k x k minors, twice when rows is given.
+    Raises ValueError for inputs check_shadows rejects, for k outside
+    0..eta, or for a row outside 0..C(n,k)-1.
+    """
+    us, zs = check_shadows(us, zs, eta)
+    count, n = us.shape[0], us.shape[-1]
+    w0, points = _dft_points(n, eta, k)      # ValueError unless 0 <= k <= eta <= n
+    idx = subset_index_array(n, k)
+    cdim = idx.shape[0]
+    sel = np.arange(cdim) if rows is None else np.asarray(rows)
+    if sel.ndim != 1 or sel.dtype.kind not in "iu" or np.any((sel < 0) | (sel >= cdim)):
+        raise ValueError(f"rows must be colex ranks within 0..{cdim - 1}, got {rows!r}")
+    sub = idx[sel]
+    eye = np.eye(n)
+    out = np.empty((count, sel.size, cdim), dtype=np.complex128)
     for lo in range(0, count, _ESTIMATE_CHUNK):
         hi = min(lo + _ESTIMATE_CHUNK, count)
-        ueff = us[lo:hi][np.arange(hi - lo)[:, None], order[lo:hi], :]
-        b = compound_batch(ueff, k)
-        block = np.einsum("nrq,r,nrp->npq", b.conj(), e, b)
-        # exact hermiticity, not just up to rounding of the contraction order
-        out[lo:hi] = (block + block.conj().transpose(0, 2, 1)) * 0.5
+        block = np.zeros((hi - lo, sel.size, cdim), dtype=np.complex128)
+        block[:, np.arange(sel.size), sel] = w0
+        if points:
+            uz = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1]  # (m, eta, n)
+            proj = np.einsum("iza,izb->iab", uz.conj(), uz)
+        for x, w in points:
+            mat = eye + (x - 1.0) * proj
+            # a[i, r, q] = C_k(M)[q, p] with p the subset sub[r]
+            a = minors_batch(mat.transpose(0, 2, 1), sub, idx)
+            block += w * a
+            if x != -1.0:
+                # the conjugate root: C_k(M^H)[q, p] = conj(C_k(M)[p, q])
+                b = a.transpose(0, 2, 1) if rows is None else minors_batch(mat, sub, idx)
+                block += np.conj(w * b)
+        if rows is None:
+            # exact hermiticity, not just up to rounding of the summation order
+            np.add(block, block.conj().transpose(0, 2, 1), out=out[lo:hi])
+            out[lo:hi] *= 0.5
+        else:
+            out[lo:hi] = block
     return out
 
 

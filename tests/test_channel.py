@@ -36,7 +36,7 @@ def test_structure_factor_frozen_values():
 
 
 def test_structure_factor_rejects_pole():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         structure_factor(4, 2, 3)
 
 
@@ -90,7 +90,7 @@ def test_symmetrized_difference_trace_against_reference_ket():
 
 
 def test_eigenoperator_diagonal_requires_disjoint():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         eigenoperator_diagonal(4, 2, (1, 2), (2, 3))
 
 

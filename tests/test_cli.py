@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fermishadow import cli, shadows
 from fermishadow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +19,7 @@ from fermishadow.cli import (
     main,
     run_validation,
 )
-from fermishadow import shadows
+from fermishadow.combinat import binom, rank_subset
 from fermishadow.fock import FermionState, random_state, state_to_json
 
 
@@ -142,11 +143,14 @@ def test_input_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = """
 import numpy as np
-from fermishadow.combinat import unrank_subset
+from fermishadow import identities
+from fermishadow.channel import (ChannelSpec, DiagonalOperator, a_coeff, apply_channel_diagonal,
+                                 eigenoperator_diagonal, nd_class_values, structure_factor)
+from fermishadow.combinat import falling, unrank_subset
 from fermishadow.fastpath import decompose_rdm, f_ks, fast_estimate_rdm, inverse_trace_sequence
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
-from fermishadow.linalg import pfaffian
-from fermishadow.shadows import RdmObservable, estimation_entry, shadow_rng
+from fermishadow.linalg import minor_det, pfaffian
+from fermishadow.shadows import RdmObservable, batch_estimate_matrices, estimation_entry, shadow_rng
 if __debug__:
     raise SystemExit("asserts are on")
 u = np.eye(4, dtype=complex)[None]
@@ -166,6 +170,25 @@ calls = {
     "shadow_rng seed": lambda: shadow_rng(-1, 0),
     "rdm_matrix k > eta": lambda: rdm_matrix(FermionState(4, 1, np.ones(4) / 2), 2),
     "apply_rotation shape": lambda: apply_rotation(FermionState(4, 1, np.ones(4) / 2), np.eye(3)),
+    "dense readout mode 0": lambda: batch_estimate_matrices(u, np.array([(0, 2)]), 2, 1),
+    "dense repeated readout": lambda: batch_estimate_matrices(u, np.array([(1, 1)]), 2, 1),
+    "dense wrong eta": lambda: batch_estimate_matrices(u, np.array([(1, 2, 3)]), 2, 1),
+    "dense readout mode > n": lambda: batch_estimate_matrices(u, np.array([(1, 5)]), 2, 1),
+    "dense row out of range": lambda: batch_estimate_matrices(u, np.array([(1, 2)]), 2, 1, rows=[4]),
+    "ChannelSpec eta > n": lambda: ChannelSpec(2, 5),
+    "DiagonalOperator length": lambda: DiagonalOperator(3, 1, [1]),
+    "apply_channel_diagonal sizes": lambda: apply_channel_diagonal(
+        ChannelSpec(3, 1), DiagonalOperator(3, 2, [1, 0, 0])),
+    "structure_factor k > eta": lambda: structure_factor(4, 2, 3),
+    "a_coeff depth": lambda: a_coeff(4, 1, 2),
+    "nd_class_values depth": lambda: nd_class_values(4, 3, 2),
+    "eigenoperator_diagonal overlap": lambda: eigenoperator_diagonal(4, 2, (1, 2), (2, 3)),
+    "falling negative": lambda: falling(3, -1),
+    "trace_nd_squared depth": lambda: identities.trace_nd_squared(4, 1, 2),
+    "t_sum class": lambda: identities.t_sum(4, 3, 2, 2),
+    "weingarten_xi eta > n": lambda: identities.weingarten_xi(2, 3),
+    "g_eta k > eta": lambda: identities.g_eta(2, 3),
+    "minor_det shapes": lambda: minor_det(np.eye(3), (1, 2), (1,)),
 }
 for name, call in calls.items():
     try:
@@ -196,7 +219,15 @@ def test_estimate_deterministic_output_files(tmp_path, capsys):
     assert manifest["command"] == "estimate"
     assert manifest["config"]["samples"] == 64
     assert manifest["rows"] == 4
+    assert set(manifest["stages_s"]) == {"collect", "estimate", "aggregate"}
+    assert all(t >= 0 for t in manifest["stages_s"].values())
+    assert sum(manifest["stages_s"].values()) <= manifest["wall_time_s"] + 1e-3
+    assert manifest["peak_rss_mb"] > 0
+    assert manifest["versions"]["numpy"] == np.__version__
     assert (tmp_path / "b.manifest.json").exists()
+    # the manifest goes next to the file; stdout without --out stays the bare rows
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == a
     header, rows = _read_csv(a.decode())
     assert header == ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     for row in rows:
@@ -362,3 +393,35 @@ def test_slater_overlap_rejects_bad_targets():
     for targets in ([[1, 5]], [[1]], [[2, 1]], [3]):
         with pytest.raises(ConfigError, match="target"):
             cmd_slater_overlap(ExperimentConfig(3, 2, 2, 5, 1, targets=targets))
+
+
+def test_slater_overlap_manifest(tmp_path, capsys):
+    assert main(["slater-overlap", "--n", "3", "--eta", "2", "--samples", "30", "--seed", "2",
+                 "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+    assert manifest["command"] == "slater-overlap" and manifest["rows"] == 3
+    assert set(manifest["stages_s"]) == {"collect", "estimate", "aggregate"}
+    assert manifest["peak_rss_mb"] > 0
+    assert manifest["versions"]["numpy"] == np.__version__
+
+
+def test_slater_overlap_reads_reference_row(monkeypatch, capsys):
+    # the command asks the dense estimator for the reference row only; that
+    # row equals the same row of the full estimate matrices
+    calls = []
+
+    def spy(us, zs, eta, k, rows=None):
+        out = shadows.batch_estimate_matrices(us, zs, eta, k, rows=rows)
+        calls.append((us, zs, eta, k, rows, out))
+        return out
+
+    monkeypatch.setattr(cli, "batch_estimate_matrices", spy)
+    assert main(["slater-overlap", "--n", "3", "--eta", "2", "--samples", "40", "--seed", "3"]) == 0
+    capsys.readouterr()
+    (us, zs, eta, k, rows, got), = calls
+    ref_rank = rank_subset((4, 5))
+    assert (eta, k, rows) == (2, 2, [ref_rank])
+    assert got.shape == (40, 1, binom(5, 2))
+    full = shadows.batch_estimate_matrices(us, zs, eta, k)[:, ref_rank]
+    assert np.all(np.abs(got[:, 0] - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))

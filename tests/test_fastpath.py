@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import estimation_diagonal
 from fermishadow import fastpath
 from fermishadow.combinat import binom, falling, rank_subset, subsets
 from fermishadow.fastpath import (
@@ -33,7 +34,6 @@ from fermishadow.linalg import (
 from fermishadow.shadows import (
     batch_estimate_matrices,
     collect_shadow_arrays,
-    estimation_matrix,
 )
 
 
@@ -363,7 +363,7 @@ def test_fast_path_precision_envelope(n, eta):
     ueffs = us[np.arange(len(us))[:, None], np.argsort(~mask, axis=1, kind="stable")]
     worst = {}
     for k in range(1, 7):
-        e = estimation_matrix(n, eta, k).expand()
+        e = estimation_diagonal(n, eta, k)
         cols = subset_index_array(n, k)
         worst[k] = 0.0
         for kp in sorted({0, 1, k // 2, k}):

@@ -71,9 +71,9 @@ def test_t_sum_sweep_matches_estimation_entry():
 
 
 def test_t_sum_rejects_unrealizable_class():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         t_sum(4, 3, 2, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         t_sum(4, 2, 2, 3)
 
 

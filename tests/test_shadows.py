@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dense_oracle import compound_estimate_matrices, estimation_diagonal
 from fermishadow import shadows
 from fermishadow.combinat import binom, rank_subset, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
-from fermishadow.linalg import compound_batch
+from fermishadow.linalg import compound_batch, ginibre, unitary_from_ginibre
 from fermishadow.shadows import (
     RdmObservable,
     aggregate,
@@ -40,7 +42,7 @@ def test_estimation_trace_is_eta_at_k1():
 
 
 def test_estimation_matrix_expand_frozen():
-    e = estimation_matrix(4, 1, 1).expand()
+    e = estimation_diagonal(4, 1, 1)
     assert np.array_equal(e, np.array([4.0, -1.0, -1.0, -1.0]))
     assert trace_e_squared(4, 1, 1) == 19
     assert trace_e_squared(2, 1, 1) == 5
@@ -50,7 +52,7 @@ def test_trace_e_squared_matches_expand():
     for n in range(1, 8):
         for eta in range(1, n + 1):
             for k in range(1, eta + 1):
-                e = estimation_matrix(n, eta, k).expand()
+                e = estimation_diagonal(n, eta, k)
                 assert abs(float(trace_e_squared(n, eta, k)) - np.sum(e * e)) < 1e-8
 
 
@@ -79,6 +81,62 @@ def test_batch_matches_single():
     batch = batch_estimate_matrices(us, zs, eta, k)
     for i in range(6):
         assert np.allclose(batch[i], batch_estimate_matrices(us[i:i + 1], zs[i:i + 1], eta, k)[0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_projector_form_matches_compound_oracle(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    eta = data.draw(st.integers(0, n), label="eta")
+    k = data.draw(st.integers(0, eta), label="k")
+    count = data.draw(st.sampled_from([1, 2, 5]), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
+    zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
+    want = compound_estimate_matrices(us, zs, eta, k)
+    cdim = binom(n, k)
+    rows = data.draw(st.one_of(st.none(), st.lists(st.integers(0, cdim - 1), min_size=1,
+                                                   max_size=cdim)), label="rows")
+    got = batch_estimate_matrices(us, zs, eta, k, rows=rows)
+    if rows is None:
+        assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+    else:
+        want = want[:, rows]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_dense_rows_match_full_matrices():
+    state = random_state(6, 3, np.random.default_rng(4))
+    us, zs = collect_shadow_arrays(state, 9, seed=21)
+    for k in (1, 2, 3):
+        full = batch_estimate_matrices(us, zs, 3, k)
+        rows = [binom(6, k) - 1, 0, 2]
+        got = batch_estimate_matrices(us, zs, 3, k, rows=np.array(rows))
+        assert np.all(np.abs(got - full[:, rows]) <= 1e-12 * np.maximum(1.0, np.abs(full[:, rows])))
+
+
+def test_dense_estimate_rejects_bad_input():
+    # the readout checks are shared with fast_estimate_rdm (check_shadows)
+    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None]
+    cases = [
+        ((u[0], [(1, 2)]), "stack"),                # one unstacked shot
+        ((u, [(1, 2), (1, 3)]), "N = 1"),           # counts differ
+        ((u, [(1, 2, 3)]), "eta=2"),                # readout of the wrong eta
+        ((u, [(1, 1)]), "strictly increasing"),     # repeated mode
+        ((u, [(2, 1)]), "strictly increasing"),
+        ((u, [(0, 2)]), "within 1..4"),             # mode 0 once wrapped to mode n
+        ((u, [(3, 5)]), "within 1..4"),             # mode > n once raised IndexError
+        ((u, [(1.0, 2.0)]), "integers"),
+    ]
+    for (us, zs), match in cases:
+        with pytest.raises(ValueError, match=match):
+            batch_estimate_matrices(us, zs, 2, 1)
+    for rows in ([4], [-1], [[0]], [0.0]):
+        with pytest.raises(ValueError, match="rows"):
+            batch_estimate_matrices(u, [(1, 2)], 2, 1, rows=rows)
+    with pytest.raises(ValueError, match="k <= eta"):
+        batch_estimate_matrices(u, [(1, 2)], 2, 3)
 
 
 def test_collection_is_index_deterministic():
