@@ -34,7 +34,12 @@ from math import factorial
 import numpy as np
 
 from .combinat import binom, falling, subset_masks, subsets, validate_subset
-from .linalg import compound_batch, ginibre, subset_index_array, unitary_from_ginibre
+from .linalg import (
+    _ginibre_from_normals,
+    compound_batch,
+    subset_index_array,
+    unitary_from_ginibre,
+)
 
 
 @dataclass(frozen=True)
@@ -279,7 +284,8 @@ def mc_channel_estimate(spec: ChannelSpec, p, samples: int, rng):
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        g = np.stack([ginibre(n, rng) for _ in range(m)])
+        # one call per chunk: the same stream as m successive ginibre(n, rng)
+        g = _ginibre_from_normals(rng.standard_normal((m, n, 2 * n)))
         b = compound_batch(unitary_from_ginibre(g), eta)
         prob = np.abs(b) ** 2                      # [i, z, r]
         contrib = np.einsum("izr,iz->ir", prob, prob[:, :, pr])

@@ -8,6 +8,7 @@ output byte is reproducible.  Exit codes: 0 success, 1 validation failure,
 import argparse
 import csv
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -43,6 +44,9 @@ class ConfigError(Exception):
 
 # index of the state-preparation stream, disjoint from every shadow stream
 _STATE_INDEX = 2**64 - 1
+
+# thread-count variables of the BLAS/OpenMP pools, recorded in the manifest
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _is_int(x) -> bool:
@@ -213,7 +217,8 @@ def _run_manifest(command: str, config: ExperimentConfig, t0: float, stages: _St
         "wall_time_s": round(time.monotonic() - t0, 3),
         "stages_s": dict(stages.seconds),
         "peak_rss_mb": _peak_rss_mb(),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "threads": {v: os.environ.get(v) for v in _THREAD_VARS}},
     }
 
 

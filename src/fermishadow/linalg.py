@@ -32,10 +32,20 @@ def unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
+def _ginibre_from_normals(g: np.ndarray) -> np.ndarray:
+    """Complex Ginibre stack (..., n, n) from standard normals (..., n, 2n).
+
+    Row-major draw layout: columns 0..n-1 are the real block and n..2n-1 the
+    imaginary block, scaled by 1/sqrt(2).  Elementwise, so a stack gives the
+    same bits as one matrix at a time.
+    """
+    n = g.shape[-1] // 2
+    return (g[..., :n] + 1j * g[..., n:]) / np.sqrt(2.0)
+
+
 def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """n x n complex standard Ginibre matrix; one RNG call, fixed draw order."""
-    g = rng.standard_normal((n, 2 * n))
-    return (g[:, :n] + 1j * g[:, n:]) / np.sqrt(2.0)
+    return _ginibre_from_normals(rng.standard_normal((n, 2 * n)))
 
 
 # ---------------------------------------------------------------- minors

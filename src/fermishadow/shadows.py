@@ -14,8 +14,12 @@ not C(n,k)^2 minors plus a C(n,k)^3 contraction.
 
 A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
 i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
-counter-based: shadow i of a run seeded with s uses its own Philox generator
-keyed by (s, i), so any chunking or start index gives bit-identical shadows.
+counter-based: shadow i of a run seeded with s uses the Philox stream keyed
+by (s, i), so any chunking or start index gives bit-identical shadows.  The
+collector re-keys one generator per call instead of building one per shot;
+the bits equal those of a fresh shadow_rng(s, i) for every shot.  It raises
+ValueError before any draw unless the seed is in 0..2^64-1 and
+start_index + count <= 2^64.
 
 Contents
 --------
@@ -42,7 +46,7 @@ import numpy as np
 from .combinat import binom, falling, rank_subset, validate_subset
 from .fock import FermionState
 from .linalg import (
-    ginibre,
+    _ginibre_from_normals,
     givens_rotate,
     minors_batch,
     subset_index_array,
@@ -74,22 +78,38 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
 def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
     """Collect shadows as stacked arrays (U (N,n,n), Z (N,eta) 1-based).
 
-    Raises RuntimeError if a rotated state's Born probabilities miss 1 by
-    more than 1e-6, e.g. for an unnormalized state.
+    Shadow i draws from the stream (seed, start_index + i): its Ginibre
+    normals, then the uniform of its Born draw.  One generator serves the
+    whole call and is re-keyed per shot; key (seed, index) with a zero
+    counter and an empty buffer is exactly the state of a fresh
+    shadow_rng(seed, index), so the bits equal one generator per shot.
+    Raises ValueError before any draw unless 0 <= seed < 2^64, count >= 0,
+    start_index >= 0 and start_index + count <= 2^64.  Raises RuntimeError
+    if a rotated state's Born probabilities miss 1 by more than 1e-6, e.g.
+    for an unnormalized state.
     """
+    if not (0 <= seed < 2**64 and count >= 0 and start_index >= 0
+            and start_index + count <= 2**64):
+        raise ValueError(f"need seed in 0..2^64-1 and indices start_index..start_index+count-1 "
+                         f"in 0..2^64-1, got seed {seed}, start_index {start_index}, count {count}")
     n, eta = state.n, state.eta
     us = np.empty((count, n, n), dtype=np.complex128)
     zs = np.empty((count, eta), dtype=np.int64)
     ranks = subset_index_array(n, eta) + 1
+    gen = shadow_rng(seed, 0)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state       # a fresh stream's state; only the key's index word changes
+    key = fresh["state"]["key"]
+    raw = np.empty((min(count, _COLLECT_CHUNK), n, 2 * n))
     for lo in range(0, count, _COLLECT_CHUNK):
         hi = min(lo + _COLLECT_CHUNK, count)
-        gin = np.empty((hi - lo, n, n), dtype=np.complex128)
         u01 = np.empty(hi - lo)
         for i in range(lo, hi):
-            rng = shadow_rng(seed, start_index + i)
-            gin[i - lo] = ginibre(n, rng)
-            u01[i - lo] = rng.random()
-        u = unitary_from_ginibre(gin)
+            key[1] = start_index + i
+            bitgen.state = fresh
+            gen.standard_normal(out=raw[i - lo])
+            u01[i - lo] = gen.random()
+        u = unitary_from_ginibre(_ginibre_from_normals(raw[:hi - lo]))
         probs = np.abs(givens_rotate(u, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
         defect = float(np.max(np.abs(totals - 1.0)))

@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from fermishadow import channel
 from fermishadow.channel import (
     ChannelSpec,
     DiagonalOperator,
@@ -25,7 +26,8 @@ from fermishadow.channel import (
     symmetrized_difference,
     symmetrized_difference_bruteforce,
 )
-from fermishadow.combinat import binom, subsets
+from fermishadow.combinat import binom, rank_subset, subsets
+from fermishadow.linalg import compound_batch, ginibre, unitary_from_ginibre
 from fermishadow.shadows import estimation_entry
 
 
@@ -185,6 +187,33 @@ def test_intersection_table_matches_sets():
             ss = list(subsets(n, eta))
             want = [[len(set(a) & set(b)) for b in ss] for a in ss]
             assert _intersection_table(n, eta).tolist() == want
+
+
+def _mc_channel_oracle(n, eta, p, samples, seed, chunk):
+    # one ginibre(n, rng) call per sample, the rest as mc_channel_estimate
+    rng = np.random.Generator(np.random.Philox(seed))
+    pr = rank_subset(p, n)
+    total = np.zeros(binom(n, eta))
+    total_sq = np.zeros(binom(n, eta))
+    for lo in range(0, samples, chunk):
+        g = np.stack([ginibre(n, rng) for _ in range(min(chunk, samples - lo))])
+        prob = np.abs(compound_batch(unitary_from_ginibre(g), eta)) ** 2
+        contrib = np.einsum("izr,iz->ir", prob, prob[:, :, pr])
+        total += contrib.sum(axis=0)
+        total_sq += (contrib**2).sum(axis=0)
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean**2, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("n,eta,p", [(2, 1, (2,)), (3, 2, (1, 3)), (5, 2, (2, 4))])
+def test_mc_channel_estimate_matches_per_sample_draws(monkeypatch, n, eta, p):
+    # one standard_normal call per chunk draws the same bits as one per sample
+    monkeypatch.setattr(channel, "_MC_CHUNK", 64)
+    mean, err = mc_channel_estimate(ChannelSpec(n, eta), p, 150, 5)
+    want_mean, want_err = _mc_channel_oracle(n, eta, p, 150, 5, 64)
+    assert mean.tobytes() == want_mean.tobytes()
+    assert err.tobytes() == want_err.tobytes()
 
 
 def test_mc_channel_estimate_agrees():

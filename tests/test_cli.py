@@ -150,7 +150,8 @@ from fermishadow.combinat import falling, unrank_subset
 from fermishadow.fastpath import decompose_rdm, f_ks, fast_estimate_rdm, inverse_trace_sequence
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
 from fermishadow.linalg import minor_det, pfaffian
-from fermishadow.shadows import RdmObservable, batch_estimate_matrices, estimation_entry, shadow_rng
+from fermishadow.shadows import (RdmObservable, batch_estimate_matrices, collect_shadow_arrays,
+                                 estimation_entry, shadow_rng)
 if __debug__:
     raise SystemExit("asserts are on")
 u = np.eye(4, dtype=complex)[None]
@@ -168,6 +169,10 @@ calls = {
     "inverse_trace_sequence short": lambda: inverse_trace_sequence([1.0], 2, 2),
     "shadow_rng index": lambda: shadow_rng(1, 2**64),
     "shadow_rng seed": lambda: shadow_rng(-1, 0),
+    "collect seed -1": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 1, -1),
+    "collect seed 2^64": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 1, 2**64),
+    "collect past 2^64": lambda: collect_shadow_arrays(
+        FermionState(4, 1, np.ones(4) / 2), 5, 0, start_index=2**64 - 2),
     "rdm_matrix k > eta": lambda: rdm_matrix(FermionState(4, 1, np.ones(4) / 2), 2),
     "apply_rotation shape": lambda: apply_rotation(FermionState(4, 1, np.ones(4) / 2), np.eye(3)),
     "dense readout mode 0": lambda: batch_estimate_matrices(u, np.array([(0, 2)]), 2, 1),
@@ -204,7 +209,10 @@ print("ok")
     assert out.stdout.strip() == "ok"
 
 
-def test_estimate_deterministic_output_files(tmp_path, capsys):
+def test_estimate_deterministic_output_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     args = ["estimate", "--n", "2", "--eta", "1", "--k", "1",
             "--samples", "64", "--seed", "11"]
     rc = main(args + ["--out", str(tmp_path / "a")])
@@ -224,6 +232,8 @@ def test_estimate_deterministic_output_files(tmp_path, capsys):
     assert sum(manifest["stages_s"].values()) <= manifest["wall_time_s"] + 1e-3
     assert manifest["peak_rss_mb"] > 0
     assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["versions"]["threads"] == {
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
     assert (tmp_path / "b.manifest.json").exists()
     # the manifest goes next to the file; stdout without --out stays the bare rows
     assert main(args) == 0
@@ -395,7 +405,10 @@ def test_slater_overlap_rejects_bad_targets():
             cmd_slater_overlap(ExperimentConfig(3, 2, 2, 5, 1, targets=targets))
 
 
-def test_slater_overlap_manifest(tmp_path, capsys):
+def test_slater_overlap_manifest(tmp_path, capsys, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
     assert main(["slater-overlap", "--n", "3", "--eta", "2", "--samples", "30", "--seed", "2",
                  "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
@@ -404,6 +417,8 @@ def test_slater_overlap_manifest(tmp_path, capsys):
     assert set(manifest["stages_s"]) == {"collect", "estimate", "aggregate"}
     assert manifest["peak_rss_mb"] > 0
     assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["versions"]["threads"] == {
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
 
 
 def test_slater_overlap_reads_reference_row(monkeypatch, capsys):

@@ -9,7 +9,13 @@ from dense_oracle import compound_estimate_matrices, estimation_diagonal
 from fermishadow import shadows
 from fermishadow.combinat import binom, rank_subset, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
-from fermishadow.linalg import compound_batch, ginibre, unitary_from_ginibre
+from fermishadow.linalg import (
+    compound_batch,
+    ginibre,
+    givens_rotate,
+    subset_index_array,
+    unitary_from_ginibre,
+)
 from fermishadow.shadows import (
     RdmObservable,
     aggregate,
@@ -160,6 +166,74 @@ def test_chunking_is_bit_identical(monkeypatch):
         assert cus.tobytes() == us.tobytes() and np.array_equal(czs, zs)
         for k, want in zip((1, 2, 3), ests):
             assert batch_estimate_matrices(us, zs, 3, k).tobytes() == want.tobytes()
+
+
+def _per_shot_reference(state, count, seed, start_index):
+    # one fresh shadow_rng per shot, then one batched QR, rotation and draw
+    n, eta = state.n, state.eta
+    gin = np.empty((count, n, n), dtype=np.complex128)
+    u01 = np.empty(count)
+    for i in range(count):
+        rng = shadows.shadow_rng(seed, start_index + i)
+        gin[i] = ginibre(n, rng)
+        u01[i] = rng.random()
+    us = unitary_from_ginibre(gin)
+    probs = np.abs(givens_rotate(us, state.amps, eta)) ** 2
+    probs /= probs.sum(axis=1)[:, None]
+    zs = (subset_index_array(n, eta) + 1)[shadows._draw_ranks(probs, u01)]
+    return us, zs
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("n,eta", [(1, 1), (4, 2), (5, 3), (8, 4)])
+def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk):
+    # the collector re-keys one Philox per call; its bits must equal a fresh
+    # shadow_rng(seed, index) per shot, or a numpy change to the state layout
+    # shows here
+    if chunk is not None:
+        monkeypatch.setattr(shadows, "_COLLECT_CHUNK", chunk)
+    state = random_state(n, eta, np.random.default_rng(n + eta))
+    count = 7
+    for seed in (0, 2**64 - 1):
+        for start in (0, 5, 2**64 - count):
+            us, zs = collect_shadow_arrays(state, count, seed, start_index=start)
+            ref_us, ref_zs = _per_shot_reference(state, count, seed, start)
+            assert us.tobytes() == ref_us.tobytes()
+            assert np.array_equal(zs, ref_zs)
+
+
+def test_rekeyed_state_equals_fresh_philox():
+    for seed, index in [(0, 0), (12345, 7), (2**64 - 1, 2**64 - 1)]:
+        gen = shadows.shadow_rng(seed, 0)
+        bitgen = gen.bit_generator
+        fresh = bitgen.state
+        # leave counter, buffer and the cached 32-bit half all in use
+        gen.standard_normal(9)
+        gen.integers(0, 2**32, dtype=np.uint32)
+        fresh["state"]["key"][1] = index
+        bitgen.state = fresh
+        got = bitgen.state
+        want = np.random.Philox(key=np.array([seed, index], dtype=np.uint64)).state
+        assert set(got) == set(want) and set(got["state"]) == set(want["state"])
+        assert got["bit_generator"] == want["bit_generator"]
+        for field in ("counter", "key"):
+            assert np.array_equal(got["state"][field], want["state"][field])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == want[field]
+
+
+def test_collection_checks_stream_range_before_drawing(monkeypatch):
+    state = random_state(4, 2, np.random.default_rng(2))
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking the stream range")
+
+    monkeypatch.setattr(shadows, "shadow_rng", no_draw)
+    for seed, count, start in [(-1, 1, 0), (2**64, 1, 0), (0, 5, 2**64 - 2), (0, 1, -1),
+                               (0, -1, 0)]:
+        with pytest.raises(ValueError, match="2\\^64"):
+            collect_shadow_arrays(state, count, seed, start_index=start)
 
 
 def test_collection_born_statistics():
