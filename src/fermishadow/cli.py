@@ -13,7 +13,7 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +27,8 @@ from .fock import (
     state_from_json,
 )
 from .shadows import (
+    _STATE_INDEX,
+    aggregate,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
@@ -41,9 +43,6 @@ from .fastpath import fast_estimate_rdm
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
-
-# index of the state-preparation stream, disjoint from every shadow stream
-_STATE_INDEX = 2**64 - 1
 
 # thread-count variables of the BLAS/OpenMP pools, recorded in the manifest
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -156,16 +155,6 @@ def _resolve_targets(config: ExperimentConfig):
     return out
 
 
-def _aggregate_columns(values: np.ndarray, aggregation: str):
-    """(value, stderr) complex pair for one target's per-shadow estimates."""
-    from .shadows import aggregate
-
-    if aggregation == "mean":
-        return aggregate(values, "mean")
-    batches = int(aggregation.split(":", 1)[1])
-    return aggregate(values, "median_of_means", batches)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -212,7 +201,7 @@ def _peak_rss_mb():
 def _run_manifest(command: str, config: ExperimentConfig, t0: float, stages: _Stages) -> dict:
     return {
         "command": command,
-        "config": asdict(config),
+        "config": dict(vars(config)),
         "git_describe": _git_describe(),
         "wall_time_s": round(time.monotonic() - t0, 3),
         "stages_s": dict(stages.seconds),
@@ -258,36 +247,37 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     stages = _Stages()
     us, zs = collect_shadow_arrays(state, config.samples, config.seed)
     stages.lap("collect")
-    dense = None
-    if config.estimator in ("dense", "both"):
+    # (N, T) per-shadow estimates, one column per target.  Fast first: the
+    # shadows are dropped so that the dense gather does not raise peak memory.
+    if config.estimator != "dense":
+        by_target = {t: fast_estimate_rdm(us, zs, eta, k, *t) for t in dict.fromkeys(targets)}
+        # rows (T, N), so the view (N, T) has each target's shots contiguous
+        fast = np.reshape([by_target[t] for t in targets], (-1, len(us))).T
+    if config.estimator != "fast":
         ests = batch_estimate_matrices(us, zs, eta, k)
-        dense = {
-            (p, q): ests[:, rank_subset(p), rank_subset(q)] for p, q in set(targets)
-        }
-    fast = None
-    if config.estimator in ("fast", "both"):
-        fast = {(p, q): fast_estimate_rdm(us, zs, eta, k, p, q) for p, q in set(targets)}
+        del us, zs
+        if config.estimator == "both":
+            scale = max(1.0, float(np.abs(ests).max()))
+        dense = ests[:, [rank_subset(p) for p, _ in targets], [rank_subset(q) for _, q in targets]]
+        del ests
     stages.lap("estimate")
 
+    mode, _, batches = config.aggregation.partition(":")
+    batches = int(batches) if batches else None
+    val, err = aggregate(fast if config.estimator == "fast" else dense, mode, batches)
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
+    cols = [val.real, val.imag, err.real, err.imag]
     if config.estimator == "both":
+        fval, _ = aggregate(fast, mode, batches)
         header += ["fast_estimate_re", "fast_estimate_im"]
-    rows = []
-    mismatch = 0.0
-    for p, q in targets:
-        primary = dense if dense is not None else fast
-        val, err = _aggregate_columns(primary[(p, q)], config.aggregation)
-        row = [_subset_str(p), _subset_str(q),
-               _fmt(val.real), _fmt(val.imag), _fmt(err.real), _fmt(err.imag)]
-        if config.estimator == "both":
-            fval, _ = _aggregate_columns(fast[(p, q)], config.aggregation)
-            row += [_fmt(fval.real), _fmt(fval.imag)]
-            mismatch = max(mismatch, abs(fval - val))
-        rows.append(row)
+        cols += [fval.real, fval.imag]
+        mismatch = float(np.abs(fval - val).max(initial=0.0))
+    rows = [[_subset_str(p), _subset_str(q), *map(_fmt, r)]
+            for (p, q), r in zip(targets, np.stack(cols, axis=1).tolist())]
     stages.lap("aggregate")
 
     _write_rows(rows, header, out, fmt, _run_manifest("estimate", config, t0, stages))
-    if config.estimator == "both" and mismatch > 1e-8 * max(1.0, float(np.abs(ests).max())):
+    if config.estimator == "both" and mismatch > 1e-8 * scale:
         print(f"dense and fast estimators disagree by {mismatch:.3e}", file=sys.stderr)
         return 1
     return 0
@@ -482,17 +472,15 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
 
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
-    rows = []
-    for q in qs:
-        vals = 2.0 * ests[:, rank_subset(q)]
-        val, err = _aggregate_columns(vals, config.aggregation)
-        oracle = complex(state.amplitude(q))
-        var1 = float(np.mean(np.abs(vals - vals.mean()) ** 2))
-        rows.append([
-            _subset_str(q),
-            _fmt(val.real), _fmt(val.imag), _fmt(err.real), _fmt(err.imag),
-            _fmt(oracle.real), _fmt(oracle.imag), _fmt(var1),
-        ])
+    # (Q, N) with each target's shots contiguous; aggregate takes its (N, Q) view
+    vals = 2.0 * ests.T[[rank_subset(q) for q in qs]]
+    mode, _, batches = config.aggregation.partition(":")
+    val, err = aggregate(vals.T, mode, int(batches) if batches else None)
+    var1 = np.mean(np.abs(vals - vals.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    oracle = np.array([state.amplitude(q) for q in qs], dtype=np.complex128)
+    cols = [val.real, val.imag, err.real, err.imag, oracle.real, oracle.imag, var1]
+    rows = [[_subset_str(q), *map(_fmt, r)]
+            for q, r in zip(qs, np.stack(cols, axis=1).tolist())]
     stages.lap("aggregate")
     _write_rows(rows, header, out, fmt, _run_manifest("slater-overlap", config, t0, stages))
     return 0

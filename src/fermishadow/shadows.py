@@ -19,7 +19,7 @@ by (s, i), so any chunking or start index gives bit-identical shadows.  The
 collector re-keys one generator per call instead of building one per shot;
 the bits equal those of a fresh shadow_rng(s, i) for every shot.  It raises
 ValueError before any draw unless the seed is in 0..2^64-1 and
-start_index + count <= 2^64.
+start_index + count <= 2^64-1: index 2^64-1 prepares the input state.
 
 Contents
 --------
@@ -31,7 +31,7 @@ Contents
     check_shadows              : input checks shared by both estimators
     batch_estimate_matrices    : k-body estimates (all rows or chosen rows) per shadow
     RdmObservable, estimate_observable : linear functionals of the estimates
-    aggregate                  : mean / median-of-means over many shadows
+    aggregate                  : mean / median-of-means over the shots, per column
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
     shadows_to_jsonl, shadows_from_jsonl
 """
@@ -57,6 +57,9 @@ from .linalg import (
 # shots per pass of collect_shadow_arrays and of batch_estimate_matrices
 _COLLECT_CHUNK = 8192
 _ESTIMATE_CHUNK = 4096
+
+# index of the state-preparation stream (s, 2^64-1); shadows stop one below
+_STATE_INDEX = 2**64 - 1
 
 
 def shadow_rng(seed: int, index: int) -> np.random.Generator:
@@ -84,14 +87,14 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     counter and an empty buffer is exactly the state of a fresh
     shadow_rng(seed, index), so the bits equal one generator per shot.
     Raises ValueError before any draw unless 0 <= seed < 2^64, count >= 0,
-    start_index >= 0 and start_index + count <= 2^64.  Raises RuntimeError
-    if a rotated state's Born probabilities miss 1 by more than 1e-6, e.g.
-    for an unnormalized state.
+    start_index >= 0 and start_index + count <= _STATE_INDEX = 2^64-1, the
+    state's stream.  Raises RuntimeError if a rotated state's Born
+    probabilities miss 1 by more than 1e-6, e.g. for an unnormalized state.
     """
     if not (0 <= seed < 2**64 and count >= 0 and start_index >= 0
-            and start_index + count <= 2**64):
+            and start_index + count <= _STATE_INDEX):
         raise ValueError(f"need seed in 0..2^64-1 and indices start_index..start_index+count-1 "
-                         f"in 0..2^64-1, got seed {seed}, start_index {start_index}, count {count}")
+                         f"in 0..2^64-2, got seed {seed}, start_index {start_index}, count {count}")
     n, eta = state.n, state.eta
     us = np.empty((count, n, n), dtype=np.complex128)
     zs = np.empty((count, eta), dtype=np.int64)
@@ -304,35 +307,39 @@ def estimate_observable(us: np.ndarray, zs: np.ndarray, obs: RdmObservable,
 
 
 def aggregate(values, mode: str = "mean", batches: int = None):
-    """Combine per-shadow estimates into (value, error).
+    """Combine per-shadow estimates (N,) or (N, T) along axis 0 into (value, error).
 
-    mean: arithmetic mean with the standard error s/sqrt(N) (ddof=1) per real
-    and imaginary part.  median_of_means: equal batches (batches must divide
-    the length), coordinate-wise median of the batch means, spread of the
-    batch means as the error.
+    Both are shaped like one row: complex scalars for (N,), arrays (T,) for
+    (N, T), each column combined exactly as it would be alone.  mean:
+    arithmetic mean with the standard error s/sqrt(N) (ddof=1) per real and
+    imaginary part.  median_of_means: equal batches of consecutive shots
+    (batches must divide N), coordinate-wise median of the batch means,
+    spread of the batch means as the error.  Raises ValueError for no shots,
+    more than two axes, an unknown mode or batches that do not divide N.
     """
     x = np.asarray(values, dtype=np.complex128)
-    nsamp = x.size
-    if nsamp == 0:
-        raise ValueError("no values to aggregate")
+    if x.ndim not in (1, 2) or x.shape[0] == 0:
+        raise ValueError(f"need per-shadow estimates (N,) or (N, T) with N >= 1, got shape {x.shape}")
+    nsamp = x.shape[0]
+    # shots on the contiguous last axis: each column then sums in the same
+    # pairwise order as a lone (N,) column, so its bits do not depend on T
+    x = np.ascontiguousarray(x.T)
     if mode == "mean":
-        val = complex(x.mean())
-        if nsamp == 1:
-            return val, complex(0)
-        err_re = x.real.std(ddof=1) / np.sqrt(nsamp)
-        err_im = x.imag.std(ddof=1) / np.sqrt(nsamp)
-        return val, complex(err_re + 1j * err_im)
-    if mode == "median_of_means":
+        groups = x
+        val = x.mean(axis=-1)
+    elif mode == "median_of_means":
         if batches is None or batches < 1 or nsamp % batches != 0:
             raise ValueError(f"batches must divide the sample count {nsamp}, got {batches!r}")
-        means = x.reshape(batches, -1).mean(axis=1)
-        val = complex(np.median(means.real) + 1j * np.median(means.imag))
-        if batches == 1:
-            return val, complex(0)
-        err_re = means.real.std(ddof=1) / np.sqrt(batches)
-        err_im = means.imag.std(ddof=1) / np.sqrt(batches)
-        return val, complex(err_re + 1j * err_im)
-    raise ValueError(f"unknown mode {mode!r}")
+        groups = x.reshape(x.shape[:-1] + (batches, -1)).mean(axis=-1)
+        val = np.median(groups.real, axis=-1) + 1j * np.median(groups.imag, axis=-1)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    m = groups.shape[-1]
+    if m == 1:
+        return val, np.zeros_like(val)[()]      # [()]: a scalar stays a scalar
+    err_re = groups.real.std(axis=-1, ddof=1) / np.sqrt(m)
+    err_im = groups.imag.std(axis=-1, ddof=1) / np.sqrt(m)
+    return val, err_re + 1j * err_im
 
 
 # ------------------------------------------------- variance closed forms

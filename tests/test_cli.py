@@ -272,7 +272,7 @@ def test_estimate_both_estimators_agree(capsys):
     capsys.readouterr()
 
 
-def test_estimate_both_mode_csv(tmp_path, capsys):
+def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n": 3, "eta": 2, "k": 1, "samples": 32, "seed": 9, "estimator": "both",
@@ -284,6 +284,31 @@ def test_estimate_both_mode_csv(tmp_path, capsys):
     for row in rows:
         assert abs(float(row[2]) - float(row[6])) < 1e-6
         assert abs(float(row[3]) - float(row[7])) < 1e-6
+    # a fast route off by 1e-6 on one pair fails the run, rows still printed
+    fast = cli.fast_estimate_rdm
+    monkeypatch.setattr(cli, "fast_estimate_rdm", lambda us, zs, eta, k, p, q: (
+        fast(us, zs, eta, k, p, q) + (1e-6 if (p, q) == ((1,), (3,)) else 0)))
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert len(_read_csv(out)[1]) == 9
+    assert "dense and fast estimators disagree by 1.000e-06" in err
+
+
+def test_estimate_fast_only_matches_dense(capsys):
+    targets = [[[1, 2], [2, 3]], [[1, 3], [1, 3]], [[2, 4], [1, 4]], [[1, 2], [2, 3]]]
+    out = {}
+    for estimator in ("fast", "dense"):
+        cfg = ExperimentConfig(4, 2, 2, 40, 6, estimator=estimator,
+                               aggregation="median_of_means:4", targets=targets)
+        assert cli.cmd_estimate(cfg) == 0
+        out[estimator] = _read_csv(capsys.readouterr().out)
+    (fast_header, fast_rows), (dense_header, dense_rows) = out["fast"], out["dense"]
+    assert fast_header == dense_header
+    assert len(fast_rows) == len(targets)
+    assert fast_rows[0] == fast_rows[3]       # the repeated pair
+    for f, d in zip(fast_rows, dense_rows):
+        assert f[:2] == d[:2]
+        assert all(abs(float(a) - float(b)) < 1e-8 for a, b in zip(f[2:], d[2:]))
 
 
 def test_estimate_median_of_means_aggregation(capsys):

@@ -195,7 +195,7 @@ def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk)
     state = random_state(n, eta, np.random.default_rng(n + eta))
     count = 7
     for seed in (0, 2**64 - 1):
-        for start in (0, 5, 2**64 - count):
+        for start in (0, 5, 2**64 - 1 - count):
             us, zs = collect_shadow_arrays(state, count, seed, start_index=start)
             ref_us, ref_zs = _per_shot_reference(state, count, seed, start)
             assert us.tobytes() == ref_us.tobytes()
@@ -231,7 +231,7 @@ def test_collection_checks_stream_range_before_drawing(monkeypatch):
 
     monkeypatch.setattr(shadows, "shadow_rng", no_draw)
     for seed, count, start in [(-1, 1, 0), (2**64, 1, 0), (0, 5, 2**64 - 2), (0, 1, -1),
-                               (0, -1, 0)]:
+                               (0, -1, 0), (0, 1, 2**64 - 1)]:
         with pytest.raises(ValueError, match="2\\^64"):
             collect_shadow_arrays(state, count, seed, start_index=start)
 
@@ -328,6 +328,32 @@ def test_aggregate_median_of_means():
         aggregate(data, mode="median_of_means")
     with pytest.raises(ValueError):
         aggregate(data, mode="trimmed")
+    # a 2-D call checks the batches against N, not against the element count
+    with pytest.raises(ValueError, match="divide"):
+        aggregate(np.ones((6, 2)), mode="median_of_means", batches=4)
+    with pytest.raises(ValueError):
+        aggregate(np.ones((0, 3)))
+    with pytest.raises(ValueError):
+        aggregate(np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("nsamp,width", [(1, 1), (1, 5), (12, 1), (12, 7), (600, 36)])
+def test_aggregate_columns_match_lone_columns(nsamp, width):
+    # an (N, T) call must give each column the bits of its own (N,) call,
+    # whatever the memory layout of the table
+    rng = np.random.default_rng(nsamp * width)
+    table = 10.0 ** rng.uniform(-3, 3, width) * (
+        rng.standard_normal((nsamp, width)) + 1j * rng.standard_normal((nsamp, width)))
+    modes = [("mean", None)] + [("median_of_means", b) for b in (1, 3, 4) if nsamp % b == 0]
+    for mode, batches in modes:
+        for layout in (table, np.asfortranarray(table), table[:, ::-1][:, ::-1]):
+            val, err = aggregate(layout, mode, batches)
+            assert val.shape == err.shape == (width,)
+            for t in range(width):
+                v, e = aggregate(table[:, t].copy(), mode, batches)
+                assert isinstance(v, complex) and isinstance(e, complex)
+                assert val[t].tobytes() == np.complex128(v).tobytes()
+                assert err[t].tobytes() == np.complex128(e).tobytes()
 
 
 def test_q_value_is_average_second_moment():
