@@ -2,17 +2,18 @@
 
 Sample occupation readouts after Haar mode rotations, invert the
 measurement channel in closed form, and estimate every k-body transition
-amplitude of an eta-particle state, either from a dense estimation
-operator or along an O(k^2 eta) Pfaffian route.
+amplitude of an eta-particle state: every entry at once from the dense
+estimation operator, or one entry at O(k^2 eta + k^4) per shot from the
+k x k block of the readout projector that it names.
 
 Modules
 -------
     combinat   : subsets in colex order, binomials, bitmasks and the sign rule
-    linalg     : Haar sampling, minors, compounds, Givens rotation, Pfaffians
+    linalg     : Haar sampling, minors, compounds, Givens rotation
     fock       : dense eta-particle states, rotations, transitions, JSON form
     channel    : exact algebra of the measurement channel
-    shadows    : the protocol on stacked (us, zs) arrays, variance bookkeeping
-    fastpath   : the Pfaffian estimator over stacked shadows (us, zs)
+    shadows    : the protocol on stacked (us, zs) arrays, both estimators,
+                 variance bookkeeping
     identities : brute-vs-closed verification sums
     cli        : command-line entry points
 """
@@ -42,10 +43,10 @@ from .shadows import (
     collect_shadow_arrays,
     estimate_observable,
     estimation_matrix,
+    fast_estimate_rdm,
     q_value,
     variance_bound,
 )
-from .fastpath import fast_estimate_rdm
 
 __all__ = [
     "binom",

@@ -32,12 +32,12 @@ from .shadows import (
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
+    fast_estimate_rdm,
     q_value,
     shadow_rng,
     trace_e_squared,
     variance_bound,
 )
-from .fastpath import fast_estimate_rdm
 
 
 class ConfigError(Exception):

@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels: Haar sampling, minors, compounds, Pfaffians.
+"""Dense linear algebra kernels: Haar sampling, minors, compounds, Givens rotation.
 
 Contents
 --------
@@ -7,7 +7,6 @@ Contents
     minors_batch    : dets of many submatrices of a stack of matrices
     compound_batch  : k-th multiplicative compounds (action on k-subsets) of a stack
     givens_rotate   : k-particle amplitudes rotated by a stack of unitaries
-    pfaffian        : Pfaffian of an even skew-symmetric matrix
 """
 
 from functools import lru_cache
@@ -206,42 +205,4 @@ def givens_rotate(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
         out[lo] = c * x - s.conj() * y
         out[hi] = s * x + c.conj() * y
     return np.ascontiguousarray(out.T)
-
-
-# ---------------------------------------------------------------- pfaffian
-
-def pfaffian(a: np.ndarray) -> complex:
-    """Pfaffian of an even-dimensional skew-symmetric matrix.
-
-    Parlett-Reid tridiagonalization with partial pivoting; O(m^3).  The input
-    is copied.  Raises ValueError unless the input is square, of even
-    dimension and skew-symmetric to 1e-10 of its largest entry.
-    """
-    a = np.array(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"Pfaffian needs a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    if m % 2:
-        raise ValueError(f"Pfaffian needs even dimension, got {m}")
-    if not np.allclose(a, -a.T, atol=1e-10 * max(1.0, np.abs(a).max(initial=0.0))):
-        raise ValueError("Pfaffian needs a skew-symmetric matrix")
-    if m == 0:
-        return 1.0 + 0.0j
-    val = 1.0 + 0.0j
-    for j in range(0, m - 1, 2):
-        # pivot the largest entry of column j below the diagonal into row j+1
-        p = j + 1 + int(np.argmax(np.abs(a[j + 1:, j])))
-        if p != j + 1:
-            a[[j + 1, p], :] = a[[p, j + 1], :]
-            a[:, [j + 1, p]] = a[:, [p, j + 1]]
-            val = -val
-        piv = a[j, j + 1]
-        if piv == 0:
-            return 0.0 + 0.0j
-        val *= piv
-        if j + 2 < m:
-            tau = a[j, j + 2:] / piv
-            col = a[j + 2:, j + 1]
-            a[j + 2:, j + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(val)
 

@@ -10,7 +10,10 @@ M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
 C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
 coefficients.  Only the rows p asked for are computed, so the overlap
 command's single reference row costs 2 C(n,k) minors per pair of roots,
-not C(n,k)^2 minors plus a C(n,k)^3 contraction.
+not C(n,k)^2 minors plus a C(n,k)^3 contraction.  A single entry (p, q)
+needs only the k x k block Pi[q, p] = U_z[:, q]^H U_z[:, p], two k x k
+determinants per pair of roots: fast_estimate_rdm evaluates it at
+O(k^2 eta + k^4) per shot, whatever n is.
 
 A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
 i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
@@ -30,6 +33,7 @@ Contents
     trace_e_squared            : exact Tr of its square
     check_shadows              : input checks shared by both estimators
     batch_estimate_matrices    : k-body estimates (all rows or chosen rows) per shadow
+    fast_estimate_rdm          : one transition's estimates from its k x k block
     RdmObservable, estimate_observable : linear functionals of the estimates
     aggregate                  : mean / median-of-means over the shots, per column
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
@@ -39,6 +43,7 @@ Contents
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -46,6 +51,7 @@ import numpy as np
 from .combinat import binom, falling, rank_subset, validate_subset
 from .fock import FermionState
 from .linalg import (
+    _det_stack,
     _ginibre_from_normals,
     givens_rotate,
     minors_batch,
@@ -195,6 +201,7 @@ def check_shadows(us, zs, eta: int):
     return us, zs
 
 
+@lru_cache(maxsize=None)
 def _dft_points(n: int, eta: int, k: int) -> tuple:
     """(w_0, ((x_j, w_j), ...)): DFT weights w_j of the roots of unity x_j.
 
@@ -203,7 +210,8 @@ def _dft_points(n: int, eta: int, k: int) -> tuple:
     D(x) putting x on the readout modes.  x_0 = 1 gives the identity, so
     only its exact weight is returned.  Of each conjugate pair only the root
     in the upper half plane is listed, since its partner contributes the
-    complex conjugate; x = -1 (k odd) is exact and its weight real.
+    complex conjugate; x = -1 (k odd) is exact and its weight real.  Cached
+    per (n, eta, k); the result is an immutable tuple.
     """
     vals = estimation_matrix(n, eta, k).class_values
     m = k + 1
@@ -265,6 +273,39 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
             out[lo:hi] *= 0.5
         else:
             out[lo:hi] = block
+    return out
+
+
+def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) -> np.ndarray:
+    """(N,) transition estimates (p, q) of the shadows with rotations us and readouts zs.
+
+    Entry i equals entry [i, rank p, rank q] of batch_estimate_matrices up to
+    roundoff, from the k x k block G = Pi[q, p] = U_z[:, q]^H U_z[:, p] alone:
+    the estimate is w_0 [p = q] plus, per root x in the upper half plane,
+    w det(I[q, p] + (x - 1) G) + conj(w det(I[p, q] + (x - 1) G^H)), the
+    second term dropped at x = -1.  That is O(k^2 eta + k^4) per shot,
+    independent of n, with (N, eta, k) temporaries.  Raises ValueError for
+    the inputs check_shadows rejects, for |p|, |q| other than k or not
+    1 <= k <= eta <= n, and for p or q not strictly increasing within 1..n.
+    """
+    us, zs = check_shadows(us, zs, eta)
+    count, n = us.shape[0], us.shape[-1]
+    if not (len(p) == len(q) == k and 1 <= k <= eta <= n):
+        raise ValueError(f"need |p| = |q| = k with 1 <= k <= eta <= n, got n={n} "
+                         f"eta={eta} k={k}, p={tuple(p)}, q={tuple(q)}")
+    p, q = validate_subset(p, n), validate_subset(q, n)
+    w0, points = _dft_points(n, eta, k)
+    out = np.full(count, w0 if p == q else 0.0, dtype=np.complex128)
+    pi, qi = np.array(p) - 1, np.array(q) - 1
+    # readout rows of each u at the columns q and p, (N, eta, k) each
+    readout = (np.arange(count)[:, None, None], zs[:, :, None] - 1)
+    g = np.einsum("izq,izp->iqp", us[readout + (qi,)].conj(), us[readout + (pi,)])
+    eye = (qi[:, None] == pi[None, :]).astype(float)      # I[q, p]
+    for x, w in points:
+        out += w * _det_stack(eye + (x - 1.0) * g)
+        if x != -1.0:
+            # the conjugate root: det M(conj x)[q, p] = conj(det M(x)[p, q])
+            out += np.conj(w * _det_stack(eye.T + (x - 1.0) * g.conj().transpose(0, 2, 1)))
     return out
 
 

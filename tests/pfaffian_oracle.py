@@ -1,4 +1,4 @@
-"""Fast transition estimates via Pfaffian derivatives, avoiding compounds.
+"""Pfaffian route to single transition estimates, kept as a test oracle.
 
 A single-shadow estimate of a diagonal k-body pattern is a degree-k
 polynomial functional of a Pfaffian generating function.  With u_eff the
@@ -12,25 +12,21 @@ mode-doubled space, J puts a Yhat block on the first eta pairs, Lambda =
 generates the needed occupation-polynomial expectations; A(0) never depends
 on u_eff and Pf[A(0)] = (-1)^(n-k) exactly.  Derivatives at 0 come from a
 trace recursion whose inputs are eigenvalue power sums of a 2k x 2k Gram
-block.  That block is the doubled real image of the k x k Hermitian Gram
-W^H W of the eta x k block W of u_eff, so Tr M^y = 2 Tr (W^H W)^y and one
-estimate costs O(k^2 eta) after O(k eta) column gathers.
+block, the doubled real image of the k x k Hermitian Gram W^H W of the
+eta x k block W of u_eff.
 
 Off-diagonal transitions (p, q) reduce exactly to diagonal estimates in
 rotated frames: pair rotations at k'+1 discrete angles (k' = modes where p
 and q differ) combined by a DFT, times a 2^k' inclusion-exclusion over
 pattern choices, times a global fermionic reordering sign.
 
-fast_estimate_rdm evaluates one target over a stack of shadows at once: it
-reads the T terms' column tables (built once per (p, q, n) and cached),
-gathers the (N, T, eta, k) blocks W from the readout rows of each u, takes
-the power sums of the Grams with one batched eigvalsh, runs the trace and
-derivative recursions elementwise on (N, T) arrays, and contracts with the
-term weights.  Shots go in chunks of bounded size, so memory does not grow
-with N.
+The shipped estimator (shadows.fast_estimate_rdm, projector form on the
+k x k block Pi[q, p]) must agree with _loop_estimate, which evaluates every
+term of that decomposition for one shadow.
 
 Contents
 --------
+    pfaffian                : Pfaffian of an even skew-symmetric matrix
     majorana_rotation       : orthogonal doubled image of a unitary
     assemble_a_matrix       : the Pfaffian kernel A(kappa)
     generating_function_value
@@ -38,10 +34,8 @@ Contents
     build_m, trace_powers, inverse_trace_sequence
     pfaffian_derivatives    : d^x Pf[A]|_0 for x = 0..x_max
     decompose_rdm           : exact off-diagonal-to-diagonal decomposition as
-                              cached read-only (rows, vals, coeffs) term tables;
-                              the global sign comes from combinat.apply_string
-    fast_estimate_rdm       : (N,) estimates of stacked shadows (us, zs), equal
-                              to the dense ones, in one vectorized pass
+                              cached read-only (rows, vals, coeffs) term tables
+    _loop_estimate          : one shadow's transition estimate, term by term
 """
 
 from fractions import Fraction
@@ -50,11 +44,47 @@ from math import comb, factorial
 
 import numpy as np
 
-from .combinat import apply_string, binom, validate_subset
-from .shadows import check_shadows, estimation_entry
+from fermishadow.combinat import apply_string, binom, validate_subset
+from fermishadow.shadows import estimation_entry
 
 Y = np.array([[0.0, -1.0], [1.0, 0.0]])
 YHAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def pfaffian(a: np.ndarray) -> complex:
+    """Pfaffian of an even-dimensional skew-symmetric matrix.
+
+    Parlett-Reid tridiagonalization with partial pivoting; O(m^3).  The input
+    is copied.  Raises ValueError unless the input is square, of even
+    dimension and skew-symmetric to 1e-10 of its largest entry.
+    """
+    a = np.array(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"Pfaffian needs a square matrix, got shape {a.shape}")
+    m = a.shape[0]
+    if m % 2:
+        raise ValueError(f"Pfaffian needs even dimension, got {m}")
+    if not np.allclose(a, -a.T, atol=1e-10 * max(1.0, np.abs(a).max(initial=0.0))):
+        raise ValueError("Pfaffian needs a skew-symmetric matrix")
+    if m == 0:
+        return 1.0 + 0.0j
+    val = 1.0 + 0.0j
+    for j in range(0, m - 1, 2):
+        # pivot the largest entry of column j below the diagonal into row j+1
+        p = j + 1 + int(np.argmax(np.abs(a[j + 1:, j])))
+        if p != j + 1:
+            a[[j + 1, p], :] = a[[p, j + 1], :]
+            a[:, [j + 1, p]] = a[:, [p, j + 1]]
+            val = -val
+        piv = a[j, j + 1]
+        if piv == 0:
+            return 0.0 + 0.0j
+        val *= piv
+        if j + 2 < m:
+            tau = a[j, j + 2:] / piv
+            col = a[j + 2:, j + 1]
+            a[j + 2:, j + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return complex(val)
 
 
 # ------------------------------------------------- doubled-space images
@@ -81,8 +111,6 @@ def assemble_a_matrix(u_eff: np.ndarray, eta: int, k: int, kappa: float) -> np.n
 
 def generating_function_value(u_eff: np.ndarray, eta: int, k: int, kappa: float) -> float:
     """(-1)^(n-k) Pf[A(kappa)]; equals the dense occupation generating sum."""
-    from .linalg import pfaffian
-
     n = u_eff.shape[0]
     return float(
         ((-1) ** (n - k)) * pfaffian(assemble_a_matrix(u_eff, eta, k, kappa)).real
@@ -183,8 +211,6 @@ def pfaffian_derivatives(u_eff: np.ndarray, eta: int, k: int, x_max: int = None)
     Pf at kappa = 0 is computed honestly from the assembled matrix; the
     sign shortcut it equals is checked against this routine in the tests.
     """
-    from .linalg import pfaffian
-
     if x_max is None:
         x_max = eta
     pf0 = float(pfaffian(assemble_a_matrix(u_eff, eta, k, 0.0)).real)
@@ -259,48 +285,31 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> tuple:
     return rows, vals, coeffs
 
 
-# ------------------------------------------------- full fast estimator
+# ------------------------------------------------- per-term estimator
 
-# shots per pass are chosen so one pass holds at most this many block entries
-_BLOCK_ENTRIES = 1 << 17
+def _loop_estimate(u, z, eta, k, p, q):
+    """One shadow's estimate for (p, q), one 2k x 2k nonsymmetric eigvals per term.
 
-
-def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) -> np.ndarray:
-    """(N,) transition estimates of the shadows with rotations us and readouts zs.
-
-    Entry i equals entry [i, rank p, rank q] of batch_estimate_matrices up to
-    roundoff, without any C(n,k)-sized array: one vectorized pass per chunk
-    of shots over all T decomposition terms, O(T k^2 eta) per shot.  Raises
-    ValueError for the inputs shadows.check_shadows rejects (us not
-    (N, n, n), zs not (N, eta), a readout row that is not integers strictly
-    increasing within 1..n) and for |p|, |q| other than k or not
-    1 <= k <= eta <= n.
+    Each term of decompose_rdm gathers its eta x k block W from the readout
+    rows of u, takes the power sums of the real Gram block M of W, and runs
+    the trace and derivative recursions; the weighted terms sum to the
+    transition estimate.
     """
-    us, zs = check_shadows(us, zs, eta)
-    n = us.shape[-1]
-    if not (len(p) == len(q) == k and 1 <= k <= eta <= n):
-        raise ValueError(f"need |p| = |q| = k with 1 <= k <= eta <= n, got n={n} "
-                         f"eta={eta} k={k}, p={tuple(p)}, q={tuple(q)}")
-    # an unused slot's value 0 cancels its wrapped row index -1
+    n = u.shape[0]
     rows, vals, coeffs = decompose_rdm(tuple(p), tuple(q), n)
-    sign = float((-1) ** (n - k))
-    weights = [float(c) / factorial(x) for x, c in enumerate(alpha_coeffs(n, eta, k))]
-    out = np.empty(us.shape[0], dtype=np.complex128)
-    step = max(1, _BLOCK_ENTRIES // (len(coeffs) * eta * k))
-    for lo in range(0, us.shape[0], step):
-        hi = min(lo + step, us.shape[0])
-        # readout rows of each u, transposed to (shots, n, eta)
-        ut = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1].transpose(0, 2, 1)
-        # wt[i, t] = (eta x k block of u_i at term t's columns)^T, (shots, T, k, eta)
-        wt = (ut[:, rows] * vals[..., None]).sum(axis=-2)
-        gram = np.empty(wt.shape[:2] + (k, k), dtype=np.complex128)
-        for a in range(k):
-            for b in range(a, k):
-                gram[:, :, a, b] = (wt[:, :, a].conj() * wt[:, :, b]).sum(axis=-1)
-                gram[:, :, b, a] = gram[:, :, a, b].conj()
-        # M is the doubled real image of the Gram, so Tr M^y = 2 Tr gram^y
-        t_list = inverse_trace_sequence(2.0 * trace_powers(gram, k), k, eta)
-        derivs = _pf_derivative_recursion(sign, t_list, k)
-        diag = sign * sum(wx * dx for wx, dx in zip(weights, derivs))
-        out[lo:hi] = diag @ coeffs
-    return out
+    weights = alpha_coeffs(n, eta, k)
+    sign = (-1) ** (n - k)
+    zidx = np.asarray(z, dtype=np.int64) - 1
+    acc = 0.0 + 0.0j
+    for t in range(len(coeffs)):
+        # an unused slot's value 0 cancels its wrapped row index -1
+        cols = u[zidx[:, None, None], rows[t][None, :, :]]
+        w_block = (cols * vals[t][None, :, :]).sum(axis=2)
+        lam = np.linalg.eigvals(build_m(w_block, k, eta))
+        traces = [complex((lam**y).sum()).real for y in range(1, k + 1)]
+        derivs = _pf_derivative_recursion(
+            float(sign), inverse_trace_sequence(traces, k, eta), k
+        )
+        total = sum(float(weights[x]) * derivs[x] / factorial(x) for x in range(k + 1))
+        acc += coeffs[t] * sign * total
+    return complex(acc)

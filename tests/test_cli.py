@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,9 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
     assert rc == 2
     cfg.write_text("[1, 2]")
     assert main(["estimate", "--config", str(cfg)]) == 2
+    rc = main(["estimate", "--n", "3", "--eta", "2", "--k", "2",
+               "--samples", "24", "--seed", "3", "--config", "/dev/null"])
+    assert rc == 2
     capsys.readouterr()
 
 
@@ -138,20 +142,22 @@ def test_config_errors_survive_optimized_mode(tmp_path):
 
 
 def test_input_checks_survive_optimized_mode():
-    # the library's own input checks must raise ValueError under python -O too
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # the library's own input checks must raise ValueError under python -O too,
+    # and so must the test oracles' (tests/ on the path for pfaffian_oracle)
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
     script = """
 import numpy as np
 from fermishadow import identities
 from fermishadow.channel import (ChannelSpec, DiagonalOperator, a_coeff, apply_channel_diagonal,
                                  eigenoperator_diagonal, nd_class_values, structure_factor)
 from fermishadow.combinat import falling, unrank_subset
-from fermishadow.fastpath import decompose_rdm, f_ks, fast_estimate_rdm, inverse_trace_sequence
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
-from fermishadow.linalg import minor_det, pfaffian
+from fermishadow.linalg import minor_det
 from fermishadow.shadows import (RdmObservable, batch_estimate_matrices, collect_shadow_arrays,
-                                 estimation_entry, shadow_rng)
+                                 estimation_entry, fast_estimate_rdm, shadow_rng)
+from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
 if __debug__:
     raise SystemExit("asserts are on")
 u = np.eye(4, dtype=complex)[None]
@@ -159,6 +165,9 @@ calls = {
     "fast k != |p|": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (1,), (2,)),
     "fast repeated readout": lambda: fast_estimate_rdm(u, [(1, 1)], 2, 1, (1,), (2,)),
     "fast count mismatch": lambda: fast_estimate_rdm(u, [(1, 2), (1, 3)], 2, 1, (1,), (2,)),
+    "fast p not increasing": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (3, 1), (1, 2)),
+    "fast q mode 0": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (1, 2), (0, 1)),
+    "fast p mode > n": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 1, (5,), (1,)),
     "decompose |p| != |q|": lambda: decompose_rdm((1, 2), (3,), 4),
     "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
     "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
@@ -261,15 +270,18 @@ def test_estimate_basis_state_occupation(tmp_path, capsys):
     assert abs(est1 + est2 - 1.0) < 1e-9  # particle number is exact per shadow
 
 
-def test_estimate_both_estimators_agree(capsys):
-    rc = main(["estimate", "--n", "3", "--eta", "2", "--k", "2",
-               "--samples", "24", "--seed", "3"])
-    assert rc == 0
-    capsys.readouterr()
-    rc = main(["estimate", "--n", "3", "--eta", "2", "--k", "2",
-               "--samples", "24", "--seed", "3", "--config", "/dev/null"])
-    assert rc == 2
-    capsys.readouterr()
+def test_estimate_both_estimators_agree(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "eta": 2, "k": 2, "samples": 24, "seed": 3,
+                               "estimator": "both"}))
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    header, rows = _read_csv(capsys.readouterr().out)
+    assert header[2:4] == ["estimate_re", "estimate_im"]
+    assert header[-2:] == ["fast_estimate_re", "fast_estimate_im"]
+    assert len(rows) == 9
+    for row in rows:
+        assert abs(float(row[6]) - float(row[2])) < 1e-8
+        assert abs(float(row[7]) - float(row[3])) < 1e-8
 
 
 def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
@@ -385,6 +397,8 @@ def test_validation_negative_control(monkeypatch):
         return emat
 
     monkeypatch.setattr(shadows, "estimation_matrix", off_by_one)
+    # an empty DFT-weight cache, so the weights come from the patched operator
+    monkeypatch.setattr(shadows, "_dft_points", lru_cache(shadows._dft_points.__wrapped__))
     report = run_validation("quick", seed=2024)
     by_name = {c["name"]: c["passed"] for c in report["checks"]}
     assert by_name["per_shadow_norm_sum"] is False

@@ -1,39 +1,38 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import estimation_diagonal
-from fermishadow import fastpath
 from fermishadow.combinat import binom, falling, rank_subset, subsets
-from fermishadow.fastpath import (
-    YHAT,
-    _pf_derivative_recursion,
-    alpha_coeffs,
-    assemble_a_matrix,
-    build_m,
-    decompose_rdm,
-    f_ks,
-    fast_estimate_rdm,
-    generating_function_value,
-    inverse_trace_sequence,
-    majorana_rotation,
-    pfaffian_derivatives,
-    trace_powers,
-)
 from fermishadow.fock import random_state
 from fermishadow.linalg import (
     ginibre,
     minors_batch,
-    pfaffian,
     subset_index_array,
     unitary_from_ginibre,
 )
 from fermishadow.shadows import (
     batch_estimate_matrices,
     collect_shadow_arrays,
+    fast_estimate_rdm,
+)
+from pfaffian_oracle import (
+    YHAT,
+    _loop_estimate,
+    alpha_coeffs,
+    assemble_a_matrix,
+    build_m,
+    decompose_rdm,
+    f_ks,
+    generating_function_value,
+    inverse_trace_sequence,
+    majorana_rotation,
+    pfaffian,
+    pfaffian_derivatives,
+    trace_powers,
 )
 
 
@@ -264,6 +263,10 @@ def test_fast_estimate_rejects_bad_input():
         ((u, [(0, 2)], 2, 1, (1,), (2,)), "within 1..4"),
         ((u, [(3, 5)], 2, 1, (1,), (2,)), "within 1..4"),
         ((u, [(1.0, 2.0)], 2, 1, (1,), (2,)), "integers"),
+        ((u, z, 2, 2, (3, 1), (1, 2)), "not increasing"),   # p not a subset
+        ((u, z, 2, 2, (1, 2), (2, 2)), "not increasing"),   # q not a subset
+        ((u, z, 2, 2, (1, 2), (0, 1)), "out of range"),
+        ((u, z, 2, 1, (5,), (1,)), "out of range"),
     ]
     for args, match in cases:
         with pytest.raises(ValueError, match=match):
@@ -276,31 +279,6 @@ def test_decompose_rdm_rejects_bad_pairs():
             decompose_rdm(p, q, 4)
     with pytest.raises(ValueError):
         decompose_rdm((1, 5), (2, 3), 4)
-
-
-def _loop_estimate(u, z, eta, k, p, q):
-    """Reference: one shadow, one 2k x 2k nonsymmetric eigvals per term.
-
-    The per-term loop fast_estimate_rdm replaced; it takes the power sums of
-    the real Gram block M itself instead of twice those of the Hermitian Gram.
-    """
-    n = u.shape[0]
-    rows, vals, coeffs = decompose_rdm(tuple(p), tuple(q), n)
-    weights = alpha_coeffs(n, eta, k)
-    sign = (-1) ** (n - k)
-    zidx = np.asarray(z, dtype=np.int64) - 1
-    acc = 0.0 + 0.0j
-    for t in range(len(coeffs)):
-        cols = u[zidx[:, None, None], rows[t][None, :, :]]
-        w_block = (cols * vals[t][None, :, :]).sum(axis=2)
-        lam = np.linalg.eigvals(build_m(w_block, k, eta))
-        traces = [complex((lam**y).sum()).real for y in range(1, k + 1)]
-        derivs = _pf_derivative_recursion(
-            float(sign), inverse_trace_sequence(traces, k, eta), k
-        )
-        total = sum(float(weights[x]) * derivs[x] / factorial(x) for x in range(k + 1))
-        acc += coeffs[t] * sign * total
-    return complex(acc)
 
 
 def _random_shadows(n, eta, count, rng):
@@ -335,11 +313,7 @@ def test_batched_fast_path_matches_oracles(data):
     inside = fast_estimate_rdm(np.concatenate([extra_us[:1], us, extra_us[1:]]),
                                np.concatenate([extra_zs[:1], zs, extra_zs[1:]]),
                                eta, k, p, q)[1 : count + 1]
-    terms = len(decompose_rdm(p, q, n)[2])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastpath, "_BLOCK_ENTRIES", 2 * terms * eta * k)   # 2 shots per pass
-        chunked = fast_estimate_rdm(us, zs, eta, k, p, q)
-    for other in (alone, inside, chunked):
+    for other in (alone, inside):
         assert np.all(np.abs(other - got) <= 1e-13 * np.maximum(1.0, np.abs(got)))
 
 

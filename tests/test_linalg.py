@@ -9,10 +9,10 @@ from fermishadow.linalg import (
     givens_rotate,
     minor_det,
     minors_batch,
-    pfaffian,
     subset_index_array,
     unitary_from_ginibre,
 )
+from pfaffian_oracle import pfaffian
 
 RNG = np.random.default_rng(20240816)
 
