@@ -36,12 +36,10 @@ from .channel import (
     symmetrized_difference,
 )
 from .shadows import (
-    RdmObservable,
     aggregate,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
-    estimate_observable,
     estimation_matrix,
     fast_estimate_rdm,
     q_value,
@@ -65,12 +63,10 @@ __all__ = [
     "inverse_channel_on_projector",
     "structure_factor",
     "symmetrized_difference",
-    "RdmObservable",
     "aggregate",
     "avg_shadow_norm_sq",
     "batch_estimate_matrices",
     "collect_shadow_arrays",
-    "estimate_observable",
     "estimation_matrix",
     "q_value",
     "variance_bound",

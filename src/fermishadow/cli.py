@@ -236,6 +236,13 @@ def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
         dump(sys.stdout)
 
 
+def _fast_table(us, zs, eta: int, k: int, pairs: list) -> np.ndarray:
+    """(N, T) fast estimates, column t for pairs[t]: one call per distinct pair."""
+    by_pair = {t: fast_estimate_rdm(us, zs, eta, k, *t) for t in dict.fromkeys(pairs)}
+    # rows (T, N), so the view (N, T) has each pair's shots contiguous
+    return np.reshape([by_pair[t] for t in pairs], (-1, len(us))).T
+
+
 def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") -> int:
     """Collect shadows, estimate the requested transitions, write rows."""
     config.validate()
@@ -250,9 +257,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     # (N, T) per-shadow estimates, one column per target.  Fast first: the
     # shadows are dropped so that the dense gather does not raise peak memory.
     if config.estimator != "dense":
-        by_target = {t: fast_estimate_rdm(us, zs, eta, k, *t) for t in dict.fromkeys(targets)}
-        # rows (T, N), so the view (N, T) has each target's shots contiguous
-        fast = np.reshape([by_target[t] for t in targets], (-1, len(us))).T
+        fast = _fast_table(us, zs, eta, k, targets)
     if config.estimator != "fast":
         ests = batch_estimate_matrices(us, zs, eta, k)
         del us, zs
@@ -448,10 +453,16 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     """Estimate every Slater-determinant overlap of the configured state.
 
     Doubles the register by eta reference modes, samples shadows of the
-    half-and-half superposition, and reads each overlap as twice the
-    estimated transition from the reference determinant.
+    half-and-half superposition, and reads each overlap with target q as
+    twice the estimated eta-body transition (ref, q) from the reference
+    determinant.  ref and q are disjoint, so each estimate is a few
+    determinants of the eta x eta block U_z[:, q]^H U_z[:, ref], O(eta^4)
+    per shot whatever n is.  Raises ConfigError for eta = 0: the vacuum
+    plus the empty reference is not a normalized state.
     """
     config.validate()
+    if config.eta == 0:
+        raise ConfigError("slater-overlap needs eta >= 1")
     t0 = time.monotonic()
     state = build_state(config)
     n, eta = config.n, config.eta
@@ -461,19 +472,16 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
         qs = list(subsets(n, eta))
     big = slater_superposition(state)
     ref = tuple(range(n + 1, n + eta + 1))
-    ref_rank = rank_subset(ref)
 
     stages = _Stages()
     us, zs = collect_shadow_arrays(big, config.samples, config.seed)
     stages.lap("collect")
-    # only the reference row: (N, C) instead of (N, C, C)
-    ests = batch_estimate_matrices(us, zs, eta, eta, rows=[ref_rank])[:, 0]
+    # (Q, N) with each target's shots contiguous; aggregate takes its (N, Q) view
+    vals = 2.0 * _fast_table(us, zs, eta, eta, [(ref, q) for q in qs]).T
     stages.lap("estimate")
 
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
-    # (Q, N) with each target's shots contiguous; aggregate takes its (N, Q) view
-    vals = 2.0 * ests.T[[rank_subset(q) for q in qs]]
     mode, _, batches = config.aggregation.partition(":")
     val, err = aggregate(vals.T, mode, int(batches) if batches else None)
     var1 = np.mean(np.abs(vals - vals.mean(axis=1, keepdims=True)) ** 2, axis=1)
@@ -504,6 +512,9 @@ def _load_config(args, need_k: bool = True) -> ExperimentConfig:
     missing = [key for key in ("n", "eta", "k", "samples", "seed") if data.get(key) is None]
     if missing:
         raise ConfigError(f"missing config fields: {', '.join(missing)}")
+    if not need_k and data["k"] != data["eta"]:
+        raise ConfigError(f"slater-overlap estimates k = eta = {data['eta']}, "
+                          f"config sets k = {data['k']!r}")
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     extra = set(data) - known
     if extra:

@@ -8,12 +8,10 @@ class values e'_s, carried to the shadow's frame.  It is evaluated in
 projector form: with U_z the eta readout rows of u, Pi = U_z^H U_z and
 M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
 C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
-coefficients.  Only the rows p asked for are computed, so the overlap
-command's single reference row costs 2 C(n,k) minors per pair of roots,
-not C(n,k)^2 minors plus a C(n,k)^3 contraction.  A single entry (p, q)
-needs only the k x k block Pi[q, p] = U_z[:, q]^H U_z[:, p], two k x k
-determinants per pair of roots: fast_estimate_rdm evaluates it at
-O(k^2 eta + k^4) per shot, whatever n is.
+coefficients.  A single entry (p, q) needs only the k x k block
+Pi[q, p] = U_z[:, q]^H U_z[:, p], two k x k determinants per pair of
+roots: fast_estimate_rdm evaluates it at O(k^2 eta + k^4) per shot,
+whatever n is, and the overlap command reads each overlap this way.
 
 A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
 i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
@@ -29,26 +27,24 @@ Contents
     shadow_rng                 : the per-shadow generator
     collect_shadow_arrays      : batched (us, zs) collection
     estimation_entry           : overlap-class value of the estimation operator
-    estimation_matrix          : the diagonal estimation operator on k-subsets
+    estimation_matrix          : exact class values of the estimation operator
     trace_e_squared            : exact Tr of its square
     check_shadows              : input checks shared by both estimators
-    batch_estimate_matrices    : k-body estimates (all rows or chosen rows) per shadow
+    batch_estimate_matrices    : every k-body estimate per shadow, (N, C, C)
     fast_estimate_rdm          : one transition's estimates from its k x k block
-    RdmObservable, estimate_observable : linear functionals of the estimates
     aggregate                  : mean / median-of-means over the shots, per column
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
     shadows_to_jsonl, shadows_from_jsonl
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .combinat import binom, falling, rank_subset, validate_subset
+from .combinat import binom, falling, validate_subset
 from .fock import FermionState
 from .linalg import (
     _det_stack,
@@ -149,26 +145,9 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
     return Fraction((-1) ** (k + s_prime) * num, binom(k, s_prime))
 
 
-@dataclass
-class EstimationMatrix:
-    """Diagonal estimation operator on the k-subset sector, exact class values."""
-
-    n: int
-    eta: int
-    k: int
-    class_values: tuple
-
-    def trace(self) -> Fraction:
-        return sum(
-            binom(self.eta, s) * binom(self.n - self.eta, self.k - s) * v
-            for s, v in enumerate(self.class_values)
-        )
-
-
-def estimation_matrix(n: int, eta: int, k: int) -> EstimationMatrix:
-    return EstimationMatrix(
-        n, eta, k, tuple(estimation_entry(n, eta, k, s) for s in range(k + 1))
-    )
+def estimation_matrix(n: int, eta: int, k: int) -> tuple:
+    """Exact class values (e'_0, ..., e'_k) of the diagonal estimation operator."""
+    return tuple(estimation_entry(n, eta, k, s) for s in range(k + 1))
 
 
 def trace_e_squared(n: int, eta: int, k: int) -> Fraction:
@@ -213,7 +192,7 @@ def _dft_points(n: int, eta: int, k: int) -> tuple:
     complex conjugate; x = -1 (k odd) is exact and its weight real.  Cached
     per (n, eta, k); the result is an immutable tuple.
     """
-    vals = estimation_matrix(n, eta, k).class_values
+    vals = estimation_matrix(n, eta, k)
     m = k + 1
     points = []
     for j in range(1, m // 2 + 1):
@@ -225,54 +204,43 @@ def _dft_points(n: int, eta: int, k: int) -> tuple:
     return float(sum(vals) / m), tuple(points)
 
 
-def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int,
-                            rows=None) -> np.ndarray:
-    """Estimate matrices for stacked shadows: (N, len(rows), C(n,k)).
+def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) -> np.ndarray:
+    """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
 
-    Entry [i, a, rank q] is shadow i's estimate for the transition (p, q)
-    with p the k-subset of colex rank rows[a]; rows=None means every rank,
-    and then each C(n,k) x C(n,k) slice is exactly hermitian.  Projector
-    form: with Pi = U_z^H U_z built from the readout rows of us[i] and
+    Entry [i, rank p, rank q] is shadow i's estimate for the transition
+    (p, q), and each slice is exactly hermitian.  Projector form: with
+    Pi = U_z^H U_z built from the readout rows of us[i] and
     M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
     and the coefficients come from a DFT over the k+1 roots of unity.  x = 1
     gives the identity and M(conj x) = M(x)^H, so each remaining pair of
-    roots costs len(rows) x C(n,k) k x k minors, twice when rows is given.
-    Raises ValueError for inputs check_shadows rejects, for k outside
-    0..eta, or for a row outside 0..C(n,k)-1.
+    roots costs C(n,k)^2 k x k minors.  Raises ValueError for inputs
+    check_shadows rejects or for k outside 0..eta.
     """
     us, zs = check_shadows(us, zs, eta)
     count, n = us.shape[0], us.shape[-1]
     w0, points = _dft_points(n, eta, k)      # ValueError unless 0 <= k <= eta <= n
     idx = subset_index_array(n, k)
     cdim = idx.shape[0]
-    sel = np.arange(cdim) if rows is None else np.asarray(rows)
-    if sel.ndim != 1 or sel.dtype.kind not in "iu" or np.any((sel < 0) | (sel >= cdim)):
-        raise ValueError(f"rows must be colex ranks within 0..{cdim - 1}, got {rows!r}")
-    sub = idx[sel]
+    diag = np.arange(cdim)
     eye = np.eye(n)
-    out = np.empty((count, sel.size, cdim), dtype=np.complex128)
+    out = np.empty((count, cdim, cdim), dtype=np.complex128)
     for lo in range(0, count, _ESTIMATE_CHUNK):
         hi = min(lo + _ESTIMATE_CHUNK, count)
-        block = np.zeros((hi - lo, sel.size, cdim), dtype=np.complex128)
-        block[:, np.arange(sel.size), sel] = w0
+        block = np.zeros((hi - lo, cdim, cdim), dtype=np.complex128)
+        block[:, diag, diag] = w0
         if points:
             uz = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1]  # (m, eta, n)
             proj = np.einsum("iza,izb->iab", uz.conj(), uz)
         for x, w in points:
-            mat = eye + (x - 1.0) * proj
-            # a[i, r, q] = C_k(M)[q, p] with p the subset sub[r]
-            a = minors_batch(mat.transpose(0, 2, 1), sub, idx)
+            # a[i, p, q] = C_k(M)[q, p]
+            a = minors_batch((eye + (x - 1.0) * proj).transpose(0, 2, 1), idx, idx)
             block += w * a
             if x != -1.0:
                 # the conjugate root: C_k(M^H)[q, p] = conj(C_k(M)[p, q])
-                b = a.transpose(0, 2, 1) if rows is None else minors_batch(mat, sub, idx)
-                block += np.conj(w * b)
-        if rows is None:
-            # exact hermiticity, not just up to rounding of the summation order
-            np.add(block, block.conj().transpose(0, 2, 1), out=out[lo:hi])
-            out[lo:hi] *= 0.5
-        else:
-            out[lo:hi] = block
+                block += np.conj(w * a.transpose(0, 2, 1))
+        # exact hermiticity, not just up to rounding of the summation order
+        np.add(block, block.conj().transpose(0, 2, 1), out=out[lo:hi])
+        out[lo:hi] *= 0.5
     return out
 
 
@@ -307,44 +275,6 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
             # the conjugate root: det M(conj x)[q, p] = conj(det M(x)[p, q])
             out += np.conj(w * _det_stack(eye.T + (x - 1.0) * g.conj().transpose(0, 2, 1)))
     return out
-
-
-@dataclass
-class RdmObservable:
-    """Linear functional of the k-body transitions: sum_pq coeffs[p, q] D^p_q.
-
-    coeffs is a C(n,k) x C(n,k) array indexed by colex ranks of (p, q);
-    any other shape raises ValueError.
-    """
-
-    n: int
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        dim = binom(self.n, self.k)
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (dim, dim):
-            raise ValueError(f"need C({self.n},{self.k}) x C({self.n},{self.k}) = {dim} x {dim} "
-                             f"coefficients, got shape {self.coeffs.shape}")
-
-    @classmethod
-    def from_terms(cls, n: int, k: int, terms: dict) -> "RdmObservable":
-        """Build from a {(p, q): coefficient} mapping of 1-based k-subsets."""
-        dim = binom(n, k)
-        coeffs = np.zeros((dim, dim), dtype=np.complex128)
-        for (p, q), c in terms.items():
-            coeffs[rank_subset(validate_subset(p, n)), rank_subset(validate_subset(q, n))] += c
-        return cls(n, k, coeffs)
-
-
-def estimate_observable(us: np.ndarray, zs: np.ndarray, obs: RdmObservable,
-                        eta: int) -> np.ndarray:
-    """Per-shadow estimates (N,) of the observable's expectation over a batch."""
-    if us.shape[-1] != obs.n:
-        raise ValueError(f"observable acts on {obs.n} modes, shadows on {us.shape[-1]}")
-    est = batch_estimate_matrices(us, zs, eta, obs.k)
-    return (obs.coeffs * est).sum(axis=(1, 2))
 
 
 def aggregate(values, mode: str = "mean", batches: int = None):

@@ -17,7 +17,7 @@ from fermishadow.shadows import estimation_matrix
 def estimation_diagonal(n: int, eta: int, k: int) -> np.ndarray:
     """The estimation operator's float diagonal over all k-subsets of [n], colex
     order, in the frame where the readout holds modes 1..eta."""
-    cls = np.array([float(v) for v in estimation_matrix(n, eta, k).class_values])
+    cls = np.array([float(v) for v in estimation_matrix(n, eta, k)])
     return cls[overlap_class_array(n, k, eta)]
 
 

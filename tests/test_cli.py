@@ -20,7 +20,7 @@ from fermishadow.cli import (
     main,
     run_validation,
 )
-from fermishadow.combinat import binom, rank_subset
+from fermishadow.combinat import rank_subset, subsets
 from fermishadow.fock import FermionState, random_state, state_to_json
 
 
@@ -155,7 +155,7 @@ from fermishadow.channel import (ChannelSpec, DiagonalOperator, a_coeff, apply_c
 from fermishadow.combinat import falling, unrank_subset
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
 from fermishadow.linalg import minor_det
-from fermishadow.shadows import (RdmObservable, batch_estimate_matrices, collect_shadow_arrays,
+from fermishadow.shadows import (batch_estimate_matrices, collect_shadow_arrays,
                                  estimation_entry, fast_estimate_rdm, shadow_rng)
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
 if __debug__:
@@ -172,7 +172,6 @@ calls = {
     "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
     "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
     "estimation_entry eta > n": lambda: estimation_entry(3, 5, 1, 0),
-    "RdmObservable shape": lambda: RdmObservable(4, 1, np.ones((2, 2))),
     "unrank_subset rank": lambda: unrank_subset(99, 4, 2),
     "f_ks k > eta": lambda: f_ks(1, 2, 0, 0),
     "inverse_trace_sequence short": lambda: inverse_trace_sequence([1.0], 2, 2),
@@ -188,7 +187,6 @@ calls = {
     "dense repeated readout": lambda: batch_estimate_matrices(u, np.array([(1, 1)]), 2, 1),
     "dense wrong eta": lambda: batch_estimate_matrices(u, np.array([(1, 2, 3)]), 2, 1),
     "dense readout mode > n": lambda: batch_estimate_matrices(u, np.array([(1, 5)]), 2, 1),
-    "dense row out of range": lambda: batch_estimate_matrices(u, np.array([(1, 2)]), 2, 1, rows=[4]),
     "ChannelSpec eta > n": lambda: ChannelSpec(2, 5),
     "DiagonalOperator length": lambda: DiagonalOperator(3, 1, [1]),
     "apply_channel_diagonal sizes": lambda: apply_channel_diagonal(
@@ -392,9 +390,8 @@ def test_validation_negative_control(monkeypatch):
     exact = shadows.estimation_matrix
 
     def off_by_one(n, eta, k):
-        emat = exact(n, eta, k)
-        emat.class_values = (emat.class_values[0] + 1,) + emat.class_values[1:]
-        return emat
+        vals = exact(n, eta, k)
+        return (vals[0] + 1,) + vals[1:]
 
     monkeypatch.setattr(shadows, "estimation_matrix", off_by_one)
     # an empty DFT-weight cache, so the weights come from the patched operator
@@ -444,6 +441,38 @@ def test_slater_overlap_rejects_bad_targets():
             cmd_slater_overlap(ExperimentConfig(3, 2, 2, 5, 1, targets=targets))
 
 
+def test_slater_overlap_rejects_eta_0(monkeypatch, capsys):
+    # vacuum plus the empty reference is not normalized; this once died in
+    # the collector with a RuntimeError traceback and exit 1
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting eta = 0")
+
+    monkeypatch.setattr(cli, "collect_shadow_arrays", no_sampling)
+    with pytest.raises(ConfigError, match="eta >= 1"):
+        cmd_slater_overlap(ExperimentConfig(3, 0, 0, 5, 1))
+    assert main(["slater-overlap", "--n", "3", "--eta", "0", "--samples", "5", "--seed", "1"]) == 2
+    assert "eta >= 1" in capsys.readouterr().err
+
+
+def test_slater_overlap_config_k_must_be_eta(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    base = {"n": 3, "eta": 2, "samples": 5, "seed": 1}
+    cfg.write_text(json.dumps(dict(base, k=1)))
+    assert main(["slater-overlap", "--config", str(cfg)]) == 2
+    assert "k = eta = 2" in capsys.readouterr().err
+    # a k that --eta overrides away is just as wrong
+    cfg.write_text(json.dumps(dict(base, k=2)))
+    assert main(["slater-overlap", "--config", str(cfg), "--eta", "1"]) == 2
+    capsys.readouterr()
+    # leaving k out or setting it to eta is unchanged
+    outs = []
+    for data in (base, dict(base, k=2)):
+        cfg.write_text(json.dumps(data))
+        assert main(["slater-overlap", "--config", str(cfg)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
+
+
 def test_slater_overlap_manifest(tmp_path, capsys, monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
@@ -460,22 +489,28 @@ def test_slater_overlap_manifest(tmp_path, capsys, monkeypatch):
         "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
 
 
-def test_slater_overlap_reads_reference_row(monkeypatch, capsys):
-    # the command asks the dense estimator for the reference row only; that
-    # row equals the same row of the full estimate matrices
-    calls = []
+def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
+    # the command reads each overlap from its eta x eta block; the old route,
+    # the reference row of the full dense matrices, stays as the oracle
+    seen = {}
 
-    def spy(us, zs, eta, k, rows=None):
-        out = shadows.batch_estimate_matrices(us, zs, eta, k, rows=rows)
-        calls.append((us, zs, eta, k, rows, out))
-        return out
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = args, fn(*args, **kwargs)
+            return seen[name][1]
+        monkeypatch.setattr(cli, name, wrapped)
 
-    monkeypatch.setattr(cli, "batch_estimate_matrices", spy)
-    assert main(["slater-overlap", "--n", "3", "--eta", "2", "--samples", "40", "--seed", "3"]) == 0
-    capsys.readouterr()
-    (us, zs, eta, k, rows, got), = calls
-    ref_rank = rank_subset((4, 5))
-    assert (eta, k, rows) == (2, 2, [ref_rank])
-    assert got.shape == (40, 1, binom(5, 2))
-    full = shadows.batch_estimate_matrices(us, zs, eta, k)[:, ref_rank]
-    assert np.all(np.abs(got[:, 0] - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+    spy("collect_shadow_arrays", cli.collect_shadow_arrays)
+    spy("aggregate", cli.aggregate)
+    for n, eta in [(3, 2), (4, 3)]:
+        assert main(["slater-overlap", "--n", str(n), "--eta", str(eta),
+                     "--samples", "40", "--seed", "3"]) == 0
+        capsys.readouterr()
+        us, zs = seen["collect_shadow_arrays"][1]
+        got = seen["aggregate"][0][0]
+        qs = list(subsets(n, eta))
+        assert got.shape == (40, len(qs))
+        ref = tuple(range(n + 1, n + eta + 1))
+        ref_row = shadows.batch_estimate_matrices(us, zs, eta, eta)[:, rank_subset(ref)]
+        want = 2.0 * ref_row[:, [rank_subset(q) for q in qs]]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

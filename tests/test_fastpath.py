@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import estimation_diagonal
+from fermishadow import channel
 from fermishadow.combinat import binom, falling, rank_subset, subsets
 from fermishadow.fock import random_state
 from fermishadow.linalg import (
@@ -241,6 +242,24 @@ def test_fast_estimator_diagonal_norm():
         fast = fast_estimate_rdm(us, zs, eta, k, p, p)[0]
         assert abs(fast.imag) < 1e-9
         assert abs(dense - fast) < 1e-8
+
+
+def test_fast_disjoint_pair_is_one_determinant():
+    # p, q disjoint: I[q, p] = 0, so each root x adds (x - 1)^k det Pi[q, p]
+    # and the DFT sum collapses to C(n+1, k) det Pi[q, p], the inverse channel
+    rng = np.random.default_rng(8)
+    count = 5
+    for n, eta, k in [(2, 1, 1), (4, 2, 2), (5, 3, 1), (6, 3, 3), (7, 3, 2), (8, 4, 4)]:
+        us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
+        zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
+        uz = us[np.arange(count)[:, None], zs - 1]                  # (N, eta, n)
+        for _ in range(3):
+            modes = [int(m) for m in rng.permutation(n)[:2 * k] + 1]
+            p, q = tuple(sorted(modes[:k])), tuple(sorted(modes[k:]))
+            block = uz[:, :, np.array(q) - 1].conj().transpose(0, 2, 1) @ uz[:, :, np.array(p) - 1]
+            want = np.linalg.det(block) / float(channel.eigenvalue(n, k))
+            got = fast_estimate_rdm(us, zs, eta, k, p, q)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_fast_estimate_rejects_wrong_readout_length():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracle import compound_estimate_matrices, estimation_diagonal
 from fermishadow import shadows
-from fermishadow.combinat import binom, rank_subset, subset_masks, subsets
+from fermishadow.combinat import binom, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import (
     compound_batch,
@@ -17,12 +17,10 @@ from fermishadow.linalg import (
     unitary_from_ginibre,
 )
 from fermishadow.shadows import (
-    RdmObservable,
     aggregate,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
-    estimate_observable,
     estimation_entry,
     estimation_matrix,
     q_slater,
@@ -44,7 +42,8 @@ def test_estimation_entry_frozen():
 def test_estimation_trace_is_eta_at_k1():
     for n in range(1, 9):
         for eta in range(1, n + 1):
-            assert estimation_matrix(n, eta, 1).trace() == eta
+            vals = estimation_matrix(n, eta, 1)
+            assert sum(binom(eta, s) * binom(n - eta, 1 - s) * v for s, v in enumerate(vals)) == eta
 
 
 def test_estimation_matrix_expand_frozen():
@@ -100,26 +99,10 @@ def test_projector_form_matches_compound_oracle(data):
     us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
     zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
     want = compound_estimate_matrices(us, zs, eta, k)
-    cdim = binom(n, k)
-    rows = data.draw(st.one_of(st.none(), st.lists(st.integers(0, cdim - 1), min_size=1,
-                                                   max_size=cdim)), label="rows")
-    got = batch_estimate_matrices(us, zs, eta, k, rows=rows)
-    if rows is None:
-        assert np.array_equal(got, got.conj().transpose(0, 2, 1))
-    else:
-        want = want[:, rows]
+    got = batch_estimate_matrices(us, zs, eta, k)
+    assert np.array_equal(got, got.conj().transpose(0, 2, 1))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
-
-def test_dense_rows_match_full_matrices():
-    state = random_state(6, 3, np.random.default_rng(4))
-    us, zs = collect_shadow_arrays(state, 9, seed=21)
-    for k in (1, 2, 3):
-        full = batch_estimate_matrices(us, zs, 3, k)
-        rows = [binom(6, k) - 1, 0, 2]
-        got = batch_estimate_matrices(us, zs, 3, k, rows=np.array(rows))
-        assert np.all(np.abs(got - full[:, rows]) <= 1e-12 * np.maximum(1.0, np.abs(full[:, rows])))
 
 
 def test_dense_estimate_rejects_bad_input():
@@ -138,9 +121,6 @@ def test_dense_estimate_rejects_bad_input():
     for (us, zs), match in cases:
         with pytest.raises(ValueError, match=match):
             batch_estimate_matrices(us, zs, 2, 1)
-    for rows in ([4], [-1], [[0]], [0.0]):
-        with pytest.raises(ValueError, match="rows"):
-            batch_estimate_matrices(u, [(1, 2)], 2, 1, rows=rows)
     with pytest.raises(ValueError, match="k <= eta"):
         batch_estimate_matrices(u, [(1, 2)], 2, 3)
 
@@ -280,20 +260,10 @@ def test_particle_number_estimate_is_exact():
     # sum_p D^p_p has a state-independent per-shadow estimate: the trace eta
     n, eta = 5, 3
     state = random_state(n, eta, np.random.default_rng(17))
-    obs = RdmObservable(n, 1, np.eye(n))
     us, zs = collect_shadow_arrays(state, 4, seed=9)
-    got = estimate_observable(us, zs, obs, eta)
+    got = np.trace(batch_estimate_matrices(us, zs, eta, 1), axis1=1, axis2=2)
     assert got.shape == (4,)
     assert np.all(np.abs(got - eta) < 1e-9)
-
-
-def test_rdm_observable_from_terms():
-    obs = RdmObservable.from_terms(4, 2, {((1, 2), (3, 4)): 2.0, ((1, 3), (1, 3)): 1j})
-    assert obs.coeffs[rank_subset((1, 2)), rank_subset((3, 4))] == 2.0
-    assert obs.coeffs[rank_subset((1, 3)), rank_subset((1, 3))] == 1j
-    assert np.count_nonzero(obs.coeffs) == 2
-    with pytest.raises(ValueError):
-        RdmObservable.from_terms(4, 2, {((1, 1), (1, 2)): 1.0})
 
 
 def test_unbiased_against_dense_oracle():
