@@ -36,6 +36,7 @@ from .channel import (
     symmetrized_difference,
 )
 from .shadows import (
+    Reducer,
     aggregate,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
@@ -63,6 +64,7 @@ __all__ = [
     "inverse_channel_on_projector",
     "structure_factor",
     "symmetrized_difference",
+    "Reducer",
     "aggregate",
     "avg_shadow_norm_sq",
     "batch_estimate_matrices",

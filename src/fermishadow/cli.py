@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import shadows
 from .combinat import binom, rank_subset, subsets, validate_subset
 from .fock import (
     FermionState,
@@ -28,7 +29,7 @@ from .fock import (
 )
 from .shadows import (
     _STATE_INDEX,
-    aggregate,
+    Reducer,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
@@ -164,9 +165,11 @@ def _subset_str(z) -> str:
 
 
 def _git_describe():
+    """git describe of the checkout holding this package; None outside one."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=10,
         )
         return out.stdout.strip() or None
@@ -175,7 +178,7 @@ def _git_describe():
 
 
 class _Stages:
-    """Seconds spent per named stage, each lap measured from the previous one."""
+    """Seconds spent per named stage, summed over laps; each lap runs from the previous one."""
 
     def __init__(self):
         self.seconds = {}
@@ -183,7 +186,7 @@ class _Stages:
 
     def lap(self, name: str):
         now = time.monotonic()
-        self.seconds[name] = round(now - self._last, 4)
+        self.seconds[name] = self.seconds.get(name, 0.0) + (now - self._last)
         self._last = now
 
 
@@ -204,7 +207,7 @@ def _run_manifest(command: str, config: ExperimentConfig, t0: float, stages: _St
         "config": dict(vars(config)),
         "git_describe": _git_describe(),
         "wall_time_s": round(time.monotonic() - t0, 3),
-        "stages_s": dict(stages.seconds),
+        "stages_s": {name: round(s, 4) for name, s in stages.seconds.items()},
         "peak_rss_mb": _peak_rss_mb(),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "threads": {v: os.environ.get(v) for v in _THREAD_VARS}},
@@ -229,8 +232,8 @@ def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
         manifest = dict(manifest, rows=len(rows), output=path)
         mpath = (out[: -len("." + fmt)] if out.endswith("." + fmt) else out) + ".manifest.json"
         with open(mpath, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+            # one call of the C encoder; indent would select the pure-Python one
+            fh.write(json.dumps(manifest) + "\n")
         print(f"wrote {path} ({len(rows)} rows) and {mpath}")
     else:
         dump(sys.stdout)
@@ -243,37 +246,64 @@ def _fast_table(us, zs, eta: int, k: int, pairs: list) -> np.ndarray:
     return np.reshape([by_pair[t] for t in pairs], (-1, len(us))).T
 
 
+def _shadow_chunks(state: FermionState, count: int, seed: int):
+    """Yield (us, zs) for shots 0..count-1, at most shadows._CHUNK shots at a time.
+
+    Each chunk is its own start_index call, which draws the same bits as
+    one call over all the shots, so no array grows with count.
+    """
+    chunk = shadows._CHUNK
+    for lo in range(0, count, chunk):
+        yield collect_shadow_arrays(state, min(chunk, count - lo), seed, start_index=lo)
+
+
+def _reducer(config: ExperimentConfig, width: int) -> Reducer:
+    """A Reducer over config.samples shots of width columns, in config.aggregation."""
+    mode, _, batches = config.aggregation.partition(":")
+    return Reducer(config.samples, width, mode, int(batches) if batches else None)
+
+
 def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") -> int:
-    """Collect shadows, estimate the requested transitions, write rows."""
+    """Collect shadows, estimate the requested transitions, write rows.
+
+    Runs collect -> estimate -> reduce one chunk of shots at a time, so peak
+    memory is set by the chunk and the targets, not by config.samples.
+    """
     config.validate()
     t0 = time.monotonic()
     state = build_state(config)
     targets = _resolve_targets(config)
-    n, eta, k = config.n, config.eta, config.k
+    eta, k = config.eta, config.k
+    fast = _reducer(config, len(targets)) if config.estimator != "dense" else None
+    dense = _reducer(config, len(targets)) if config.estimator != "fast" else None
+    rank_p = np.array([rank_subset(p) for p, _ in targets], dtype=np.intp)
+    rank_q = np.array([rank_subset(q) for _, q in targets], dtype=np.intp)
+    scale = 1.0     # of the both gate: max(1, largest |dense estimate|)
 
     stages = _Stages()
-    us, zs = collect_shadow_arrays(state, config.samples, config.seed)
-    stages.lap("collect")
-    # (N, T) per-shadow estimates, one column per target.  Fast first: the
-    # shadows are dropped so that the dense gather does not raise peak memory.
-    if config.estimator != "dense":
-        fast = _fast_table(us, zs, eta, k, targets)
-    if config.estimator != "fast":
-        ests = batch_estimate_matrices(us, zs, eta, k)
-        del us, zs
-        if config.estimator == "both":
-            scale = max(1.0, float(np.abs(ests).max()))
-        dense = ests[:, [rank_subset(p) for p, _ in targets], [rank_subset(q) for _, q in targets]]
-        del ests
-    stages.lap("estimate")
+    for us, zs in _shadow_chunks(state, config.samples, config.seed):
+        stages.lap("collect")
+        # (m, T) per-shadow estimates, one column per target
+        if fast is not None:
+            fast_chunk = _fast_table(us, zs, eta, k, targets)
+        if dense is not None:
+            ests = batch_estimate_matrices(us, zs, eta, k)
+            if fast is not None:
+                scale = max(scale, float(np.abs(ests).max()))
+            dense_chunk = ests[:, rank_p, rank_q]
+            del ests
+        stages.lap("estimate")
+        if fast is not None:
+            fast.add(fast_chunk)
+        if dense is not None:
+            dense.add(dense_chunk)
+        stages.lap("aggregate")
 
-    mode, _, batches = config.aggregation.partition(":")
-    batches = int(batches) if batches else None
-    val, err = aggregate(fast if config.estimator == "fast" else dense, mode, batches)
+    val, err = (fast if dense is None else dense).result()
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     cols = [val.real, val.imag, err.real, err.imag]
     if config.estimator == "both":
-        fval, _ = aggregate(fast, mode, batches)
+        fval, _ = fast.result()
         header += ["fast_estimate_re", "fast_estimate_im"]
         cols += [fval.real, fval.imag]
         mismatch = float(np.abs(fval - val).max(initial=0.0))
@@ -297,7 +327,11 @@ def _parse_int_list(text: str) -> list:
 
 def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                        out: str = None, fmt: str = "csv") -> int:
-    """Exact variance table over an (n, eta, k) grid, optional empirical column."""
+    """Exact variance table over an (n, eta, k) grid, optional empirical column.
+
+    The empirical column is the mean over all C(n,k)^2 entries of the
+    single-shot variance, reduced one chunk of shots at a time.
+    """
     if samples < 0:
         raise ConfigError(f"samples must be 0 (no empirical column) or positive, got {samples}")
     # grid row i uses the streams of seed + i, each a 64-bit unsigned key
@@ -314,11 +348,10 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                 emp = ""
                 if samples > 0:
                     state = random_state(n, eta, shadow_rng(seed + len(rows), _STATE_INDEX))
-                    us, zs = collect_shadow_arrays(state, samples, seed + len(rows))
-                    ests = batch_estimate_matrices(us, zs, eta, k)
-                    mean = ests.mean(axis=0)
-                    var = (np.abs(ests - mean) ** 2).mean(axis=0)
-                    emp = _fmt(float(var.mean()))
+                    reducer = Reducer(samples, binom(n, k) ** 2)
+                    for us, zs in _shadow_chunks(state, samples, seed + len(rows)):
+                        reducer.add(batch_estimate_matrices(us, zs, eta, k).reshape(len(us), -1))
+                    emp = _fmt(float(reducer.variance().mean()))
                 rows.append([
                     n, eta, k,
                     str(q_value(n, eta, k)),
@@ -457,8 +490,10 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     twice the estimated eta-body transition (ref, q) from the reference
     determinant.  ref and q are disjoint, so each estimate is a few
     determinants of the eta x eta block U_z[:, q]^H U_z[:, ref], O(eta^4)
-    per shot whatever n is.  Raises ConfigError for eta = 0: the vacuum
-    plus the empty reference is not a normalized state.
+    per shot whatever n is.  Shots run one chunk at a time into a Reducer,
+    which also gives the single-shot variance column.  Raises ConfigError
+    for eta = 0: the vacuum plus the empty reference is not a normalized
+    state.
     """
     config.validate()
     if config.eta == 0:
@@ -473,20 +508,23 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     big = slater_superposition(state)
     ref = tuple(range(n + 1, n + eta + 1))
 
+    pairs = [(ref, q) for q in qs]
+    reducer = _reducer(config, len(qs))
+
     stages = _Stages()
-    us, zs = collect_shadow_arrays(big, config.samples, config.seed)
-    stages.lap("collect")
-    # (Q, N) with each target's shots contiguous; aggregate takes its (N, Q) view
-    vals = 2.0 * _fast_table(us, zs, eta, eta, [(ref, q) for q in qs]).T
-    stages.lap("estimate")
+    for us, zs in _shadow_chunks(big, config.samples, config.seed):
+        stages.lap("collect")
+        vals = 2.0 * _fast_table(us, zs, eta, eta, pairs)
+        stages.lap("estimate")
+        reducer.add(vals)
+        stages.lap("aggregate")
 
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
-    mode, _, batches = config.aggregation.partition(":")
-    val, err = aggregate(vals.T, mode, int(batches) if batches else None)
-    var1 = np.mean(np.abs(vals - vals.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    val, err = reducer.result()
     oracle = np.array([state.amplitude(q) for q in qs], dtype=np.complex128)
-    cols = [val.real, val.imag, err.real, err.imag, oracle.real, oracle.imag, var1]
+    cols = [val.real, val.imag, err.real, err.imag, oracle.real, oracle.imag,
+            reducer.variance()]
     rows = [[_subset_str(q), *map(_fmt, r)]
             for q, r in zip(qs, np.stack(cols, axis=1).tolist())]
     stages.lap("aggregate")

@@ -112,11 +112,18 @@ def minors_batch(x: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.
     return out
 
 
+@lru_cache(maxsize=None)
 def subset_index_array(n: int, k: int) -> np.ndarray:
-    """(C(n,k), k) array of 0-based mode indices, colex row order."""
+    """(C(n,k), k) array of 0-based mode indices, colex row order.
+
+    Cached per (n, k), so a chunked run builds it once; the array is read-only.
+    """
     if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(subsets(n, k)), dtype=np.int64) - 1
+        idx = np.zeros((1, 0), dtype=np.int64)
+    else:
+        idx = np.array(list(subsets(n, k)), dtype=np.int64) - 1
+    idx.setflags(write=False)
+    return idx
 
 
 def compound_batch(u: np.ndarray, k: int) -> np.ndarray:

@@ -32,7 +32,8 @@ Contents
     check_shadows              : input checks shared by both estimators
     batch_estimate_matrices    : every k-body estimate per shadow, (N, C, C)
     fast_estimate_rdm          : one transition's estimates from its k x k block
-    aggregate                  : mean / median-of-means over the shots, per column
+    Reducer                    : mean / median-of-means over shots fed chunk by chunk
+    aggregate                  : the same over a whole (N,) or (N, T) table
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
     shadows_to_jsonl, shadows_from_jsonl
 """
@@ -56,9 +57,9 @@ from .linalg import (
 )
 
 
-# shots per pass of collect_shadow_arrays and of batch_estimate_matrices
-_COLLECT_CHUNK = 8192
-_ESTIMATE_CHUNK = 4096
+# shots per pass of collect_shadow_arrays, of batch_estimate_matrices and of
+# the CLI's collect -> estimate -> reduce loop
+_CHUNK = 2048
 
 # index of the state-preparation stream (s, 2^64-1); shadows stop one below
 _STATE_INDEX = 2**64 - 1
@@ -105,9 +106,9 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     bitgen = gen.bit_generator
     fresh = bitgen.state       # a fresh stream's state; only the key's index word changes
     key = fresh["state"]["key"]
-    raw = np.empty((min(count, _COLLECT_CHUNK), n, 2 * n))
-    for lo in range(0, count, _COLLECT_CHUNK):
-        hi = min(lo + _COLLECT_CHUNK, count)
+    raw = np.empty((min(count, _CHUNK), n, 2 * n))
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
         u01 = np.empty(hi - lo)
         for i in range(lo, hi):
             key[1] = start_index + i
@@ -224,8 +225,8 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) ->
     diag = np.arange(cdim)
     eye = np.eye(n)
     out = np.empty((count, cdim, cdim), dtype=np.complex128)
-    for lo in range(0, count, _ESTIMATE_CHUNK):
-        hi = min(lo + _ESTIMATE_CHUNK, count)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
         block = np.zeros((hi - lo, cdim, cdim), dtype=np.complex128)
         block[:, diag, diag] = w0
         if points:
@@ -234,13 +235,17 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) ->
         for x, w in points:
             # a[i, p, q] = C_k(M)[q, p]
             a = minors_batch((eye + (x - 1.0) * proj).transpose(0, 2, 1), idx, idx)
-            block += w * a
+            # w * a in place; a * w may round differently where numpy fuses multiply-adds
+            np.multiply(w, a, out=a)
+            block += a
             if x != -1.0:
                 # the conjugate root: C_k(M^H)[q, p] = conj(C_k(M)[p, q])
-                block += np.conj(w * a.transpose(0, 2, 1))
+                block += np.conjugate(a, out=a).transpose(0, 2, 1)
         # exact hermiticity, not just up to rounding of the summation order
-        np.add(block, block.conj().transpose(0, 2, 1), out=out[lo:hi])
-        out[lo:hi] *= 0.5
+        half = out[lo:hi]
+        np.conjugate(block.transpose(0, 2, 1), out=half)
+        half += block
+        half *= 0.5
     return out
 
 
@@ -277,6 +282,103 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
     return out
 
 
+class Reducer:
+    """Mean or median of means over count shots, fed in order chunk by chunk.
+
+    Reducer(count, width, mode, batches) takes the shots of width columns
+    through add((m, width) chunk) calls, m shots each, and result() then gives
+    what aggregate gives for the whole (count, width) table, up to the order
+    of summation.  Per column it keeps the mean and the sum M2 of squared
+    deviations of the real and imaginary parts, and merges each chunk in by
+    the pairwise update of Chan, Golub and LeVeque (Am. Stat. 37, 242, 1983).
+    median_of_means also keeps one sum per batch and column, so a batch may
+    straddle chunks.  Memory is O(batches * width) whatever count is.  A
+    column's arithmetic does not depend on the other columns, and a single
+    chunk of all the shots gives exactly the one-pass mean and M2.  Raises
+    ValueError for count < 1, an unknown mode, batches that do not divide
+    count, a chunk not (m, width) or more shots than count.
+    """
+
+    def __init__(self, count: int, width: int, mode: str = "mean", batches: int = None):
+        if count < 1:
+            raise ValueError(f"need at least one shot, got count {count}")
+        if mode == "median_of_means":
+            if batches is None or batches < 1 or count % batches != 0:
+                raise ValueError(f"batches must divide the sample count {count}, got {batches!r}")
+            # (width, batches): each column's batch means contiguous for the median
+            self._sums = np.zeros((width, batches), dtype=np.complex128)
+        elif mode != "mean":
+            raise ValueError(f"unknown mode {mode!r}")
+        self.count, self.width, self.mode, self.batches = count, width, mode, batches
+        self.seen = 0
+        self.mean = np.zeros(width, dtype=np.complex128)
+        # M2 of the real parts in .real, of the imaginary parts in .imag
+        self._m2 = np.zeros(width, dtype=np.complex128)
+
+    def add(self, chunk):
+        """Fold the next m shots, an (m, width) table, into the running sums."""
+        x = np.asarray(chunk, dtype=np.complex128)
+        if x.ndim != 2 or x.shape[1] != self.width or self.seen + x.shape[0] > self.count:
+            raise ValueError(f"need an (m, {self.width}) chunk with at most "
+                             f"{self.count - self.seen} shots, got shape {x.shape}")
+        m = x.shape[0]
+        if m == 0:
+            return
+        # shots on the contiguous last axis: each column then sums in the same
+        # pairwise order as a lone column, so its bits do not depend on width
+        x = np.ascontiguousarray(x.T)
+        mean = x.mean(axis=-1)
+        dev = x - mean[:, None]
+        m2 = (dev.real ** 2).sum(axis=-1) + 1j * (dev.imag ** 2).sum(axis=-1)
+        seen, total = self.seen, self.seen + m
+        delta = mean - self.mean
+        self.mean += delta * (m / total)
+        self._m2 += m2 + (delta.real ** 2 + 1j * delta.imag ** 2) * (seen * m / total)
+        if self.mode == "median_of_means":
+            self._add_batches(x)
+        self.seen = total
+
+    def _add_batches(self, x: np.ndarray):
+        """Add the shots x (width, m) to the sums of the batches they fall in."""
+        size = self.count // self.batches
+        b, done = divmod(self.seen, size)
+        a = 0
+        if done:        # the rest of a batch that an earlier chunk began
+            a = min(x.shape[1], size - done)
+            self._sums[:, b] += x[:, :a].sum(axis=-1)
+            b += 1
+        whole = (x.shape[1] - a) // size
+        self._sums[:, b:b + whole] += x[:, a:a + whole * size].reshape(
+            self.width, whole, size).sum(axis=-1)
+        a += whole * size
+        if a < x.shape[1]:      # the start of a batch that a later chunk ends
+            self._sums[:, b + whole] += x[:, a:].sum(axis=-1)
+
+    def variance(self) -> np.ndarray:
+        """(width,) single-shot variance per column: mean of |x - mean|^2."""
+        return (self._m2.real + self._m2.imag) / self.seen
+
+    def result(self):
+        """(value, error), two (width,) arrays; ValueError before all count shots."""
+        if self.seen != self.count:
+            raise ValueError(f"reduced {self.seen} of {self.count} shots")
+        if self.mode == "mean":
+            val, m = self.mean.copy(), self.count
+        else:
+            groups = self._sums / (self.count // self.batches)
+            val = np.median(groups.real, axis=-1) + 1j * np.median(groups.imag, axis=-1)
+            m = self.batches
+        if m == 1:
+            return val, np.zeros_like(val)
+        if self.mode == "mean":
+            err_re = np.sqrt(self._m2.real / (m - 1)) / np.sqrt(m)
+            err_im = np.sqrt(self._m2.imag / (m - 1)) / np.sqrt(m)
+        else:
+            err_re = groups.real.std(axis=-1, ddof=1) / np.sqrt(m)
+            err_im = groups.imag.std(axis=-1, ddof=1) / np.sqrt(m)
+        return val, err_re + 1j * err_im
+
+
 def aggregate(values, mode: str = "mean", batches: int = None):
     """Combine per-shadow estimates (N,) or (N, T) along axis 0 into (value, error).
 
@@ -285,32 +387,18 @@ def aggregate(values, mode: str = "mean", batches: int = None):
     arithmetic mean with the standard error s/sqrt(N) (ddof=1) per real and
     imaginary part.  median_of_means: equal batches of consecutive shots
     (batches must divide N), coordinate-wise median of the batch means,
-    spread of the batch means as the error.  Raises ValueError for no shots,
-    more than two axes, an unknown mode or batches that do not divide N.
+    spread of the batch means as the error.  One Reducer pass over the whole
+    table.  Raises ValueError for no shots, more than two axes, an unknown
+    mode or batches that do not divide N.
     """
     x = np.asarray(values, dtype=np.complex128)
     if x.ndim not in (1, 2) or x.shape[0] == 0:
         raise ValueError(f"need per-shadow estimates (N,) or (N, T) with N >= 1, got shape {x.shape}")
-    nsamp = x.shape[0]
-    # shots on the contiguous last axis: each column then sums in the same
-    # pairwise order as a lone (N,) column, so its bits do not depend on T
-    x = np.ascontiguousarray(x.T)
-    if mode == "mean":
-        groups = x
-        val = x.mean(axis=-1)
-    elif mode == "median_of_means":
-        if batches is None or batches < 1 or nsamp % batches != 0:
-            raise ValueError(f"batches must divide the sample count {nsamp}, got {batches!r}")
-        groups = x.reshape(x.shape[:-1] + (batches, -1)).mean(axis=-1)
-        val = np.median(groups.real, axis=-1) + 1j * np.median(groups.imag, axis=-1)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    m = groups.shape[-1]
-    if m == 1:
-        return val, np.zeros_like(val)[()]      # [()]: a scalar stays a scalar
-    err_re = groups.real.std(axis=-1, ddof=1) / np.sqrt(m)
-    err_im = groups.imag.std(axis=-1, ddof=1) / np.sqrt(m)
-    return val, err_re + 1j * err_im
+    table = x.reshape(x.shape[0], -1)
+    reducer = Reducer(x.shape[0], table.shape[1], mode, batches)
+    reducer.add(table)
+    val, err = reducer.result()
+    return (val, err) if x.ndim == 2 else (val[0], err[0])
 
 
 # ------------------------------------------------- variance closed forms

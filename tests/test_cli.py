@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -491,26 +493,135 @@ def test_slater_overlap_manifest(tmp_path, capsys, monkeypatch):
 
 def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
     # the command reads each overlap from its eta x eta block; the old route,
-    # the reference row of the full dense matrices, stays as the oracle
-    seen = {}
+    # the reference row of the full dense matrices, stays as the oracle for
+    # every table the reducer is fed, chunk by chunk
+    monkeypatch.setattr(shadows, "_CHUNK", 16)
+    seen = {"collect_shadow_arrays": [], "add": []}
+    collect, add = cli.collect_shadow_arrays, shadows.Reducer.add
 
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            seen[name] = args, fn(*args, **kwargs)
-            return seen[name][1]
-        monkeypatch.setattr(cli, name, wrapped)
+    def spy_collect(*args, **kwargs):
+        seen["collect_shadow_arrays"].append(collect(*args, **kwargs))
+        return seen["collect_shadow_arrays"][-1]
 
-    spy("collect_shadow_arrays", cli.collect_shadow_arrays)
-    spy("aggregate", cli.aggregate)
+    def spy_add(self, chunk):
+        seen["add"].append(np.array(chunk))
+        return add(self, chunk)
+
+    monkeypatch.setattr(cli, "collect_shadow_arrays", spy_collect)
+    monkeypatch.setattr(shadows.Reducer, "add", spy_add)
     for n, eta in [(3, 2), (4, 3)]:
+        for calls in seen.values():
+            calls.clear()
         assert main(["slater-overlap", "--n", str(n), "--eta", str(eta),
                      "--samples", "40", "--seed", "3"]) == 0
         capsys.readouterr()
-        us, zs = seen["collect_shadow_arrays"][1]
-        got = seen["aggregate"][0][0]
+        assert len(seen["add"]) == len(seen["collect_shadow_arrays"]) == 3
+        us = np.concatenate([u for u, _ in seen["collect_shadow_arrays"]])
+        zs = np.concatenate([z for _, z in seen["collect_shadow_arrays"]])
+        got = np.concatenate(seen["add"])
         qs = list(subsets(n, eta))
         assert got.shape == (40, len(qs))
         ref = tuple(range(n + 1, n + eta + 1))
         ref_row = shadows.batch_estimate_matrices(us, zs, eta, eta)[:, rank_subset(ref)]
         want = 2.0 * ref_row[:, [rank_subset(q) for q in qs]]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _assert_same_table(got: str, want: str):
+    # equal labels and exact cells; numbers within 1e-12 relative (absolute below 1)
+    got_rows, want_rows = _read_csv(got), _read_csv(want)
+    assert got_rows[0] == want_rows[0] and len(got_rows[1]) == len(want_rows[1])
+    for g_row, w_row in zip(got_rows[1], want_rows[1]):
+        assert len(g_row) == len(w_row)
+        for g, w in zip(g_row, w_row):
+            if g != w:
+                assert abs(float(g) - float(w)) <= 1e-12 * max(1.0, abs(float(w))), (g, w)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--n", "4", "--eta", "2", "--k", "2", "--samples", "50", "--seed", "3"],
+    ["estimate", "--n", "4", "--eta", "2", "--k", "1", "--samples", "50", "--seed", "5",
+     "--config", "AGG"],
+    ["estimate", "--n", "5", "--eta", "3", "--k", "2", "--samples", "42", "--seed", "8",
+     "--config", "FAST"],
+    ["estimate", "--n", "5", "--eta", "3", "--k", "2", "--samples", "42", "--seed", "9",
+     "--config", "BOTH"],
+    ["slater-overlap", "--n", "3", "--eta", "2", "--samples", "45", "--seed", "2"],
+    ["slater-overlap", "--n", "4", "--eta", "2", "--samples", "40", "--seed", "6",
+     "--config", "AGG"],
+    ["variance-sweep", "--n", "3,4", "--eta", "2", "--k", "1,2", "--samples", "30", "--seed", "4"],
+], ids=["dense", "dense-mom", "fast", "both-mom", "overlap", "overlap-mom", "sweep"])
+def test_chunked_output_matches_one_chunk(argv, tmp_path, monkeypatch, capsys):
+    # several chunks (7 shots each, median-of-means batches straddling
+    # them) print what one chunk over all the shots prints, to rounding
+    configs = {
+        "AGG": {"aggregation": "median_of_means:5"},
+        "FAST": {"estimator": "fast", "targets": [[[1, 2], [2, 5]], [[3, 4], [3, 4]]]},
+        "BOTH": {"estimator": "both", "aggregation": "median_of_means:3",
+                 "targets": [[[1, 2], [2, 5]], [[3, 4], [3, 4]], [[1, 5], [2, 4]]]},
+    }
+    argv = list(argv)
+    if "--config" in argv:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(configs[argv[-1]]))
+        argv[-1] = str(cfg)
+    out = {}
+    for chunk in (7, 1000):
+        monkeypatch.setattr(shadows, "_CHUNK", chunk)
+        assert main(argv) == 0
+        out[chunk] = capsys.readouterr().out
+    _assert_same_table(out[7], out[1000])
+
+
+def test_estimate_peak_memory_flat_in_samples(monkeypatch, capsys):
+    # collect -> estimate -> reduce runs one chunk at a time, so ten times
+    # the shots leave the traced peak where it was
+    monkeypatch.setattr(shadows, "_CHUNK", 256)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert cli.cmd_estimate(ExperimentConfig(4, 2, 2, samples, 7)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(256)       # fill the caches first
+    two, twenty = peak(2 * 256), peak(20 * 256)
+    assert twenty <= 1.1 * two, (two, twenty)
+
+
+def test_git_describe_names_the_package_checkout(tmp_path):
+    # a run started inside another git checkout must not record that
+    # checkout's commit as the package's
+    git = shutil.which("git")
+    if git is None:
+        pytest.skip("git is not installed")
+    other = tmp_path / "other"
+    other.mkdir()
+
+    def run_git(*args, cwd):
+        return subprocess.run([git, *args], cwd=cwd, capture_output=True, text=True,
+                              check=True, timeout=60).stdout.strip()
+
+    run_git("init", "-q", cwd=other)
+    (other / "notes.txt").write_text("elsewhere\n")
+    run_git("add", "notes.txt", cwd=other)
+    run_git("-c", "user.name=someone", "-c", "user.email=someone@example.com",
+            "commit", "-q", "-m", "unrelated", cwd=other)
+    foreign = run_git("describe", "--always", "--dirty", cwd=other)
+    pkg = Path(cli.__file__).resolve().parent
+    own = subprocess.run([git, "describe", "--always", "--dirty"], cwd=pkg,
+                         capture_output=True, text=True, timeout=60).stdout.strip() or None
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-m", "fermishadow.cli", "estimate", "--n", "2", "--eta", "1",
+         "--k", "1", "--samples", "5", "--seed", "1", "--out", str(tmp_path / "run")],
+        cwd=other, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["git_describe"] != foreign
+    assert manifest["git_describe"] == own

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggregate_oracle import two_pass_aggregate
 from dense_oracle import compound_estimate_matrices, estimation_diagonal
 from fermishadow import shadows
 from fermishadow.combinat import binom, subset_masks, subsets
@@ -17,6 +18,7 @@ from fermishadow.linalg import (
     unitary_from_ginibre,
 )
 from fermishadow.shadows import (
+    Reducer,
     aggregate,
     avg_shadow_norm_sq,
     batch_estimate_matrices,
@@ -140,8 +142,7 @@ def test_chunking_is_bit_identical(monkeypatch):
     us, zs = collect_shadow_arrays(state, 7, seed=40)
     ests = [batch_estimate_matrices(us, zs, 3, k) for k in (1, 2, 3)]
     for chunk in (2, 3):
-        monkeypatch.setattr(shadows, "_COLLECT_CHUNK", chunk)
-        monkeypatch.setattr(shadows, "_ESTIMATE_CHUNK", chunk)
+        monkeypatch.setattr(shadows, "_CHUNK", chunk)
         cus, czs = collect_shadow_arrays(state, 7, seed=40)
         assert cus.tobytes() == us.tobytes() and np.array_equal(czs, zs)
         for k, want in zip((1, 2, 3), ests):
@@ -171,7 +172,7 @@ def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk)
     # shadow_rng(seed, index) per shot, or a numpy change to the state layout
     # shows here
     if chunk is not None:
-        monkeypatch.setattr(shadows, "_COLLECT_CHUNK", chunk)
+        monkeypatch.setattr(shadows, "_CHUNK", chunk)
     state = random_state(n, eta, np.random.default_rng(n + eta))
     count = 7
     for seed in (0, 2**64 - 1):
@@ -324,6 +325,46 @@ def test_aggregate_columns_match_lone_columns(nsamp, width):
                 assert isinstance(v, complex) and isinstance(e, complex)
                 assert val[t].tobytes() == np.complex128(v).tobytes()
                 assert err[t].tobytes() == np.complex128(e).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_reducer_chunks_match_two_pass_oracle(chunk):
+    # shots fed chunk by chunk must agree with the whole-table two-pass
+    # aggregate, also where a median-of-means batch straddles chunks
+    for nsamp, batch_counts in [(1, [1]), (12, [1, 3, 4, 12]), (21, [3, 7]), (60, [4, 6, 60])]:
+        rng = np.random.default_rng(nsamp + chunk)
+        width = 5
+        table = 10.0 ** rng.uniform(-3, 3, width) * (
+            rng.standard_normal((nsamp, width)) + 1j * rng.standard_normal((nsamp, width)))
+        scale = np.abs(table).max(axis=0)
+        for mode, batches in [("mean", None)] + [("median_of_means", b) for b in batch_counts]:
+            reducer = Reducer(nsamp, width, mode, batches)
+            for lo in range(0, nsamp, chunk):
+                reducer.add(table[lo:lo + chunk])
+            val, err = reducer.result()
+            want_val, want_err = two_pass_aggregate(table, mode, batches)
+            assert np.all(np.abs(val - want_val) <= 1e-12 * scale), (nsamp, mode, batches)
+            assert np.all(np.abs(err - want_err) <= 1e-12 * scale), (nsamp, mode, batches)
+            mean = table.mean(axis=0)
+            want_var = (np.abs(table - mean) ** 2).mean(axis=0)
+            assert np.all(np.abs(reducer.variance() - want_var) <= 1e-12 * scale ** 2)
+
+
+def test_reducer_rejects_misuse():
+    reducer = Reducer(4, 2)
+    with pytest.raises(ValueError, match="chunk"):
+        reducer.add(np.ones((2, 3)))
+    reducer.add(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="3 of 4"):
+        reducer.result()
+    with pytest.raises(ValueError, match="chunk"):
+        reducer.add(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="divide"):
+        Reducer(6, 1, "median_of_means", 4)
+    with pytest.raises(ValueError, match="mode"):
+        Reducer(6, 1, "trimmed")
+    with pytest.raises(ValueError, match="count"):
+        Reducer(0, 1)
 
 
 def test_q_value_is_average_second_moment():
