@@ -7,6 +7,7 @@ output byte is reproducible.  Exit codes: 0 success, 1 validation failure,
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import platform
@@ -15,11 +16,12 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import shadows
-from .combinat import binom, rank_subset, subsets, validate_subset
+from .combinat import binom, rank_rows, rank_subset, subsets, subsets_ok
 from .fock import (
     FermionState,
     basis_state,
@@ -27,6 +29,7 @@ from .fock import (
     slater_superposition,
     state_from_json,
 )
+from .linalg import subset_index_array
 from .shadows import (
     _STATE_INDEX,
     Reducer,
@@ -128,32 +131,66 @@ def build_state(config: ExperimentConfig) -> FermionState:
     return state
 
 
-def _target_subset(z, n: int, size: int, item) -> tuple:
-    """z as a validated size-subset of 1..n; a ConfigError naming item otherwise."""
+def _int_table(x, ndim: int):
+    """x as an int64 array of ndim axes if every entry is an integer, else None.
+
+    Bools are refused, although numpy reads them as 0 and 1; an empty table
+    counts as integer.
+    """
     try:
-        z = validate_subset(tuple(int(m) for m in z), n)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad target {item!r}") from None
-    if len(z) != size:
-        raise ConfigError(f"target {item!r} needs {size}-subsets of 1..{n}")
-    return z
+        a = np.array(x)
+    except (ValueError, TypeError, OverflowError):      # ragged
+        return None
+    if a.ndim != ndim:
+        return None
+    if a.size:
+        leaves = x
+        for _ in range(ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if a.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+            return None
+    return a.astype(np.int64)
 
 
-def _resolve_targets(config: ExperimentConfig):
-    """List of (p, q) subset pairs to estimate, in deterministic order."""
+def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
+    """items as an int64 table: (T, 2, size) of (p, q) pairs, or (T, size) of subsets.
+
+    One numpy pass checks that every mode is an integer and every subset
+    strictly increasing within 1..n.  Otherwise a ConfigError names the first
+    bad item: "bad target pair" if it is not a pair, "bad target" if one of
+    its subsets is not integers strictly increasing within 1..n, and "needs
+    size-subsets" if one has the wrong size, checking p before q.
+    """
+    shape = (len(items), 2, size) if pairs else (len(items), size)
+    table = _int_table(items, len(shape)) if items else np.zeros(shape, dtype=np.int64)
+    if table is not None and table.shape == shape and subsets_ok(table, n):
+        return table
+    for item in items:
+        subs = (item,)
+        if pairs:
+            try:
+                p, q = item
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad target pair {item!r}") from None
+            subs = (p, q)
+        for z in subs:
+            row = _int_table(z, 1)
+            if row is None or not subsets_ok(row, n):
+                raise ConfigError(f"bad target {item!r}")
+            if len(row) != size:
+                raise ConfigError(f"target {item!r} needs {size}-subsets of 1..{n}")
+    raise ConfigError(f"targets must hold {size}-subsets of 1..{n} with integer modes")
+
+
+def _resolve_targets(config: ExperimentConfig) -> np.ndarray:
+    """(T, 2, k) int64 table of the (p, q) subset pairs to estimate, in deterministic order."""
     if config.targets == "all_krdm":
-        ss = list(subsets(config.n, config.k))
-        return [(p, q) for p in ss for q in ss]
+        ss = subset_index_array(config.n, config.k) + 1
+        p, q = np.broadcast_arrays(ss[:, None], ss[None, :])
+        return np.stack([p, q], axis=2).reshape(len(ss) ** 2, 2, config.k)
     if config.targets == "slater_overlaps":
         raise ConfigError("targets=slater_overlaps belongs to the slater-overlap command")
-    out = []
-    for item in config.targets:
-        try:
-            p, q = item
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad target pair {item!r}") from None
-        out.append(tuple(_target_subset(z, config.n, config.k, item) for z in (p, q)))
-    return out
+    return _target_table(config.targets, config.n, config.k, pairs=True)
 
 
 def _fmt(x: float) -> str:
@@ -215,7 +252,11 @@ def _run_manifest(command: str, config: ExperimentConfig, t0: float, stages: _St
 
 
 def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
-    """Emit rows as CSV or JSON; manifest goes next to a file, stdout otherwise."""
+    """Emit rows as CSV or JSON; manifest goes next to a file, stdout otherwise.
+
+    On stdout the manifest is dropped, so callers pass None there rather
+    than build it (git describe alone takes milliseconds).
+    """
     if fmt == "csv":
         def dump(fh):
             w = csv.writer(fh, lineterminator="\n")
@@ -239,13 +280,6 @@ def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
         dump(sys.stdout)
 
 
-def _fast_table(us, zs, eta: int, k: int, pairs: list) -> np.ndarray:
-    """(N, T) fast estimates, column t for pairs[t]: one call per distinct pair."""
-    by_pair = {t: fast_estimate_rdm(us, zs, eta, k, *t) for t in dict.fromkeys(pairs)}
-    # rows (T, N), so the view (N, T) has each pair's shots contiguous
-    return np.reshape([by_pair[t] for t in pairs], (-1, len(us))).T
-
-
 def _shadow_chunks(state: FermionState, count: int, seed: int):
     """Yield (us, zs) for shots 0..count-1, at most shadows._CHUNK shots at a time.
 
@@ -267,25 +301,27 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     """Collect shadows, estimate the requested transitions, write rows.
 
     Runs collect -> estimate -> reduce one chunk of shots at a time, so peak
-    memory is set by the chunk and the targets, not by config.samples.
+    memory is set by the chunk and the targets, not by config.samples.  The
+    targets are one (T, 2, k) table: the fast route takes it whole, one call
+    per chunk, and the dense route gathers its entries by their colex ranks.
     """
     config.validate()
     t0 = time.monotonic()
+    stages = _Stages()
     state = build_state(config)
     targets = _resolve_targets(config)
     eta, k = config.eta, config.k
     fast = _reducer(config, len(targets)) if config.estimator != "dense" else None
     dense = _reducer(config, len(targets)) if config.estimator != "fast" else None
-    rank_p = np.array([rank_subset(p) for p, _ in targets], dtype=np.intp)
-    rank_q = np.array([rank_subset(q) for _, q in targets], dtype=np.intp)
+    rank_p, rank_q = rank_rows(targets, config.n).T
     scale = 1.0     # of the both gate: max(1, largest |dense estimate|)
+    stages.lap("setup")
 
-    stages = _Stages()
     for us, zs in _shadow_chunks(state, config.samples, config.seed):
         stages.lap("collect")
         # (m, T) per-shadow estimates, one column per target
         if fast is not None:
-            fast_chunk = _fast_table(us, zs, eta, k, targets)
+            fast_chunk = fast_estimate_rdm(us, zs, eta, k, targets[:, 0], targets[:, 1])
         if dense is not None:
             ests = batch_estimate_matrices(us, zs, eta, k)
             if fast is not None:
@@ -308,10 +344,11 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
         cols += [fval.real, fval.imag]
         mismatch = float(np.abs(fval - val).max(initial=0.0))
     rows = [[_subset_str(p), _subset_str(q), *map(_fmt, r)]
-            for (p, q), r in zip(targets, np.stack(cols, axis=1).tolist())]
+            for (p, q), r in zip(targets.tolist(), np.stack(cols, axis=1).tolist())]
     stages.lap("aggregate")
 
-    _write_rows(rows, header, out, fmt, _run_manifest("estimate", config, t0, stages))
+    manifest = _run_manifest("estimate", config, t0, stages) if out else None
+    _write_rows(rows, header, out, fmt, manifest)
     if config.estimator == "both" and mismatch > 1e-8 * scale:
         print(f"dense and fast estimators disagree by {mismatch:.3e}", file=sys.stderr)
         return 1
@@ -366,7 +403,7 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
         "samples": samples,
         "seed": seed,
         "git_describe": _git_describe(),
-    }
+    } if out else None
     _write_rows(rows, header, out, fmt, manifest)
     return 0
 
@@ -490,7 +527,8 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     twice the estimated eta-body transition (ref, q) from the reference
     determinant.  ref and q are disjoint, so each estimate is a few
     determinants of the eta x eta block U_z[:, q]^H U_z[:, ref], O(eta^4)
-    per shot whatever n is.  Shots run one chunk at a time into a Reducer,
+    per shot whatever n is; one fast_estimate_rdm call per chunk takes the
+    whole (T, eta) target table.  Shots run one chunk at a time into a Reducer,
     which also gives the single-shot variance column.  Raises ConfigError
     for eta = 0: the vacuum plus the empty reference is not a normalized
     state.
@@ -499,22 +537,21 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     if config.eta == 0:
         raise ConfigError("slater-overlap needs eta >= 1")
     t0 = time.monotonic()
+    stages = _Stages()
     state = build_state(config)
     n, eta = config.n, config.eta
     if isinstance(config.targets, list):
-        qs = [_target_subset(q, n, eta, q) for q in config.targets]
+        qs = _target_table(config.targets, n, eta, pairs=False)
     else:
-        qs = list(subsets(n, eta))
+        qs = subset_index_array(n, eta) + 1
     big = slater_superposition(state)
-    ref = tuple(range(n + 1, n + eta + 1))
-
-    pairs = [(ref, q) for q in qs]
+    refs = np.broadcast_to(np.arange(n + 1, n + eta + 1), qs.shape)
     reducer = _reducer(config, len(qs))
+    stages.lap("setup")
 
-    stages = _Stages()
     for us, zs in _shadow_chunks(big, config.samples, config.seed):
         stages.lap("collect")
-        vals = 2.0 * _fast_table(us, zs, eta, eta, pairs)
+        vals = 2.0 * fast_estimate_rdm(us, zs, eta, eta, refs, qs)
         stages.lap("estimate")
         reducer.add(vals)
         stages.lap("aggregate")
@@ -522,13 +559,14 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
     val, err = reducer.result()
-    oracle = np.array([state.amplitude(q) for q in qs], dtype=np.complex128)
+    oracle = state.amps[rank_rows(qs, n)]
     cols = [val.real, val.imag, err.real, err.imag, oracle.real, oracle.imag,
             reducer.variance()]
     rows = [[_subset_str(q), *map(_fmt, r)]
-            for q, r in zip(qs, np.stack(cols, axis=1).tolist())]
+            for q, r in zip(qs.tolist(), np.stack(cols, axis=1).tolist())]
     stages.lap("aggregate")
-    _write_rows(rows, header, out, fmt, _run_manifest("slater-overlap", config, t0, stages))
+    manifest = _run_manifest("slater-overlap", config, t0, stages) if out else None
+    _write_rows(rows, header, out, fmt, manifest)
     return 0
 
 
@@ -560,6 +598,28 @@ def _load_config(args, need_k: bool = True) -> ExperimentConfig:
     config = ExperimentConfig(**data)
     config.validate()
     return config
+
+
+def _keep_heap():
+    """On glibc, keep freed chunk buffers in the heap instead of returning them.
+
+    Each chunk of shots allocates the same numpy temporaries again.  glibc
+    serves blocks above its mmap threshold by fresh mappings and trims the
+    heap top on free, so every chunk faults its pages in anew.  A fixed
+    32 MiB mmap threshold and no trimming let the next chunk reuse them.
+    Elsewhere this does nothing.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):     # no confstr, or no such name
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 * 2**20)     # M_MMAP_THRESHOLD, at the cap of glibc's dynamic one
+    mallopt(-1, 2**31 - 1)      # M_TRIM_THRESHOLD: never trim the heap top
 
 
 def main(argv=None) -> int:
@@ -601,6 +661,7 @@ def main(argv=None) -> int:
     common(ps, with_k=False)
 
     args = parser.parse_args(argv)
+    _keep_heap()
     try:
         if args.command == "estimate":
             config = _load_config(args)

@@ -12,6 +12,8 @@ Contents
 --------
     binom                  : binomial coefficient, 0 outside the triangle
     rank_subset            : colex rank of a subset
+    subsets_ok             : whether every row of an integer table is a subset of 1..n
+    rank_rows              : colex ranks of the rows of such a table
     unrank_subset          : inverse of rank_subset
     subsets                : iterate all d-subsets of [n] in colex order
     subset_masks           : bitmasks of all d-subsets, colex (= ascending) order
@@ -67,6 +69,31 @@ def rank_subset(z, n: int = None) -> int:
     """
     z = validate_subset(z, n if n is not None else (max(z) if z else 1))
     return sum(binom(m - 1, j + 1) for j, m in enumerate(z))
+
+
+def subsets_ok(table, n: int) -> bool:
+    """Is every row of an (..., d) integer table strictly increasing within 1..n?
+
+    validate_subset over a whole table in one pass: once the rows are
+    increasing, they lie within 1..n if the first and last columns do.
+    """
+    t = np.asarray(table)
+    return t.size == 0 or bool((t[..., 1:] > t[..., :-1]).all()
+                               and t[..., 0].min() >= 1 and t[..., -1].max() <= n)
+
+
+def rank_rows(table, n: int) -> np.ndarray:
+    """Colex ranks of the rows of an (..., d) table of d-subsets of 1..n.
+
+    Vectorized rank_subset: sum_j C(z_j - 1, j) over positions j = 1..d,
+    read from a (d, n+1) table of binomials.  Rows are not checked; see
+    subsets_ok.
+    """
+    t = np.asarray(table)
+    d = t.shape[-1]
+    weights = np.array([[binom(m - 1, j + 1) for m in range(n + 1)] for j in range(d)],
+                       dtype=np.int64).reshape(d, n + 1)
+    return weights[np.arange(d), t].sum(axis=-1)
 
 
 def unrank_subset(r: int, n: int, d: int) -> tuple:

@@ -173,7 +173,10 @@ def givens_rotate(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
     amplitude pair (S+m, S+m+1) by its 2x2 block: adjacent modes carry no
     fermionic sign, and subsets holding both modes pick up det G^dag = 1.
     Only elementwise operations act across the stack, so each row of the
-    result does not depend on the other matrices or on the stack size.
+    result does not depend on the other matrices.  Its last bits may depend
+    on the stack size: numpy's broadcast complex products can take other
+    loops for other lengths: with numpy 2.4.6 on an AVX-512 Xeon, rows of a
+    7-matrix stack differed from one-matrix stacks by up to 2.2e-16.
     """
     u = np.asarray(u)
     amps = np.asarray(amps, dtype=np.complex128)

@@ -16,7 +16,9 @@ whatever n is, and the overlap command reads each overlap this way.
 A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
 i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
 counter-based: shadow i of a run seeded with s uses the Philox stream keyed
-by (s, i), so any chunking or start index gives bit-identical shadows.  The
+by (s, i), so any chunking or start index gives bit-identical rotations, and
+readouts that differ only where a uniform lies within rounding of a
+cumulative Born probability (see linalg.givens_rotate).  The
 collector re-keys one generator per call instead of building one per shot;
 the bits equal those of a fresh shadow_rng(s, i) for every shot.  It raises
 ValueError before any draw unless the seed is in 0..2^64-1 and
@@ -31,7 +33,7 @@ Contents
     trace_e_squared            : exact Tr of its square
     check_shadows              : input checks shared by both estimators
     batch_estimate_matrices    : every k-body estimate per shadow, (N, C, C)
-    fast_estimate_rdm          : one transition's estimates from its k x k block
+    fast_estimate_rdm          : named transitions' estimates from their k x k blocks
     Reducer                    : mean / median-of-means over shots fed chunk by chunk
     aggregate                  : the same over a whole (N,) or (N, T) table
     avg_shadow_norm_sq, q_value, q_slater, variance_bound
@@ -45,7 +47,7 @@ from math import factorial
 
 import numpy as np
 
-from .combinat import binom, falling, validate_subset
+from .combinat import binom, falling, subsets_ok, validate_subset
 from .fock import FermionState
 from .linalg import (
     _det_stack,
@@ -60,6 +62,9 @@ from .linalg import (
 # shots per pass of collect_shadow_arrays, of batch_estimate_matrices and of
 # the CLI's collect -> estimate -> reduce loop
 _CHUNK = 2048
+
+# numbers per gathered (N, eta, T', k) array of a fast_estimate_rdm target tile
+_TILE = 2**18
 
 # index of the state-preparation stream (s, 2^64-1); shadows stop one below
 _STATE_INDEX = 2**64 - 1
@@ -165,7 +170,8 @@ def check_shadows(us, zs, eta: int):
     """(us, zs) as arrays, checked to be a batch of eta-particle shadows.
 
     Raises ValueError for us not (N, n, n), for zs not (N, eta), or for a
-    readout row that is not integers strictly increasing within 1..n.
+    readout row that is not integers strictly increasing within 1..n, checked
+    in one pass by combinat.subsets_ok.
     """
     us = np.asarray(us)
     zs = np.asarray(zs)
@@ -175,8 +181,7 @@ def check_shadows(us, zs, eta: int):
     if zs.shape != (us.shape[0], eta):
         raise ValueError(f"zs must be (N, eta={eta}) readouts with N = {us.shape[0]} "
                          f"as in us, got shape {zs.shape}")
-    if (zs.dtype.kind not in "iu" or np.any(np.diff(zs, axis=1) <= 0)
-            or np.any((zs < 1) | (zs > n))):
+    if zs.dtype.kind not in "iu" or not subsets_ok(zs, n):
         raise ValueError(f"every readout must be integers strictly increasing within 1..{n}")
     return us, zs
 
@@ -250,36 +255,58 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) ->
 
 
 def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) -> np.ndarray:
-    """(N,) transition estimates (p, q) of the shadows with rotations us and readouts zs.
+    """Transition estimates (p, q) of the shadows with rotations us and readouts zs.
 
-    Entry i equals entry [i, rank p, rank q] of batch_estimate_matrices up to
-    roundoff, from the k x k block G = Pi[q, p] = U_z[:, q]^H U_z[:, p] alone:
-    the estimate is w_0 [p = q] plus, per root x in the upper half plane,
+    p and q are k-subsets of 1..n, (k,) each, or tables (T, k) of them whose
+    row t names target t; the result is (N,) for one pair and (N, T) for
+    tables.  Entry [i, t] equals entry [i, rank p_t, rank q_t] of
+    batch_estimate_matrices up to roundoff, from the k x k block
+    G = Pi[q_t, p_t] = U_z[:, q_t]^H U_z[:, p_t] alone: the estimate is
+    w_0 [p_t = q_t] plus, per root x in the upper half plane,
     w det(I[q, p] + (x - 1) G) + conj(w det(I[p, q] + (x - 1) G^H)), the
-    second term dropped at x = -1.  That is O(k^2 eta + k^4) per shot,
-    independent of n, with (N, eta, k) temporaries.  Raises ValueError for
-    the inputs check_shadows rejects, for |p|, |q| other than k or not
-    1 <= k <= eta <= n, and for p or q not strictly increasing within 1..n.
+    second term dropped at x = -1.  That is O(k^2 eta + k^4) per shot and
+    target, independent of n.  One gather (N, eta, T', k) and one block
+    stack (N, T', k, k) per root serve a tile of T' targets, with T' set so
+    a gather holds about _TILE numbers; each column's arithmetic does not
+    depend on the other targets.  Raises ValueError for the inputs
+    check_shadows rejects, for p and q not integer arrays of one shape (k,)
+    or (T, k), for not 1 <= k <= eta <= n, and, in validate_subset's words,
+    for the first row of p, then of q, not strictly increasing within 1..n.
     """
     us, zs = check_shadows(us, zs, eta)
     count, n = us.shape[0], us.shape[-1]
-    if not (len(p) == len(q) == k and 1 <= k <= eta <= n):
-        raise ValueError(f"need |p| = |q| = k with 1 <= k <= eta <= n, got n={n} "
-                         f"eta={eta} k={k}, p={tuple(p)}, q={tuple(q)}")
-    p, q = validate_subset(p, n), validate_subset(q, n)
+    ps, qs = np.asarray(p), np.asarray(q)
+    if not (ps.shape == qs.shape and ps.ndim in (1, 2) and ps.shape[-1:] == (k,)
+            and ps.dtype.kind in "iu" and qs.dtype.kind in "iu" and 1 <= k <= eta <= n):
+        raise ValueError(f"need integer p, q of one shape (k,) or (T, k) with "
+                         f"1 <= k <= eta <= n, got n={n} eta={eta} k={k}, "
+                         f"p {ps.dtype} {ps.shape}, q {qs.dtype} {qs.shape}")
+    single = ps.ndim == 1
+    ps, qs = ps.reshape(-1, k), qs.reshape(-1, k)
+    rows = np.concatenate([ps, qs])
+    if not subsets_ok(rows, n):
+        for row in rows:
+            validate_subset(row, n)         # raises at the first bad row
     w0, points = _dft_points(n, eta, k)
-    out = np.full(count, w0 if p == q else 0.0, dtype=np.complex128)
-    pi, qi = np.array(p) - 1, np.array(q) - 1
-    # readout rows of each u at the columns q and p, (N, eta, k) each
-    readout = (np.arange(count)[:, None, None], zs[:, :, None] - 1)
-    g = np.einsum("izq,izp->iqp", us[readout + (qi,)].conj(), us[readout + (pi,)])
-    eye = (qi[:, None] == pi[None, :]).astype(float)      # I[q, p]
-    for x, w in points:
-        out += w * _det_stack(eye + (x - 1.0) * g)
-        if x != -1.0:
-            # the conjugate root: det M(conj x)[q, p] = conj(det M(x)[p, q])
-            out += np.conj(w * _det_stack(eye.T + (x - 1.0) * g.conj().transpose(0, 2, 1)))
-    return out
+    width = len(ps)
+    out = np.empty((count, width), dtype=np.complex128)
+    out[:] = np.where((ps == qs).all(axis=1), w0, 0.0)
+    # readout rows of each u, (N, eta, n)
+    uz = us[np.arange(count)[:, None], zs - 1]
+    tile = max(1, _TILE // max(1, count * eta * k))
+    for lo in range(0, width, tile):
+        pi, qi = ps[lo:lo + tile] - 1, qs[lo:lo + tile] - 1
+        # blocks g[i, t] = U_z[:, q_t]^H U_z[:, p_t], (N, T', k, k)
+        g = np.einsum("iztq,iztp->itqp", uz[:, :, qi].conj(), uz[:, :, pi])
+        eye = (qi[:, :, None] == pi[:, None, :]).astype(float)      # I[q, p]
+        part = out[:, lo:lo + tile]
+        for x, w in points:
+            part += w * _det_stack(eye + (x - 1.0) * g)
+            if x != -1.0:
+                # the conjugate root: det M(conj x)[q, p] = conj(det M(x)[p, q])
+                part += np.conj(w * _det_stack(eye.transpose(0, 2, 1)
+                                               + (x - 1.0) * g.conj().transpose(0, 1, 3, 2)))
+    return out[:, 0] if single else out
 
 
 class Reducer:

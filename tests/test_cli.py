@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import target_oracle
 from fermishadow import cli, shadows
 from fermishadow.cli import (
     ConfigError,
@@ -22,7 +24,7 @@ from fermishadow.cli import (
     main,
     run_validation,
 )
-from fermishadow.combinat import rank_subset, subsets
+from fermishadow.combinat import rank_rows, rank_subset, subsets
 from fermishadow.fock import FermionState, random_state, state_to_json
 
 
@@ -56,6 +58,144 @@ def test_config_validation_messages():
     for fields, msg in bad:
         with pytest.raises(ConfigError, match=msg):
             ExperimentConfig(**fields).validate()
+
+
+# entries that are not modes: bools, floats, strings, null, lists
+_JUNK = st.one_of(st.booleans(), st.floats(-2, 9), st.text(max_size=2), st.none(),
+                  st.lists(st.integers(0, 3), max_size=2))
+
+
+def _subsets(n, size, valid_only):
+    valid = st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True).map(sorted)
+    if valid_only:
+        return valid
+    other_size = st.lists(st.integers(1, n), max_size=min(n, size + 1), unique=True).map(sorted)
+    modes = st.one_of(st.integers(-1, n + 2), _JUNK)
+    return st.one_of(valid, valid, other_size, st.lists(modes, max_size=size + 1), _JUNK)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_target_table_matches_item_oracle(data):
+    # one numpy pass over the whole list against the per-item parse: the same
+    # table and ranks for valid lists, the same message for the first bad item
+    n = data.draw(st.integers(1, 6), label="n")
+    size = data.draw(st.integers(0, n), label="size")
+    pairs = data.draw(st.booleans(), label="pairs")
+    valid_only = data.draw(st.booleans(), label="valid_only")
+    sub = _subsets(n, size, valid_only)
+    item = st.lists(sub, min_size=2, max_size=2) if pairs else sub
+    if not valid_only:
+        item = st.one_of(item, item, item, st.lists(sub, max_size=3), _JUNK)
+    # a JSON round trip, as from a config file
+    items = json.loads(json.dumps(data.draw(st.lists(item, max_size=6), label="items")))
+    oracle = target_oracle.resolve_pairs if pairs else target_oracle.resolve_subsets
+    want = _outcome(lambda: oracle(items, n, size))
+    got = _outcome(lambda: cli._target_table(items, n, size, pairs))
+    assert got[0] == want[0], (got, want)
+    if want[0] == "error":
+        assert got[1] == want[1]
+        return
+    table = got[1]
+    assert table.dtype == np.int64
+    assert table.shape == ((len(items), 2, size) if pairs else (len(items), size))
+    if pairs:
+        assert table.tolist() == [[list(p), list(q)] for p, q in want[1]]
+        assert rank_rows(table, n).tolist() == [target_oracle.ranks(pq) for pq in want[1]]
+    else:
+        assert table.tolist() == [list(q) for q in want[1]]
+        assert rank_rows(table, n).tolist() == target_oracle.ranks(want[1])
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (3, 0), (3, 1), (4, 2), (6, 3)])
+def test_all_krdm_table_is_colex_pairs(n, k):
+    table = cli._resolve_targets(ExperimentConfig(n, k, k, 1, 0))
+    ss = list(subsets(n, k))
+    assert table.dtype == np.int64 and table.shape == (len(ss) ** 2, 2, k)
+    assert table.tolist() == [[list(p), list(q)] for p in ss for q in ss]
+    assert rank_rows(table, n).tolist() == [[i, j] for i in range(len(ss)) for j in range(len(ss))]
+
+
+@pytest.mark.parametrize("command,targets", [
+    ("estimate", [[[1.7, 2.9], [True, "3"]]]),      # once ran as the pair 1+2,1+3
+    ("estimate", [[[1, 2], [True, 3]]]),
+    ("estimate", [[[1.0, 2.0], [1, 3]]]),
+    ("estimate", [[["1", "2"], [1, 3]]]),
+    ("estimate", [["12", "13"]]),
+    ("slater-overlap", [[1.5, 2]]),                  # once ran as the subset 1+2
+    ("slater-overlap", [[1, True]]),
+    ("slater-overlap", [[1, 2], ["2", 3]]),
+])
+def test_non_integer_target_modes_are_config_errors(command, targets, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "eta": 2, "k": 2, "samples": 5, "seed": 1,
+                               "targets": targets}))
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: bad target")
+
+
+def test_estimate_k0_prints_the_identity(capsys):
+    # the one k = 0 target (empty, empty) has the estimate 1 in every shot
+    assert main(["estimate", "--n", "5", "--eta", "3", "--k", "0", "--samples", "30",
+                 "--seed", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p,q,estimate_re,estimate_im,stderr_re,stderr_im", ",,1,0,0,0"]
+
+
+def test_manifest_is_built_only_when_written(tmp_path, capsys, monkeypatch):
+    # stdout mode drops the manifest, so it must not spawn git describe
+    calls = []
+    monkeypatch.setattr(cli, "_git_describe", lambda: calls.append(1) or "abc")
+    for argv in (["estimate", "--n", "3", "--eta", "2", "--k", "1"],
+                 ["slater-overlap", "--n", "3", "--eta", "2"],
+                 ["variance-sweep", "--n", "3", "--eta", "2", "--k", "1"]):
+        argv = argv + ["--samples", "5", "--seed", "1"]
+        assert main(argv) == 0
+        assert calls == []
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert calls == [1]
+        assert json.loads((tmp_path / "run.manifest.json").read_text())["git_describe"] == "abc"
+        calls.clear()
+    capsys.readouterr()
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator setting applies to glibc only")
+def test_heap_is_kept_between_chunks():
+    # each chunk allocates the same temporaries; with the heap kept, ten
+    # times the chunks must not take ten times the page faults of one chunk
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = """
+import contextlib, io, resource, sys
+from fermishadow.cli import main
+argv = ["estimate", "--n", "4", "--eta", "2", "--k", "2", "--seed", "3", "--samples", sys.argv[1]]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(argv)
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    faults = {}
+    for samples in (2048, 20480):
+        out = subprocess.run([sys.executable, "-c", script, str(samples)],
+                             capture_output=True, text=True, env=env, timeout=300)
+        rc, faults[samples] = map(int, out.stdout.split())
+        assert rc == 0, out.stderr
+    assert faults[20480] < 2 * faults[2048], faults
 
 
 def test_build_state_sources(tmp_path):
@@ -236,7 +376,7 @@ def test_estimate_deterministic_output_files(tmp_path, capsys, monkeypatch):
     assert manifest["command"] == "estimate"
     assert manifest["config"]["samples"] == 64
     assert manifest["rows"] == 4
-    assert set(manifest["stages_s"]) == {"collect", "estimate", "aggregate"}
+    assert set(manifest["stages_s"]) == {"setup", "collect", "estimate", "aggregate"}
     assert all(t >= 0 for t in manifest["stages_s"].values())
     assert sum(manifest["stages_s"].values()) <= manifest["wall_time_s"] + 1e-3
     assert manifest["peak_rss_mb"] > 0
@@ -299,7 +439,7 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     # a fast route off by 1e-6 on one pair fails the run, rows still printed
     fast = cli.fast_estimate_rdm
     monkeypatch.setattr(cli, "fast_estimate_rdm", lambda us, zs, eta, k, p, q: (
-        fast(us, zs, eta, k, p, q) + (1e-6 if (p, q) == ((1,), (3,)) else 0)))
+        fast(us, zs, eta, k, p, q) + 1e-6 * ((p == [1]) & (q == [3])).all(axis=-1)))
     assert main(["estimate", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert len(_read_csv(out)[1]) == 9
@@ -484,7 +624,7 @@ def test_slater_overlap_manifest(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "o.manifest.json").read_text())
     assert manifest["command"] == "slater-overlap" and manifest["rows"] == 3
-    assert set(manifest["stages_s"]) == {"collect", "estimate", "aggregate"}
+    assert set(manifest["stages_s"]) == {"setup", "collect", "estimate", "aggregate"}
     assert manifest["peak_rss_mb"] > 0
     assert manifest["versions"]["numpy"] == np.__version__
     assert manifest["versions"]["threads"] == {

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import estimation_diagonal
-from fermishadow import channel
-from fermishadow.combinat import binom, falling, rank_subset, subsets
+from fermishadow import channel, shadows
+from fermishadow.combinat import binom, falling, rank_subset, subsets, validate_subset
 from fermishadow.fock import random_state
 from fermishadow.linalg import (
     ginibre,
@@ -334,6 +334,65 @@ def test_batched_fast_path_matches_oracles(data):
                                eta, k, p, q)[1 : count + 1]
     for other in (alone, inside):
         assert np.all(np.abs(other - got) <= 1e-13 * np.maximum(1.0, np.abs(got)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stacked_fast_call_matches_per_pair_calls(data):
+    # the (T, k) tables ps, qs in one call against one call per pair: each
+    # column within 1e-13 of its pair's (N,) estimates, whatever the tile
+    n = data.draw(st.integers(1, 7), label="n")
+    eta = data.draw(st.integers(1, n), label="eta")
+    k = data.draw(st.integers(1, eta), label="k")
+    count = data.draw(st.sampled_from([0, 1, 3, 7]), label="N")
+    width = data.draw(st.integers(1, 9), label="T")
+    tile = data.draw(st.sampled_from([1, 50, shadows._TILE]), label="tile")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    us, zs = (a[:count] for a in _random_shadows(n, eta, max(count, 1), rng))
+    ss = subset_index_array(n, k) + 1
+    ps, qs = ss[rng.integers(len(ss), size=width)], ss[rng.integers(len(ss), size=width)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shadows, "_TILE", tile)
+        got = fast_estimate_rdm(us, zs, eta, k, ps, qs)
+    assert got.shape == (count, width)
+    want = np.stack([fast_estimate_rdm(us, zs, eta, k, tuple(p), tuple(q))
+                     for p, q in zip(ps.tolist(), qs.tolist())], axis=1)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    # a bad row: the error of validate_subset on the first bad row of ps, then of qs
+    bad = data.draw(st.sampled_from(["order", "low", "high"]), label="bad")
+    row = data.draw(st.integers(0, width - 1), label="row")
+    which = data.draw(st.sampled_from(["p", "q"]), label="which")
+    table = (ps if which == "p" else qs).copy()
+    if bad == "order":
+        if k == 1:
+            return
+        table[row, :2] = table[row, 1::-1]
+    else:
+        table[row, 0 if bad == "low" else -1] = 0 if bad == "low" else n + 1
+    args = (table, qs) if which == "p" else (ps, table)
+    with pytest.raises(ValueError) as exc:
+        fast_estimate_rdm(us, zs, eta, k, *args)
+    for t in args:
+        for r in t.tolist():
+            try:
+                validate_subset(r, n)
+            except ValueError as first:
+                assert str(exc.value) == str(first)
+                return
+    raise AssertionError("no bad row")
+
+
+def test_fast_tables_reject_shape_and_dtype():
+    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None]
+    z = [(1, 2)]
+    for p, q in [([[1, 2]], [(1, 2), (2, 3)]),      # row counts differ
+                 ([[1, 2]], (1, 2)),                # a table against one pair
+                 ([[[1, 2]]], [[[1, 2]]]),           # three axes
+                 ([[1.0, 2.0]], [[1, 2]]),          # float modes
+                 ([[True, False]], [[1, 2]])]:      # bool modes
+        with pytest.raises(ValueError, match="one shape"):
+            fast_estimate_rdm(u, z, 2, 2, p, q)
 
 
 def _pair_with_difference(n, k, kp, rng):

@@ -149,6 +149,35 @@ def test_chunking_is_bit_identical(monkeypatch):
             assert batch_estimate_matrices(us, zs, 3, k).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (8, 4)])
+def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, eta):
+    # QR runs per matrix, so us is bit for bit the same for every chunk size.
+    # The Givens network's broadcast complex products may take other numpy
+    # loops for other stack sizes, so the rotated amplitudes agree to rounding
+    # only, and a readout may move only where its uniform lies within rounding
+    # of a cumulative Born probability.
+    state = random_state(n, eta, np.random.default_rng(n))
+    count, seed = 7, 5
+    us, zs = collect_shadow_arrays(state, count, seed)
+    probs = np.abs(givens_rotate(us, state.amps, eta)) ** 2
+    cum = np.cumsum(probs / probs.sum(axis=1)[:, None], axis=1)
+    u01 = np.empty(count)
+    for i in range(count):
+        rng = shadows.shadow_rng(seed, i)
+        ginibre(n, rng)
+        u01[i] = rng.random()
+    for chunk in (1, 3):
+        monkeypatch.setattr(shadows, "_CHUNK", chunk)
+        cus, czs = collect_shadow_arrays(state, count, seed)
+        assert cus.tobytes() == us.tobytes()
+        stacked = givens_rotate(us, state.amps, eta)
+        parts = np.concatenate([givens_rotate(us[lo:lo + chunk], state.amps, eta)
+                                for lo in range(0, count, chunk)])
+        assert np.abs(parts - stacked).max() <= 1e-14
+        for i in np.flatnonzero((czs != zs).any(axis=1)):
+            assert np.abs(cum[i] - u01[i]).min() <= 1e-12
+
+
 def _per_shot_reference(state, count, seed, start_index):
     # one fresh shadow_rng per shot, then one batched QR, rotation and draw
     n, eta = state.n, state.eta
