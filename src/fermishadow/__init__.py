@@ -9,12 +9,12 @@ k x k block of the readout projector that it names.
 Modules
 -------
     combinat   : subsets in colex order, binomials, bitmasks and the sign rule
-    linalg     : Haar sampling, minors, compounds, Givens rotation
+    linalg     : Haar sampling, minors, Givens rotation
     fock       : dense eta-particle states, rotations, transitions, JSON form
     channel    : exact algebra of the measurement channel
     shadows    : the protocol on stacked (us, zs) arrays, both estimators,
                  variance bookkeeping
-    identities : brute-vs-closed verification sums
+    identities : brute-vs-closed sums and the checks validate shares with the tests
     cli        : command-line entry points
 """
 

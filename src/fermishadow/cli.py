@@ -15,13 +15,12 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
 from . import shadows
-from .combinat import binom, rank_rows, rank_subset, subsets, subsets_ok
+from .combinat import binom, rank_rows, subsets, subsets_ok
 from .fock import (
     FermionState,
     basis_state,
@@ -29,7 +28,7 @@ from .fock import (
     slater_superposition,
     state_from_json,
 )
-from .linalg import subset_index_array
+from .linalg import _ginibre_from_normals, subset_index_array, unitary_from_ginibre
 from .shadows import (
     _STATE_INDEX,
     Reducer,
@@ -39,7 +38,6 @@ from .shadows import (
     fast_estimate_rdm,
     q_value,
     shadow_rng,
-    trace_e_squared,
     variance_bound,
 )
 
@@ -408,98 +406,77 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
     return 0
 
 
+# run_validation draws from default_rng(seed) and from streams keyed up to
+# seed + _VALIDATE_SPAN, the last one by fast_vs_dense at full level
+_VALIDATE_SPAN = 26
+
+
 def run_validation(level: str = "quick", seed: int = 2024) -> dict:
-    """Run the invariant suites and return a JSON-able report."""
-    from . import channel, identities
+    """Run the invariant suites and return a JSON-able report.
+
+    Each check calls the identities.check_* function that an acceptance
+    criterion calls too, at this level's sizes and with draws of its own.
+    """
+    from . import identities
 
     quick = level == "quick"
     n_cap = 5 if quick else 8
     mc_samples = 10_000 if quick else 100_000
     rng = np.random.default_rng(seed)
+    grid = [(n, eta) for n in range(1, n_cap + 1) for eta in range(n + 1)]
+
+    def expansion():
+        return all(identities.check_projector_expansion(*g) for g in grid), f"exact, n <= {n_cap}"
+
+    def sums():
+        ok = all(identities.check_closed_forms(*g)[0] for g in grid)
+        return ok and identities.chu_vandermonde_checks(10), f"exact, n <= {n_cap}"
+
+    def norms():
+        bad = []
+        for n, eta in [(4, 2), (n_cap, min(3, n_cap - 1))]:
+            us, zs = collect_shadow_arrays(random_state(n, eta, rng), 32, seed + n)
+            for k in range(1, eta + 1):
+                ok, gap, _ = identities.check_shadow_norms(us, zs, eta, k)
+                if not ok:
+                    bad.append(f"n={n} eta={eta} k={k}: relative gap {gap:.2e}")
+        return not bad, "; ".join(bad) or "within 1e-8 relative"
+
+    def fast_vs_dense():
+        ok, worst = True, 0.0
+        for n, eta in [(4, 2), (min(6, n_cap), 3)]:
+            state = random_state(n, eta, rng)
+            for t in range(4 if quick else 10):
+                us, zs = collect_shadow_arrays(state, 1, seed + 17 + t, start_index=t)
+                for k in range(1, eta + 1):
+                    ss = list(subsets(n, k))
+                    pairs = [ss[rng.integers(len(ss))] for _ in range(8)]    # p, q, p, q, ...
+                    passed, gap = identities.check_fast_vs_dense(us, zs, eta, k,
+                                                                 pairs[0::2], pairs[1::2])
+                    ok, worst = ok and passed, max(worst, gap)
+        return ok, f"worst relative gap {worst:.2e}"
+
+    def twirl():
+        bad = []
+        for n, eta in [(3, 1), (4, 2)]:
+            normals = np.random.default_rng(seed + n).standard_normal((mc_samples, n, 2 * n))
+            us = unitary_from_ginibre(_ginibre_from_normals(normals))
+            ok, worst, _ = identities.check_twirl_moments(us, eta, 5.0)
+            if not ok:
+                bad.append(f"n={n} eta={eta}: {worst:.1f} sigma")
+        return not bad, "; ".join(bad) or f"{mc_samples} samples, within 5 sigma"
+
+    checks = [
+        ("projector_expansion_and_eigenrelation", expansion),
+        ("closed_form_sums", sums),
+        ("per_shadow_norm_sum", norms),
+        ("fast_vs_dense", fast_vs_dense),
+        ("mc_channel_twirl", twirl),
+    ]
     report = {"level": level, "checks": []}
-
-    def record(name, passed, detail=""):
+    for name, run in checks:
+        passed, detail = run()
         report["checks"].append({"name": name, "passed": bool(passed), "detail": detail})
-
-    # exact reference-ket expansion and channel eigenrelation
-    ok = True
-    for n in range(1, n_cap + 1):
-        for eta in range(n + 1):
-            spec = channel.ChannelSpec(n, eta)
-            acc = [Fraction(0)] * binom(n, eta)
-            for d in range(min(eta, n - eta) + 1):
-                nd = channel.symmetrized_difference(n, eta, d)
-                w = channel.a_coeff(n, eta, d)
-                acc = [a + w * v for a, v in zip(acc, nd.values)]
-                img = channel.apply_channel_diagonal(spec, nd)
-                lam = channel.eigenvalue(n, d)
-                ok &= all(v == lam * u for v, u in zip(img.values, nd.values))
-            ok &= acc[0] == 1 and all(a == 0 for a in acc[1:])
-    record("projector_expansion_and_eigenrelation", ok, f"exact, n <= {n_cap}")
-
-    # closed-form sums vs brute force
-    ok = True
-    for n in range(1, n_cap + 1):
-        for eta in range(n + 1):
-            for d in range(min(eta, n - eta) + 1):
-                ok &= identities.trace_nd_squared(n, eta, d).agree
-            for k in range(1, eta + 1):
-                for s in range(min(k, n - eta) + 1):
-                    ok &= identities.t_sum(n, eta, k, s).agree
-    ok &= identities.chu_vandermonde_checks(10)
-    record("closed_form_sums", ok, f"exact, n <= {n_cap}")
-
-    # per-shadow squared-norm identity
-    ok = True
-    detail = []
-    for n, eta in [(4, 2), (n_cap, min(3, n_cap - 1))]:
-        state = random_state(n, eta, rng)
-        us, zs = collect_shadow_arrays(state, 32, seed + n)
-        for k in range(1, eta + 1):
-            want = float(trace_e_squared(n, eta, k))
-            got = (np.abs(batch_estimate_matrices(us, zs, eta, k)) ** 2).sum(axis=(1, 2))
-            bad = np.flatnonzero(~(np.abs(got - want) <= 1e-8 * want))
-            if bad.size:
-                ok = False
-                detail.append(f"n={n} eta={eta} k={k}: {got[bad[0]]} != {want}")
-    record("per_shadow_norm_sum", ok, "; ".join(detail) or "within 1e-8 relative")
-
-    # fast path vs dense path
-    worst = 0.0
-    for n, eta in [(4, 2), (min(6, n_cap), 3)]:
-        if eta > n:
-            continue
-        state = random_state(n, eta, rng)
-        for t in range(4 if quick else 10):
-            us, zs = collect_shadow_arrays(state, 1, seed + 17 + t, start_index=t)
-            for k in range(1, eta + 1):
-                ests = batch_estimate_matrices(us, zs, eta, k)[0]
-                ss = list(subsets(n, k))
-                for _ in range(4):
-                    p = ss[rng.integers(len(ss))]
-                    q = ss[rng.integers(len(ss))]
-                    d = ests[rank_subset(p), rank_subset(q)]
-                    f = fast_estimate_rdm(us, zs, eta, k, p, q)[0]
-                    worst = max(worst, abs(d - f) / max(1.0, abs(d)))
-    record("fast_vs_dense", worst < 1e-8, f"worst relative gap {worst:.2e}")
-
-    # Monte Carlo twirl against the exact channel
-    ok = True
-    detail = []
-    for n, eta in [(3, 1), (4, 2)]:
-        spec = channel.ChannelSpec(n, eta)
-        p = tuple(range(1, eta + 1))
-        op = channel.DiagonalOperator(
-            n, eta, [1 if z == p else 0 for z in subsets(n, eta)]
-        )
-        exact = channel.apply_channel_diagonal(spec, op).as_array()
-        mean, err = channel.mc_channel_estimate(spec, p, mc_samples, seed + n)
-        dev = np.max(np.abs(mean - exact) / np.maximum(err, 1e-12))
-        if dev > 5.0:
-            ok = False
-            detail.append(f"n={n} eta={eta}: {dev:.1f} sigma")
-    record("mc_channel_twirl", ok, "; ".join(detail) or f"{mc_samples} samples, within 5 sigma")
-
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report
 
@@ -508,6 +485,9 @@ def cmd_validate(level: str = "quick", out: str = None, seed: int = 2024) -> int
     """Run the validation suites; exit 1 if any check fails."""
     if level not in ("quick", "full"):
         raise ConfigError(f"level must be quick or full, got {level!r}")
+    if not 0 <= seed <= 2**64 - 1 - _VALIDATE_SPAN:
+        raise ConfigError(f"seed must be in 0..2^64-{_VALIDATE_SPAN + 1}, so that the stream "
+                          f"keys seed .. seed + {_VALIDATE_SPAN} stay below 2^64, got {seed!r}")
     report = run_validation(level, seed=seed)
     text = json.dumps(report, indent=2) + "\n"
     if out:

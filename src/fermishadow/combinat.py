@@ -11,6 +11,8 @@ colex order is ascending mask order.  The sign rule of the mode operators,
 Contents
 --------
     binom                  : binomial coefficient, 0 outside the triangle
+    falling                : falling factorial
+    validate_subset        : a subset as a checked increasing tuple of modes
     rank_subset            : colex rank of a subset
     subsets_ok             : whether every row of an integer table is a subset of 1..n
     rank_rows              : colex ranks of the rows of such a table
@@ -18,8 +20,6 @@ Contents
     subsets                : iterate all d-subsets of [n] in colex order
     subset_masks           : bitmasks of all d-subsets, colex (= ascending) order
     apply_string           : annihilator/creator string on one bitmask, with sign
-    overlap_count          : |p cap q|
-    canonical_permutation  : permutation sending [d] onto a subset
 """
 
 from functools import lru_cache
@@ -159,28 +159,3 @@ def apply_string(mask: int, annihilate=(), create=()):
         mask ^= bit
         parity += (mask & (bit - 1)).bit_count()
     return mask, -1 if parity & 1 else 1
-
-
-def overlap_count(p, q) -> int:
-    """Number of modes shared by subsets p and q."""
-    return len(set(p) & set(q))
-
-
-def canonical_permutation(z, n: int) -> np.ndarray:
-    """Permutation image v with v(j) = z_j for j <= |z|, rest of [n] ascending.
-
-    Returned as a 1-based int array of length n; v is the mode relabeling
-    whose matrix has columns e_{v(j)}.
-    """
-    z = validate_subset(z, n)
-    rest = [m for m in range(1, n + 1) if m not in set(z)]
-    return np.array(list(z) + rest, dtype=np.int64)
-
-
-def permutation_matrix(image) -> np.ndarray:
-    """n x n matrix P with P[image[j]-1, j] = 1."""
-    image = np.asarray(image, dtype=np.int64)
-    n = image.shape[0]
-    p = np.zeros((n, n))
-    p[image - 1, np.arange(n)] = 1.0
-    return p

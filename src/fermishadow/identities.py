@@ -1,24 +1,39 @@
-"""Exact combinatorial identities behind the estimator, each with a brute twin.
+"""Exact identities behind the estimator, and the checks validate shares.
 
 Every closed form used by the estimation and variance code is re-derived
 here as an explicit finite sum over integers and Fractions, so the tests
 can compare the two routes at zero tolerance.
+
+The check_* functions hold one invariant each, with its comparison and its
+bound.  `fermishadow validate` and the acceptance criteria both call them;
+each caller draws its own states, seeds, pairs and unitaries.  Each returns
+its verdict: alone for the exact expansion, otherwise first in a tuple with
+what it measured.
 
 Contents
 --------
     SumReport            : one brute-vs-closed comparison, JSON-able
     trace_nd_squared     : squared norm of the degree-d eigenoperator
     t_sum                : the alternating moment sum behind the entry formula
-    weingarten_xi        : the single Weingarten-type weight of the twirl
-    g_eta                : readout multiplicity factor paired with the weight
     chu_vandermonde_checks : the small binomial identities used throughout
+    check_projector_expansion : sum_d a_d N_d = reference projector and
+                           the channel eigenrelation, exact
+    check_closed_forms   : every trace_nd_squared and t_sum point, exact
+    check_shadow_norms   : per-shadow squared norm = Tr E^2, 1e-8 relative
+    check_fast_vs_dense  : fast estimates = dense entries, 1e-8 relative
+    check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .combinat import binom, falling
+import numpy as np
+
+from . import channel
+from .combinat import binom, falling, rank_rows, subset_masks
+from .linalg import minors_batch, subset_index_array
+from .shadows import batch_estimate_matrices, estimation_entry, fast_estimate_rdm, trace_e_squared
 
 
 @dataclass
@@ -111,31 +126,8 @@ def t_sum(n: int, eta: int, k: int, s: int) -> SumReport:
                     )
                     if count:
                         brute += base * count
-    from .shadows import estimation_entry
-
     closed = estimation_entry(n, eta, k, k - s)
     return SumReport({"n": n, "eta": eta, "k": k, "s": s}, brute, closed)
-
-
-def weingarten_xi(n: int, eta: int) -> Fraction:
-    """The single moment weight of the readout twirl on the eta sector.
-
-    Equals 1 / (eta!^2 C(n, eta) C(n+1, eta)); n = 1, eta = 1 gives 1/2.
-    Raises ValueError unless 0 <= eta <= n.
-    """
-    if not 0 <= eta <= n:
-        raise ValueError(f"need 0 <= eta <= n, got n={n} eta={eta}")
-    return Fraction(1, factorial(eta) ** 2 * binom(n, eta) * binom(n + 1, eta))
-
-
-def g_eta(eta: int, k: int) -> Fraction:
-    """Multiplicity factor with g_eta(k) * weingarten_xi = structure_factor.
-
-    Raises ValueError unless 0 <= k <= eta.
-    """
-    if not 0 <= k <= eta:
-        raise ValueError(f"need 0 <= k <= eta, got eta={eta} k={k}")
-    return Fraction(factorial(eta) ** 2 * (eta + 1), eta + 1 - k)
 
 
 def chu_vandermonde_checks(limit: int = 15) -> bool:
@@ -166,3 +158,85 @@ def chu_vandermonde_checks(limit: int = 15) -> bool:
             if lhs != Fraction(1, binom(eta, j)):
                 return False
     return True
+
+
+# ------------------------------------------------- shared checks
+
+def check_projector_expansion(n: int, eta: int) -> bool:
+    """sum_d a_d N_d is the projector onto the reference ket [eta], and the
+    channel maps each N_d to channel.eigenvalue(n, d) N_d; both exact."""
+    spec = channel.ChannelSpec(n, eta)
+    acc = [Fraction(0)] * binom(n, eta)
+    ok = True
+    for d in range(min(eta, n - eta) + 1):
+        nd = channel.symmetrized_difference(n, eta, d)
+        w = channel.a_coeff(n, eta, d)
+        acc = [a + w * v for a, v in zip(acc, nd.values)]
+        lam = channel.eigenvalue(n, d)
+        ok = ok and channel.apply_channel_diagonal(spec, nd).values == [lam * v for v in nd.values]
+    return ok and acc == [1] + [0] * (len(acc) - 1)
+
+
+def check_closed_forms(n: int, eta: int) -> tuple:
+    """(passed, points): trace_nd_squared at every depth d and t_sum at every
+    realizable (k, s), k = 0..eta, brute sum equal to closed form exactly."""
+    reports = [trace_nd_squared(n, eta, d) for d in range(min(eta, n - eta) + 1)]
+    reports += [t_sum(n, eta, k, s) for k in range(eta + 1) for s in range(min(k, n - eta) + 1)]
+    return all(r.agree for r in reports), len(reports)
+
+
+def check_shadow_norms(us, zs, eta: int, k: int) -> tuple:
+    """(passed, worst relative gap, (N,) squared norms) of a batch of shadows.
+
+    Each shadow's dense estimate matrix has squared Frobenius norm Tr E^2 =
+    trace_e_squared(n, eta, k), whatever the state; passed means every
+    shadow is within 1e-8 relative (a NaN fails).
+    """
+    norms = (np.abs(batch_estimate_matrices(us, zs, eta, k)) ** 2).sum(axis=(1, 2))
+    want = float(trace_e_squared(np.shape(us)[-1], eta, k))
+    gap = float(np.max(np.abs(norms - want))) / want
+    return gap < 1e-8, gap, norms
+
+
+def check_fast_vs_dense(us, zs, eta: int, k: int, ps, qs) -> tuple:
+    """(passed, worst gap): fast_estimate_rdm against the dense entries.
+
+    ps and qs are (T, k) tables of k-subsets; every shadow of the batch is
+    compared on every pair (p_t, q_t), by |dense - fast| / max(1, |dense|).
+    passed means the worst gap is below 1e-8 (a NaN fails).
+    """
+    ps, qs = np.asarray(ps), np.asarray(qs)
+    fast = fast_estimate_rdm(us, zs, eta, k, ps, qs)
+    n = np.shape(us)[-1]
+    dense = batch_estimate_matrices(us, zs, eta, k)[:, rank_rows(ps, n), rank_rows(qs, n)]
+    gap = float(np.max(np.abs(dense - fast) / np.maximum(1.0, np.abs(dense))))
+    return gap < 1e-8, gap
+
+
+def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:
+    """(passed, worst z-score, (C, C) sample means) of Haar fourth moments.
+
+    For eta-subsets p and q of rows, the mean over the stack us (N, n, n) of
+    |det u[p, :eta]|^2 |det u[q, :eta]|^2 estimates the Haar moment
+    channel.structure_factor(n, eta, |p cap q|), of which the channel
+    kernel is made: kappa(t) = C(n, eta) structure_factor(n, eta, t).  Each
+    pair p <= q (colex) is scored by |mean - f| / stderr, stderr floored at
+    1e-12; passed means the worst score is below z_bound (a NaN fails).
+    """
+    us = np.asarray(us)
+    count, n = us.shape[0], us.shape[-1]
+    cols = np.arange(eta, dtype=np.int64)[None, :]
+    absq = np.abs(minors_batch(us, subset_index_array(n, eta), cols)[..., 0]) ** 2
+    masks = subset_masks(n, eta)
+    means = np.empty((len(masks), len(masks)))
+    scores = []
+    for i in range(len(masks)):
+        for j in range(i, len(masks)):
+            prod = absq[:, i] * absq[:, j]
+            mean = float(prod.mean())
+            sig = max(float(prod.std(ddof=1)) / np.sqrt(count), 1e-12)
+            f = float(channel.structure_factor(n, eta, int(masks[i] & masks[j]).bit_count()))
+            scores.append(abs(mean - f) / sig)
+            means[i, j] = means[j, i] = mean
+    worst = float(np.max(scores))
+    return worst < z_bound, worst, means

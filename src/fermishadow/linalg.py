@@ -1,12 +1,11 @@
-"""Dense linear algebra kernels: Haar sampling, minors, compounds, Givens rotation.
+"""Dense linear algebra kernels: Haar sampling, minors, Givens rotation.
 
 Contents
 --------
     ginibre, unitary_from_ginibre : Haar-distributed unitaries via gauge-fixed QR
-    minor_det       : determinant of a row/column submatrix
-    minors_batch    : dets of many submatrices of a stack of matrices
-    compound_batch  : k-th multiplicative compounds (action on k-subsets) of a stack
-    givens_rotate   : k-particle amplitudes rotated by a stack of unitaries
+    minors_batch       : dets of many submatrices of a stack of matrices
+    subset_index_array : 0-based mode indices of all k-subsets, colex order
+    givens_rotate      : k-particle amplitudes rotated by a stack of unitaries
 """
 
 from functools import lru_cache
@@ -48,20 +47,6 @@ def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- minors
-
-def minor_det(u: np.ndarray, rows, cols) -> complex:
-    """det of the submatrix of u on the given 1-based rows and columns.
-
-    Raises ValueError unless rows and cols have the same shape.
-    """
-    ridx = np.asarray(rows, dtype=np.int64) - 1
-    cidx = np.asarray(cols, dtype=np.int64) - 1
-    if ridx.shape != cidx.shape:
-        raise ValueError(f"need as many rows as columns, got {ridx.shape} and {cidx.shape}")
-    if ridx.size == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(u[np.ix_(ridx, cidx)]))
-
 
 def _det_stack(a: np.ndarray) -> np.ndarray:
     """Determinants over the last two axes, cheap closed forms for k <= 3."""
@@ -126,18 +111,6 @@ def subset_index_array(n: int, k: int) -> np.ndarray:
     return idx
 
 
-def compound_batch(u: np.ndarray, k: int) -> np.ndarray:
-    """k-th compounds of a stack (N, n, n) -> (N, C(n,k), C(n,k)).
-
-    Entry [i, r, c] is the det of u[i] on the k-subsets of colex ranks r
-    (rows) and c (columns).  The compound of a product is the product of
-    compounds, so this is the k-particle action of each u[i].
-    """
-    n = u.shape[-1]
-    idx = subset_index_array(n, k)
-    return minors_batch(np.asarray(u, dtype=np.complex128), idx, idx)
-
-
 # ---------------------------------------------------------------- Givens
 
 @lru_cache(maxsize=None)
@@ -165,8 +138,8 @@ def givens_rotate(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
     """k-particle amplitudes rotated by each unitary of a stack.
 
     u is (N, n, n) and amps is (C(n,k),); returns (N, C(n,k)), equal to
-    compound_batch(u, k) @ amps at O(n^2 C(n,k)) per matrix instead of
-    O(C(n,k)^2 k^3).  Adjacent-row Givens rotations reduce each u to a
+    the k-th compound of u (its k x k minors) times amps, at O(n^2 C(n,k))
+    per matrix instead of O(C(n,k)^2 k^3).  Adjacent-row Givens rotations reduce each u to a
     diagonal, G_K ... G_1 u = D, so the compound of u = G_1^dag ... G_K^dag D
     is the product of the factors' compounds.  D multiplies each amplitude by
     the phases of the subset's modes.  G^dag on modes (m, m+1) mixes each

@@ -36,8 +36,8 @@ Contents
     fast_estimate_rdm          : named transitions' estimates from their k x k blocks
     Reducer                    : mean / median-of-means over shots fed chunk by chunk
     aggregate                  : the same over a whole (N,) or (N, T) table
-    avg_shadow_norm_sq, q_value, q_slater, variance_bound
-    shadows_to_jsonl, shadows_from_jsonl
+    avg_shadow_norm_sq, q_value, variance_bound : exact variance quantities
+    shadows_to_jsonl, shadows_from_jsonl        : snapshots as JSON lines
 """
 
 import json
@@ -453,17 +453,6 @@ def q_value(n: int, eta: int, k: int) -> Fraction:
     return binom(eta, k) * total
 
 
-def q_slater(n: int, eta: int) -> Fraction:
-    """Q at k = eta, the overlap-estimation regime, as its own sum."""
-    total = Fraction(0)
-    for s in range(min(eta, n - eta) + 1):
-        total += Fraction(
-            falling(eta, s) * falling(n - eta, s) * factorial(n - s) ** 2,
-            factorial(n) ** 2,
-        )
-    return total
-
-
 def variance_bound(n: int, eta: int, k: int) -> Fraction:
     """Closed-form upper bound on Q."""
     return (
@@ -493,8 +482,8 @@ def shadows_from_jsonl(text: str):
     """Load (us, zs) written by shadows_to_jsonl.
 
     Raises ValueError unless there is at least one row, every u is unitary to
-    1e-10, every z is strictly increasing within 1..n, and all rows share one
-    shape.
+    1e-10, every z is a list of JSON integers (not floats, not booleans)
+    strictly increasing within 1..n, and all rows share one shape.
     """
     us, zs = [], []
     for line in text.splitlines():
@@ -502,6 +491,10 @@ def shadows_from_jsonl(text: str):
             continue
         body = json.loads(line)
         u = np.array([[complex(re, im) for re, im in row] for row in body["u"]])
+        if not (isinstance(body["z"], list)
+                and all(isinstance(m, int) and not isinstance(m, bool) for m in body["z"])):
+            raise ValueError(f"shadow {len(us)}: z must be a list of integer modes, "
+                             f"got {body['z']!r}")
         z = np.array(body["z"], dtype=np.int64)
         n = u.shape[0]
         if u.shape != (n, n) or np.linalg.norm(u @ u.conj().T - np.eye(n)) > 1e-10:

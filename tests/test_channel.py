@@ -4,30 +4,29 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fermishadow import channel
+from algebra_oracle import (
+    channel_apply_int_batch,
+    eigenoperator_diagonal,
+    elementary_in_sim,
+    kernel_numerators,
+    sim_k_expansion,
+    symmetrized_difference_bruteforce,
+)
 from fermishadow.channel import (
     ChannelSpec,
     DiagonalOperator,
     _intersection_table,
     a_coeff,
     apply_channel_diagonal,
-    channel_apply_int_batch,
     channel_kernel,
-    eigenoperator_diagonal,
     eigenvalue,
-    elementary_in_sim,
     inverse_channel_on_projector,
-    kernel_numerators,
-    mc_channel_estimate,
     nd_class_values,
     overlap_class_array,
-    sim_k_expansion,
     structure_factor,
     symmetrized_difference,
-    symmetrized_difference_bruteforce,
 )
-from fermishadow.combinat import binom, rank_subset, subsets
-from fermishadow.linalg import compound_batch, ginibre, unitary_from_ginibre
+from fermishadow.combinat import binom, subsets
 from fermishadow.shadows import estimation_entry
 
 
@@ -43,16 +42,13 @@ def test_structure_factor_rejects_pole():
 
 
 def test_structure_factor_sums_to_channel_kernel():
-    # kappa(t) = C(n, eta) * f(t) restated through the kernel definition
-    for n in range(1, 7):
+    # kappa(t) = C(n, eta) * f(t): the Haar moment that the twirl check
+    # samples is the channel kernel, up to the sector dimension
+    for n in range(1, 13):
         for eta in range(n + 1):
             kappa = channel_kernel(n, eta)
             for t in range(eta + 1):
-                total = sum(
-                    Fraction(binom(t, j), binom(n + 1, eta) * binom(eta, j))
-                    for j in range(t + 1)
-                )
-                assert kappa[t] == total
+                assert kappa[t] == binom(n, eta) * structure_factor(n, eta, t)
 
 
 def test_eigenvalue_and_a_coeff_frozen():
@@ -118,6 +114,20 @@ def test_channel_eigenrelation_exact():
                 img = apply_channel_diagonal(spec, nd)
                 lam = eigenvalue(n, d)
                 assert all(v == lam * w for v, w in zip(img.values, nd.values))
+
+
+def test_apply_channel_diagonal_matches_pair_sum():
+    # M[D](r') = sum_r D(r) kappa(|r cap r'|) term by term in Fractions;
+    # values of 2^70 take the Python-integer route instead of int64
+    for n, eta in [(4, 2), (5, 3)]:
+        c = binom(n, eta)
+        kappa = channel_kernel(n, eta)
+        table = _intersection_table(n, eta)
+        small = [Fraction(i - 3, i + 1) for i in range(c)]
+        for vals in (small, [(-1) ** i * 2**70 * i for i in range(c)]):
+            img = apply_channel_diagonal(ChannelSpec(n, eta), DiagonalOperator(n, eta, vals))
+            assert img.values == [sum(vals[r] * kappa[table[r, rp]] for r in range(c))
+                                  for rp in range(c)]
 
 
 def test_channel_is_trace_preserving():
@@ -187,44 +197,6 @@ def test_intersection_table_matches_sets():
             ss = list(subsets(n, eta))
             want = [[len(set(a) & set(b)) for b in ss] for a in ss]
             assert _intersection_table(n, eta).tolist() == want
-
-
-def _mc_channel_oracle(n, eta, p, samples, seed, chunk):
-    # one ginibre(n, rng) call per sample, the rest as mc_channel_estimate
-    rng = np.random.Generator(np.random.Philox(seed))
-    pr = rank_subset(p, n)
-    total = np.zeros(binom(n, eta))
-    total_sq = np.zeros(binom(n, eta))
-    for lo in range(0, samples, chunk):
-        g = np.stack([ginibre(n, rng) for _ in range(min(chunk, samples - lo))])
-        prob = np.abs(compound_batch(unitary_from_ginibre(g), eta)) ** 2
-        contrib = np.einsum("izr,iz->ir", prob, prob[:, :, pr])
-        total += contrib.sum(axis=0)
-        total_sq += (contrib**2).sum(axis=0)
-    mean = total / samples
-    var = np.maximum(total_sq / samples - mean**2, 0.0)
-    return mean, np.sqrt(var / samples)
-
-
-@pytest.mark.parametrize("n,eta,p", [(2, 1, (2,)), (3, 2, (1, 3)), (5, 2, (2, 4))])
-def test_mc_channel_estimate_matches_per_sample_draws(monkeypatch, n, eta, p):
-    # one standard_normal call per chunk draws the same bits as one per sample
-    monkeypatch.setattr(channel, "_MC_CHUNK", 64)
-    mean, err = mc_channel_estimate(ChannelSpec(n, eta), p, 150, 5)
-    want_mean, want_err = _mc_channel_oracle(n, eta, p, 150, 5, 64)
-    assert mean.tobytes() == want_mean.tobytes()
-    assert err.tobytes() == want_err.tobytes()
-
-
-def test_mc_channel_estimate_agrees():
-    n, eta = 3, 1
-    spec = ChannelSpec(n, eta)
-    p = (2,)
-    op = DiagonalOperator(n, eta, [1 if z == p else 0 for z in subsets(n, eta)])
-    exact = apply_channel_diagonal(spec, op).as_array()
-    mean, err = mc_channel_estimate(spec, p, 20000, 99)
-    assert np.all(np.abs(mean - exact) < 5 * np.maximum(err, 1e-12))
-    assert abs(mean.sum() - 1.0) < 1e-9
 
 
 def test_sim_expansion_is_occupation_indicator():

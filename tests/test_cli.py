@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import target_oracle
-from fermishadow import cli, shadows
+from fermishadow import channel, cli, shadows
 from fermishadow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from fermishadow.cli import (
     main,
     run_validation,
 )
-from fermishadow.combinat import rank_rows, rank_subset, subsets
+from fermishadow.combinat import binom, rank_rows, rank_subset, subsets
 from fermishadow.fock import FermionState, random_state, state_to_json
 
 
@@ -291,12 +291,13 @@ def test_input_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=path)
     script = """
 import numpy as np
+from algebra_oracle import eigenoperator_diagonal, g_eta, weingarten_xi
+from dense_oracle import minor_det
 from fermishadow import identities
 from fermishadow.channel import (ChannelSpec, DiagonalOperator, a_coeff, apply_channel_diagonal,
-                                 eigenoperator_diagonal, nd_class_values, structure_factor)
+                                 nd_class_values, structure_factor)
 from fermishadow.combinat import falling, unrank_subset
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
-from fermishadow.linalg import minor_det
 from fermishadow.shadows import (batch_estimate_matrices, collect_shadow_arrays,
                                  estimation_entry, fast_estimate_rdm, shadow_rng)
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
@@ -340,8 +341,8 @@ calls = {
     "falling negative": lambda: falling(3, -1),
     "trace_nd_squared depth": lambda: identities.trace_nd_squared(4, 1, 2),
     "t_sum class": lambda: identities.t_sum(4, 3, 2, 2),
-    "weingarten_xi eta > n": lambda: identities.weingarten_xi(2, 3),
-    "g_eta k > eta": lambda: identities.g_eta(2, 3),
+    "weingarten_xi eta > n": lambda: weingarten_xi(2, 3),
+    "g_eta k > eta": lambda: g_eta(2, 3),
     "minor_det shapes": lambda: minor_det(np.eye(3), (1, 2), (1,)),
 }
 for name, call in calls.items():
@@ -527,8 +528,21 @@ def test_validate_quick_passes(tmp_path, capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_validation_negative_control(monkeypatch):
-    # a wrong estimation operator must trip the suite
+def test_validate_seed_must_leave_room_for_its_streams(tmp_path, monkeypatch, capsys):
+    # the checks draw from the streams seed .. seed + 26: the largest seed that
+    # leaves room passes at full level, and a seed outside 0..2^64-27 is a
+    # config error before any check runs
+    top = 2**64 - 1 - cli._VALIDATE_SPAN
+    assert main(["validate", "--level", "full", "--seed", str(top),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    monkeypatch.setattr(cli, "run_validation", lambda *args, **kwargs: pytest.fail("a check ran"))
+    capsys.readouterr()
+    for seed in (-1, top + 1, 2**64 - 1):
+        assert main(["validate", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+def _off_by_one_estimation_operator(monkeypatch):
     exact = shadows.estimation_matrix
 
     def off_by_one(n, eta, k):
@@ -538,10 +552,26 @@ def test_validation_negative_control(monkeypatch):
     monkeypatch.setattr(shadows, "estimation_matrix", off_by_one)
     # an empty DFT-weight cache, so the weights come from the patched operator
     monkeypatch.setattr(shadows, "_dft_points", lru_cache(shadows._dft_points.__wrapped__))
-    report = run_validation("quick", seed=2024)
-    by_name = {c["name"]: c["passed"] for c in report["checks"]}
-    assert by_name["per_shadow_norm_sum"] is False
-    assert report["passed"] is False
+
+
+def test_validation_negative_control(monkeypatch):
+    # a wrong closed form must trip the check that shares its definition with
+    # an acceptance criterion
+    cases = [
+        (_off_by_one_estimation_operator, "per_shadow_norm_sum"),
+        # 1 / C(n, d) in place of the eigenvalue 1 / C(n+1, d)
+        (lambda mp: mp.setattr(channel, "eigenvalue", lambda n, d: Fraction(1, binom(n, d))),
+         "projector_expansion_and_eigenrelation"),
+        # the pole of the Haar moment moved by one
+        (lambda mp: mp.setattr(channel, "structure_factor", lambda n, eta, k: Fraction(
+            eta + 1, eta + 2 - k) / (binom(n + 1, eta) * binom(n, eta))), "mc_channel_twirl"),
+    ]
+    for patch, check in cases:
+        with monkeypatch.context() as mp:
+            patch(mp)
+            report = run_validation("quick", seed=2024)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert check in failed and report["passed"] is False, (check, failed)
 
 
 def test_slater_overlap_recovers_oracle(tmp_path, capsys):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from algebra_oracle import canonical_permutation, overlap_count, permutation_matrix
 from fermishadow.combinat import (
     apply_string,
     binom,
-    canonical_permutation,
     falling,
-    overlap_count,
-    permutation_matrix,
     rank_subset,
     subset_masks,
     subsets,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import compound_batch
 from fermishadow.combinat import subsets
 from fermishadow.fock import (
     FermionState,
@@ -18,7 +19,7 @@ from fermishadow.fock import (
     state_from_json,
     state_to_json,
 )
-from fermishadow.linalg import compound_batch, ginibre, unitary_from_ginibre
+from fermishadow.linalg import ginibre, unitary_from_ginibre
 
 
 def _haar(n, rng):

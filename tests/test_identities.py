@@ -4,13 +4,12 @@ import pytest
 
 from fermishadow.channel import structure_factor, symmetrized_difference
 from fermishadow.combinat import binom
+from algebra_oracle import g_eta, weingarten_xi
 from fermishadow.identities import (
     SumReport,
     chu_vandermonde_checks,
-    g_eta,
     t_sum,
     trace_nd_squared,
-    weingarten_xi,
 )
 from fermishadow.shadows import estimation_entry
 

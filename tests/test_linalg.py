@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dense_oracle import compound_batch, minor_det
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
-    compound_batch,
     ginibre,
     givens_rotate,
-    minor_det,
     minors_batch,
     subset_index_array,
     unitary_from_ginibre,

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aggregate_oracle import two_pass_aggregate
-from dense_oracle import compound_estimate_matrices, estimation_diagonal
+from algebra_oracle import canonical_permutation, q_slater
+from dense_oracle import compound_batch, compound_estimate_matrices, estimation_diagonal
 from fermishadow import shadows
 from fermishadow.combinat import binom, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import (
-    compound_batch,
     ginibre,
     givens_rotate,
     subset_index_array,
@@ -25,7 +25,6 @@ from fermishadow.shadows import (
     collect_shadow_arrays,
     estimation_entry,
     estimation_matrix,
-    q_slater,
     q_value,
     shadows_from_jsonl,
     shadows_to_jsonl,
@@ -269,8 +268,6 @@ def test_collection_rejects_unnormalized_state():
 
 def test_effective_frame_invariance():
     # any frame row order fixing the readout block gives the same estimates
-    from fermishadow.combinat import canonical_permutation
-
     rng = np.random.default_rng(31)
     n, eta, k = 6, 3, 2
     state = random_state(n, eta, rng)
@@ -452,6 +449,9 @@ def test_jsonl_roundtrip():
         line(eye, [1, 1]),                       # repeated mode
         line(eye, [0]),                          # mode below 1
         line(eye, [3]),                          # mode above n
+        line(eye, [1.7, 2.9]),                   # non-integer modes, not truncated
+        line(eye, [1.0]),                        # a float, even an integral one
+        line(eye, [True]),                       # a boolean
         line(eye, [1]) + "\n" + line(np.eye(3), [1]),  # rows of differing shape
         line(eye, [1]) + "\n" + line(eye, [1, 2]),
         "",
