@@ -1,5 +1,11 @@
 """Dense linear algebra kernels: Haar sampling, minors, Givens rotation.
 
+A Haar unitary is the Q of a complex Ginibre matrix's QR with R's diagonal
+real and positive (Mezzadri, Notices AMS 54, 592, 2007).  For n <= 5 that Q
+comes from classical Gram-Schmidt run twice, in real arithmetic across the
+whole stack; from n = 6 on from LAPACK's QR, one matrix at a time, with the
+column phases fixed.  Either way a matrix's bits do not depend on the stack.
+
 Contents
 --------
     ginibre, unitary_from_ginibre : Haar-distributed unitaries via gauge-fixed QR
@@ -17,17 +23,104 @@ from .combinat import subset_masks, subsets
 
 # ---------------------------------------------------------------- Haar
 
+# largest n orthonormalized by Gram-Schmidt.  It pays O(n^3) numpy element
+# operations per matrix and O(n^2) calls per stack, LAPACK one call per
+# matrix: on one core Gram-Schmidt took 0.48x LAPACK's time at n = 4, 0.65x at
+# n = 5, 0.92x at n = 6 and 1.3x at n = 7 for 2048 matrices, and 0.85x, 1.1x,
+# 1.3x, 1.4x for 300.  The split depends on n alone, never on the stack.
+_GS_MAX_N = 5
+
+
 def unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
     """Map a stack (..., n, n) of complex Ginibre matrices to Haar unitaries.
 
-    QR with the column-phase gauge fixed so that R has positive real
-    diagonal; without the fix the QR gauge biases the distribution.
+    The Q of g = QR with the gauge fixed so that R has positive real
+    diagonal; without the fix the QR gauge biases the distribution.  For
+    n <= 5 Q comes from classical Gram-Schmidt run twice (_gram_schmidt),
+    whose R diagonal is positive by construction; from n = 6 on from LAPACK's
+    QR with each column's phase fixed.  Either way each matrix's bits do not
+    depend on the other matrices or on the stack length.
     """
+    g = np.asarray(g)
+    if g.shape[-1] <= _GS_MAX_N:
+        return _gram_schmidt(g)
+    return _householder(g)
+
+
+def _householder(g: np.ndarray) -> np.ndarray:
+    """Gauge-fixed Q of g = QR from LAPACK, matrix by matrix."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(d)
     phase = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
     return q * phase[..., None, :]
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in a fixed pairwise order that depends on a.shape[0] alone.
+
+    Each level adds a[:h] + a[h:2h] and an odd last term to the first, so an
+    entry's bits do not depend on the lengths of the other axes.
+    """
+    while a.shape[0] > 1:
+        h = a.shape[0] // 2
+        b = a[:h] + a[h:2 * h]
+        if a.shape[0] % 2:
+            b[0] += a[2 * h]
+        a = b
+    return a[0]
+
+
+def _gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR, R with positive real diagonal, by classical Gram-Schmidt run twice.
+
+    Column j loses its components along q_0..q_{j-1} twice, c = Q^H x and
+    x -= Q c, and is then scaled to unit norm; the second pass keeps Q
+    orthonormal to working precision (Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50, 1069, 2005).  The arithmetic is real, on (column, row,
+    stack) arrays, and every sum over rows or columns runs in _fold's fixed
+    order, so only elementwise IEEE operations act across the stack.  A
+    matrix with a column that keeps at most sqrt(eps) of its norm, nearly
+    rank deficient, is passed to _householder instead.
+    """
+    n = g.shape[-1]
+    flat = g.reshape(-1, n, n)
+    cols = flat.transpose(2, 1, 0)
+    vr = np.array(cols.real, order="C")
+    vi = np.array(cols.imag, order="C")
+    norms = _fold((vr * vr + vi * vi).swapaxes(0, 1))       # (column, stack)
+    kept = np.ones(flat.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n):
+            xr, xi, qr, qi = vr[j], vi[j], vr[:j], vi[:j]
+            for _ in range(2 if j else 0):
+                # c = Q^H x: products (j, row, stack) summed over rows
+                p = qr * xr
+                p += qi * xi
+                cr = _fold(p.swapaxes(0, 1))[:, None]
+                p = qr * xi
+                p -= qi * xr
+                ci = _fold(p.swapaxes(0, 1))[:, None]
+                # x -= Q c
+                p = qr * cr
+                p -= qi * ci
+                xr -= _fold(p)
+                p = qr * ci
+                p += qi * cr
+                xi -= _fold(p)
+            p = xr * xr
+            p += xi * xi
+            s = _fold(p)
+            kept &= s > np.finfo(float).eps * norms[j]
+            r = np.sqrt(s)
+            xr /= r
+            xi /= r
+    out = np.empty(flat.shape, dtype=np.complex128)
+    out.real = vr.transpose(2, 1, 0)
+    out.imag = vi.transpose(2, 1, 0)
+    if not kept.all():
+        out[~kept] = _householder(flat[~kept])
+    return out.reshape(g.shape)
 
 
 def _ginibre_from_normals(g: np.ndarray) -> np.ndarray:

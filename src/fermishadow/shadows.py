@@ -19,10 +19,12 @@ counter-based: shadow i of a run seeded with s uses the Philox stream keyed
 by (s, i), so any chunking or start index gives bit-identical rotations, and
 readouts that differ only where a uniform lies within rounding of a
 cumulative Born probability (see linalg.givens_rotate).  The
-collector re-keys one generator per call instead of building one per shot;
-the bits equal those of a fresh shadow_rng(s, i) for every shot.  It raises
-ValueError before any draw unless the seed is in 0..2^64-1 and
-start_index + count <= 2^64-1: index 2^64-1 prepares the input state.
+collector re-keys one generator per call instead of building one per shot,
+by assigning it the state of a fresh stream as plain Python ints
+(_fresh_state); the bits equal those of a fresh shadow_rng(s, i) for every
+shot.  It raises ValueError before any draw unless the seed is in
+0..2^64-1 and start_index + count <= 2^64-1: index 2^64-1 prepares the
+input state.
 
 Contents
 --------
@@ -80,6 +82,18 @@ def shadow_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def _fresh_state(seed: int, index: int) -> dict:
+    """State of a fresh shadow_rng(seed, index) as plain Python ints.
+
+    Zero counter, key (seed, index) and an empty buffer (buffer_pos 4).
+    Assigning it to a Philox bit generator's state costs less than the dict
+    of numpy arrays that the state getter returns.
+    """
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, index]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs, axis=1)
     idx = (cum <= u01[:, None]).sum(axis=1)
@@ -109,17 +123,18 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     ranks = subset_index_array(n, eta) + 1
     gen = shadow_rng(seed, 0)
     bitgen = gen.bit_generator
-    fresh = bitgen.state       # a fresh stream's state; only the key's index word changes
+    normal, uniform = gen.standard_normal, gen.random
+    fresh = _fresh_state(seed, 0)      # only the key's index word changes per shot
     key = fresh["state"]["key"]
     raw = np.empty((min(count, _CHUNK), n, 2 * n))
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         u01 = np.empty(hi - lo)
-        for i in range(lo, hi):
-            key[1] = start_index + i
+        for i, row in enumerate(raw[:hi - lo]):
+            key[1] = start_index + lo + i
             bitgen.state = fresh
-            gen.standard_normal(out=raw[i - lo])
-            u01[i - lo] = gen.random()
+            normal(out=row)
+            u01[i] = uniform()
         u = unitary_from_ginibre(_ginibre_from_normals(raw[:hi - lo]))
         probs = np.abs(givens_rotate(u, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
@@ -481,26 +496,42 @@ def shadows_to_jsonl(us: np.ndarray, zs: np.ndarray, seed: int, start_index: int
 def shadows_from_jsonl(text: str):
     """Load (us, zs) written by shadows_to_jsonl.
 
-    Raises ValueError unless there is at least one row, every u is unitary to
-    1e-10, every z is a list of JSON integers (not floats, not booleans)
-    strictly increasing within 1..n, and all rows share one shape.
+    Raises ValueError, naming the shadow, unless there is at least one row,
+    every line is a JSON object with u and z, every u is n >= 1 rows of n
+    [re, im] pairs of JSON numbers (not booleans) and unitary to 1e-10, every
+    z is a list of JSON integers (not floats, not booleans) strictly
+    increasing within 1..n, and all rows share one shape.
     """
     us, zs = [], []
     for line in text.splitlines():
         if not line.strip():
             continue
-        body = json.loads(line)
-        u = np.array([[complex(re, im) for re, im in row] for row in body["u"]])
-        if not (isinstance(body["z"], list)
-                and all(isinstance(m, int) and not isinstance(m, bool) for m in body["z"])):
-            raise ValueError(f"shadow {len(us)}: z must be a list of integer modes, "
-                             f"got {body['z']!r}")
-        z = np.array(body["z"], dtype=np.int64)
-        n = u.shape[0]
-        if u.shape != (n, n) or np.linalg.norm(u @ u.conj().T - np.eye(n)) > 1e-10:
-            raise ValueError(f"shadow {len(us)}: u is not a unitary matrix")
-        if z.ndim != 1 or np.any(np.diff(z) <= 0) or np.any((z < 1) | (z > n)):
-            raise ValueError(f"shadow {len(us)}: z must be strictly increasing within 1..{n}")
+        i = len(us)
+        try:
+            body = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"shadow {i}: not a JSON line: {err}") from None
+        if not (isinstance(body, dict) and "u" in body and "z" in body):
+            raise ValueError(f"shadow {i}: need a JSON object with keys u and z")
+        rows, z = body["u"], body["z"]
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+                and all(isinstance(v, list) and len(v) == 2
+                        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+                        for row in rows for v in row)):
+            raise ValueError(f"shadow {i}: u must be n >= 1 rows of n [re, im] number pairs")
+        if not (isinstance(z, list)
+                and all(isinstance(m, int) and not isinstance(m, bool) for m in z)):
+            raise ValueError(f"shadow {i}: z must be a list of integer modes, got {z!r}")
+        n = len(rows)
+        try:
+            u = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(n, n)
+        except OverflowError:       # an integer beyond the float range
+            raise ValueError(f"shadow {i}: u is not a unitary matrix") from None
+        if not np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 1e-10:     # NaN fails too
+            raise ValueError(f"shadow {i}: u is not a unitary matrix")
+        if not all(1 <= m <= n for m in z) or any(a >= b for a, b in zip(z, z[1:])):
+            raise ValueError(f"shadow {i}: z must be strictly increasing within 1..{n}")
         us.append(u)
-        zs.append(z)
+        zs.append(np.array(z, dtype=np.int64))
     return np.stack(us), np.stack(zs)      # ValueError on differing shapes or no rows

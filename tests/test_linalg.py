@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from dense_oracle import compound_batch, minor_det
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
+    _GS_MAX_N,
+    _gram_schmidt,
     ginibre,
     givens_rotate,
     minors_batch,
@@ -50,6 +52,69 @@ def test_haar_phase_sensitive_moment():
     got = np.mean(us[:, 0, 0] * us[:, 1, 1] * np.conj(us[:, 0, 1] * us[:, 1, 0]))
     want = -1.0 / (n * (n**2 - 1))
     assert abs(got - want) < 4e-3
+
+
+def _ginibre_stack(n, m, rng):
+    return (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))) / np.sqrt(2)
+
+
+def _lapack_haar(g):
+    # independent oracle: LAPACK's QR, then each column times the phase of R's diagonal
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gram_schmidt_matches_lapack_oracle(n):
+    # the Gram-Schmidt kernel, unitary_from_ginibre's for n <= 5, here up to
+    # n = 7: it must equal the gauge-fixed LAPACK Q to 16 kappa_2(G) eps
+    # entrywise, be unitary to 1e-14, and give each matrix the same bits in
+    # any stack, as must unitary_from_ginibre on either side of the split
+    g = _ginibre_stack(n, 10_000, np.random.default_rng(100 + n))
+    got = _gram_schmidt(g)
+    bound = 16 * np.linalg.cond(g) * np.finfo(float).eps
+    assert (np.abs(got - _lapack_haar(g)).max(axis=(1, 2)) <= bound).all()
+    eye = np.eye(n)
+    assert np.abs(got @ got.conj().transpose(0, 2, 1) - eye).max() <= 1e-14
+    for kernel in (_gram_schmidt, unitary_from_ginibre):
+        head = kernel(g[:42])
+        for size in (1, 2, 3, 7):
+            parts = [kernel(g[lo:lo + size]) for lo in range(0, 42, size)]
+            assert np.concatenate(parts).tobytes() == head.tobytes()
+        assert kernel(g[5]).tobytes() == head[5].tobytes()
+    want = got if n <= _GS_MAX_N else _lapack_haar(g)
+    assert unitary_from_ginibre(g[:42]).tobytes() == want[:42].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_haar_gauge_on_both_kernels(n):
+    # R = U^H G is upper triangular with real positive diagonal, up to
+    # rounding scaled by kappa_2(G) eps ||G||_2: Gram-Schmidt for n <= 5,
+    # LAPACK's QR and its phase fix from n = 6 on
+    g = _ginibre_stack(n, 2000, np.random.default_rng(200 + n))
+    r = unitary_from_ginibre(g).conj().transpose(0, 2, 1) @ g
+    sv = np.linalg.svd(g, compute_uv=False)
+    tol = 16 * (sv[:, 0] / sv[:, -1]) * np.finfo(float).eps * sv[:, 0]
+    lower = np.abs(np.tril(r, -1)).max(axis=(1, 2), initial=0.0)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert (lower <= tol).all()
+    assert (np.abs(diag.imag).max(axis=1) <= tol).all()
+    assert (diag.real > 0).all()
+
+
+def test_degenerate_matrices_still_give_unitaries():
+    # a column with (nearly) nothing left after projection goes to LAPACK's
+    # QR, matrix by matrix, instead of dividing by a vanishing norm
+    rng = np.random.default_rng(3)
+    for n in (3, 8):
+        g = _ginibre_stack(n, 4, rng)
+        g[1] = 0.0
+        g[2][:, 1] = 2j * g[2][:, 0]
+        got = unitary_from_ginibre(g)
+        assert np.abs(got @ got.conj().transpose(0, 2, 1) - np.eye(n)).max() <= 1e-14
+        for i in range(4):
+            assert unitary_from_ginibre(g[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
 
 
 def test_minor_det_hand_values():

@@ -148,9 +148,11 @@ def test_chunking_is_bit_identical(monkeypatch):
             assert batch_estimate_matrices(us, zs, 3, k).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (8, 4)])
+@pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (7, 3), (8, 4)])
 def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, eta):
-    # QR runs per matrix, so us is bit for bit the same for every chunk size.
+    # unitary_from_ginibre's bits do not depend on the stack (Gram-Schmidt
+    # for n <= 5, LAPACK's QR from 6 on), so us is bit for bit the same for
+    # every chunk size.
     # The Givens network's broadcast complex products may take other numpy
     # loops for other stack sizes, so the rotated amplitudes agree to rounding
     # only, and a readout may move only where its uniform lies within rounding
@@ -194,7 +196,7 @@ def _per_shot_reference(state, count, seed, start_index):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
-@pytest.mark.parametrize("n,eta", [(1, 1), (4, 2), (5, 3), (8, 4)])
+@pytest.mark.parametrize("n,eta", [(1, 1), (4, 2), (5, 3), (7, 3), (8, 4)])
 def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk):
     # the collector re-keys one Philox per call; its bits must equal a fresh
     # shadow_rng(seed, index) per shot, or a numpy change to the state layout
@@ -212,17 +214,18 @@ def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk)
 
 
 def test_rekeyed_state_equals_fresh_philox():
-    for seed, index in [(0, 0), (12345, 7), (2**64 - 1, 2**64 - 1)]:
+    # the collector assigns shadows._fresh_state's plain-int template; it must
+    # leave exactly the state, and the draws, of a fresh Philox keyed (seed, index)
+    for seed, index in [(0, 0), (12345, 7), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)]:
         gen = shadows.shadow_rng(seed, 0)
         bitgen = gen.bit_generator
-        fresh = bitgen.state
         # leave counter, buffer and the cached 32-bit half all in use
         gen.standard_normal(9)
         gen.integers(0, 2**32, dtype=np.uint32)
-        fresh["state"]["key"][1] = index
-        bitgen.state = fresh
+        bitgen.state = shadows._fresh_state(seed, index)
         got = bitgen.state
-        want = np.random.Philox(key=np.array([seed, index], dtype=np.uint64)).state
+        fresh = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        want = fresh.state
         assert set(got) == set(want) and set(got["state"]) == set(want["state"])
         assert got["bit_generator"] == want["bit_generator"]
         for field in ("counter", "key"):
@@ -230,6 +233,9 @@ def test_rekeyed_state_equals_fresh_philox():
         assert np.array_equal(got["buffer"], want["buffer"])
         for field in ("buffer_pos", "has_uint32", "uinteger"):
             assert got[field] == want[field]
+        ref = np.random.Generator(fresh)
+        assert gen.standard_normal(9).tobytes() == ref.standard_normal(9).tobytes()
+        assert gen.random() == ref.random()
 
 
 def test_collection_checks_stream_range_before_drawing(monkeypatch):
@@ -441,6 +447,9 @@ def test_jsonl_roundtrip():
         return json.dumps({"seed": 0, "index": 0, "z": z,
                            "u": [[[float(v.real), float(v.imag)] for v in row] for row in u]})
 
+    def raw(u, z=(1,)):
+        return json.dumps({"seed": 0, "index": 0, "z": list(z), "u": u})
+
     eye = np.eye(2)
     for bad in (
         line([[2, 0], [0, 1]], [2, 1]),          # non-unitary u, unsorted z
@@ -452,10 +461,32 @@ def test_jsonl_roundtrip():
         line(eye, [1.7, 2.9]),                   # non-integer modes, not truncated
         line(eye, [1.0]),                        # a float, even an integral one
         line(eye, [True]),                       # a boolean
+        raw([[[True, False]]]),                  # booleans in u, not the unitary 1+0j
+        raw([[["1", 0]]]),                       # a string in u
+        raw([[[1.0]]]),                          # u entries that are not [re, im] pairs
+        raw([[[1.0, 0.0, 0.0]]]),
+        raw([[1.0]]),
+        raw([[[1.0, 0.0]], []]),                 # ragged rows
+        raw([]),                                 # no modes
+        raw([[[float("nan"), 0.0]]]),            # NaN is not unitary
+        raw([[[10**400, 0]]]),                   # an integer beyond the float range
+        raw([[[1.0, 0.0]]], [2**70]),            # a mode beyond int64
+        json.dumps({"seed": 0, "index": 0, "z": [1]}),           # no u
+        json.dumps({"seed": 0, "index": 0, "u": [[[1.0, 0.0]]]}),  # no z
+        "[1, 2]",                                # not a JSON object
+        "3",
+        "{not json",
+        line(eye, [1]) + "\n" + raw([[[True, False]]]),  # the second shadow is bad
+    ):
+        with pytest.raises(ValueError, match=r"shadow \d"):
+            shadows_from_jsonl(bad)
+    for bad in (
         line(eye, [1]) + "\n" + line(np.eye(3), [1]),  # rows of differing shape
         line(eye, [1]) + "\n" + line(eye, [1, 2]),
         "",
     ):
         with pytest.raises(ValueError):
             shadows_from_jsonl(bad)
+    with pytest.raises(ValueError, match="shadow 1"):
+        shadows_from_jsonl(line(eye, [1]) + "\n" + raw("u"))
     assert shadows_from_jsonl(line(eye, [2]))[1].tolist() == [[2]]
