@@ -1,18 +1,19 @@
 """Randomized measurements for fixed-particle-number fermionic states.
 
 Sample occupation readouts after Haar mode rotations, invert the
-measurement channel in closed form, and estimate every k-body transition
-amplitude of an eta-particle state: every entry at once from the dense
-estimation operator, or one entry at O(k^2 eta + k^4) per shot from the
-k x k block of the readout projector that it names.
+measurement channel in closed form, and estimate any k-body transition
+amplitudes of an eta-particle state, each from the k x k blocks of the
+readout projector that it names: one kernel, fast_estimate_rdm, evaluates
+every distinct block of a target table once, from one O(k^2 eta + k^4)
+per-shot block for a single entry up to all C(n,k)^2 entries at once.
 
 Modules
 -------
     combinat   : subsets in colex order, binomials, bitmasks and the sign rule
-    linalg     : Haar sampling, minors, Givens rotation
+    linalg     : Haar sampling, stacked determinants, Givens rotation
     fock       : dense eta-particle states, rotations, transitions, JSON form
     channel    : exact algebra of the measurement channel
-    shadows    : the protocol on stacked (us, zs) arrays, both estimators,
+    shadows    : the protocol on stacked (us, zs) arrays, the block estimator,
                  variance bookkeeping
     identities : brute-vs-closed sums and the checks validate shares with the tests
     cli        : command-line entry points
@@ -37,9 +38,7 @@ from .channel import (
 )
 from .shadows import (
     Reducer,
-    aggregate,
     avg_shadow_norm_sq,
-    batch_estimate_matrices,
     collect_shadow_arrays,
     estimation_matrix,
     fast_estimate_rdm,
@@ -65,9 +64,7 @@ __all__ = [
     "structure_factor",
     "symmetrized_difference",
     "Reducer",
-    "aggregate",
     "avg_shadow_norm_sq",
-    "batch_estimate_matrices",
     "collect_shadow_arrays",
     "estimation_matrix",
     "q_value",

@@ -32,8 +32,8 @@ from .linalg import _ginibre_from_normals, subset_index_array, unitary_from_gini
 from .shadows import (
     _STATE_INDEX,
     Reducer,
+    all_pairs,
     avg_shadow_norm_sq,
-    batch_estimate_matrices,
     collect_shadow_arrays,
     fast_estimate_rdm,
     q_value,
@@ -84,8 +84,6 @@ class ExperimentConfig:
             raise ConfigError(f"state_source must be random_pure, basis:..., or file:..., got {src!r}")
         if self.estimator not in ("dense", "fast", "both"):
             raise ConfigError(f"estimator must be dense, fast, or both, got {self.estimator!r}")
-        if self.estimator != "dense" and self.k == 0:
-            raise ConfigError(f"estimator {self.estimator} needs k >= 1; use dense for k = 0")
         agg = self.aggregation
         if not (isinstance(agg, str) and (agg == "mean" or agg.startswith("median_of_means:"))):
             raise ConfigError(f"aggregation must be mean or median_of_means:B, got {agg!r}")
@@ -183,9 +181,7 @@ def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
 def _resolve_targets(config: ExperimentConfig) -> np.ndarray:
     """(T, 2, k) int64 table of the (p, q) subset pairs to estimate, in deterministic order."""
     if config.targets == "all_krdm":
-        ss = subset_index_array(config.n, config.k) + 1
-        p, q = np.broadcast_arrays(ss[:, None], ss[None, :])
-        return np.stack([p, q], axis=2).reshape(len(ss) ** 2, 2, config.k)
+        return np.stack(all_pairs(config.n, config.k), axis=1)
     if config.targets == "slater_overlaps":
         raise ConfigError("targets=slater_overlaps belongs to the slater-overlap command")
     return _target_table(config.targets, config.n, config.k, pairs=True)
@@ -278,6 +274,16 @@ def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
         dump(sys.stdout)
 
 
+def _check_out(out: str):
+    """Raise ConfigError unless the directory that --out names exists and is writable.
+
+    Checked before any sampling, so a bad path costs no work.
+    """
+    folder = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
+
+
 def _shadow_chunks(state: FermionState, count: int, seed: int):
     """Yield (us, zs) for shots 0..count-1, at most shadows._CHUNK shots at a time.
 
@@ -300,8 +306,11 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
 
     Runs collect -> estimate -> reduce one chunk of shots at a time, so peak
     memory is set by the chunk and the targets, not by config.samples.  The
-    targets are one (T, 2, k) table: the fast route takes it whole, one call
-    per chunk, and the dense route gathers its entries by their colex ranks.
+    targets are one (T, 2, k) table, evaluated by one fast_estimate_rdm call
+    per chunk; dense and fast are that one run.  both evaluates every target
+    from the gathered blocks (estimate columns) and from the readout-row
+    products (fast_estimate columns), and fails the run if they differ by
+    more than 1e-8 max(1, largest |estimate|).
     """
     config.validate()
     t0 = time.monotonic()
@@ -309,34 +318,32 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     state = build_state(config)
     targets = _resolve_targets(config)
     eta, k = config.eta, config.k
-    fast = _reducer(config, len(targets)) if config.estimator != "dense" else None
-    dense = _reducer(config, len(targets)) if config.estimator != "fast" else None
-    rank_p, rank_q = rank_rows(targets, config.n).T
-    scale = 1.0     # of the both gate: max(1, largest |dense estimate|)
+    ps, qs = targets[:, 0], targets[:, 1]
+    both = config.estimator == "both"
+    reducer = _reducer(config, len(targets))
+    fast = _reducer(config, len(targets)) if both else None
+    scale = 1.0     # of the both gate: max(1, largest |estimate|)
     stages.lap("setup")
 
     for us, zs in _shadow_chunks(state, config.samples, config.seed):
         stages.lap("collect")
         # (m, T) per-shadow estimates, one column per target
-        if fast is not None:
-            fast_chunk = fast_estimate_rdm(us, zs, eta, k, targets[:, 0], targets[:, 1])
-        if dense is not None:
-            ests = batch_estimate_matrices(us, zs, eta, k)
-            if fast is not None:
-                scale = max(scale, float(np.abs(ests).max()))
-            dense_chunk = ests[:, rank_p, rank_q]
-            del ests
+        if both:
+            chunk = shadows._block_estimates(us, zs, eta, k, ps, qs, gather=True)
+            fast_chunk = shadows._block_estimates(us, zs, eta, k, ps, qs, gather=False)
+            scale = max(scale, float(np.abs(chunk).max(initial=0.0)))
+        else:
+            chunk = fast_estimate_rdm(us, zs, eta, k, ps, qs)
         stages.lap("estimate")
-        if fast is not None:
+        reducer.add(chunk)
+        if both:
             fast.add(fast_chunk)
-        if dense is not None:
-            dense.add(dense_chunk)
         stages.lap("aggregate")
 
-    val, err = (fast if dense is None else dense).result()
+    val, err = reducer.result()
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     cols = [val.real, val.imag, err.real, err.imag]
-    if config.estimator == "both":
+    if both:
         fval, _ = fast.result()
         header += ["fast_estimate_re", "fast_estimate_im"]
         cols += [fval.real, fval.imag]
@@ -347,7 +354,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
 
     manifest = _run_manifest("estimate", config, t0, stages) if out else None
     _write_rows(rows, header, out, fmt, manifest)
-    if config.estimator == "both" and mismatch > 1e-8 * scale:
+    if both and mismatch > 1e-8 * scale:
         print(f"dense and fast estimators disagree by {mismatch:.3e}", file=sys.stderr)
         return 1
     return 0
@@ -364,8 +371,9 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                        out: str = None, fmt: str = "csv") -> int:
     """Exact variance table over an (n, eta, k) grid, optional empirical column.
 
-    The empirical column is the mean over all C(n,k)^2 entries of the
-    single-shot variance, reduced one chunk of shots at a time.
+    The empirical column is the mean over all C(n,k)^2 transitions
+    (shadows.all_pairs) of the single-shot variance, reduced one chunk of
+    shots at a time.
     """
     if samples < 0:
         raise ConfigError(f"samples must be 0 (no empirical column) or positive, got {samples}")
@@ -385,7 +393,7 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                     state = random_state(n, eta, shadow_rng(seed + len(rows), _STATE_INDEX))
                     reducer = Reducer(samples, binom(n, k) ** 2)
                     for us, zs in _shadow_chunks(state, samples, seed + len(rows)):
-                        reducer.add(batch_estimate_matrices(us, zs, eta, k).reshape(len(us), -1))
+                        reducer.add(fast_estimate_rdm(us, zs, eta, k, *all_pairs(n, k)))
                     emp = _fmt(float(reducer.variance().mean()))
                 rows.append([
                     n, eta, k,
@@ -450,9 +458,11 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
                 us, zs = collect_shadow_arrays(state, 1, seed + 17 + t, start_index=t)
                 for k in range(1, eta + 1):
                     ss = list(subsets(n, k))
-                    pairs = [ss[rng.integers(len(ss))] for _ in range(8)]    # p, q, p, q, ...
-                    passed, gap = identities.check_fast_vs_dense(us, zs, eta, k,
-                                                                 pairs[0::2], pairs[1::2])
+                    pairs = np.array([ss[rng.integers(len(ss))] for _ in range(8)])  # p, q, ...
+                    ps, qs = pairs[0::2], pairs[1::2]
+                    passed, gap = identities.check_fast_vs_dense(
+                        shadows._block_estimates(us, zs, eta, k, ps, qs, gather=False),
+                        shadows._block_estimates(us, zs, eta, k, ps, qs, gather=True))
                     ok, worst = ok and passed, max(worst, gap)
         return ok, f"worst relative gap {worst:.2e}"
 
@@ -643,6 +653,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _keep_heap()
     try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "estimate":
             config = _load_config(args)
             return cmd_estimate(config, args.out, args.format)

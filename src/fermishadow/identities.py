@@ -6,9 +6,12 @@ can compare the two routes at zero tolerance.
 
 The check_* functions hold one invariant each, with its comparison and its
 bound.  `fermishadow validate` and the acceptance criteria both call them;
-each caller draws its own states, seeds, pairs and unitaries.  Each returns
-its verdict: alone for the exact expansion, otherwise first in a tuple with
-what it measured.
+each caller draws its own states, seeds, pairs and unitaries.
+check_fast_vs_dense compares two tables that its caller computed: validate
+passes the two block sources of shadows.fast_estimate_rdm, and criterion 07
+the kernel and the dense oracle in tests/.  Each check returns its verdict:
+alone for the exact expansion, otherwise first in a tuple with what it
+measured.
 
 Contents
 --------
@@ -20,7 +23,7 @@ Contents
                            the channel eigenrelation, exact
     check_closed_forms   : every trace_nd_squared and t_sum point, exact
     check_shadow_norms   : per-shadow squared norm = Tr E^2, 1e-8 relative
-    check_fast_vs_dense  : fast estimates = dense entries, 1e-8 relative
+    check_fast_vs_dense  : two routes' estimate tables agree, 1e-8 relative
     check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
 
@@ -31,9 +34,9 @@ from math import factorial
 import numpy as np
 
 from . import channel
-from .combinat import binom, falling, rank_rows, subset_masks
-from .linalg import minors_batch, subset_index_array
-from .shadows import batch_estimate_matrices, estimation_entry, fast_estimate_rdm, trace_e_squared
+from .combinat import binom, falling, subset_masks
+from .linalg import _det_stack, subset_index_array
+from .shadows import all_pairs, estimation_entry, fast_estimate_rdm, trace_e_squared
 
 
 @dataclass
@@ -188,27 +191,25 @@ def check_closed_forms(n: int, eta: int) -> tuple:
 def check_shadow_norms(us, zs, eta: int, k: int) -> tuple:
     """(passed, worst relative gap, (N,) squared norms) of a batch of shadows.
 
-    Each shadow's dense estimate matrix has squared Frobenius norm Tr E^2 =
-    trace_e_squared(n, eta, k), whatever the state; passed means every
-    shadow is within 1e-8 relative (a NaN fails).
+    Each shadow's estimates of all C(n,k)^2 transitions (all_pairs) have
+    squared norm Tr E^2 = trace_e_squared(n, eta, k), whatever the state;
+    passed means every shadow is within 1e-8 relative (a NaN fails).
     """
-    norms = (np.abs(batch_estimate_matrices(us, zs, eta, k)) ** 2).sum(axis=(1, 2))
-    want = float(trace_e_squared(np.shape(us)[-1], eta, k))
+    n = np.shape(us)[-1]
+    norms = (np.abs(fast_estimate_rdm(us, zs, eta, k, *all_pairs(n, k))) ** 2).sum(axis=1)
+    want = float(trace_e_squared(n, eta, k))
     gap = float(np.max(np.abs(norms - want))) / want
     return gap < 1e-8, gap, norms
 
 
-def check_fast_vs_dense(us, zs, eta: int, k: int, ps, qs) -> tuple:
-    """(passed, worst gap): fast_estimate_rdm against the dense entries.
+def check_fast_vs_dense(fast, dense) -> tuple:
+    """(passed, worst gap) of two estimate tables of one shape, e.g. (N, T).
 
-    ps and qs are (T, k) tables of k-subsets; every shadow of the batch is
-    compared on every pair (p_t, q_t), by |dense - fast| / max(1, |dense|).
+    The tables hold the same transitions of the same shadows from two
+    routes; each entry is compared by |dense - fast| / max(1, |dense|), and
     passed means the worst gap is below 1e-8 (a NaN fails).
     """
-    ps, qs = np.asarray(ps), np.asarray(qs)
-    fast = fast_estimate_rdm(us, zs, eta, k, ps, qs)
-    n = np.shape(us)[-1]
-    dense = batch_estimate_matrices(us, zs, eta, k)[:, rank_rows(ps, n), rank_rows(qs, n)]
+    fast, dense = np.asarray(fast), np.asarray(dense)
     gap = float(np.max(np.abs(dense - fast) / np.maximum(1.0, np.abs(dense))))
     return gap < 1e-8, gap
 
@@ -225,8 +226,8 @@ def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:
     """
     us = np.asarray(us)
     count, n = us.shape[0], us.shape[-1]
-    cols = np.arange(eta, dtype=np.int64)[None, :]
-    absq = np.abs(minors_batch(us, subset_index_array(n, eta), cols)[..., 0]) ** 2
+    # (N, C) |det u[p, :eta]|^2 over the eta-subsets p of rows
+    absq = np.abs(_det_stack(us[:, :, :eta][:, subset_index_array(n, eta)])) ** 2
     masks = subset_masks(n, eta)
     means = np.empty((len(masks), len(masks)))
     scores = []

@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels: Haar sampling, minors, Givens rotation.
+"""Dense linear algebra kernels: Haar sampling, stacked small determinants, Givens rotation.
 
 A Haar unitary is the Q of a complex Ginibre matrix's QR with R's diagonal
 real and positive (Mezzadri, Notices AMS 54, 592, 2007).  For n <= 5 that Q
@@ -9,7 +9,8 @@ column phases fixed.  Either way a matrix's bits do not depend on the stack.
 Contents
 --------
     ginibre, unitary_from_ginibre : Haar-distributed unitaries via gauge-fixed QR
-    minors_batch       : dets of many submatrices of a stack of matrices
+    _fold              : sum over axis 0 in a fixed pairwise order
+    _det_stack         : determinants of a stack of k x k matrices
     subset_index_array : 0-based mode indices of all k-subsets, colex order
     givens_rotate      : k-particle amplitudes rotated by a stack of unitaries
 """
@@ -139,7 +140,7 @@ def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     return _ginibre_from_normals(rng.standard_normal((n, 2 * n)))
 
 
-# ---------------------------------------------------------------- minors
+# ---------------------------------------------------------------- determinants
 
 def _det_stack(a: np.ndarray) -> np.ndarray:
     """Determinants over the last two axes, cheap closed forms for k <= 3."""
@@ -157,37 +158,6 @@ def _det_stack(a: np.ndarray) -> np.ndarray:
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
         )
     return np.linalg.det(a)
-
-
-def minors_batch(x: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
-    """Minors of a stack of matrices.
-
-    Parameters
-    ----------
-    x       : (N, n, m) stack
-    row_idx : (R, k) 0-based row subsets
-    col_idx : (C, k) 0-based column subsets
-
-    Returns
-    -------
-    (N, R, C) array with entry [i, a, b] = det x[i][row_idx[a]][:, col_idx[b]].
-    """
-    x = np.asarray(x)
-    row_idx = np.asarray(row_idx, dtype=np.int64)
-    col_idx = np.asarray(col_idx, dtype=np.int64)
-    n_stack = x.shape[0]
-    nr, k = row_idx.shape
-    nc = col_idx.shape[0]
-    out = np.empty((n_stack, nr, nc), dtype=np.complex128)
-    if k == 0:
-        out[:] = 1.0
-        return out
-    for a in range(nr):
-        rows = x[:, row_idx[a], :]                      # (N, k, m)
-        sub = rows[:, :, col_idx]                       # (N, k, C, k)
-        sub = np.ascontiguousarray(sub.transpose(0, 2, 1, 3))
-        out[:, a, :] = _det_stack(sub)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,11 @@ class values e'_s, carried to the shadow's frame.  It is evaluated in
 projector form: with U_z the eta readout rows of u, Pi = U_z^H U_z and
 M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
 C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
-coefficients.  A single entry (p, q) needs only the k x k block
-Pi[q, p] = U_z[:, q]^H U_z[:, p], two k x k determinants per pair of
-roots: fast_estimate_rdm evaluates it at O(k^2 eta + k^4) per shot,
-whatever n is, and the overlap command reads each overlap this way.
+coefficients.  An entry (p, q) needs only the k x k blocks M(x)[q, p] and
+M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p]: fast_estimate_rdm is the
+one estimator, and evaluates each distinct block of its target table once
+per root, gathered from the whole Pi for large tables and formed from the
+readout rows at O(k^2 eta + k^4) per shot for small ones.
 
 A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
 i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
@@ -33,11 +34,10 @@ Contents
     estimation_entry           : overlap-class value of the estimation operator
     estimation_matrix          : exact class values of the estimation operator
     trace_e_squared            : exact Tr of its square
-    check_shadows              : input checks shared by both estimators
-    batch_estimate_matrices    : every k-body estimate per shadow, (N, C, C)
-    fast_estimate_rdm          : named transitions' estimates from their k x k blocks
+    check_shadows              : input checks on a batch of shadows
+    all_pairs                  : the table of all C(n,k)^2 transitions
+    fast_estimate_rdm          : transitions' estimates from deduplicated k x k blocks
     Reducer                    : mean / median-of-means over shots fed chunk by chunk
-    aggregate                  : the same over a whole (N,) or (N, T) table
     avg_shadow_norm_sq, q_value, variance_bound : exact variance quantities
     shadows_to_jsonl, shadows_from_jsonl        : snapshots as JSON lines
 """
@@ -53,20 +53,20 @@ from .combinat import binom, falling, subsets_ok, validate_subset
 from .fock import FermionState
 from .linalg import (
     _det_stack,
+    _fold,
     _ginibre_from_normals,
     givens_rotate,
-    minors_batch,
     subset_index_array,
     unitary_from_ginibre,
 )
 
 
-# shots per pass of collect_shadow_arrays, of batch_estimate_matrices and of
-# the CLI's collect -> estimate -> reduce loop
+# shots per pass of collect_shadow_arrays and of the CLI's
+# collect -> estimate -> reduce loop
 _CHUNK = 2048
 
-# numbers per gathered (N, eta, T', k) array of a fast_estimate_rdm target tile
-_TILE = 2**18
+# numbers per array of a fast_estimate_rdm tile of blocks or targets
+_TILE = 2**15
 
 # index of the state-preparation stream (s, 2^64-1); shadows stop one below
 _STATE_INDEX = 2**64 - 1
@@ -225,48 +225,15 @@ def _dft_points(n: int, eta: int, k: int) -> tuple:
     return float(sum(vals) / m), tuple(points)
 
 
-def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) -> np.ndarray:
-    """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
+def all_pairs(n: int, k: int) -> tuple:
+    """(p, q): every ordered pair of k-subsets of 1..n, as two (C(n,k)^2, k) tables.
 
-    Entry [i, rank p, rank q] is shadow i's estimate for the transition
-    (p, q), and each slice is exactly hermitian.  Projector form: with
-    Pi = U_z^H U_z built from the readout rows of us[i] and
-    M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
-    and the coefficients come from a DFT over the k+1 roots of unity.  x = 1
-    gives the identity and M(conj x) = M(x)^H, so each remaining pair of
-    roots costs C(n,k)^2 k x k minors.  Raises ValueError for inputs
-    check_shadows rejects or for k outside 0..eta.
+    Row r C(n,k) + c pairs the subsets of colex ranks r and c, so the (N, C^2)
+    estimates of fast_estimate_rdm reshape to the (N, C, C) estimate matrices,
+    indexed [shot, rank p, rank q].
     """
-    us, zs = check_shadows(us, zs, eta)
-    count, n = us.shape[0], us.shape[-1]
-    w0, points = _dft_points(n, eta, k)      # ValueError unless 0 <= k <= eta <= n
-    idx = subset_index_array(n, k)
-    cdim = idx.shape[0]
-    diag = np.arange(cdim)
-    eye = np.eye(n)
-    out = np.empty((count, cdim, cdim), dtype=np.complex128)
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        block = np.zeros((hi - lo, cdim, cdim), dtype=np.complex128)
-        block[:, diag, diag] = w0
-        if points:
-            uz = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1]  # (m, eta, n)
-            proj = np.einsum("iza,izb->iab", uz.conj(), uz)
-        for x, w in points:
-            # a[i, p, q] = C_k(M)[q, p]
-            a = minors_batch((eye + (x - 1.0) * proj).transpose(0, 2, 1), idx, idx)
-            # w * a in place; a * w may round differently where numpy fuses multiply-adds
-            np.multiply(w, a, out=a)
-            block += a
-            if x != -1.0:
-                # the conjugate root: C_k(M^H)[q, p] = conj(C_k(M)[p, q])
-                block += np.conjugate(a, out=a).transpose(0, 2, 1)
-        # exact hermiticity, not just up to rounding of the summation order
-        half = out[lo:hi]
-        np.conjugate(block.transpose(0, 2, 1), out=half)
-        half += block
-        half *= 0.5
-    return out
+    ss = subset_index_array(n, k) + 1
+    return np.repeat(ss, len(ss), axis=0), np.tile(ss, (len(ss), 1))
 
 
 def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) -> np.ndarray:
@@ -274,54 +241,99 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
 
     p and q are k-subsets of 1..n, (k,) each, or tables (T, k) of them whose
     row t names target t; the result is (N,) for one pair and (N, T) for
-    tables.  Entry [i, t] equals entry [i, rank p_t, rank q_t] of
-    batch_estimate_matrices up to roundoff, from the k x k block
-    G = Pi[q_t, p_t] = U_z[:, q_t]^H U_z[:, p_t] alone: the estimate is
-    w_0 [p_t = q_t] plus, per root x in the upper half plane,
-    w det(I[q, p] + (x - 1) G) + conj(w det(I[p, q] + (x - 1) G^H)), the
-    second term dropped at x = -1.  That is O(k^2 eta + k^4) per shot and
-    target, independent of n.  One gather (N, eta, T', k) and one block
-    stack (N, T', k, k) per root serve a tile of T' targets, with T' set so
-    a gather holds about _TILE numbers; each column's arithmetic does not
-    depend on the other targets.  Raises ValueError for the inputs
+    tables.  With M(x) = I + (x - 1) Pi and Pi[q, p] = U_z[:, q]^H U_z[:, p],
+    entry [i, t] is shadow i's w_0 [p_t = q_t] plus, per root x in the upper
+    half plane, w det M(x)[q_t, p_t] + conj(w det M(x)[p_t, q_t]), at half
+    weight for the hermitian M(-1).  Each distinct k x k block is evaluated
+    once per root, so the all-pairs table (all_pairs) costs C(n,k)^2
+    determinants per root, and (p, q) and (q, p) read the same two
+    determinants: any table that holds both gives exact conjugates.  The
+    blocks are gathered from the whole M(x) when (distinct blocks) k^2 >= n^2,
+    and otherwise formed from the readout rows at O(k^2 eta + k^4) per shot
+    and block whatever n is.  The rule never looks at N, and an entry's bits
+    do not depend on the other shots.  Raises ValueError for the inputs
     check_shadows rejects, for p and q not integer arrays of one shape (k,)
-    or (T, k), for not 1 <= k <= eta <= n, and, in validate_subset's words,
+    or (T, k), for not 0 <= k <= eta <= n, and, in validate_subset's words,
     for the first row of p, then of q, not strictly increasing within 1..n.
     """
     us, zs = check_shadows(us, zs, eta)
-    count, n = us.shape[0], us.shape[-1]
+    n = us.shape[-1]
     ps, qs = np.asarray(p), np.asarray(q)
     if not (ps.shape == qs.shape and ps.ndim in (1, 2) and ps.shape[-1:] == (k,)
-            and ps.dtype.kind in "iu" and qs.dtype.kind in "iu" and 1 <= k <= eta <= n):
+            and ps.dtype.kind in "iu" and qs.dtype.kind in "iu" and 0 <= k <= eta <= n):
         raise ValueError(f"need integer p, q of one shape (k,) or (T, k) with "
-                         f"1 <= k <= eta <= n, got n={n} eta={eta} k={k}, "
+                         f"0 <= k <= eta <= n, got n={n} eta={eta} k={k}, "
                          f"p {ps.dtype} {ps.shape}, q {qs.dtype} {qs.shape}")
     single = ps.ndim == 1
-    ps, qs = ps.reshape(-1, k), qs.reshape(-1, k)
+    if single:
+        ps, qs = ps[None], qs[None]
     rows = np.concatenate([ps, qs])
     if not subsets_ok(rows, n):
         for row in rows:
             validate_subset(row, n)         # raises at the first bad row
-    w0, points = _dft_points(n, eta, k)
-    width = len(ps)
-    out = np.empty((count, width), dtype=np.complex128)
-    out[:] = np.where((ps == qs).all(axis=1), w0, 0.0)
-    # readout rows of each u, (N, eta, n)
-    uz = us[np.arange(count)[:, None], zs - 1]
-    tile = max(1, _TILE // max(1, count * eta * k))
-    for lo in range(0, width, tile):
-        pi, qi = ps[lo:lo + tile] - 1, qs[lo:lo + tile] - 1
-        # blocks g[i, t] = U_z[:, q_t]^H U_z[:, p_t], (N, T', k, k)
-        g = np.einsum("iztq,iztp->itqp", uz[:, :, qi].conj(), uz[:, :, pi])
-        eye = (qi[:, :, None] == pi[:, None, :]).astype(float)      # I[q, p]
-        part = out[:, lo:lo + tile]
-        for x, w in points:
-            part += w * _det_stack(eye + (x - 1.0) * g)
-            if x != -1.0:
-                # the conjugate root: det M(conj x)[q, p] = conj(det M(x)[p, q])
-                part += np.conj(w * _det_stack(eye.transpose(0, 2, 1)
-                                               + (x - 1.0) * g.conj().transpose(0, 1, 3, 2)))
+    out = _block_estimates(us, zs, eta, k, ps, qs)
     return out[:, 0] if single else out
+
+
+def _block_estimates(us, zs, eta: int, k: int, ps, qs, gather: bool = None) -> np.ndarray:
+    """(N, T) estimates of the checked targets (ps_t, qs_t) from one block source.
+
+    gather True takes every block from the whole M(x) (n, n, N), False from
+    products of the readout rows, None by fast_estimate_rdm's rule.  A tile
+    of B' blocks holds about _TILE numbers in its (k, k, B', N) blocks, or in
+    the (eta, k, k, B', N) products behind them.
+    """
+    count, n = us.shape[0], us.shape[-1]
+    w0, points = _dft_points(n, eta, k)
+    out = np.empty((len(ps), count), dtype=np.complex128)
+    out[:] = np.where((ps == qs).all(axis=1), w0, 0.0)[:, None]
+    if not (points and len(ps)):
+        return out.T
+    # 0-based (rows, cols) of the blocks M[q_t, p_t], then M[p_t, q_t]; each
+    # distinct one is evaluated once, and which maps a target to its two
+    keys = np.concatenate([np.hstack([qs, ps]), np.hstack([ps, qs])]) - 1
+    order = np.lexsort(keys.T)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    blocks = keys[order[first]]
+    which = np.empty(len(keys), dtype=np.int64)
+    which[order] = np.cumsum(first) - 1
+    which = which.reshape(2, -1)
+    if gather is None:
+        gather = len(blocks) * k * k >= n * n
+    # readout rows, shots last: (eta, n, N)
+    uz = np.ascontiguousarray(us[np.arange(count)[:, None], zs - 1].transpose(1, 2, 0))
+    if gather:
+        # Pi (n, n, N), one readout row at a time so that no (eta, n, n, N) array is built
+        proj = uz[0].conj()[:, None] * uz[0][None]
+        for u in uz[1:]:
+            proj += u.conj()[:, None] * u[None]
+    det = np.empty((len(blocks), count), dtype=np.complex128)
+    block_tile = max(1, _TILE // max(1, count * k * k * (1 if gather else eta)))
+    target_tile = max(1, _TILE // max(1, count))
+    for x, w in points:
+        if x == -1.0:
+            w = w / 2       # M(-1) is hermitian: its one root counts once per orientation
+        if gather:
+            mx = (x - 1.0) * proj
+            mx[np.arange(n), np.arange(n)] += 1.0
+        for lo in range(0, len(blocks), block_tile):
+            # block b's entry (i, j) at m[i, j, b], so each entry is one contiguous (B', N)
+            r = blocks[lo:lo + block_tile, :k].T[:, None]
+            c = blocks[lo:lo + block_tile, k:].T[None]
+            if gather:
+                m = mx[r, c]
+            else:
+                m = (r == c)[..., None] + (x - 1.0) * _fold(uz[:, r].conj() * uz[:, c])
+            # not in place: an in-place complex product can round differently
+            # in the last elements of a row, so a shot's bits would follow N
+            det[lo:lo + block_tile] = w * _det_stack(np.moveaxis(m, (0, 1), (2, 3)))
+        for lo in range(0, len(ps), target_tile):
+            # (p, q) adds w det M[q, p] + conj(w det M[p, q]); (q, p) its conjugate
+            term = det[which[0, lo:lo + target_tile]]
+            term += np.conjugate(det[which[1, lo:lo + target_tile]])
+            out[lo:lo + target_tile] += term
+    return out.T
 
 
 class Reducer:
@@ -329,8 +341,10 @@ class Reducer:
 
     Reducer(count, width, mode, batches) takes the shots of width columns
     through add((m, width) chunk) calls, m shots each, and result() then gives
-    what aggregate gives for the whole (count, width) table, up to the order
-    of summation.  Per column it keeps the mean and the sum M2 of squared
+    per column the mean with its standard error s/sqrt(count) (ddof=1) per
+    real and imaginary part, or under median_of_means the coordinate-wise
+    median of the means of batches equal runs of consecutive shots with the
+    spread of those means as the error.  Per column it keeps the mean and the sum M2 of squared
     deviations of the real and imaginary parts, and merges each chunk in by
     the pairwise update of Chan, Golub and LeVeque (Am. Stat. 37, 242, 1983).
     median_of_means also keeps one sum per batch and column, so a batch may
@@ -419,28 +433,6 @@ class Reducer:
             err_re = groups.real.std(axis=-1, ddof=1) / np.sqrt(m)
             err_im = groups.imag.std(axis=-1, ddof=1) / np.sqrt(m)
         return val, err_re + 1j * err_im
-
-
-def aggregate(values, mode: str = "mean", batches: int = None):
-    """Combine per-shadow estimates (N,) or (N, T) along axis 0 into (value, error).
-
-    Both are shaped like one row: complex scalars for (N,), arrays (T,) for
-    (N, T), each column combined exactly as it would be alone.  mean:
-    arithmetic mean with the standard error s/sqrt(N) (ddof=1) per real and
-    imaginary part.  median_of_means: equal batches of consecutive shots
-    (batches must divide N), coordinate-wise median of the batch means,
-    spread of the batch means as the error.  One Reducer pass over the whole
-    table.  Raises ValueError for no shots, more than two axes, an unknown
-    mode or batches that do not divide N.
-    """
-    x = np.asarray(values, dtype=np.complex128)
-    if x.ndim not in (1, 2) or x.shape[0] == 0:
-        raise ValueError(f"need per-shadow estimates (N,) or (N, T) with N >= 1, got shape {x.shape}")
-    table = x.reshape(x.shape[0], -1)
-    reducer = Reducer(x.shape[0], table.shape[1], mode, batches)
-    reducer.add(table)
-    val, err = reducer.result()
-    return (val, err) if x.ndim == 2 else (val[0], err[0])
 
 
 # ------------------------------------------------- variance closed forms

@@ -1,6 +1,6 @@
 """Two-pass aggregation over a whole table, kept as a test oracle.
 
-This is the body `shadows.aggregate` had before the chunked Reducer: the
+This is how the package aggregated before the chunked Reducer: the
 whole (N, T) table in memory, one pass for the means and one for the
 spread.  The Reducer, fed the same shots in any chunking, must agree with
 it to rounding.
@@ -10,7 +10,7 @@ import numpy as np
 
 
 def two_pass_aggregate(values, mode: str = "mean", batches: int = None):
-    """(value, error) per column of an (N,) or (N, T) table, as aggregate defines them."""
+    """(value, error) per column of an (N,) or (N, T) table, as Reducer defines them."""
     x = np.asarray(values, dtype=np.complex128)
     if x.ndim not in (1, 2) or x.shape[0] == 0:
         raise ValueError(f"need per-shadow estimates (N,) or (N, T) with N >= 1, got shape {x.shape}")

@@ -1,25 +1,31 @@
-"""Compound-matrix route to the dense estimate matrices, kept as a test oracle.
+"""Dense routes to the whole (N, C(n,k), C(n,k)) estimate matrices, kept as test oracles.
 
-Each shadow's rotation is reordered so the readout modes come first
-(u_eff), and its estimate matrix is the transpose of B^H E B, with B the
-k-th compound of u_eff and E the diagonal estimation operator.  The
-shipped estimator (shadows.batch_estimate_matrices, projector form) must
-agree with it, and the compound also rotates states for the tests of
-linalg.givens_rotate and fock.
+Compound route: each shadow's rotation is reordered so the readout modes
+come first (u_eff), and its estimate matrix is the transpose of B^H E B,
+with B the k-th compound of u_eff and E the diagonal estimation operator.
+The compound also rotates states for the tests of linalg.givens_rotate and
+fock.
+
+Dense projector route (batch_estimate_matrices): every C(n,k) x C(n,k)
+minor of M(x) = I + (x - 1) Pi, for the whole matrix at once.  It is the
+route that shadows.fast_estimate_rdm's deduplicated k x k blocks replaced;
+the shipped kernel must agree with both routes.
 
 Contents
 --------
     minor_det                  : determinant of a row/column submatrix
+    minors_batch               : dets of many submatrices of a stack of matrices
     compound_batch             : k-th multiplicative compounds of a stack
     estimation_diagonal        : the estimation operator over all k-subsets
     compound_estimate_matrices : the dense estimates by the compound route
+    batch_estimate_matrices    : the dense estimates by the projector route
 """
 
 import numpy as np
 
 from fermishadow.channel import overlap_class_array
-from fermishadow.linalg import minors_batch, subset_index_array
-from fermishadow.shadows import estimation_matrix
+from fermishadow.linalg import _det_stack, subset_index_array
+from fermishadow.shadows import _CHUNK, _dft_points, check_shadows, estimation_matrix
 
 
 def minor_det(u: np.ndarray, rows, cols) -> complex:
@@ -34,6 +40,37 @@ def minor_det(u: np.ndarray, rows, cols) -> complex:
     if ridx.size == 0:
         return 1.0 + 0.0j
     return complex(np.linalg.det(u[np.ix_(ridx, cidx)]))
+
+
+def minors_batch(x: np.ndarray, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
+    """Minors of a stack of matrices.
+
+    Parameters
+    ----------
+    x       : (N, n, m) stack
+    row_idx : (R, k) 0-based row subsets
+    col_idx : (C, k) 0-based column subsets
+
+    Returns
+    -------
+    (N, R, C) array with entry [i, a, b] = det x[i][row_idx[a]][:, col_idx[b]].
+    """
+    x = np.asarray(x)
+    row_idx = np.asarray(row_idx, dtype=np.int64)
+    col_idx = np.asarray(col_idx, dtype=np.int64)
+    n_stack = x.shape[0]
+    nr, k = row_idx.shape
+    nc = col_idx.shape[0]
+    out = np.empty((n_stack, nr, nc), dtype=np.complex128)
+    if k == 0:
+        out[:] = 1.0
+        return out
+    for a in range(nr):
+        rows = x[:, row_idx[a], :]                      # (N, k, m)
+        sub = rows[:, :, col_idx]                       # (N, k, C, k)
+        sub = np.ascontiguousarray(sub.transpose(0, 2, 1, 3))
+        out[:, a, :] = _det_stack(sub)
+    return out
 
 
 def compound_batch(u: np.ndarray, k: int) -> np.ndarray:
@@ -68,3 +105,47 @@ def compound_estimate_matrices(us, zs, eta: int, k: int) -> np.ndarray:
     b = compound_batch(ueff, k)
     block = np.einsum("nrq,r,nrp->npq", b.conj(), e, b)
     return (block + block.conj().transpose(0, 2, 1)) * 0.5
+
+
+def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) -> np.ndarray:
+    """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
+
+    Entry [i, rank p, rank q] is shadow i's estimate for the transition
+    (p, q), and each slice is exactly hermitian.  Projector form: with
+    Pi = U_z^H U_z built from the readout rows of us[i] and
+    M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
+    and the coefficients come from a DFT over the k+1 roots of unity.  x = 1
+    gives the identity and M(conj x) = M(x)^H, so each remaining pair of
+    roots costs C(n,k)^2 k x k minors.  Raises ValueError for inputs
+    check_shadows rejects or for k outside 0..eta.
+    """
+    us, zs = check_shadows(us, zs, eta)
+    count, n = us.shape[0], us.shape[-1]
+    w0, points = _dft_points(n, eta, k)      # ValueError unless 0 <= k <= eta <= n
+    idx = subset_index_array(n, k)
+    cdim = idx.shape[0]
+    diag = np.arange(cdim)
+    eye = np.eye(n)
+    out = np.empty((count, cdim, cdim), dtype=np.complex128)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        block = np.zeros((hi - lo, cdim, cdim), dtype=np.complex128)
+        block[:, diag, diag] = w0
+        if points:
+            uz = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1]  # (m, eta, n)
+            proj = np.einsum("iza,izb->iab", uz.conj(), uz)
+        for x, w in points:
+            # a[i, p, q] = C_k(M)[q, p]
+            a = minors_batch((eye + (x - 1.0) * proj).transpose(0, 2, 1), idx, idx)
+            # w * a in place; a * w may round differently where numpy fuses multiply-adds
+            np.multiply(w, a, out=a)
+            block += a
+            if x != -1.0:
+                # the conjugate root: C_k(M^H)[q, p] = conj(C_k(M)[p, q])
+                block += np.conjugate(a, out=a).transpose(0, 2, 1)
+        # exact hermiticity, not just up to rounding of the summation order
+        half = out[lo:hi]
+        np.conjugate(block.transpose(0, 2, 1), out=half)
+        half += block
+        half *= 0.5
+    return out

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from algebra_oracle import channel_apply_int_batch, q_slater
+from dense_oracle import batch_estimate_matrices
 from fermishadow import identities
-from fermishadow.combinat import binom, subsets
+from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import random_state, rdm_matrix, slater_superposition
 from fermishadow.linalg import ginibre, unitary_from_ginibre
 from fermishadow.shadows import (
+    all_pairs,
     avg_shadow_norm_sq,
-    batch_estimate_matrices,
     collect_shadow_arrays,
     fast_estimate_rdm,
     variance_bound,
@@ -31,6 +32,12 @@ from pfaffian_oracle import assemble_a_matrix, pfaffian, pfaffian_derivatives
 def _verdict(num: int, name: str, passed: bool, detail: str):
     print(f"criterion {num:02d} {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"criterion {num:02d} {name}: {detail}"
+
+
+def _matrices(us, zs, eta, k):
+    """The kernel's all-pairs estimates as (N, C, C) matrices [shot, rank p, rank q]."""
+    c = binom(us.shape[-1], k)
+    return fast_estimate_rdm(us, zs, eta, k, *all_pairs(us.shape[-1], k)).reshape(len(us), c, c)
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -124,7 +131,7 @@ def test_criterion_05_unbiasedness(shadow_pool_4_2):
     worst = 0.0
     for k in (1, 2):
         truth = rdm_matrix(state, k)
-        ests = batch_estimate_matrices(us, zs, 2, k)
+        ests = _matrices(us, zs, 2, k)
         mean = ests.mean(axis=0)
         err_re = np.maximum(ests.real.std(axis=0, ddof=1) / np.sqrt(nsamp), 1e-12)
         err_im = np.maximum(ests.imag.std(axis=0, ddof=1) / np.sqrt(nsamp), 1e-12)
@@ -140,7 +147,7 @@ def test_criterion_05_unbiasedness(shadow_pool_4_2):
 def test_criterion_06_variance_formula(shadow_pool_4_2):
     state, us, zs = shadow_pool_4_2
     n, eta, k = 4, 2, 1
-    ests = batch_estimate_matrices(us[:100_000], zs[:100_000], eta, k)
+    ests = _matrices(us[:100_000], zs[:100_000], eta, k)
     empirical = float((np.abs(ests - ests.mean(axis=0)) ** 2).mean())
     truth = rdm_matrix(state, k)
     c = binom(n, k)
@@ -168,9 +175,12 @@ def test_criterion_07_fast_path_equivalence():
             for k in range(1, eta + 1):
                 ss = list(subsets(n, k))
                 for i in range(4):
-                    pairs = [ss[rng.integers(len(ss))] for _ in range(100)]   # p, q, p, q, ...
+                    pairs = np.array([ss[rng.integers(len(ss))] for _ in range(100)])  # p, q, ...
+                    ps, qs = pairs[0::2], pairs[1::2]
                     ok, gap = identities.check_fast_vs_dense(
-                        us[i : i + 1], zs[i : i + 1], eta, k, pairs[0::2], pairs[1::2])
+                        fast_estimate_rdm(us[i : i + 1], zs[i : i + 1], eta, k, ps, qs),
+                        batch_estimate_matrices(us[i : i + 1], zs[i : i + 1], eta, k)[
+                            :, rank_rows(ps, n), rank_rows(qs, n)])
                     passed, worst = passed and ok, max(worst, gap)
                     triples += 50
     fd_worst = 0.0
@@ -237,7 +247,7 @@ def test_criterion_09_slater_overlaps(tmp_path):
     # single-shot variance of the raw transition estimates on the doubled register
     big = slater_superposition(state)
     us, zs = collect_shadow_arrays(big, nsamp, seed)
-    ests = batch_estimate_matrices(us, zs, eta, eta)
+    ests = _matrices(us, zs, eta, eta)
     raw_var = float((np.abs(ests - ests.mean(axis=0)) ** 2).mean())
     q_ok = all(q_slater(2 * m, m) <= Fraction(4, 3) for m in range(1, 21))
     ok = worst < 5.0 and raw_var <= 4 / 3 and q_ok

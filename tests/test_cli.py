@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import target_oracle
+from dense_oracle import batch_estimate_matrices
 from fermishadow import channel, cli, shadows
 from fermishadow.cli import (
     ConfigError,
@@ -43,8 +44,6 @@ def test_config_validation_messages():
         (dict(good, seed=-1), "seed"),
         (dict(good, state_source="mystery"), "state_source"),
         (dict(good, estimator="oracle"), "estimator"),
-        (dict(good, k=0, estimator="fast"), "k >= 1"),
-        (dict(good, k=0, estimator="both"), "k >= 1"),
         (dict(good, aggregation="median_of_means:3"), "divide"),
         (dict(good, aggregation="median_of_means:x"), "batch"),
         (dict(good, targets=17), "targets"),
@@ -143,11 +142,13 @@ def test_non_integer_target_modes_are_config_errors(command, targets, tmp_path, 
 
 
 def test_estimate_k0_prints_the_identity(capsys):
-    # the one k = 0 target (empty, empty) has the estimate 1 in every shot
-    assert main(["estimate", "--n", "5", "--eta", "3", "--k", "0", "--samples", "30",
-                 "--seed", "2"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "p,q,estimate_re,estimate_im,stderr_re,stderr_im", ",,1,0,0,0"]
+    # the one k = 0 target (empty, empty) has the estimate 1 in every shot,
+    # under every estimator
+    for estimator in ("dense", "fast", "both"):
+        assert cli.cmd_estimate(ExperimentConfig(5, 3, 0, 30, 2, estimator=estimator)) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.startswith("p,q,estimate_re,estimate_im,stderr_re,stderr_im")
+        assert row == (",,1,0,0,0,1,0" if estimator == "both" else ",,1,0,0,0")
 
 
 def test_manifest_is_built_only_when_written(tmp_path, capsys, monkeypatch):
@@ -233,6 +234,18 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
                "--samples", "24", "--seed", "3", "--config", "/dev/null"])
     assert rc == 2
     capsys.readouterr()
+    # --out into a missing directory is refused before any shot is drawn
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (["estimate", "--n", "3", "--eta", "1", "--k", "1"],
+                 ["slater-overlap", "--n", "3", "--eta", "1"],
+                 ["variance-sweep", "--n", "3", "--eta", "1", "--k", "1"],
+                 ["validate"]):
+        if argv[0] != "validate":
+            argv = argv + ["--samples", "5", "--seed", "1"]
+        assert main(argv + ["--out", missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and missing in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_variance_sweep_config_errors(capsys):
@@ -298,12 +311,13 @@ from fermishadow.channel import (ChannelSpec, DiagonalOperator, a_coeff, apply_c
                                  nd_class_values, structure_factor)
 from fermishadow.combinat import falling, unrank_subset
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
-from fermishadow.shadows import (batch_estimate_matrices, collect_shadow_arrays,
-                                 estimation_entry, fast_estimate_rdm, shadow_rng)
+from fermishadow.shadows import (all_pairs, collect_shadow_arrays, estimation_entry,
+                                 fast_estimate_rdm, shadow_rng)
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
 if __debug__:
     raise SystemExit("asserts are on")
 u = np.eye(4, dtype=complex)[None]
+pairs = all_pairs(4, 1)     # the whole 1-body table, as the dense route read it
 calls = {
     "fast k != |p|": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (1,), (2,)),
     "fast repeated readout": lambda: fast_estimate_rdm(u, [(1, 1)], 2, 1, (1,), (2,)),
@@ -326,10 +340,10 @@ calls = {
         FermionState(4, 1, np.ones(4) / 2), 5, 0, start_index=2**64 - 2),
     "rdm_matrix k > eta": lambda: rdm_matrix(FermionState(4, 1, np.ones(4) / 2), 2),
     "apply_rotation shape": lambda: apply_rotation(FermionState(4, 1, np.ones(4) / 2), np.eye(3)),
-    "dense readout mode 0": lambda: batch_estimate_matrices(u, np.array([(0, 2)]), 2, 1),
-    "dense repeated readout": lambda: batch_estimate_matrices(u, np.array([(1, 1)]), 2, 1),
-    "dense wrong eta": lambda: batch_estimate_matrices(u, np.array([(1, 2, 3)]), 2, 1),
-    "dense readout mode > n": lambda: batch_estimate_matrices(u, np.array([(1, 5)]), 2, 1),
+    "dense readout mode 0": lambda: fast_estimate_rdm(u, np.array([(0, 2)]), 2, 1, *pairs),
+    "dense repeated readout": lambda: fast_estimate_rdm(u, np.array([(1, 1)]), 2, 1, *pairs),
+    "dense wrong eta": lambda: fast_estimate_rdm(u, np.array([(1, 2, 3)]), 2, 1, *pairs),
+    "dense readout mode > n": lambda: fast_estimate_rdm(u, np.array([(1, 5)]), 2, 1, *pairs),
     "ChannelSpec eta > n": lambda: ChannelSpec(2, 5),
     "DiagonalOperator length": lambda: DiagonalOperator(3, 1, [1]),
     "apply_channel_diagonal sizes": lambda: apply_channel_diagonal(
@@ -437,10 +451,11 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     for row in rows:
         assert abs(float(row[2]) - float(row[6])) < 1e-6
         assert abs(float(row[3]) - float(row[7])) < 1e-6
-    # a fast route off by 1e-6 on one pair fails the run, rows still printed
-    fast = cli.fast_estimate_rdm
-    monkeypatch.setattr(cli, "fast_estimate_rdm", lambda us, zs, eta, k, p, q: (
-        fast(us, zs, eta, k, p, q) + 1e-6 * ((p == [1]) & (q == [3])).all(axis=-1)))
+    # one block source off by 1e-6 on one pair fails the run, rows still printed
+    estimates = shadows._block_estimates
+    monkeypatch.setattr(shadows, "_block_estimates", lambda us, zs, eta, k, p, q, gather: (
+        estimates(us, zs, eta, k, p, q, gather)
+        + 1e-6 * (not gather) * ((p == [1]) & (q == [3])).all(axis=-1)))
     assert main(["estimate", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert len(_read_csv(out)[1]) == 9
@@ -692,7 +707,7 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
         qs = list(subsets(n, eta))
         assert got.shape == (40, len(qs))
         ref = tuple(range(n + 1, n + eta + 1))
-        ref_row = shadows.batch_estimate_matrices(us, zs, eta, eta)[:, rank_subset(ref)]
+        ref_row = batch_estimate_matrices(us, zs, eta, eta)[:, rank_subset(ref)]
         want = 2.0 * ref_row[:, [rank_subset(q) for q in qs]]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -760,6 +775,22 @@ def test_estimate_peak_memory_flat_in_samples(monkeypatch, capsys):
     peak(256)       # fill the caches first
     two, twenty = peak(2 * 256), peak(20 * 256)
     assert twenty <= 1.1 * two, (two, twenty)
+
+
+def test_estimate_memory_with_few_targets(capsys):
+    # two listed targets on a 16-mode register read two k x k blocks each,
+    # not a (N, C(16,2), C(16,2)) stack; under 4 MiB traced for every estimator
+    targets = [[[1, 2], [3, 16]], [[5, 11], [5, 11]]]
+    for estimator in ("dense", "fast", "both"):
+        config = ExperimentConfig(16, 2, 2, 64, 5, estimator=estimator, targets=targets)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_estimate(config) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+        assert peak <= 4 * 2**20, (estimator, peak)
 
 
 def test_git_describe_names_the_package_checkout(tmp_path):

@@ -5,21 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import estimation_diagonal
+from dense_oracle import batch_estimate_matrices, estimation_diagonal, minors_batch
 from fermishadow import channel, shadows
 from fermishadow.combinat import binom, falling, rank_subset, subsets, validate_subset
 from fermishadow.fock import random_state
-from fermishadow.linalg import (
-    ginibre,
-    minors_batch,
-    subset_index_array,
-    unitary_from_ginibre,
-)
-from fermishadow.shadows import (
-    batch_estimate_matrices,
-    collect_shadow_arrays,
-    fast_estimate_rdm,
-)
+from fermishadow.linalg import ginibre, subset_index_array, unitary_from_ginibre
+from fermishadow.shadows import collect_shadow_arrays, fast_estimate_rdm
 from pfaffian_oracle import (
     YHAT,
     _loop_estimate,

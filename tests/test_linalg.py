@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_oracle import compound_batch, minor_det
+from dense_oracle import compound_batch, minor_det, minors_batch
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
     _GS_MAX_N,
     _gram_schmidt,
     ginibre,
     givens_rotate,
-    minors_batch,
     subset_index_array,
     unitary_from_ginibre,
 )

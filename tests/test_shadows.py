@@ -19,18 +19,24 @@ from fermishadow.linalg import (
 )
 from fermishadow.shadows import (
     Reducer,
-    aggregate,
+    all_pairs,
     avg_shadow_norm_sq,
-    batch_estimate_matrices,
     collect_shadow_arrays,
     estimation_entry,
     estimation_matrix,
+    fast_estimate_rdm,
     q_value,
     shadows_from_jsonl,
     shadows_to_jsonl,
     trace_e_squared,
     variance_bound,
 )
+
+
+def _matrices(us, zs, eta, k):
+    """The kernel's all-pairs estimates as (N, C, C) matrices [shot, rank p, rank q]."""
+    c = binom(us.shape[-1], k)
+    return fast_estimate_rdm(us, zs, eta, k, *all_pairs(us.shape[-1], k)).reshape(len(us), c, c)
 
 
 def test_estimation_entry_frozen():
@@ -67,7 +73,7 @@ def test_per_shadow_norm_identity():
     for n, eta, k in [(2, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 2)]:
         state = random_state(n, eta, rng)
         us, zs = collect_shadow_arrays(state, 1, seed=7, start_index=3)
-        est = batch_estimate_matrices(us, zs, eta, k)[0]
+        est = _matrices(us, zs, eta, k)[0]
         want = float(trace_e_squared(n, eta, k))
         assert abs(np.sum(np.abs(est) ** 2) - want) < 1e-8 * want
 
@@ -76,17 +82,33 @@ def test_per_shadow_hermiticity():
     state = random_state(5, 2, np.random.default_rng(3))
     us, zs = collect_shadow_arrays(state, 1, seed=1, start_index=0)
     for k in (1, 2):
-        est = batch_estimate_matrices(us, zs, 2, k)[0]
+        est = _matrices(us, zs, 2, k)[0]
         assert np.array_equal(est.conj().T, est)
+
+
+def test_pair_and_its_reverse_are_exact_conjugates():
+    # a table that is not all pairs but holds (p, q) and (q, p) comes out
+    # exactly hermitian from either block source
+    rng = np.random.default_rng(12)
+    for n, eta, k in [(5, 2, 1), (6, 3, 2), (7, 4, 3), (8, 4, 4), (9, 5, 5)]:
+        state = random_state(n, eta, rng)
+        us, zs = collect_shadow_arrays(state, 5, seed=n)
+        ss = subset_index_array(n, k) + 1
+        ps, qs = ss[rng.integers(len(ss), size=6)], ss[rng.integers(len(ss), size=6)]
+        ps, qs = np.concatenate([ps, qs, ps[:1]]), np.concatenate([qs, ps, ps[:1]])
+        for gather in (True, False):
+            got = shadows._block_estimates(us, zs, eta, k, ps, qs, gather)
+            assert np.array_equal(got[:, 6:12], got[:, :6].conj())
+            assert np.all(got[:, 12].imag == 0)
 
 
 def test_batch_matches_single():
     n, eta, k = 4, 2, 2
     state = random_state(n, eta, np.random.default_rng(5))
     us, zs = collect_shadow_arrays(state, 6, seed=13)
-    batch = batch_estimate_matrices(us, zs, eta, k)
+    batch = _matrices(us, zs, eta, k)
     for i in range(6):
-        assert np.allclose(batch[i], batch_estimate_matrices(us[i:i + 1], zs[i:i + 1], eta, k)[0])
+        assert np.allclose(batch[i], _matrices(us[i:i + 1], zs[i:i + 1], eta, k)[0])
 
 
 @settings(max_examples=120, deadline=None)
@@ -100,7 +122,7 @@ def test_projector_form_matches_compound_oracle(data):
     us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
     zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
     want = compound_estimate_matrices(us, zs, eta, k)
-    got = batch_estimate_matrices(us, zs, eta, k)
+    got = _matrices(us, zs, eta, k)
     assert np.array_equal(got, got.conj().transpose(0, 2, 1))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -121,9 +143,9 @@ def test_dense_estimate_rejects_bad_input():
     ]
     for (us, zs), match in cases:
         with pytest.raises(ValueError, match=match):
-            batch_estimate_matrices(us, zs, 2, 1)
+            fast_estimate_rdm(us, zs, 2, 1, *all_pairs(4, 1))
     with pytest.raises(ValueError, match="k <= eta"):
-        batch_estimate_matrices(u, [(1, 2)], 2, 3)
+        fast_estimate_rdm(u, [(1, 2)], 2, 3, *all_pairs(4, 3))
 
 
 def test_collection_is_index_deterministic():
@@ -139,13 +161,19 @@ def test_collection_is_index_deterministic():
 def test_chunking_is_bit_identical(monkeypatch):
     state = random_state(5, 3, np.random.default_rng(2))
     us, zs = collect_shadow_arrays(state, 7, seed=40)
-    ests = [batch_estimate_matrices(us, zs, 3, k) for k in (1, 2, 3)]
     for chunk in (2, 3):
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
         cus, czs = collect_shadow_arrays(state, 7, seed=40)
         assert cus.tobytes() == us.tobytes() and np.array_equal(czs, zs)
-        for k, want in zip((1, 2, 3), ests):
-            assert batch_estimate_matrices(us, zs, 3, k).tobytes() == want.tobytes()
+        # the kernel on slices of chunk shots, from either block source
+        for k in (1, 2, 3):
+            ps, qs = all_pairs(5, k)
+            for gather in (True, False):
+                want = shadows._block_estimates(us, zs, 3, k, ps, qs, gather)
+                got = np.concatenate([
+                    shadows._block_estimates(us[lo:lo + chunk], zs[lo:lo + chunk], 3, k, ps, qs,
+                                             gather) for lo in range(0, 7, chunk)])
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (7, 3), (8, 4)])
@@ -280,12 +308,12 @@ def test_effective_frame_invariance():
     us, zs = collect_shadow_arrays(state, 1, seed=3, start_index=1)
     v = canonical_permutation(tuple(zs[0]), n)
     w = us[0][v - 1]
-    ref = batch_estimate_matrices(us, zs, eta, k)[0]
+    ref = _matrices(us, zs, eta, k)[0]
     for _ in range(3):
         perm = np.concatenate([rng.permutation(eta), eta + rng.permutation(n - eta)])
         u_alt = np.empty_like(us[0])
         u_alt[v - 1] = w[perm]
-        alt = batch_estimate_matrices(u_alt[None], zs, eta, k)[0]
+        alt = _matrices(u_alt[None], zs, eta, k)[0]
         assert np.max(np.abs(alt - ref)) < 1e-10
 
 
@@ -294,7 +322,7 @@ def test_particle_number_estimate_is_exact():
     n, eta = 5, 3
     state = random_state(n, eta, np.random.default_rng(17))
     us, zs = collect_shadow_arrays(state, 4, seed=9)
-    got = np.trace(batch_estimate_matrices(us, zs, eta, 1), axis1=1, axis2=2)
+    got = np.trace(_matrices(us, zs, eta, 1), axis1=1, axis2=2)
     assert got.shape == (4,)
     assert np.all(np.abs(got - eta) < 1e-9)
 
@@ -304,65 +332,73 @@ def test_unbiased_against_dense_oracle():
     state = random_state(n, eta, np.random.default_rng(23))
     truth = rdm_matrix(state, k)
     us, zs = collect_shadow_arrays(state, 6000, seed=77)
-    ests = batch_estimate_matrices(us, zs, eta, k)
+    reducer = Reducer(len(us), binom(n, k) ** 2)
+    reducer.add(fast_estimate_rdm(us, zs, eta, k, *all_pairs(n, k)))
+    vals, errs = (a.reshape(binom(n, k), -1) for a in reducer.result())
     for r in range(binom(n, k)):
         for c in range(binom(n, k)):
-            val, err = aggregate(ests[:, r, c])
+            val, err = vals[r, c], errs[r, c]
             sig = max(abs(err.real), abs(err.imag), 1e-12)
             assert abs(val - truth[r, c]) < 5 * np.sqrt(2) * sig
 
 
+def _reduce(table, mode="mean", batches=None):
+    """(value, error) of one Reducer pass over a whole (N, T) table."""
+    reducer = Reducer(len(table), np.shape(table)[1], mode, batches)
+    reducer.add(table)
+    return reducer.result()
+
+
 def test_aggregate_mean():
-    val, err = aggregate([1.0, 2.0, 3.0, 4.0])
-    assert val == 2.5
-    assert abs(err.real - np.std([1, 2, 3, 4], ddof=1) / 2) < 1e-15
-    assert err.imag == 0
-    val, err = aggregate([2.0 + 2.0j])
-    assert val == 2.0 + 2.0j and err == 0
+    val, err = _reduce(np.array([[1.0], [2.0], [3.0], [4.0]]))
+    assert val[0] == 2.5
+    assert abs(err[0].real - np.std([1, 2, 3, 4], ddof=1) / 2) < 1e-15
+    assert err[0].imag == 0
+    val, err = _reduce(np.array([[2.0 + 2.0j]]))
+    assert val[0] == 2.0 + 2.0j and err[0] == 0
 
 
 def test_aggregate_median_of_means():
-    data = [1.0, 2.0, 30.0, 4.0, 5.0, 6.0]
-    val, _ = aggregate(data, mode="median_of_means", batches=3)
-    assert val == np.median([1.5, 17.0, 5.5])
+    data = np.array([[1.0], [2.0], [30.0], [4.0], [5.0], [6.0]])
+    val, _ = _reduce(data, mode="median_of_means", batches=3)
+    assert val[0] == np.median([1.5, 17.0, 5.5])
     with pytest.raises(ValueError):
-        aggregate(data, mode="median_of_means", batches=4)
+        _reduce(data, mode="median_of_means", batches=4)
     with pytest.raises(ValueError):
-        aggregate(data, mode="median_of_means")
+        _reduce(data, mode="median_of_means")
     with pytest.raises(ValueError):
-        aggregate(data, mode="trimmed")
-    # a 2-D call checks the batches against N, not against the element count
+        _reduce(data, mode="trimmed")
+    # the batches are checked against N, not against the element count
     with pytest.raises(ValueError, match="divide"):
-        aggregate(np.ones((6, 2)), mode="median_of_means", batches=4)
+        _reduce(np.ones((6, 2)), mode="median_of_means", batches=4)
     with pytest.raises(ValueError):
-        aggregate(np.ones((0, 3)))
+        _reduce(np.ones((0, 3)))
     with pytest.raises(ValueError):
-        aggregate(np.ones((2, 2, 2)))
+        _reduce(np.ones((2, 2, 2)))
 
 
 @pytest.mark.parametrize("nsamp,width", [(1, 1), (1, 5), (12, 1), (12, 7), (600, 36)])
 def test_aggregate_columns_match_lone_columns(nsamp, width):
-    # an (N, T) call must give each column the bits of its own (N,) call,
-    # whatever the memory layout of the table
+    # a Reducer over an (N, T) table must give each column the bits of a
+    # Reducer over that column alone, whatever the memory layout of the table
     rng = np.random.default_rng(nsamp * width)
     table = 10.0 ** rng.uniform(-3, 3, width) * (
         rng.standard_normal((nsamp, width)) + 1j * rng.standard_normal((nsamp, width)))
     modes = [("mean", None)] + [("median_of_means", b) for b in (1, 3, 4) if nsamp % b == 0]
     for mode, batches in modes:
         for layout in (table, np.asfortranarray(table), table[:, ::-1][:, ::-1]):
-            val, err = aggregate(layout, mode, batches)
+            val, err = _reduce(layout, mode, batches)
             assert val.shape == err.shape == (width,)
             for t in range(width):
-                v, e = aggregate(table[:, t].copy(), mode, batches)
-                assert isinstance(v, complex) and isinstance(e, complex)
-                assert val[t].tobytes() == np.complex128(v).tobytes()
-                assert err[t].tobytes() == np.complex128(e).tobytes()
+                v, e = _reduce(table[:, t:t + 1].copy(), mode, batches)
+                assert val[t].tobytes() == v.tobytes()
+                assert err[t].tobytes() == e.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_reducer_chunks_match_two_pass_oracle(chunk):
     # shots fed chunk by chunk must agree with the whole-table two-pass
-    # aggregate, also where a median-of-means batch straddles chunks
+    # oracle, also where a median-of-means batch straddles chunks
     for nsamp, batch_counts in [(1, [1]), (12, [1, 3, 4, 12]), (21, [3, 7]), (60, [4, 6, 60])]:
         rng = np.random.default_rng(nsamp + chunk)
         width = 5
@@ -437,8 +473,8 @@ def test_jsonl_roundtrip():
     assert [(b["seed"], b["index"]) for b in lines] == [(55, 0), (55, 1), (55, 2)]
     back_us, back_zs = shadows_from_jsonl(text)
     assert np.array_equal(us, back_us) and np.array_equal(zs, back_zs)
-    est_a = batch_estimate_matrices(us, zs, 2, 1)
-    est_b = batch_estimate_matrices(back_us, back_zs, 2, 1)
+    est_a = _matrices(us, zs, 2, 1)
+    est_b = _matrices(back_us, back_zs, 2, 1)
     assert np.array_equal(est_a, est_b)
     tail = json.loads(shadows_to_jsonl(us[1:], zs[1:], 55, start_index=1).splitlines()[0])
     assert tail == lines[1]
