@@ -3,9 +3,11 @@
 Sample occupation readouts after Haar mode rotations, invert the
 measurement channel in closed form, and estimate any k-body transition
 amplitudes of an eta-particle state, each from the k x k blocks of the
-readout projector that it names: one kernel, fast_estimate_rdm, evaluates
-every distinct block of a target table once, from one O(k^2 eta + k^4)
-per-shot block for a single entry up to all C(n,k)^2 entries at once.
+readout projector that it names.  A snapshot is the eta x n matrix of the
+readout rows of its rotation, and one kernel, fast_estimate_rdm, reads
+only those: it evaluates every distinct block of a target table once, from
+one O(k^2 eta + k^4) per-shot block for a single entry up to all C(n,k)^2
+entries at once.
 
 Modules
 -------
@@ -13,8 +15,8 @@ Modules
     linalg     : Haar sampling, stacked determinants, Givens rotation
     fock       : dense eta-particle states, rotations, transitions, JSON form
     channel    : exact algebra of the measurement channel
-    shadows    : the protocol on stacked (us, zs) arrays, the block estimator,
-                 variance bookkeeping
+    shadows    : the protocol on stacked (ws, zs) arrays, ws the readout rows
+                 that are a snapshot, the block estimator, variance bookkeeping
     identities : brute-vs-closed sums and the checks validate shares with the tests
     cli        : command-line entry points
 """
@@ -29,7 +31,6 @@ from .fock import (
     slater_superposition,
 )
 from .channel import (
-    ChannelSpec,
     DiagonalOperator,
     apply_channel_diagonal,
     inverse_channel_on_projector,
@@ -57,7 +58,6 @@ __all__ = [
     "random_state",
     "rdm_matrix",
     "slater_superposition",
-    "ChannelSpec",
     "DiagonalOperator",
     "apply_channel_diagonal",
     "inverse_channel_on_projector",

@@ -8,7 +8,6 @@ and Fractions); floating point never enters.
 
 Contents
 --------
-    ChannelSpec                 : (n, eta) pair the channel acts on
     DiagonalOperator            : exact diagonal operator on one sector
     overlap_class_array         : t_r = |r cap [eta]| for every subset r
     structure_factor            : Haar average <z| U rho U^dag |z> class value
@@ -31,18 +30,6 @@ from .combinat import binom, falling, subset_masks
 from .linalg import subset_index_array
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Mode count and particle number the measurement channel acts on."""
-
-    n: int
-    eta: int
-
-    def __post_init__(self):
-        if not 0 <= self.eta <= self.n:
-            raise ValueError(f"need 0 <= eta <= n, got n={self.n} eta={self.eta}")
-
-
 @dataclass
 class DiagonalOperator:
     """Diagonal operator on the eta-particle sector, exact values per colex rank."""
@@ -55,16 +42,6 @@ class DiagonalOperator:
         if not (0 <= self.eta <= self.n and len(self.values) == binom(self.n, self.eta)):
             raise ValueError(f"need 0 <= eta <= n and C(n, eta) values, got n={self.n} "
                              f"eta={self.eta} and {len(self.values)} values")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiagonalOperator)
-            and (self.n, self.eta) == (other.n, other.eta)
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
 
 
 def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:
@@ -152,18 +129,15 @@ def _intersection_table(n: int, eta: int) -> np.ndarray:
     return occ @ occ.T
 
 
-def apply_channel_diagonal(spec: ChannelSpec, op: DiagonalOperator) -> DiagonalOperator:
-    """Exact channel image of a diagonal operator on the eta sector.
+def apply_channel_diagonal(op: DiagonalOperator) -> DiagonalOperator:
+    """Exact channel image of a diagonal operator on its (n, eta) sector.
 
     Values and kernel are brought over their common denominators to
     integers, and one product over the |r cap r'| table sums them exactly,
     with no Fraction operation per pair of subsets: in int64 where no sum
     can overflow, in Python integers otherwise.
     """
-    eta = spec.eta
-    if (op.n, op.eta) != (spec.n, eta):
-        raise ValueError(f"operator on (n, eta) = ({op.n}, {op.eta}), "
-                         f"channel on ({spec.n}, {eta})")
+    eta = op.eta
     kappa = channel_kernel(op.n, eta)
     vals = [Fraction(v) for v in op.values]
     ell = lcm(*(x.denominator for x in kappa))

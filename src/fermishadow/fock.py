@@ -59,9 +59,6 @@ class FermionState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "FermionState":
-        return FermionState(self.n, self.eta, self.amps / self.norm())
-
     def amplitude(self, z) -> complex:
         return complex(self.amps[rank_subset(z, self.n)])
 

@@ -1,15 +1,19 @@
 """Exact identities behind the estimator, and the checks validate shares.
 
-Every closed form used by the estimation and variance code is re-derived
-here as an explicit finite sum over integers and Fractions, so the tests
-can compare the two routes at zero tolerance.
+Each closed form used by the estimation and variance code is compared here
+with an explicit finite sum over integers and Fractions, at zero tolerance.
+The sums read the formulas that channel ships (nd_class_values, a_coeff),
+so the check covers the code that runs, not a second copy of it.
 
 The check_* functions hold one invariant each, with its comparison and its
 bound.  `fermishadow validate` and the acceptance criteria both call them;
 each caller draws its own states, seeds, pairs and unitaries.
 check_fast_vs_dense compares two tables that its caller computed: validate
-passes the two block sources of shadows.fast_estimate_rdm, and criterion 07
-the kernel and the dense oracle in tests/.  Each check returns its verdict:
+and `estimate --estimator both` pass the two block sources of
+shadows.fast_estimate_rdm, and criterion 07 the kernel and the dense oracle
+in tests/.  It is defined in shadows, next to those sources, so that the
+CLI's gate runs it without importing this module; this one is the same
+function.  Each check returns its verdict:
 alone for the exact expansion, otherwise first in a tuple with what it
 measured.
 
@@ -23,7 +27,7 @@ Contents
                            the channel eigenrelation, exact
     check_closed_forms   : every trace_nd_squared and t_sum point, exact
     check_shadow_norms   : per-shadow squared norm = Tr E^2, 1e-8 relative
-    check_fast_vs_dense  : two routes' estimate tables agree, 1e-8 relative
+    check_fast_vs_dense  : two routes' estimate tables agree, 1e-8 relative (from shadows)
     check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
 
@@ -34,9 +38,10 @@ from math import factorial
 import numpy as np
 
 from . import channel
-from .combinat import binom, falling, subset_masks
+from .combinat import binom, subset_masks
 from .linalg import _det_stack, subset_index_array
-from .shadows import all_pairs, estimation_entry, fast_estimate_rdm, trace_e_squared
+from .shadows import (all_pairs, check_fast_vs_dense, estimation_entry, fast_estimate_rdm,
+                      trace_e_squared)
 
 
 @dataclass
@@ -63,24 +68,12 @@ class SumReport:
 def trace_nd_squared(n: int, eta: int, d: int) -> SumReport:
     """Tr of the squared degree-d eigenoperator on the eta sector.
 
-    Brute route: class values squared times class multiplicities.  Closed
-    route: a single product of factorials.  d = 0 gives C(n, eta).  Raises
-    ValueError unless 0 <= d <= min(eta, n - eta).
+    Brute route: channel.nd_class_values squared times class multiplicities.
+    Closed route: a single product of factorials.  d = 0 gives C(n, eta).
+    Raises ValueError unless 0 <= d <= min(eta, n - eta).
     """
-    if not 0 <= d <= min(eta, n - eta):
-        raise ValueError(f"need 0 <= d <= min(eta, n - eta), got n={n} eta={eta} d={d}")
-    brute = Fraction(0)
-    for t in range(eta + 1):
-        g = 0
-        for j in range(d + 1):
-            g += (
-                (-1) ** j
-                * falling(eta - d + j, j)
-                * falling(n - eta - j, d - j)
-                * binom(t, d - j)
-                * binom(eta - t, j)
-            )
-        brute += binom(eta, t) * binom(n - eta, eta - t) * Fraction(g) ** 2
+    brute = sum(binom(eta, t) * binom(n - eta, eta - t) * Fraction(g) ** 2
+                for t, g in enumerate(channel.nd_class_values(n, eta, d)))
     closed = Fraction(
         factorial(eta) * factorial(n - d + 1) * factorial(n - eta),
         factorial(d)
@@ -94,22 +87,19 @@ def trace_nd_squared(n: int, eta: int, d: int) -> SumReport:
 def t_sum(n: int, eta: int, k: int, s: int) -> SumReport:
     """The quadruple sum that collapses to one estimation-operator entry.
 
-    Sums the projector expansion weights against the overlap statistics of
-    a k-subset with s modes outside the readout; the closed form is the
-    estimation entry at overlap k - s.  Defined on the realizable classes
-    s <= min(k, n - eta); beyond them the literal summand leaves the
-    integer domain while the closed form merely continues it.  Raises
-    ValueError unless 0 <= s <= k <= eta <= n and s <= n - eta.
+    Sums the projector expansion weights channel.a_coeff against the
+    overlap statistics of a k-subset with s modes outside the readout; the
+    closed form is the estimation entry at overlap k - s.  Defined on the
+    realizable classes s <= min(k, n - eta); beyond them the literal summand
+    leaves the integer domain while the closed form merely continues it.
+    Raises ValueError unless 0 <= s <= k <= eta <= n and s <= n - eta.
     """
     if not (0 <= s <= k <= eta <= n and s <= n - eta):
         raise ValueError(f"need 0 <= s <= min(k, n - eta) and k <= eta <= n, "
                          f"got n={n} eta={eta} k={k} s={s}")
     brute = Fraction(0)
     for d in range(min(eta, n - eta) + 1):
-        a_d = Fraction(
-            (n - 2 * d + 1) * factorial(n - d - eta) * factorial(eta - d),
-            factorial(n - d + 1),
-        )
+        a_d = channel.a_coeff(n, eta, d)
         for dp in range(d + 1):
             base = (
                 a_d
@@ -168,7 +158,6 @@ def chu_vandermonde_checks(limit: int = 15) -> bool:
 def check_projector_expansion(n: int, eta: int) -> bool:
     """sum_d a_d N_d is the projector onto the reference ket [eta], and the
     channel maps each N_d to channel.eigenvalue(n, d) N_d; both exact."""
-    spec = channel.ChannelSpec(n, eta)
     acc = [Fraction(0)] * binom(n, eta)
     ok = True
     for d in range(min(eta, n - eta) + 1):
@@ -176,7 +165,7 @@ def check_projector_expansion(n: int, eta: int) -> bool:
         w = channel.a_coeff(n, eta, d)
         acc = [a + w * v for a, v in zip(acc, nd.values)]
         lam = channel.eigenvalue(n, d)
-        ok = ok and channel.apply_channel_diagonal(spec, nd).values == [lam * v for v in nd.values]
+        ok = ok and channel.apply_channel_diagonal(nd).values == [lam * v for v in nd.values]
     return ok and acc == [1] + [0] * (len(acc) - 1)
 
 
@@ -188,30 +177,19 @@ def check_closed_forms(n: int, eta: int) -> tuple:
     return all(r.agree for r in reports), len(reports)
 
 
-def check_shadow_norms(us, zs, eta: int, k: int) -> tuple:
+def check_shadow_norms(ws, k: int) -> tuple:
     """(passed, worst relative gap, (N,) squared norms) of a batch of shadows.
 
-    Each shadow's estimates of all C(n,k)^2 transitions (all_pairs) have
-    squared norm Tr E^2 = trace_e_squared(n, eta, k), whatever the state;
-    passed means every shadow is within 1e-8 relative (a NaN fails).
+    Each shadow's estimates of all C(n,k)^2 transitions (all_pairs) from its
+    readout rows ws[i] (eta, n) have squared norm
+    Tr E^2 = trace_e_squared(n, eta, k), whatever the state; passed means
+    every shadow is within 1e-8 relative (a NaN fails).
     """
-    n = np.shape(us)[-1]
-    norms = (np.abs(fast_estimate_rdm(us, zs, eta, k, *all_pairs(n, k))) ** 2).sum(axis=1)
+    eta, n = np.shape(ws)[1:]
+    norms = (np.abs(fast_estimate_rdm(ws, k, *all_pairs(n, k))) ** 2).sum(axis=1)
     want = float(trace_e_squared(n, eta, k))
     gap = float(np.max(np.abs(norms - want))) / want
     return gap < 1e-8, gap, norms
-
-
-def check_fast_vs_dense(fast, dense) -> tuple:
-    """(passed, worst gap) of two estimate tables of one shape, e.g. (N, T).
-
-    The tables hold the same transitions of the same shadows from two
-    routes; each entry is compared by |dense - fast| / max(1, |dense|), and
-    passed means the worst gap is below 1e-8 (a NaN fails).
-    """
-    fast, dense = np.asarray(fast), np.asarray(dense)
-    gap = float(np.max(np.abs(dense - fast) / np.maximum(1.0, np.abs(dense))))
-    return gap < 1e-8, gap
 
 
 def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:

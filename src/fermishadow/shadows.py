@@ -14,12 +14,13 @@ one estimator, and evaluates each distinct block of its target table once
 per root, gathered from the whole Pi for large tables and formed from the
 readout rows at O(k^2 eta + k^4) per shot for small ones.
 
-A batch of shadows is the stacked pair us (N, n, n), zs (N, eta): shadow
-i is the rotation us[i] and the 1-based sorted readout zs[i].  Randomness is
-counter-based: shadow i of a run seeded with s uses the Philox stream keyed
-by (s, i), so any chunking or start index gives bit-identical rotations, and
-readouts that differ only where a uniform lies within rounding of a
-cumulative Born probability (see linalg.givens_rotate).  The
+A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta): shadow
+i is the snapshot ws[i] = U_z, the eta rows of its Haar rotation u that the
+1-based sorted readout zs[i] picks, and the estimator reads ws alone.
+Randomness is counter-based: shadow i of a run seeded with s uses the Philox
+stream keyed by (s, i), so any chunking or start index gives bit-identical
+readout rows, and readouts that differ only where a uniform lies within
+rounding of a cumulative Born probability (see linalg.givens_rotate).  The
 collector re-keys one generator per call instead of building one per shot,
 by assigning it the state of a fresh stream as plain Python ints
 (_fresh_state); the bits equal those of a fresh shadow_rng(s, i) for every
@@ -30,13 +31,14 @@ input state.
 Contents
 --------
     shadow_rng                 : the per-shadow generator
-    collect_shadow_arrays      : batched (us, zs) collection
+    collect_shadow_arrays      : batched (ws, zs) collection
     estimation_entry           : overlap-class value of the estimation operator
     estimation_matrix          : exact class values of the estimation operator
     trace_e_squared            : exact Tr of its square
     check_shadows              : input checks on a batch of shadows
     all_pairs                  : the table of all C(n,k)^2 transitions
     fast_estimate_rdm          : transitions' estimates from deduplicated k x k blocks
+    check_fast_vs_dense        : two estimate tables agree, 1e-8 relative per entry
     Reducer                    : mean / median-of-means over shots fed chunk by chunk
     avg_shadow_norm_sq, q_value, variance_bound : exact variance quantities
     shadows_to_jsonl, shadows_from_jsonl        : snapshots as JSON lines
@@ -101,13 +103,15 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
 
 
 def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
-    """Collect shadows as stacked arrays (U (N,n,n), Z (N,eta) 1-based).
+    """Collect shadows as stacked arrays (ws (N, eta, n), zs (N, eta) 1-based).
 
     Shadow i draws from the stream (seed, start_index + i): its Ginibre
-    normals, then the uniform of its Born draw.  One generator serves the
-    whole call and is re-keyed per shot; key (seed, index) with a zero
-    counter and an empty buffer is exactly the state of a fresh
-    shadow_rng(seed, index), so the bits equal one generator per shot.
+    normals, then the uniform of its Born draw.  Of its rotation u only the
+    readout rows ws[i] = u[zs[i] - 1] are kept, eta/n of the whole.  One
+    generator serves the whole call and is re-keyed per shot; key
+    (seed, index) with a zero counter and an empty buffer is exactly the
+    state of a fresh shadow_rng(seed, index), so the bits equal one
+    generator per shot.
     Raises ValueError before any draw unless 0 <= seed < 2^64, count >= 0,
     start_index >= 0 and start_index + count <= _STATE_INDEX = 2^64-1, the
     state's stream.  Raises RuntimeError if a rotated state's Born
@@ -118,7 +122,7 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
         raise ValueError(f"need seed in 0..2^64-1 and indices start_index..start_index+count-1 "
                          f"in 0..2^64-2, got seed {seed}, start_index {start_index}, count {count}")
     n, eta = state.n, state.eta
-    us = np.empty((count, n, n), dtype=np.complex128)
+    ws = np.empty((count, eta, n), dtype=np.complex128)
     zs = np.empty((count, eta), dtype=np.int64)
     ranks = subset_index_array(n, eta) + 1
     gen = shadow_rng(seed, 0)
@@ -142,9 +146,9 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
         if not defect <= 1e-6:     # NaN fails too
             raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
                                "is the state normalized?")
-        us[lo:hi] = u
         zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], u01)]
-    return us, zs
+        ws[lo:hi] = u[np.arange(hi - lo)[:, None], zs[lo:hi] - 1]
+    return ws, zs
 
 
 # ------------------------------------------------- estimation operator
@@ -181,24 +185,17 @@ def trace_e_squared(n: int, eta: int, k: int) -> Fraction:
 
 # ------------------------------------------------- estimators
 
-def check_shadows(us, zs, eta: int):
-    """(us, zs) as arrays, checked to be a batch of eta-particle shadows.
+def check_shadows(ws) -> np.ndarray:
+    """ws as an array, checked to be a stack (N, eta, n) of snapshots, eta <= n.
 
-    Raises ValueError for us not (N, n, n), for zs not (N, eta), or for a
-    readout row that is not integers strictly increasing within 1..n, checked
-    in one pass by combinat.subsets_ok.
+    Raises ValueError otherwise.  Rows are not checked for orthonormality:
+    the collector and the JSON-lines loader only make orthonormal ones.
     """
-    us = np.asarray(us)
-    zs = np.asarray(zs)
-    if us.ndim != 3 or us.shape[1] != us.shape[2]:
-        raise ValueError(f"us must be a stack (N, n, n) of rotations, got shape {us.shape}")
-    n = us.shape[-1]
-    if zs.shape != (us.shape[0], eta):
-        raise ValueError(f"zs must be (N, eta={eta}) readouts with N = {us.shape[0]} "
-                         f"as in us, got shape {zs.shape}")
-    if zs.dtype.kind not in "iu" or not subsets_ok(zs, n):
-        raise ValueError(f"every readout must be integers strictly increasing within 1..{n}")
-    return us, zs
+    ws = np.asarray(ws)
+    if ws.ndim != 3 or ws.shape[1] > ws.shape[2]:
+        raise ValueError(f"ws must be a stack (N, eta, n) of readout rows with eta <= n, "
+                         f"got shape {ws.shape}")
+    return ws
 
 
 @lru_cache(maxsize=None)
@@ -236,31 +233,32 @@ def all_pairs(n: int, k: int) -> tuple:
     return np.repeat(ss, len(ss), axis=0), np.tile(ss, (len(ss), 1))
 
 
-def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) -> np.ndarray:
-    """Transition estimates (p, q) of the shadows with rotations us and readouts zs.
+def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
+    """Transition estimates (p, q) of the shadows with readout rows ws (N, eta, n).
 
     p and q are k-subsets of 1..n, (k,) each, or tables (T, k) of them whose
     row t names target t; the result is (N,) for one pair and (N, T) for
-    tables.  With M(x) = I + (x - 1) Pi and Pi[q, p] = U_z[:, q]^H U_z[:, p],
-    entry [i, t] is shadow i's w_0 [p_t = q_t] plus, per root x in the upper
-    half plane, w det M(x)[q_t, p_t] + conj(w det M(x)[p_t, q_t]), at half
-    weight for the hermitian M(-1).  Each distinct k x k block is evaluated
-    once per root, so the all-pairs table (all_pairs) costs C(n,k)^2
-    determinants per root, and (p, q) and (q, p) read the same two
-    determinants: any table that holds both gives exact conjugates.  The
-    blocks are gathered from the whole M(x) when (distinct blocks) k^2 >= n^2,
-    and otherwise formed from the readout rows at O(k^2 eta + k^4) per shot
-    and block whatever n is.  The rule never looks at N, and an entry's bits
-    do not depend on the other shots.  Raises ValueError for the inputs
-    check_shadows rejects, for p and q not integer arrays of one shape (k,)
-    or (T, k), for not 0 <= k <= eta <= n, and, in validate_subset's words,
-    for the first row of p, then of q, not strictly increasing within 1..n.
+    tables.  With U_z = ws[i], M(x) = I + (x - 1) Pi and
+    Pi[q, p] = U_z[:, q]^H U_z[:, p], entry [i, t] is shadow i's
+    w_0 [p_t = q_t] plus, per root x in the upper half plane,
+    w det M(x)[q_t, p_t] + conj(w det M(x)[p_t, q_t]), at half weight for
+    the hermitian M(-1).  Each distinct k x k block is evaluated once per
+    root, so the all-pairs table (all_pairs) costs C(n,k)^2 determinants per
+    root, and (p, q) and (q, p) read the same two determinants: any table
+    that holds both gives exact conjugates.  The blocks are gathered from the
+    whole M(x) when (distinct blocks) k^2 >= n^2, and otherwise formed from
+    the readout rows at O(k^2 eta + k^4) per shot and block whatever n is.
+    The rule never looks at N, and an entry's bits do not depend on the
+    other shots.  Raises ValueError for the ws check_shadows rejects, for p
+    and q not integer arrays of one shape (k,) or (T, k), for not
+    0 <= k <= eta, and, in validate_subset's words, for the first row of p,
+    then of q, not strictly increasing within 1..n.
     """
-    us, zs = check_shadows(us, zs, eta)
-    n = us.shape[-1]
+    ws = check_shadows(ws)
+    eta, n = ws.shape[1:]
     ps, qs = np.asarray(p), np.asarray(q)
     if not (ps.shape == qs.shape and ps.ndim in (1, 2) and ps.shape[-1:] == (k,)
-            and ps.dtype.kind in "iu" and qs.dtype.kind in "iu" and 0 <= k <= eta <= n):
+            and ps.dtype.kind in "iu" and qs.dtype.kind in "iu" and 0 <= k <= eta):
         raise ValueError(f"need integer p, q of one shape (k,) or (T, k) with "
                          f"0 <= k <= eta <= n, got n={n} eta={eta} k={k}, "
                          f"p {ps.dtype} {ps.shape}, q {qs.dtype} {qs.shape}")
@@ -271,11 +269,11 @@ def fast_estimate_rdm(us: np.ndarray, zs: np.ndarray, eta: int, k: int, p, q) ->
     if not subsets_ok(rows, n):
         for row in rows:
             validate_subset(row, n)         # raises at the first bad row
-    out = _block_estimates(us, zs, eta, k, ps, qs)
+    out = _block_estimates(ws, k, ps, qs)
     return out[:, 0] if single else out
 
 
-def _block_estimates(us, zs, eta: int, k: int, ps, qs, gather: bool = None) -> np.ndarray:
+def _block_estimates(ws, k: int, ps, qs, gather: bool = None) -> np.ndarray:
     """(N, T) estimates of the checked targets (ps_t, qs_t) from one block source.
 
     gather True takes every block from the whole M(x) (n, n, N), False from
@@ -283,7 +281,7 @@ def _block_estimates(us, zs, eta: int, k: int, ps, qs, gather: bool = None) -> n
     of B' blocks holds about _TILE numbers in its (k, k, B', N) blocks, or in
     the (eta, k, k, B', N) products behind them.
     """
-    count, n = us.shape[0], us.shape[-1]
+    count, eta, n = ws.shape
     w0, points = _dft_points(n, eta, k)
     out = np.empty((len(ps), count), dtype=np.complex128)
     out[:] = np.where((ps == qs).all(axis=1), w0, 0.0)[:, None]
@@ -302,7 +300,7 @@ def _block_estimates(us, zs, eta: int, k: int, ps, qs, gather: bool = None) -> n
     if gather is None:
         gather = len(blocks) * k * k >= n * n
     # readout rows, shots last: (eta, n, N)
-    uz = np.ascontiguousarray(us[np.arange(count)[:, None], zs - 1].transpose(1, 2, 0))
+    uz = np.ascontiguousarray(ws.transpose(1, 2, 0))
     if gather:
         # Pi (n, n, N), one readout row at a time so that no (eta, n, n, N) array is built
         proj = uz[0].conj()[:, None] * uz[0][None]
@@ -334,6 +332,18 @@ def _block_estimates(us, zs, eta: int, k: int, ps, qs, gather: bool = None) -> n
             term += np.conjugate(det[which[1, lo:lo + target_tile]])
             out[lo:lo + target_tile] += term
     return out.T
+
+
+def check_fast_vs_dense(fast, dense) -> tuple:
+    """(passed, worst gap) of two estimate tables of one shape, e.g. (N, T).
+
+    The tables hold the same transitions of the same shadows from two
+    routes; each entry is compared by |dense - fast| / max(1, |dense|), and
+    passed means the worst gap is below 1e-8 (a NaN fails; empty tables pass).
+    """
+    fast, dense = np.asarray(fast), np.asarray(dense)
+    gap = float(np.max(np.abs(dense - fast) / np.maximum(1.0, np.abs(dense)), initial=0.0))
+    return gap < 1e-8, gap
 
 
 class Reducer:
@@ -471,14 +481,20 @@ def variance_bound(n: int, eta: int, k: int) -> Fraction:
 
 # ------------------------------------------------- serialization
 
-def shadows_to_jsonl(us: np.ndarray, zs: np.ndarray, seed: int, start_index: int = 0) -> str:
-    """One JSON line per shadow, recording its stream (seed, start_index + i)."""
+def shadows_to_jsonl(ws: np.ndarray, zs: np.ndarray, seed: int, start_index: int = 0) -> str:
+    """One JSON line per shadow: its stream (seed, start_index + i), its
+    readout rows w (eta rows of n [re, im] pairs) and its readout z.
+
+    Raises ValueError for eta = 0, whose snapshot has no row to record n by.
+    """
+    if np.shape(ws)[1] == 0:
+        raise ValueError("an eta = 0 snapshot has no readout rows to write")
     lines = []
-    for i, (u, z) in enumerate(zip(us, zs)):
+    for i, (w, z) in enumerate(zip(ws, zs)):
         body = {
             "seed": seed,
             "index": start_index + i,
-            "u": [[[float(v.real), float(v.imag)] for v in row] for row in u],
+            "w": [[[float(v.real), float(v.imag)] for v in row] for row in w],
             "z": [int(m) for m in z],
         }
         lines.append(json.dumps(body))
@@ -486,44 +502,56 @@ def shadows_to_jsonl(us: np.ndarray, zs: np.ndarray, seed: int, start_index: int
 
 
 def shadows_from_jsonl(text: str):
-    """Load (us, zs) written by shadows_to_jsonl.
+    """Load (ws, zs) from JSON lines.
 
-    Raises ValueError, naming the shadow, unless there is at least one row,
-    every line is a JSON object with u and z, every u is n >= 1 rows of n
-    [re, im] pairs of JSON numbers (not booleans) and unitary to 1e-10, every
-    z is a list of JSON integers (not floats, not booleans) strictly
-    increasing within 1..n, and all rows share one shape.
+    A line holds z and one of w, its readout rows as shadows_to_jsonl
+    writes them, or u, the whole n x n rotation of the older format, whose
+    rows z are taken.  Raises ValueError, naming the shadow, unless there is
+    at least one line, every line is a JSON object with z and exactly one of
+    u and w, that matrix is m >= 1 equal rows of [re, im] pairs of JSON
+    numbers (not booleans) with orthonormal rows (m m^H = I to 1e-10), u is
+    n x n and w holds len(z) <= n rows, every z is a list of JSON integers
+    (not floats, not booleans) strictly increasing within 1..n, and all
+    snapshots share one shape.
     """
-    us, zs = [], []
+    ws, zs = [], []
     for line in text.splitlines():
         if not line.strip():
             continue
-        i = len(us)
+        i = len(ws)
         try:
             body = json.loads(line)
         except json.JSONDecodeError as err:
             raise ValueError(f"shadow {i}: not a JSON line: {err}") from None
-        if not (isinstance(body, dict) and "u" in body and "z" in body):
-            raise ValueError(f"shadow {i}: need a JSON object with keys u and z")
-        rows, z = body["u"], body["z"]
+        if not (isinstance(body, dict) and "z" in body and ("u" in body) != ("w" in body)):
+            raise ValueError(f"shadow {i}: need a JSON object with key z and one of u and w")
+        key = "u" if "u" in body else "w"
+        rows, z = body[key], body["z"]
         if not (isinstance(rows, list) and rows
-                and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+                and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
                 and all(isinstance(v, list) and len(v) == 2
                         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
                         for row in rows for v in row)):
-            raise ValueError(f"shadow {i}: u must be n >= 1 rows of n [re, im] number pairs")
+            raise ValueError(f"shadow {i}: {key} must be one or more rows of equally many "
+                             "[re, im] number pairs")
+        m, n = len(rows), len(rows[0])
+        if m > n or (key == "u" and m < n):
+            raise ValueError(f"shadow {i}: {key} has {m} rows of {n} entries, need "
+                             + ("n rows of n" if key == "u" else "eta <= n rows of n"))
         if not (isinstance(z, list)
-                and all(isinstance(m, int) and not isinstance(m, bool) for m in z)):
+                and all(isinstance(mode, int) and not isinstance(mode, bool) for mode in z)):
             raise ValueError(f"shadow {i}: z must be a list of integer modes, got {z!r}")
-        n = len(rows)
+        if key == "w" and len(z) != m:
+            raise ValueError(f"shadow {i}: w has {m} rows but z {len(z)} modes")
         try:
-            u = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(n, n)
+            mat = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(m, n)
         except OverflowError:       # an integer beyond the float range
-            raise ValueError(f"shadow {i}: u is not a unitary matrix") from None
-        if not np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 1e-10:     # NaN fails too
-            raise ValueError(f"shadow {i}: u is not a unitary matrix")
-        if not all(1 <= m <= n for m in z) or any(a >= b for a, b in zip(z, z[1:])):
+            raise ValueError(f"shadow {i}: the rows of {key} are not orthonormal") from None
+        if not np.linalg.norm(mat @ mat.conj().T - np.eye(m)) <= 1e-10:     # NaN fails too
+            raise ValueError(f"shadow {i}: the rows of {key} are not orthonormal")
+        if not all(1 <= mode <= n for mode in z) or any(a >= b for a, b in zip(z, z[1:])):
             raise ValueError(f"shadow {i}: z must be strictly increasing within 1..{n}")
-        us.append(u)
-        zs.append(np.array(z, dtype=np.int64))
-    return np.stack(us), np.stack(zs)      # ValueError on differing shapes or no rows
+        z = np.array(z, dtype=np.int64)
+        ws.append(mat if key == "w" else mat[z - 1])
+        zs.append(z)
+    return np.stack(ws), np.stack(zs)      # ValueError on differing shapes or no rows

@@ -1,18 +1,22 @@
 """Dense routes to the whole (N, C(n,k), C(n,k)) estimate matrices, kept as test oracles.
 
-Compound route: each shadow's rotation is reordered so the readout modes
-come first (u_eff), and its estimate matrix is the transpose of B^H E B,
-with B the k-th compound of u_eff and E the diagonal estimation operator.
-The compound also rotates states for the tests of linalg.givens_rotate and
-fock.
+Compound route: each shadow's whole rotation is reordered so the readout
+modes come first (u_eff), and its estimate matrix is the transpose of
+B^H E B, with B the k-th compound of u_eff and E the diagonal estimation
+operator.  The collector keeps only the readout rows, so a test that needs
+the whole rotation draws it again from the shadow's stream (shadow_rng,
+ginibre, unitary_from_ginibre).  The compound also rotates states for the
+tests of linalg.givens_rotate and fock.
 
 Dense projector route (batch_estimate_matrices): every C(n,k) x C(n,k)
-minor of M(x) = I + (x - 1) Pi, for the whole matrix at once.  It is the
+minor of M(x) = I + (x - 1) Pi, Pi = W^H W from the readout rows W, for
+the whole matrix at once.  It is the
 route that shadows.fast_estimate_rdm's deduplicated k x k blocks replaced;
 the shipped kernel must agree with both routes.
 
 Contents
 --------
+    readout_rows               : the snapshots (N, eta, n) of whole rotations
     minor_det                  : determinant of a row/column submatrix
     minors_batch               : dets of many submatrices of a stack of matrices
     compound_batch             : k-th multiplicative compounds of a stack
@@ -26,6 +30,12 @@ import numpy as np
 from fermishadow.channel import overlap_class_array
 from fermishadow.linalg import _det_stack, subset_index_array
 from fermishadow.shadows import _CHUNK, _dft_points, check_shadows, estimation_matrix
+
+
+def readout_rows(us, zs) -> np.ndarray:
+    """ws (N, eta, n): rows zs[i] (1-based) of each rotation us[i] (N, n, n)."""
+    us = np.asarray(us)
+    return us[np.arange(len(us))[:, None], np.asarray(zs, dtype=np.int64) - 1]
 
 
 def minor_det(u: np.ndarray, rows, cols) -> complex:
@@ -107,20 +117,20 @@ def compound_estimate_matrices(us, zs, eta: int, k: int) -> np.ndarray:
     return (block + block.conj().transpose(0, 2, 1)) * 0.5
 
 
-def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) -> np.ndarray:
-    """Estimate matrices for stacked shadows: (N, C(n,k), C(n,k)).
+def batch_estimate_matrices(ws: np.ndarray, k: int) -> np.ndarray:
+    """Estimate matrices for stacked shadows ws (N, eta, n): (N, C(n,k), C(n,k)).
 
     Entry [i, rank p, rank q] is shadow i's estimate for the transition
     (p, q), and each slice is exactly hermitian.  Projector form: with
-    Pi = U_z^H U_z built from the readout rows of us[i] and
+    Pi = U_z^H U_z built from the readout rows U_z = ws[i] and
     M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
     and the coefficients come from a DFT over the k+1 roots of unity.  x = 1
     gives the identity and M(conj x) = M(x)^H, so each remaining pair of
     roots costs C(n,k)^2 k x k minors.  Raises ValueError for inputs
     check_shadows rejects or for k outside 0..eta.
     """
-    us, zs = check_shadows(us, zs, eta)
-    count, n = us.shape[0], us.shape[-1]
+    ws = check_shadows(ws)
+    count, eta, n = ws.shape
     w0, points = _dft_points(n, eta, k)      # ValueError unless 0 <= k <= eta <= n
     idx = subset_index_array(n, k)
     cdim = idx.shape[0]
@@ -132,7 +142,7 @@ def batch_estimate_matrices(us: np.ndarray, zs: np.ndarray, eta: int, k: int) ->
         block = np.zeros((hi - lo, cdim, cdim), dtype=np.complex128)
         block[:, diag, diag] = w0
         if points:
-            uz = us[lo:hi][np.arange(hi - lo)[:, None], zs[lo:hi] - 1]  # (m, eta, n)
+            uz = ws[lo:hi]
             proj = np.einsum("iza,izb->iab", uz.conj(), uz)
         for x, w in points:
             # a[i, p, q] = C_k(M)[q, p]

@@ -287,23 +287,22 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> tuple:
 
 # ------------------------------------------------- per-term estimator
 
-def _loop_estimate(u, z, eta, k, p, q):
+def _loop_estimate(w, k, p, q):
     """One shadow's estimate for (p, q), one 2k x 2k nonsymmetric eigvals per term.
 
     Each term of decompose_rdm gathers its eta x k block W from the readout
-    rows of u, takes the power sums of the real Gram block M of W, and runs
-    the trace and derivative recursions; the weighted terms sum to the
+    rows w (eta, n), takes the power sums of the real Gram block M of W, and
+    runs the trace and derivative recursions; the weighted terms sum to the
     transition estimate.
     """
-    n = u.shape[0]
+    eta, n = w.shape
     rows, vals, coeffs = decompose_rdm(tuple(p), tuple(q), n)
     weights = alpha_coeffs(n, eta, k)
     sign = (-1) ** (n - k)
-    zidx = np.asarray(z, dtype=np.int64) - 1
     acc = 0.0 + 0.0j
     for t in range(len(coeffs)):
         # an unused slot's value 0 cancels its wrapped row index -1
-        cols = u[zidx[:, None, None], rows[t][None, :, :]]
+        cols = w[:, rows[t]]
         w_block = (cols * vals[t][None, :, :]).sum(axis=2)
         lam = np.linalg.eigvals(build_m(w_block, k, eta))
         traces = [complex((lam**y).sum()).real for y in range(1, k + 1)]

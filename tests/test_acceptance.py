@@ -34,10 +34,10 @@ def _verdict(num: int, name: str, passed: bool, detail: str):
     assert passed, f"criterion {num:02d} {name}: {detail}"
 
 
-def _matrices(us, zs, eta, k):
+def _matrices(ws, k):
     """The kernel's all-pairs estimates as (N, C, C) matrices [shot, rank p, rank q]."""
-    c = binom(us.shape[-1], k)
-    return fast_estimate_rdm(us, zs, eta, k, *all_pairs(us.shape[-1], k)).reshape(len(us), c, c)
+    c = binom(ws.shape[-1], k)
+    return fast_estimate_rdm(ws, k, *all_pairs(ws.shape[-1], k)).reshape(len(ws), c, c)
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -49,8 +49,8 @@ def _philox(seed: int) -> np.random.Generator:
 @pytest.fixture(scope="module")
 def shadow_pool_4_2():
     state = random_state(4, 2, _philox(2024))
-    us, zs = collect_shadow_arrays(state, 200_000, 501)
-    return state, us, zs
+    ws, _ = collect_shadow_arrays(state, 200_000, 501)
+    return state, ws
 
 
 def test_criterion_01_projector_expansion():
@@ -114,9 +114,9 @@ def test_criterion_04_per_shadow_invariant():
     for n in range(2, 7):
         for eta in range(1, n + 1):
             state = random_state(n, eta, rng)
-            us, zs = collect_shadow_arrays(state, 3, seed=600 + n)
+            ws, _ = collect_shadow_arrays(state, 3, seed=600 + n)
             for k in range(1, eta + 1):
-                ok, gap, norms = identities.check_shadow_norms(us, zs, eta, k)
+                ok, gap, norms = identities.check_shadow_norms(ws, k)
                 passed, worst = passed and ok, max(worst, gap)
                 if (n, eta, k) == (2, 1, 1):
                     frozen = float(norms[0])
@@ -126,12 +126,12 @@ def test_criterion_04_per_shadow_invariant():
 
 
 def test_criterion_05_unbiasedness(shadow_pool_4_2):
-    state, us, zs = shadow_pool_4_2
-    nsamp = us.shape[0]
+    state, ws = shadow_pool_4_2
+    nsamp = ws.shape[0]
     worst = 0.0
     for k in (1, 2):
         truth = rdm_matrix(state, k)
-        ests = _matrices(us, zs, 2, k)
+        ests = _matrices(ws, k)
         mean = ests.mean(axis=0)
         err_re = np.maximum(ests.real.std(axis=0, ddof=1) / np.sqrt(nsamp), 1e-12)
         err_im = np.maximum(ests.imag.std(axis=0, ddof=1) / np.sqrt(nsamp), 1e-12)
@@ -145,9 +145,9 @@ def test_criterion_05_unbiasedness(shadow_pool_4_2):
 
 
 def test_criterion_06_variance_formula(shadow_pool_4_2):
-    state, us, zs = shadow_pool_4_2
+    state, ws = shadow_pool_4_2
     n, eta, k = 4, 2, 1
-    ests = _matrices(us[:100_000], zs[:100_000], eta, k)
+    ests = _matrices(ws[:100_000], k)
     empirical = float((np.abs(ests - ests.mean(axis=0)) ** 2).mean())
     truth = rdm_matrix(state, k)
     c = binom(n, k)
@@ -171,15 +171,15 @@ def test_criterion_07_fast_path_equivalence():
     for n in range(1, 9):
         for eta in range(1, n + 1):
             state = random_state(n, eta, rng)
-            us, zs = collect_shadow_arrays(state, 4, seed=n * 100 + eta)
+            ws, _ = collect_shadow_arrays(state, 4, seed=n * 100 + eta)
             for k in range(1, eta + 1):
                 ss = list(subsets(n, k))
                 for i in range(4):
                     pairs = np.array([ss[rng.integers(len(ss))] for _ in range(100)])  # p, q, ...
                     ps, qs = pairs[0::2], pairs[1::2]
                     ok, gap = identities.check_fast_vs_dense(
-                        fast_estimate_rdm(us[i : i + 1], zs[i : i + 1], eta, k, ps, qs),
-                        batch_estimate_matrices(us[i : i + 1], zs[i : i + 1], eta, k)[
+                        fast_estimate_rdm(ws[i : i + 1], k, ps, qs),
+                        batch_estimate_matrices(ws[i : i + 1], k)[
                             :, rank_rows(ps, n), rank_rows(qs, n)])
                     passed, worst = passed and ok, max(worst, gap)
                     triples += 50
@@ -246,8 +246,8 @@ def test_criterion_09_slater_overlaps(tmp_path):
                     abs(est.imag - oracle.imag) / err_im)
     # single-shot variance of the raw transition estimates on the doubled register
     big = slater_superposition(state)
-    us, zs = collect_shadow_arrays(big, nsamp, seed)
-    ests = _matrices(us, zs, eta, eta)
+    ws, _ = collect_shadow_arrays(big, nsamp, seed)
+    ests = _matrices(ws, eta)
     raw_var = float((np.abs(ests - ests.mean(axis=0)) ** 2).mean())
     q_ok = all(q_slater(2 * m, m) <= Fraction(4, 3) for m in range(1, 21))
     ok = worst < 5.0 and raw_var <= 4 / 3 and q_ok
@@ -262,20 +262,21 @@ def test_criterion_10_fast_path_scaling():
     times = {}
     for eta in (8, 16, 32, 64):
         n = 2 * eta
-        us = unitary_from_ginibre(ginibre(n, rng))[None]
-        zs = np.array([sorted(rng.choice(np.arange(1, n + 1), size=eta, replace=False).tolist())])
+        u = unitary_from_ginibre(ginibre(n, rng))
+        z = sorted(rng.choice(np.arange(1, n + 1), size=eta, replace=False).tolist())
+        ws = u[np.array(z) - 1][None]
         pairs = []
         for _ in range(40):
             p = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             q = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()))
             pairs.append((p, q))
         for p, q in pairs:
-            fast_estimate_rdm(us, zs, eta, k, p, q)   # warm caches
+            fast_estimate_rdm(ws, k, p, q)   # warm caches
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
             for p, q in pairs:
-                fast_estimate_rdm(us, zs, eta, k, p, q)
+                fast_estimate_rdm(ws, k, p, q)
             best = min(best, (time.perf_counter() - t0) / len(pairs))
         times[eta] = best
     slope = float(np.log(times[64] / times[8]) / np.log(64 / 8))

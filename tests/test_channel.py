@@ -13,7 +13,6 @@ from algebra_oracle import (
     symmetrized_difference_bruteforce,
 )
 from fermishadow.channel import (
-    ChannelSpec,
     DiagonalOperator,
     _intersection_table,
     a_coeff,
@@ -108,10 +107,9 @@ def test_eigenoperator_diagonal_sum_builds_brute():
 def test_channel_eigenrelation_exact():
     for n in range(1, 7):
         for eta in range(n + 1):
-            spec = ChannelSpec(n, eta)
             for d in range(min(eta, n - eta) + 1):
                 nd = symmetrized_difference(n, eta, d)
-                img = apply_channel_diagonal(spec, nd)
+                img = apply_channel_diagonal(nd)
                 lam = eigenvalue(n, d)
                 assert all(v == lam * w for v, w in zip(img.values, nd.values))
 
@@ -125,7 +123,7 @@ def test_apply_channel_diagonal_matches_pair_sum():
         table = _intersection_table(n, eta)
         small = [Fraction(i - 3, i + 1) for i in range(c)]
         for vals in (small, [(-1) ** i * 2**70 * i for i in range(c)]):
-            img = apply_channel_diagonal(ChannelSpec(n, eta), DiagonalOperator(n, eta, vals))
+            img = apply_channel_diagonal(DiagonalOperator(n, eta, vals))
             assert img.values == [sum(vals[r] * kappa[table[r, rp]] for r in range(c))
                                   for rp in range(c)]
 
@@ -133,9 +131,8 @@ def test_apply_channel_diagonal_matches_pair_sum():
 def test_channel_is_trace_preserving():
     for n in range(1, 6):
         for eta in range(n + 1):
-            spec = ChannelSpec(n, eta)
             vals = [Fraction(i + 1) for i in range(binom(n, eta))]
-            img = apply_channel_diagonal(spec, DiagonalOperator(n, eta, vals))
+            img = apply_channel_diagonal(DiagonalOperator(n, eta, vals))
             assert sum(img.values) == sum(vals)
 
 
@@ -149,12 +146,11 @@ def test_kernel_numerators_consistent():
 
 def test_int_batch_matches_exact_apply():
     n, eta = 5, 2
-    spec = ChannelSpec(n, eta)
     rng = np.random.default_rng(0)
     vmat = rng.integers(-4, 5, size=(6, binom(n, eta)))
     nums, ell = channel_apply_int_batch(n, eta, vmat)
     for i in range(vmat.shape[0]):
-        img = apply_channel_diagonal(spec, DiagonalOperator(n, eta, [int(v) for v in vmat[i]]))
+        img = apply_channel_diagonal(DiagonalOperator(n, eta, [int(v) for v in vmat[i]]))
         assert [Fraction(int(v), ell) for v in nums[i]] == img.values
 
 
@@ -163,9 +159,8 @@ def test_inverse_channel_frozen_and_inverse_property():
     assert inv.values == [Fraction(2), Fraction(-1)]
     for n in range(1, 7):
         for eta in range(n + 1):
-            spec = ChannelSpec(n, eta)
             inv = inverse_channel_on_projector(n, eta)
-            img = apply_channel_diagonal(spec, inv)
+            img = apply_channel_diagonal(inv)
             want = [Fraction(0)] * binom(n, eta)
             want[0] = Fraction(1)
             assert img.values == want

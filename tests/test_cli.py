@@ -47,6 +47,7 @@ def test_config_validation_messages():
         (dict(good, aggregation="median_of_means:3"), "divide"),
         (dict(good, aggregation="median_of_means:x"), "batch"),
         (dict(good, targets=17), "targets"),
+        (dict(good, targets="slater_overlaps"), "targets"),
         (dict(good, n=True), "integers"),
         (dict(good, k=False), "integers"),
         (dict(good, samples=True), "samples"),
@@ -217,7 +218,7 @@ def test_build_state_sources(tmp_path):
         build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:2,9"))
 
 
-def test_main_exit_codes_on_config_errors(tmp_path, capsys):
+def test_main_exit_codes_on_config_errors(tmp_path, capsys, monkeypatch):
     rc = main(["estimate", "--n", "2", "--eta", "3", "--k", "1",
                "--samples", "5", "--seed", "1"])
     assert rc == 2
@@ -246,6 +247,24 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error:") and missing in err
     assert not (tmp_path / "missing").exists()
+    # slater-overlap has one route: dense and fast name it, both is refused
+    # before any shot is drawn (it once ran with no cross-check)
+    overlap = {"n": 3, "eta": 2, "samples": 50, "seed": 1}
+    printed = []
+    for estimator in ("dense", "fast"):
+        cfg.write_text(json.dumps(dict(overlap, estimator=estimator)))
+        assert main(["slater-overlap", "--config", str(cfg)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the config")
+
+    monkeypatch.setattr(cli, "collect_shadow_arrays", no_sampling)
+    cfg.write_text(json.dumps(dict(overlap, estimator="both")))
+    assert main(["slater-overlap", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "both" in err
 
 
 def test_variance_sweep_config_errors(capsys):
@@ -307,8 +326,7 @@ import numpy as np
 from algebra_oracle import eigenoperator_diagonal, g_eta, weingarten_xi
 from dense_oracle import minor_det
 from fermishadow import identities
-from fermishadow.channel import (ChannelSpec, DiagonalOperator, a_coeff, apply_channel_diagonal,
-                                 nd_class_values, structure_factor)
+from fermishadow.channel import DiagonalOperator, a_coeff, nd_class_values, structure_factor
 from fermishadow.combinat import falling, unrank_subset
 from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
 from fermishadow.shadows import (all_pairs, collect_shadow_arrays, estimation_entry,
@@ -316,15 +334,16 @@ from fermishadow.shadows import (all_pairs, collect_shadow_arrays, estimation_en
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
 if __debug__:
     raise SystemExit("asserts are on")
-u = np.eye(4, dtype=complex)[None]
+w = np.eye(4, dtype=complex)[None, :2]     # one snapshot, eta = 2 readout rows of n = 4
 pairs = all_pairs(4, 1)     # the whole 1-body table, as the dense route read it
 calls = {
-    "fast k != |p|": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (1,), (2,)),
-    "fast repeated readout": lambda: fast_estimate_rdm(u, [(1, 1)], 2, 1, (1,), (2,)),
-    "fast count mismatch": lambda: fast_estimate_rdm(u, [(1, 2), (1, 3)], 2, 1, (1,), (2,)),
-    "fast p not increasing": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (3, 1), (1, 2)),
-    "fast q mode 0": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 2, (1, 2), (0, 1)),
-    "fast p mode > n": lambda: fast_estimate_rdm(u, [(1, 2)], 2, 1, (5,), (1,)),
+    "fast k != |p|": lambda: fast_estimate_rdm(w, 2, (1,), (2,)),
+    "fast k > eta": lambda: fast_estimate_rdm(w, 3, (1, 2, 3), (1, 2, 3)),
+    "fast p not increasing": lambda: fast_estimate_rdm(w, 2, (3, 1), (1, 2)),
+    "fast q mode 0": lambda: fast_estimate_rdm(w, 2, (1, 2), (0, 1)),
+    "fast p mode > n": lambda: fast_estimate_rdm(w, 1, (5,), (1,)),
+    "fast unstacked": lambda: fast_estimate_rdm(w[0], 1, *pairs),
+    "fast eta > n": lambda: fast_estimate_rdm(np.ones((1, 5, 4)), 1, *pairs),
     "decompose |p| != |q|": lambda: decompose_rdm((1, 2), (3,), 4),
     "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
     "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
@@ -340,14 +359,8 @@ calls = {
         FermionState(4, 1, np.ones(4) / 2), 5, 0, start_index=2**64 - 2),
     "rdm_matrix k > eta": lambda: rdm_matrix(FermionState(4, 1, np.ones(4) / 2), 2),
     "apply_rotation shape": lambda: apply_rotation(FermionState(4, 1, np.ones(4) / 2), np.eye(3)),
-    "dense readout mode 0": lambda: fast_estimate_rdm(u, np.array([(0, 2)]), 2, 1, *pairs),
-    "dense repeated readout": lambda: fast_estimate_rdm(u, np.array([(1, 1)]), 2, 1, *pairs),
-    "dense wrong eta": lambda: fast_estimate_rdm(u, np.array([(1, 2, 3)]), 2, 1, *pairs),
-    "dense readout mode > n": lambda: fast_estimate_rdm(u, np.array([(1, 5)]), 2, 1, *pairs),
-    "ChannelSpec eta > n": lambda: ChannelSpec(2, 5),
+    "DiagonalOperator eta > n": lambda: DiagonalOperator(2, 5, []),
     "DiagonalOperator length": lambda: DiagonalOperator(3, 1, [1]),
-    "apply_channel_diagonal sizes": lambda: apply_channel_diagonal(
-        ChannelSpec(3, 1), DiagonalOperator(3, 2, [1, 0, 0])),
     "structure_factor k > eta": lambda: structure_factor(4, 2, 3),
     "a_coeff depth": lambda: a_coeff(4, 1, 2),
     "nd_class_values depth": lambda: nd_class_values(4, 3, 2),
@@ -451,15 +464,20 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     for row in rows:
         assert abs(float(row[2]) - float(row[6])) < 1e-6
         assert abs(float(row[3]) - float(row[7])) < 1e-6
-    # one block source off by 1e-6 on one pair fails the run, rows still printed
+    # one block source off by 1e-6 on one pair fails the run, rows still printed;
+    # the gate is identities.check_fast_vs_dense per shot and entry
+    from fermishadow import identities
+    assert shadows.check_fast_vs_dense is identities.check_fast_vs_dense
     estimates = shadows._block_estimates
-    monkeypatch.setattr(shadows, "_block_estimates", lambda us, zs, eta, k, p, q, gather: (
-        estimates(us, zs, eta, k, p, q, gather)
+    monkeypatch.setattr(shadows, "_block_estimates", lambda ws, k, p, q, gather: (
+        estimates(ws, k, p, q, gather)
         + 1e-6 * (not gather) * ((p == [1]) & (q == [3])).all(axis=-1)))
     assert main(["estimate", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert len(_read_csv(out)[1]) == 9
-    assert "dense and fast estimators disagree by 1.000e-06" in err
+    assert err.startswith("dense and fast estimators disagree")
+    gap = float(err.split()[-1])
+    assert 1e-8 < gap <= 1e-6
 
 
 def test_estimate_fast_only_matches_dense(capsys):
@@ -580,6 +598,12 @@ def test_validation_negative_control(monkeypatch):
         # the pole of the Haar moment moved by one
         (lambda mp: mp.setattr(channel, "structure_factor", lambda n, eta, k: Fraction(
             eta + 1, eta + 2 - k) / (binom(n + 1, eta) * binom(n, eta))), "mc_channel_twirl"),
+        # the closed-form sums read the shipped expansion weights and class values
+        (lambda mp: mp.setattr(channel, "a_coeff", lambda n, eta, d, f=channel.a_coeff: (
+            f(n, eta, d) * (1 + d))), "closed_form_sums"),
+        (lambda mp: mp.setattr(channel, "nd_class_values", lambda n, eta, d,
+                               f=channel.nd_class_values: [g + d for g in f(n, eta, d)]),
+         "closed_form_sums"),
     ]
     for patch, check in cases:
         with monkeypatch.context() as mp:
@@ -701,13 +725,12 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
                      "--samples", "40", "--seed", "3"]) == 0
         capsys.readouterr()
         assert len(seen["add"]) == len(seen["collect_shadow_arrays"]) == 3
-        us = np.concatenate([u for u, _ in seen["collect_shadow_arrays"]])
-        zs = np.concatenate([z for _, z in seen["collect_shadow_arrays"]])
+        ws = np.concatenate([w for w, _ in seen["collect_shadow_arrays"]])
         got = np.concatenate(seen["add"])
         qs = list(subsets(n, eta))
         assert got.shape == (40, len(qs))
         ref = tuple(range(n + 1, n + eta + 1))
-        ref_row = batch_estimate_matrices(us, zs, eta, eta)[:, rank_subset(ref)]
+        ref_row = batch_estimate_matrices(ws, eta)[:, rank_subset(ref)]
         want = 2.0 * ref_row[:, [rank_subset(q) for q in qs]]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 

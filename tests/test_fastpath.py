@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import batch_estimate_matrices, estimation_diagonal, minors_batch
+from dense_oracle import batch_estimate_matrices, estimation_diagonal, minors_batch, readout_rows
 from fermishadow import channel, shadows
 from fermishadow.combinat import binom, falling, rank_subset, subsets, validate_subset
 from fermishadow.fock import random_state
@@ -210,14 +210,14 @@ def test_fast_matches_dense_estimator():
     cases = [(3, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 2), (6, 3, 3)]
     for n, eta, k in cases:
         state = random_state(n, eta, rng)
-        us, zs = collect_shadow_arrays(state, 1, seed=int(rng.integers(1 << 30)), start_index=0)
-        ests = batch_estimate_matrices(us, zs, eta, k)[0]
+        ws, _ = collect_shadow_arrays(state, 1, seed=int(rng.integers(1 << 30)), start_index=0)
+        ests = batch_estimate_matrices(ws, k)[0]
         ranks = list(subsets(n, k))
         for _ in range(12):
             p = ranks[rng.integers(len(ranks))]
             q = ranks[rng.integers(len(ranks))]
             dense = ests[rank_subset(p), rank_subset(q)]
-            fast = fast_estimate_rdm(us, zs, eta, k, p, q)[0]
+            fast = fast_estimate_rdm(ws, k, p, q)[0]
             assert abs(dense - fast) < 1e-8 * max(1.0, abs(dense))
 
 
@@ -226,11 +226,11 @@ def test_fast_estimator_diagonal_norm():
     rng = np.random.default_rng(7)
     n, eta, k = 5, 2, 2
     state = random_state(n, eta, rng)
-    us, zs = collect_shadow_arrays(state, 1, seed=99, start_index=1)
-    ests = batch_estimate_matrices(us, zs, eta, k)[0]
+    ws, _ = collect_shadow_arrays(state, 1, seed=99, start_index=1)
+    ests = batch_estimate_matrices(ws, k)[0]
     for p in subsets(n, k):
         dense = ests[rank_subset(p), rank_subset(p)]
-        fast = fast_estimate_rdm(us, zs, eta, k, p, p)[0]
+        fast = fast_estimate_rdm(ws, k, p, p)[0]
         assert abs(fast.imag) < 1e-9
         assert abs(dense - fast) < 1e-8
 
@@ -243,40 +243,29 @@ def test_fast_disjoint_pair_is_one_determinant():
     for n, eta, k in [(2, 1, 1), (4, 2, 2), (5, 3, 1), (6, 3, 3), (7, 3, 2), (8, 4, 4)]:
         us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
         zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
-        uz = us[np.arange(count)[:, None], zs - 1]                  # (N, eta, n)
+        uz = readout_rows(us, zs)                                   # (N, eta, n)
         for _ in range(3):
             modes = [int(m) for m in rng.permutation(n)[:2 * k] + 1]
             p, q = tuple(sorted(modes[:k])), tuple(sorted(modes[k:]))
             block = uz[:, :, np.array(q) - 1].conj().transpose(0, 2, 1) @ uz[:, :, np.array(p) - 1]
             want = np.linalg.det(block) / float(channel.eigenvalue(n, k))
-            got = fast_estimate_rdm(us, zs, eta, k, p, q)
+            got = fast_estimate_rdm(uz, k, p, q)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-def test_fast_estimate_rejects_wrong_readout_length():
-    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))
-    with pytest.raises(ValueError, match="eta=2"):
-        fast_estimate_rdm(u[None], [(1, 2, 3)], 2, 1, (1,), (2,))
-
-
 def test_fast_estimate_rejects_bad_input():
-    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None]
-    z = [(1, 2)]
+    # eta and n come from the shape of the readout rows w (N, eta, n)
+    w = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None, :2]
     cases = [
-        ((u, z, 2, 2, (1,), (2,)), "k=2"),                  # |p| = |q| != k
-        ((u, z, 2, 1, (1,), (2, 3)), "k=1"),                # |p| != |q|
-        ((u, z, 2, 3, (1, 2, 3), (2, 3, 4)), "k <= eta"),   # k > eta
-        ((u, [(1, 2), (1, 3)], 2, 1, (1,), (2,)), "N = 1"),  # counts differ
-        ((u[0], (1, 2), 2, 1, (1,), (2,)), "stack"),        # one unstacked shot
-        ((u, [(1, 1)], 2, 1, (1,), (2,)), "strictly increasing"),
-        ((u, [(2, 1)], 2, 1, (1,), (2,)), "strictly increasing"),
-        ((u, [(0, 2)], 2, 1, (1,), (2,)), "within 1..4"),
-        ((u, [(3, 5)], 2, 1, (1,), (2,)), "within 1..4"),
-        ((u, [(1.0, 2.0)], 2, 1, (1,), (2,)), "integers"),
-        ((u, z, 2, 2, (3, 1), (1, 2)), "not increasing"),   # p not a subset
-        ((u, z, 2, 2, (1, 2), (2, 2)), "not increasing"),   # q not a subset
-        ((u, z, 2, 2, (1, 2), (0, 1)), "out of range"),
-        ((u, z, 2, 1, (5,), (1,)), "out of range"),
+        ((w, 2, (1,), (2,)), "k=2"),                        # |p| = |q| != k
+        ((w, 1, (1,), (2, 3)), "k=1"),                      # |p| != |q|
+        ((w, 3, (1, 2, 3), (2, 3, 4)), "k <= eta"),         # k > eta
+        ((w[0], 1, (1,), (2,)), "stack"),                   # one unstacked shot
+        ((np.ones((1, 3, 2)), 1, (1,), (2,)), "eta <= n"),  # more rows than modes
+        ((w, 2, (3, 1), (1, 2)), "not increasing"),         # p not a subset
+        ((w, 2, (1, 2), (2, 2)), "not increasing"),         # q not a subset
+        ((w, 2, (1, 2), (0, 1)), "out of range"),
+        ((w, 1, (5,), (1,)), "out of range"),
     ]
     for args, match in cases:
         with pytest.raises(ValueError, match=match):
@@ -305,24 +294,21 @@ def test_batched_fast_path_matches_oracles(data):
     k = data.draw(st.integers(1, eta), label="k")
     count = data.draw(st.sampled_from([1, 2, 5]), label="N")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    us, zs = _random_shadows(n, eta, count, rng)
+    ws = readout_rows(*_random_shadows(n, eta, count, rng))
     ss = list(subsets(n, k))
     p, q = ss[rng.integers(len(ss))], ss[rng.integers(len(ss))]
 
-    got = fast_estimate_rdm(us, zs, eta, k, p, q)
+    got = fast_estimate_rdm(ws, k, p, q)
     assert got.shape == (count,)
-    loop = np.array([_loop_estimate(us[i], zs[i], eta, k, p, q) for i in range(count)])
+    loop = np.array([_loop_estimate(w, k, p, q) for w in ws])
     assert np.all(np.abs(got - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
-    dense = batch_estimate_matrices(us, zs, eta, k)[:, rank_subset(p), rank_subset(q)]
+    dense = batch_estimate_matrices(ws, k)[:, rank_subset(p), rank_subset(q)]
     assert np.all(np.abs(got - dense) <= 1e-8 * np.maximum(1.0, np.abs(dense)))
 
     # a shot's value does not depend on the batch around it
-    alone = np.array([fast_estimate_rdm(us[i : i + 1], zs[i : i + 1], eta, k, p, q)[0]
-                      for i in range(count)])
-    extra_us, extra_zs = _random_shadows(n, eta, 3, rng)
-    inside = fast_estimate_rdm(np.concatenate([extra_us[:1], us, extra_us[1:]]),
-                               np.concatenate([extra_zs[:1], zs, extra_zs[1:]]),
-                               eta, k, p, q)[1 : count + 1]
+    alone = np.array([fast_estimate_rdm(ws[i : i + 1], k, p, q)[0] for i in range(count)])
+    extra = readout_rows(*_random_shadows(n, eta, 3, rng))
+    inside = fast_estimate_rdm(np.concatenate([extra[:1], ws, extra[1:]]), k, p, q)[1 : count + 1]
     for other in (alone, inside):
         assert np.all(np.abs(other - got) <= 1e-13 * np.maximum(1.0, np.abs(got)))
 
@@ -339,14 +325,14 @@ def test_stacked_fast_call_matches_per_pair_calls(data):
     width = data.draw(st.integers(1, 9), label="T")
     tile = data.draw(st.sampled_from([1, 50, shadows._TILE]), label="tile")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    us, zs = (a[:count] for a in _random_shadows(n, eta, max(count, 1), rng))
+    ws = readout_rows(*_random_shadows(n, eta, max(count, 1), rng))[:count]
     ss = subset_index_array(n, k) + 1
     ps, qs = ss[rng.integers(len(ss), size=width)], ss[rng.integers(len(ss), size=width)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shadows, "_TILE", tile)
-        got = fast_estimate_rdm(us, zs, eta, k, ps, qs)
+        got = fast_estimate_rdm(ws, k, ps, qs)
     assert got.shape == (count, width)
-    want = np.stack([fast_estimate_rdm(us, zs, eta, k, tuple(p), tuple(q))
+    want = np.stack([fast_estimate_rdm(ws, k, tuple(p), tuple(q))
                      for p, q in zip(ps.tolist(), qs.tolist())], axis=1)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
@@ -363,7 +349,7 @@ def test_stacked_fast_call_matches_per_pair_calls(data):
         table[row, 0 if bad == "low" else -1] = 0 if bad == "low" else n + 1
     args = (table, qs) if which == "p" else (ps, table)
     with pytest.raises(ValueError) as exc:
-        fast_estimate_rdm(us, zs, eta, k, *args)
+        fast_estimate_rdm(ws, k, *args)
     for t in args:
         for r in t.tolist():
             try:
@@ -375,15 +361,14 @@ def test_stacked_fast_call_matches_per_pair_calls(data):
 
 
 def test_fast_tables_reject_shape_and_dtype():
-    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None]
-    z = [(1, 2)]
+    w = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None, :2]
     for p, q in [([[1, 2]], [(1, 2), (2, 3)]),      # row counts differ
                  ([[1, 2]], (1, 2)),                # a table against one pair
                  ([[[1, 2]]], [[[1, 2]]]),           # three axes
                  ([[1.0, 2.0]], [[1, 2]]),          # float modes
                  ([[True, False]], [[1, 2]])]:      # bool modes
         with pytest.raises(ValueError, match="one shape"):
-            fast_estimate_rdm(u, z, 2, 2, p, q)
+            fast_estimate_rdm(w, 2, p, q)
 
 
 def _pair_with_difference(n, k, kp, rng):
@@ -404,6 +389,7 @@ def test_fast_path_precision_envelope(n, eta):
     mask = np.zeros((len(us), n), dtype=bool)
     mask[np.arange(len(us))[:, None], zs - 1] = True
     ueffs = us[np.arange(len(us))[:, None], np.argsort(~mask, axis=1, kind="stable")]
+    ws = readout_rows(us, zs)
     worst = {}
     for k in range(1, 7):
         e = estimation_diagonal(n, eta, k)
@@ -411,7 +397,7 @@ def test_fast_path_precision_envelope(n, eta):
         worst[k] = 0.0
         for kp in sorted({0, 1, k // 2, k}):
             p, q = _pair_with_difference(n, k, kp, rng)
-            fast = fast_estimate_rdm(us, zs, eta, k, p, q)
+            fast = fast_estimate_rdm(ws, k, p, q)
             rows = np.array([p, q], dtype=np.int64) - 1
             b = minors_batch(ueffs.transpose(0, 2, 1), rows, cols)       # (N, 2, C)
             dense = (b[:, 1].conj() * e * b[:, 0]).sum(axis=1)

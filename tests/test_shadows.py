@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aggregate_oracle import two_pass_aggregate
-from algebra_oracle import canonical_permutation, q_slater
-from dense_oracle import compound_batch, compound_estimate_matrices, estimation_diagonal
+from algebra_oracle import q_slater
+from dense_oracle import (
+    compound_batch,
+    compound_estimate_matrices,
+    estimation_diagonal,
+    readout_rows,
+)
 from fermishadow import shadows
 from fermishadow.combinat import binom, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
@@ -33,10 +38,10 @@ from fermishadow.shadows import (
 )
 
 
-def _matrices(us, zs, eta, k):
+def _matrices(ws, k):
     """The kernel's all-pairs estimates as (N, C, C) matrices [shot, rank p, rank q]."""
-    c = binom(us.shape[-1], k)
-    return fast_estimate_rdm(us, zs, eta, k, *all_pairs(us.shape[-1], k)).reshape(len(us), c, c)
+    c = binom(ws.shape[-1], k)
+    return fast_estimate_rdm(ws, k, *all_pairs(ws.shape[-1], k)).reshape(len(ws), c, c)
 
 
 def test_estimation_entry_frozen():
@@ -72,17 +77,17 @@ def test_per_shadow_norm_identity():
     rng = np.random.default_rng(11)
     for n, eta, k in [(2, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 2)]:
         state = random_state(n, eta, rng)
-        us, zs = collect_shadow_arrays(state, 1, seed=7, start_index=3)
-        est = _matrices(us, zs, eta, k)[0]
+        ws, _ = collect_shadow_arrays(state, 1, seed=7, start_index=3)
+        est = _matrices(ws, k)[0]
         want = float(trace_e_squared(n, eta, k))
         assert abs(np.sum(np.abs(est) ** 2) - want) < 1e-8 * want
 
 
 def test_per_shadow_hermiticity():
     state = random_state(5, 2, np.random.default_rng(3))
-    us, zs = collect_shadow_arrays(state, 1, seed=1, start_index=0)
+    ws, _ = collect_shadow_arrays(state, 1, seed=1, start_index=0)
     for k in (1, 2):
-        est = _matrices(us, zs, 2, k)[0]
+        est = _matrices(ws, k)[0]
         assert np.array_equal(est.conj().T, est)
 
 
@@ -92,12 +97,12 @@ def test_pair_and_its_reverse_are_exact_conjugates():
     rng = np.random.default_rng(12)
     for n, eta, k in [(5, 2, 1), (6, 3, 2), (7, 4, 3), (8, 4, 4), (9, 5, 5)]:
         state = random_state(n, eta, rng)
-        us, zs = collect_shadow_arrays(state, 5, seed=n)
+        ws, _ = collect_shadow_arrays(state, 5, seed=n)
         ss = subset_index_array(n, k) + 1
         ps, qs = ss[rng.integers(len(ss), size=6)], ss[rng.integers(len(ss), size=6)]
         ps, qs = np.concatenate([ps, qs, ps[:1]]), np.concatenate([qs, ps, ps[:1]])
         for gather in (True, False):
-            got = shadows._block_estimates(us, zs, eta, k, ps, qs, gather)
+            got = shadows._block_estimates(ws, k, ps, qs, gather)
             assert np.array_equal(got[:, 6:12], got[:, :6].conj())
             assert np.all(got[:, 12].imag == 0)
 
@@ -105,10 +110,10 @@ def test_pair_and_its_reverse_are_exact_conjugates():
 def test_batch_matches_single():
     n, eta, k = 4, 2, 2
     state = random_state(n, eta, np.random.default_rng(5))
-    us, zs = collect_shadow_arrays(state, 6, seed=13)
-    batch = _matrices(us, zs, eta, k)
+    ws, _ = collect_shadow_arrays(state, 6, seed=13)
+    batch = _matrices(ws, k)
     for i in range(6):
-        assert np.allclose(batch[i], _matrices(us[i:i + 1], zs[i:i + 1], eta, k)[0])
+        assert np.allclose(batch[i], _matrices(ws[i:i + 1], k)[0])
 
 
 @settings(max_examples=120, deadline=None)
@@ -122,83 +127,70 @@ def test_projector_form_matches_compound_oracle(data):
     us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
     zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
     want = compound_estimate_matrices(us, zs, eta, k)
-    got = _matrices(us, zs, eta, k)
+    got = _matrices(readout_rows(us, zs), k)
     assert np.array_equal(got, got.conj().transpose(0, 2, 1))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_dense_estimate_rejects_bad_input():
-    # the readout checks are shared with fast_estimate_rdm (check_shadows)
-    u = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None]
-    cases = [
-        ((u[0], [(1, 2)]), "stack"),                # one unstacked shot
-        ((u, [(1, 2), (1, 3)]), "N = 1"),           # counts differ
-        ((u, [(1, 2, 3)]), "eta=2"),                # readout of the wrong eta
-        ((u, [(1, 1)]), "strictly increasing"),     # repeated mode
-        ((u, [(2, 1)]), "strictly increasing"),
-        ((u, [(0, 2)]), "within 1..4"),             # mode 0 once wrapped to mode n
-        ((u, [(3, 5)]), "within 1..4"),             # mode > n once raised IndexError
-        ((u, [(1.0, 2.0)]), "integers"),
-    ]
-    for (us, zs), match in cases:
-        with pytest.raises(ValueError, match=match):
-            fast_estimate_rdm(us, zs, 2, 1, *all_pairs(4, 1))
+    # the snapshot checks are check_shadows': a stack (N, eta, n) with eta <= n
+    w = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None, :2]
+    for ws in (w[0], w[None], np.ones((1, 5, 4))):
+        with pytest.raises(ValueError, match="stack"):
+            fast_estimate_rdm(ws, 1, *all_pairs(4, 1))
     with pytest.raises(ValueError, match="k <= eta"):
-        fast_estimate_rdm(u, [(1, 2)], 2, 3, *all_pairs(4, 3))
+        fast_estimate_rdm(w, 3, *all_pairs(4, 3))
 
 
 def test_collection_is_index_deterministic():
     state = random_state(4, 2, np.random.default_rng(2))
-    us, zs = collect_shadow_arrays(state, 7, seed=40)
-    tail_us, tail_zs = collect_shadow_arrays(state, 5, seed=40, start_index=2)
-    assert np.array_equal(us[2:], tail_us) and np.array_equal(zs[2:], tail_zs)
+    ws, zs = collect_shadow_arrays(state, 7, seed=40)
+    tail_ws, tail_zs = collect_shadow_arrays(state, 5, seed=40, start_index=2)
+    assert np.array_equal(ws[2:], tail_ws) and np.array_equal(zs[2:], tail_zs)
     for i in range(7):
-        one_u, one_z = collect_shadow_arrays(state, 1, seed=40, start_index=i)
-        assert np.array_equal(us[i], one_u[0]) and np.array_equal(zs[i], one_z[0])
+        one_w, one_z = collect_shadow_arrays(state, 1, seed=40, start_index=i)
+        assert np.array_equal(ws[i], one_w[0]) and np.array_equal(zs[i], one_z[0])
 
 
 def test_chunking_is_bit_identical(monkeypatch):
     state = random_state(5, 3, np.random.default_rng(2))
-    us, zs = collect_shadow_arrays(state, 7, seed=40)
+    ws, zs = collect_shadow_arrays(state, 7, seed=40)
     for chunk in (2, 3):
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
-        cus, czs = collect_shadow_arrays(state, 7, seed=40)
-        assert cus.tobytes() == us.tobytes() and np.array_equal(czs, zs)
+        cws, czs = collect_shadow_arrays(state, 7, seed=40)
+        assert cws.tobytes() == ws.tobytes() and np.array_equal(czs, zs)
         # the kernel on slices of chunk shots, from either block source
         for k in (1, 2, 3):
             ps, qs = all_pairs(5, k)
             for gather in (True, False):
-                want = shadows._block_estimates(us, zs, 3, k, ps, qs, gather)
+                want = shadows._block_estimates(ws, k, ps, qs, gather)
                 got = np.concatenate([
-                    shadows._block_estimates(us[lo:lo + chunk], zs[lo:lo + chunk], 3, k, ps, qs,
-                                             gather) for lo in range(0, 7, chunk)])
+                    shadows._block_estimates(ws[lo:lo + chunk], k, ps, qs, gather)
+                    for lo in range(0, 7, chunk)])
                 assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (7, 3), (8, 4)])
 def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, eta):
     # unitary_from_ginibre's bits do not depend on the stack (Gram-Schmidt
-    # for n <= 5, LAPACK's QR from 6 on), so us is bit for bit the same for
-    # every chunk size.
+    # for n <= 5, LAPACK's QR from 6 on), so the readout rows are bit for bit
+    # rows of the same rotations, drawn again from the streams, for every
+    # chunk size.
     # The Givens network's broadcast complex products may take other numpy
     # loops for other stack sizes, so the rotated amplitudes agree to rounding
     # only, and a readout may move only where its uniform lies within rounding
     # of a cumulative Born probability.
     state = random_state(n, eta, np.random.default_rng(n))
     count, seed = 7, 5
-    us, zs = collect_shadow_arrays(state, count, seed)
+    us, u01 = _reference_draws(n, count, seed, 0)
+    _, zs = collect_shadow_arrays(state, count, seed)
     probs = np.abs(givens_rotate(us, state.amps, eta)) ** 2
     cum = np.cumsum(probs / probs.sum(axis=1)[:, None], axis=1)
-    u01 = np.empty(count)
-    for i in range(count):
-        rng = shadows.shadow_rng(seed, i)
-        ginibre(n, rng)
-        u01[i] = rng.random()
     for chunk in (1, 3):
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
-        cus, czs = collect_shadow_arrays(state, count, seed)
-        assert cus.tobytes() == us.tobytes()
+        cws, czs = collect_shadow_arrays(state, count, seed)
+        assert cws.tobytes() == readout_rows(us, czs).tobytes()
         stacked = givens_rotate(us, state.amps, eta)
         parts = np.concatenate([givens_rotate(us[lo:lo + chunk], state.amps, eta)
                                 for lo in range(0, count, chunk)])
@@ -207,16 +199,21 @@ def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, et
             assert np.abs(cum[i] - u01[i]).min() <= 1e-12
 
 
-def _per_shot_reference(state, count, seed, start_index):
-    # one fresh shadow_rng per shot, then one batched QR, rotation and draw
-    n, eta = state.n, state.eta
+def _reference_draws(n, count, seed, start_index):
+    # one fresh shadow_rng per shot, then one batched QR: (whole rotations, uniforms)
     gin = np.empty((count, n, n), dtype=np.complex128)
     u01 = np.empty(count)
     for i in range(count):
         rng = shadows.shadow_rng(seed, start_index + i)
         gin[i] = ginibre(n, rng)
         u01[i] = rng.random()
-    us = unitary_from_ginibre(gin)
+    return unitary_from_ginibre(gin), u01
+
+
+def _per_shot_reference(state, count, seed, start_index):
+    # the reference draws, then one batched rotation and Born draw
+    n, eta = state.n, state.eta
+    us, u01 = _reference_draws(n, count, seed, start_index)
     probs = np.abs(givens_rotate(us, state.amps, eta)) ** 2
     probs /= probs.sum(axis=1)[:, None]
     zs = (subset_index_array(n, eta) + 1)[shadows._draw_ranks(probs, u01)]
@@ -228,17 +225,17 @@ def _per_shot_reference(state, count, seed, start_index):
 def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk):
     # the collector re-keys one Philox per call; its bits must equal a fresh
     # shadow_rng(seed, index) per shot, or a numpy change to the state layout
-    # shows here
+    # shows here; the snapshots are those rotations' readout rows, bit for bit
     if chunk is not None:
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
     state = random_state(n, eta, np.random.default_rng(n + eta))
     count = 7
     for seed in (0, 2**64 - 1):
         for start in (0, 5, 2**64 - 1 - count):
-            us, zs = collect_shadow_arrays(state, count, seed, start_index=start)
+            ws, zs = collect_shadow_arrays(state, count, seed, start_index=start)
             ref_us, ref_zs = _per_shot_reference(state, count, seed, start)
-            assert us.tobytes() == ref_us.tobytes()
             assert np.array_equal(zs, ref_zs)
+            assert ws.tobytes() == readout_rows(ref_us, ref_zs).tobytes()
 
 
 def test_rekeyed_state_equals_fresh_philox():
@@ -281,16 +278,36 @@ def test_collection_checks_stream_range_before_drawing(monkeypatch):
 
 def test_collection_born_statistics():
     # readout counts against each shot's own Born rule, with compound_batch
-    # (not the Givens kernel the collector uses) rotating the state
+    # (not the Givens kernel the collector uses) rotating the state by the
+    # shot's whole rotation, drawn again from its stream
     n, eta, draws = 4, 2, 40000
     state = random_state(n, eta, np.random.default_rng(7))
-    us, zs = collect_shadow_arrays(state, draws, seed=9)
+    _, zs = collect_shadow_arrays(state, draws, seed=9)
+    us, _ = _reference_draws(n, draws, 9, 0)
     probs = np.abs(compound_batch(us, eta) @ state.amps) ** 2        # (draws, C)
     ranks = np.searchsorted(subset_masks(n, eta), (1 << (zs - 1)).sum(axis=1))
     counts = np.bincount(ranks, minlength=binom(n, eta))
     expected = probs.sum(axis=0)
     sigma = np.sqrt((probs * (1 - probs)).sum(axis=0))
     assert np.all(np.abs(counts - expected) < 5 * np.maximum(sigma, 1e-4 * draws))
+
+
+def test_collection_memory_grows_by_readout_rows():
+    # past the second chunk (whose temporaries overlap the first's), each shot
+    # adds its eta x n readout rows and its readout, not its n x n rotation:
+    # at (12, 2) that is 400 bytes, not 2320
+    import tracemalloc
+
+    state = random_state(12, 2, np.random.default_rng(12))
+    peaks = {}
+    for count in (4096, 6144):
+        tracemalloc.start()
+        ws, zs = collect_shadow_arrays(state, count, seed=1)
+        peaks[count] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert ws.shape == (count, 2, 12) and zs.shape == (count, 2)
+    per_shot = (peaks[6144] - peaks[4096]) / 2048
+    assert per_shot < 2 * (2 * 12 * 16 + 2 * 8)
 
 
 def test_collection_rejects_unnormalized_state():
@@ -301,19 +318,16 @@ def test_collection_rejects_unnormalized_state():
 
 
 def test_effective_frame_invariance():
-    # any frame row order fixing the readout block gives the same estimates
+    # the estimates read the readout rows W only through Pi = W^H W, so W and
+    # V W, V any eta x eta unitary, give the same estimates
     rng = np.random.default_rng(31)
     n, eta, k = 6, 3, 2
     state = random_state(n, eta, rng)
-    us, zs = collect_shadow_arrays(state, 1, seed=3, start_index=1)
-    v = canonical_permutation(tuple(zs[0]), n)
-    w = us[0][v - 1]
-    ref = _matrices(us, zs, eta, k)[0]
+    ws, _ = collect_shadow_arrays(state, 1, seed=3, start_index=1)
+    ref = _matrices(ws, k)[0]
     for _ in range(3):
-        perm = np.concatenate([rng.permutation(eta), eta + rng.permutation(n - eta)])
-        u_alt = np.empty_like(us[0])
-        u_alt[v - 1] = w[perm]
-        alt = _matrices(u_alt[None], zs, eta, k)[0]
+        v = unitary_from_ginibre(ginibre(eta, rng))
+        alt = _matrices(v @ ws, k)[0]
         assert np.max(np.abs(alt - ref)) < 1e-10
 
 
@@ -321,8 +335,8 @@ def test_particle_number_estimate_is_exact():
     # sum_p D^p_p has a state-independent per-shadow estimate: the trace eta
     n, eta = 5, 3
     state = random_state(n, eta, np.random.default_rng(17))
-    us, zs = collect_shadow_arrays(state, 4, seed=9)
-    got = np.trace(_matrices(us, zs, eta, 1), axis1=1, axis2=2)
+    ws, _ = collect_shadow_arrays(state, 4, seed=9)
+    got = np.trace(_matrices(ws, 1), axis1=1, axis2=2)
     assert got.shape == (4,)
     assert np.all(np.abs(got - eta) < 1e-9)
 
@@ -331,9 +345,9 @@ def test_unbiased_against_dense_oracle():
     n, eta, k = 3, 1, 1
     state = random_state(n, eta, np.random.default_rng(23))
     truth = rdm_matrix(state, k)
-    us, zs = collect_shadow_arrays(state, 6000, seed=77)
-    reducer = Reducer(len(us), binom(n, k) ** 2)
-    reducer.add(fast_estimate_rdm(us, zs, eta, k, *all_pairs(n, k)))
+    ws, _ = collect_shadow_arrays(state, 6000, seed=77)
+    reducer = Reducer(len(ws), binom(n, k) ** 2)
+    reducer.add(fast_estimate_rdm(ws, k, *all_pairs(n, k)))
     vals, errs = (a.reshape(binom(n, k), -1) for a in reducer.result())
     for r in range(binom(n, k)):
         for c in range(binom(n, k)):
@@ -464,27 +478,42 @@ def test_frozen_variance_quantities():
     assert variance_bound(2, 1, 1) == Fraction(3, 2)
 
 
+def _pairs(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
 def test_jsonl_roundtrip():
     state = basis_state((1, 3), 4)
-    us, zs = collect_shadow_arrays(state, 3, seed=55)
-    text = shadows_to_jsonl(us, zs, 55)
+    ws, zs = collect_shadow_arrays(state, 3, seed=55)
+    text = shadows_to_jsonl(ws, zs, 55)
     assert text.endswith("\n")
     lines = [json.loads(line) for line in text.splitlines()]
     assert [(b["seed"], b["index"]) for b in lines] == [(55, 0), (55, 1), (55, 2)]
-    back_us, back_zs = shadows_from_jsonl(text)
-    assert np.array_equal(us, back_us) and np.array_equal(zs, back_zs)
-    est_a = _matrices(us, zs, 2, 1)
-    est_b = _matrices(back_us, back_zs, 2, 1)
-    assert np.array_equal(est_a, est_b)
-    tail = json.loads(shadows_to_jsonl(us[1:], zs[1:], 55, start_index=1).splitlines()[0])
+    assert [sorted(b) for b in lines] == [["index", "seed", "w", "z"]] * 3
+    assert all(np.shape(b["w"]) == (2, 4, 2) for b in lines)
+    back_ws, back_zs = shadows_from_jsonl(text)
+    assert back_ws.tobytes() == ws.tobytes() and np.array_equal(zs, back_zs)
+    assert np.array_equal(_matrices(ws, 1), _matrices(back_ws, 1))
+    tail = json.loads(shadows_to_jsonl(ws[1:], zs[1:], 55, start_index=1).splitlines()[0])
     assert tail == lines[1]
+    # the older format records the whole rotation u; its line loads to the
+    # same (ws, zs), byte for byte, as the w line written for that shadow
+    us, _ = _reference_draws(4, 3, 55, 0)
+    old = "\n".join(json.dumps({"seed": 55, "index": i, "u": _pairs(u), "z": b["z"]})
+                    for i, (u, b) in enumerate(zip(us, lines)))
+    old_ws, old_zs = shadows_from_jsonl(old)
+    assert old_ws.tobytes() == back_ws.tobytes() and old_zs.tobytes() == back_zs.tobytes()
+    with pytest.raises(ValueError, match="eta = 0"):
+        shadows_to_jsonl(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=np.int64), 0)
 
     def line(u, z):
-        return json.dumps({"seed": 0, "index": 0, "z": z,
-                           "u": [[[float(v.real), float(v.imag)] for v in row] for row in u]})
+        return json.dumps({"seed": 0, "index": 0, "z": z, "u": _pairs(u)})
 
-    def raw(u, z=(1,)):
-        return json.dumps({"seed": 0, "index": 0, "z": list(z), "u": u})
+    def wline(w, z):
+        return json.dumps({"seed": 0, "index": 0, "z": z, "w": _pairs(w)})
+
+    def raw(u, z=(1,), key="u"):
+        return json.dumps({"seed": 0, "index": 0, "z": list(z), key: u})
 
     eye = np.eye(2)
     for bad in (
@@ -507,22 +536,44 @@ def test_jsonl_roundtrip():
         raw([[[float("nan"), 0.0]]]),            # NaN is not unitary
         raw([[[10**400, 0]]]),                   # an integer beyond the float range
         raw([[[1.0, 0.0]]], [2**70]),            # a mode beyond int64
-        json.dumps({"seed": 0, "index": 0, "z": [1]}),           # no u
+        line(np.eye(3)[:2], [1]),                # u with fewer rows than columns
+        json.dumps({"seed": 0, "index": 0, "z": [1]}),           # neither u nor w
         json.dumps({"seed": 0, "index": 0, "u": [[[1.0, 0.0]]]}),  # no z
         "[1, 2]",                                # not a JSON object
         "3",
         "{not json",
         line(eye, [1]) + "\n" + raw([[[True, False]]]),  # the second shadow is bad
+        wline([[2, 0, 0]], [1]),                 # w rows not orthonormal
+        wline([[1, 0, 0], [1, 0, 0]], [1, 2]),
+        raw([[[float("nan"), 0.0], [0.0, 0.0]]], key="w"),
+        wline(np.eye(3)[:2], [1]),               # len(w) != len(z)
+        wline(np.eye(3)[:1], [1, 2]),
+        wline(np.eye(3)[:, :2], [1, 2, 3]),      # more rows than columns
+        raw([[]], key="w"),
+        raw([], key="w"),                        # no rows: n unknown
+        raw([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], [1, 2], key="w"),  # ragged rows
+        raw([[[True, False]]], key="w"),         # booleans in w
+        wline(np.eye(3)[:1], [4]),               # mode above n
+        wline(np.eye(3)[:2], [2, 1]),            # z not increasing
+        json.dumps({"seed": 0, "index": 0, "z": [1], "u": _pairs(eye),
+                    "w": _pairs(eye[:1])}),      # both u and w
+        wline(eye[:1], [1]) + "\n" + wline(eye[:1] * 2, [1]),  # the second shadow is bad
     ):
         with pytest.raises(ValueError, match=r"shadow \d"):
             shadows_from_jsonl(bad)
     for bad in (
         line(eye, [1]) + "\n" + line(np.eye(3), [1]),  # rows of differing shape
         line(eye, [1]) + "\n" + line(eye, [1, 2]),
+        wline(eye[:1], [1]) + "\n" + wline(np.eye(3)[:1], [1]),
         "",
     ):
         with pytest.raises(ValueError):
             shadows_from_jsonl(bad)
     with pytest.raises(ValueError, match="shadow 1"):
         shadows_from_jsonl(line(eye, [1]) + "\n" + raw("u"))
-    assert shadows_from_jsonl(line(eye, [2]))[1].tolist() == [[2]]
+    got_ws, got_zs = shadows_from_jsonl(line(eye, [2]))
+    assert got_ws.tolist() == [[[0, 1]]] and got_zs.tolist() == [[2]]
+    # u and w lines of one shape mix; an eta = 0 u line keeps its n
+    mixed, _ = shadows_from_jsonl(line(eye, [2]) + "\n" + wline(eye[1:], [2]))
+    assert np.array_equal(mixed, [[[0, 1]], [[0, 1]]])
+    assert shadows_from_jsonl(line(eye, []))[0].shape == (1, 0, 2)
