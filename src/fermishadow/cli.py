@@ -194,11 +194,21 @@ def _subset_str(z) -> str:
 
 
 def _git_describe():
-    """git describe of the checkout holding this package; None outside one."""
+    """git describe of the checkout holding this package; None outside one.
+
+    Without GIT_DIR, git finds a repository only through a .git entry in the
+    package directory or an ancestor, so where there is none no git is spawned.
+    """
+    here = top = os.path.dirname(os.path.abspath(__file__))
+    if "GIT_DIR" not in os.environ:
+        while not os.path.lexists(os.path.join(top, ".git")):
+            if os.path.dirname(top) == top:
+                return None
+            top = os.path.dirname(top)
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            cwd=here,
             capture_output=True, text=True, timeout=10,
         )
         return out.stdout.strip() or None

@@ -17,16 +17,18 @@ readout rows at O(k^2 eta + k^4) per shot for small ones.
 A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta): shadow
 i is the snapshot ws[i] = U_z, the eta rows of its Haar rotation u that the
 1-based sorted readout zs[i] picks, and the estimator reads ws alone.
-Randomness is counter-based: shadow i of a run seeded with s uses the Philox
-stream keyed by (s, i), so any chunking or start index gives bit-identical
-readout rows, and readouts that differ only where a uniform lies within
-rounding of a cumulative Born probability (see linalg.givens_rotate).  The
-collector re-keys one generator per call instead of building one per shot,
-by assigning it the state of a fresh stream as plain Python ints
-(_fresh_state); the bits equal those of a fresh shadow_rng(s, i) for every
-shot.  It raises ValueError before any draw unless the seed is in
-0..2^64-1 and start_index + count <= 2^64-1: index 2^64-1 prepares the
-input state.
+Randomness is counter-based and keyed by 64-shot blocks: shadow i of a run
+seeded with s is position i mod 64 of the Philox stream keyed by
+(s, i // 64), which draws the block's 64 shots' Ginibre normals, shot-major,
+then their 64 Born uniforms, each in one call.  So any chunking or start
+index gives bit-identical readout rows, and readouts that differ only where
+a uniform lies within rounding of a cumulative Born probability (see
+linalg.givens_rotate); regenerating one shadow draws its whole block.  The
+collector re-keys one generator per block by assigning it the state of a
+fresh stream as plain Python ints (_fresh_state); the bits equal those of a
+fresh shadow_rng(s, block).  It raises ValueError before any draw unless the
+seed is in 0..2^64-1 and start_index + count <= 2^64-1: stream index 2^64-1
+prepares the input state, and no block reaches it.
 
 Contents
 --------
@@ -64,8 +66,14 @@ from .linalg import (
 
 
 # shots per pass of collect_shadow_arrays and of the CLI's
-# collect -> estimate -> reduce loop
+# collect -> estimate -> reduce loop; a memory setting that never changes a draw
 _CHUNK = 2048
+
+# shots per Philox key: shot j of seed s is position j mod _BLOCK of the
+# stream keyed (s, j // _BLOCK).  Part of the draw contract, not a tuning
+# value: changing it changes every snapshot.  _CHUNK is a multiple, so the
+# CLI's chunks draw no block twice.
+_BLOCK = 64
 
 # numbers per array of a fast_estimate_rdm tile of blocks or targets
 _TILE = 2**15
@@ -105,13 +113,14 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
 def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
     """Collect shadows as stacked arrays (ws (N, eta, n), zs (N, eta) 1-based).
 
-    Shadow i draws from the stream (seed, start_index + i): its Ginibre
-    normals, then the uniform of its Born draw.  Of its rotation u only the
-    readout rows ws[i] = u[zs[i] - 1] are kept, eta/n of the whole.  One
-    generator serves the whole call and is re-keyed per shot; key
-    (seed, index) with a zero counter and an empty buffer is exactly the
-    state of a fresh shadow_rng(seed, index), so the bits equal one
-    generator per shot.
+    Shot j = start_index + i is position j mod _BLOCK of the block stream
+    (seed, j // _BLOCK), which draws its _BLOCK shots' Ginibre normals,
+    shot-major, then their _BLOCK Born uniforms.  Of shot i's rotation u only
+    the readout rows ws[i] = u[zs[i] - 1] are kept, eta/n of the whole.  One
+    generator serves the whole call and is re-keyed per block; key
+    (seed, block) with a zero counter and an empty buffer is exactly the
+    state of a fresh shadow_rng(seed, block).  A range that starts or ends
+    inside a block draws that whole block and keeps its slice.
     Raises ValueError before any draw unless 0 <= seed < 2^64, count >= 0,
     start_index >= 0 and start_index + count <= _STATE_INDEX = 2^64-1, the
     state's stream.  Raises RuntimeError if a rotated state's Born
@@ -128,26 +137,32 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     gen = shadow_rng(seed, 0)
     bitgen = gen.bit_generator
     normal, uniform = gen.standard_normal, gen.random
-    fresh = _fresh_state(seed, 0)      # only the key's index word changes per shot
+    fresh = _fresh_state(seed, 0)      # only the key's index word changes per block
     key = fresh["state"]["key"]
-    raw = np.empty((min(count, _CHUNK), n, 2 * n))
+    raw = u01 = np.empty(0)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
-        u01 = np.empty(hi - lo)
-        for i, row in enumerate(raw[:hi - lo]):
-            key[1] = start_index + lo + i
+        first = (start_index + lo) // _BLOCK
+        blocks = (start_index + hi - 1) // _BLOCK + 1 - first
+        if len(raw) < blocks:       # the draw buffers, reused by later chunks
+            raw, u01 = np.empty((blocks, _BLOCK, n, 2 * n)), np.empty((blocks, _BLOCK))
+        for b in range(blocks):
+            key[1] = first + b
             bitgen.state = fresh
-            normal(out=row)
-            u01[i] = uniform()
-        u = unitary_from_ginibre(_ginibre_from_normals(raw[:hi - lo]))
+            normal(out=raw[b])
+            uniform(out=u01[b])
+        # the chunk's shots: its range within the drawn blocks
+        keep = slice(start_index + lo - first * _BLOCK, start_index + hi - first * _BLOCK)
+        u = unitary_from_ginibre(_ginibre_from_normals(raw[:blocks].reshape(-1, n, 2 * n)[keep]))
         probs = np.abs(givens_rotate(u, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
         defect = float(np.max(np.abs(totals - 1.0)))
         if not defect <= 1e-6:     # NaN fails too
             raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
                                "is the state normalized?")
-        zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], u01)]
+        zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], u01.reshape(-1)[keep])]
         ws[lo:hi] = u[np.arange(hi - lo)[:, None], zs[lo:hi] - 1]
+        del u, probs, totals        # freed before the next chunk's draws and QR
     return ws, zs
 
 

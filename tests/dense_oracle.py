@@ -4,8 +4,8 @@ Compound route: each shadow's whole rotation is reordered so the readout
 modes come first (u_eff), and its estimate matrix is the transpose of
 B^H E B, with B the k-th compound of u_eff and E the diagonal estimation
 operator.  The collector keeps only the readout rows, so a test that needs
-the whole rotation draws it again from the shadow's stream (shadow_rng,
-ginibre, unitary_from_ginibre).  The compound also rotates states for the
+the whole rotation draws it again from the stream of the shadow's 64-shot
+block (shadow_rng, the block's normals, unitary_from_ginibre).  The compound also rotates states for the
 tests of linalg.givens_rotate and fock.
 
 Dense projector route (batch_estimate_matrices): every C(n,k) x C(n,k)

@@ -816,6 +816,33 @@ def test_estimate_memory_with_few_targets(capsys):
         assert peak <= 4 * 2**20, (estimator, peak)
 
 
+def test_git_describe_spawns_no_git_outside_a_checkout(tmp_path, monkeypatch):
+    # with no GIT_DIR and no .git entry in the package directory or above it,
+    # git can find no repository, so none is spawned to find out
+    if any((d / ".git").exists() for d in (tmp_path, *tmp_path.parents)):
+        pytest.skip("the temporary directory lies inside a git checkout")
+    pkg = tmp_path / "src" / "fermishadow"
+    pkg.mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(pkg / "cli.py"))
+    monkeypatch.delenv("GIT_DIR", raising=False)
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("spawned git outside a checkout")
+
+    monkeypatch.setattr(subprocess, "run", no_spawn)
+    assert cli._git_describe() is None
+    calls = []
+
+    def fake_git(args, cwd, **kwargs):
+        calls.append(cwd)
+        return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_git)
+    (tmp_path / ".git").mkdir()
+    assert cli._git_describe() == "abc1234"
+    assert calls == [str(pkg)]
+
+
 def test_git_describe_names_the_package_checkout(tmp_path):
     # a run started inside another git checkout must not record that
     # checkout's commit as the package's

@@ -17,6 +17,7 @@ from fermishadow import shadows
 from fermishadow.combinat import binom, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import (
+    _ginibre_from_normals,
     ginibre,
     givens_rotate,
     subset_index_array,
@@ -171,6 +172,12 @@ def test_chunking_is_bit_identical(monkeypatch):
                 assert got.tobytes() == want.tobytes()
 
 
+# (start_index, count) ranges: inside the first block; straddling the edge
+# at 64 (from 63) and just past it; over several blocks, so that 100-shot
+# chunks end inside blocks; and the top range, ending at 2^64-2
+_RANGES = [(0, 7), (5, 7), (63, 7), (64, 7), (65, 7), (30, 230), (2**64 - 8, 7)]
+
+
 @pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (7, 3), (8, 4)])
 def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, eta):
     # unitary_from_ginibre's bits do not depend on the stack (Gram-Schmidt
@@ -182,31 +189,36 @@ def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, et
     # only, and a readout may move only where its uniform lies within rounding
     # of a cumulative Born probability.
     state = random_state(n, eta, np.random.default_rng(n))
-    count, seed = 7, 5
-    us, u01 = _reference_draws(n, count, seed, 0)
-    _, zs = collect_shadow_arrays(state, count, seed)
-    probs = np.abs(givens_rotate(us, state.amps, eta)) ** 2
-    cum = np.cumsum(probs / probs.sum(axis=1)[:, None], axis=1)
-    for chunk in (1, 3):
-        monkeypatch.setattr(shadows, "_CHUNK", chunk)
-        cws, czs = collect_shadow_arrays(state, count, seed)
-        assert cws.tobytes() == readout_rows(us, czs).tobytes()
+    seed, default = 5, shadows._CHUNK
+    for start, count in _RANGES:
+        us, u01 = _reference_draws(n, count, seed, start)
+        monkeypatch.setattr(shadows, "_CHUNK", default)
+        _, zs = collect_shadow_arrays(state, count, seed, start)
         stacked = givens_rotate(us, state.amps, eta)
-        parts = np.concatenate([givens_rotate(us[lo:lo + chunk], state.amps, eta)
-                                for lo in range(0, count, chunk)])
-        assert np.abs(parts - stacked).max() <= 1e-14
-        for i in np.flatnonzero((czs != zs).any(axis=1)):
-            assert np.abs(cum[i] - u01[i]).min() <= 1e-12
+        probs = np.abs(stacked) ** 2
+        cum = np.cumsum(probs / probs.sum(axis=1)[:, None], axis=1)
+        for chunk in (1, 3, 100):
+            monkeypatch.setattr(shadows, "_CHUNK", chunk)
+            cws, czs = collect_shadow_arrays(state, count, seed, start)
+            assert cws.tobytes() == readout_rows(us, czs).tobytes()
+            parts = np.concatenate([givens_rotate(us[lo:lo + chunk], state.amps, eta)
+                                    for lo in range(0, count, chunk)])
+            assert np.abs(parts - stacked).max() <= 1e-14
+            for i in np.flatnonzero((czs != zs).any(axis=1)):
+                assert np.abs(cum[i] - u01[i]).min() <= 1e-12
 
 
 def _reference_draws(n, count, seed, start_index):
-    # one fresh shadow_rng per shot, then one batched QR: (whole rotations, uniforms)
+    # per shot j a fresh shadow_rng keyed by its 64-shot block, (seed, j // 64):
+    # the block's normals (64, n, 2n), then its 64 uniforms, of which shot j
+    # takes position j % 64; then one batched QR: (whole rotations, uniforms)
     gin = np.empty((count, n, n), dtype=np.complex128)
     u01 = np.empty(count)
     for i in range(count):
-        rng = shadows.shadow_rng(seed, start_index + i)
-        gin[i] = ginibre(n, rng)
-        u01[i] = rng.random()
+        block, pos = divmod(start_index + i, 64)
+        rng = shadows.shadow_rng(seed, block)
+        gin[i] = _ginibre_from_normals(rng.standard_normal((64, n, 2 * n))[pos])
+        u01[i] = rng.random(64)[pos]
     return unitary_from_ginibre(gin), u01
 
 
@@ -220,18 +232,17 @@ def _per_shot_reference(state, count, seed, start_index):
     return us, zs
 
 
-@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("chunk", [1, 3, 100, None])
 @pytest.mark.parametrize("n,eta", [(1, 1), (4, 2), (5, 3), (7, 3), (8, 4)])
 def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk):
-    # the collector re-keys one Philox per call; its bits must equal a fresh
-    # shadow_rng(seed, index) per shot, or a numpy change to the state layout
+    # the collector re-keys one Philox per block; its bits must equal a fresh
+    # shadow_rng(seed, block) per shot, or a numpy change to the state layout
     # shows here; the snapshots are those rotations' readout rows, bit for bit
     if chunk is not None:
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
     state = random_state(n, eta, np.random.default_rng(n + eta))
-    count = 7
     for seed in (0, 2**64 - 1):
-        for start in (0, 5, 2**64 - 1 - count):
+        for start, count in _RANGES:
             ws, zs = collect_shadow_arrays(state, count, seed, start_index=start)
             ref_us, ref_zs = _per_shot_reference(state, count, seed, start)
             assert np.array_equal(zs, ref_zs)
@@ -293,21 +304,32 @@ def test_collection_born_statistics():
 
 
 def test_collection_memory_grows_by_readout_rows():
-    # past the second chunk (whose temporaries overlap the first's), each shot
-    # adds its eta x n readout rows and its readout, not its n x n rotation:
-    # at (12, 2) that is 400 bytes, not 2320
+    # each shot adds its eta x n readout rows and its readout, not its n x n
+    # rotation: at (12, 2) that is 400 bytes, not 2320; and a chunk's
+    # temporaries are freed before the next chunk's, so at (16, 2) a second
+    # chunk adds about its 2048 snapshots (1.1 MB), not a chunk's rotations
     import tracemalloc
 
-    state = random_state(12, 2, np.random.default_rng(12))
-    peaks = {}
-    for count in (4096, 6144):
+    def peak(state, count):
         tracemalloc.start()
         ws, zs = collect_shadow_arrays(state, count, seed=1)
-        peaks[count] = tracemalloc.get_traced_memory()[1]
+        out = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert ws.shape == (count, 2, 12) and zs.shape == (count, 2)
-    per_shot = (peaks[6144] - peaks[4096]) / 2048
+        assert ws.shape == (count, state.eta, state.n) and zs.shape == (count, state.eta)
+        return out
+
+    state = random_state(12, 2, np.random.default_rng(12))
+    per_shot = (peak(state, 6144) - peak(state, 4096)) / 2048
     assert per_shot < 2 * (2 * 12 * 16 + 2 * 8)
+    state = random_state(16, 2, np.random.default_rng(16))
+    assert peak(state, 4096) - peak(state, 2048) <= 3 * 2**20
+
+
+def test_block_positions_are_distinct_shots():
+    # a slice that repeated a position within its block would repeat a snapshot
+    state = random_state(4, 2, np.random.default_rng(4))
+    ws, _ = collect_shadow_arrays(state, 200, seed=0)
+    assert len({w.tobytes() for w in ws}) == 200
 
 
 def test_collection_rejects_unnormalized_state():
@@ -497,12 +519,18 @@ def test_jsonl_roundtrip():
     tail = json.loads(shadows_to_jsonl(ws[1:], zs[1:], 55, start_index=1).splitlines()[0])
     assert tail == lines[1]
     # the older format records the whole rotation u; its line loads to the
-    # same (ws, zs), byte for byte, as the w line written for that shadow
-    us, _ = _reference_draws(4, 3, 55, 0)
-    old = "\n".join(json.dumps({"seed": 55, "index": i, "u": _pairs(u), "z": b["z"]})
-                    for i, (u, b) in enumerate(zip(us, lines)))
-    old_ws, old_zs = shadows_from_jsonl(old)
-    assert old_ws.tobytes() == back_ws.tobytes() and old_zs.tobytes() == back_zs.tobytes()
+    # same (ws, zs), byte for byte, as the w line written for that shadow,
+    # also for shadows 63..65, which straddle the first block's edge
+    for start in (0, 63):
+        ws, zs = collect_shadow_arrays(state, 3, seed=55, start_index=start)
+        back_ws, back_zs = shadows_from_jsonl(shadows_to_jsonl(ws, zs, 55, start))
+        assert back_ws.tobytes() == ws.tobytes() and np.array_equal(zs, back_zs)
+        us, _ = _reference_draws(4, 3, 55, start)
+        old = "\n".join(json.dumps({"seed": 55, "index": start + i, "u": _pairs(u),
+                                    "z": [int(m) for m in z]})
+                        for i, (u, z) in enumerate(zip(us, zs)))
+        old_ws, old_zs = shadows_from_jsonl(old)
+        assert old_ws.tobytes() == back_ws.tobytes() and old_zs.tobytes() == back_zs.tobytes()
     with pytest.raises(ValueError, match="eta = 0"):
         shadows_to_jsonl(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=np.int64), 0)
 
