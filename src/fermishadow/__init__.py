@@ -12,8 +12,8 @@ entries at once.
 Modules
 -------
     combinat   : subsets in colex order, binomials, bitmasks and the sign rule
-    linalg     : Haar sampling, stacked determinants, Givens rotation
-    fock       : dense eta-particle states, rotations, transitions, JSON form
+    linalg     : Haar rotations as Givens networks, stacked determinants
+    fock       : dense eta-particle states, transitions, JSON form
     channel    : exact algebra of the measurement channel
     shadows    : the protocol on stacked (ws, zs) arrays, ws the readout rows
                  that are a snapshot, the block estimator, variance bookkeeping

@@ -28,7 +28,7 @@ from .fock import (
     slater_superposition,
     state_from_json,
 )
-from .linalg import _ginibre_from_normals, subset_index_array, unitary_from_ginibre
+from .linalg import haar_network, network_rows, subset_index_array
 from .shadows import (
     _STATE_INDEX,
     Reducer,
@@ -72,8 +72,9 @@ class ExperimentConfig:
     def validate(self):
         if not (_is_int(self.n) and _is_int(self.eta) and _is_int(self.k)):
             raise ConfigError("n, eta, k must be integers")
-        if not 0 <= self.k <= self.eta <= self.n:
-            raise ConfigError(f"need 0 <= k <= eta <= n, got n={self.n} eta={self.eta} k={self.k}")
+        if not (0 <= self.k <= self.eta <= self.n and self.n >= 1):
+            raise ConfigError(f"need 0 <= k <= eta <= n and n >= 1, "
+                              f"got n={self.n} eta={self.eta} k={self.k}")
         if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
@@ -481,8 +482,8 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     def twirl():
         bad = []
         for n, eta in [(3, 1), (4, 2)]:
-            normals = np.random.default_rng(seed + n).standard_normal((mc_samples, n, 2 * n))
-            us = unitary_from_ginibre(_ginibre_from_normals(normals))
+            network = haar_network(np.random.default_rng(seed + n).random((mc_samples, n * n)))
+            us = network_rows(network, np.broadcast_to(np.arange(n), (mc_samples, n)))
             ok, worst, _ = identities.check_twirl_moments(us, eta, 5.0)
             if not ok:
                 bad.append(f"n={n} eta={eta}: {worst:.1f} sigma")

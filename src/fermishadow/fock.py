@@ -16,7 +16,6 @@ Contents
 --------
     FermionState        : dense state container
     basis_state, random_state
-    apply_rotation      : single-particle unitary, applied as a Givens network
     apply_rdm_operator  : transition operator applied to a state
     expectation_rdm     : <state| transition |state>
     rdm_matrix          : all k-body expectations at once
@@ -37,7 +36,6 @@ from .combinat import (
     subsets,
     validate_subset,
 )
-from .linalg import givens_rotate
 
 
 @dataclass
@@ -76,13 +74,6 @@ def random_state(n: int, eta: int, rng: np.random.Generator) -> FermionState:
     dim = binom(n, eta)
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return FermionState(n, eta, g / np.linalg.norm(g))
-
-
-def apply_rotation(state: FermionState, u: np.ndarray) -> FermionState:
-    """Rotate every mode by the single-particle unitary u; ValueError unless u is n x n."""
-    if np.shape(u) != (state.n, state.n):
-        raise ValueError(f"need a {state.n} x {state.n} rotation, got shape {np.shape(u)}")
-    return FermionState(state.n, state.eta, givens_rotate(u[None], state.amps, state.eta)[0])
 
 
 # ------------------------------------------------- transition operators

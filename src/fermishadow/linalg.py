@@ -1,61 +1,32 @@
-"""Dense linear algebra kernels: Haar sampling, stacked small determinants, Givens rotation.
+"""Dense linear algebra kernels: Haar rotations as Givens networks, stacked small determinants.
 
-A Haar unitary is the Q of a complex Ginibre matrix's QR with R's diagonal
-real and positive (Mezzadri, Notices AMS 54, 592, 2007).  For n <= 5 that Q
-comes from classical Gram-Schmidt run twice, in real arithmetic across the
-whole stack; from n = 6 on from LAPACK's QR, one matrix at a time, with the
-column phases fixed.  Either way a matrix's bits do not depend on the stack.
+A Haar unitary on n modes is drawn as its network of adjacent-mode Givens
+rotations, u = G_1^dag ... G_K^dag D with K = n(n-1)/2 steps and D
+diagonal, whose parameters have a known exact law (the Hurwitz
+parametrization; Zyczkowski and Kus, J. Phys. A 27, 4235, 1994).  No n x n
+matrix is drawn or orthonormalized: haar_network maps n^2 uniforms to the
+network, givens_rotate applies it to k-particle amplitudes, and
+network_rows forms the rows of u that a readout picks.
 
 Contents
 --------
-    ginibre, unitary_from_ginibre : Haar-distributed unitaries via gauge-fixed QR
+    haar_network       : Givens networks of Haar unitaries from uniforms
+    givens_rotate      : k-particle amplitudes rotated by a stack of networks
+    network_rows       : chosen rows of each network's unitary
     _fold              : sum over axis 0 in a fixed pairwise order
     _det_stack         : determinants of a stack of k x k matrices
     subset_index_array : 0-based mode indices of all k-subsets, colex order
-    givens_rotate      : k-particle amplitudes rotated by a stack of unitaries
 """
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
 from .combinat import subset_masks, subsets
 
 
-# ---------------------------------------------------------------- Haar
-
-# largest n orthonormalized by Gram-Schmidt.  It pays O(n^3) numpy element
-# operations per matrix and O(n^2) calls per stack, LAPACK one call per
-# matrix: on one core Gram-Schmidt took 0.48x LAPACK's time at n = 4, 0.65x at
-# n = 5, 0.92x at n = 6 and 1.3x at n = 7 for 2048 matrices, and 0.85x, 1.1x,
-# 1.3x, 1.4x for 300.  The split depends on n alone, never on the stack.
-_GS_MAX_N = 5
-
-
-def unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
-    """Map a stack (..., n, n) of complex Ginibre matrices to Haar unitaries.
-
-    The Q of g = QR with the gauge fixed so that R has positive real
-    diagonal; without the fix the QR gauge biases the distribution.  For
-    n <= 5 Q comes from classical Gram-Schmidt run twice (_gram_schmidt),
-    whose R diagonal is positive by construction; from n = 6 on from LAPACK's
-    QR with each column's phase fixed.  Either way each matrix's bits do not
-    depend on the other matrices or on the stack length.
-    """
-    g = np.asarray(g)
-    if g.shape[-1] <= _GS_MAX_N:
-        return _gram_schmidt(g)
-    return _householder(g)
-
-
-def _householder(g: np.ndarray) -> np.ndarray:
-    """Gauge-fixed Q of g = QR from LAPACK, matrix by matrix."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mod = np.abs(d)
-    phase = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
-    return q * phase[..., None, :]
-
+# ---------------------------------------------------------------- sums and determinants
 
 def _fold(a: np.ndarray) -> np.ndarray:
     """Sum over axis 0 in a fixed pairwise order that depends on a.shape[0] alone.
@@ -71,76 +42,6 @@ def _fold(a: np.ndarray) -> np.ndarray:
         a = b
     return a[0]
 
-
-def _gram_schmidt(g: np.ndarray) -> np.ndarray:
-    """Q of g = QR, R with positive real diagonal, by classical Gram-Schmidt run twice.
-
-    Column j loses its components along q_0..q_{j-1} twice, c = Q^H x and
-    x -= Q c, and is then scaled to unit norm; the second pass keeps Q
-    orthonormal to working precision (Giraud, Langou and Rozloznik, Comput.
-    Math. Appl. 50, 1069, 2005).  The arithmetic is real, on (column, row,
-    stack) arrays, and every sum over rows or columns runs in _fold's fixed
-    order, so only elementwise IEEE operations act across the stack.  A
-    matrix with a column that keeps at most sqrt(eps) of its norm, nearly
-    rank deficient, is passed to _householder instead.
-    """
-    n = g.shape[-1]
-    flat = g.reshape(-1, n, n)
-    cols = flat.transpose(2, 1, 0)
-    vr = np.array(cols.real, order="C")
-    vi = np.array(cols.imag, order="C")
-    norms = _fold((vr * vr + vi * vi).swapaxes(0, 1))       # (column, stack)
-    kept = np.ones(flat.shape[0], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n):
-            xr, xi, qr, qi = vr[j], vi[j], vr[:j], vi[:j]
-            for _ in range(2 if j else 0):
-                # c = Q^H x: products (j, row, stack) summed over rows
-                p = qr * xr
-                p += qi * xi
-                cr = _fold(p.swapaxes(0, 1))[:, None]
-                p = qr * xi
-                p -= qi * xr
-                ci = _fold(p.swapaxes(0, 1))[:, None]
-                # x -= Q c
-                p = qr * cr
-                p -= qi * ci
-                xr -= _fold(p)
-                p = qr * ci
-                p += qi * cr
-                xi -= _fold(p)
-            p = xr * xr
-            p += xi * xi
-            s = _fold(p)
-            kept &= s > np.finfo(float).eps * norms[j]
-            r = np.sqrt(s)
-            xr /= r
-            xi /= r
-    out = np.empty(flat.shape, dtype=np.complex128)
-    out.real = vr.transpose(2, 1, 0)
-    out.imag = vi.transpose(2, 1, 0)
-    if not kept.all():
-        out[~kept] = _householder(flat[~kept])
-    return out.reshape(g.shape)
-
-
-def _ginibre_from_normals(g: np.ndarray) -> np.ndarray:
-    """Complex Ginibre stack (..., n, n) from standard normals (..., n, 2n).
-
-    Row-major draw layout: columns 0..n-1 are the real block and n..2n-1 the
-    imaginary block, scaled by 1/sqrt(2).  Elementwise, so a stack gives the
-    same bits as one matrix at a time.
-    """
-    n = g.shape[-1] // 2
-    return (g[..., :n] + 1j * g[..., n:]) / np.sqrt(2.0)
-
-
-def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n x n complex standard Ginibre matrix; one RNG call, fixed draw order."""
-    return _ginibre_from_normals(rng.standard_normal((n, 2 * n)))
-
-
-# ---------------------------------------------------------------- determinants
 
 def _det_stack(a: np.ndarray) -> np.ndarray:
     """Determinants over the last two axes, cheap closed forms for k <= 3."""
@@ -177,6 +78,77 @@ def subset_index_array(n: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------- Givens
 
 @lru_cache(maxsize=None)
+def _steps(n: int) -> tuple:
+    """(modes, ranks, bottom): the K = n(n-1)/2 steps of an n-mode network, in order.
+
+    Step (j, i), for column j = 0..n-2 and, within it, row i = n-1 down to
+    j+1, rotates modes (i-1, i): modes[t] = i-1 (0-based) and ranks[t] =
+    n-i, shaped (K, 1).  bottom lists the steps with i = n-1, the first of
+    each column.  Read-only arrays, cached per n.
+    """
+    steps = [(j, i) for j in range(n - 1) for i in range(n - 1, j, -1)]
+    modes = np.array([i - 1 for _, i in steps], dtype=np.int64)
+    ranks = np.array([[n - i] for _, i in steps], dtype=float).reshape(-1, 1)
+    bottom = np.flatnonzero([i == n - 1 for _, i in steps])
+    for a in (modes, ranks, bottom):
+        a.setflags(write=False)
+    return modes, ranks, bottom
+
+
+def haar_network(x: np.ndarray) -> tuple:
+    """Givens networks (c, s, d) of Haar unitaries from uniforms x (N, n^2) in [0, 1).
+
+    Shot i's unitary is u = G_1^dag ... G_K^dag D, G_t^dag the 2 x 2 block
+    [[c_t, -conj(s_t)], [s_t, conj(c_t)]] on the modes (m, m+1) of step t of
+    _steps(n), and D = diag(d).  With K = n(n-1)/2 and the row x[i] read as
+        x[i, :K]            |s_t|^2 = x^(1/(n-i)), a Beta(n-i, 1) draw;
+                            |c_t| = sqrt(1 - |s_t|^2), taken with expm1
+        x[i, K:2K]          the phase exp(2 pi i x) of c_t
+        x[i, 2K:2K+n-1]     the phase of s at each column's bottom step
+                            (i = n-1); s is real and >= 0 at the others
+        x[i, n^2-1]         the phase of d on mode n-1; d is 1 on the others
+    u is Haar.  Reducing a Haar u column by column gives these laws: column
+    j, below the rows already reduced, is uniform on the unit sphere of
+    C^(n-j), so its squared moduli are a flat Dirichlet draw and its phases
+    independent and uniform.  Step i keeps the tail |v_i|^2 + ... +
+    |v_{n-1}|^2, and |s|^2, the ratio of that tail to the next, is
+    Beta(n-i, 1) by stick breaking, independently across steps; c carries
+    v_{i-1}'s phase, s the phase of v_{n-1} at the bottom step and none above
+    it.  The rest of u is Haar on n-j-1 modes whatever column j is, and its
+    last 1 x 1 block is D's phase.  Returns c and s (K, N) and d (n, N),
+    complex.  Only elementwise operations act across the stack, so shot i's
+    network does not depend on the other shots.  Raises ValueError unless x
+    is (N, n^2) with n >= 1.
+    """
+    x = np.asarray(x)
+    n = isqrt(x.shape[-1]) if x.ndim == 2 else 0
+    if n < 1 or n * n != x.shape[-1]:
+        raise ValueError(f"need uniforms (N, n^2) with n >= 1, got shape {x.shape}")
+    _, ranks, bottom = _steps(n)
+    big = len(ranks)
+    # draw kind first, shots last: every slice below is contiguous
+    xt = np.ascontiguousarray(x.T)
+    with np.errstate(divide="ignore"):
+        lg = np.log(xt[:big]) / ranks                   # log |s|^2
+    # e^(2 pi i x) = (1 - t^2 + 2it) / (1 + t^2) with t = tan(pi x): one
+    # transcendental call where cos and sin would take two, each slower
+    t = np.tan(np.pi * xt[big:])
+    t2 = t * t
+    den = 1.0 + t2
+    cos, sin = (1.0 - t2) / den, (t + t) / den
+    c = np.empty((big, len(x)), dtype=np.complex128)
+    mod = np.sqrt(-np.expm1(lg))
+    c.real, c.imag = mod * cos[:big], mod * sin[:big]
+    s = np.zeros_like(c)
+    s.real = mod = np.exp(0.5 * lg)
+    s.real[bottom] = mod[bottom] * cos[big:-1]
+    s.imag[bottom] = mod[bottom] * sin[big:-1]
+    d = np.ones((n, len(x)), dtype=np.complex128)
+    d.real[-1], d.imag[-1] = cos[-1], sin[-1]
+    return c, s, d
+
+
+@lru_cache(maxsize=None)
 def _adjacent_pairs(n: int, k: int) -> tuple:
     """Rank tables of the k-subsets of [n] that hold one of the modes m, m+1.
 
@@ -197,58 +169,79 @@ def _adjacent_pairs(n: int, k: int) -> tuple:
     return tuple(out)
 
 
-def givens_rotate(u: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
-    """k-particle amplitudes rotated by each unitary of a stack.
+def _check_network(network) -> tuple:
+    """(c, s, d, n, N) of a network, checked to be c, s (K, N) and d (n, N)."""
+    c, s, d = (np.asarray(a) for a in network)
+    n, count = d.shape if d.ndim == 2 else (0, 0)
+    if d.ndim != 2 or c.shape != s.shape or c.shape != (n * (n - 1) // 2, count):
+        raise ValueError(f"need a network c, s (n(n-1)/2, N) and d (n, N), "
+                         f"got {c.shape}, {s.shape} and {d.shape}")
+    return c, s, d, n, count
 
-    u is (N, n, n) and amps is (C(n,k),); returns (N, C(n,k)), equal to
-    the k-th compound of u (its k x k minors) times amps, at O(n^2 C(n,k))
-    per matrix instead of O(C(n,k)^2 k^3).  Adjacent-row Givens rotations reduce each u to a
-    diagonal, G_K ... G_1 u = D, so the compound of u = G_1^dag ... G_K^dag D
-    is the product of the factors' compounds.  D multiplies each amplitude by
-    the phases of the subset's modes.  G^dag on modes (m, m+1) mixes each
+
+def givens_rotate(network, amps: np.ndarray, k: int) -> np.ndarray:
+    """k-particle amplitudes rotated by each unitary of a stack of networks.
+
+    network is (c, s, d) as haar_network returns it and amps is (C(n,k),);
+    returns (N, C(n,k)), equal to the k-th compound of each u (its k x k
+    minors) times amps, at O(n^2 C(n,k)) per shot instead of
+    O(C(n,k)^2 k^3).  The compound of u = G_1^dag ... G_K^dag D is the
+    product of the factors' compounds.  D multiplies each amplitude by the
+    phases of the subset's modes.  G^dag on modes (m, m+1) mixes each
     amplitude pair (S+m, S+m+1) by its 2x2 block: adjacent modes carry no
     fermionic sign, and subsets holding both modes pick up det G^dag = 1.
     Only elementwise operations act across the stack, so each row of the
-    result does not depend on the other matrices.  Its last bits may depend
-    on the stack size: numpy's broadcast complex products can take other
-    loops for other lengths: with numpy 2.4.6 on an AVX-512 Xeon, rows of a
-    7-matrix stack differed from one-matrix stacks by up to 2.2e-16.
+    result does not depend on the other shots.  Its last bits may depend on
+    the stack size: numpy's broadcast complex products can take other loops
+    for other lengths: with numpy 2.4.6 on an AVX-512 Xeon, rows of a
+    7-shot stack differed from one-shot stacks by up to 2.3e-16.
+    Raises ValueError for a malformed network or C(n,k) != len(amps).
     """
-    u = np.asarray(u)
+    c, s, d, n, count = _check_network(network)
     amps = np.asarray(amps, dtype=np.complex128)
-    count, n = u.shape[0], u.shape[-1]
     idx = subset_index_array(n, k)
-    if u.shape != (count, n, n) or amps.shape != (idx.shape[0],):
-        raise ValueError(f"need (N, n, n) unitaries and C(n, {k}) amplitudes, "
-                         f"got {u.shape} and {amps.shape}")
-    # stack axis last, so every slice below is contiguous over the stack
-    w = np.array(np.moveaxis(u, 0, -1), dtype=np.complex128, order="C")
-    steps = []
-    for j in range(n - 1):
-        for i in range(n - 1, j, -1):
-            # G = [[conj(c), conj(s)], [-s, c]] on rows (i-1, i) zeroes w[i, j]
-            x, y = w[i - 1, j], w[i, j]
-            r = np.hypot(np.abs(x), np.abs(y))
-            nonzero = r > 0
-            safe = np.where(nonzero, r, 1.0)
-            c = np.where(nonzero, x / safe, 1.0)      # r = 0: the identity
-            s = y / safe
-            top, bot = w[i - 1, j + 1:], w[i, j + 1:]
-            new_top = c.conj() * top + s.conj() * bot
-            w[i, j + 1:] = c * bot - s * top
-            w[i - 1, j + 1:] = new_top
-            w[i - 1, j] = r
-            steps.append((i - 1, c, s))
-    d = np.diagonal(w).T                              # (n, N)
+    if amps.shape != (idx.shape[0],):
+        raise ValueError(f"need C({n}, {k}) = {idx.shape[0]} amplitudes, got {amps.shape}")
     out = np.repeat(amps[:, None], count, axis=1)    # (C, N)
     for t in range(k):
         out *= d[idx[:, t]]
-    pairs = _adjacent_pairs(n, k)
-    for m, c, s in reversed(steps):
-        # G^dag = [[c, -conj(s)], [s, conj(c)]]
-        lo, hi = pairs[m]
+    pairs, modes = _adjacent_pairs(n, k), _steps(n)[0]
+    for t in reversed(range(len(c))):
+        lo, hi = pairs[modes[t]]
         x, y = out[lo], out[hi]
-        out[lo] = c * x - s.conj() * y
-        out[hi] = s * x + c.conj() * y
+        out[lo] = c[t] * x - s[t].conj() * y
+        out[hi] = s[t] * x + c[t].conj() * y
     return np.ascontiguousarray(out.T)
 
+
+def network_rows(network, rows) -> np.ndarray:
+    """Chosen rows of each network's unitary: out[i, r] = u_i[rows[i, r]], (N, m, n).
+
+    rows is (N, m) of 0-based modes; all n modes in order give the whole u.
+    Each row e^T is carried through e^T G_1^dag ... G_K^dag D in real
+    arithmetic, every entry by the same IEEE operations in the same order,
+    so a row's bits follow from its shot's network alone: they do not
+    depend on the stack, as complex products broadcast across it might.
+    Raises ValueError for a malformed network or rows not (N, m).
+    """
+    c, s, d, n, count = _check_network(network)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or len(rows) != count:
+        raise ValueError(f"need rows (N, m) for N = {count} shots, got shape {rows.shape}")
+    # (mode, row, shot): each mode's entries one contiguous (m, N) slab
+    re = (rows.T[None] == np.arange(n)[:, None, None]).astype(float)
+    im = np.zeros_like(re)
+    cr, ci, sr, si = (np.ascontiguousarray(a) for a in (c.real, c.imag, s.real, s.imag))
+    for t, m in enumerate(_steps(n)[0]):
+        xr, xi, yr, yi = re[m], im[m], re[m + 1], im[m + 1]
+        # (x, y) G^dag = (x c + y s, y conj(c) - x conj(s))
+        re[m], im[m], re[m + 1], im[m + 1] = (
+            (xr * cr[t] - xi * ci[t]) + (yr * sr[t] - yi * si[t]),
+            (xr * ci[t] + xi * cr[t]) + (yr * si[t] + yi * sr[t]),
+            (yr * cr[t] + yi * ci[t]) - (xr * sr[t] + xi * si[t]),
+            (yi * cr[t] - yr * ci[t]) - (xi * sr[t] - xr * si[t]))
+    dr, di = d.real[:, None], d.imag[:, None]
+    out = np.empty((count, rows.shape[1], n), dtype=np.complex128)
+    out.real = (re * dr - im * di).transpose(2, 1, 0)
+    out.imag = (re * di + im * dr).transpose(2, 1, 0)
+    return out

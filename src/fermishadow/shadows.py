@@ -1,10 +1,11 @@
 """Randomized-measurement protocol: sampling, estimation, variance bookkeeping.
 
-One round draws a Haar unitary u, rotates the eta-particle state by u
-through a network of adjacent-mode Givens rotations (linalg.givens_rotate),
-and reads out an occupation subset z.  The estimator for a k-body
-transition (p, q) is a fixed diagonal estimation operator, with exact
-class values e'_s, carried to the shadow's frame.  It is evaluated in
+One round draws a Haar unitary u as its network of adjacent-mode Givens
+rotations (linalg.haar_network), rotates the eta-particle state through
+that network (linalg.givens_rotate), and reads out an occupation subset z.
+The estimator for a k-body transition (p, q) is a fixed diagonal
+estimation operator, with exact class values e'_s, carried to the
+shadow's frame.  It is evaluated in
 projector form: with U_z the eta readout rows of u, Pi = U_z^H U_z and
 M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
 C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
@@ -18,17 +19,17 @@ A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta): shadow
 i is the snapshot ws[i] = U_z, the eta rows of its Haar rotation u that the
 1-based sorted readout zs[i] picks, and the estimator reads ws alone.
 Randomness is counter-based and keyed by 64-shot blocks: shadow i of a run
-seeded with s is position i mod 64 of the Philox stream keyed by
-(s, i // 64), which draws the block's 64 shots' Ginibre normals, shot-major,
-then their 64 Born uniforms, each in one call.  So any chunking or start
-index gives bit-identical readout rows, and readouts that differ only where
-a uniform lies within rounding of a cumulative Born probability (see
+seeded with s is row i mod 64 of the (64, n^2 + 1) uniforms that the Philox
+stream keyed by (s, i // 64) draws in one call: its network's n^2, then its
+Born uniform.  So any chunking or start index gives bit-identical readout
+rows (linalg.network_rows), and readouts that differ only where a uniform
+lies within rounding of a cumulative Born probability (see
 linalg.givens_rotate); regenerating one shadow draws its whole block.  The
 collector re-keys one generator per block by assigning it the state of a
 fresh stream as plain Python ints (_fresh_state); the bits equal those of a
 fresh shadow_rng(s, block).  It raises ValueError before any draw unless the
-seed is in 0..2^64-1 and start_index + count <= 2^64-1: stream index 2^64-1
-prepares the input state, and no block reaches it.
+seed is in 0..2^64-1, start_index + count <= 2^64-1 (stream index 2^64-1
+prepares the input state, and no block reaches it) and n >= 1.
 
 Contents
 --------
@@ -55,14 +56,7 @@ import numpy as np
 
 from .combinat import binom, falling, subsets_ok, validate_subset
 from .fock import FermionState
-from .linalg import (
-    _det_stack,
-    _fold,
-    _ginibre_from_normals,
-    givens_rotate,
-    subset_index_array,
-    unitary_from_ginibre,
-)
+from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows, subset_index_array
 
 
 # shots per pass of collect_shadow_arrays and of the CLI's
@@ -113,56 +107,60 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
 def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
     """Collect shadows as stacked arrays (ws (N, eta, n), zs (N, eta) 1-based).
 
-    Shot j = start_index + i is position j mod _BLOCK of the block stream
-    (seed, j // _BLOCK), which draws its _BLOCK shots' Ginibre normals,
-    shot-major, then their _BLOCK Born uniforms.  Of shot i's rotation u only
-    the readout rows ws[i] = u[zs[i] - 1] are kept, eta/n of the whole.  One
+    Shot j = start_index + i is row j mod _BLOCK of the (_BLOCK, n^2 + 1)
+    uniforms that the block stream (seed, j // _BLOCK) draws in one call:
+    the n^2 of its rotation's network (linalg.haar_network), then its Born
+    uniform.  Of shot i's rotation u only the readout rows
+    ws[i] = u[zs[i] - 1] are formed and kept, eta/n of the whole.  One
     generator serves the whole call and is re-keyed per block; key
     (seed, block) with a zero counter and an empty buffer is exactly the
     state of a fresh shadow_rng(seed, block).  A range that starts or ends
     inside a block draws that whole block and keeps its slice.
     Raises ValueError before any draw unless 0 <= seed < 2^64, count >= 0,
     start_index >= 0 and start_index + count <= _STATE_INDEX = 2^64-1, the
-    state's stream.  Raises RuntimeError if a rotated state's Born
-    probabilities miss 1 by more than 1e-6, e.g. for an unnormalized state.
+    state's stream, or if the state has no modes (n = 0).  Raises
+    RuntimeError if a rotated state's Born probabilities miss 1 by more than
+    1e-6, e.g. for an unnormalized state.
     """
     if not (0 <= seed < 2**64 and count >= 0 and start_index >= 0
             and start_index + count <= _STATE_INDEX):
         raise ValueError(f"need seed in 0..2^64-1 and indices start_index..start_index+count-1 "
                          f"in 0..2^64-2, got seed {seed}, start_index {start_index}, count {count}")
     n, eta = state.n, state.eta
+    if n < 1:
+        raise ValueError(f"need n >= 1 modes to rotate, got n={n}")
+    width = n * n + 1       # per shot: the network's n^2 uniforms, then the Born uniform
     ws = np.empty((count, eta, n), dtype=np.complex128)
     zs = np.empty((count, eta), dtype=np.int64)
     ranks = subset_index_array(n, eta) + 1
     gen = shadow_rng(seed, 0)
-    bitgen = gen.bit_generator
-    normal, uniform = gen.standard_normal, gen.random
+    bitgen, uniform = gen.bit_generator, gen.random
     fresh = _fresh_state(seed, 0)      # only the key's index word changes per block
     key = fresh["state"]["key"]
-    raw = u01 = np.empty(0)
+    raw = np.empty((0, _BLOCK, width))
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         first = (start_index + lo) // _BLOCK
         blocks = (start_index + hi - 1) // _BLOCK + 1 - first
-        if len(raw) < blocks:       # the draw buffers, reused by later chunks
-            raw, u01 = np.empty((blocks, _BLOCK, n, 2 * n)), np.empty((blocks, _BLOCK))
+        if len(raw) < blocks:       # the draw buffer, reused by later chunks
+            raw = np.empty((blocks, _BLOCK, width))
         for b in range(blocks):
             key[1] = first + b
             bitgen.state = fresh
-            normal(out=raw[b])
-            uniform(out=u01[b])
+            uniform(out=raw[b])
         # the chunk's shots: its range within the drawn blocks
         keep = slice(start_index + lo - first * _BLOCK, start_index + hi - first * _BLOCK)
-        u = unitary_from_ginibre(_ginibre_from_normals(raw[:blocks].reshape(-1, n, 2 * n)[keep]))
-        probs = np.abs(givens_rotate(u, state.amps, eta)) ** 2
+        draws = raw[:blocks].reshape(-1, width)[keep]
+        network = haar_network(draws[:, :-1])
+        probs = np.abs(givens_rotate(network, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
         defect = float(np.max(np.abs(totals - 1.0)))
         if not defect <= 1e-6:     # NaN fails too
             raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
                                "is the state normalized?")
-        zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], u01.reshape(-1)[keep])]
-        ws[lo:hi] = u[np.arange(hi - lo)[:, None], zs[lo:hi] - 1]
-        del u, probs, totals        # freed before the next chunk's draws and QR
+        zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], draws[:, -1])]
+        ws[lo:hi] = network_rows(network, zs[lo:hi] - 1)
+        del network, probs, totals      # freed before the next chunk's draws
     return ws, zs
 
 

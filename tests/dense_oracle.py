@@ -5,8 +5,8 @@ modes come first (u_eff), and its estimate matrix is the transpose of
 B^H E B, with B the k-th compound of u_eff and E the diagonal estimation
 operator.  The collector keeps only the readout rows, so a test that needs
 the whole rotation draws it again from the stream of the shadow's 64-shot
-block (shadow_rng, the block's normals, unitary_from_ginibre).  The compound also rotates states for the
-tests of linalg.givens_rotate and fock.
+block (shadow_rng, the block's uniforms, linalg.haar_network).  The compound also rotates
+states for the tests of linalg.givens_rotate and fock.
 
 Dense projector route (batch_estimate_matrices): every C(n,k) x C(n,k)
 minor of M(x) = I + (x - 1) Pi, Pi = W^H W from the readout rows W, for

@@ -18,7 +18,7 @@ from dense_oracle import batch_estimate_matrices
 from fermishadow import identities
 from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import random_state, rdm_matrix, slater_superposition
-from fermishadow.linalg import ginibre, unitary_from_ginibre
+from fermishadow.linalg import haar_network
 from fermishadow.shadows import (
     all_pairs,
     avg_shadow_norm_sq,
@@ -26,6 +26,7 @@ from fermishadow.shadows import (
     fast_estimate_rdm,
     variance_bound,
 )
+from haar_oracle import haar, whole
 from pfaffian_oracle import assemble_a_matrix, pfaffian, pfaffian_derivatives
 
 
@@ -185,7 +186,7 @@ def test_criterion_07_fast_path_equivalence():
                     triples += 50
     fd_worst = 0.0
     for n, eta, k in [(4, 2, 1), (5, 3, 2), (6, 4, 2)]:
-        w = unitary_from_ginibre(ginibre(n, rng))
+        w = haar(n, rng)
         derivs = pfaffian_derivatives(w, eta, k, x_max=1)
         h = 1e-4
         fd = (
@@ -205,11 +206,7 @@ def test_criterion_08_twirl_monte_carlo():
     passed, worst = True, 0.0
     frozen = {}
     for n in range(1, 5):
-        g = (
-            rng.standard_normal((nsamp, n, n))
-            + 1j * rng.standard_normal((nsamp, n, n))
-        ) / np.sqrt(2)
-        us = unitary_from_ginibre(g)
+        us = whole(haar_network(rng.random((nsamp, n * n))))
         for eta in range(1, n + 1):
             ok, z, means = identities.check_twirl_moments(us, eta, 3.0)
             passed, worst = passed and ok, max(worst, z)
@@ -262,7 +259,7 @@ def test_criterion_10_fast_path_scaling():
     times = {}
     for eta in (8, 16, 32, 64):
         n = 2 * eta
-        u = unitary_from_ginibre(ginibre(n, rng))
+        u = haar(n, rng)
         z = sorted(rng.choice(np.arange(1, n + 1), size=eta, replace=False).tolist())
         ws = u[np.array(z) - 1][None]
         pairs = []

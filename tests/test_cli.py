@@ -48,6 +48,7 @@ def test_config_validation_messages():
         (dict(good, aggregation="median_of_means:x"), "batch"),
         (dict(good, targets=17), "targets"),
         (dict(good, targets="slater_overlaps"), "targets"),
+        (dict(good, n=0, eta=0, k=0), "n >= 1"),
         (dict(good, n=True), "integers"),
         (dict(good, k=False), "integers"),
         (dict(good, samples=True), "samples"),
@@ -328,7 +329,8 @@ from dense_oracle import minor_det
 from fermishadow import identities
 from fermishadow.channel import DiagonalOperator, a_coeff, nd_class_values, structure_factor
 from fermishadow.combinat import falling, unrank_subset
-from fermishadow.fock import FermionState, apply_rotation, rdm_matrix
+from fermishadow.fock import FermionState, rdm_matrix
+from fermishadow.linalg import givens_rotate, haar_network, network_rows
 from fermishadow.shadows import (all_pairs, collect_shadow_arrays, estimation_entry,
                                  fast_estimate_rdm, shadow_rng)
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
@@ -358,7 +360,10 @@ calls = {
     "collect past 2^64": lambda: collect_shadow_arrays(
         FermionState(4, 1, np.ones(4) / 2), 5, 0, start_index=2**64 - 2),
     "rdm_matrix k > eta": lambda: rdm_matrix(FermionState(4, 1, np.ones(4) / 2), 2),
-    "apply_rotation shape": lambda: apply_rotation(FermionState(4, 1, np.ones(4) / 2), np.eye(3)),
+    "collect n = 0": lambda: collect_shadow_arrays(FermionState(0, 0, np.ones(1)), 1, 0),
+    "haar_network width": lambda: haar_network(np.zeros((2, 5))),
+    "givens_rotate amplitudes": lambda: givens_rotate(haar_network(np.zeros((1, 4))), np.ones(3), 1),
+    "network_rows rows": lambda: network_rows(haar_network(np.zeros((1, 4))), np.zeros(2, dtype=int)),
     "DiagonalOperator eta > n": lambda: DiagonalOperator(2, 5, []),
     "DiagonalOperator length": lambda: DiagonalOperator(3, 1, [1]),
     "structure_factor k > eta": lambda: structure_factor(4, 2, 3),

@@ -9,8 +9,9 @@ from dense_oracle import batch_estimate_matrices, estimation_diagonal, minors_ba
 from fermishadow import channel, shadows
 from fermishadow.combinat import binom, falling, rank_subset, subsets, validate_subset
 from fermishadow.fock import random_state
-from fermishadow.linalg import ginibre, subset_index_array, unitary_from_ginibre
+from fermishadow.linalg import subset_index_array
 from fermishadow.shadows import collect_shadow_arrays, fast_estimate_rdm
+from haar_oracle import haar
 from pfaffian_oracle import (
     YHAT,
     _loop_estimate,
@@ -28,14 +29,10 @@ from pfaffian_oracle import (
 )
 
 
-def _haar(n, rng):
-    return unitary_from_ginibre(ginibre(n, rng))
-
-
 def test_majorana_rotation_is_orthogonal_homomorphism():
     rng = np.random.default_rng(0)
-    u = _haar(4, rng)
-    v = _haar(4, rng)
+    u = haar(4, rng)
+    v = haar(4, rng)
     ut = majorana_rotation(u)
     assert ut.dtype == np.float64
     assert np.allclose(ut.T @ ut, np.eye(8))
@@ -46,7 +43,7 @@ def test_majorana_rotation_is_orthogonal_homomorphism():
 def test_assemble_a_matrix_skew_and_base_point():
     rng = np.random.default_rng(1)
     for n, eta, k in [(3, 1, 1), (4, 2, 2), (5, 3, 1)]:
-        u = _haar(n, rng)
+        u = haar(n, rng)
         for kappa in (0.0, 0.4, -1.3):
             a = assemble_a_matrix(u, eta, k, kappa)
             assert a.shape == (2 * n, 2 * n)
@@ -71,7 +68,7 @@ def _dense_generating(w, eta, k, kappa):
 def test_generating_function_matches_dense_occupation_sum():
     rng = np.random.default_rng(2)
     for n, eta, k in [(4, 2, 1), (4, 2, 2), (5, 3, 2), (6, 2, 1), (6, 4, 2)]:
-        w = _haar(n, rng)
+        w = haar(n, rng)
         for kappa in (0.0, 0.3, -0.7, 1.0, 2.5):
             got = generating_function_value(w, eta, k, kappa)
             want = _dense_generating(w, eta, k, kappa)
@@ -94,7 +91,7 @@ def test_alpha_coeffs_frozen():
 def test_inverse_trace_sequence_matches_dense():
     rng = np.random.default_rng(3)
     for n, eta, k in [(4, 2, 1), (5, 3, 2), (6, 4, 3)]:
-        w = _haar(n, rng)
+        w = haar(n, rng)
         a0 = assemble_a_matrix(w, eta, k, 0.0)
         ut = majorana_rotation(w)
         j = np.zeros((2 * n, 2 * n))
@@ -132,7 +129,7 @@ def _dense_derivatives(w, eta, k, x_max):
 def test_pfaffian_derivatives_match_dense_polynomial():
     rng = np.random.default_rng(4)
     for n, eta, k in [(4, 2, 1), (4, 2, 2), (5, 3, 2), (6, 4, 2)]:
-        w = _haar(n, rng)
+        w = haar(n, rng)
         derivs = pfaffian_derivatives(w, eta, k)
         assert len(derivs) == eta + 1
         assert abs(derivs[0] - (-1) ** (n - k)) < 1e-10
@@ -145,7 +142,7 @@ def test_pfaffian_derivatives_match_dense_polynomial():
 def test_pfaffian_derivatives_match_finite_differences():
     rng = np.random.default_rng(5)
     n, eta, k = 5, 3, 2
-    w = _haar(n, rng)
+    w = haar(n, rng)
     derivs = pfaffian_derivatives(w, eta, k, x_max=2)
     h = 1e-4
 
@@ -241,7 +238,7 @@ def test_fast_disjoint_pair_is_one_determinant():
     rng = np.random.default_rng(8)
     count = 5
     for n, eta, k in [(2, 1, 1), (4, 2, 2), (5, 3, 1), (6, 3, 3), (7, 3, 2), (8, 4, 4)]:
-        us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
+        us = np.stack([haar(n, rng) for _ in range(count)])
         zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
         uz = readout_rows(us, zs)                                   # (N, eta, n)
         for _ in range(3):
@@ -255,7 +252,7 @@ def test_fast_disjoint_pair_is_one_determinant():
 
 def test_fast_estimate_rejects_bad_input():
     # eta and n come from the shape of the readout rows w (N, eta, n)
-    w = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None, :2]
+    w = haar(4, np.random.default_rng(3))[None, :2]
     cases = [
         ((w, 2, (1,), (2,)), "k=2"),                        # |p| = |q| != k
         ((w, 1, (1,), (2, 3)), "k=1"),                      # |p| != |q|
@@ -281,7 +278,7 @@ def test_decompose_rdm_rejects_bad_pairs():
 
 
 def _random_shadows(n, eta, count, rng):
-    us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
+    us = np.stack([haar(n, rng) for _ in range(count)])
     zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
     return us, zs
 
@@ -361,7 +358,7 @@ def test_stacked_fast_call_matches_per_pair_calls(data):
 
 
 def test_fast_tables_reject_shape_and_dtype():
-    w = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None, :2]
+    w = haar(4, np.random.default_rng(3))[None, :2]
     for p, q in [([[1, 2]], [(1, 2), (2, 3)]),      # row counts differ
                  ([[1, 2]], (1, 2)),                # a table against one pair
                  ([[[1, 2]]], [[[1, 2]]]),           # three axes

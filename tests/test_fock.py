@@ -10,7 +10,6 @@ from fermishadow.combinat import subsets
 from fermishadow.fock import (
     FermionState,
     apply_rdm_operator,
-    apply_rotation,
     basis_state,
     expectation_rdm,
     random_state,
@@ -19,11 +18,7 @@ from fermishadow.fock import (
     state_from_json,
     state_to_json,
 )
-from fermishadow.linalg import ginibre, unitary_from_ginibre
-
-
-def _haar(n, rng):
-    return unitary_from_ginibre(ginibre(n, rng))
+from haar_oracle import apply_rotation, haar
 
 
 def test_basis_state_ranks():
@@ -151,8 +146,8 @@ def test_apply_rotation_hand_minor():
 def test_apply_rotation_composition_and_inverse():
     rng = np.random.default_rng(4)
     st = random_state(4, 2, rng)
-    u = _haar(4, rng)
-    v = _haar(4, rng)
+    u = haar(4, rng)
+    v = haar(4, rng)
     a = apply_rotation(apply_rotation(st, u), v)
     b = apply_rotation(st, v @ u)
     assert np.allclose(a.amps, b.amps, atol=1e-10)
@@ -165,7 +160,7 @@ def test_rotated_rdm_transforms_by_compound():
     rng = np.random.default_rng(5)
     n, eta, k = 5, 2, 2
     st = random_state(n, eta, rng)
-    u = _haar(n, rng)
+    u = haar(n, rng)
     b = compound_batch(u[None], k)[0]
     rotated = rdm_matrix(apply_rotation(st, u), k)
     assert np.allclose(rotated, b.conj() @ rdm_matrix(st, k) @ b.T, atol=1e-10)

@@ -5,37 +5,40 @@ from hypothesis import example, given, settings, strategies as st
 from dense_oracle import compound_batch, minor_det, minors_batch
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
-    _GS_MAX_N,
-    _gram_schmidt,
-    ginibre,
     givens_rotate,
+    haar_network,
+    network_rows,
     subset_index_array,
-    unitary_from_ginibre,
 )
+from haar_oracle import givens_network, haar, network_unitary, qr_haar, whole
 from pfaffian_oracle import pfaffian
 
 RNG = np.random.default_rng(20240816)
-
-
-def _haar(n, rng):
-    return unitary_from_ginibre(ginibre(n, rng))
 
 
 def _compound(u, k):
     return compound_batch(u[None], k)[0]
 
 
+def _sampled(n, m, rng):
+    """m whole Haar unitaries (m, n, n) from the shipped sampler, and their networks."""
+    network = haar_network(rng.random((m, n * n)))
+    return whole(network), network
+
+
 def test_haar_unitary_is_unitary():
     for n in (1, 2, 5, 9):
-        u = _haar(n, np.random.default_rng(n))
+        us, _ = _sampled(n, 500, np.random.default_rng(n))
+        assert np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(n)).max() <= 1e-14
+        u = haar(n, np.random.default_rng(n))
         assert np.allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
 
 
 def test_haar_first_moment():
-    n, m = 3, 40000
-    rng = np.random.default_rng(0)
-    g = np.stack([ginibre(n, rng) for _ in range(m)])
-    us = unitary_from_ginibre(g)
+    # 170k draws put the 5e-3 bound on |E u_ij| at 5 standard errors
+    # sqrt(1 / (2 n m)) per real part; 40k draws made it 2.4
+    n, m = 3, 170_000
+    us, _ = _sampled(n, m, np.random.default_rng(0))
     second = np.mean(np.abs(us) ** 2, axis=0)
     assert np.allclose(second, 1.0 / n, atol=5e-3)
     first = np.abs(np.mean(us, axis=0)).max()
@@ -43,56 +46,59 @@ def test_haar_first_moment():
 
 
 def test_haar_phase_sensitive_moment():
-    # E[u11 u22 conj(u12) conj(u21)] = -1/(n(n^2-1)); pins the QR phase gauge
+    # E[u11 u22 conj(u12) conj(u21)] = -1/(n(n^2-1))
     n, m = 2, 200000
-    rng = np.random.default_rng(1)
-    g = np.stack([ginibre(n, rng) for _ in range(m)])
-    us = unitary_from_ginibre(g)
+    us, _ = _sampled(n, m, np.random.default_rng(1))
     got = np.mean(us[:, 0, 0] * us[:, 1, 1] * np.conj(us[:, 0, 1] * us[:, 1, 0]))
     want = -1.0 / (n * (n**2 - 1))
     assert abs(got - want) < 4e-3
 
 
-def _ginibre_stack(n, m, rng):
-    return (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))) / np.sqrt(2)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_haar_diagonal_phases(n):
+    # u and e^{i phi} u are equally likely, so E[u_ij^2] = 0 for every entry
+    # and E[det u] = 0: moments that see the phases of s at each column's
+    # bottom step and of D, which the twirl moments, |.|-only, cannot
+    m = 50_000
+    us, _ = _sampled(n, m, np.random.default_rng(300 + n))
+    stats = np.concatenate([(us ** 2).reshape(m, -1), np.linalg.det(us)[:, None]], axis=1)
+    for part in (stats.real, stats.imag):
+        z = np.abs(part.mean(axis=0)) / (part.std(axis=0, ddof=1) / np.sqrt(m))
+        assert z.max() < 5.0
 
 
-def _lapack_haar(g):
-    # independent oracle: LAPACK's QR, then each column times the phase of R's diagonal
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_gram_schmidt_matches_lapack_oracle(n):
-    # the Gram-Schmidt kernel, unitary_from_ginibre's for n <= 5, here up to
-    # n = 7: it must equal the gauge-fixed LAPACK Q to 16 kappa_2(G) eps
-    # entrywise, be unitary to 1e-14, and give each matrix the same bits in
-    # any stack, as must unitary_from_ginibre on either side of the split
-    g = _ginibre_stack(n, 10_000, np.random.default_rng(100 + n))
-    got = _gram_schmidt(g)
-    bound = 16 * np.linalg.cond(g) * np.finfo(float).eps
-    assert (np.abs(got - _lapack_haar(g)).max(axis=(1, 2)) <= bound).all()
-    eye = np.eye(n)
-    assert np.abs(got @ got.conj().transpose(0, 2, 1) - eye).max() <= 1e-14
-    for kernel in (_gram_schmidt, unitary_from_ginibre):
-        head = kernel(g[:42])
-        for size in (1, 2, 3, 7):
-            parts = [kernel(g[lo:lo + size]) for lo in range(0, 42, size)]
-            assert np.concatenate(parts).tobytes() == head.tobytes()
-        assert kernel(g[5]).tobytes() == head[5].tobytes()
-    want = got if n <= _GS_MAX_N else _lapack_haar(g)
-    assert unitary_from_ginibre(g[:42]).tobytes() == want[:42].tobytes()
+@pytest.mark.parametrize("n", range(1, 9))
+def test_network_matches_dense_product(n):
+    # rows and rotated amplitudes of sampled networks against u built as the
+    # dense product of its embedded 2 x 2 blocks, and the Givens reduction
+    # of that u gives the sampled parameters back
+    rng = np.random.default_rng(400 + n)
+    us, network = _sampled(n, 64, rng)
+    dense = network_unitary(network)
+    assert np.abs(us - dense).max() <= 1e-14
+    zs = np.sort(np.stack([rng.permutation(n)[:max(1, n // 2)] for _ in range(64)]), axis=1)
+    rows = network_rows(network, zs)
+    assert rows.tobytes() == us[np.arange(64)[:, None], zs].tobytes()
+    for eta in range(n + 1):
+        dim = binom(n, eta)
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        amps /= np.linalg.norm(amps)
+        got = givens_rotate(network, amps, eta)
+        assert np.abs(got - compound_batch(dense, eta) @ amps).max() <= 1e-14
+    for got, want in zip(givens_network(dense), network):
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_haar_gauge_on_both_kernels(n):
-    # R = U^H G is upper triangular with real positive diagonal, up to
-    # rounding scaled by kappa_2(G) eps ||G||_2: Gram-Schmidt for n <= 5,
-    # LAPACK's QR and its phase fix from n = 6 on
-    g = _ginibre_stack(n, 2000, np.random.default_rng(200 + n))
-    r = unitary_from_ginibre(g).conj().transpose(0, 2, 1) @ g
+    # the two Haar routes each fix a gauge.  The QR oracle: R = U^H G is
+    # upper triangular with real positive diagonal, up to rounding scaled by
+    # kappa_2(G) eps ||G||_2.  The shipped sampler: the Givens reduction of
+    # its u finds s real and >= 0 off each column's bottom step and D = 1 on
+    # modes 0..n-2, so all of u's phase freedom sits in the uniforms it drew
+    rng = np.random.default_rng(200 + n)
+    g = (rng.standard_normal((2000, n, n)) + 1j * rng.standard_normal((2000, n, n))) / np.sqrt(2)
+    r = qr_haar(g).conj().transpose(0, 2, 1) @ g
     sv = np.linalg.svd(g, compute_uv=False)
     tol = 16 * (sv[:, 0] / sv[:, -1]) * np.finfo(float).eps * sv[:, 0]
     lower = np.abs(np.tril(r, -1)).max(axis=(1, 2), initial=0.0)
@@ -100,20 +106,52 @@ def test_haar_gauge_on_both_kernels(n):
     assert (lower <= tol).all()
     assert (np.abs(diag.imag).max(axis=1) <= tol).all()
     assert (diag.real > 0).all()
+    us, _ = _sampled(n, 2000, rng)
+    _, s, d = givens_network(us)
+    # a column's bottom step rotates modes (n-2, n-1)
+    above = np.array([i < n - 1 for j in range(n - 1) for i in range(n - 1, j, -1)], dtype=bool)
+    assert np.abs(s[above].imag).max(initial=0.0) <= 1e-14 and (s[above].real >= 0).all()
+    assert np.abs(d[:-1] - 1).max(initial=0.0) <= 1e-14
+    assert np.abs(np.abs(d[-1]) - 1).max() <= 1e-14
 
 
 def test_degenerate_matrices_still_give_unitaries():
-    # a column with (nearly) nothing left after projection goes to LAPACK's
-    # QR, matrix by matrix, instead of dividing by a vanishing norm
+    # random() draws from [0, 1), so a uniform can be exactly 0 (log 0 = -inf:
+    # |s| = 0, the identity block) or 1 - 2^-53 (|c| ~ 1e-8, nearly a swap);
+    # the networks of such draws still give finite unitaries, stack-independent
     rng = np.random.default_rng(3)
     for n in (3, 8):
-        g = _ginibre_stack(n, 4, rng)
-        g[1] = 0.0
-        g[2][:, 1] = 2j * g[2][:, 0]
-        got = unitary_from_ginibre(g)
+        x = rng.random((4, n * n))
+        x[1] = 0.0
+        x[2, :n] = 1 - 2.0**-53
+        x[3, ::2] = 0.0
+        network = haar_network(x)
+        got = whole(network)
+        assert np.isfinite(got).all()
         assert np.abs(got @ got.conj().transpose(0, 2, 1) - np.eye(n)).max() <= 1e-14
         for i in range(4):
-            assert unitary_from_ginibre(g[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
+            one = network_rows(tuple(a[:, i:i + 1] for a in network), np.arange(n)[None])
+            assert one.tobytes() == got[i:i + 1].tobytes()
+
+
+def test_network_rows_do_not_depend_on_the_stack():
+    for n, eta in [(2, 1), (3, 1), (5, 3), (8, 4)]:
+        rng = np.random.default_rng(n)
+        network = haar_network(rng.random((9, n * n)))
+        zs = np.sort(np.stack([rng.permutation(n)[:eta] for _ in range(9)]), axis=1)
+        stacked = network_rows(network, zs)
+        for size in (1, 2, 7):
+            parts = [network_rows(tuple(a[:, lo:lo + size] for a in network), zs[lo:lo + size])
+                     for lo in range(0, 9, size)]
+            assert np.concatenate(parts).tobytes() == stacked.tobytes()
+
+
+def test_haar_network_rejects_bad_widths():
+    for x in (np.zeros((3, 0)), np.zeros((3, 5)), np.zeros(4)):
+        with pytest.raises(ValueError, match="n >= 1"):
+            haar_network(x)
+    with pytest.raises(ValueError, match="rows"):
+        network_rows(haar_network(np.zeros((2, 4))), np.zeros((3, 1), dtype=int))
 
 
 def test_minor_det_hand_values():
@@ -138,8 +176,8 @@ def test_minors_batch_matches_minor_det():
 
 def test_compound_is_multiplicative():
     rng = np.random.default_rng(4)
-    u = _haar(5, rng)
-    v = _haar(5, rng)
+    u = haar(5, rng)
+    v = haar(5, rng)
     for k in (1, 2, 3):
         left = _compound(u @ v, k)
         right = _compound(u, k) @ _compound(v, k)
@@ -147,7 +185,7 @@ def test_compound_is_multiplicative():
 
 
 def test_compound_of_unitary_is_unitary():
-    u = _haar(6, np.random.default_rng(5))
+    u = haar(6, np.random.default_rng(5))
     for k in (1, 2, 3):
         b = _compound(u, k)
         dim = binom(6, k)
@@ -156,7 +194,7 @@ def test_compound_of_unitary_is_unitary():
 
 
 def test_compound_entries_are_minors():
-    u = _haar(5, np.random.default_rng(6))
+    u = haar(5, np.random.default_rng(6))
     k = 2
     b = _compound(u, k)
     ss = list(subsets(5, k))
@@ -167,7 +205,7 @@ def test_compound_entries_are_minors():
 
 def test_compound_batch_matches_single():
     rng = np.random.default_rng(7)
-    us = np.stack([_haar(5, rng) for _ in range(4)])
+    us = np.stack([haar(5, rng) for _ in range(4)])
     got = compound_batch(us, 3)
     for i in range(4):
         assert np.allclose(got[i], _compound(us[i], 3), atol=1e-12)
@@ -176,7 +214,7 @@ def test_compound_batch_matches_single():
 def _unitary_of_kind(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar, or a phased permutation / diagonal, whose zero entries hit r = 0."""
     if kind == "haar":
-        return _haar(n, rng)
+        return haar(n, rng)
     phases = np.exp(2j * np.pi * rng.random(n))
     if kind == "diagonal":
         return np.diag(phases)
@@ -203,14 +241,19 @@ def test_givens_rotate_matches_compound(size, kinds, seed):
     dim = binom(n, eta)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     amps /= np.linalg.norm(amps)
-    got = givens_rotate(u, amps, eta)
+    network = givens_network(u)
+    got = givens_rotate(network, amps, eta)
     assert got.shape == (len(kinds), dim)
     assert np.max(np.abs(got - compound_batch(u, eta) @ amps)) <= 1e-12
+    assert np.max(np.abs(whole(network) - u)) <= 1e-12
 
 
 def test_givens_rotate_rejects_mismatched_amplitudes():
-    with pytest.raises(ValueError):
-        givens_rotate(np.eye(4)[None], np.ones(5), 2)
+    network = givens_network(np.eye(4)[None])
+    with pytest.raises(ValueError, match="amplitudes"):
+        givens_rotate(network, np.ones(5), 2)
+    with pytest.raises(ValueError, match="network"):
+        givens_rotate(network[:2] + (np.ones((3, 1)),), np.ones(3), 1)
 
 
 def test_pfaffian_canonical_blocks():

@@ -13,16 +13,11 @@ from dense_oracle import (
     estimation_diagonal,
     readout_rows,
 )
+from haar_oracle import haar, network_unitary, whole
 from fermishadow import shadows
 from fermishadow.combinat import binom, subset_masks, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
-from fermishadow.linalg import (
-    _ginibre_from_normals,
-    ginibre,
-    givens_rotate,
-    subset_index_array,
-    unitary_from_ginibre,
-)
+from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
     Reducer,
     all_pairs,
@@ -125,7 +120,7 @@ def test_projector_form_matches_compound_oracle(data):
     k = data.draw(st.integers(0, eta), label="k")
     count = data.draw(st.sampled_from([1, 2, 5]), label="N")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    us = unitary_from_ginibre(np.stack([ginibre(n, rng) for _ in range(count)]))
+    us = np.stack([haar(n, rng) for _ in range(count)])
     zs = np.sort(np.stack([rng.permutation(n)[:eta] + 1 for _ in range(count)]), axis=1)
     want = compound_estimate_matrices(us, zs, eta, k)
     got = _matrices(readout_rows(us, zs), k)
@@ -136,7 +131,7 @@ def test_projector_form_matches_compound_oracle(data):
 
 def test_dense_estimate_rejects_bad_input():
     # the snapshot checks are check_shadows': a stack (N, eta, n) with eta <= n
-    w = unitary_from_ginibre(ginibre(4, np.random.default_rng(3)))[None, :2]
+    w = haar(4, np.random.default_rng(3))[None, :2]
     for ws in (w[0], w[None], np.ones((1, 5, 4))):
         with pytest.raises(ValueError, match="stack"):
             fast_estimate_rdm(ws, 1, *all_pairs(4, 1))
@@ -178,12 +173,11 @@ def test_chunking_is_bit_identical(monkeypatch):
 _RANGES = [(0, 7), (5, 7), (63, 7), (64, 7), (65, 7), (30, 230), (2**64 - 8, 7)]
 
 
-@pytest.mark.parametrize("n,eta", [(4, 2), (5, 3), (7, 3), (8, 4)])
+@pytest.mark.parametrize("n,eta", [(2, 1), (3, 1), (4, 2), (5, 3), (7, 3), (8, 4)])
 def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, eta):
-    # unitary_from_ginibre's bits do not depend on the stack (Gram-Schmidt
-    # for n <= 5, LAPACK's QR from 6 on), so the readout rows are bit for bit
-    # rows of the same rotations, drawn again from the streams, for every
-    # chunk size.
+    # network_rows computes each row in real arithmetic, elementwise, so the
+    # readout rows are bit for bit rows of the same rotations, drawn again
+    # from the streams, for every chunk size, eta = 1 included.
     # The Givens network's broadcast complex products may take other numpy
     # loops for other stack sizes, so the rotated amplitudes agree to rounding
     # only, and a readout may move only where its uniform lies within rounding
@@ -191,62 +185,65 @@ def test_chunk_size_moves_rotated_amplitudes_by_rounding_only(monkeypatch, n, et
     state = random_state(n, eta, np.random.default_rng(n))
     seed, default = 5, shadows._CHUNK
     for start, count in _RANGES:
-        us, u01 = _reference_draws(n, count, seed, start)
+        network, u01 = _reference_draws(n, count, seed, start)
         monkeypatch.setattr(shadows, "_CHUNK", default)
         _, zs = collect_shadow_arrays(state, count, seed, start)
-        stacked = givens_rotate(us, state.amps, eta)
+        stacked = givens_rotate(network, state.amps, eta)
         probs = np.abs(stacked) ** 2
         cum = np.cumsum(probs / probs.sum(axis=1)[:, None], axis=1)
-        for chunk in (1, 3, 100):
+        for chunk in (1, 3, 100, default):
             monkeypatch.setattr(shadows, "_CHUNK", chunk)
             cws, czs = collect_shadow_arrays(state, count, seed, start)
-            assert cws.tobytes() == readout_rows(us, czs).tobytes()
-            parts = np.concatenate([givens_rotate(us[lo:lo + chunk], state.amps, eta)
+            assert cws.tobytes() == network_rows(network, czs - 1).tobytes()
+            parts = np.concatenate([givens_rotate(_shots(network, lo, lo + chunk), state.amps, eta)
                                     for lo in range(0, count, chunk)])
             assert np.abs(parts - stacked).max() <= 1e-14
             for i in np.flatnonzero((czs != zs).any(axis=1)):
                 assert np.abs(cum[i] - u01[i]).min() <= 1e-12
 
 
+def _shots(network, lo, hi):
+    """The networks of shots lo..hi-1 of a stack."""
+    return tuple(a[:, lo:hi] for a in network)
+
+
 def _reference_draws(n, count, seed, start_index):
     # per shot j a fresh shadow_rng keyed by its 64-shot block, (seed, j // 64):
-    # the block's normals (64, n, 2n), then its 64 uniforms, of which shot j
-    # takes position j % 64; then one batched QR: (whole rotations, uniforms)
-    gin = np.empty((count, n, n), dtype=np.complex128)
-    u01 = np.empty(count)
+    # the block's (64, n^2 + 1) uniforms in one call, of which shot j takes
+    # row j % 64, its network's n^2 then its Born uniform; then one batched
+    # network: (networks, Born uniforms)
+    x = np.empty((count, n * n + 1))
     for i in range(count):
         block, pos = divmod(start_index + i, 64)
-        rng = shadows.shadow_rng(seed, block)
-        gin[i] = _ginibre_from_normals(rng.standard_normal((64, n, 2 * n))[pos])
-        u01[i] = rng.random(64)[pos]
-    return unitary_from_ginibre(gin), u01
+        x[i] = shadows.shadow_rng(seed, block).random((64, n * n + 1))[pos]
+    return haar_network(x[:, :-1]), x[:, -1]
 
 
 def _per_shot_reference(state, count, seed, start_index):
     # the reference draws, then one batched rotation and Born draw
     n, eta = state.n, state.eta
-    us, u01 = _reference_draws(n, count, seed, start_index)
-    probs = np.abs(givens_rotate(us, state.amps, eta)) ** 2
+    network, u01 = _reference_draws(n, count, seed, start_index)
+    probs = np.abs(givens_rotate(network, state.amps, eta)) ** 2
     probs /= probs.sum(axis=1)[:, None]
     zs = (subset_index_array(n, eta) + 1)[shadows._draw_ranks(probs, u01)]
-    return us, zs
+    return network, zs
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 100, None])
-@pytest.mark.parametrize("n,eta", [(1, 1), (4, 2), (5, 3), (7, 3), (8, 4)])
+@pytest.mark.parametrize("n,eta", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (7, 3), (8, 4)])
 def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk):
     # the collector re-keys one Philox per block; its bits must equal a fresh
     # shadow_rng(seed, block) per shot, or a numpy change to the state layout
-    # shows here; the snapshots are those rotations' readout rows, bit for bit
+    # shows here; the snapshots are those networks' readout rows, bit for bit
     if chunk is not None:
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
     state = random_state(n, eta, np.random.default_rng(n + eta))
     for seed in (0, 2**64 - 1):
         for start, count in _RANGES:
             ws, zs = collect_shadow_arrays(state, count, seed, start_index=start)
-            ref_us, ref_zs = _per_shot_reference(state, count, seed, start)
+            ref_network, ref_zs = _per_shot_reference(state, count, seed, start)
             assert np.array_equal(zs, ref_zs)
-            assert ws.tobytes() == readout_rows(ref_us, ref_zs).tobytes()
+            assert ws.tobytes() == network_rows(ref_network, ref_zs - 1).tobytes()
 
 
 def test_rekeyed_state_equals_fresh_philox():
@@ -285,17 +282,20 @@ def test_collection_checks_stream_range_before_drawing(monkeypatch):
                                (0, -1, 0), (0, 1, 2**64 - 1)]:
         with pytest.raises(ValueError, match="2\\^64"):
             collect_shadow_arrays(state, count, seed, start_index=start)
+    with pytest.raises(ValueError, match="n >= 1"):
+        collect_shadow_arrays(FermionState(0, 0, np.ones(1)), 1, 0)
 
 
 def test_collection_born_statistics():
     # readout counts against each shot's own Born rule, with compound_batch
     # (not the Givens kernel the collector uses) rotating the state by the
-    # shot's whole rotation, drawn again from its stream
+    # shot's whole rotation, drawn again from its stream and multiplied out
+    # from its network's 2 x 2 blocks
     n, eta, draws = 4, 2, 40000
     state = random_state(n, eta, np.random.default_rng(7))
     _, zs = collect_shadow_arrays(state, draws, seed=9)
-    us, _ = _reference_draws(n, draws, 9, 0)
-    probs = np.abs(compound_batch(us, eta) @ state.amps) ** 2        # (draws, C)
+    network, _ = _reference_draws(n, draws, 9, 0)
+    probs = np.abs(compound_batch(network_unitary(network), eta) @ state.amps) ** 2        # (draws, C)
     ranks = np.searchsorted(subset_masks(n, eta), (1 << (zs - 1)).sum(axis=1))
     counts = np.bincount(ranks, minlength=binom(n, eta))
     expected = probs.sum(axis=0)
@@ -348,7 +348,7 @@ def test_effective_frame_invariance():
     ws, _ = collect_shadow_arrays(state, 1, seed=3, start_index=1)
     ref = _matrices(ws, k)[0]
     for _ in range(3):
-        v = unitary_from_ginibre(ginibre(eta, rng))
+        v = haar(eta, rng)
         alt = _matrices(v @ ws, k)[0]
         assert np.max(np.abs(alt - ref)) < 1e-10
 
@@ -525,7 +525,7 @@ def test_jsonl_roundtrip():
         ws, zs = collect_shadow_arrays(state, 3, seed=55, start_index=start)
         back_ws, back_zs = shadows_from_jsonl(shadows_to_jsonl(ws, zs, 55, start))
         assert back_ws.tobytes() == ws.tobytes() and np.array_equal(zs, back_zs)
-        us, _ = _reference_draws(4, 3, 55, start)
+        us = whole(_reference_draws(4, 3, 55, start)[0])
         old = "\n".join(json.dumps({"seed": 55, "index": start + i, "u": _pairs(u),
                                     "z": [int(m) for m in z]})
                         for i, (u, z) in enumerate(zip(us, zs)))
