@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import shadows
-from .combinat import binom, rank_rows, subsets, subsets_ok
+from .combinat import rank_rows, subsets, subsets_ok
 from .fock import (
     FermionState,
     basis_state,
@@ -218,11 +218,14 @@ def _git_describe():
 
 
 class _Stages:
-    """Seconds spent per named stage, summed over laps; each lap runs from the previous one."""
+    """Seconds spent per named stage, summed over laps; each lap runs from the previous one.
+
+    The first runs from start, the creation time that the manifest's wall time counts from.
+    """
 
     def __init__(self):
         self.seconds = {}
-        self._last = time.monotonic()
+        self.start = self._last = time.monotonic()
 
     def lap(self, name: str):
         now = time.monotonic()
@@ -241,12 +244,12 @@ def _peak_rss_mb():
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
-def _run_manifest(command: str, config: ExperimentConfig, t0: float, stages: _Stages) -> dict:
+def _run_manifest(command: str, config: dict, stages: _Stages) -> dict:
     return {
         "command": command,
-        "config": dict(vars(config)),
+        "config": dict(config),
         "git_describe": _git_describe(),
-        "wall_time_s": round(time.monotonic() - t0, 3),
+        "wall_time_s": round(time.monotonic() - stages.start, 3),
         "stages_s": {name: round(s, 4) for name, s in stages.seconds.items()},
         "peak_rss_mb": _peak_rss_mb(),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
@@ -293,84 +296,92 @@ def _check_out(out: str):
         raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
 
 
-def _shadow_chunks(state: FermionState, count: int, seed: int):
-    """Yield (ws, zs) for shots 0..count-1, at most shadows._CHUNK shots at a time.
+def _cross_check(ws, k: int, ps, qs) -> tuple:
+    """(gathered, products, passed, worst gap): both block sources' (N, T) estimates.
 
-    Each chunk is its own start_index call, which draws the same bits as
-    one call over all the shots, so no array grows with count.
-    """
-    chunk = shadows._CHUNK
-    for lo in range(0, count, chunk):
-        yield collect_shadow_arrays(state, min(chunk, count - lo), seed, start_index=lo)
-
-
-def _reducer(config: ExperimentConfig, width: int) -> Reducer:
-    """A Reducer over config.samples shots of width columns, in config.aggregation."""
-    mode, _, batches = config.aggregation.partition(":")
-    return Reducer(config.samples, width, mode, int(batches) if batches else None)
-
-
-def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") -> int:
-    """Collect shadows, estimate the requested transitions, write rows.
-
-    Runs collect -> estimate -> reduce one chunk of shots at a time, so peak
-    memory is set by the chunk and the targets, not by config.samples.  The
-    targets are one (T, 2, k) table, evaluated by one fast_estimate_rdm call
-    per chunk; dense and fast are that one run.  both evaluates every target
-    from the gathered blocks (estimate columns) and from the readout-row
-    products (fast_estimate columns), and fails the run (exit 1, rows still
-    written) unless check_fast_vs_dense passes on every chunk's two tables:
-    the one definition that validate and criterion 07 call as
-    identities.check_fast_vs_dense.  It is defined in shadows, so this gate
+    The verdict is check_fast_vs_dense, which validate and criterion 07 call
+    as identities.check_fast_vs_dense; it lives in shadows, so the both gate
     does not import identities.
     """
-    config.validate()
-    t0 = time.monotonic()
-    stages = _Stages()
-    state = build_state(config)
-    targets = _resolve_targets(config)
-    k = config.k
-    ps, qs = targets[:, 0], targets[:, 1]
+    gathered = shadows._block_estimates(ws, k, ps, qs, gather=True)
+    products = shadows._block_estimates(ws, k, ps, qs, gather=False)
+    return (gathered, products, *shadows.check_fast_vs_dense(products, gathered))
+
+
+def _sample(state: FermionState, config: ExperimentConfig, ps, qs, stages: _Stages) -> tuple:
+    """(reducers, agree, gap): config.samples shots of state, reduced per target (ps_t, qs_t).
+
+    Runs collect -> estimate -> reduce one shadows._CHUNK of shots at a
+    time, so peak memory is set by the chunk and the targets, not by
+    config.samples; each chunk is its own start_index call, which draws the
+    same bits as one call over all the shots.  dense and fast are one run,
+    one fast_estimate_rdm call per chunk into one Reducer.  both reduces the
+    two block sources of _cross_check into a Reducer each; agree says
+    whether every chunk passed, gap is the worst gap (a NaN stays).
+    """
+    k = ps.shape[1]
     both = config.estimator == "both"
-    reducer = _reducer(config, len(targets))
-    fast = _reducer(config, len(targets)) if both else None
-    agree, gap = True, 0.0      # of the both gate, over the chunks so far
+    mode, _, batches = config.aggregation.partition(":")
+    reducers = [Reducer(config.samples, len(ps), mode, int(batches) if batches else None)
+                for _ in range(2 if both else 1)]
+    agree, gap = True, 0.0
     stages.lap("setup")
-
-    for ws, _ in _shadow_chunks(state, config.samples, config.seed):
+    for lo in range(0, config.samples, shadows._CHUNK):
+        count = min(shadows._CHUNK, config.samples - lo)
+        ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo)
         stages.lap("collect")
-        # (m, T) per-shadow estimates, one column per target
         if both:
-            chunk = shadows._block_estimates(ws, k, ps, qs, gather=True)
-            fast_chunk = shadows._block_estimates(ws, k, ps, qs, gather=False)
-            ok, worst = shadows.check_fast_vs_dense(fast_chunk, chunk)
-            agree, gap = agree and ok, float(np.maximum(gap, worst))    # a NaN stays
+            *chunks, ok, worst = _cross_check(ws, k, ps, qs)
+            agree, gap = agree and ok, float(np.maximum(gap, worst))
         else:
-            chunk = fast_estimate_rdm(ws, k, ps, qs)
+            chunks = [fast_estimate_rdm(ws, k, ps, qs)]
         stages.lap("estimate")
-        reducer.add(chunk)
-        if both:
-            fast.add(fast_chunk)
+        for reducer, chunk in zip(reducers, chunks):
+            reducer.add(chunk)
         stages.lap("aggregate")
+    return reducers, agree, gap
 
-    val, err = reducer.result()
-    header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
-    cols = [val.real, val.imag, err.real, err.imag]
-    if both:
-        fval, _ = fast.result()
-        header += ["fast_estimate_re", "fast_estimate_im"]
-        cols += [fval.real, fval.imag]
-    rows = [[_subset_str(p), _subset_str(q), *map(_fmt, r)]
-            for (p, q), r in zip(targets.tolist(), np.stack(cols, axis=1).tolist())]
+
+def _finish(command: str, config: dict, stages: _Stages, rows: list, header: list,
+            out: str, fmt: str, agree: bool = True, gap: float = 0.0) -> int:
+    """Write rows, with the run manifest when out names a file; return the exit code.
+
+    1 when the both gate failed (agree False): the rows are still written,
+    then stderr names the worst gap.
+    """
     stages.lap("aggregate")
-
-    manifest = _run_manifest("estimate", config, t0, stages) if out else None
+    manifest = _run_manifest(command, config, stages) if out else None
     _write_rows(rows, header, out, fmt, manifest)
     if not agree:
         print(f"dense and fast estimators disagree: worst relative gap {gap:.3e}",
               file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") -> int:
+    """Collect shadows, estimate the requested transitions, write rows.
+
+    The targets are one (T, 2, k) table, reduced by _sample.  both prints the
+    gathered blocks' values in the estimate columns and the readout-row
+    products' in the fast_estimate columns, and fails the run (exit 1, rows
+    still written) unless every chunk passed check_fast_vs_dense.
+    """
+    config.validate()
+    stages = _Stages()
+    state = build_state(config)
+    targets = _resolve_targets(config)
+    reducers, agree, gap = _sample(state, config, targets[:, 0], targets[:, 1], stages)
+    val, err = reducers[0].result()
+    header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
+    cols = [val.real, val.imag, err.real, err.imag]
+    if len(reducers) == 2:
+        fval, _ = reducers[1].result()
+        header += ["fast_estimate_re", "fast_estimate_im"]
+        cols += [fval.real, fval.imag]
+    rows = [[_subset_str(p), _subset_str(q), *map(_fmt, r)]
+            for (p, q), r in zip(targets.tolist(), np.stack(cols, axis=1).tolist())]
+    return _finish("estimate", vars(config), stages, rows, header, out, fmt, agree, gap)
 
 
 def _parse_int_list(text: str) -> list:
@@ -384,15 +395,16 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                        out: str = None, fmt: str = "csv") -> int:
     """Exact variance table over an (n, eta, k) grid, optional empirical column.
 
-    The empirical column is the mean over all C(n,k)^2 transitions
-    (shadows.all_pairs) of the single-shot variance, reduced one chunk of
-    shots at a time.
+    The empirical column of grid row i is the mean over all C(n,k)^2
+    transitions (shadows.all_pairs) of the single-shot variance, reduced by
+    _sample from samples shots of the random_pure state of seed + i.
     """
     if samples < 0:
         raise ConfigError(f"samples must be 0 (no empirical column) or positive, got {samples}")
     # grid row i uses the streams of seed + i, each a 64-bit unsigned key
     if not 0 <= seed <= 2**64 - len(ns) * len(etas) * len(ks):
         raise ConfigError(f"seed must leave room for one 64-bit stream key per grid row, got {seed!r}")
+    stages = _Stages()
     header = ["n", "eta", "k", "q_exact", "avg_shadow_norm_sq", "variance_bound",
               "empirical_avg_variance", "samples"]
     rows = []
@@ -403,11 +415,9 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                     continue
                 emp = ""
                 if samples > 0:
-                    state = random_state(n, eta, shadow_rng(seed + len(rows), _STATE_INDEX))
-                    reducer = Reducer(samples, binom(n, k) ** 2)
-                    for ws, _ in _shadow_chunks(state, samples, seed + len(rows)):
-                        reducer.add(fast_estimate_rdm(ws, k, *all_pairs(n, k)))
-                    emp = _fmt(float(reducer.variance().mean()))
+                    config = ExperimentConfig(n, eta, k, samples, seed + len(rows))
+                    reducers, _, _ = _sample(build_state(config), config, *all_pairs(n, k), stages)
+                    emp = _fmt(float(reducers[0].variance().mean()))
                 rows.append([
                     n, eta, k,
                     str(q_value(n, eta, k)),
@@ -416,15 +426,8 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                     emp,
                     samples if samples > 0 else "",
                 ])
-    manifest = {
-        "command": "variance-sweep",
-        "grid": {"n": list(ns), "eta": list(etas), "k": list(ks)},
-        "samples": samples,
-        "seed": seed,
-        "git_describe": _git_describe(),
-    } if out else None
-    _write_rows(rows, header, out, fmt, manifest)
-    return 0
+    grid = {"n": list(ns), "eta": list(etas), "k": list(ks), "samples": samples, "seed": seed}
+    return _finish("variance-sweep", grid, stages, rows, header, out, fmt)
 
 
 # run_validation draws from default_rng(seed) and from streams keyed up to
@@ -436,7 +439,8 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     """Run the invariant suites and return a JSON-able report.
 
     Each check calls the identities.check_* function that an acceptance
-    criterion calls too, at this level's sizes and with draws of its own.
+    criterion calls too, at this level's sizes and with draws of its own;
+    fast_vs_dense calls it through _cross_check, as the both gate does.
     """
     from . import identities
 
@@ -472,10 +476,7 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
                 for k in range(1, eta + 1):
                     ss = list(subsets(n, k))
                     pairs = np.array([ss[rng.integers(len(ss))] for _ in range(8)])  # p, q, ...
-                    ps, qs = pairs[0::2], pairs[1::2]
-                    passed, gap = identities.check_fast_vs_dense(
-                        shadows._block_estimates(ws, k, ps, qs, gather=False),
-                        shadows._block_estimates(ws, k, ps, qs, gather=True))
+                    _, _, passed, gap = _cross_check(ws, k, pairs[0::2], pairs[1::2])
                     ok, worst = ok and passed, max(worst, gap)
         return ok, f"worst relative gap {worst:.2e}"
 
@@ -530,19 +531,18 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     twice the estimated eta-body transition (ref, q) from the reference
     determinant.  ref and q are disjoint, so each estimate is a few
     determinants of the eta x eta block U_z[:, q]^H U_z[:, ref], O(eta^4)
-    per shot whatever n is; one fast_estimate_rdm call per chunk takes the
-    whole (T, eta) target table.  Shots run one chunk at a time into a Reducer,
-    which also gives the single-shot variance column.  estimator dense and
-    fast name that one route.  Raises ConfigError, before any sampling, for
-    estimator both, which has no second route here to cross-check, and for
-    eta = 0: the vacuum plus the empty reference is not a normalized state.
+    per shot whatever n is.  _sample reduces the transitions; value and
+    error are then doubled and the single-shot variance column multiplied by
+    4, exact powers of two that give the bits of reducing doubled estimates.
+    estimator is handled as by estimate: both prints the product blocks'
+    overlaps in the fast_overlap columns and exits 1, rows still written,
+    if a chunk fails check_fast_vs_dense.  Raises ConfigError, before any
+    sampling, for eta = 0: the vacuum plus the empty reference is not a
+    normalized state.
     """
     config.validate()
-    if config.estimator == "both":
-        raise ConfigError("slater-overlap has one estimator; use dense or fast, not both")
     if config.eta == 0:
         raise ConfigError("slater-overlap needs eta >= 1")
-    t0 = time.monotonic()
     stages = _Stages()
     state = build_state(config)
     n, eta = config.n, config.eta
@@ -550,30 +550,21 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
         qs = _target_table(config.targets, n, eta, pairs=False)
     else:
         qs = subset_index_array(n, eta) + 1
-    big = slater_superposition(state)
     refs = np.broadcast_to(np.arange(n + 1, n + eta + 1), qs.shape)
-    reducer = _reducer(config, len(qs))
-    stages.lap("setup")
-
-    for ws, _ in _shadow_chunks(big, config.samples, config.seed):
-        stages.lap("collect")
-        vals = 2.0 * fast_estimate_rdm(ws, eta, refs, qs)
-        stages.lap("estimate")
-        reducer.add(vals)
-        stages.lap("aggregate")
-
+    reducers, agree, gap = _sample(slater_superposition(state), config, refs, qs, stages)
+    val, err = reducers[0].result()
+    oracle = state.amps[rank_rows(qs, n)]
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
-    val, err = reducer.result()
-    oracle = state.amps[rank_rows(qs, n)]
-    cols = [val.real, val.imag, err.real, err.imag, oracle.real, oracle.imag,
-            reducer.variance()]
+    cols = [2 * val.real, 2 * val.imag, 2 * err.real, 2 * err.imag, oracle.real, oracle.imag,
+            4 * reducers[0].variance()]
+    if len(reducers) == 2:
+        fval, _ = reducers[1].result()
+        header += ["fast_overlap_re", "fast_overlap_im"]
+        cols += [2 * fval.real, 2 * fval.imag]
     rows = [[_subset_str(q), *map(_fmt, r)]
             for q, r in zip(qs.tolist(), np.stack(cols, axis=1).tolist())]
-    stages.lap("aggregate")
-    manifest = _run_manifest("slater-overlap", config, t0, stages) if out else None
-    _write_rows(rows, header, out, fmt, manifest)
-    return 0
+    return _finish("slater-overlap", vars(config), stages, rows, header, out, fmt, agree, gap)
 
 
 def _load_config(args, need_k: bool = True) -> ExperimentConfig:

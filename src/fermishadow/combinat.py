@@ -112,20 +112,12 @@ def unrank_subset(r: int, n: int, d: int) -> tuple:
 
 
 def subsets(n: int, d: int):
-    """All d-subsets of [n] as tuples, in colex order."""
-    if d == 0:
-        yield ()
-        return
-    for z in _colex(n, d):
-        yield z
-
-
-def _colex(n: int, d: int):
+    """All d-subsets of [n] as tuples, in colex order: by largest mode, then the rest."""
     if d == 0:
         yield ()
         return
     for top in range(d, n + 1):
-        for rest in _colex(top - 1, d - 1):
+        for rest in subsets(top - 1, d - 1):
             yield rest + (top,)
 
 

@@ -314,8 +314,15 @@ def _block_estimates(ws, k: int, ps, qs, gather: bool = None) -> np.ndarray:
         gather = len(blocks) * k * k >= n * n
     # readout rows, shots last: (eta, n, N)
     uz = np.ascontiguousarray(ws.transpose(1, 2, 0))
+    # The sources sum Pi's eta terms in different orders, so they differ by
+    # rounding (up to 8e-15 at eta >= 4).  The gather sums row by row, which
+    # builds no (eta, n, n, N) array.  The products keep _fold's pairwise
+    # order: a row-by-row loop there makes the sources bit-identical, but at
+    # eta = 64 it raised criterion 10's time per pair from 124 to 600-750 us
+    # (2-core VM), and .sum(axis=0), though faster, gives bits that depend on
+    # the size of the stack it sums.
     if gather:
-        # Pi (n, n, N), one readout row at a time so that no (eta, n, n, N) array is built
+        # Pi (n, n, N)
         proj = uz[0].conj()[:, None] * uz[0][None]
         for u in uz[1:]:
             proj += u.conj()[:, None] * u[None]
@@ -498,7 +505,8 @@ def shadows_to_jsonl(ws: np.ndarray, zs: np.ndarray, seed: int, start_index: int
     """One JSON line per shadow: its stream (seed, start_index + i), its
     readout rows w (eta rows of n [re, im] pairs) and its readout z.
 
-    Raises ValueError for eta = 0, whose snapshot has no row to record n by.
+    Zero shadows give "".  Raises ValueError for eta = 0, whose snapshot has
+    no row to record n by.
     """
     if np.shape(ws)[1] == 0:
         raise ValueError("an eta = 0 snapshot has no readout rows to write")
@@ -510,8 +518,8 @@ def shadows_to_jsonl(ws: np.ndarray, zs: np.ndarray, seed: int, start_index: int
             "w": [[[float(v.real), float(v.imag)] for v in row] for row in w],
             "z": [int(m) for m in z],
         }
-        lines.append(json.dumps(body))
-    return "\n".join(lines) + "\n"
+        lines.append(json.dumps(body) + "\n")
+    return "".join(lines)
 
 
 def shadows_from_jsonl(text: str):
@@ -525,7 +533,8 @@ def shadows_from_jsonl(text: str):
     numbers (not booleans) with orthonormal rows (m m^H = I to 1e-10), u is
     n x n and w holds len(z) <= n rows, every z is a list of JSON integers
     (not floats, not booleans) strictly increasing within 1..n, and all
-    snapshots share one shape.
+    snapshots share shadow 0's (eta, n).  Text with no line at all raises a
+    ValueError that says so.
     """
     ws, zs = [], []
     for line in text.splitlines():
@@ -565,6 +574,12 @@ def shadows_from_jsonl(text: str):
         if not all(1 <= mode <= n for mode in z) or any(a >= b for a, b in zip(z, z[1:])):
             raise ValueError(f"shadow {i}: z must be strictly increasing within 1..{n}")
         z = np.array(z, dtype=np.int64)
-        ws.append(mat if key == "w" else mat[z - 1])
+        w = mat if key == "w" else mat[z - 1]
+        if ws and w.shape != ws[0].shape:
+            raise ValueError(f"shadow {i}: {w.shape[0]} readout rows of {w.shape[1]} modes, "
+                             f"but shadow 0 has {ws[0].shape[0]} of {ws[0].shape[1]}")
+        ws.append(w)
         zs.append(z)
-    return np.stack(ws), np.stack(zs)      # ValueError on differing shapes or no rows
+    if not ws:
+        raise ValueError("no shadow: the text holds no JSON line")
+    return np.stack(ws), np.stack(zs)

@@ -219,7 +219,7 @@ def test_build_state_sources(tmp_path):
         build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:2,9"))
 
 
-def test_main_exit_codes_on_config_errors(tmp_path, capsys, monkeypatch):
+def test_main_exit_codes_on_config_errors(tmp_path, capsys):
     rc = main(["estimate", "--n", "2", "--eta", "3", "--k", "1",
                "--samples", "5", "--seed", "1"])
     assert rc == 2
@@ -248,24 +248,17 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error:") and missing in err
     assert not (tmp_path / "missing").exists()
-    # slater-overlap has one route: dense and fast name it, both is refused
-    # before any shot is drawn (it once ran with no cross-check)
+    # slater-overlap takes estimator as estimate does: dense and fast are one
+    # run, and both (once refused) adds the product blocks' fast_overlap columns
     overlap = {"n": 3, "eta": 2, "samples": 50, "seed": 1}
     printed = []
-    for estimator in ("dense", "fast"):
+    for estimator in ("dense", "fast", "both"):
         cfg.write_text(json.dumps(dict(overlap, estimator=estimator)))
         assert main(["slater-overlap", "--config", str(cfg)]) == 0
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1]
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before rejecting the config")
-
-    monkeypatch.setattr(cli, "collect_shadow_arrays", no_sampling)
-    cfg.write_text(json.dumps(dict(overlap, estimator="both")))
-    assert main(["slater-overlap", "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("config error:") and "both" in err
+    header = printed[2].splitlines()[0]
+    assert header == printed[0].splitlines()[0] + ",fast_overlap_re,fast_overlap_im"
 
 
 def test_variance_sweep_config_errors(capsys):
@@ -705,12 +698,53 @@ def test_slater_overlap_manifest(tmp_path, capsys, monkeypatch):
         "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
 
 
+def test_variance_sweep_manifest(tmp_path, capsys):
+    # the sweep's manifest is the other commands' one, with the grid as its config
+    assert main(["variance-sweep", "--n", "3,4", "--eta", "2", "--k", "1", "--samples", "40",
+                 "--seed", "5", "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    assert manifest["command"] == "variance-sweep" and manifest["rows"] == 2
+    assert manifest["config"] == {"n": [3, 4], "eta": [2], "k": [1], "samples": 40, "seed": 5}
+    assert set(manifest["stages_s"]) == {"setup", "collect", "estimate", "aggregate"}
+    assert manifest["wall_time_s"] >= 0 and manifest["peak_rss_mb"] > 0
+    assert manifest["versions"]["numpy"] == np.__version__
+    assert "git_describe" in manifest
+
+
+def test_slater_overlap_both_cross_checks(monkeypatch, capsys):
+    # both reads every overlap from the gathered blocks and from the readout-row
+    # products; they agree, and a 1e-6 error in the products on one target
+    # fails the run (exit 1) with every row still printed
+    for n, eta in [(3, 2), (5, 3)]:
+        config = ExperimentConfig(n, eta, eta, 60, 4, estimator="both",
+                                  aggregation="median_of_means:10")
+        assert cmd_slater_overlap(config) == 0
+        header, rows = _read_csv(capsys.readouterr().out)
+        assert header[-2:] == ["fast_overlap_re", "fast_overlap_im"]
+        assert len(rows) == binom(n, eta)
+        for row in rows:
+            assert abs(float(row[1]) - float(row[8])) < 1e-8
+            assert abs(float(row[2]) - float(row[9])) < 1e-8
+    estimates = shadows._block_estimates
+    monkeypatch.setattr(shadows, "_block_estimates", lambda ws, k, p, q, gather: (
+        estimates(ws, k, p, q, gather) + 1e-6 * (not gather) * (np.arange(len(p)) == 0)))
+    for n, eta in [(3, 2), (5, 3)]:
+        config = ExperimentConfig(n, eta, eta, 60, 4, estimator="both")
+        assert cmd_slater_overlap(config) == 1
+        out, err = capsys.readouterr()
+        assert len(_read_csv(out)[1]) == binom(n, eta)
+        assert err.startswith("dense and fast estimators disagree")
+        assert 1e-8 < float(err.split()[-1]) <= 1e-6
+
+
 def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
     # the command reads each overlap from its eta x eta block; the old route,
     # the reference row of the full dense matrices, stays as the oracle for
-    # every table the reducer is fed, chunk by chunk
+    # every table the reducer is fed, chunk by chunk.  The reducer sees the
+    # transitions, and the printed overlap is twice their mean
     monkeypatch.setattr(shadows, "_CHUNK", 16)
-    seen = {"collect_shadow_arrays": [], "add": []}
+    seen = {"collect_shadow_arrays": [], "add": [], "reducer": []}
     collect, add = cli.collect_shadow_arrays, shadows.Reducer.add
 
     def spy_collect(*args, **kwargs):
@@ -719,6 +753,7 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
 
     def spy_add(self, chunk):
         seen["add"].append(np.array(chunk))
+        seen["reducer"].append(self)
         return add(self, chunk)
 
     monkeypatch.setattr(cli, "collect_shadow_arrays", spy_collect)
@@ -727,8 +762,8 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
         for calls in seen.values():
             calls.clear()
         assert main(["slater-overlap", "--n", str(n), "--eta", str(eta),
-                     "--samples", "40", "--seed", "3"]) == 0
-        capsys.readouterr()
+                     "--samples", "40", "--seed", "3", "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
         assert len(seen["add"]) == len(seen["collect_shadow_arrays"]) == 3
         ws = np.concatenate([w for w, _ in seen["collect_shadow_arrays"]])
         got = np.concatenate(seen["add"])
@@ -736,8 +771,12 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
         assert got.shape == (40, len(qs))
         ref = tuple(range(n + 1, n + eta + 1))
         ref_row = batch_estimate_matrices(ws, eta)[:, rank_subset(ref)]
-        want = 2.0 * ref_row[:, [rank_subset(q) for q in qs]]
+        want = ref_row[:, [rank_subset(q) for q in qs]]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        reducer = seen["reducer"][0]
+        assert all(r is reducer for r in seen["reducer"])
+        assert [(row["overlap_re"], row["overlap_im"]) for row in printed] == [
+            (cli._fmt(2 * v.real), cli._fmt(2 * v.imag)) for v in reducer.mean]
 
 
 def _assert_same_table(got: str, want: str):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -41,10 +42,10 @@ def test_subsets_colex_order_and_count():
     got = list(subsets(4, 2))
     assert got == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
     for n in range(7):
-        for k in range(n + 1):
+        for k in range(n + 2):      # k = n + 1 has no subset
             ss = list(subsets(n, k))
             assert len(ss) == binom(n, k)
-            assert ss == sorted(ss, key=lambda z: tuple(reversed(z)))
+            assert ss == sorted(combinations(range(1, n + 1), k), key=lambda z: z[::-1])
 
 
 def test_rank_matches_enumeration_order():

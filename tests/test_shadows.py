@@ -586,17 +586,19 @@ def test_jsonl_roundtrip():
         json.dumps({"seed": 0, "index": 0, "z": [1], "u": _pairs(eye),
                     "w": _pairs(eye[:1])}),      # both u and w
         wline(eye[:1], [1]) + "\n" + wline(eye[:1] * 2, [1]),  # the second shadow is bad
-    ):
-        with pytest.raises(ValueError, match=r"shadow \d"):
-            shadows_from_jsonl(bad)
-    for bad in (
         line(eye, [1]) + "\n" + line(np.eye(3), [1]),  # rows of differing shape
         line(eye, [1]) + "\n" + line(eye, [1, 2]),
         wline(eye[:1], [1]) + "\n" + wline(np.eye(3)[:1], [1]),
-        "",
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"shadow \d"):
             shadows_from_jsonl(bad)
+    # the first snapshot whose shape differs from shadow 0's is named
+    with pytest.raises(ValueError, match="shadow 2: 2 readout rows of 2 modes, but shadow 0 has 1"):
+        shadows_from_jsonl("\n".join([line(eye, [1]), wline(eye[1:], [2]), line(eye, [1, 2])]))
+    for empty in ("", "\n", "  \n\n"):
+        with pytest.raises(ValueError, match="no shadow"):
+            shadows_from_jsonl(empty)
+    assert shadows_to_jsonl(np.zeros((0, 2, 3)), np.zeros((0, 2), dtype=np.int64), 0) == ""
     with pytest.raises(ValueError, match="shadow 1"):
         shadows_from_jsonl(line(eye, [1]) + "\n" + raw("u"))
     got_ws, got_zs = shadows_from_jsonl(line(eye, [2]))
