@@ -26,8 +26,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .combinat import binom, falling, subset_masks
-from .linalg import subset_index_array
+from .combinat import binom, falling, subset_index_array, subset_masks
 
 
 @dataclass

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import shadows
-from .combinat import rank_rows, subsets, subsets_ok
+from .combinat import rank_rows, subset_index_array, subsets_ok
 from .fock import (
     FermionState,
     basis_state,
@@ -28,7 +28,7 @@ from .fock import (
     slater_superposition,
     state_from_json,
 )
-from .linalg import haar_network, network_rows, subset_index_array
+from .linalg import haar_network, network_rows
 from .shadows import (
     _STATE_INDEX,
     Reducer,
@@ -55,6 +55,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_seed(seed):
+    """Raise ConfigError unless seed is an integer in 0..2^64-1."""
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One run: sizes, sampling budget, state, estimator, aggregation, targets."""
@@ -77,8 +83,7 @@ class ExperimentConfig:
                               f"got n={self.n} eta={self.eta} k={self.k}")
         if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
         src = self.state_source
         if not (isinstance(src, str)
                 and (src == "random_pure" or src.startswith(("basis:", "file:")))):
@@ -119,7 +124,7 @@ def build_state(config: ExperimentConfig) -> FermionState:
     try:
         with open(path) as fh:
             state = state_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load state from {path}: {exc}") from None
     if (state.n, state.eta) != (config.n, config.eta):
         raise ConfigError(
@@ -311,13 +316,15 @@ def _cross_check(ws, k: int, ps, qs) -> tuple:
 def _sample(state: FermionState, config: ExperimentConfig, ps, qs, stages: _Stages) -> tuple:
     """(reducers, agree, gap): config.samples shots of state, reduced per target (ps_t, qs_t).
 
-    Runs collect -> estimate -> reduce one shadows._CHUNK of shots at a
-    time, so peak memory is set by the chunk and the targets, not by
-    config.samples; each chunk is its own start_index call, which draws the
-    same bits as one call over all the shots.  dense and fast are one run,
-    one fast_estimate_rdm call per chunk into one Reducer.  both reduces the
-    two block sources of _cross_check into a Reducer each; agree says
-    whether every chunk passed, gap is the worst gap (a NaN stays).
+    Runs collect -> estimate -> reduce one chunk of shots at a time: at most
+    shadows._CHUNK shots, and fewer whole 64-shot blocks where the (shots, T)
+    tables of the T targets would pass about 2^19 numbers, so peak memory is
+    set by the targets, not by config.samples.  Each chunk is its own
+    start_index call, which draws the same bits as one call over all the
+    shots.  dense and fast are one run, one fast_estimate_rdm call per chunk
+    into one Reducer.  both reduces the two block sources of _cross_check
+    into a Reducer each; agree says whether every chunk passed, gap is the
+    worst gap (a NaN stays).
     """
     k = ps.shape[1]
     both = config.estimator == "both"
@@ -326,8 +333,10 @@ def _sample(state: FermionState, config: ExperimentConfig, ps, qs, stages: _Stag
                 for _ in range(2 if both else 1)]
     agree, gap = True, 0.0
     stages.lap("setup")
-    for lo in range(0, config.samples, shadows._CHUNK):
-        count = min(shadows._CHUNK, config.samples - lo)
+    step = min(shadows._CHUNK,
+               max(1, 2**19 // max(1, len(ps)) // shadows._BLOCK) * shadows._BLOCK)
+    for lo in range(0, config.samples, step):
+        count = min(step, config.samples - lo)
         ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo)
         stages.lap("collect")
         if both:
@@ -353,8 +362,8 @@ def _finish(command: str, config: dict, stages: _Stages, rows: list, header: lis
     manifest = _run_manifest(command, config, stages) if out else None
     _write_rows(rows, header, out, fmt, manifest)
     if not agree:
-        print(f"dense and fast estimators disagree: worst relative gap {gap:.3e}",
-              file=sys.stderr)
+        print(f"gathered blocks and readout-row products disagree: "
+              f"worst relative gap {gap:.3e}", file=sys.stderr)
         return 1
     return 0
 
@@ -430,17 +439,15 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
     return _finish("variance-sweep", grid, stages, rows, header, out, fmt)
 
 
-# run_validation draws from default_rng(seed) and from streams keyed up to
-# seed + _VALIDATE_SPAN, the last one by fast_vs_dense at full level
-_VALIDATE_SPAN = 26
-
-
 def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     """Run the invariant suites and return a JSON-able report.
 
     Each check calls the identities.check_* function that an acceptance
     criterion calls too, at this level's sizes and with draws of its own;
     fast_vs_dense calls it through _cross_check, as the both gate does.
+    States and pairs come from default_rng(seed).  Each (check, size) b
+    collects from the streams (seed, 64 b) on, a 64-shot block of its own, so
+    the stream index tells the draws apart and every 64-bit seed is valid.
     """
     from . import identities
 
@@ -459,8 +466,9 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
 
     def norms():
         bad = []
-        for n, eta in [(4, 2), (n_cap, min(3, n_cap - 1))]:
-            ws, _ = collect_shadow_arrays(random_state(n, eta, rng), 32, seed + n)
+        for b, (n, eta) in enumerate([(4, 2), (n_cap, min(3, n_cap - 1))]):
+            ws, _ = collect_shadow_arrays(random_state(n, eta, rng), 32, seed,
+                                          start_index=b * shadows._BLOCK)
             for k in range(1, eta + 1):
                 ok, gap, _ = identities.check_shadow_norms(ws, k)
                 if not ok:
@@ -469,15 +477,16 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
 
     def fast_vs_dense():
         ok, worst = True, 0.0
-        for n, eta in [(4, 2), (min(6, n_cap), 3)]:
+        # eta = 4 sums Pi's rows in an order where the two block sources round apart
+        for b, (n, eta) in enumerate([(4, 2), (min(6, n_cap), 3), (n_cap, 4)], start=2):
             state = random_state(n, eta, rng)
-            for t in range(4 if quick else 10):
-                ws, _ = collect_shadow_arrays(state, 1, seed + 17 + t, start_index=t)
-                for k in range(1, eta + 1):
-                    ss = list(subsets(n, k))
-                    pairs = np.array([ss[rng.integers(len(ss))] for _ in range(8)])  # p, q, ...
-                    _, _, passed, gap = _cross_check(ws, k, pairs[0::2], pairs[1::2])
-                    ok, worst = ok and passed, max(worst, gap)
+            ws, _ = collect_shadow_arrays(state, 4 if quick else 10, seed,
+                                          start_index=b * shadows._BLOCK)
+            for k in range(1, eta + 1):
+                ss = subset_index_array(n, k) + 1
+                pairs = ss[rng.integers(len(ss), size=8)]       # p, q, p, q, ...
+                _, _, passed, gap = _cross_check(ws, k, pairs[0::2], pairs[1::2])
+                ok, worst = ok and passed, max(worst, gap)
         return ok, f"worst relative gap {worst:.2e}"
 
     def twirl():
@@ -509,9 +518,7 @@ def cmd_validate(level: str = "quick", out: str = None, seed: int = 2024) -> int
     """Run the validation suites; exit 1 if any check fails."""
     if level not in ("quick", "full"):
         raise ConfigError(f"level must be quick or full, got {level!r}")
-    if not 0 <= seed <= 2**64 - 1 - _VALIDATE_SPAN:
-        raise ConfigError(f"seed must be in 0..2^64-{_VALIDATE_SPAN + 1}, so that the stream "
-                          f"keys seed .. seed + {_VALIDATE_SPAN} stay below 2^64, got {seed!r}")
+    _check_seed(seed)
     report = run_validation(level, seed=seed)
     text = json.dumps(report, indent=2) + "\n"
     if out:

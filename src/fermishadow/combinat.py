@@ -17,12 +17,14 @@ Contents
     subsets_ok             : whether every row of an integer table is a subset of 1..n
     rank_rows              : colex ranks of the rows of such a table
     unrank_subset          : inverse of rank_subset
+    subset_index_array     : 0-based modes of all d-subsets of [n], colex order
     subsets                : iterate all d-subsets of [n] in colex order
     subset_masks           : bitmasks of all d-subsets, colex (= ascending) order
     apply_string           : annihilator/creator string on one bitmask, with sign
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -111,14 +113,24 @@ def unrank_subset(r: int, n: int, d: int) -> tuple:
     return tuple(reversed(out))
 
 
+@lru_cache(maxsize=None)
+def subset_index_array(n: int, d: int) -> np.ndarray:
+    """(C(n,d), d) read-only int64 array of 0-based mode indices, colex row order.
+
+    itertools.combinations lists the subsets in lex order; one lexsort keyed
+    by the largest mode, then the next, puts them in colex order.  Cached
+    per (n, d), so a chunked run builds it once.
+    """
+    idx = np.array(list(combinations(range(n), d)), dtype=np.int64).reshape(binom(n, d), d)
+    if d:
+        idx = idx[np.lexsort(idx.T)]
+    idx.setflags(write=False)
+    return idx
+
+
 def subsets(n: int, d: int):
     """All d-subsets of [n] as tuples, in colex order: by largest mode, then the rest."""
-    if d == 0:
-        yield ()
-        return
-    for top in range(d, n + 1):
-        for rest in subsets(top - 1, d - 1):
-            yield rest + (top,)
+    return map(tuple, (subset_index_array(n, d) + 1).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +138,12 @@ def subset_masks(n: int, d: int) -> np.ndarray:
     """Read-only int64 bitmasks of the d-subsets of [n] in colex order.
 
     Colex order is ascending mask order, so np.searchsorted gives the rank.
+    Raises OverflowError if a mask needs bit 63 or above (a mode above 63).
     """
-    masks = np.array([sum(1 << (m - 1) for m in z) for z in subsets(n, d)], dtype=np.int64)
+    idx = subset_index_array(n, d)
+    if n > 63 and idx.size:
+        raise OverflowError(f"int64 bitmasks hold modes 1..63, got n={n}")
+    masks = (1 << idx).sum(axis=1)
     masks.setflags(write=False)
     return masks
 

@@ -20,10 +20,11 @@ Contents
     expectation_rdm     : <state| transition |state>
     rdm_matrix          : all k-body expectations at once
     slater_superposition: overlap-estimation embedding on n+eta modes
-    state_to_json, state_from_json : JSON form; loading rejects a non-normalized state
+    state_to_json, state_from_json : JSON form; loading checks types, count and norm
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,29 @@ def state_to_json(state: FermionState) -> str:
     return json.dumps(body)
 
 
+def _number_pairs(items) -> bool:
+    """Is items a list of [re, im] pairs of JSON numbers within the float range, not bools?"""
+    return isinstance(items, list) and all(
+        isinstance(v, list) and len(v) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                and abs(x) <= sys.float_info.max for x in v)
+        for v in items)
+
+
 def state_from_json(text: str) -> FermionState:
-    """Load a state_to_json state; ValueError if its norm misses 1 by more than 1e-6."""
+    """Load a state_to_json state.
+
+    Raises ValueError unless the text is a JSON object whose n and eta are
+    JSON integers (not floats, not bools) and whose amplitudes are C(n, eta)
+    [re, im] pairs of finite JSON numbers (_number_pairs) of norm 1 to 1e-6.
+    """
     body = json.loads(text)
+    if not (isinstance(body, dict) and _number_pairs(body.get("amplitudes"))
+            and all(type(body.get(key)) is int for key in ("n", "eta"))):     # not bool
+        raise ValueError("need a JSON object with integers n and eta and amplitudes "
+                         "a list of [re, im] number pairs")
     amps = np.array([complex(re, im) for re, im in body["amplitudes"]])
-    state = FermionState(int(body["n"]), int(body["eta"]), amps)
+    state = FermionState(body["n"], body["eta"], amps)
     if not abs(state.norm() - 1.0) <= 1e-6:     # NaN fails too
         raise ValueError(f"state has norm {state.norm():.6g}, not 1")
     return state

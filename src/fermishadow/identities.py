@@ -19,9 +19,8 @@ measured.
 
 Contents
 --------
-    SumReport            : one brute-vs-closed comparison, JSON-able
-    trace_nd_squared     : squared norm of the degree-d eigenoperator
-    t_sum                : the alternating moment sum behind the entry formula
+    trace_nd_squared     : squared norm of the degree-d eigenoperator, (brute, closed)
+    t_sum                : the alternating moment sum behind the entry formula, (brute, closed)
     chu_vandermonde_checks : the small binomial identities used throughout
     check_projector_expansion : sum_d a_d N_d = reference projector and
                            the channel eigenrelation, exact
@@ -31,42 +30,20 @@ Contents
     check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from . import channel
-from .combinat import binom, subset_masks
-from .linalg import _det_stack, subset_index_array
+from .combinat import binom, subset_index_array, subset_masks
+from .linalg import _det_stack
 from .shadows import (all_pairs, check_fast_vs_dense, estimation_entry, fast_estimate_rdm,
                       trace_e_squared)
 
 
-@dataclass
-class SumReport:
-    """Brute-force sum next to its closed form, with exact agreement flag."""
-
-    parameters: dict
-    brute_value: Fraction
-    closed_value: Fraction
-    agree: bool = field(init=False)
-
-    def __post_init__(self):
-        self.agree = self.brute_value == self.closed_value
-
-    def to_json(self) -> dict:
-        return {
-            "parameters": dict(self.parameters),
-            "brute_value": str(self.brute_value),
-            "closed_value": str(self.closed_value),
-            "agree": self.agree,
-        }
-
-
-def trace_nd_squared(n: int, eta: int, d: int) -> SumReport:
-    """Tr of the squared degree-d eigenoperator on the eta sector.
+def trace_nd_squared(n: int, eta: int, d: int) -> tuple:
+    """(brute, closed) Fractions: Tr of the squared degree-d eigenoperator on the eta sector.
 
     Brute route: channel.nd_class_values squared times class multiplicities.
     Closed route: a single product of factorials.  d = 0 gives C(n, eta).
@@ -81,11 +58,11 @@ def trace_nd_squared(n: int, eta: int, d: int) -> SumReport:
         * factorial(n - eta - d) ** 2
         * factorial(eta - d) ** 2,
     )
-    return SumReport({"n": n, "eta": eta, "d": d}, brute, closed)
+    return brute, closed
 
 
-def t_sum(n: int, eta: int, k: int, s: int) -> SumReport:
-    """The quadruple sum that collapses to one estimation-operator entry.
+def t_sum(n: int, eta: int, k: int, s: int) -> tuple:
+    """(brute, closed) Fractions: the quadruple sum that collapses to one estimation entry.
 
     Sums the projector expansion weights channel.a_coeff against the
     overlap statistics of a k-subset with s modes outside the readout; the
@@ -120,7 +97,7 @@ def t_sum(n: int, eta: int, k: int, s: int) -> SumReport:
                     if count:
                         brute += base * count
     closed = estimation_entry(n, eta, k, k - s)
-    return SumReport({"n": n, "eta": eta, "k": k, "s": s}, brute, closed)
+    return brute, closed
 
 
 def chu_vandermonde_checks(limit: int = 15) -> bool:
@@ -172,9 +149,9 @@ def check_projector_expansion(n: int, eta: int) -> bool:
 def check_closed_forms(n: int, eta: int) -> tuple:
     """(passed, points): trace_nd_squared at every depth d and t_sum at every
     realizable (k, s), k = 0..eta, brute sum equal to closed form exactly."""
-    reports = [trace_nd_squared(n, eta, d) for d in range(min(eta, n - eta) + 1)]
-    reports += [t_sum(n, eta, k, s) for k in range(eta + 1) for s in range(min(k, n - eta) + 1)]
-    return all(r.agree for r in reports), len(reports)
+    pairs = [trace_nd_squared(n, eta, d) for d in range(min(eta, n - eta) + 1)]
+    pairs += [t_sum(n, eta, k, s) for k in range(eta + 1) for s in range(min(k, n - eta) + 1)]
+    return all(brute == closed for brute, closed in pairs), len(pairs)
 
 
 def check_shadow_norms(ws, k: int) -> tuple:

@@ -15,7 +15,6 @@ Contents
     network_rows       : chosen rows of each network's unitary
     _fold              : sum over axis 0 in a fixed pairwise order
     _det_stack         : determinants of a stack of k x k matrices
-    subset_index_array : 0-based mode indices of all k-subsets, colex order
 """
 
 from functools import lru_cache
@@ -23,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .combinat import subset_masks, subsets
+from .combinat import subset_index_array, subset_masks
 
 
 # ---------------------------------------------------------------- sums and determinants
@@ -59,20 +58,6 @@ def _det_stack(a: np.ndarray) -> np.ndarray:
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
         )
     return np.linalg.det(a)
-
-
-@lru_cache(maxsize=None)
-def subset_index_array(n: int, k: int) -> np.ndarray:
-    """(C(n,k), k) array of 0-based mode indices, colex row order.
-
-    Cached per (n, k), so a chunked run builds it once; the array is read-only.
-    """
-    if k == 0:
-        idx = np.zeros((1, 0), dtype=np.int64)
-    else:
-        idx = np.array(list(subsets(n, k)), dtype=np.int64) - 1
-    idx.setflags(write=False)
-    return idx
 
 
 # ---------------------------------------------------------------- Givens

@@ -54,9 +54,9 @@ from math import factorial
 
 import numpy as np
 
-from .combinat import binom, falling, subsets_ok, validate_subset
-from .fock import FermionState
-from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows, subset_index_array
+from .combinat import binom, falling, subset_index_array, subsets_ok, validate_subset
+from .fock import FermionState, _number_pairs
+from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 
 
 # shots per pass of collect_shadow_arrays and of the CLI's
@@ -529,12 +529,12 @@ def shadows_from_jsonl(text: str):
     writes them, or u, the whole n x n rotation of the older format, whose
     rows z are taken.  Raises ValueError, naming the shadow, unless there is
     at least one line, every line is a JSON object with z and exactly one of
-    u and w, that matrix is m >= 1 equal rows of [re, im] pairs of JSON
-    numbers (not booleans) with orthonormal rows (m m^H = I to 1e-10), u is
-    n x n and w holds len(z) <= n rows, every z is a list of JSON integers
-    (not floats, not booleans) strictly increasing within 1..n, and all
-    snapshots share shadow 0's (eta, n).  Text with no line at all raises a
-    ValueError that says so.
+    u and w, that matrix is m >= 1 equal rows of [re, im] pairs of finite
+    JSON numbers, not booleans (fock._number_pairs), with orthonormal rows
+    (m m^H = I to 1e-10), u is n x n and w holds len(z) <= n rows, every z
+    is a list of JSON integers (not floats, not booleans) strictly
+    increasing within 1..n, and all snapshots share shadow 0's (eta, n).
+    Text with no line at all raises a ValueError that says so.
     """
     ws, zs = [], []
     for line in text.splitlines():
@@ -550,10 +550,7 @@ def shadows_from_jsonl(text: str):
         key = "u" if "u" in body else "w"
         rows, z = body[key], body["z"]
         if not (isinstance(rows, list) and rows
-                and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
-                and all(isinstance(v, list) and len(v) == 2
-                        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-                        for row in rows for v in row)):
+                and all(_number_pairs(row) and len(row) == len(rows[0]) for row in rows)):
             raise ValueError(f"shadow {i}: {key} must be one or more rows of equally many "
                              "[re, im] number pairs")
         m, n = len(rows), len(rows[0])
@@ -565,10 +562,7 @@ def shadows_from_jsonl(text: str):
             raise ValueError(f"shadow {i}: z must be a list of integer modes, got {z!r}")
         if key == "w" and len(z) != m:
             raise ValueError(f"shadow {i}: w has {m} rows but z {len(z)} modes")
-        try:
-            mat = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(m, n)
-        except OverflowError:       # an integer beyond the float range
-            raise ValueError(f"shadow {i}: the rows of {key} are not orthonormal") from None
+        mat = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(m, n)
         if not np.linalg.norm(mat @ mat.conj().T - np.eye(m)) <= 1e-10:     # NaN fails too
             raise ValueError(f"shadow {i}: the rows of {key} are not orthonormal")
         if not all(1 <= mode <= n for mode in z) or any(a >= b for a, b in zip(z, z[1:])):

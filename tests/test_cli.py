@@ -282,6 +282,28 @@ def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
     assert err.startswith("config error:") and "norm 2" in err
 
 
+@pytest.mark.parametrize("body", [
+    [1, 2],                                                         # not an object
+    {"n": 3, "eta": 1, "amplitudes": 5},                            # not a list
+    {"n": [3], "eta": 1, "amplitudes": [[1, 0], [0, 0], [0, 0]]},
+    {"n": 3, "eta": 1, "amplitudes": [[1, 0], None, [0, 0]]},
+    {"n": 3, "eta": 1, "amplitudes": [["1", 0], [0, 0], [0, 0]]},
+    {"n": 3.7, "eta": 1, "amplitudes": [[1, 0], [0, 0], [0, 0]]},    # once read as 3
+    {"n": 3, "eta": True, "amplitudes": [[1, 0], [0, 0], [0, 0]]},   # once read as 1
+    {"n": 3, "eta": 1, "amplitudes": [[True, False], [0, 0], [0, 0]]},
+], ids=["list", "amplitudes-5", "n-list", "null-amplitude", "string-part", "n-float",
+        "eta-bool", "bool-parts"])
+def test_estimate_rejects_malformed_state_file(body, tmp_path, capsys):
+    # each once raised a TypeError (exit 1) or loaded as a wrong state
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(body))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "eta": 1, "k": 1, "samples": 5, "seed": 1,
+                               "state_source": f"file:{path}"}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot load state from {path}")
+
+
 def test_estimate_rejects_wrong_amplitude_count(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"n": 4, "eta": 2, "amplitudes": [[0.2, 0.0]] * 5}))
@@ -473,7 +495,7 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     assert main(["estimate", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert len(_read_csv(out)[1]) == 9
-    assert err.startswith("dense and fast estimators disagree")
+    assert err.startswith("gathered blocks and readout-row products disagree")
     gap = float(err.split()[-1])
     assert 1e-8 < gap <= 1e-6
 
@@ -559,18 +581,18 @@ def test_validate_quick_passes(tmp_path, capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_validate_seed_must_leave_room_for_its_streams(tmp_path, monkeypatch, capsys):
-    # the checks draw from the streams seed .. seed + 26: the largest seed that
-    # leaves room passes at full level, and a seed outside 0..2^64-27 is a
-    # config error before any check runs
-    top = 2**64 - 1 - cli._VALIDATE_SPAN
-    assert main(["validate", "--level", "full", "--seed", str(top),
+def test_validate_takes_every_64_bit_seed(tmp_path, monkeypatch, capsys):
+    # the checks tell their draws apart by stream index, not by seed offsets:
+    # the largest 64-bit seed passes at full level, and a seed outside
+    # 0..2^64-1 is a config error before any check runs
+    assert main(["validate", "--level", "full", "--seed", str(2**64 - 1),
                  "--out", str(tmp_path / "report.json")]) == 0
     monkeypatch.setattr(cli, "run_validation", lambda *args, **kwargs: pytest.fail("a check ran"))
     capsys.readouterr()
-    for seed in (-1, top + 1, 2**64 - 1):
+    for seed in (-1, 2**64):
         assert main(["validate", "--seed", str(seed)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert capsys.readouterr().err.startswith(
+            "config error: seed must be a 64-bit unsigned integer")
 
 
 def _off_by_one_estimation_operator(monkeypatch):
@@ -734,7 +756,7 @@ def test_slater_overlap_both_cross_checks(monkeypatch, capsys):
         assert cmd_slater_overlap(config) == 1
         out, err = capsys.readouterr()
         assert len(_read_csv(out)[1]) == binom(n, eta)
-        assert err.startswith("dense and fast estimators disagree")
+        assert err.startswith("gathered blocks and readout-row products disagree")
         assert 1e-8 < float(err.split()[-1]) <= 1e-6
 
 
@@ -842,6 +864,20 @@ def test_estimate_peak_memory_flat_in_samples(monkeypatch, capsys):
     peak(256)       # fill the caches first
     two, twenty = peak(2 * 256), peak(20 * 256)
     assert twenty <= 1.1 * two, (two, twenty)
+
+
+def test_estimate_chunk_sized_by_target_count(capsys):
+    # 2025 targets: chunks of 256 shots keep the (shots, T) tables near 2^19
+    # numbers, where 2048-shot chunks traced 159 MiB
+    tracemalloc.start()
+    try:
+        assert main(["estimate", "--n", "10", "--eta", "2", "--k", "2",
+                     "--samples", "2048", "--seed", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
+    assert peak <= 40 * 2**20, peak
 
 
 def test_estimate_memory_with_few_targets(capsys):
