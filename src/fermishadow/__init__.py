@@ -11,7 +11,7 @@ entries at once.
 
 Modules
 -------
-    combinat   : subsets in colex order, binomials, bitmasks and the sign rule
+    combinat   : subsets in colex order, binomials and the sign rule
     linalg     : Haar rotations as Givens networks, stacked determinants
     fock       : dense eta-particle states, transitions, JSON form
     channel    : exact algebra of the measurement channel

@@ -26,7 +26,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .combinat import binom, falling, subset_index_array, subset_masks
+from .combinat import binom, falling, subset_index_array
 
 
 @dataclass
@@ -124,7 +124,9 @@ def channel_kernel(n: int, eta: int) -> list:
 
 def _intersection_table(n: int, eta: int) -> np.ndarray:
     """(C, C) int64 table of |r cap r'| over the eta sector."""
-    occ = (subset_masks(n, eta)[:, None] >> np.arange(n)) & 1
+    idx = subset_index_array(n, eta)
+    occ = np.zeros((len(idx), n), dtype=np.int64)
+    np.put_along_axis(occ, idx, 1, axis=1)
     return occ @ occ.T
 
 

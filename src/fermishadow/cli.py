@@ -23,6 +23,7 @@ from . import shadows
 from .combinat import rank_rows, subset_index_array, subsets_ok
 from .fock import (
     FermionState,
+    _is_int,
     basis_state,
     random_state,
     slater_superposition,
@@ -48,11 +49,6 @@ class ConfigError(Exception):
 
 # thread-count variables of the BLAS/OpenMP pools, recorded in the manifest
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _is_int(x) -> bool:
-    """An int that is not a bool (JSON true/false load as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_seed(seed):
@@ -406,13 +402,12 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
 
     The empirical column of grid row i is the mean over all C(n,k)^2
     transitions (shadows.all_pairs) of the single-shot variance, reduced by
-    _sample from samples shots of the random_pure state of seed + i.
+    _sample from samples shots of the random_pure state of seed; rows of one
+    (n, eta) share that state and its snapshots.
     """
     if samples < 0:
         raise ConfigError(f"samples must be 0 (no empirical column) or positive, got {samples}")
-    # grid row i uses the streams of seed + i, each a 64-bit unsigned key
-    if not 0 <= seed <= 2**64 - len(ns) * len(etas) * len(ks):
-        raise ConfigError(f"seed must leave room for one 64-bit stream key per grid row, got {seed!r}")
+    _check_seed(seed)
     stages = _Stages()
     header = ["n", "eta", "k", "q_exact", "avg_shadow_norm_sq", "variance_bound",
               "empirical_avg_variance", "samples"]
@@ -424,7 +419,7 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                     continue
                 emp = ""
                 if samples > 0:
-                    config = ExperimentConfig(n, eta, k, samples, seed + len(rows))
+                    config = ExperimentConfig(n, eta, k, samples, seed)
                     reducers, _, _ = _sample(build_state(config), config, *all_pairs(n, k), stages)
                     emp = _fmt(float(reducers[0].variance().mean()))
                 rows.append([
@@ -599,9 +594,7 @@ def _load_config(args, need_k: bool = True) -> ExperimentConfig:
     extra = set(data) - known
     if extra:
         raise ConfigError(f"unknown config fields: {', '.join(sorted(extra))}")
-    config = ExperimentConfig(**data)
-    config.validate()
-    return config
+    return ExperimentConfig(**data)
 
 
 def _keep_heap():

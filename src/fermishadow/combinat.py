@@ -4,9 +4,9 @@ Occupation vectors are sorted tuples of 1-based mode indices.  The d-subsets
 of [n] are enumerated in colexicographic order, so the rank of a subset does
 not depend on n and basis vectors embed consistently across mode counts.
 
-A subset is also an occupation bitmask with bit m-1 set for mode m, and
-colex order is ascending mask order.  The sign rule of the mode operators,
-(-1)^(occupied modes below m) for acting on mode m, lives in apply_string.
+The sign rule of the mode operators, (-1)^(occupied modes below m) for
+acting on mode m, lives in apply_string, which reads a subset as the
+occupation bitmask with bit m-1 set for mode m.
 
 Contents
 --------
@@ -19,7 +19,6 @@ Contents
     unrank_subset          : inverse of rank_subset
     subset_index_array     : 0-based modes of all d-subsets of [n], colex order
     subsets                : iterate all d-subsets of [n] in colex order
-    subset_masks           : bitmasks of all d-subsets, colex (= ascending) order
     apply_string           : annihilator/creator string on one bitmask, with sign
 """
 
@@ -131,21 +130,6 @@ def subset_index_array(n: int, d: int) -> np.ndarray:
 def subsets(n: int, d: int):
     """All d-subsets of [n] as tuples, in colex order: by largest mode, then the rest."""
     return map(tuple, (subset_index_array(n, d) + 1).tolist())
-
-
-@lru_cache(maxsize=None)
-def subset_masks(n: int, d: int) -> np.ndarray:
-    """Read-only int64 bitmasks of the d-subsets of [n] in colex order.
-
-    Colex order is ascending mask order, so np.searchsorted gives the rank.
-    Raises OverflowError if a mask needs bit 63 or above (a mode above 63).
-    """
-    idx = subset_index_array(n, d)
-    if n > 63 and idx.size:
-        raise OverflowError(f"int64 bitmasks hold modes 1..63, got n={n}")
-    masks = (1 << idx).sum(axis=1)
-    masks.setflags(write=False)
-    return masks
 
 
 def apply_string(mask: int, annihilate=(), create=()):

@@ -5,8 +5,8 @@ of [n] in colex rank order.  The basis ket for the subset z = (z_1 < ... <
 z_eta) is built by applying creation operators in increasing mode order to
 the vacuum, and every sign in this module follows from that single
 convention: annihilating (or creating) mode m picks up (-1)^(number of
-occupied modes below m).  That rule and the subset-to-bitmask encoding
-under it live in combinat.apply_string and combinat.subset_masks.
+occupied modes below m).  That rule, on occupation bitmasks, lives in
+combinat.apply_string.
 
 Transition operators are specified by two sorted k-subsets p, q and act as
 the creator string for p times the annihilator string for q (annihilators
@@ -33,7 +33,7 @@ from .combinat import (
     apply_string,
     binom,
     rank_subset,
-    subset_masks,
+    subset_index_array,
     subsets,
     validate_subset,
 )
@@ -79,20 +79,26 @@ def random_state(n: int, eta: int, rng: np.random.Generator) -> FermionState:
 
 # ------------------------------------------------- transition operators
 
+def _mask_ranks(n: int, d: int) -> dict:
+    """{mask: colex rank} of the d-subsets of [n], as Python-int bitmasks of any width."""
+    return {sum(1 << m for m in row): r
+            for r, row in enumerate(subset_index_array(n, d).tolist())}
+
+
 def apply_rdm_operator(state: FermionState, p, q) -> FermionState:
     """Apply the transition operator for (p, q); the result is unnormalized."""
     p = validate_subset(p, state.n)
     q = validate_subset(q, state.n)
     if len(p) != len(q):
         raise ValueError(f"p and q differ in size: {p}, {q}")
-    masks = subset_masks(state.n, state.eta)
+    ranks = _mask_ranks(state.n, state.eta)
     out = np.zeros_like(state.amps)
-    for r, mask in enumerate(masks.tolist()):
+    for mask, r in ranks.items():
         if state.amps[r] == 0:
             continue
         m, sign = apply_string(mask, q, p)
         if m is not None:
-            out[np.searchsorted(masks, m)] += sign * state.amps[r]
+            out[ranks[m]] += sign * state.amps[r]
     return FermionState(state.n, state.eta, out)
 
 
@@ -110,14 +116,14 @@ def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
     """
     if not 0 <= k <= state.eta:
         raise ValueError(f"need 0 <= k <= eta = {state.eta}, got k={k}")
-    masks = subset_masks(state.n, state.eta).tolist()
-    masks_out = subset_masks(state.n, state.eta - k)
-    a = np.zeros((masks_out.size, binom(state.n, k)), dtype=np.complex128)
+    ranks = _mask_ranks(state.n, state.eta)
+    ranks_out = _mask_ranks(state.n, state.eta - k)
+    a = np.zeros((len(ranks_out), binom(state.n, k)), dtype=np.complex128)
     for c, q in enumerate(subsets(state.n, k)):
-        for r, mask in enumerate(masks):
+        for mask, r in ranks.items():
             m, sign = apply_string(mask, q)
             if m is not None:
-                a[np.searchsorted(masks_out, m), c] = sign * state.amps[r]
+                a[ranks_out[m], c] = sign * state.amps[r]
     return a.conj().T @ a
 
 
@@ -147,6 +153,11 @@ def state_to_json(state: FermionState) -> str:
     return json.dumps(body)
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _number_pairs(items) -> bool:
     """Is items a list of [re, im] pairs of JSON numbers within the float range, not bools?"""
     return isinstance(items, list) and all(
@@ -165,7 +176,7 @@ def state_from_json(text: str) -> FermionState:
     """
     body = json.loads(text)
     if not (isinstance(body, dict) and _number_pairs(body.get("amplitudes"))
-            and all(type(body.get(key)) is int for key in ("n", "eta"))):     # not bool
+            and all(_is_int(body.get(key)) for key in ("n", "eta"))):
         raise ValueError("need a JSON object with integers n and eta and amplitudes "
                          "a list of [re, im] number pairs")
     amps = np.array([complex(re, im) for re, im in body["amplitudes"]])

@@ -36,7 +36,7 @@ from math import factorial
 import numpy as np
 
 from . import channel
-from .combinat import binom, subset_index_array, subset_masks
+from .combinat import binom, subset_index_array
 from .linalg import _det_stack
 from .shadows import (all_pairs, check_fast_vs_dense, estimation_entry, fast_estimate_rdm,
                       trace_e_squared)
@@ -183,15 +183,15 @@ def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:
     count, n = us.shape[0], us.shape[-1]
     # (N, C) |det u[p, :eta]|^2 over the eta-subsets p of rows
     absq = np.abs(_det_stack(us[:, :, :eta][:, subset_index_array(n, eta)])) ** 2
-    masks = subset_masks(n, eta)
-    means = np.empty((len(masks), len(masks)))
+    overlaps = channel._intersection_table(n, eta)
+    means = np.empty(overlaps.shape)
     scores = []
-    for i in range(len(masks)):
-        for j in range(i, len(masks)):
+    for i in range(len(means)):
+        for j in range(i, len(means)):
             prod = absq[:, i] * absq[:, j]
             mean = float(prod.mean())
             sig = max(float(prod.std(ddof=1)) / np.sqrt(count), 1e-12)
-            f = float(channel.structure_factor(n, eta, int(masks[i] & masks[j]).bit_count()))
+            f = float(channel.structure_factor(n, eta, int(overlaps[i, j])))
             scores.append(abs(mean - f) / sig)
             means[i, j] = means[j, i] = mean
     worst = float(np.max(scores))

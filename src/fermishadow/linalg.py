@@ -22,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .combinat import subset_index_array, subset_masks
+from .combinat import binom, subset_index_array
 
 
 # ---------------------------------------------------------------- sums and determinants
@@ -139,19 +139,27 @@ def _adjacent_pairs(n: int, k: int) -> tuple:
 
     Entry m (0-based) is (lo, hi): lo[t] is the rank of a subset holding m
     but not m+1, hi[t] the rank of the same subset with m+1 in place of m.
+    Ranks come from colex arithmetic on subset_index_array, so any n works.
     """
-    # colex rank order is ascending bitmask order, so a mask's rank is its
-    # position in the sorted mask list
-    masks, bits = subset_masks(n, k), subset_masks(n, 1)
-    out = []
-    for m in range(n - 1):
-        both = bits[m] | bits[m + 1]
-        lo = np.flatnonzero((masks & both) == bits[m])
-        hi = np.searchsorted(masks, masks[lo] ^ both)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        out.append((lo, hi))
-    return tuple(out)
+    idx = subset_index_array(n, k)
+    # mode m at position j moves up to m+1 unless m+1 is past the last mode
+    # or the next one in the subset; the move adds
+    # C(m+1, j+1) - C(m, j+1) = C(m, j) to the colex rank
+    free = idx < n - 1
+    free[:, :-1] &= idx[:, 1:] != idx[:, :-1] + 1
+    lo, pos = np.nonzero(free)
+    mode = idx[lo, pos]
+    # only j <= m <= n-k+j occur, and each such C(m, j) is below C(n, k)
+    step = np.array([[binom(m, j) if m <= n - k + j else 0 for j in range(k)]
+                     for m in range(n)], dtype=np.int64).reshape(n, k)
+    hi = lo + step[mode, pos]
+    # group by m; the stable sort keeps lo ascending within each group
+    order = np.argsort(mode, kind="stable")
+    lo, hi = lo[order], hi[order]
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    edges = np.concatenate(([0], np.cumsum(np.bincount(mode, minlength=n))))
+    return tuple((lo[a:b], hi[a:b]) for a, b in zip(edges[:n - 1], edges[1:n]))
 
 
 def _check_network(network) -> tuple:

@@ -55,7 +55,7 @@ from math import factorial
 import numpy as np
 
 from .combinat import binom, falling, subset_index_array, subsets_ok, validate_subset
-from .fock import FermionState, _number_pairs
+from .fock import FermionState, _is_int, _number_pairs
 from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 
 
@@ -557,15 +557,14 @@ def shadows_from_jsonl(text: str):
         if m > n or (key == "u" and m < n):
             raise ValueError(f"shadow {i}: {key} has {m} rows of {n} entries, need "
                              + ("n rows of n" if key == "u" else "eta <= n rows of n"))
-        if not (isinstance(z, list)
-                and all(isinstance(mode, int) and not isinstance(mode, bool) for mode in z)):
+        if not (isinstance(z, list) and all(map(_is_int, z))):
             raise ValueError(f"shadow {i}: z must be a list of integer modes, got {z!r}")
         if key == "w" and len(z) != m:
             raise ValueError(f"shadow {i}: w has {m} rows but z {len(z)} modes")
         mat = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(m, n)
         if not np.linalg.norm(mat @ mat.conj().T - np.eye(m)) <= 1e-10:     # NaN fails too
             raise ValueError(f"shadow {i}: the rows of {key} are not orthonormal")
-        if not all(1 <= mode <= n for mode in z) or any(a >= b for a, b in zip(z, z[1:])):
+        if not subsets_ok(z, n):
             raise ValueError(f"shadow {i}: z must be strictly increasing within 1..{n}")
         z = np.array(z, dtype=np.int64)
         w = mat if key == "w" else mat[z - 1]

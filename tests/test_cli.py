@@ -26,7 +26,7 @@ from fermishadow.cli import (
     run_validation,
 )
 from fermishadow.combinat import binom, rank_rows, rank_subset, subsets
-from fermishadow.fock import FermionState, random_state, state_to_json
+from fermishadow.fock import FermionState, random_state, rdm_matrix, state_to_json
 
 
 def _read_csv(text):
@@ -265,9 +265,11 @@ def test_variance_sweep_config_errors(capsys):
     # a repeated flag overrides the earlier one
     base = ["variance-sweep", "--n", "4", "--eta", "2", "--k", "1"]
     for extra in (["--n", "a"], ["--k", "1,x"], ["--samples", "-3"], ["--seed", "-1"],
-                  ["--k", "1,2", "--samples", "5", "--seed", str(2**64 - 1)]):
+                  ["--k", "1,2", "--samples", "5", "--seed", str(2**64)]):
         assert main(base + extra) == 2
         assert capsys.readouterr().err.startswith("config error:")
+    # every grid row samples at the seed itself, so every 64-bit seed is valid
+    assert main(base + ["--k", "1,2", "--samples", "5", "--seed", str(2**64 - 1)]) == 0
 
 
 def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
@@ -456,6 +458,23 @@ def test_estimate_basis_state_occupation(tmp_path, capsys):
     assert abs(est1 - 1.0) < 4 * err1
     assert abs(est2 - 0.0) < 4 * err2
     assert abs(est1 + est2 - 1.0) < 1e-9  # particle number is exact per shadow
+
+
+def test_estimate_past_63_modes(tmp_path, capsys):
+    # subsets are index tables, not int64 bitmasks: n = 64 samples like n = 8
+    targets = [[[1], [1]], [[1], [64]], [[63], [64]], [[64], [64]]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"targets": targets}))
+    argv = ["estimate", "--config", str(cfg), "--n", "64", "--eta", "1", "--k", "1",
+            "--samples", "1000", "--seed", "12"]
+    assert main(argv) == 0
+    _, rows = _read_csv(capsys.readouterr().out)
+    exact = rdm_matrix(build_state(ExperimentConfig(64, 1, 1, 1000, 12)), 1)
+    for (p, q), row in zip(targets, rows):
+        want = exact[p[0] - 1, q[0] - 1]
+        est_re, est_im, err_re, err_im = map(float, row[2:6])
+        assert abs(est_re - want.real) < 5 * max(err_re, 1e-12)
+        assert abs(est_im - want.imag) < 5 * max(err_im, 1e-12)
 
 
 def test_estimate_both_estimators_agree(tmp_path, capsys):

@@ -11,7 +11,6 @@ from fermishadow.combinat import (
     binom,
     falling,
     rank_subset,
-    subset_masks,
     subsets,
     unrank_subset,
     validate_subset,
@@ -71,19 +70,6 @@ def test_validate_subset_rejects():
         validate_subset((1, 5), 4)
     with pytest.raises(ValueError):
         validate_subset((2, 2), 4)
-
-
-def test_subset_masks_are_colex_bitmasks():
-    assert subset_masks(4, 2).tolist() == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    assert subset_masks(3, 0).tolist() == [0]
-    for n in range(7):
-        for k in range(n + 1):
-            masks = subset_masks(n, k)
-            assert masks.dtype == np.int64 and not masks.flags.writeable
-            want = [sum(2 ** (m - 1) for m in z) for z in subsets(n, k)]
-            assert masks.tolist() == want == sorted(want)
-            for r, z in enumerate(subsets(n, k)):
-                assert np.searchsorted(masks, want[r]) == rank_subset(z, n)
 
 
 def test_apply_string_hand_signs():

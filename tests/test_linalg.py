@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from dense_oracle import compound_batch, minor_det, minors_batch
 from fermishadow.combinat import binom, subsets
 from fermishadow.linalg import (
+    _adjacent_pairs,
     givens_rotate,
     haar_network,
     network_rows,
@@ -246,6 +247,40 @@ def test_givens_rotate_matches_compound(size, kinds, seed):
     assert got.shape == (len(kinds), dim)
     assert np.max(np.abs(got - compound_batch(u, eta) @ amps)) <= 1e-12
     assert np.max(np.abs(whole(network) - u)) <= 1e-12
+
+
+def _adjacent_pairs_from_masks(n, k):
+    """_adjacent_pairs from int64 bitmasks, bit m-1 for mode m: colex order is
+    ascending mask order, so a mask's rank is its place in the sorted list."""
+    masks = np.array([sum(1 << (m - 1) for m in z) for z in subsets(n, k)], dtype=np.int64)
+    out = []
+    for m in range(n - 1):
+        lo = np.flatnonzero(((masks >> m) & 3) == 1)
+        out.append((lo, np.searchsorted(masks, masks[lo] ^ (3 << m))))
+    return out
+
+
+def test_adjacent_pairs_match_bitmask_oracle():
+    for n in range(1, 15):
+        for k in range(n + 1):
+            got, want = _adjacent_pairs(n, k), _adjacent_pairs_from_masks(n, k)
+            assert len(got) == len(want) == n - 1
+            for (lo, hi), (want_lo, want_hi) in zip(got, want):
+                assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist()
+                assert not (lo.flags.writeable or hi.flags.writeable)
+
+
+@pytest.mark.parametrize("n, k", [(64, 2), (100, 99)])
+def test_adjacent_pairs_past_63_modes(n, k):
+    # no int64 bitmask, and no binomial table entry above C(n, k): C(99, 49)
+    # would overflow at (100, 99), whose sector has 100 amplitudes
+    idx = subset_index_array(n, k)
+    pairs = _adjacent_pairs(n, k)
+    assert len(pairs) == n - 1
+    for m, (lo, hi) in enumerate(pairs):
+        assert len(lo) == binom(n - 2, k - 1)
+        moved = np.where(idx[lo] == m, m + 1, idx[lo])
+        assert (idx[lo] == m).any(axis=1).all() and np.array_equal(idx[hi], moved)
 
 
 def test_givens_rotate_rejects_mismatched_amplitudes():

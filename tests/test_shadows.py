@@ -15,7 +15,7 @@ from dense_oracle import (
 )
 from haar_oracle import haar, network_unitary, whole
 from fermishadow import shadows
-from fermishadow.combinat import binom, subset_masks, subsets
+from fermishadow.combinat import binom, rank_rows
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
@@ -296,7 +296,7 @@ def test_collection_born_statistics():
     _, zs = collect_shadow_arrays(state, draws, seed=9)
     network, _ = _reference_draws(n, draws, 9, 0)
     probs = np.abs(compound_batch(network_unitary(network), eta) @ state.amps) ** 2        # (draws, C)
-    ranks = np.searchsorted(subset_masks(n, eta), (1 << (zs - 1)).sum(axis=1))
+    ranks = rank_rows(zs, n)
     counts = np.bincount(ranks, minlength=binom(n, eta))
     expected = probs.sum(axis=0)
     sigma = np.sqrt((probs * (1 - probs)).sum(axis=0))
