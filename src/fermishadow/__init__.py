@@ -7,7 +7,9 @@ readout projector that it names.  A snapshot is the eta x n matrix of the
 readout rows of its rotation, and one kernel, fast_estimate_rdm, reads
 only those: it evaluates every distinct block of a target table once, from
 one O(k^2 eta + k^4) per-shot block for a single entry up to all C(n,k)^2
-entries at once.
+entries at once.  A batch of snapshots is the stacked (ws, zs) arrays that
+collect_shadow_arrays returns, and that is the only form they take: save
+the arrays, or regenerate them from the batch's seed and start index.
 
 Modules
 -------
@@ -21,7 +23,7 @@ Modules
     cli        : command-line entry points
 """
 
-from .combinat import binom, rank_subset, subsets, unrank_subset
+from .combinat import binom, rank_subset, subsets
 from .fock import (
     FermionState,
     basis_state,
@@ -51,7 +53,6 @@ __all__ = [
     "binom",
     "rank_subset",
     "subsets",
-    "unrank_subset",
     "FermionState",
     "basis_state",
     "expectation_rdm",

@@ -258,6 +258,12 @@ def _run_manifest(command: str, config: dict, stages: _Stages) -> dict:
     }
 
 
+def _out_files(out: str, fmt: str) -> tuple:
+    """(rows file, manifest file) of --out BASE: BASE.fmt, or BASE itself if it ends so."""
+    base = out[: -len("." + fmt)] if out.endswith("." + fmt) else out
+    return base + "." + fmt, base + ".manifest.json"
+
+
 def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
     """Emit rows as CSV or JSON; manifest goes next to a file, stdout otherwise.
 
@@ -274,11 +280,10 @@ def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
             json.dump([dict(zip(header, r)) for r in rows], fh, indent=2)
             fh.write("\n")
     if out:
-        path = out if out.endswith("." + fmt) else out + "." + fmt
+        path, mpath = _out_files(out, fmt)
         with open(path, "w", newline="") as fh:
             dump(fh)
         manifest = dict(manifest, rows=len(rows), output=path)
-        mpath = (out[: -len("." + fmt)] if out.endswith("." + fmt) else out) + ".manifest.json"
         with open(mpath, "w") as fh:
             # one call of the C encoder; indent would select the pure-Python one
             fh.write(json.dumps(manifest) + "\n")
@@ -287,11 +292,17 @@ def _write_rows(rows: list, header: list, out: str, fmt: str, manifest: dict):
         dump(sys.stdout)
 
 
-def _check_out(out: str):
-    """Raise ConfigError unless the directory that --out names exists and is writable.
+def _check_out(out: str, files):
+    """Raise ConfigError unless --out names a file in a writable directory.
 
-    Checked before any sampling, so a bad path costs no work.
+    files are the paths that the command will write.  Refused: an out that
+    ends in a separator (a directory, or a base that would name hidden files
+    by their extension alone), a file that is an existing directory, and a
+    missing or unwritable folder.  Checked before any sampling or check, so
+    a bad path costs no work.
     """
+    if not os.path.basename(out) or any(map(os.path.isdir, files)):
+        raise ConfigError(f"cannot write {out}: it names a directory, not a file")
     folder = os.path.dirname(os.path.abspath(out))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
@@ -309,41 +320,44 @@ def _cross_check(ws, k: int, ps, qs) -> tuple:
     return (gathered, products, *shadows.check_fast_vs_dense(products, gathered))
 
 
-def _sample(state: FermionState, config: ExperimentConfig, ps, qs, stages: _Stages) -> tuple:
-    """(reducers, agree, gap): config.samples shots of state, reduced per target (ps_t, qs_t).
+def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages: _Stages) -> tuple:
+    """(reducers, agree, gap): config.samples shots of state, reduced per target table.
 
-    Runs collect -> estimate -> reduce one chunk of shots at a time: at most
-    shadows._CHUNK shots, and fewer whole 64-shot blocks where the (shots, T)
-    tables of the T targets would pass about 2^19 numbers, so peak memory is
-    set by the targets, not by config.samples.  Each chunk is its own
-    start_index call, which draws the same bits as one call over all the
-    shots.  dense and fast are one run, one fast_estimate_rdm call per chunk
-    into one Reducer.  both reduces the two block sources of _cross_check
-    into a Reducer each; agree says whether every chunk passed, gap is the
-    worst gap (a NaN stays).
+    tables lists (ps, qs) target tables, (T, k) each, and reducers[i] lists
+    table i's Reducers.  Runs collect -> estimate -> reduce one chunk of shots
+    at a time, every table reading the same chunk: at most shadows._CHUNK
+    shots, and fewer whole 64-shot blocks where the largest table's (shots,
+    T) estimates would pass about 2^19 numbers, so peak memory is set by the
+    targets, not by config.samples.  Each chunk is its own start_index call,
+    which draws the same bits as one call over all the shots.  dense and
+    fast are one run, one fast_estimate_rdm call per chunk and table into
+    one Reducer.  both reduces the two block sources of _cross_check into a
+    Reducer each; agree says whether every chunk passed, gap is the worst
+    gap (a NaN stays).
     """
-    k = ps.shape[1]
     both = config.estimator == "both"
     mode, _, batches = config.aggregation.partition(":")
-    reducers = [Reducer(config.samples, len(ps), mode, int(batches) if batches else None)
-                for _ in range(2 if both else 1)]
+    reducers = [[Reducer(config.samples, len(ps), mode, int(batches) if batches else None)
+                 for _ in range(2 if both else 1)] for ps, _ in tables]
     agree, gap = True, 0.0
     stages.lap("setup")
-    step = min(shadows._CHUNK,
-               max(1, 2**19 // max(1, len(ps)) // shadows._BLOCK) * shadows._BLOCK)
+    widest = max(len(ps) for ps, _ in tables)
+    step = min(shadows._CHUNK, max(1, 2**19 // max(1, widest) // shadows._BLOCK) * shadows._BLOCK)
     for lo in range(0, config.samples, step):
         count = min(step, config.samples - lo)
         ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo)
         stages.lap("collect")
-        if both:
-            *chunks, ok, worst = _cross_check(ws, k, ps, qs)
-            agree, gap = agree and ok, float(np.maximum(gap, worst))
-        else:
-            chunks = [fast_estimate_rdm(ws, k, ps, qs)]
-        stages.lap("estimate")
-        for reducer, chunk in zip(reducers, chunks):
-            reducer.add(chunk)
-        stages.lap("aggregate")
+        for (ps, qs), table_reducers in zip(tables, reducers):
+            k = ps.shape[1]
+            if both:
+                *chunks, ok, worst = _cross_check(ws, k, ps, qs)
+                agree, gap = agree and ok, float(np.maximum(gap, worst))
+            else:
+                chunks = [fast_estimate_rdm(ws, k, ps, qs)]
+            stages.lap("estimate")
+            for reducer, chunk in zip(table_reducers, chunks):
+                reducer.add(chunk)
+            stages.lap("aggregate")
     return reducers, agree, gap
 
 
@@ -376,7 +390,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     stages = _Stages()
     state = build_state(config)
     targets = _resolve_targets(config)
-    reducers, agree, gap = _sample(state, config, targets[:, 0], targets[:, 1], stages)
+    [reducers], agree, gap = _sample(state, config, [(targets[:, 0], targets[:, 1])], stages)
     val, err = reducers[0].result()
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     cols = [val.real, val.imag, err.real, err.imag]
@@ -402,8 +416,9 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
 
     The empirical column of grid row i is the mean over all C(n,k)^2
     transitions (shadows.all_pairs) of the single-shot variance, reduced by
-    _sample from samples shots of the random_pure state of seed; rows of one
-    (n, eta) share that state and its snapshots.
+    _sample from samples shots of the random_pure state of seed.  Rows of one
+    (n, eta) share that state and its snapshots: one _sample call collects
+    them once and feeds every k's table.
     """
     if samples < 0:
         raise ConfigError(f"samples must be 0 (no empirical column) or positive, got {samples}")
@@ -414,20 +429,20 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
     rows = []
     for n in ns:
         for eta in etas:
-            for k in ks:
-                if not 1 <= k <= eta <= n:
-                    continue
-                emp = ""
-                if samples > 0:
-                    config = ExperimentConfig(n, eta, k, samples, seed)
-                    reducers, _, _ = _sample(build_state(config), config, *all_pairs(n, k), stages)
-                    emp = _fmt(float(reducers[0].variance().mean()))
+            orders = [k for k in ks if 1 <= k <= eta <= n]
+            emp = [""] * len(orders)
+            if samples > 0 and orders:
+                config = ExperimentConfig(n, eta, eta, samples, seed)     # k: per table
+                tables = [all_pairs(n, k) for k in orders]
+                reducers, _, _ = _sample(build_state(config), config, tables, stages)
+                emp = [_fmt(float(r.variance().mean())) for r, in reducers]
+            for k, e in zip(orders, emp):
                 rows.append([
                     n, eta, k,
                     str(q_value(n, eta, k)),
                     str(avg_shadow_norm_sq(n, eta, k)),
                     str(variance_bound(n, eta, k)),
-                    emp,
+                    e,
                     samples if samples > 0 else "",
                 ])
     grid = {"n": list(ns), "eta": list(etas), "k": list(ks), "samples": samples, "seed": seed}
@@ -553,7 +568,7 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     else:
         qs = subset_index_array(n, eta) + 1
     refs = np.broadcast_to(np.arange(n + 1, n + eta + 1), qs.shape)
-    reducers, agree, gap = _sample(slater_superposition(state), config, refs, qs, stages)
+    [reducers], agree, gap = _sample(slater_superposition(state), config, [(refs, qs)], stages)
     val, err = reducers[0].result()
     oracle = state.amps[rank_rows(qs, n)]
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
@@ -575,7 +590,7 @@ def _load_config(args, need_k: bool = True) -> ExperimentConfig:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:     # RecursionError: deep nesting
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -661,7 +676,8 @@ def main(argv=None) -> int:
     _keep_heap()
     try:
         if args.out:
-            _check_out(args.out)
+            _check_out(args.out, [args.out] if args.command == "validate"
+                       else _out_files(args.out, args.format))
         if args.command == "estimate":
             config = _load_config(args)
             return cmd_estimate(config, args.out, args.format)

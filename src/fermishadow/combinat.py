@@ -3,6 +3,8 @@
 Occupation vectors are sorted tuples of 1-based mode indices.  The d-subsets
 of [n] are enumerated in colexicographic order, so the rank of a subset does
 not depend on n and basis vectors embed consistently across mode counts.
+Row r of subset_index_array(n, d) is the subset of rank r, so that table is
+also the inverse of rank_subset.
 
 The sign rule of the mode operators, (-1)^(occupied modes below m) for
 acting on mode m, lives in apply_string, which reads a subset as the
@@ -16,7 +18,6 @@ Contents
     rank_subset            : colex rank of a subset
     subsets_ok             : whether every row of an integer table is a subset of 1..n
     rank_rows              : colex ranks of the rows of such a table
-    unrank_subset          : inverse of rank_subset
     subset_index_array     : 0-based modes of all d-subsets of [n], colex order
     subsets                : iterate all d-subsets of [n] in colex order
     apply_string           : annihilator/creator string on one bitmask, with sign
@@ -95,21 +96,6 @@ def rank_rows(table, n: int) -> np.ndarray:
     weights = np.array([[binom(m - 1, j + 1) for m in range(n + 1)] for j in range(d)],
                        dtype=np.int64).reshape(d, n + 1)
     return weights[np.arange(d), t].sum(axis=-1)
-
-
-def unrank_subset(r: int, n: int, d: int) -> tuple:
-    """Subset of [n] with |z| = d and colex rank r; ValueError for r out of range."""
-    if not 0 <= r < binom(n, d):
-        raise ValueError(f"rank {r} out of range for C({n},{d})")
-    out = []
-    for j in range(d, 0, -1):
-        # largest m with C(m, j) <= r, found 0-based then shifted
-        m = j - 1
-        while binom(m + 1, j) <= r:
-            m += 1
-        out.append(m + 1)
-        r -= binom(m, j)
-    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)

@@ -172,9 +172,13 @@ def state_from_json(text: str) -> FermionState:
 
     Raises ValueError unless the text is a JSON object whose n and eta are
     JSON integers (not floats, not bools) and whose amplitudes are C(n, eta)
-    [re, im] pairs of finite JSON numbers (_number_pairs) of norm 1 to 1e-6.
+    [re, im] pairs of finite JSON numbers (_number_pairs) of norm 1 to 1e-6;
+    text nested too deeply for the parser raises it too.
     """
-    body = json.loads(text)
+    try:
+        body = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
     if not (isinstance(body, dict) and _number_pairs(body.get("amplitudes"))
             and all(_is_int(body.get(key)) for key in ("n", "eta"))):
         raise ValueError("need a JSON object with integers n and eta and amplitudes "

@@ -15,9 +15,11 @@ one estimator, and evaluates each distinct block of its target table once
 per root, gathered from the whole Pi for large tables and formed from the
 readout rows at O(k^2 eta + k^4) per shot for small ones.
 
-A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta): shadow
-i is the snapshot ws[i] = U_z, the eta rows of its Haar rotation u that the
-1-based sorted readout zs[i] picks, and the estimator reads ws alone.
+A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta), the one
+form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
+of its Haar rotation u that the 1-based sorted readout zs[i] picks, and the
+estimator reads ws alone.  To keep a batch, save the two arrays or
+regenerate them from their streams.
 Randomness is counter-based and keyed by 64-shot blocks: shadow i of a run
 seeded with s is row i mod 64 of the (64, n^2 + 1) uniforms that the Philox
 stream keyed by (s, i // 64) draws in one call: its network's n^2, then its
@@ -44,10 +46,8 @@ Contents
     check_fast_vs_dense        : two estimate tables agree, 1e-8 relative per entry
     Reducer                    : mean / median-of-means over shots fed chunk by chunk
     avg_shadow_norm_sq, q_value, variance_bound : exact variance quantities
-    shadows_to_jsonl, shadows_from_jsonl        : snapshots as JSON lines
 """
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -55,7 +55,7 @@ from math import factorial
 import numpy as np
 
 from .combinat import binom, falling, subset_index_array, subsets_ok, validate_subset
-from .fock import FermionState, _is_int, _number_pairs
+from .fock import FermionState
 from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 
 
@@ -202,7 +202,7 @@ def check_shadows(ws) -> np.ndarray:
     """ws as an array, checked to be a stack (N, eta, n) of snapshots, eta <= n.
 
     Raises ValueError otherwise.  Rows are not checked for orthonormality:
-    the collector and the JSON-lines loader only make orthonormal ones.
+    only the collector makes them, and it makes orthonormal ones.
     """
     ws = np.asarray(ws)
     if ws.ndim != 3 or ws.shape[1] > ws.shape[2]:
@@ -497,82 +497,3 @@ def variance_bound(n: int, eta: int, k: int) -> Fraction:
         * (1 - Fraction(eta - k, n)) ** k
         * Fraction(n + 1, n + 1 - k)
     )
-
-
-# ------------------------------------------------- serialization
-
-def shadows_to_jsonl(ws: np.ndarray, zs: np.ndarray, seed: int, start_index: int = 0) -> str:
-    """One JSON line per shadow: its stream (seed, start_index + i), its
-    readout rows w (eta rows of n [re, im] pairs) and its readout z.
-
-    Zero shadows give "".  Raises ValueError for eta = 0, whose snapshot has
-    no row to record n by.
-    """
-    if np.shape(ws)[1] == 0:
-        raise ValueError("an eta = 0 snapshot has no readout rows to write")
-    lines = []
-    for i, (w, z) in enumerate(zip(ws, zs)):
-        body = {
-            "seed": seed,
-            "index": start_index + i,
-            "w": [[[float(v.real), float(v.imag)] for v in row] for row in w],
-            "z": [int(m) for m in z],
-        }
-        lines.append(json.dumps(body) + "\n")
-    return "".join(lines)
-
-
-def shadows_from_jsonl(text: str):
-    """Load (ws, zs) from JSON lines.
-
-    A line holds z and one of w, its readout rows as shadows_to_jsonl
-    writes them, or u, the whole n x n rotation of the older format, whose
-    rows z are taken.  Raises ValueError, naming the shadow, unless there is
-    at least one line, every line is a JSON object with z and exactly one of
-    u and w, that matrix is m >= 1 equal rows of [re, im] pairs of finite
-    JSON numbers, not booleans (fock._number_pairs), with orthonormal rows
-    (m m^H = I to 1e-10), u is n x n and w holds len(z) <= n rows, every z
-    is a list of JSON integers (not floats, not booleans) strictly
-    increasing within 1..n, and all snapshots share shadow 0's (eta, n).
-    Text with no line at all raises a ValueError that says so.
-    """
-    ws, zs = [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        i = len(ws)
-        try:
-            body = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"shadow {i}: not a JSON line: {err}") from None
-        if not (isinstance(body, dict) and "z" in body and ("u" in body) != ("w" in body)):
-            raise ValueError(f"shadow {i}: need a JSON object with key z and one of u and w")
-        key = "u" if "u" in body else "w"
-        rows, z = body[key], body["z"]
-        if not (isinstance(rows, list) and rows
-                and all(_number_pairs(row) and len(row) == len(rows[0]) for row in rows)):
-            raise ValueError(f"shadow {i}: {key} must be one or more rows of equally many "
-                             "[re, im] number pairs")
-        m, n = len(rows), len(rows[0])
-        if m > n or (key == "u" and m < n):
-            raise ValueError(f"shadow {i}: {key} has {m} rows of {n} entries, need "
-                             + ("n rows of n" if key == "u" else "eta <= n rows of n"))
-        if not (isinstance(z, list) and all(map(_is_int, z))):
-            raise ValueError(f"shadow {i}: z must be a list of integer modes, got {z!r}")
-        if key == "w" and len(z) != m:
-            raise ValueError(f"shadow {i}: w has {m} rows but z {len(z)} modes")
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(m, n)
-        if not np.linalg.norm(mat @ mat.conj().T - np.eye(m)) <= 1e-10:     # NaN fails too
-            raise ValueError(f"shadow {i}: the rows of {key} are not orthonormal")
-        if not subsets_ok(z, n):
-            raise ValueError(f"shadow {i}: z must be strictly increasing within 1..{n}")
-        z = np.array(z, dtype=np.int64)
-        w = mat if key == "w" else mat[z - 1]
-        if ws and w.shape != ws[0].shape:
-            raise ValueError(f"shadow {i}: {w.shape[0]} readout rows of {w.shape[1]} modes, "
-                             f"but shadow 0 has {ws[0].shape[0]} of {ws[0].shape[1]}")
-        ws.append(w)
-        zs.append(z)
-    if not ws:
-        raise ValueError("no shadow: the text holds no JSON line")
-    return np.stack(ws), np.stack(zs)

@@ -219,7 +219,7 @@ def test_build_state_sources(tmp_path):
         build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:2,9"))
 
 
-def test_main_exit_codes_on_config_errors(tmp_path, capsys):
+def test_main_exit_codes_on_config_errors(tmp_path, capsys, monkeypatch):
     rc = main(["estimate", "--n", "2", "--eta", "3", "--k", "1",
                "--samples", "5", "--seed", "1"])
     assert rc == 2
@@ -232,6 +232,11 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
     assert rc == 2
     cfg.write_text("[1, 2]")
     assert main(["estimate", "--config", str(cfg)]) == 2
+    # nested past the recursion limit: once a RecursionError traceback, exit 1
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}")
     rc = main(["estimate", "--n", "3", "--eta", "2", "--k", "2",
                "--samples", "24", "--seed", "3", "--config", "/dev/null"])
     assert rc == 2
@@ -248,6 +253,22 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error:") and missing in err
     assert not (tmp_path / "missing").exists()
+    # --out naming a directory is refused before any work: validate once ran
+    # every check and then died with IsADirectoryError (exit 1), and estimate
+    # --out DIR/ wrote the hidden files DIR/.csv and DIR/.manifest.json
+    monkeypatch.setattr(cli, "run_validation", lambda *args, **kwargs: pytest.fail("a check ran"))
+    monkeypatch.setattr(cli, "collect_shadow_arrays",
+                        lambda *args, **kwargs: pytest.fail("a shot was drawn"))
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    for argv in (["validate", "--out", str(folder)],
+                 ["estimate", "--n", "3", "--eta", "1", "--k", "1", "--samples", "5",
+                  "--seed", "1", "--out", str(folder) + os.sep]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and "directory" in err
+    assert list(folder.iterdir()) == []
+    monkeypatch.undo()
     # slater-overlap takes estimator as estimate does: dense and fast are one
     # run, and both (once refused) adds the product blocks' fast_overlap columns
     overlap = {"n": 3, "eta": 2, "samples": 50, "seed": 1}
@@ -293,12 +314,14 @@ def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
     {"n": 3.7, "eta": 1, "amplitudes": [[1, 0], [0, 0], [0, 0]]},    # once read as 3
     {"n": 3, "eta": True, "amplitudes": [[1, 0], [0, 0], [0, 0]]},   # once read as 1
     {"n": 3, "eta": 1, "amplitudes": [[True, False], [0, 0], [0, 0]]},
+    "[" * 100000 + "]" * 100000,                                    # past the recursion limit
 ], ids=["list", "amplitudes-5", "n-list", "null-amplitude", "string-part", "n-float",
-        "eta-bool", "bool-parts"])
+        "eta-bool", "bool-parts", "nested"])
 def test_estimate_rejects_malformed_state_file(body, tmp_path, capsys):
-    # each once raised a TypeError (exit 1) or loaded as a wrong state
+    # each once raised a TypeError or RecursionError (exit 1) or loaded as a
+    # wrong state; a string is the file's text as it stands
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(body))
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "eta": 1, "k": 1, "samples": 5, "seed": 1,
                                "state_source": f"file:{path}"}))
@@ -345,7 +368,7 @@ from algebra_oracle import eigenoperator_diagonal, g_eta, weingarten_xi
 from dense_oracle import minor_det
 from fermishadow import identities
 from fermishadow.channel import DiagonalOperator, a_coeff, nd_class_values, structure_factor
-from fermishadow.combinat import falling, unrank_subset
+from fermishadow.combinat import falling
 from fermishadow.fock import FermionState, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows
 from fermishadow.shadows import (all_pairs, collect_shadow_arrays, estimation_entry,
@@ -367,7 +390,6 @@ calls = {
     "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
     "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),
     "estimation_entry eta > n": lambda: estimation_entry(3, 5, 1, 0),
-    "unrank_subset rank": lambda: unrank_subset(99, 4, 2),
     "f_ks k > eta": lambda: f_ks(1, 2, 0, 0),
     "inverse_trace_sequence short": lambda: inverse_trace_sequence([1.0], 2, 2),
     "shadow_rng index": lambda: shadow_rng(1, 2**64),
@@ -581,6 +603,31 @@ def test_variance_sweep_empirical_column(capsys):
     assert rows[0][7] == "4000"
     # empirical average variance stays below the shadow-norm part
     assert emp <= float(Fraction(rows[0][4])) * 1.05
+
+
+def test_variance_sweep_collects_once_per_n_eta(monkeypatch, capsys):
+    # one collection per chunk feeds every k's table of an (n, eta), where each
+    # k once collected the snapshots again; the chunk step is the largest
+    # table's, 256 shots for the 2025 targets of (10, 2, 2)
+    calls = []
+    collect = cli.collect_shadow_arrays
+
+    def spy(state, count, seed, start_index):
+        calls.append((state.n, state.eta, count, start_index))
+        return collect(state, count, seed, start_index=start_index)
+
+    monkeypatch.setattr(cli, "collect_shadow_arrays", spy)
+    assert main(["variance-sweep", "--n", "4,10", "--eta", "2", "--k", "1,2",
+                 "--samples", "512", "--seed", "3"]) == 0
+    _, rows = _read_csv(capsys.readouterr().out)
+    assert calls == [(4, 2, 512, 0), (10, 2, 256, 0), (10, 2, 256, 256)]
+    # each row's column is a one-table run of its k, to its 12 printed digits
+    for row in rows:
+        n, eta, k = map(int, row[:3])
+        config = ExperimentConfig(n, eta, k, 512, 3)
+        [[reducer]], _, _ = cli._sample(build_state(config), config,
+                                        [shadows.all_pairs(n, k)], cli._Stages())
+        assert float(row[6]) == pytest.approx(float(reducer.variance().mean()), rel=1e-11)
 
 
 def test_validate_quick_passes(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,7 @@ from dense_oracle import (
     estimation_diagonal,
     readout_rows,
 )
-from haar_oracle import haar, network_unitary, whole
+from haar_oracle import haar, network_unitary
 from fermishadow import shadows
 from fermishadow.combinat import binom, rank_rows
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
@@ -27,8 +26,6 @@ from fermishadow.shadows import (
     estimation_matrix,
     fast_estimate_rdm,
     q_value,
-    shadows_from_jsonl,
-    shadows_to_jsonl,
     trace_e_squared,
     variance_bound,
 )
@@ -499,111 +496,3 @@ def test_frozen_variance_quantities():
     assert avg_shadow_norm_sq(2, 1, 1) == Fraction(9, 8)
     assert variance_bound(2, 1, 1) == Fraction(3, 2)
 
-
-def _pairs(m):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def test_jsonl_roundtrip():
-    state = basis_state((1, 3), 4)
-    ws, zs = collect_shadow_arrays(state, 3, seed=55)
-    text = shadows_to_jsonl(ws, zs, 55)
-    assert text.endswith("\n")
-    lines = [json.loads(line) for line in text.splitlines()]
-    assert [(b["seed"], b["index"]) for b in lines] == [(55, 0), (55, 1), (55, 2)]
-    assert [sorted(b) for b in lines] == [["index", "seed", "w", "z"]] * 3
-    assert all(np.shape(b["w"]) == (2, 4, 2) for b in lines)
-    back_ws, back_zs = shadows_from_jsonl(text)
-    assert back_ws.tobytes() == ws.tobytes() and np.array_equal(zs, back_zs)
-    assert np.array_equal(_matrices(ws, 1), _matrices(back_ws, 1))
-    tail = json.loads(shadows_to_jsonl(ws[1:], zs[1:], 55, start_index=1).splitlines()[0])
-    assert tail == lines[1]
-    # the older format records the whole rotation u; its line loads to the
-    # same (ws, zs), byte for byte, as the w line written for that shadow,
-    # also for shadows 63..65, which straddle the first block's edge
-    for start in (0, 63):
-        ws, zs = collect_shadow_arrays(state, 3, seed=55, start_index=start)
-        back_ws, back_zs = shadows_from_jsonl(shadows_to_jsonl(ws, zs, 55, start))
-        assert back_ws.tobytes() == ws.tobytes() and np.array_equal(zs, back_zs)
-        us = whole(_reference_draws(4, 3, 55, start)[0])
-        old = "\n".join(json.dumps({"seed": 55, "index": start + i, "u": _pairs(u),
-                                    "z": [int(m) for m in z]})
-                        for i, (u, z) in enumerate(zip(us, zs)))
-        old_ws, old_zs = shadows_from_jsonl(old)
-        assert old_ws.tobytes() == back_ws.tobytes() and old_zs.tobytes() == back_zs.tobytes()
-    with pytest.raises(ValueError, match="eta = 0"):
-        shadows_to_jsonl(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=np.int64), 0)
-
-    def line(u, z):
-        return json.dumps({"seed": 0, "index": 0, "z": z, "u": _pairs(u)})
-
-    def wline(w, z):
-        return json.dumps({"seed": 0, "index": 0, "z": z, "w": _pairs(w)})
-
-    def raw(u, z=(1,), key="u"):
-        return json.dumps({"seed": 0, "index": 0, "z": list(z), key: u})
-
-    eye = np.eye(2)
-    for bad in (
-        line([[2, 0], [0, 1]], [2, 1]),          # non-unitary u, unsorted z
-        line([[2, 0], [0, 1]], [1]),             # non-unitary u
-        line(eye, [2, 1]),                       # z not increasing
-        line(eye, [1, 1]),                       # repeated mode
-        line(eye, [0]),                          # mode below 1
-        line(eye, [3]),                          # mode above n
-        line(eye, [1.7, 2.9]),                   # non-integer modes, not truncated
-        line(eye, [1.0]),                        # a float, even an integral one
-        line(eye, [True]),                       # a boolean
-        raw([[[True, False]]]),                  # booleans in u, not the unitary 1+0j
-        raw([[["1", 0]]]),                       # a string in u
-        raw([[[1.0]]]),                          # u entries that are not [re, im] pairs
-        raw([[[1.0, 0.0, 0.0]]]),
-        raw([[1.0]]),
-        raw([[[1.0, 0.0]], []]),                 # ragged rows
-        raw([]),                                 # no modes
-        raw([[[float("nan"), 0.0]]]),            # NaN is not unitary
-        raw([[[10**400, 0]]]),                   # an integer beyond the float range
-        raw([[[1.0, 0.0]]], [2**70]),            # a mode beyond int64
-        line(np.eye(3)[:2], [1]),                # u with fewer rows than columns
-        json.dumps({"seed": 0, "index": 0, "z": [1]}),           # neither u nor w
-        json.dumps({"seed": 0, "index": 0, "u": [[[1.0, 0.0]]]}),  # no z
-        "[1, 2]",                                # not a JSON object
-        "3",
-        "{not json",
-        line(eye, [1]) + "\n" + raw([[[True, False]]]),  # the second shadow is bad
-        wline([[2, 0, 0]], [1]),                 # w rows not orthonormal
-        wline([[1, 0, 0], [1, 0, 0]], [1, 2]),
-        raw([[[float("nan"), 0.0], [0.0, 0.0]]], key="w"),
-        wline(np.eye(3)[:2], [1]),               # len(w) != len(z)
-        wline(np.eye(3)[:1], [1, 2]),
-        wline(np.eye(3)[:, :2], [1, 2, 3]),      # more rows than columns
-        raw([[]], key="w"),
-        raw([], key="w"),                        # no rows: n unknown
-        raw([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], [1, 2], key="w"),  # ragged rows
-        raw([[[True, False]]], key="w"),         # booleans in w
-        wline(np.eye(3)[:1], [4]),               # mode above n
-        wline(np.eye(3)[:2], [2, 1]),            # z not increasing
-        json.dumps({"seed": 0, "index": 0, "z": [1], "u": _pairs(eye),
-                    "w": _pairs(eye[:1])}),      # both u and w
-        wline(eye[:1], [1]) + "\n" + wline(eye[:1] * 2, [1]),  # the second shadow is bad
-        line(eye, [1]) + "\n" + line(np.eye(3), [1]),  # rows of differing shape
-        line(eye, [1]) + "\n" + line(eye, [1, 2]),
-        wline(eye[:1], [1]) + "\n" + wline(np.eye(3)[:1], [1]),
-    ):
-        with pytest.raises(ValueError, match=r"shadow \d"):
-            shadows_from_jsonl(bad)
-    # the first snapshot whose shape differs from shadow 0's is named
-    with pytest.raises(ValueError, match="shadow 2: 2 readout rows of 2 modes, but shadow 0 has 1"):
-        shadows_from_jsonl("\n".join([line(eye, [1]), wline(eye[1:], [2]), line(eye, [1, 2])]))
-    for empty in ("", "\n", "  \n\n"):
-        with pytest.raises(ValueError, match="no shadow"):
-            shadows_from_jsonl(empty)
-    assert shadows_to_jsonl(np.zeros((0, 2, 3)), np.zeros((0, 2), dtype=np.int64), 0) == ""
-    with pytest.raises(ValueError, match="shadow 1"):
-        shadows_from_jsonl(line(eye, [1]) + "\n" + raw("u"))
-    got_ws, got_zs = shadows_from_jsonl(line(eye, [2]))
-    assert got_ws.tolist() == [[[0, 1]]] and got_zs.tolist() == [[2]]
-    # u and w lines of one shape mix; an eta = 0 u line keeps its n
-    mixed, _ = shadows_from_jsonl(line(eye, [2]) + "\n" + wline(eye[1:], [2]))
-    assert np.array_equal(mixed, [[[0, 1]], [[0, 1]]])
-    assert shadows_from_jsonl(line(eye, []))[0].shape == (1, 0, 2)
