@@ -24,7 +24,6 @@ Contents
 """
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -102,13 +101,23 @@ def rank_rows(table, n: int) -> np.ndarray:
 def subset_index_array(n: int, d: int) -> np.ndarray:
     """(C(n,d), d) read-only int64 array of 0-based mode indices, colex row order.
 
-    itertools.combinations lists the subsets in lex order; one lexsort keyed
-    by the largest mode, then the next, puts them in colex order.  Cached
-    per (n, d), so a chunked run builds it once.
+    Built one column at a time: the j-subsets of [t+1] whose largest mode is
+    t are the (j-1)-subsets of [t] with t appended, and in colex order those
+    are the first C(t, j-1) rows of any longer (j-1) table, since a rank
+    does not depend on n.  Cached per (n, d), so a chunked run builds it
+    once.
     """
-    idx = np.array(list(combinations(range(n), d)), dtype=np.int64).reshape(binom(n, d), d)
-    if d:
-        idx = idx[np.lexsort(idx.T)]
+    if d > n:
+        idx = np.zeros((0, d), dtype=np.int64)
+    else:
+        idx = np.zeros((1, 0), dtype=np.int64)      # the one 0-subset
+        for j in range(1, d + 1):
+            # the whole (n-d+j, j) table: the next column's rows read all of it
+            top = n - d + j
+            sizes = [binom(t, j - 1) for t in range(top)]
+            prev, idx = idx, np.empty((binom(top, j), j), dtype=np.int64)
+            idx[:, :-1] = np.concatenate([prev[:size] for size in sizes])
+            idx[:, -1] = np.repeat(np.arange(top), sizes)
     idx.setflags(write=False)
     return idx
 

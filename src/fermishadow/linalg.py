@@ -6,7 +6,8 @@ diagonal, whose parameters have a known exact law (the Hurwitz
 parametrization; Zyczkowski and Kus, J. Phys. A 27, 4235, 1994).  No n x n
 matrix is drawn or orthonormalized: haar_network maps n^2 uniforms to the
 network, givens_rotate applies it to k-particle amplitudes, and
-network_rows forms the rows of u that a readout picks.
+network_rows forms the rows of u that a readout picks, in real arithmetic,
+each Givens step one stacked 2 x 2 update of every row and shot at once.
 
 Contents
 --------
@@ -140,6 +141,8 @@ def _adjacent_pairs(n: int, k: int) -> tuple:
     Entry m (0-based) is (lo, hi): lo[t] is the rank of a subset holding m
     but not m+1, hi[t] the rank of the same subset with m+1 in place of m.
     Ranks come from colex arithmetic on subset_index_array, so any n works.
+    The pairs are grouped by m with a counting sort: numpy's stable sort of
+    8- and 16-bit keys is a radix sort, linear in the number of pairs.
     """
     idx = subset_index_array(n, k)
     # mode m at position j moves up to m+1 unless m+1 is past the last mode
@@ -154,7 +157,7 @@ def _adjacent_pairs(n: int, k: int) -> tuple:
                      for m in range(n)], dtype=np.int64).reshape(n, k)
     hi = lo + step[mode, pos]
     # group by m; the stable sort keeps lo ascending within each group
-    order = np.argsort(mode, kind="stable")
+    order = np.argsort(mode.astype(np.min_scalar_type(n)), kind="stable")
     lo, hi = lo[order], hi[order]
     lo.setflags(write=False)
     hi.setflags(write=False)
@@ -215,26 +218,48 @@ def network_rows(network, rows) -> np.ndarray:
     arithmetic, every entry by the same IEEE operations in the same order,
     so a row's bits follow from its shot's network alone: they do not
     depend on the stack, as complex products broadcast across it might.
-    Raises ValueError for a malformed network or rows not (N, m).
+    The rows live in one real array z (n, 2, m, N), by mode, re/im, row and
+    shot.  The step on modes (j, j+1) reads v = z[j:j+2] = [[xr, xi], [yr,
+    yi]] and its views flipped in mode and swapped in re/im; four stacked
+    products and four stacked sums, into two work buffers made once per
+    call, give (x, y) G^dag = (x c + y s, y conj(c) - x conj(s)).
+    Raises ValueError for a malformed network, or rows not (N, m) integer
+    modes in 0..n-1.
     """
     c, s, d, n, count = _check_network(network)
     rows = np.asarray(rows)
     if rows.ndim != 2 or len(rows) != count:
         raise ValueError(f"need rows (N, m) for N = {count} shots, got shape {rows.shape}")
-    # (mode, row, shot): each mode's entries one contiguous (m, N) slab
-    re = (rows.T[None] == np.arange(n)[:, None, None]).astype(float)
-    im = np.zeros_like(re)
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"need rows of integer modes, got dtype {rows.dtype}")
+    if rows.size and not (rows.min() >= 0 and rows.max() < n):
+        raise ValueError(f"need rows in 0..{n - 1}, got modes {rows.min()}..{rows.max()}")
+    m = rows.shape[1]
+    z = np.zeros((n, 2, m, count))
+    z[:, 0] = rows.T[None] == np.arange(n)[:, None, None]
     cr, ci, sr, si = (np.ascontiguousarray(a) for a in (c.real, c.imag, s.real, s.imag))
-    for t, m in enumerate(_steps(n)[0]):
-        xr, xi, yr, yi = re[m], im[m], re[m + 1], im[m + 1]
-        # (x, y) G^dag = (x c + y s, y conj(c) - x conj(s))
-        re[m], im[m], re[m + 1], im[m + 1] = (
-            (xr * cr[t] - xi * ci[t]) + (yr * sr[t] - yi * si[t]),
-            (xr * ci[t] + xi * cr[t]) + (yr * si[t] + yi * sr[t]),
-            (yr * cr[t] + yi * ci[t]) - (xr * sr[t] + xi * si[t]),
-            (yi * cr[t] - yr * ci[t]) - (xi * sr[t] - xr * si[t]))
+    # slot 0 of p and q builds x', slot 1 y'.  p[0] = v cr and q[0] =
+    # swap(v) ci make the c terms, p[1] = flip(v) sr and q[1] =
+    # swap(flip(v)) si the s terms.  A term is p - q in its real part at
+    # slot 0 and its imaginary part at slot 1 (every third entry of a
+    # (2, 2) block), p + q in the other two; then x' = c + s, y' = c - s
+    p, q = np.empty((2, 2, 2, 2, m, count))
+    pf, qf = p.reshape(2, 4, m, count), q.reshape(2, 4, m, count)
+    pd, qd, pa, qa = pf[:, ::3], qf[:, ::3], pf[:, 1:3], qf[:, 1:3]
+    for t, j in enumerate(_steps(n)[0]):
+        v = z[j:j + 2]
+        f = v[::-1]
+        np.multiply(v, cr[t], out=p[0])
+        np.multiply(f, sr[t], out=p[1])
+        np.multiply(v[:, ::-1], ci[t], out=q[0])
+        np.multiply(f[:, ::-1], si[t], out=q[1])
+        np.subtract(pd, qd, out=pd)
+        np.add(pa, qa, out=pa)
+        np.add(p[0, 0], p[1, 0], out=v[0])
+        np.subtract(p[0, 1], p[1, 1], out=v[1])
+    re, im = z[:, 0], z[:, 1]
     dr, di = d.real[:, None], d.imag[:, None]
-    out = np.empty((count, rows.shape[1], n), dtype=np.complex128)
+    out = np.empty((count, m, n), dtype=np.complex128)
     out.real = (re * dr - im * di).transpose(2, 1, 0)
     out.imag = (re * di + im * dr).transpose(2, 1, 0)
     return out

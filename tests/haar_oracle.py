@@ -9,7 +9,9 @@ routes here go the long way round:
 - givens_network: the reduction of any unitary stack to the network that
   linalg.givens_rotate and linalg.network_rows apply;
 - network_unitary: the whole u of a network as a dense product of embedded
-  2 x 2 blocks.
+  2 x 2 blocks;
+- network_rows_reference: the readout rows by the row builder that
+  linalg.network_rows replaced, one (m, N) slab per real part and step.
 
 Contents
 --------
@@ -18,6 +20,7 @@ Contents
     haar             : one Haar unitary, qr_haar of ginibre
     givens_network   : (c, s, d) network of a unitary stack by Givens reduction
     network_unitary  : dense u = G_1^dag ... G_K^dag D of a network
+    network_rows_reference : chosen rows of each network's u, slab by slab
     whole            : every row of each network's u, by the shipped row builder
     apply_rotation   : a state rotated mode by mode by one unitary
 """
@@ -98,6 +101,37 @@ def network_unitary(network) -> np.ndarray:
         g[:, m + 1, m], g[:, m + 1, m + 1] = s[t], c[t].conj()
         u = u @ g
     return u * d.T[:, None, :]
+
+
+def network_rows_reference(network, rows) -> np.ndarray:
+    """linalg.network_rows by four (m, N) slabs, re and im of the two modes, per step.
+
+    Each entry takes the same IEEE products, sums and differences as in the
+    shipped kernel's stacked update; only the two sums of x's imaginary
+    part add their terms in the other order, which IEEE addition does not
+    see.  So the two agree bit for bit, signed zeros included.
+    """
+    c, s, d = (np.asarray(a) for a in network)
+    n, count = d.shape
+    rows = np.asarray(rows)
+    modes = [i - 1 for j in range(n - 1) for i in range(n - 1, j, -1)]
+    # (mode, row, shot): each mode's entries one contiguous (m, N) slab
+    re = (rows.T[None] == np.arange(n)[:, None, None]).astype(float)
+    im = np.zeros_like(re)
+    cr, ci, sr, si = (np.ascontiguousarray(a) for a in (c.real, c.imag, s.real, s.imag))
+    for t, m in enumerate(modes):
+        xr, xi, yr, yi = re[m], im[m], re[m + 1], im[m + 1]
+        # (x, y) G^dag = (x c + y s, y conj(c) - x conj(s))
+        re[m], im[m], re[m + 1], im[m + 1] = (
+            (xr * cr[t] - xi * ci[t]) + (yr * sr[t] - yi * si[t]),
+            (xr * ci[t] + xi * cr[t]) + (yr * si[t] + yi * sr[t]),
+            (yr * cr[t] + yi * ci[t]) - (xr * sr[t] + xi * si[t]),
+            (yi * cr[t] - yr * ci[t]) - (xi * sr[t] - xr * si[t]))
+    dr, di = d.real[:, None], d.imag[:, None]
+    out = np.empty((count, rows.shape[1], n), dtype=np.complex128)
+    out.real = (re * dr - im * di).transpose(2, 1, 0)
+    out.imag = (re * di + im * dr).transpose(2, 1, 0)
+    return out
 
 
 def whole(network) -> np.ndarray:

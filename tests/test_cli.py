@@ -403,6 +403,9 @@ calls = {
     "haar_network width": lambda: haar_network(np.zeros((2, 5))),
     "givens_rotate amplitudes": lambda: givens_rotate(haar_network(np.zeros((1, 4))), np.ones(3), 1),
     "network_rows rows": lambda: network_rows(haar_network(np.zeros((1, 4))), np.zeros(2, dtype=int)),
+    "network_rows mode n": lambda: network_rows(haar_network(np.zeros((1, 16))), [[5]]),
+    "network_rows mode -1": lambda: network_rows(haar_network(np.zeros((1, 16))), [[-1]]),
+    "network_rows float": lambda: network_rows(haar_network(np.zeros((1, 16))), [[1.7]]),
     "DiagonalOperator eta > n": lambda: DiagonalOperator(2, 5, []),
     "DiagonalOperator length": lambda: DiagonalOperator(3, 1, [1]),
     "structure_factor k > eta": lambda: structure_factor(4, 2, 3),

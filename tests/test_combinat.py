@@ -47,6 +47,21 @@ def test_subsets_colex_order_and_count():
             assert ss == sorted(combinations(range(1, n + 1), k), key=lambda z: z[::-1])
 
 
+def _colex_by_lexsort(n, d):
+    """subset_index_array the long way: itertools lists the subsets in lex
+    order, and a lexsort keyed by the largest mode, then the next, puts them
+    in colex order."""
+    idx = np.array(list(combinations(range(n), d)), dtype=np.int64).reshape(math.comb(n, d), d)
+    return idx[np.lexsort(idx.T)] if d else idx
+
+
+def test_subset_index_array_matches_lexsort():
+    for n, d in [(n, d) for n in range(13) for d in range(n + 2)] + [(64, 4)]:
+        got, want = subset_index_array(n, d), _colex_by_lexsort(n, d)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
 def test_rank_matches_enumeration_order():
     for n in range(1, 8):
         for k in range(n + 1):

@@ -11,7 +11,7 @@ from fermishadow.linalg import (
     network_rows,
     subset_index_array,
 )
-from haar_oracle import givens_network, haar, network_unitary, qr_haar, whole
+from haar_oracle import givens_network, haar, network_rows_reference, network_unitary, qr_haar, whole
 from pfaffian_oracle import pfaffian
 
 RNG = np.random.default_rng(20240816)
@@ -147,12 +147,44 @@ def test_network_rows_do_not_depend_on_the_stack():
             assert np.concatenate(parts).tobytes() == stacked.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_network_rows_match_slab_reference(n):
+    # the stacked update against the slab-by-slab kernel it replaced, bit for
+    # bit: every eta from 0 (zero-width rows) to n, sorted and repeated modes,
+    # all n modes, stacks of 1 to 40 shots, n = 1 (no steps at all), and the
+    # degenerate draws of test_degenerate_matrices_still_give_unitaries,
+    # whose zeros carry signs
+    rng = np.random.default_rng(500 + n)
+    for count in (1, 4, 13, 40):
+        x = rng.random((count, n * n))
+        x[1::4] = 0.0
+        x[2::4, :n] = 1 - 2.0**-53
+        x[3::4, ::2] = 0.0
+        network = haar_network(x)
+        tables = [np.broadcast_to(np.arange(n), (count, n))]
+        for eta in range(n + 1):
+            tables.append(np.sort(np.stack([rng.permutation(n)[:eta] for _ in range(count)]), axis=1))
+            tables.append(rng.integers(n, size=(count, eta)))
+        for zs in tables:
+            got = network_rows(network, zs)
+            assert got.shape == (count, zs.shape[1], n)
+            assert got.tobytes() == network_rows_reference(network, zs).tobytes()
+
+
 def test_haar_network_rejects_bad_widths():
     for x in (np.zeros((3, 0)), np.zeros((3, 5)), np.zeros(4)):
         with pytest.raises(ValueError, match="n >= 1"):
             haar_network(x)
     with pytest.raises(ValueError, match="rows"):
         network_rows(haar_network(np.zeros((2, 4))), np.zeros((3, 1), dtype=int))
+    # a mode outside 0..n-1 or a float is no row of u, not an all-zero one
+    network = haar_network(np.zeros((1, 16)))
+    for rows in ([[4]], [[-1]], [[0, 5]]):
+        with pytest.raises(ValueError, match="in 0..3"):
+            network_rows(network, rows)
+    for rows in ([[1.7]], [[1.0]], [[True]], np.zeros((1, 0))):
+        with pytest.raises(ValueError, match="integer modes"):
+            network_rows(network, rows)
 
 
 def test_minor_det_hand_values():
@@ -270,7 +302,7 @@ def test_adjacent_pairs_match_bitmask_oracle():
                 assert not (lo.flags.writeable or hi.flags.writeable)
 
 
-@pytest.mark.parametrize("n, k", [(64, 2), (100, 99)])
+@pytest.mark.parametrize("n, k", [(64, 2), (64, 4), (100, 99)])
 def test_adjacent_pairs_past_63_modes(n, k):
     # no int64 bitmask, and no binomial table entry above C(n, k): C(99, 49)
     # would overflow at (100, 99), whose sector has 100 amplitudes
