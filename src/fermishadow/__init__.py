@@ -13,9 +13,9 @@ the arrays, or regenerate them from the batch's seed and start index.
 
 Modules
 -------
-    combinat   : subsets in colex order, binomials and the sign rule
+    combinat   : subsets as colex index tables and ranks, binomials
     linalg     : Haar rotations as Givens networks, stacked determinants
-    fock       : dense eta-particle states, transitions, JSON form
+    fock       : dense eta-particle states, the sign rule, exact k-RDMs, JSON form
     channel    : exact algebra of the measurement channel
     shadows    : the protocol on stacked (ws, zs) arrays, ws the readout rows
                  that are a snapshot, the block estimator, variance bookkeeping
@@ -27,7 +27,6 @@ from .combinat import binom, rank_subset, subsets
 from .fock import (
     FermionState,
     basis_state,
-    expectation_rdm,
     random_state,
     rdm_matrix,
     slater_superposition,
@@ -35,7 +34,6 @@ from .fock import (
 from .channel import (
     DiagonalOperator,
     apply_channel_diagonal,
-    inverse_channel_on_projector,
     structure_factor,
     symmetrized_difference,
 )
@@ -55,13 +53,11 @@ __all__ = [
     "subsets",
     "FermionState",
     "basis_state",
-    "expectation_rdm",
     "random_state",
     "rdm_matrix",
     "slater_superposition",
     "DiagonalOperator",
     "apply_channel_diagonal",
-    "inverse_channel_on_projector",
     "structure_factor",
     "symmetrized_difference",
     "Reducer",

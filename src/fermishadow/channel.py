@@ -8,16 +8,15 @@ and Fractions); floating point never enters.
 
 Contents
 --------
-    DiagonalOperator            : exact diagonal operator on one sector
-    overlap_class_array         : t_r = |r cap [eta]| for every subset r
-    structure_factor            : Haar average <z| U rho U^dag |z> class value
-    eigenvalue                  : channel eigenvalue on degree-d differences
-    a_coeff                     : expansion weight of the sector projector
-    nd_class_values             : class values of the symmetrized difference
-    symmetrized_difference      : the degree-d eigenoperator, materialized
-    channel_kernel              : kappa(t) overlap kernel of the channel
-    apply_channel_diagonal      : exact channel action on a diagonal operator
-    inverse_channel_on_projector: exact inverse image of the sector projector
+    DiagonalOperator       : exact diagonal operator on one sector
+    overlap_class_array    : t_r = |r cap [eta]| for every subset r
+    structure_factor       : Haar average <z| U rho U^dag |z> class value
+    eigenvalue             : channel eigenvalue on degree-d differences
+    a_coeff                : expansion weight of the sector projector
+    nd_class_values        : class values of the symmetrized difference
+    symmetrized_difference : the degree-d eigenoperator, materialized
+    channel_kernel         : kappa(t) overlap kernel of the channel
+    apply_channel_diagonal : exact channel action on a diagonal operator
 """
 
 from dataclasses import dataclass
@@ -150,18 +149,3 @@ def apply_channel_diagonal(op: DiagonalOperator) -> DiagonalOperator:
     nums = vnum @ knum[_intersection_table(op.n, eta)]
     return DiagonalOperator(op.n, eta, [Fraction(int(x), den * ell) for x in nums])
 
-
-def inverse_channel_on_projector(n: int, eta: int) -> DiagonalOperator:
-    """Exact inverse-channel image of the eta-sector projector.
-
-    Expansion sum_d a_d C(n+1,d) nd over d = 0..min(eta, n-eta); the same
-    expansion without the C(n+1,d) weights reproduces the projector itself.
-    """
-    t = overlap_class_array(n, eta, eta)
-    vals = [Fraction(0)] * binom(n, eta)
-    for d in range(min(eta, n - eta) + 1):
-        w = a_coeff(n, eta, d) * binom(n + 1, d)
-        cls = nd_class_values(n, eta, d)
-        for r, ti in enumerate(t):
-            vals[r] += w * cls[ti]
-    return DiagonalOperator(n, eta, vals)

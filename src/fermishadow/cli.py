@@ -51,10 +51,11 @@ class ConfigError(Exception):
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _check_seed(seed):
-    """Raise ConfigError unless seed is an integer in 0..2^64-1."""
-    if not (_is_int(seed) and 0 <= seed < 2**64):
+def _check_seed(seed) -> int:
+    """seed as a Python int; ConfigError unless it passes shadows._is_uint64."""
+    if not shadows._is_uint64(seed):
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass
@@ -79,13 +80,13 @@ class ExperimentConfig:
                               f"got n={self.n} eta={self.eta} k={self.k}")
         if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
-        _check_seed(self.seed)
+        self.seed = _check_seed(self.seed)      # a numpy seed is written to the manifest as an int
         src = self.state_source
         if not (isinstance(src, str)
                 and (src == "random_pure" or src.startswith(("basis:", "file:")))):
             raise ConfigError(f"state_source must be random_pure, basis:..., or file:..., got {src!r}")
-        if self.estimator not in ("dense", "fast", "both"):
-            raise ConfigError(f"estimator must be dense, fast, or both, got {self.estimator!r}")
+        if self.estimator not in ("dense", "both"):
+            raise ConfigError(f"estimator must be dense or both, got {self.estimator!r}")
         agg = self.aggregation
         if not (isinstance(agg, str) and (agg == "mean" or agg.startswith("median_of_means:"))):
             raise ConfigError(f"aggregation must be mean or median_of_means:B, got {agg!r}")
@@ -329,11 +330,11 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     shots, and fewer whole 64-shot blocks where the largest table's (shots,
     T) estimates would pass about 2^19 numbers, so peak memory is set by the
     targets, not by config.samples.  Each chunk is its own start_index call,
-    which draws the same bits as one call over all the shots.  dense and
-    fast are one run, one fast_estimate_rdm call per chunk and table into
-    one Reducer.  both reduces the two block sources of _cross_check into a
-    Reducer each; agree says whether every chunk passed, gap is the worst
-    gap (a NaN stays).
+    which draws the same bits as one call over all the shots.  dense is
+    one fast_estimate_rdm call per chunk and table into one Reducer.  both
+    reduces the two block sources of _cross_check into a Reducer each;
+    agree says whether every chunk passed, gap is the worst gap (a NaN
+    stays).
     """
     both = config.estimator == "both"
     mode, _, batches = config.aggregation.partition(":")

@@ -6,9 +6,11 @@ not depend on n and basis vectors embed consistently across mode counts.
 Row r of subset_index_array(n, d) is the subset of rank r, so that table is
 also the inverse of rank_subset.
 
+Subsets are only ever encoded this way, as colex index tables and ranks.
 The sign rule of the mode operators, (-1)^(occupied modes below m) for
-acting on mode m, lives in apply_string, which reads a subset as the
-occupation bitmask with bit m-1 set for mode m.
+acting on mode m, is applied to those tables by fock.rdm_matrix.  Its
+bitmask form, one operator string on one ket, is kept only as a test
+oracle, in tests/sign_oracle.py.
 
 Contents
 --------
@@ -20,7 +22,6 @@ Contents
     rank_rows              : colex ranks of the rows of such a table
     subset_index_array     : 0-based modes of all d-subsets of [n], colex order
     subsets                : iterate all d-subsets of [n] in colex order
-    apply_string           : annihilator/creator string on one bitmask, with sign
 """
 
 from functools import lru_cache
@@ -126,23 +127,3 @@ def subsets(n: int, d: int):
     """All d-subsets of [n] as tuples, in colex order: by largest mode, then the rest."""
     return map(tuple, (subset_index_array(n, d) + 1).tolist())
 
-
-def apply_string(mask: int, annihilate=(), create=()):
-    """Act on the occupation ket `mask` with a string of mode operators.
-
-    Annihilators act first in ascending mode order, then creators in
-    descending order, so apply_string(mask, q, p) applies the transition
-    operator for the sorted subsets (p, q).  Each operator on mode m picks up
-    (-1)^(occupied modes below m).  Works on Python ints of any width.
-    Returns (mask, sign), or (None, 0) if the string kills the ket.
-    """
-    parity = 0
-    steps = [(m, True) for m in sorted(annihilate)]
-    steps += [(m, False) for m in sorted(create, reverse=True)]
-    for mode, occupied in steps:
-        bit = 1 << (mode - 1)
-        if bool(mask & bit) != occupied:
-            return None, 0
-        mask ^= bit
-        parity += (mask & (bit - 1)).bit_count()
-    return mask, -1 if parity & 1 else 1

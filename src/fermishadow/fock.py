@@ -5,8 +5,11 @@ of [n] in colex rank order.  The basis ket for the subset z = (z_1 < ... <
 z_eta) is built by applying creation operators in increasing mode order to
 the vacuum, and every sign in this module follows from that single
 convention: annihilating (or creating) mode m picks up (-1)^(number of
-occupied modes below m).  That rule, on occupation bitmasks, lives in
-combinat.apply_string.
+occupied modes below m).  On a ket S = (s_0 < ... < s_{eta-1}), the
+annihilators of the modes at positions t_1 < ... < t_k of S, applied in
+ascending order, therefore give the ket S minus those modes with the sign
+(-1)^(t_1 + ... + t_k - k(k-1)/2): the j-th of them passes t_j occupied
+modes, less the j-1 already removed.
 
 Transition operators are specified by two sorted k-subsets p, q and act as
 the creator string for p times the annihilator string for q (annihilators
@@ -16,9 +19,7 @@ Contents
 --------
     FermionState        : dense state container
     basis_state, random_state
-    apply_rdm_operator  : transition operator applied to a state
-    expectation_rdm     : <state| transition |state>
-    rdm_matrix          : all k-body expectations at once
+    rdm_matrix          : all k-body expectations <state| transition(p, q) |state>
     slater_superposition: overlap-estimation embedding on n+eta modes
     state_to_json, state_from_json : JSON form; loading checks types, count and norm
 """
@@ -29,14 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import (
-    apply_string,
-    binom,
-    rank_subset,
-    subset_index_array,
-    subsets,
-    validate_subset,
-)
+from .combinat import binom, rank_rows, rank_subset, subset_index_array, validate_subset
+
+# a state is normalized if its squared norm, the total of its Born
+# probabilities under any rotation, is within this of 1
+_NORM_SQ_TOL = 1e-6
 
 
 @dataclass
@@ -59,7 +57,11 @@ class FermionState:
         return float(np.linalg.norm(self.amps))
 
     def amplitude(self, z) -> complex:
-        return complex(self.amps[rank_subset(z, self.n)])
+        """Amplitude of the basis ket z; ValueError unless z is an eta-subset of 1..n."""
+        z = validate_subset(z, self.n)
+        if len(z) != self.eta:
+            raise ValueError(f"need {self.eta} modes, got {z}")
+        return complex(self.amps[rank_subset(z)])
 
 
 def basis_state(z, n: int) -> FermionState:
@@ -77,53 +79,27 @@ def random_state(n: int, eta: int, rng: np.random.Generator) -> FermionState:
     return FermionState(n, eta, g / np.linalg.norm(g))
 
 
-# ------------------------------------------------- transition operators
-
-def _mask_ranks(n: int, d: int) -> dict:
-    """{mask: colex rank} of the d-subsets of [n], as Python-int bitmasks of any width."""
-    return {sum(1 << m for m in row): r
-            for r, row in enumerate(subset_index_array(n, d).tolist())}
-
-
-def apply_rdm_operator(state: FermionState, p, q) -> FermionState:
-    """Apply the transition operator for (p, q); the result is unnormalized."""
-    p = validate_subset(p, state.n)
-    q = validate_subset(q, state.n)
-    if len(p) != len(q):
-        raise ValueError(f"p and q differ in size: {p}, {q}")
-    ranks = _mask_ranks(state.n, state.eta)
-    out = np.zeros_like(state.amps)
-    for mask, r in ranks.items():
-        if state.amps[r] == 0:
-            continue
-        m, sign = apply_string(mask, q, p)
-        if m is not None:
-            out[ranks[m]] += sign * state.amps[r]
-    return FermionState(state.n, state.eta, out)
-
-
-def expectation_rdm(state: FermionState, p, q) -> complex:
-    """<state| transition(p, q) |state>."""
-    return complex(np.vdot(state.amps, apply_rdm_operator(state, p, q).amps))
-
-
 def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
     """All k-body expectations at once, entry [rank(p), rank(q)].
 
     Built as A^dag A where column q of A is the state hit by the annihilator
-    string for q, so the result is hermitian by construction.  Raises
-    ValueError unless 0 <= k <= eta.
+    string for q, so the result is hermitian by construction.  Each occupied
+    ket S (a row of the colex table) and each k-subset t of its positions
+    write one entry: A[rank(S minus S_t), rank(S_t)] = sign(t) psi_S, with
+    the sign rule of the module docstring.  Raises ValueError unless
+    0 <= k <= eta.
     """
-    if not 0 <= k <= state.eta:
-        raise ValueError(f"need 0 <= k <= eta = {state.eta}, got k={k}")
-    ranks = _mask_ranks(state.n, state.eta)
-    ranks_out = _mask_ranks(state.n, state.eta - k)
-    a = np.zeros((len(ranks_out), binom(state.n, k)), dtype=np.complex128)
-    for c, q in enumerate(subsets(state.n, k)):
-        for mask, r in ranks.items():
-            m, sign = apply_string(mask, q)
-            if m is not None:
-                a[ranks_out[m], c] = sign * state.amps[r]
+    n, eta = state.n, state.eta
+    if not 0 <= k <= eta:
+        raise ValueError(f"need 0 <= k <= eta = {eta}, got k={k}")
+    occ = subset_index_array(n, eta) + 1            # (C(n,eta), eta), 1-based modes
+    picked = subset_index_array(eta, k)             # (C(eta,k), k) positions in S
+    mask = np.ones((len(picked), eta), dtype=bool)
+    np.put_along_axis(mask, picked, False, axis=1)
+    kept = np.nonzero(mask)[1].reshape(len(picked), eta - k)     # the other positions
+    signs = 1.0 - 2.0 * ((picked.sum(axis=1) - k * (k - 1) // 2) % 2)
+    a = np.zeros((binom(n, eta - k), binom(n, k)), dtype=np.complex128)
+    a[rank_rows(occ[:, kept], n), rank_rows(occ[:, picked], n)] = signs * state.amps[:, None]
     return a.conj().T @ a
 
 
@@ -172,8 +148,9 @@ def state_from_json(text: str) -> FermionState:
 
     Raises ValueError unless the text is a JSON object whose n and eta are
     JSON integers (not floats, not bools) and whose amplitudes are C(n, eta)
-    [re, im] pairs of finite JSON numbers (_number_pairs) of norm 1 to 1e-6;
-    text nested too deeply for the parser raises it too.
+    [re, im] pairs of finite JSON numbers (_number_pairs) whose squared
+    norm is 1 to _NORM_SQ_TOL, the collector's bound on Born totals; text
+    nested too deeply for the parser raises it too.
     """
     try:
         body = json.loads(text)
@@ -185,6 +162,7 @@ def state_from_json(text: str) -> FermionState:
                          "a list of [re, im] number pairs")
     amps = np.array([complex(re, im) for re, im in body["amplitudes"]])
     state = FermionState(body["n"], body["eta"], amps)
-    if not abs(state.norm() - 1.0) <= 1e-6:     # NaN fails too
-        raise ValueError(f"state has norm {state.norm():.6g}, not 1")
+    if not abs(state.norm() ** 2 - 1.0) <= _NORM_SQ_TOL:     # NaN fails too
+        raise ValueError(f"state has norm {state.norm():.9g}; its square must be 1 "
+                         f"to within {_NORM_SQ_TOL:g}")
     return state

@@ -30,8 +30,10 @@ linalg.givens_rotate); regenerating one shadow draws its whole block.  The
 collector re-keys one generator per block by assigning it the state of a
 fresh stream as plain Python ints (_fresh_state); the bits equal those of a
 fresh shadow_rng(s, block).  It raises ValueError before any draw unless the
-seed is in 0..2^64-1, start_index + count <= 2^64-1 (stream index 2^64-1
-prepares the input state, and no block reaches it) and n >= 1.
+seed, count and start index are integers (_is_uint64: Python or numpy
+integers, never bools or floats), the seed is in 0..2^64-1,
+start_index + count <= 2^64-1 (stream index 2^64-1 prepares the input
+state, and no block reaches it) and n >= 1.
 
 Contents
 --------
@@ -55,7 +57,7 @@ from math import factorial
 import numpy as np
 
 from .combinat import binom, falling, subset_index_array, subsets_ok, validate_subset
-from .fock import FermionState
+from .fock import _NORM_SQ_TOL, FermionState
 from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 
 
@@ -76,14 +78,26 @@ _TILE = 2**15
 _STATE_INDEX = 2**64 - 1
 
 
+def _is_uint64(x) -> bool:
+    """Is x an integer in 0..2^64-1: the one rule for seeds, counts and indices.
+
+    Python and numpy integers pass; bools and floats, which numpy would
+    silently read as an integer key, do not.
+    """
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and 0 <= int(x) < 2**64)
+
+
 def shadow_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator owned by shadow (seed, index).
 
-    Raises ValueError unless seed and index are both in 0..2^64-1.
+    Raises ValueError unless seed and index both pass _is_uint64.
     """
-    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
-        raise ValueError(f"seed and index must be in 0..2^64-1, got {seed} and {index}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    if not (_is_uint64(seed) and _is_uint64(index)):
+        raise ValueError(f"seed and index must be integers in 0..2^64-1, "
+                         f"got {seed!r} and {index!r}")
+    return np.random.Generator(np.random.Philox(
+        key=np.array([int(seed), int(index)], dtype=np.uint64)))
 
 
 def _fresh_state(seed: int, index: int) -> dict:
@@ -116,16 +130,18 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     (seed, block) with a zero counter and an empty buffer is exactly the
     state of a fresh shadow_rng(seed, block).  A range that starts or ends
     inside a block draws that whole block and keeps its slice.
-    Raises ValueError before any draw unless 0 <= seed < 2^64, count >= 0,
-    start_index >= 0 and start_index + count <= _STATE_INDEX = 2^64-1, the
+    Raises ValueError before any draw unless seed, count and start_index
+    pass _is_uint64 and start_index + count <= _STATE_INDEX = 2^64-1, the
     state's stream, or if the state has no modes (n = 0).  Raises
     RuntimeError if a rotated state's Born probabilities miss 1 by more than
-    1e-6, e.g. for an unnormalized state.
+    fock._NORM_SQ_TOL, e.g. for an unnormalized state.
     """
-    if not (0 <= seed < 2**64 and count >= 0 and start_index >= 0
-            and start_index + count <= _STATE_INDEX):
-        raise ValueError(f"need seed in 0..2^64-1 and indices start_index..start_index+count-1 "
-                         f"in 0..2^64-2, got seed {seed}, start_index {start_index}, count {count}")
+    if not (_is_uint64(seed) and _is_uint64(count) and _is_uint64(start_index)
+            and int(start_index) + int(count) <= _STATE_INDEX):
+        raise ValueError(f"need integers seed in 0..2^64-1 and indices start_index.."
+                         f"start_index+count-1 in 0..2^64-2, got seed {seed!r}, "
+                         f"start_index {start_index!r}, count {count!r}")
+    seed, count, start_index = int(seed), int(count), int(start_index)
     n, eta = state.n, state.eta
     if n < 1:
         raise ValueError(f"need n >= 1 modes to rotate, got n={n}")
@@ -155,8 +171,8 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
         probs = np.abs(givens_rotate(network, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
         defect = float(np.max(np.abs(totals - 1.0)))
-        if not defect <= 1e-6:     # NaN fails too
-            raise RuntimeError(f"probability defect {defect:.3g} exceeds 1e-6; "
+        if not defect <= _NORM_SQ_TOL:     # NaN fails too
+            raise RuntimeError(f"probability defect {defect:.3g} exceeds {_NORM_SQ_TOL:g}; "
                                "is the state normalized?")
         zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], draws[:, -1])]
         ws[lo:hi] = network_rows(network, zs[lo:hi] - 1)

@@ -44,8 +44,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from fermishadow.combinat import apply_string, binom, validate_subset
+from fermishadow.combinat import binom, validate_subset
 from fermishadow.shadows import estimation_entry
+from sign_oracle import apply_string
 
 Y = np.array([[0.0, -1.0], [1.0, 0.0]])
 YHAT = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -44,6 +44,7 @@ def test_config_validation_messages():
         (dict(good, seed=-1), "seed"),
         (dict(good, state_source="mystery"), "state_source"),
         (dict(good, estimator="oracle"), "estimator"),
+        (dict(good, estimator="fast"), "estimator must be dense or both"),
         (dict(good, aggregation="median_of_means:3"), "divide"),
         (dict(good, aggregation="median_of_means:x"), "batch"),
         (dict(good, targets=17), "targets"),
@@ -53,12 +54,19 @@ def test_config_validation_messages():
         (dict(good, k=False), "integers"),
         (dict(good, samples=True), "samples"),
         (dict(good, seed=True), "seed"),
+        (dict(good, seed=1.5), "seed"),
+        (dict(good, seed=np.float64(1)), "seed"),
         (dict(good, state_source=5), "state_source"),
         (dict(good, aggregation=10), "aggregation"),
     ]
     for fields, msg in bad:
         with pytest.raises(ConfigError, match=msg):
             ExperimentConfig(**fields).validate()
+    # numpy integers pass the seed rule that the collector applies, and are
+    # kept as Python ints, which the manifest's JSON can hold
+    config = ExperimentConfig(**dict(good, seed=np.uint64(2**64 - 1)))
+    config.validate()
+    assert type(config.seed) is int and config.seed == 2**64 - 1
 
 
 # entries that are not modes: bools, floats, strings, null, lists
@@ -146,7 +154,7 @@ def test_non_integer_target_modes_are_config_errors(command, targets, tmp_path, 
 def test_estimate_k0_prints_the_identity(capsys):
     # the one k = 0 target (empty, empty) has the estimate 1 in every shot,
     # under every estimator
-    for estimator in ("dense", "fast", "both"):
+    for estimator in ("dense", "both"):
         assert cli.cmd_estimate(ExperimentConfig(5, 3, 0, 30, 2, estimator=estimator)) == 0
         header, row = capsys.readouterr().out.splitlines()
         assert header.startswith("p,q,estimate_re,estimate_im,stderr_re,stderr_im")
@@ -269,16 +277,15 @@ def test_main_exit_codes_on_config_errors(tmp_path, capsys, monkeypatch):
         assert out == "" and err.startswith("config error:") and "directory" in err
     assert list(folder.iterdir()) == []
     monkeypatch.undo()
-    # slater-overlap takes estimator as estimate does: dense and fast are one
-    # run, and both (once refused) adds the product blocks' fast_overlap columns
+    # slater-overlap takes estimator as estimate does: both (once refused)
+    # adds the product blocks' fast_overlap columns
     overlap = {"n": 3, "eta": 2, "samples": 50, "seed": 1}
     printed = []
-    for estimator in ("dense", "fast", "both"):
+    for estimator in ("dense", "both"):
         cfg.write_text(json.dumps(dict(overlap, estimator=estimator)))
         assert main(["slater-overlap", "--config", str(cfg)]) == 0
         printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1]
-    header = printed[2].splitlines()[0]
+    header = printed[1].splitlines()[0]
     assert header == printed[0].splitlines()[0] + ",fast_overlap_re,fast_overlap_im"
 
 
@@ -303,6 +310,16 @@ def test_estimate_rejects_unnormalized_state_file(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "norm 2" in err
+    # the loader and the collector share one bound on the squared norm: a
+    # norm of 1 + 8e-7 (squared 1 + 1.6e-6) once loaded and then died in the
+    # collector (exit 1); 1 + 4e-7 (squared 1 + 8e-7) runs
+    path.write_text(state_to_json(FermionState(4, 2, (1 + 8e-7) * state.amps)))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "norm 1.0000008" in err
+    path.write_text(state_to_json(FermionState(4, 2, (1 + 4e-7) * state.amps)))
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("body", [
@@ -394,6 +411,19 @@ calls = {
     "inverse_trace_sequence short": lambda: inverse_trace_sequence([1.0], 2, 2),
     "shadow_rng index": lambda: shadow_rng(1, 2**64),
     "shadow_rng seed": lambda: shadow_rng(-1, 0),
+    "shadow_rng seed 1.5": lambda: shadow_rng(1.5, 0),
+    "shadow_rng seed True": lambda: shadow_rng(True, 0),
+    "shadow_rng seed float64": lambda: shadow_rng(np.float64(1), 0),
+    "shadow_rng index 0.5": lambda: shadow_rng(1, 0.5),
+    "shadow_rng index False": lambda: shadow_rng(1, False),
+    "collect seed 1.5": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 3, 1.5),
+    "collect seed True": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 3, True),
+    "collect count 2.0": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 2.0, 1),
+    "collect start 1.0": lambda: collect_shadow_arrays(
+        FermionState(4, 1, np.ones(4) / 2), 2, 1, start_index=1.0),
+    "collect past 2^64 numpy": lambda: collect_shadow_arrays(
+        FermionState(4, 1, np.ones(4) / 2), np.uint64(5), 0, start_index=np.uint64(2**64 - 2)),
+    "amplitude size": lambda: FermionState(4, 2, np.ones(6) / 6**0.5).amplitude((1,)),
     "collect seed -1": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 1, -1),
     "collect seed 2^64": lambda: collect_shadow_arrays(FermionState(4, 1, np.ones(4) / 2), 1, 2**64),
     "collect past 2^64": lambda: collect_shadow_arrays(
@@ -544,21 +574,20 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     assert 1e-8 < gap <= 1e-6
 
 
-def test_estimate_fast_only_matches_dense(capsys):
+def test_estimator_fast_is_a_config_error(tmp_path, capsys):
+    # fast once named the dense run; it is refused before any shot is drawn
+    cfg = tmp_path / "cfg.json"
+    for command, body in [("estimate", {"k": 2}), ("slater-overlap", {})]:
+        cfg.write_text(json.dumps(dict(body, n=4, eta=2, samples=40, seed=6, estimator="fast")))
+        assert main([command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "config error: estimator must be dense or both, got 'fast'\n"
+    # a repeated listed pair prints the same row twice
     targets = [[[1, 2], [2, 3]], [[1, 3], [1, 3]], [[2, 4], [1, 4]], [[1, 2], [2, 3]]]
-    out = {}
-    for estimator in ("fast", "dense"):
-        cfg = ExperimentConfig(4, 2, 2, 40, 6, estimator=estimator,
-                               aggregation="median_of_means:4", targets=targets)
-        assert cli.cmd_estimate(cfg) == 0
-        out[estimator] = _read_csv(capsys.readouterr().out)
-    (fast_header, fast_rows), (dense_header, dense_rows) = out["fast"], out["dense"]
-    assert fast_header == dense_header
-    assert len(fast_rows) == len(targets)
-    assert fast_rows[0] == fast_rows[3]       # the repeated pair
-    for f, d in zip(fast_rows, dense_rows):
-        assert f[:2] == d[:2]
-        assert all(abs(float(a) - float(b)) < 1e-8 for a, b in zip(f[2:], d[2:]))
+    cfg = ExperimentConfig(4, 2, 2, 40, 6, aggregation="median_of_means:4", targets=targets)
+    assert cli.cmd_estimate(cfg) == 0
+    _, rows = _read_csv(capsys.readouterr().out)
+    assert len(rows) == len(targets) and rows[0] == rows[3]
 
 
 def test_estimate_median_of_means_aggregation(capsys):
@@ -899,7 +928,9 @@ def test_chunked_output_matches_one_chunk(argv, tmp_path, monkeypatch, capsys):
     # them) print what one chunk over all the shots prints, to rounding
     configs = {
         "AGG": {"aggregation": "median_of_means:5"},
-        "FAST": {"estimator": "fast", "targets": [[[1, 2], [2, 5]], [[3, 4], [3, 4]]]},
+        # two listed pairs: the kernel forms their blocks from readout-row
+        # products, the source that both prints as fast_estimate
+        "FAST": {"targets": [[[1, 2], [2, 5]], [[3, 4], [3, 4]]]},
         "BOTH": {"estimator": "both", "aggregation": "median_of_means:3",
                  "targets": [[[1, 2], [2, 5]], [[3, 4], [3, 4]], [[1, 5], [2, 4]]]},
     }
@@ -953,7 +984,7 @@ def test_estimate_memory_with_few_targets(capsys):
     # two listed targets on a 16-mode register read two k x k blocks each,
     # not a (N, C(16,2), C(16,2)) stack; under 4 MiB traced for every estimator
     targets = [[[1, 2], [3, 16]], [[5, 11], [5, 11]]]
-    for estimator in ("dense", "fast", "both"):
+    for estimator in ("dense", "both"):
         config = ExperimentConfig(16, 2, 2, 64, 5, estimator=estimator, targets=targets)
         tracemalloc.start()
         try:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from algebra_oracle import canonical_permutation, overlap_count, permutation_matrix
 from fermishadow.combinat import (
-    apply_string,
     binom,
     falling,
     rank_subset,
@@ -15,6 +14,7 @@ from fermishadow.combinat import (
     subsets,
     validate_subset,
 )
+from sign_oracle import apply_string
 
 
 def test_binom_matches_math_comb():

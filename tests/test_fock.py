@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import compound_batch
-from fermishadow.combinat import subsets
+from fermishadow.combinat import rank_subset, subset_index_array, subsets
 from fermishadow.fock import (
     FermionState,
-    apply_rdm_operator,
     basis_state,
-    expectation_rdm,
     random_state,
     rdm_matrix,
     slater_superposition,
@@ -19,6 +17,7 @@ from fermishadow.fock import (
     state_to_json,
 )
 from haar_oracle import apply_rotation, haar
+from sign_oracle import rdm_matrix_reference
 
 
 def test_basis_state_ranks():
@@ -42,39 +41,98 @@ def test_random_state_normalized():
     assert abs(st.norm() - 1.0) < 1e-12
 
 
+def test_amplitude_needs_eta_modes():
+    st = random_state(4, 2, np.random.default_rng(12))
+    assert st.amplitude((1, 2)) == st.amps[0]
+    assert st.amplitude([3, 4]) == st.amps[5]
+    for z in [(1,), (1, 2, 3), ()]:
+        with pytest.raises(ValueError, match="need 2 modes"):
+            st.amplitude(z)
+    for z in [(2, 1), (0, 1), (1, 5)]:
+        with pytest.raises(ValueError):
+            st.amplitude(z)
+
+
+def _ket_sum(n, *kets):
+    """|a> + |b> + ..., unnormalized, so that rdm_matrix entries are exact integers."""
+    return FermionState(n, len(kets[0]), sum(basis_state(z, n).amps for z in kets))
+
+
+def _entry(state, p, q):
+    """<state| transition(p, q) |state>, read off rdm_matrix."""
+    return rdm_matrix(state, len(p))[rank_subset(p), rank_subset(q)]
+
+
 def test_rdm_operator_hand_signs():
-    out = apply_rdm_operator(basis_state((2, 3), 3), (1,), (2,))
-    assert np.allclose(out.amps, basis_state((1, 3), 3).amps)
-    out = apply_rdm_operator(basis_state((1, 2), 3), (3,), (1,))
-    assert np.allclose(out.amps, -basis_state((2, 3), 3).amps)
-    out = apply_rdm_operator(basis_state((1, 2), 3), (1,), (1,))
-    assert np.allclose(out.amps, basis_state((1, 2), 3).amps)
+    # on |a> + |b>, the entry of an operator that maps |b> to +-|a> (and
+    # kills |a>) is +-1, so the entry pins the sign
+    # a^dag_1 a_2 |2 3> = |1 3>
+    assert _entry(_ket_sum(3, (1, 3), (2, 3)), (1,), (2,)) == 1
+    # a^dag_3 a_1 |1 2> = -|2 3>
+    assert _entry(_ket_sum(3, (2, 3), (1, 2)), (3,), (1,)) == -1
+    # a^dag_1 a_1 |1 2> = |1 2>
+    assert _entry(basis_state((1, 2), 3), (1,), (1,)) == 1
+    # a^dag_1 a^dag_5 a_4 a_3 |2 3 4> = -|1 2 5>: a_3 and a_4 each pass mode 2,
+    # a^dag_5 passes 2, a^dag_1 passes nothing
+    assert _entry(_ket_sum(5, (1, 2, 5), (2, 3, 4)), (1, 5), (3, 4)) == -1
+    # the whole 1-RDM of |1 2> + |1 3> + |2 3>: a^dag_1 a_2 |2 3> = |1 3>,
+    # a^dag_1 a_3 |2 3> = -|1 2>, a^dag_2 a_3 |1 3> = |1 2>
+    got = rdm_matrix(_ket_sum(3, (1, 2), (1, 3), (2, 3)), 1)
+    assert got.tolist() == [[2, 1, -1], [1, 2, 1], [-1, 1, 2]]
 
 
 def test_rdm_operator_vanishing_cases():
-    out = apply_rdm_operator(basis_state((1, 2), 3), (1,), (3,))
-    assert np.allclose(out.amps, 0.0)
-    out = apply_rdm_operator(basis_state((1, 2), 3), (2,), (1,))
-    assert np.allclose(out.amps, 0.0)
+    # on |1 2>: a^dag_1 a_3 (3 is empty), a^dag_2 a_1 (2 is still full) and
+    # a^dag_3 a_3 give 0; the whole 1-RDM is the occupation diagonal
+    assert rdm_matrix(basis_state((1, 2), 3), 1).tolist() == np.diag([1, 1, 0]).tolist()
+    # and the 2-RDM of |1 3> on 4 modes has the one entry (13, 13)
+    x = rdm_matrix(basis_state((1, 3), 4), 2)
+    want = np.zeros((6, 6))
+    want[1, 1] = 1
+    assert x.tolist() == want.tolist()
 
 
 def test_expectation_hand_values():
     st = basis_state((1, 2), 4)
-    assert expectation_rdm(st, (1,), (1,)) == 1
-    assert expectation_rdm(st, (3,), (3,)) == 0
+    assert _entry(st, (1,), (1,)) == 1
+    assert _entry(st, (3,), (3,)) == 0
     plus = FermionState(2, 1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert abs(expectation_rdm(plus, (1,), (2,)) - 0.5) < 1e-14
+    assert abs(_entry(plus, (1,), (2,)) - 0.5) < 1e-14
 
 
 def test_expectation_hermiticity():
     rng = np.random.default_rng(1)
     st = random_state(5, 3, rng)
     for k in (1, 2):
-        for p in subsets(5, k):
-            for q in subsets(5, k):
-                a = expectation_rdm(st, p, q)
-                b = expectation_rdm(st, q, p)
-                assert abs(np.conj(a) - b) < 1e-12
+        x = rdm_matrix(st, k)
+        assert np.abs(x.conj().T - x).max() < 1e-12
+
+
+def _reference_states(n, eta, rng):
+    """A random state, three basis kets and a sparse state with signed zeros."""
+    c = len(subset_index_array(n, eta))
+    states = [random_state(n, eta, rng)]
+    for r in sorted({0, c // 2, c - 1}):
+        states.append(basis_state(tuple(subset_index_array(n, eta)[r] + 1), n))
+    amps = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+    amps[rng.random(c) < 0.5] = 0
+    amps.real[rng.random(c) < 0.3] = -0.0
+    amps.imag[rng.random(c) < 0.3] = -0.0
+    states.append(FermionState(n, eta, amps))
+    return states
+
+
+def test_rdm_matrix_matches_loop_reference():
+    # the colex-table construction writes the bitmask loop's A entry for entry,
+    # so A^dag A has the same bits, signed zeros included
+    rng = np.random.default_rng(2)
+    for n in range(9):
+        for eta in range(n + 1):
+            for st in _reference_states(n, eta, rng):
+                for k in range(eta + 1):
+                    got, want = rdm_matrix(st, k), rdm_matrix_reference(st, k)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                        (n, eta, k)
 
 
 @lru_cache(maxsize=None)
@@ -112,28 +170,14 @@ def test_transitions_match_jordan_wigner(n, data):
     p = ks[data.draw(st.integers(0, len(ks) - 1))]
     q = ks[data.draw(st.integers(0, len(ks) - 1))]
     state = random_state(n, eta, np.random.default_rng(data.draw(st.integers(0, 2**32))))
-    dense = _sector_transition(n, eta, p, q)
-    assert np.allclose(apply_rdm_operator(state, p, q).amps, dense @ state.amps, atol=1e-13)
     want = np.array([[np.vdot(state.amps, _sector_transition(n, eta, a, b) @ state.amps)
                       for b in ks] for a in ks])
     assert np.allclose(rdm_matrix(state, k), want, atol=1e-12)
 
 
-def test_rdm_matrix_matches_expectations():
-    rng = np.random.default_rng(2)
-    st = random_state(5, 2, rng)
-    for k in (1, 2):
-        x = rdm_matrix(st, k)
-        ss = list(subsets(5, k))
-        for a, p in enumerate(ss):
-            for b, q in enumerate(ss):
-                assert abs(x[a, b] - expectation_rdm(st, p, q)) < 1e-12
-
-
 def test_particle_number_is_conserved():
     st = random_state(6, 3, np.random.default_rng(3))
-    total = sum(expectation_rdm(st, (m,), (m,)) for m in range(1, 7))
-    assert abs(total - 3.0) < 1e-12
+    assert abs(np.trace(rdm_matrix(st, 1)) - 3.0) < 1e-12
 
 
 def test_apply_rotation_hand_minor():
@@ -179,10 +223,10 @@ def test_slater_superposition_overlap_readout():
     for n, eta in [(3, 1), (4, 2)]:
         psi = random_state(n, eta, rng)
         big = slater_superposition(psi)
-        ref = tuple(range(n + 1, n + eta + 1))
+        ref = rank_subset(range(n + 1, n + eta + 1))
+        x = rdm_matrix(big, eta)
         for q in subsets(n, eta):
-            got = expectation_rdm(big, ref, q)
-            assert abs(got - psi.amplitude(q) / 2.0) < 1e-12
+            assert abs(x[ref, rank_subset(q)] - psi.amplitude(q) / 2.0) < 1e-12
 
 
 def test_state_json_roundtrip():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,11 +277,25 @@ def test_collection_checks_stream_range_before_drawing(monkeypatch):
 
     monkeypatch.setattr(shadows, "shadow_rng", no_draw)
     for seed, count, start in [(-1, 1, 0), (2**64, 1, 0), (0, 5, 2**64 - 2), (0, 1, -1),
-                               (0, -1, 0), (0, 1, 2**64 - 1)]:
+                               (0, -1, 0), (0, 1, 2**64 - 1),
+                               # non-integers once drew seed 1's shots or raised TypeError
+                               (1.5, 3, 0), (True, 3, 0), (np.float64(1), 3, 0),
+                               (1, 3.0, 0), (1, 3, 1.0), (1, True, 0),
+                               (0, np.uint64(5), np.uint64(2**64 - 2))]:
         with pytest.raises(ValueError, match="2\\^64"):
             collect_shadow_arrays(state, count, seed, start_index=start)
     with pytest.raises(ValueError, match="n >= 1"):
         collect_shadow_arrays(FermionState(0, 0, np.ones(1)), 1, 0)
+
+
+def test_numpy_integer_seeds_draw_as_python_ints():
+    state = random_state(4, 2, np.random.default_rng(2))
+    want = collect_shadow_arrays(state, 70, 2**64 - 1, start_index=3)
+    for seed, start in [(np.uint64(2**64 - 1), np.int64(3)), (2**64 - 1, np.uint8(3))]:
+        got = collect_shadow_arrays(state, np.int32(70), seed, start_index=start)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    ref = shadows.shadow_rng(5, 2**64 - 1).random(4)
+    assert shadows.shadow_rng(np.int16(5), np.uint64(2**64 - 1)).random(4).tobytes() == ref.tobytes()
 
 
 def test_collection_born_statistics():
@@ -496,3 +511,19 @@ def test_frozen_variance_quantities():
     assert avg_shadow_norm_sq(2, 1, 1) == Fraction(9, 8)
     assert variance_bound(2, 1, 1) == Fraction(3, 2)
 
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # README's library quick start, run as written; it writes shadows.npz,
+    # so it runs in a scratch directory
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    rdm_gap, one_gap = map(float, capsys.readouterr().out.split())
+    assert rdm_gap < 0.05       # 20,000 shots of a 1-RDM with entries up to 1
+    assert one_gap <= 1e-13
+    assert ns["ws"].shape == (20_000, 2, 5) and ns["zs"].shape == (20_000, 2)
+    assert ns["tail_ws"].tobytes() == ns["ws"][-100:].tobytes()
+    assert ns["tail_zs"].tobytes() == ns["zs"][-100:].tobytes()
