@@ -94,9 +94,8 @@ def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
         raise ValueError(f"need 0 <= k <= eta = {eta}, got k={k}")
     occ = subset_index_array(n, eta) + 1            # (C(n,eta), eta), 1-based modes
     picked = subset_index_array(eta, k)             # (C(eta,k), k) positions in S
-    mask = np.ones((len(picked), eta), dtype=bool)
-    np.put_along_axis(mask, picked, False, axis=1)
-    kept = np.nonzero(mask)[1].reshape(len(picked), eta - k)     # the other positions
+    # row r's other positions: complementing reverses colex order
+    kept = subset_index_array(eta, eta - k)[::-1]
     signs = 1.0 - 2.0 * ((picked.sum(axis=1) - k * (k - 1) // 2) % 2)
     a = np.zeros((binom(n, eta - k), binom(n, k)), dtype=np.complex128)
     a[rank_rows(occ[:, kept], n), rank_rows(occ[:, picked], n)] = signs * state.amps[:, None]
