@@ -13,7 +13,7 @@ the arrays, or regenerate them from the batch's seed and start index.
 
 Modules
 -------
-    combinat   : subsets as colex index tables and ranks, binomials
+    combinat   : the integer rule, subsets as colex index tables and ranks, binomials
     linalg     : Haar rotations as Givens networks, stacked determinants
     fock       : dense eta-particle states, the sign rule, exact k-RDMs, JSON form
     channel    : exact algebra of the measurement channel

@@ -25,7 +25,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .combinat import binom, falling, subset_index_array
+from .combinat import binom, check_sizes, falling, subset_index_array
 
 
 @dataclass
@@ -37,9 +37,10 @@ class DiagonalOperator:
     values: list
 
     def __post_init__(self):
-        if not (0 <= self.eta <= self.n and len(self.values) == binom(self.n, self.eta)):
-            raise ValueError(f"need 0 <= eta <= n and C(n, eta) values, got n={self.n} "
-                             f"eta={self.eta} and {len(self.values)} values")
+        self.n, self.eta, _ = check_sizes(self.n, self.eta)
+        if len(self.values) != binom(self.n, self.eta):
+            raise ValueError(f"need C({self.n},{self.eta}) = {binom(self.n, self.eta)} values, "
+                             f"got {len(self.values)}")
 
 
 def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:
@@ -48,12 +49,8 @@ def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:
 
 
 def structure_factor(n: int, eta: int, k: int) -> Fraction:
-    """Haar-averaged readout weight, a function of the overlap k = |z cap p|.
-
-    Raises ValueError unless 0 <= k <= eta <= n.
-    """
-    if not 0 <= k <= eta <= n:
-        raise ValueError(f"need 0 <= k <= eta <= n, got n={n} eta={eta} k={k}")
+    """Haar-averaged readout weight, a function of the overlap k = |z cap p|."""
+    n, eta, k = check_sizes(n, eta, k)
     return Fraction(eta + 1, (eta + 1 - k)) / (binom(n + 1, eta) * binom(n, eta))
 
 

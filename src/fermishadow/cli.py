@@ -15,15 +15,13 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import shadows
-from .combinat import rank_rows, subset_index_array, subsets_ok
+from .combinat import check_sizes, int_table, is_int, rank_rows, subset_index_array, subsets_ok
 from .fock import (
     FermionState,
-    _is_int,
     basis_state,
     random_state,
     slater_superposition,
@@ -73,14 +71,18 @@ class ExperimentConfig:
     targets: object = "all_krdm"
 
     def validate(self):
-        if not (_is_int(self.n) and _is_int(self.eta) and _is_int(self.k)):
-            raise ConfigError("n, eta, k must be integers")
-        if not (0 <= self.k <= self.eta <= self.n and self.n >= 1):
+        try:
+            self.n, self.eta, self.k = check_sizes(self.n, self.eta, self.k)
+            check_sizes(self.n, 1)      # a mode for the collector to rotate
+        except ValueError:
+            if not all(map(is_int, (self.n, self.eta, self.k))):
+                raise ConfigError("n, eta, k must be integers") from None
             raise ConfigError(f"need 0 <= k <= eta <= n and n >= 1, "
-                              f"got n={self.n} eta={self.eta} k={self.k}")
-        if not (_is_int(self.samples) and self.samples >= 1):
+                              f"got n={self.n} eta={self.eta} k={self.k}") from None
+        if not (is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
-        self.seed = _check_seed(self.seed)      # a numpy seed is written to the manifest as an int
+        # Python ints, which the manifest's JSON holds and numpy ones it cannot
+        self.samples, self.seed = int(self.samples), _check_seed(self.seed)
         src = self.state_source
         if not (isinstance(src, str)
                 and (src == "random_pure" or src.startswith(("basis:", "file:")))):
@@ -130,38 +132,17 @@ def build_state(config: ExperimentConfig) -> FermionState:
     return state
 
 
-def _int_table(x, ndim: int):
-    """x as an int64 array of ndim axes if every entry is an integer, else None.
-
-    Bools are refused, although numpy reads them as 0 and 1; an empty table
-    counts as integer.
-    """
-    try:
-        a = np.array(x)
-    except (ValueError, TypeError, OverflowError):      # ragged
-        return None
-    if a.ndim != ndim:
-        return None
-    if a.size:
-        leaves = x
-        for _ in range(ndim - 1):
-            leaves = chain.from_iterable(leaves)
-        if a.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(type, leaves)):
-            return None
-    return a.astype(np.int64)
-
-
 def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
     """items as an int64 table: (T, 2, size) of (p, q) pairs, or (T, size) of subsets.
 
-    One numpy pass checks that every mode is an integer and every subset
+    One numpy pass checks that every mode is an integer (int_table) and every subset
     strictly increasing within 1..n.  Otherwise a ConfigError names the first
     bad item: "bad target pair" if it is not a pair, "bad target" if one of
     its subsets is not integers strictly increasing within 1..n, and "needs
     size-subsets" if one has the wrong size, checking p before q.
     """
     shape = (len(items), 2, size) if pairs else (len(items), size)
-    table = _int_table(items, len(shape)) if items else np.zeros(shape, dtype=np.int64)
+    table = int_table(items) if items else np.zeros(shape, dtype=np.int64)
     if table is not None and table.shape == shape and subsets_ok(table, n):
         return table
     for item in items:
@@ -173,8 +154,8 @@ def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
                 raise ConfigError(f"bad target pair {item!r}") from None
             subs = (p, q)
         for z in subs:
-            row = _int_table(z, 1)
-            if row is None or not subsets_ok(row, n):
+            row = int_table(z)
+            if row is None or row.ndim != 1 or not subsets_ok(row, n):
                 raise ConfigError(f"bad target {item!r}")
             if len(row) != size:
                 raise ConfigError(f"target {item!r} needs {size}-subsets of 1..{n}")

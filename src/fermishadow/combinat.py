@@ -14,6 +14,9 @@ oracle, in tests/sign_oracle.py.
 
 Contents
 --------
+    is_int                 : the integer rule: a Python or numpy integer, never a bool
+    check_sizes            : (n, eta, k) as ints, checked 0 <= k <= eta <= n
+    int_table              : an int64 array of x if every entry is an integer
     binom                  : binomial coefficient, 0 outside the triangle
     falling                : falling factorial
     validate_subset        : a subset as a checked increasing tuple of modes
@@ -25,9 +28,43 @@ Contents
 """
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 import numpy as np
+
+
+def is_int(x) -> bool:
+    """Python and numpy integers pass; bools, which Python counts as ints, and floats do not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_sizes(n, eta, k=0) -> tuple:
+    """(n, eta, k) as Python ints; ValueError unless they pass is_int and 0 <= k <= eta <= n."""
+    if not (all(map(is_int, (n, eta, k))) and 0 <= k <= eta <= n):
+        raise ValueError(f"need integers 0 <= k <= eta <= n, got n={n!r} eta={eta!r} k={k!r}")
+    return int(n), int(eta), int(k)
+
+
+def int_table(x):
+    """x as an int64 array if every entry passes is_int, else None; empty counts, ragged not.
+
+    An ndarray is decided by its dtype, a nested sequence also by its leaves'
+    types: numpy reads bools among integers as 0 and 1.
+    """
+    try:
+        a = np.array(x)
+    except (ValueError, TypeError, OverflowError):      # ragged
+        return None
+    if a.size and a.dtype.kind not in "iu":
+        return None
+    if a.size and not isinstance(x, np.ndarray):
+        leaves = [x]
+        for _ in range(a.ndim):
+            leaves = chain.from_iterable(leaves)
+        if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+            return None
+    return a.astype(np.int64)
 
 
 def binom(a: int, b: int) -> int:
@@ -38,10 +75,7 @@ def binom(a: int, b: int) -> int:
 
 
 def falling(a: int, b: int) -> int:
-    """Falling factorial a (a-1) ... (a-b+1), with falling(a, 0) = 1.
-
-    Raises ValueError for b < 0.
-    """
+    """Falling factorial a (a-1) ... (a-b+1), with falling(a, 0) = 1."""
     if b < 0:
         raise ValueError(f"need b >= 0, got {b}")
     out = 1
@@ -51,11 +85,11 @@ def falling(a: int, b: int) -> int:
 
 
 def validate_subset(z, n: int) -> tuple:
-    """Check that z is a strictly increasing tuple of modes in 1..n.
-
-    Raises ValueError otherwise.
-    """
-    z = tuple(int(m) for m in z)
+    """z as a tuple of ints; ValueError unless its modes pass is_int and increase within 1..n."""
+    z = tuple(z)
+    if not all(map(is_int, z)):
+        raise ValueError(f"modes must be integers: {z}")
+    z = tuple(map(int, z))
     if not all(1 <= m <= n for m in z):
         raise ValueError(f"modes out of range 1..{n}: {z}")
     if not all(z[i] < z[i + 1] for i in range(len(z) - 1)):

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import binom, rank_rows, rank_subset, subset_index_array, validate_subset
+from .combinat import (binom, check_sizes, is_int, rank_rows, rank_subset, subset_index_array,
+                       validate_subset)
 
 # a state is normalized if its squared norm, the total of its Born
 # probabilities under any rotation, is within this of 1
@@ -46,8 +47,7 @@ class FermionState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.eta <= self.n:
-            raise ValueError(f"need 0 <= eta <= n, got n={self.n} eta={self.eta}")
+        self.n, self.eta, _ = check_sizes(self.n, self.eta)
         self.amps = np.asarray(self.amps, dtype=np.complex128)
         if self.amps.shape != (binom(self.n, self.eta),):
             raise ValueError(f"need C({self.n},{self.eta}) = {binom(self.n, self.eta)} "
@@ -86,12 +86,9 @@ def rdm_matrix(state: FermionState, k: int) -> np.ndarray:
     string for q, so the result is hermitian by construction.  Each occupied
     ket S (a row of the colex table) and each k-subset t of its positions
     write one entry: A[rank(S minus S_t), rank(S_t)] = sign(t) psi_S, with
-    the sign rule of the module docstring.  Raises ValueError unless
-    0 <= k <= eta.
+    the sign rule of the module docstring.
     """
-    n, eta = state.n, state.eta
-    if not 0 <= k <= eta:
-        raise ValueError(f"need 0 <= k <= eta = {eta}, got k={k}")
+    n, eta, k = check_sizes(state.n, state.eta, k)
     occ = subset_index_array(n, eta) + 1            # (C(n,eta), eta), 1-based modes
     picked = subset_index_array(eta, k)             # (C(eta,k), k) positions in S
     # row r's other positions: complementing reverses colex order
@@ -128,11 +125,6 @@ def state_to_json(state: FermionState) -> str:
     return json.dumps(body)
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool (JSON true/false load as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _number_pairs(items) -> bool:
     """Is items a list of [re, im] pairs of JSON numbers within the float range, not bools?"""
     return isinstance(items, list) and all(
@@ -156,7 +148,7 @@ def state_from_json(text: str) -> FermionState:
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
     if not (isinstance(body, dict) and _number_pairs(body.get("amplitudes"))
-            and all(_is_int(body.get(key)) for key in ("n", "eta"))):
+            and all(is_int(body.get(key)) for key in ("n", "eta"))):
         raise ValueError("need a JSON object with integers n and eta and amplitudes "
                          "a list of [re, im] number pairs")
     amps = np.array([complex(re, im) for re, im in body["amplitudes"]])

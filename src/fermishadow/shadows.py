@@ -30,10 +30,9 @@ linalg.givens_rotate); regenerating one shadow draws its whole block.  The
 collector re-keys one generator per block by assigning it the state of a
 fresh stream as plain Python ints (_fresh_state); the bits equal those of a
 fresh shadow_rng(s, block).  It raises ValueError before any draw unless the
-seed, count and start index are integers (_is_uint64: Python or numpy
-integers, never bools or floats), the seed is in 0..2^64-1,
-start_index + count <= 2^64-1 (stream index 2^64-1 prepares the input
-state, and no block reaches it) and n >= 1.
+seed, count and start index pass _is_uint64 (combinat.is_int, in
+0..2^64-1), start_index + count <= 2^64-1 (stream index 2^64-1 prepares
+the input state, and no block reaches it) and n >= 1.
 
 Contents
 --------
@@ -56,7 +55,8 @@ from math import factorial
 
 import numpy as np
 
-from .combinat import binom, falling, subset_index_array, subsets_ok, validate_subset
+from .combinat import (binom, check_sizes, falling, int_table, is_int, subset_index_array,
+                       subsets_ok, validate_subset)
 from .fock import _NORM_SQ_TOL, FermionState
 from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 
@@ -79,13 +79,8 @@ _STATE_INDEX = 2**64 - 1
 
 
 def _is_uint64(x) -> bool:
-    """Is x an integer in 0..2^64-1: the one rule for seeds, counts and indices.
-
-    Python and numpy integers pass; bools and floats, which numpy would
-    silently read as an integer key, do not.
-    """
-    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            and 0 <= int(x) < 2**64)
+    """Does x pass is_int within 0..2^64-1: the rule for seeds, counts and indices?"""
+    return is_int(x) and 0 <= int(x) < 2**64
 
 
 def shadow_rng(seed: int, index: int) -> np.random.Generator:
@@ -186,11 +181,9 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
     """Diagonal value of the estimation operator on the class s' = |r cap [eta]|.
 
     r runs over k-subsets in the frame where the readout occupies the first
-    eta modes.  Vanishing binomials give 0.  Raises ValueError unless
-    0 <= k <= eta <= n.
+    eta modes.  Vanishing binomials give 0.
     """
-    if not 0 <= k <= eta <= n:
-        raise ValueError(f"need 0 <= k <= eta <= n, got n={n} eta={eta} k={k}")
+    n, eta, k = check_sizes(n, eta, k)
     if not 0 <= s_prime <= k:
         return Fraction(0)
     num = binom(eta - s_prime, k - s_prime) * binom(n - eta + s_prime, s_prime)
@@ -201,6 +194,7 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
 
 def estimation_matrix(n: int, eta: int, k: int) -> tuple:
     """Exact class values (e'_0, ..., e'_k) of the diagonal estimation operator."""
+    n, eta, k = check_sizes(n, eta, k)
     return tuple(estimation_entry(n, eta, k, s) for s in range(k + 1))
 
 
@@ -278,19 +272,19 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     whole M(x) when (distinct blocks) k^2 >= n^2, and otherwise formed from
     the readout rows at O(k^2 eta + k^4) per shot and block whatever n is.
     The rule never looks at N, and an entry's bits do not depend on the
-    other shots.  Raises ValueError for the ws check_shadows rejects, for p
-    and q not integer arrays of one shape (k,) or (T, k), for not
-    0 <= k <= eta, and, in validate_subset's words, for the first row of p,
-    then of q, not strictly increasing within 1..n.
+    other shots.  Raises ValueError for the ws check_shadows rejects, for
+    sizes check_sizes(n, eta, k) rejects, for p and q not int_table arrays of
+    one shape (k,) or (T, k), and, in validate_subset's words, for the first
+    row of p, then of q, not strictly increasing within 1..n.
     """
     ws = check_shadows(ws)
-    eta, n = ws.shape[1:]
-    ps, qs = np.asarray(p), np.asarray(q)
-    if not (ps.shape == qs.shape and ps.ndim in (1, 2) and ps.shape[-1:] == (k,)
-            and ps.dtype.kind in "iu" and qs.dtype.kind in "iu" and 0 <= k <= eta):
-        raise ValueError(f"need integer p, q of one shape (k,) or (T, k) with "
-                         f"0 <= k <= eta <= n, got n={n} eta={eta} k={k}, "
-                         f"p {ps.dtype} {ps.shape}, q {qs.dtype} {qs.shape}")
+    n, eta, k = check_sizes(ws.shape[2], ws.shape[1], k)
+    ps, qs = int_table(p), int_table(q)
+    if (ps is None or qs is None
+            or not (ps.shape == qs.shape and ps.ndim in (1, 2) and ps.shape[-1:] == (k,))):
+        raise ValueError(f"need integer p, q of one shape (k,) or (T, k) with k={k}, "
+                         f"got p {getattr(ps, 'shape', 'not an integer table')}, "
+                         f"q {getattr(qs, 'shape', 'not an integer table')}")
     single = ps.ndim == 1
     if single:
         ps, qs = ps[None], qs[None]
@@ -397,15 +391,16 @@ class Reducer:
     straddle chunks.  Memory is O(batches * width) whatever count is.  A
     column's arithmetic does not depend on the other columns, and a single
     chunk of all the shots gives exactly the one-pass mean and M2.  Raises
-    ValueError for count < 1, an unknown mode, batches that do not divide
-    count, a chunk not (m, width) or more shots than count.
+    ValueError unless count and batches pass is_int, for count < 1, an unknown
+    mode, batches that do not divide count, a chunk not (m, width) or more
+    shots than count.
     """
 
     def __init__(self, count: int, width: int, mode: str = "mean", batches: int = None):
-        if count < 1:
-            raise ValueError(f"need at least one shot, got count {count}")
+        if not (is_int(count) and count >= 1):
+            raise ValueError(f"need an integer count of at least one shot, got count {count!r}")
         if mode == "median_of_means":
-            if batches is None or batches < 1 or count % batches != 0:
+            if not (is_int(batches) and batches >= 1 and count % batches == 0):
                 raise ValueError(f"batches must divide the sample count {count}, got {batches!r}")
             # (width, batches): each column's batch means contiguous for the median
             self._sums = np.zeros((width, batches), dtype=np.complex128)

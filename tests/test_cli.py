@@ -52,6 +52,9 @@ def test_config_validation_messages():
         (dict(good, n=0, eta=0, k=0), "n >= 1"),
         (dict(good, n=True), "integers"),
         (dict(good, k=False), "integers"),
+        (dict(good, n=3.0), "integers"),
+        (dict(good, eta=np.float64(2)), "integers"),
+        (dict(good, samples=10.0), "samples"),
         (dict(good, samples=True), "samples"),
         (dict(good, seed=True), "seed"),
         (dict(good, seed=1.5), "seed"),
@@ -176,6 +179,16 @@ def test_manifest_is_built_only_when_written(tmp_path, capsys, monkeypatch):
         assert json.loads((tmp_path / "run.manifest.json").read_text())["git_describe"] == "abc"
         calls.clear()
     capsys.readouterr()
+
+
+def test_numpy_sizes_reach_the_manifest(tmp_path, capsys):
+    # numpy fields are stored as Python ints, so the manifest's JSON holds them
+    config = ExperimentConfig(*map(np.int64, (4, 2, 1, 30, 5)))
+    assert cli.cmd_estimate(config, out=str(tmp_path / "run")) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["config"] == dict(vars(ExperimentConfig(4, 2, 1, 30, 5)))
+    assert all(type(getattr(config, f)) is int for f in ("n", "eta", "k", "samples", "seed"))
 
 
 def _glibc() -> bool:
@@ -385,11 +398,11 @@ from algebra_oracle import eigenoperator_diagonal, g_eta, weingarten_xi
 from dense_oracle import minor_det
 from fermishadow import identities
 from fermishadow.channel import DiagonalOperator, a_coeff, nd_class_values, structure_factor
-from fermishadow.combinat import falling
-from fermishadow.fock import FermionState, rdm_matrix
+from fermishadow.combinat import falling, rank_subset
+from fermishadow.fock import FermionState, basis_state, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows
-from fermishadow.shadows import (all_pairs, collect_shadow_arrays, estimation_entry,
-                                 fast_estimate_rdm, shadow_rng)
+from fermishadow.shadows import (Reducer, all_pairs, collect_shadow_arrays, estimation_entry,
+                                 estimation_matrix, fast_estimate_rdm, shadow_rng)
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
 if __debug__:
     raise SystemExit("asserts are on")
@@ -403,6 +416,21 @@ calls = {
     "fast p mode > n": lambda: fast_estimate_rdm(w, 1, (5,), (1,)),
     "fast unstacked": lambda: fast_estimate_rdm(w[0], 1, *pairs),
     "fast eta > n": lambda: fast_estimate_rdm(np.ones((1, 5, 4)), 1, *pairs),
+    "fast bool mode": lambda: fast_estimate_rdm(w, 2, [True, 2], [1, 2]),
+    "fast k True": lambda: fast_estimate_rdm(w, True, [1], [2]),
+    "fast k 1.0": lambda: fast_estimate_rdm(w, 1.0, [1], [2]),
+    "basis_state mode 1.5": lambda: basis_state((1.5, 2), 4),
+    "rank_subset mode 1.5": lambda: rank_subset((1.5, 2)),
+    "amplitude mode 1.5": lambda: FermionState(4, 2, np.ones(6) / 6**0.5).amplitude((1.5, 2)),
+    "rdm_matrix k True": lambda: rdm_matrix(FermionState(4, 2, np.ones(6) / 6**0.5), True),
+    "rdm_matrix k 1.0": lambda: rdm_matrix(FermionState(4, 2, np.ones(6) / 6**0.5), 1.0),
+    "FermionState eta True": lambda: FermionState(4, True, np.ones(4) / 2),
+    "Reducer count 10.0": lambda: Reducer(10.0, 3),
+    "Reducer count True": lambda: Reducer(True, 3),
+    "Reducer batches 2.5": lambda: Reducer(10, 3, "median_of_means", 2.5),
+    "estimation_matrix k True": lambda: estimation_matrix(4, 2, True),
+    "structure_factor k 1.0": lambda: structure_factor(4, 2, 1.0),
+    "DiagonalOperator eta True": lambda: DiagonalOperator(4, True, [1] * 4),
     "decompose |p| != |q|": lambda: decompose_rdm((1, 2), (3,), 4),
     "pfaffian not skew": lambda: pfaffian(np.ones((2, 2))),
     "pfaffian odd": lambda: pfaffian(np.array([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])),

@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 from algebra_oracle import canonical_permutation, overlap_count, permutation_matrix
 from fermishadow.combinat import (
     binom,
+    check_sizes,
     falling,
+    int_table,
+    is_int,
     rank_subset,
     subset_index_array,
     subsets,
@@ -84,6 +87,34 @@ def test_validate_subset_rejects():
         validate_subset((1, 5), 4)
     with pytest.raises(ValueError):
         validate_subset((2, 2), 4)
+    # a mode that is not an integer is refused, not truncated or read as 0/1
+    for z in ((1.5, 2), (1.0, 2), (True, 2), (1, False), (np.float64(1), 2)):
+        with pytest.raises(ValueError, match="integers"):
+            validate_subset(z, 4)
+    z = validate_subset((np.int64(1), np.uint8(3)), 4)
+    assert z == (1, 3) and all(type(m) is int for m in z)
+
+
+def test_integer_rule():
+    for x in (0, -3, 2**70, np.int64(5), np.uint64(2**64 - 1), np.int8(-1)):
+        assert is_int(x)
+    for x in (True, False, np.True_, 1.0, np.float64(1), 1 + 0j, "1", None, [1]):
+        assert not is_int(x)
+    sizes = check_sizes(np.int64(5), np.uint8(3), np.int32(2))
+    assert sizes == (5, 3, 2) and all(type(x) is int for x in sizes)
+    assert check_sizes(0, 0) == (0, 0, 0)
+    for n, eta, k in ((3, 4, 0), (3, 2, 3), (3, 2, -1), (-1, 0, 0), (4, 2, True),
+                      (4.0, 2, 1), (4, 2, 1.0), (4, np.float64(2), 1), (4, 2, None)):
+        with pytest.raises(ValueError, match="k <= eta <= n"):
+            check_sizes(n, eta, k)
+    # tables: an ndarray by its dtype, a nested sequence also by its leaves
+    for x, want in (([[1, 2], [3, 4]], [[1, 2], [3, 4]]), (np.arange(3, dtype=np.uint8), [0, 1, 2]),
+                    ([], []), ((np.int64(2), 3), [2, 3]), ([np.array([1, 2])], [[1, 2]])):
+        got = int_table(x)
+        assert got.dtype == np.int64 and got.tolist() == want
+    for x in ([[True, 2]], [1, np.True_], np.array([True]), [1.0, 2], np.ones(2), [[1, 2], [3]],
+              ["1"], [None], 1.5):
+        assert int_table(x) is None
 
 
 def test_apply_string_hand_signs():

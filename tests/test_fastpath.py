@@ -363,7 +363,8 @@ def test_fast_tables_reject_shape_and_dtype():
                  ([[1, 2]], (1, 2)),                # a table against one pair
                  ([[[1, 2]]], [[[1, 2]]]),           # three axes
                  ([[1.0, 2.0]], [[1, 2]]),          # float modes
-                 ([[True, False]], [[1, 2]])]:      # bool modes
+                 ([[True, False]], [[1, 2]]),       # bool modes
+                 ([[True, 2]], [[1, 2]])]:          # a bool among integer modes
         with pytest.raises(ValueError, match="one shape"):
             fast_estimate_rdm(w, 2, p, q)
 

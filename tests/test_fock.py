@@ -33,6 +33,10 @@ def test_fermion_state_rejects_bad_sizes():
     for eta in (-1, 4):
         with pytest.raises(ValueError, match="eta"):
             FermionState(3, eta, np.ones(1))
+    # a bool or a float is no size, though Python and numpy read them as numbers
+    for n, eta in ((4, True), (4.0, 1), (np.float64(4), 1), (True, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            FermionState(n, eta, np.ones(4) / 2)
 
 
 def test_random_state_normalized():
@@ -239,3 +243,8 @@ def test_state_json_roundtrip():
     assert set(body) == {"n", "eta", "amplitudes"}
     with pytest.raises(ValueError, match="norm 2"):
         state_from_json(state_to_json(FermionState(4, 2, 2 * st.amps)))
+    # numpy sizes are stored as Python ints, which JSON can hold
+    st = FermionState(np.int64(4), np.int64(2), st.amps)
+    assert type(st.n) is int and type(st.eta) is int
+    back = state_from_json(state_to_json(st))
+    assert (back.n, back.eta) == (4, 2) and np.array_equal(back.amps, st.amps)
