@@ -45,6 +45,7 @@ class DiagonalOperator:
 
 def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:
     """t_r = |r cap [eta]| for every d-subset r of [n], colex order."""
+    check_sizes(n, eta)
     return (subset_index_array(n, d) < eta).sum(axis=1, dtype=np.int64)
 
 
@@ -56,20 +57,14 @@ def structure_factor(n: int, eta: int, k: int) -> Fraction:
 
 def eigenvalue(n: int, d: int) -> Fraction:
     """Channel eigenvalue on the degree-d eigenoperators."""
+    n, d, _ = check_sizes(n, d)
     return Fraction(1, binom(n + 1, d))
 
 
-def _check_depth(n: int, eta: int, d: int):
-    if not 0 <= d <= min(eta, n - eta):
-        raise ValueError(f"need 0 <= d <= min(eta, n - eta), got n={n} eta={eta} d={d}")
-
-
 def a_coeff(n: int, eta: int, d: int) -> Fraction:
-    """Weight of the degree-d eigenoperator in the sector projector.
-
-    Raises ValueError unless 0 <= d <= min(eta, n - eta).
-    """
-    _check_depth(n, eta, d)
+    """Weight of the degree-d eigenoperator in the sector projector."""
+    n, eta, d = check_sizes(n, eta, d)
+    check_sizes(n - eta, d)
     return Fraction(
         (n - 2 * d + 1) * factorial(n - d - eta) * factorial(eta - d),
         factorial(n - d + 1),
@@ -79,10 +74,10 @@ def a_coeff(n: int, eta: int, d: int) -> Fraction:
 def nd_class_values(n: int, eta: int, d: int) -> list:
     """Values of the degree-d symmetrized difference on the class t = |r cap [eta]|.
 
-    Integer for every t = 0..eta.  Raises ValueError unless
-    0 <= d <= min(eta, n - eta).
+    Integer for every t = 0..eta.
     """
-    _check_depth(n, eta, d)
+    n, eta, d = check_sizes(n, eta, d)
+    check_sizes(n - eta, d)
     out = []
     for t in range(eta + 1):
         g = 0
@@ -111,6 +106,7 @@ def channel_kernel(n: int, eta: int) -> list:
     The channel image of a diagonal D on the eta sector has values
     M[D](r') = sum_r D(r) kappa(|r cap r'|).
     """
+    n, eta, _ = check_sizes(n, eta)
     c = binom(n + 1, eta)
     return [
         sum(Fraction(binom(t, j), c * binom(eta, j)) for j in range(t + 1))

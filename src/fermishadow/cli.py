@@ -109,10 +109,7 @@ def build_state(config: ExperimentConfig) -> FermionState:
     if src == "random_pure":
         return random_state(config.n, config.eta, shadow_rng(config.seed, _STATE_INDEX))
     if src.startswith("basis:"):
-        try:
-            z = tuple(int(tok) for tok in src[len("basis:"):].split(",") if tok)
-        except ValueError:
-            raise ConfigError(f"bad basis modes in {src!r}") from None
+        z = tuple(_parse_int_list(src[len("basis:"):]))
         if len(z) != config.eta:
             raise ConfigError(f"basis state has {len(z)} modes, config says eta={config.eta}")
         try:

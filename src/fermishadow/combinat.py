@@ -47,16 +47,17 @@ def check_sizes(n, eta, k=0) -> tuple:
 
 
 def int_table(x):
-    """x as an int64 array if every entry passes is_int, else None; empty counts, ragged not.
+    """x as an int64 array if every entry passes is_int, else None; ragged gives None.
 
-    An ndarray is decided by its dtype, a nested sequence also by its leaves'
-    types: numpy reads bools among integers as 0 and 1.
+    An ndarray is decided by its dtype, empty or not; a nested sequence by
+    its leaves' types, so an empty one counts: numpy reads bools among
+    integers as 0 and 1.
     """
     try:
         a = np.array(x)
     except (ValueError, TypeError, OverflowError):      # ragged
         return None
-    if a.size and a.dtype.kind not in "iu":
+    if (a.size or isinstance(x, np.ndarray)) and a.dtype.kind not in "iu":
         return None
     if a.size and not isinstance(x, np.ndarray):
         leaves = [x]
@@ -85,12 +86,12 @@ def falling(a: int, b: int) -> int:
 
 
 def validate_subset(z, n: int) -> tuple:
-    """z as a tuple of ints; ValueError unless its modes pass is_int and increase within 1..n."""
+    """z as a tuple of ints; ValueError unless n and the modes pass is_int, increasing in 1..n."""
     z = tuple(z)
     if not all(map(is_int, z)):
         raise ValueError(f"modes must be integers: {z}")
     z = tuple(map(int, z))
-    if not all(1 <= m <= n for m in z):
+    if not (is_int(n) and all(1 <= m <= n for m in z)):
         raise ValueError(f"modes out of range 1..{n}: {z}")
     if not all(z[i] < z[i + 1] for i in range(len(z) - 1)):
         raise ValueError(f"not increasing: {z}")
@@ -132,16 +133,19 @@ def rank_rows(table, n: int) -> np.ndarray:
     return weights[np.arange(d), t].sum(axis=-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def subset_index_array(n: int, d: int) -> np.ndarray:
     """(C(n,d), d) read-only int64 array of 0-based mode indices, colex row order.
 
     Built one column at a time: the j-subsets of [t+1] whose largest mode is
     t are the (j-1)-subsets of [t] with t appended, and in colex order those
     are the first C(t, j-1) rows of any longer (j-1) table, since a rank
-    does not depend on n.  Cached per (n, d), so a chunked run builds it
-    once.
+    does not depend on n.  Cached per typed (n, d), so a chunked run
+    builds it once.  ValueError unless n and d pass is_int and are >= 0;
+    d > n gives no rows.
     """
+    if not (is_int(n) and is_int(d) and min(n, d) >= 0):
+        raise ValueError(f"need integers n, d >= 0, got n={n!r} d={d!r}")
     if d > n:
         idx = np.zeros((0, d), dtype=np.int64)
     else:

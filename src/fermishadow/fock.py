@@ -74,6 +74,7 @@ def basis_state(z, n: int) -> FermionState:
 
 def random_state(n: int, eta: int, rng: np.random.Generator) -> FermionState:
     """Haar-random pure state in the eta-particle sector."""
+    n, eta, _ = check_sizes(n, eta)
     dim = binom(n, eta)
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return FermionState(n, eta, g / np.linalg.norm(g))

@@ -36,7 +36,7 @@ from math import factorial
 import numpy as np
 
 from . import channel
-from .combinat import binom, subset_index_array
+from .combinat import binom, check_sizes, subset_index_array
 from .linalg import _det_stack
 from .shadows import (all_pairs, check_fast_vs_dense, estimation_entry, fast_estimate_rdm,
                       trace_e_squared)
@@ -47,7 +47,6 @@ def trace_nd_squared(n: int, eta: int, d: int) -> tuple:
 
     Brute route: channel.nd_class_values squared times class multiplicities.
     Closed route: a single product of factorials.  d = 0 gives C(n, eta).
-    Raises ValueError unless 0 <= d <= min(eta, n - eta).
     """
     brute = sum(binom(eta, t) * binom(n - eta, eta - t) * Fraction(g) ** 2
                 for t, g in enumerate(channel.nd_class_values(n, eta, d)))
@@ -69,11 +68,9 @@ def t_sum(n: int, eta: int, k: int, s: int) -> tuple:
     closed form is the estimation entry at overlap k - s.  Defined on the
     realizable classes s <= min(k, n - eta); beyond them the literal summand
     leaves the integer domain while the closed form merely continues it.
-    Raises ValueError unless 0 <= s <= k <= eta <= n and s <= n - eta.
     """
-    if not (0 <= s <= k <= eta <= n and s <= n - eta):
-        raise ValueError(f"need 0 <= s <= min(k, n - eta) and k <= eta <= n, "
-                         f"got n={n} eta={eta} k={k} s={s}")
+    n, eta, k = check_sizes(n, eta, k)
+    check_sizes(min(k, n - eta), s)
     brute = Fraction(0)
     for d in range(min(eta, n - eta) + 1):
         a_d = channel.a_coeff(n, eta, d)

@@ -23,7 +23,7 @@ from math import isqrt
 
 import numpy as np
 
-from .combinat import binom, subset_index_array
+from .combinat import binom, int_table, subset_index_array
 
 
 # ---------------------------------------------------------------- sums and determinants
@@ -223,15 +223,15 @@ def network_rows(network, rows) -> np.ndarray:
     yi]] and its views flipped in mode and swapped in re/im; four stacked
     products and four stacked sums, into two work buffers made once per
     call, give (x, y) G^dag = (x c + y s, y conj(c) - x conj(s)).
-    Raises ValueError for a malformed network, or rows not (N, m) integer
-    modes in 0..n-1.
+    Raises ValueError for a malformed network, or rows not an (N, m)
+    int_table of modes in 0..n-1.
     """
     c, s, d, n, count = _check_network(network)
-    rows = np.asarray(rows)
+    rows = int_table(rows)
+    if rows is None:
+        raise ValueError("need rows of integer modes")
     if rows.ndim != 2 or len(rows) != count:
         raise ValueError(f"need rows (N, m) for N = {count} shots, got shape {rows.shape}")
-    if not np.issubdtype(rows.dtype, np.integer):
-        raise ValueError(f"need rows of integer modes, got dtype {rows.dtype}")
     if rows.size and not (rows.min() >= 0 and rows.max() < n):
         raise ValueError(f"need rows in 0..{n - 1}, got modes {rows.min()}..{rows.max()}")
     m = rows.shape[1]

@@ -181,9 +181,11 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
     """Diagonal value of the estimation operator on the class s' = |r cap [eta]|.
 
     r runs over k-subsets in the frame where the readout occupies the first
-    eta modes.  Vanishing binomials give 0.
+    eta modes.  Vanishing binomials, and s' outside 0..k, give 0.
     """
     n, eta, k = check_sizes(n, eta, k)
+    if not is_int(s_prime):
+        raise ValueError(f"need an integer s', got {s_prime!r}")
     if not 0 <= s_prime <= k:
         return Fraction(0)
     num = binom(eta - s_prime, k - s_prime) * binom(n - eta + s_prime, s_prime)
@@ -200,6 +202,7 @@ def estimation_matrix(n: int, eta: int, k: int) -> tuple:
 
 def trace_e_squared(n: int, eta: int, k: int) -> Fraction:
     """Tr[E^2]: class multiplicities times squared entries; drives the variance."""
+    n, eta, k = check_sizes(n, eta, k)
     return sum(
         binom(eta, s) * binom(n - eta, k - s) * estimation_entry(n, eta, k, s) ** 2
         for s in range(k + 1)
@@ -370,8 +373,11 @@ def check_fast_vs_dense(fast, dense) -> tuple:
     The tables hold the same transitions of the same shadows from two
     routes; each entry is compared by |dense - fast| / max(1, |dense|), and
     passed means the worst gap is below 1e-8 (a NaN fails; empty tables pass).
+    Raises ValueError unless the two shapes are equal.
     """
     fast, dense = np.asarray(fast), np.asarray(dense)
+    if fast.shape != dense.shape:
+        raise ValueError(f"need two tables of one shape, got {fast.shape} and {dense.shape}")
     gap = float(np.max(np.abs(dense - fast) / np.maximum(1.0, np.abs(dense)), initial=0.0))
     return gap < 1e-8, gap
 
@@ -480,6 +486,7 @@ class Reducer:
 
 def avg_shadow_norm_sq(n: int, eta: int, k: int) -> Fraction:
     """Pair-averaged second moment of the estimator, state independent."""
+    n, eta, k = check_sizes(n, eta, k)
     c = binom(n, k)
     return trace_e_squared(n, eta, k) / c**2 - Fraction(
         binom(n - k, eta - k) ** 2, binom(n, eta) ** 2 * c
@@ -488,6 +495,7 @@ def avg_shadow_norm_sq(n: int, eta: int, k: int) -> Fraction:
 
 def q_value(n: int, eta: int, k: int) -> Fraction:
     """Variance scale Q: the worst diagonal second moment, exact."""
+    n, eta, k = check_sizes(n, eta, k)
     total = Fraction(0)
     for s in range(k + 1):
         total += (
@@ -503,6 +511,7 @@ def q_value(n: int, eta: int, k: int) -> Fraction:
 
 def variance_bound(n: int, eta: int, k: int) -> Fraction:
     """Closed-form upper bound on Q."""
+    n, eta, k = check_sizes(n, eta, k)
     return (
         binom(eta, k)
         * (1 - Fraction(eta - k, n)) ** k

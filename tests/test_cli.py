@@ -238,6 +238,8 @@ def test_build_state_sources(tmp_path):
         build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:1"))
     with pytest.raises(ConfigError):
         build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:2,9"))
+    with pytest.raises(ConfigError):
+        build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:1,x"))
 
 
 def test_main_exit_codes_on_config_errors(tmp_path, capsys, monkeypatch):
@@ -397,12 +399,16 @@ import numpy as np
 from algebra_oracle import eigenoperator_diagonal, g_eta, weingarten_xi
 from dense_oracle import minor_det
 from fermishadow import identities
-from fermishadow.channel import DiagonalOperator, a_coeff, nd_class_values, structure_factor
-from fermishadow.combinat import falling, rank_subset
-from fermishadow.fock import FermionState, basis_state, rdm_matrix
+from fermishadow.channel import (DiagonalOperator, a_coeff, channel_kernel, eigenvalue,
+                                 nd_class_values, overlap_class_array, structure_factor,
+                                 symmetrized_difference)
+from fermishadow.combinat import falling, rank_subset, subsets
+from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows
-from fermishadow.shadows import (Reducer, all_pairs, collect_shadow_arrays, estimation_entry,
-                                 estimation_matrix, fast_estimate_rdm, shadow_rng)
+from fermishadow.shadows import (Reducer, all_pairs, avg_shadow_norm_sq, check_fast_vs_dense,
+                                 collect_shadow_arrays, estimation_entry, estimation_matrix,
+                                 fast_estimate_rdm, q_value, shadow_rng, trace_e_squared,
+                                 variance_bound)
 from pfaffian_oracle import decompose_rdm, f_ks, inverse_trace_sequence, pfaffian
 if __debug__:
     raise SystemExit("asserts are on")
@@ -476,6 +482,30 @@ calls = {
     "weingarten_xi eta > n": lambda: weingarten_xi(2, 3),
     "g_eta k > eta": lambda: g_eta(2, 3),
     "minor_det shapes": lambda: minor_det(np.eye(3), (1, 2), (1,)),
+    "a_coeff d True": lambda: a_coeff(4, 2, True),
+    "a_coeff d 1.0": lambda: a_coeff(4, 2, 1.0),
+    "nd_class_values d 1.0": lambda: nd_class_values(4, 2, 1.0),
+    "symmetrized_difference d True": lambda: symmetrized_difference(4, 2, True),
+    "trace_nd_squared d 1.0": lambda: identities.trace_nd_squared(4, 2, 1.0),
+    "eigenvalue d -1": lambda: eigenvalue(4, -1),
+    "eigenvalue d > n": lambda: eigenvalue(4, 6),
+    "channel_kernel eta > n": lambda: channel_kernel(4, 5),
+    "t_sum k 1.0": lambda: identities.t_sum(4, 2, 1.0, 0),
+    "trace_e_squared k 1.0": lambda: trace_e_squared(4, 2, 1.0),
+    "avg_shadow_norm_sq k 1.0": lambda: avg_shadow_norm_sq(4, 2, 1.0),
+    "q_value k > eta": lambda: q_value(4, 2, 3),
+    "q_value k True": lambda: q_value(4, 2, True),
+    "variance_bound k > eta": lambda: variance_bound(4, 2, 3),
+    "subsets d -1": lambda: list(subsets(4, -1)),
+    "all_pairs k -1": lambda: all_pairs(4, -1),
+    "givens_rotate k 2.0": lambda: givens_rotate(haar_network(np.zeros((1, 16))), np.ones(6), 2.0),
+    "network_rows bool": lambda: network_rows(haar_network(np.zeros((1, 16))), [[True, 2]]),
+    "gate broadcast row": lambda: check_fast_vs_dense(np.ones((5, 3)), np.ones(3)),
+    "gate broadcast column": lambda: check_fast_vs_dense(np.ones((5, 3)), np.ones((5, 1))),
+    "overlap_class_array eta 1.5": lambda: overlap_class_array(4, 2, 1.5),
+    "estimation_entry s' True": lambda: estimation_entry(4, 2, 2, True),
+    "random_state eta 2.0": lambda: random_state(4, 2.0, np.random.default_rng(0)),
+    "basis_state n 4.0": lambda: basis_state((1, 2), 4.0),
 }
 for name, call in calls.items():
     try:

@@ -15,13 +15,15 @@ from dense_oracle import (
 )
 from haar_oracle import haar, network_unitary
 from fermishadow import shadows
-from fermishadow.combinat import binom, rank_rows
+from fermishadow.channel import overlap_class_array
+from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
     Reducer,
     all_pairs,
     avg_shadow_norm_sq,
+    check_fast_vs_dense,
     collect_shadow_arrays,
     estimation_entry,
     estimation_matrix,
@@ -510,6 +512,26 @@ def test_frozen_variance_quantities():
     assert q_value(2, 1, 1) == Fraction(5, 4)
     assert avg_shadow_norm_sq(2, 1, 1) == Fraction(9, 8)
     assert variance_bound(2, 1, 1) == Fraction(3, 2)
+
+
+def test_bad_sizes_raise_instead_of_answering():
+    # each of these once returned a value: 0, the k = 1 value, one empty
+    # subset or pair, the eta = 2 classes, or the rows of [[1, 2]]
+    network = haar_network(np.zeros((1, 16)))
+    for call in (lambda: variance_bound(4, 2, 3), lambda: q_value(4, 2, True),
+                 lambda: list(subsets(4, -1)), lambda: all_pairs(4, -1),
+                 lambda: overlap_class_array(4, 2, 1.5),
+                 lambda: network_rows(network, [[True, 2]])):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_fast_vs_dense_gate_needs_one_shape():
+    # tables that merely broadcast are two different sets of transitions
+    assert check_fast_vs_dense(np.ones((5, 3)), np.ones((5, 3))) == (True, 0.0)
+    for other in (np.ones(3), np.ones((5, 1))):
+        with pytest.raises(ValueError, match="one shape"):
+            check_fast_vs_dense(np.ones((5, 3)), other)
 
 
 
