@@ -23,7 +23,7 @@ Modules
     cli        : command-line entry points
 """
 
-from .combinat import binom, rank_subset, subsets
+from .combinat import binom, rank_rows, subsets
 from .fock import (
     FermionState,
     basis_state,
@@ -49,7 +49,7 @@ from .shadows import (
 
 __all__ = [
     "binom",
-    "rank_subset",
+    "rank_rows",
     "subsets",
     "FermionState",
     "basis_state",

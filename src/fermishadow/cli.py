@@ -14,12 +14,13 @@ import platform
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import shadows
-from .combinat import check_sizes, int_table, is_int, rank_rows, subset_index_array, subsets_ok
+from .combinat import check_sizes, check_subsets, is_int, rank_rows, subset_index_array
 from .fock import (
     FermionState,
     basis_state,
@@ -132,16 +133,17 @@ def build_state(config: ExperimentConfig) -> FermionState:
 def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
     """items as an int64 table: (T, 2, size) of (p, q) pairs, or (T, size) of subsets.
 
-    One numpy pass checks that every mode is an integer (int_table) and every subset
+    One check_subsets pass checks that every mode is an integer and every subset
     strictly increasing within 1..n.  Otherwise a ConfigError names the first
     bad item: "bad target pair" if it is not a pair, "bad target" if one of
     its subsets is not integers strictly increasing within 1..n, and "needs
     size-subsets" if one has the wrong size, checking p before q.
     """
     shape = (len(items), 2, size) if pairs else (len(items), size)
-    table = int_table(items) if items else np.zeros(shape, dtype=np.int64)
-    if table is not None and table.shape == shape and subsets_ok(table, n):
-        return table
+    with suppress(ValueError):
+        table = check_subsets(items if items else np.zeros(shape, dtype=np.int64), n)
+        if table.shape == shape:
+            return table
     for item in items:
         subs = (item,)
         if pairs:
@@ -151,8 +153,10 @@ def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
                 raise ConfigError(f"bad target pair {item!r}") from None
             subs = (p, q)
         for z in subs:
-            row = int_table(z)
-            if row is None or row.ndim != 1 or not subsets_ok(row, n):
+            row = None
+            with suppress(ValueError):
+                row = check_subsets(z, n)
+            if row is None or row.ndim != 1:
                 raise ConfigError(f"bad target {item!r}")
             if len(row) != size:
                 raise ConfigError(f"target {item!r} needs {size}-subsets of 1..{n}")

@@ -1,10 +1,11 @@
 """Exact combinatorics for occupation subsets.
 
-Occupation vectors are sorted tuples of 1-based mode indices.  The d-subsets
-of [n] are enumerated in colexicographic order, so the rank of a subset does
-not depend on n and basis vectors embed consistently across mode counts.
+Occupation vectors are strictly increasing rows of 1-based mode indices,
+checked by check_subsets wherever one is read.  The d-subsets of [n] are
+enumerated in colexicographic order, so the rank of a subset does not
+depend on n and basis vectors embed consistently across mode counts.
 Row r of subset_index_array(n, d) is the subset of rank r, so that table is
-also the inverse of rank_subset.
+also the inverse of rank_rows.
 
 Subsets are only ever encoded this way, as colex index tables and ranks.
 The sign rule of the mode operators, (-1)^(occupied modes below m) for
@@ -19,9 +20,7 @@ Contents
     int_table              : an int64 array of x if every entry is an integer
     binom                  : binomial coefficient, 0 outside the triangle
     falling                : falling factorial
-    validate_subset        : a subset as a checked increasing tuple of modes
-    rank_subset            : colex rank of a subset
-    subsets_ok             : whether every row of an integer table is a subset of 1..n
+    check_subsets          : the subset rule: rows strictly increasing within 1..n
     rank_rows              : colex ranks of the rows of such a table
     subset_index_array     : 0-based modes of all d-subsets of [n], colex order
     subsets                : iterate all d-subsets of [n] in colex order
@@ -69,68 +68,59 @@ def int_table(x):
 
 
 def binom(a: int, b: int) -> int:
-    """C(a, b) with the convention that out-of-range arguments give 0."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
+    """C(a, b), 0 for integers outside the triangle; ValueError unless a and b pass is_int."""
+    if not (is_int(a) and is_int(b)):
+        raise ValueError(f"need integers, got a={a!r} b={b!r}")
+    return comb(a, b) if 0 <= b <= a else 0
 
 
 def falling(a: int, b: int) -> int:
-    """Falling factorial a (a-1) ... (a-b+1), with falling(a, 0) = 1."""
-    if b < 0:
-        raise ValueError(f"need b >= 0, got {b}")
+    """a (a-1) ... (a-b+1), 1 for b = 0; ValueError unless a and b pass is_int and b >= 0."""
+    if not (is_int(a) and is_int(b) and b >= 0):
+        raise ValueError(f"need integers a and b >= 0, got a={a!r} b={b!r}")
     out = 1
     for i in range(b):
         out *= a - i
     return out
 
 
-def validate_subset(z, n: int) -> tuple:
-    """z as a tuple of ints; ValueError unless n and the modes pass is_int, increasing in 1..n."""
-    z = tuple(z)
-    if not all(map(is_int, z)):
-        raise ValueError(f"modes must be integers: {z}")
-    z = tuple(map(int, z))
-    if not (is_int(n) and all(1 <= m <= n for m in z)):
-        raise ValueError(f"modes out of range 1..{n}: {z}")
-    if not all(z[i] < z[i + 1] for i in range(len(z) - 1)):
-        raise ValueError(f"not increasing: {z}")
-    return z
+def check_subsets(x, n: int) -> np.ndarray:
+    """x as an int64 table (..., d) of d-subsets, a 1-d x one subset; ValueError unless n
+    passes is_int, x passes int_table and every row is strictly increasing within 1..n."""
+    if not is_int(n):
+        raise ValueError(f"need an integer mode count, got n={n!r}")
+    t = int_table(x)
+    if t is None or t.ndim == 0:
+        raise ValueError(f"modes must be integers: {x!r}")
+    out_of_range = ((t < 1) | (t > n)).any(axis=-1)
+    bad = np.flatnonzero(out_of_range | (t[..., 1:] <= t[..., :-1]).any(axis=-1))
+    if bad.size:        # the first bad row, named; it has a mode, so d > 0
+        words = f"modes out of range 1..{n}" if out_of_range.flat[bad[0]] else "not increasing"
+        raise ValueError(f"{words}: {tuple(t.reshape(-1, t.shape[-1])[bad[0]].tolist())}")
+    return t
 
 
-def rank_subset(z, n: int = None) -> int:
-    """Colex rank of the subset z among the |z|-subsets, independent of n.
-
-    rank(z) = sum_j C(z_j - 1, j) over positions j = 1..|z|.  The empty
-    subset has rank 0.  n is only used for validation when given.
-    """
-    z = validate_subset(z, n if n is not None else (max(z) if z else 1))
-    return sum(binom(m - 1, j + 1) for j, m in enumerate(z))
-
-
-def subsets_ok(table, n: int) -> bool:
-    """Is every row of an (..., d) integer table strictly increasing within 1..n?
-
-    validate_subset over a whole table in one pass: once the rows are
-    increasing, they lie within 1..n if the first and last columns do.
-    """
-    t = np.asarray(table)
-    return t.size == 0 or bool((t[..., 1:] > t[..., :-1]).all()
-                               and t[..., 0].min() >= 1 and t[..., -1].max() <= n)
+@lru_cache(maxsize=None)
+def _colex_weights(n: int, d: int) -> np.ndarray:
+    """(d, n+1) read-only int64 table: [j, m] = C(m-1, j+1) where 0-based position j of a
+    d-subset of 1..n can hold mode m, j+1 <= m <= n-d+j+1, else 0; so every entry is below
+    C(n, d), and any table of d-subsets that can exist ranks in int64."""
+    w = np.array([[binom(m - 1, j + 1) if j < m <= n - d + j + 1 else 0 for m in range(n + 1)]
+                  for j in range(d)], dtype=np.int64).reshape(d, n + 1)
+    w.setflags(write=False)
+    return w
 
 
 def rank_rows(table, n: int) -> np.ndarray:
     """Colex ranks of the rows of an (..., d) table of d-subsets of 1..n.
 
-    Vectorized rank_subset: sum_j C(z_j - 1, j) over positions j = 1..d,
-    read from a (d, n+1) table of binomials.  Rows are not checked; see
-    subsets_ok.
+    rank(z) = sum_j C(z_j - 1, j) over positions j = 1..d, read from
+    _colex_weights; it does not depend on n.  Rows are not checked; see
+    check_subsets.
     """
     t = np.asarray(table)
     d = t.shape[-1]
-    weights = np.array([[binom(m - 1, j + 1) for m in range(n + 1)] for j in range(d)],
-                       dtype=np.int64).reshape(d, n + 1)
-    return weights[np.arange(d), t].sum(axis=-1)
+    return _colex_weights(n, d)[np.arange(d), t].sum(axis=-1)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -1,7 +1,8 @@
 """Dense fixed-particle-number fermionic states and operators on them.
 
 A state of eta particles on n modes is a complex vector over the eta-subsets
-of [n] in colex rank order.  The basis ket for the subset z = (z_1 < ... <
+of [n] in colex rank order (combinat.rank_rows); a ket named by its modes
+passes combinat.check_subsets.  The basis ket for the subset z = (z_1 < ... <
 z_eta) is built by applying creation operators in increasing mode order to
 the vacuum, and every sign in this module follows from that single
 convention: annihilating (or creating) mode m picks up (-1)^(number of
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import (binom, check_sizes, is_int, rank_rows, rank_subset, subset_index_array,
-                       validate_subset)
+from .combinat import binom, check_sizes, check_subsets, is_int, rank_rows, subset_index_array
 
 # a state is normalized if its squared norm, the total of its Born
 # probabilities under any rotation, is within this of 1
@@ -58,17 +58,19 @@ class FermionState:
 
     def amplitude(self, z) -> complex:
         """Amplitude of the basis ket z; ValueError unless z is an eta-subset of 1..n."""
-        z = validate_subset(z, self.n)
-        if len(z) != self.eta:
-            raise ValueError(f"need {self.eta} modes, got {z}")
-        return complex(self.amps[rank_subset(z)])
+        z = check_subsets(z, self.n)
+        if z.shape != (self.eta,):
+            raise ValueError(f"need {self.eta} modes, got {tuple(z.tolist())}")
+        return complex(self.amps[rank_rows(z, self.n)])
 
 
 def basis_state(z, n: int) -> FermionState:
-    """Occupation basis ket for the subset z."""
-    z = validate_subset(z, n)
+    """Occupation basis ket for the subset z; ValueError unless z is one subset of 1..n."""
+    z = check_subsets(z, n)
+    if z.ndim != 1:
+        raise ValueError(f"need one subset, got {z.tolist()}")
     amps = np.zeros(binom(n, len(z)), dtype=np.complex128)
-    amps[rank_subset(z, n)] = 1.0
+    amps[rank_rows(z, n)] = 1.0
     return FermionState(n, len(z), amps)
 
 
@@ -109,10 +111,10 @@ def slater_superposition(state: FermionState) -> FermionState:
     """
     n, eta = state.n, state.eta
     big = FermionState(n + eta, eta, np.zeros(binom(n + eta, eta), dtype=np.complex128))
-    # colex ranks are independent of the mode count, so the embedding is a copy
+    # colex ranks are independent of the mode count, so the embedding is a
+    # copy, and ref, the last eta-subset of [n+eta] in colex order, has the last rank
     big.amps[: state.amps.size] = state.amps
-    ref = tuple(range(n + 1, n + eta + 1))
-    big.amps[rank_subset(ref, n + eta)] += 1.0
+    big.amps[-1] += 1.0
     big.amps /= np.sqrt(2.0)
     return big
 

@@ -23,7 +23,7 @@ from math import isqrt
 
 import numpy as np
 
-from .combinat import binom, int_table, subset_index_array
+from .combinat import _colex_weights, int_table, subset_index_array
 
 
 # ---------------------------------------------------------------- sums and determinants
@@ -146,16 +146,15 @@ def _adjacent_pairs(n: int, k: int) -> tuple:
     """
     idx = subset_index_array(n, k)
     # mode m at position j moves up to m+1 unless m+1 is past the last mode
-    # or the next one in the subset; the move adds
-    # C(m+1, j+1) - C(m, j+1) = C(m, j) to the colex rank
+    # or the next one in the subset; the move swaps position j's colex weight
+    # at 1-based mode m+1 for the one at m+2, both inside position j's range
+    # in _colex_weights since the subsets before and after the move exist
     free = idx < n - 1
     free[:, :-1] &= idx[:, 1:] != idx[:, :-1] + 1
     lo, pos = np.nonzero(free)
     mode = idx[lo, pos]
-    # only j <= m <= n-k+j occur, and each such C(m, j) is below C(n, k)
-    step = np.array([[binom(m, j) if m <= n - k + j else 0 for j in range(k)]
-                     for m in range(n)], dtype=np.int64).reshape(n, k)
-    hi = lo + step[mode, pos]
+    w = _colex_weights(n, k)
+    hi = lo + w[pos, mode + 2] - w[pos, mode + 1]
     # group by m; the stable sort keeps lo ascending within each group
     order = np.argsort(mode.astype(np.min_scalar_type(n)), kind="stable")
     lo, hi = lo[order], hi[order]

@@ -55,8 +55,8 @@ from math import factorial
 
 import numpy as np
 
-from .combinat import (binom, check_sizes, falling, int_table, is_int, subset_index_array,
-                       subsets_ok, validate_subset)
+from .combinat import (binom, check_sizes, check_subsets, falling, int_table, is_int,
+                       subset_index_array)
 from .fock import _NORM_SQ_TOL, FermionState
 from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 
@@ -277,7 +277,7 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     The rule never looks at N, and an entry's bits do not depend on the
     other shots.  Raises ValueError for the ws check_shadows rejects, for
     sizes check_sizes(n, eta, k) rejects, for p and q not int_table arrays of
-    one shape (k,) or (T, k), and, in validate_subset's words, for the first
+    one shape (k,) or (T, k), and, in check_subsets' words, for the first
     row of p, then of q, not strictly increasing within 1..n.
     """
     ws = check_shadows(ws)
@@ -291,10 +291,7 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     single = ps.ndim == 1
     if single:
         ps, qs = ps[None], qs[None]
-    rows = np.concatenate([ps, qs])
-    if not subsets_ok(rows, n):
-        for row in rows:
-            validate_subset(row, n)         # raises at the first bad row
+    check_subsets(np.concatenate([ps, qs]), n)
     out = _block_estimates(ws, k, ps, qs)
     return out[:, 0] if single else out
 
@@ -397,14 +394,15 @@ class Reducer:
     straddle chunks.  Memory is O(batches * width) whatever count is.  A
     column's arithmetic does not depend on the other columns, and a single
     chunk of all the shots gives exactly the one-pass mean and M2.  Raises
-    ValueError unless count and batches pass is_int, for count < 1, an unknown
-    mode, batches that do not divide count, a chunk not (m, width) or more
-    shots than count.
+    ValueError unless count, width and batches pass is_int, for count < 1,
+    width < 0, an unknown mode, batches that do not divide count, a chunk not
+    (m, width) or more shots than count.
     """
 
     def __init__(self, count: int, width: int, mode: str = "mean", batches: int = None):
-        if not (is_int(count) and count >= 1):
-            raise ValueError(f"need an integer count of at least one shot, got count {count!r}")
+        if not (is_int(count) and count >= 1 and is_int(width) and width >= 0):
+            raise ValueError(f"need an integer count of at least one shot and an integer "
+                             f"width >= 0, got count {count!r}, width {width!r}")
         if mode == "median_of_means":
             if not (is_int(batches) and batches >= 1 and count % batches == 0):
                 raise ValueError(f"batches must divide the sample count {count}, got {batches!r}")
@@ -514,6 +512,6 @@ def variance_bound(n: int, eta: int, k: int) -> Fraction:
     n, eta, k = check_sizes(n, eta, k)
     return (
         binom(eta, k)
-        * (1 - Fraction(eta - k, n)) ** k
+        * Fraction(n - eta + k, n or 1) ** k
         * Fraction(n + 1, n + 1 - k)
     )

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from fermishadow.channel import DiagonalOperator, _intersection_table
-from fermishadow.combinat import binom, falling, subsets, validate_subset
+from fermishadow.combinat import binom, check_subsets, falling, subsets
 
 
 def overlap_count(p, q) -> int:
@@ -42,7 +42,7 @@ def canonical_permutation(z, n: int) -> np.ndarray:
     Returned as a 1-based int array of length n; v is the mode relabeling
     whose matrix has columns e_{v(j)}.
     """
-    z = validate_subset(z, n)
+    z = tuple(check_subsets(z, n).tolist())
     rest = [m for m in range(1, n + 1) if m not in set(z)]
     return np.array(list(z) + rest, dtype=np.int64)
 

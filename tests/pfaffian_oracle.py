@@ -44,7 +44,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from fermishadow.combinat import binom, validate_subset
+from fermishadow.combinat import binom, check_subsets
 from fermishadow.shadows import estimation_entry
 from sign_oracle import apply_string
 
@@ -253,8 +253,8 @@ def decompose_rdm(p: tuple, q: tuple, n: int) -> tuple:
     """
     if len(p) != len(q) or len(p) == 0:
         raise ValueError(f"need nonempty p and q of equal length, got {p} and {q}")
-    p = validate_subset(p, n)
-    q = validate_subset(q, n)
+    p = tuple(check_subsets(p, n).tolist())
+    q = tuple(check_subsets(q, n).tolist())
     k = len(p)
     shared = tuple(sorted(set(p) & set(q)))
     p_only = tuple(m for m in p if m not in shared)

@@ -25,7 +25,7 @@ from fermishadow.cli import (
     main,
     run_validation,
 )
-from fermishadow.combinat import binom, rank_rows, rank_subset, subsets
+from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import FermionState, random_state, rdm_matrix, state_to_json
 
 
@@ -402,7 +402,7 @@ from fermishadow import identities
 from fermishadow.channel import (DiagonalOperator, a_coeff, channel_kernel, eigenvalue,
                                  nd_class_values, overlap_class_array, structure_factor,
                                  symmetrized_difference)
-from fermishadow.combinat import falling, rank_subset, subsets
+from fermishadow.combinat import binom, check_subsets, falling, subsets
 from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows
 from fermishadow.shadows import (Reducer, all_pairs, avg_shadow_norm_sq, check_fast_vs_dense,
@@ -426,7 +426,7 @@ calls = {
     "fast k True": lambda: fast_estimate_rdm(w, True, [1], [2]),
     "fast k 1.0": lambda: fast_estimate_rdm(w, 1.0, [1], [2]),
     "basis_state mode 1.5": lambda: basis_state((1.5, 2), 4),
-    "rank_subset mode 1.5": lambda: rank_subset((1.5, 2)),
+    "check_subsets mode 1.5": lambda: check_subsets((1.5, 2), 4),
     "amplitude mode 1.5": lambda: FermionState(4, 2, np.ones(6) / 6**0.5).amplitude((1.5, 2)),
     "rdm_matrix k True": lambda: rdm_matrix(FermionState(4, 2, np.ones(6) / 6**0.5), True),
     "rdm_matrix k 1.0": lambda: rdm_matrix(FermionState(4, 2, np.ones(6) / 6**0.5), 1.0),
@@ -506,6 +506,16 @@ calls = {
     "estimation_entry s' True": lambda: estimation_entry(4, 2, 2, True),
     "random_state eta 2.0": lambda: random_state(4, 2.0, np.random.default_rng(0)),
     "basis_state n 4.0": lambda: basis_state((1, 2), 4.0),
+    "basis_state table": lambda: basis_state([[1, 2]], 4),
+    "amplitude table": lambda: FermionState(4, 2, np.ones(6) / 6**0.5).amplitude([[1, 2], [3, 4]]),
+    "check_subsets n True": lambda: check_subsets((1, 2), True),
+    "check_subsets second row": lambda: check_subsets([[1, 2], [2, 1]], 4),
+    "Reducer width 2.0": lambda: Reducer(10, 2.0),
+    "Reducer width True": lambda: Reducer(10, True),
+    "Reducer width -1": lambda: Reducer(10, -1),
+    "binom b True": lambda: binom(4, True),
+    "binom b 2.0": lambda: binom(4, 2.0),
+    "falling b 1.0": lambda: falling(3, 1.0),
 }
 for name, call in calls.items():
     try:
@@ -948,8 +958,8 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
         qs = list(subsets(n, eta))
         assert got.shape == (40, len(qs))
         ref = tuple(range(n + 1, n + eta + 1))
-        ref_row = batch_estimate_matrices(ws, eta)[:, rank_subset(ref)]
-        want = ref_row[:, [rank_subset(q) for q in qs]]
+        ref_row = batch_estimate_matrices(ws, eta)[:, target_oracle.rank(ref)]
+        want = ref_row[:, target_oracle.ranks(qs)]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         reducer = seen["reducer"][0]
         assert all(r is reducer for r in seen["reducer"])

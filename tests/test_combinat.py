@@ -9,15 +9,16 @@ from algebra_oracle import canonical_permutation, overlap_count, permutation_mat
 from fermishadow.combinat import (
     binom,
     check_sizes,
+    check_subsets,
     falling,
     int_table,
     is_int,
-    rank_subset,
+    rank_rows,
     subset_index_array,
     subsets,
-    validate_subset,
 )
 from sign_oracle import apply_string
+from target_oracle import rank
 
 
 def test_binom_matches_math_comb():
@@ -69,30 +70,56 @@ def test_rank_matches_enumeration_order():
     for n in range(1, 8):
         for k in range(n + 1):
             for r, z in enumerate(subsets(n, k)):
-                assert rank_subset(z, n) == r
+                assert rank(z) == r == rank_rows(check_subsets(z, n), n)
 
 
 def test_rank_is_embedding_stable():
-    assert rank_subset((1, 3), 4) == rank_subset((1, 3), 9)
-    assert rank_subset((3, 4)) == 5
-    assert rank_subset(()) == 0
+    assert rank_rows(np.array([1, 3]), 4) == rank_rows(np.array([1, 3]), 9)
+    assert rank_rows(np.array([3, 4]), 4) == rank((3, 4)) == 5
+    assert rank_rows(np.zeros(0, dtype=np.int64), 3) == rank(()) == 0
 
 
-def test_validate_subset_rejects():
+@pytest.mark.parametrize("sizes", [[(n, d) for n in range(11) for d in range(n + 1)],
+                                   [(64, 4)], [(100, 98)]], ids=["n<=10", "64-4", "100-98"])
+def test_rank_rows_match_python_int_oracle(sizes):
+    # every entry of the weight table is below C(n, d), so no int64 sum
+    # overflows, however large the binomials of the unused positions
+    for n, d in sizes:
+        table = subset_index_array(n, d) + 1
+        got = rank_rows(table, n)
+        assert got.dtype == np.int64 and got.tolist() == [rank(z) for z in table.tolist()]
+        assert np.array_equal(got, np.arange(len(table)))
+
+
+def test_check_subsets_rejects():
     with pytest.raises(ValueError):
-        validate_subset((2, 1), 4)
+        check_subsets((2, 1), 4)
     with pytest.raises(ValueError):
-        validate_subset((0, 1), 4)
+        check_subsets((0, 1), 4)
     with pytest.raises(ValueError):
-        validate_subset((1, 5), 4)
+        check_subsets((1, 5), 4)
     with pytest.raises(ValueError):
-        validate_subset((2, 2), 4)
+        check_subsets((2, 2), 4)
     # a mode that is not an integer is refused, not truncated or read as 0/1
     for z in ((1.5, 2), (1.0, 2), (True, 2), (1, False), (np.float64(1), 2)):
         with pytest.raises(ValueError, match="integers"):
-            validate_subset(z, 4)
-    z = validate_subset((np.int64(1), np.uint8(3)), 4)
-    assert z == (1, 3) and all(type(m) is int for m in z)
+            check_subsets(z, 4)
+    z = check_subsets((np.int64(1), np.uint8(3)), 4)
+    assert z.dtype == np.int64 and z.tolist() == [1, 3]
+    # n follows the integer rule too: a bool n is no mode count
+    for n in (True, 4.0):
+        with pytest.raises(ValueError, match="integer mode count"):
+            check_subsets((1, 2), n)
+    # a table is checked row by row, and the message names the first bad row
+    with pytest.raises(ValueError, match=r"not increasing: \(3, 1\)"):
+        check_subsets([[1, 2], [3, 1], [0, 1]], 4)
+    with pytest.raises(ValueError, match=r"out of range 1..4: \(0, 1\)"):
+        check_subsets([[1, 2], [0, 1], [3, 1]], 4)
+    got = check_subsets(np.array([[1, 4]]), 4)
+    assert got.shape == (1, 2) and got.tolist() == [[1, 4]]
+    # empty rows, and tables with no rows, pass whatever their shape
+    for shape in ((0,), (3, 0), (0, 2), (0, 2, 3)):
+        assert check_subsets(np.zeros(shape, dtype=np.int64), 3).shape == shape
 
 
 def test_integer_rule():
@@ -100,6 +127,11 @@ def test_integer_rule():
         assert is_int(x)
     for x in (True, False, np.True_, 1.0, np.float64(1), 1 + 0j, "1", None, [1]):
         assert not is_int(x)
+    # the arithmetic helpers follow it; binom is still 0 for integers outside the triangle
+    for a, b in ((4, True), (4, 2.0), (np.float64(4), 2), (True, 1)):
+        for f in (binom, falling):
+            with pytest.raises(ValueError, match="integers"):
+                f(a, b)
     sizes = check_sizes(np.int64(5), np.uint8(3), np.int32(2))
     assert sizes == (5, 3, 2) and all(type(x) is int for x in sizes)
     assert check_sizes(0, 0) == (0, 0, 0)
@@ -167,8 +199,8 @@ def test_permutation_matrix_action():
 
 @given(st.integers(1, 10), st.data())
 def test_rank_indexes_the_subset_table(n, data):
-    # row rank_subset(z) of the colex table is z itself, 0-based
+    # row rank_rows(z) of the colex table is z itself, 0-based
     k = data.draw(st.integers(0, n))
     z = tuple(sorted(data.draw(
         st.sets(st.integers(1, n), min_size=k, max_size=k))))
-    assert tuple(subset_index_array(n, k)[rank_subset(z, n)] + 1) == z
+    assert tuple(subset_index_array(n, k)[rank_rows(check_subsets(z, n), n)] + 1) == z

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracle import batch_estimate_matrices, estimation_diagonal, minors_batch, readout_rows
 from fermishadow import channel, shadows
-from fermishadow.combinat import binom, falling, rank_subset, subsets, validate_subset
+from fermishadow.combinat import binom, check_subsets, falling, subsets
 from fermishadow.fock import random_state
 from fermishadow.linalg import subset_index_array
 from fermishadow.shadows import collect_shadow_arrays, fast_estimate_rdm
@@ -27,6 +27,7 @@ from pfaffian_oracle import (
     pfaffian_derivatives,
     trace_powers,
 )
+from target_oracle import rank
 
 
 def test_majorana_rotation_is_orthogonal_homomorphism():
@@ -195,7 +196,7 @@ def test_decomposition_resolves_transition_operator():
         k = len(p)
         dim = binom(n, k)
         ref = np.zeros((dim, dim), dtype=np.complex128)
-        ref[rank_subset(p), rank_subset(q)] = 1.0
+        ref[rank(p), rank(q)] = 1.0
         cols = np.arange(k, dtype=np.int64)[None, :]
         c = minors_batch(_term_blocks(rows, vals, n), subset_index_array(n, k), cols)[:, :, 0]
         acc = np.einsum("t,tr,ts->rs", coeffs, c, c.conj())
@@ -213,7 +214,7 @@ def test_fast_matches_dense_estimator():
         for _ in range(12):
             p = ranks[rng.integers(len(ranks))]
             q = ranks[rng.integers(len(ranks))]
-            dense = ests[rank_subset(p), rank_subset(q)]
+            dense = ests[rank(p), rank(q)]
             fast = fast_estimate_rdm(ws, k, p, q)[0]
             assert abs(dense - fast) < 1e-8 * max(1.0, abs(dense))
 
@@ -226,7 +227,7 @@ def test_fast_estimator_diagonal_norm():
     ws, _ = collect_shadow_arrays(state, 1, seed=99, start_index=1)
     ests = batch_estimate_matrices(ws, k)[0]
     for p in subsets(n, k):
-        dense = ests[rank_subset(p), rank_subset(p)]
+        dense = ests[rank(p), rank(p)]
         fast = fast_estimate_rdm(ws, k, p, p)[0]
         assert abs(fast.imag) < 1e-9
         assert abs(dense - fast) < 1e-8
@@ -299,7 +300,7 @@ def test_batched_fast_path_matches_oracles(data):
     assert got.shape == (count,)
     loop = np.array([_loop_estimate(w, k, p, q) for w in ws])
     assert np.all(np.abs(got - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
-    dense = batch_estimate_matrices(ws, k)[:, rank_subset(p), rank_subset(q)]
+    dense = batch_estimate_matrices(ws, k)[:, rank(p), rank(q)]
     assert np.all(np.abs(got - dense) <= 1e-8 * np.maximum(1.0, np.abs(dense)))
 
     # a shot's value does not depend on the batch around it
@@ -333,7 +334,7 @@ def test_stacked_fast_call_matches_per_pair_calls(data):
                      for p, q in zip(ps.tolist(), qs.tolist())], axis=1)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
-    # a bad row: the error of validate_subset on the first bad row of ps, then of qs
+    # a bad row: the error of check_subsets on the first bad row of ps, then of qs
     bad = data.draw(st.sampled_from(["order", "low", "high"]), label="bad")
     row = data.draw(st.integers(0, width - 1), label="row")
     which = data.draw(st.sampled_from(["p", "q"]), label="which")
@@ -350,7 +351,7 @@ def test_stacked_fast_call_matches_per_pair_calls(data):
     for t in args:
         for r in t.tolist():
             try:
-                validate_subset(r, n)
+                check_subsets(r, n)
             except ValueError as first:
                 assert str(exc.value) == str(first)
                 return

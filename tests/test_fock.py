@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import compound_batch
-from fermishadow.combinat import rank_subset, subset_index_array, subsets
+from fermishadow.combinat import subset_index_array, subsets
 from fermishadow.fock import (
     FermionState,
     basis_state,
@@ -18,6 +18,7 @@ from fermishadow.fock import (
 )
 from haar_oracle import apply_rotation, haar
 from sign_oracle import rdm_matrix_reference
+from target_oracle import rank
 
 
 def test_basis_state_ranks():
@@ -49,7 +50,7 @@ def test_amplitude_needs_eta_modes():
     st = random_state(4, 2, np.random.default_rng(12))
     assert st.amplitude((1, 2)) == st.amps[0]
     assert st.amplitude([3, 4]) == st.amps[5]
-    for z in [(1,), (1, 2, 3), ()]:
+    for z in [(1,), (1, 2, 3), (), [[1, 2], [3, 4]]]:     # a table of two kets is no ket
         with pytest.raises(ValueError, match="need 2 modes"):
             st.amplitude(z)
     for z in [(2, 1), (0, 1), (1, 5)]:
@@ -64,7 +65,7 @@ def _ket_sum(n, *kets):
 
 def _entry(state, p, q):
     """<state| transition(p, q) |state>, read off rdm_matrix."""
-    return rdm_matrix(state, len(p))[rank_subset(p), rank_subset(q)]
+    return rdm_matrix(state, len(p))[rank(p), rank(q)]
 
 
 def test_rdm_operator_hand_signs():
@@ -137,6 +138,15 @@ def test_rdm_matrix_matches_loop_reference():
                     got, want = rdm_matrix(st, k), rdm_matrix_reference(st, k)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
                         (n, eta, k)
+
+
+@pytest.mark.parametrize("n, eta", [(68, 67), (100, 99)])
+def test_rdm_matrix_past_67_modes(n, eta):
+    # n amplitudes, though a full (eta, n+1) table of binomials would hold C(67, 33) > 2^63
+    st = random_state(n, eta, np.random.default_rng(n))
+    for k in (0, 1, eta):
+        got, want = rdm_matrix(st, k), rdm_matrix_reference(st, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
 
 
 @lru_cache(maxsize=None)
@@ -227,10 +237,10 @@ def test_slater_superposition_overlap_readout():
     for n, eta in [(3, 1), (4, 2)]:
         psi = random_state(n, eta, rng)
         big = slater_superposition(psi)
-        ref = rank_subset(range(n + 1, n + eta + 1))
+        ref = rank(range(n + 1, n + eta + 1))
         x = rdm_matrix(big, eta)
         for q in subsets(n, eta):
-            assert abs(x[ref, rank_subset(q)] - psi.amplitude(q) / 2.0) < 1e-12
+            assert abs(x[ref, rank(q)] - psi.amplitude(q) / 2.0) < 1e-12
 
 
 def test_state_json_roundtrip():

@@ -502,10 +502,12 @@ def test_q_slater_matches_and_stays_bounded():
 
 
 def test_variance_bound_dominates_q():
-    for n in range(1, 9):
-        for eta in range(1, n + 1):
-            for k in range(1, eta + 1):
+    for n in range(9):
+        for eta in range(n + 1):
+            for k in range(eta + 1):
                 assert q_value(n, eta, k) <= variance_bound(n, eta, k)
+    # at n = 0 the bound is C(0,0) * 1 * 1, and Q attains it
+    assert variance_bound(0, 0, 0) == q_value(0, 0, 0) == 1
 
 
 def test_frozen_variance_quantities():
