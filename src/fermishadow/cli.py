@@ -309,10 +309,10 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     tables lists (ps, qs) target tables, (T, k) each, and reducers[i] lists
     table i's Reducers.  Runs collect -> estimate -> reduce one chunk of shots
     at a time, every table reading the same chunk: at most shadows._CHUNK
-    shots, and fewer whole 64-shot blocks where the largest table's (shots,
-    T) estimates would pass about 2^19 numbers, so peak memory is set by the
-    targets, not by config.samples.  Each chunk is its own start_index call,
-    which draws the same bits as one call over all the shots.  dense is
+    shots, and fewer where the largest table's (shots, T) estimates would
+    pass about 2^19 numbers, so peak memory is set by the targets, not by
+    config.samples.  Each chunk is its own start_index call, which draws
+    the same bits as one call over all the shots.  dense is
     one fast_estimate_rdm call per chunk and table into one Reducer.  both
     reduces the two block sources of _cross_check into a Reducer each;
     agree says whether every chunk passed, gap is the worst gap (a NaN
@@ -325,7 +325,7 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     agree, gap = True, 0.0
     stages.lap("setup")
     widest = max(len(ps) for ps, _ in tables)
-    step = min(shadows._CHUNK, max(1, 2**19 // max(1, widest) // shadows._BLOCK) * shadows._BLOCK)
+    step = min(shadows._CHUNK, max(1, 2**19 // max(1, widest)))
     for lo in range(0, config.samples, step):
         count = min(step, config.samples - lo)
         ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo)
@@ -439,8 +439,9 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     criterion calls too, at this level's sizes and with draws of its own;
     fast_vs_dense calls it through _cross_check, as the both gate does.
     States and pairs come from default_rng(seed).  Each (check, size) b
-    collects from the streams (seed, 64 b) on, a 64-shot block of its own, so
-    the stream index tells the draws apart and every 64-bit seed is valid.
+    collects shots 32 b .. 32 b + 31 of the seed's stream at most, a range
+    of its own, so the shot index tells the draws apart and every 64-bit
+    seed is valid.
     """
     from . import identities
 
@@ -461,7 +462,7 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
         bad = []
         for b, (n, eta) in enumerate([(4, 2), (n_cap, min(3, n_cap - 1))]):
             ws, _ = collect_shadow_arrays(random_state(n, eta, rng), 32, seed,
-                                          start_index=b * shadows._BLOCK)
+                                          start_index=32 * b)
             for k in range(1, eta + 1):
                 ok, gap, _ = identities.check_shadow_norms(ws, k)
                 if not ok:
@@ -474,7 +475,7 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
         for b, (n, eta) in enumerate([(4, 2), (min(6, n_cap), 3), (n_cap, 4)], start=2):
             state = random_state(n, eta, rng)
             ws, _ = collect_shadow_arrays(state, 4 if quick else 10, seed,
-                                          start_index=b * shadows._BLOCK)
+                                          start_index=32 * b)
             for k in range(1, eta + 1):
                 ss = subset_index_array(n, k) + 1
                 pairs = ss[rng.integers(len(ss), size=8)]       # p, q, p, q, ...

@@ -115,12 +115,12 @@ def rank_rows(table, n: int) -> np.ndarray:
     """Colex ranks of the rows of an (..., d) table of d-subsets of 1..n.
 
     rank(z) = sum_j C(z_j - 1, j) over positions j = 1..d, read from
-    _colex_weights; it does not depend on n.  Rows are not checked; see
-    check_subsets.
+    _colex_weights; it does not depend on n.  ValueError, in check_subsets'
+    words, unless check_subsets(table, n) passes.
     """
-    t = np.asarray(table)
+    t = check_subsets(table, n)
     d = t.shape[-1]
-    return _colex_weights(n, d)[np.arange(d), t].sum(axis=-1)
+    return _colex_weights(int(n), d)[np.arange(d), t].sum(axis=-1)
 
 
 @lru_cache(maxsize=None, typed=True)

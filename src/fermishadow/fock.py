@@ -108,8 +108,11 @@ def slater_superposition(state: FermionState) -> FermionState:
     Returns (|state> + |ref>)/sqrt(2) where ref occupies the eta fresh modes
     n+1..n+eta.  Transition expectations from ref to q then read off half the
     original amplitude psi_q exactly, which is the overlap-estimation trick.
+    ValueError for eta = 0, where state and ref are the same ket, the vacuum.
     """
     n, eta = state.n, state.eta
+    if eta == 0:
+        raise ValueError("need eta >= 1: at eta = 0 the state and the reference are one ket")
     big = FermionState(n + eta, eta, np.zeros(binom(n + eta, eta), dtype=np.complex128))
     # colex ranks are independent of the mode count, so the embedding is a
     # copy, and ref, the last eta-subset of [n+eta] in colex order, has the last rank

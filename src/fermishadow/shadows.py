@@ -20,23 +20,21 @@ form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
 of its Haar rotation u that the 1-based sorted readout zs[i] picks, and the
 estimator reads ws alone.  To keep a batch, save the two arrays or
 regenerate them from their streams.
-Randomness is counter-based and keyed by 64-shot blocks: shadow i of a run
-seeded with s is row i mod 64 of the (64, n^2 + 1) uniforms that the Philox
-stream keyed by (s, i // 64) draws in one call: its network's n^2, then its
-Born uniform.  So any chunking or start index gives bit-identical readout
-rows (linalg.network_rows), and readouts that differ only where a uniform
-lies within rounding of a cumulative Born probability (see
-linalg.givens_rotate); regenerating one shadow draws its whole block.  The
-collector re-keys one generator per block by assigning it the state of a
-fresh stream as plain Python ints (_fresh_state); the bits equal those of a
-fresh shadow_rng(s, block).  It raises ValueError before any draw unless the
-seed, count and start index pass _is_uint64 (combinat.is_int, in
-0..2^64-1), start_index + count <= 2^64-1 (stream index 2^64-1 prepares
-the input state, and no block reaches it) and n >= 1.
+Randomness is counter-based: shadow i of a run seeded with s reads numbers
+i w .. (i+1) w - 1, w = n^2 + 1, of the Philox stream keyed (s, 0): its
+network's n^2 uniforms, then its Born uniform.  So any chunking or start
+index gives bit-identical readout rows (linalg.network_rows), and readouts
+that differ only where a uniform lies within rounding of a cumulative Born
+probability (see linalg.givens_rotate); regenerating one shadow draws only
+its own w numbers.  The collector jumps to the first shot with the stream's
+advance and raises ValueError before any draw unless the seed, count and
+start index pass _is_uint64 (combinat.is_int, in 0..2^64-1),
+start_index + count <= 2^64-1 (the key (s, 2^64-1) prepares the input
+state) and n >= 1.
 
 Contents
 --------
-    shadow_rng                 : the per-shadow generator
+    shadow_rng                 : the Philox generator keyed (seed, index)
     collect_shadow_arrays      : batched (ws, zs) collection
     estimation_entry           : overlap-class value of the estimation operator
     estimation_matrix          : exact class values of the estimation operator
@@ -65,12 +63,6 @@ from .linalg import _det_stack, _fold, givens_rotate, haar_network, network_rows
 # collect -> estimate -> reduce loop; a memory setting that never changes a draw
 _CHUNK = 2048
 
-# shots per Philox key: shot j of seed s is position j mod _BLOCK of the
-# stream keyed (s, j // _BLOCK).  Part of the draw contract, not a tuning
-# value: changing it changes every snapshot.  _CHUNK is a multiple, so the
-# CLI's chunks draw no block twice.
-_BLOCK = 64
-
 # numbers per array of a fast_estimate_rdm tile of blocks or targets
 _TILE = 2**15
 
@@ -84,27 +76,17 @@ def _is_uint64(x) -> bool:
 
 
 def shadow_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator owned by shadow (seed, index).
+    """Philox generator keyed (seed, index).
 
-    Raises ValueError unless seed and index both pass _is_uint64.
+    Index 0 is the stream of the seed's shots (collect_shadow_arrays) and
+    _STATE_INDEX that of its random_pure state (cli.build_state).  Raises
+    ValueError unless seed and index both pass _is_uint64.
     """
     if not (_is_uint64(seed) and _is_uint64(index)):
         raise ValueError(f"seed and index must be integers in 0..2^64-1, "
                          f"got {seed!r} and {index!r}")
     return np.random.Generator(np.random.Philox(
         key=np.array([int(seed), int(index)], dtype=np.uint64)))
-
-
-def _fresh_state(seed: int, index: int) -> dict:
-    """State of a fresh shadow_rng(seed, index) as plain Python ints.
-
-    Zero counter, key (seed, index) and an empty buffer (buffer_pos 4).
-    Assigning it to a Philox bit generator's state costs less than the dict
-    of numpy arrays that the state getter returns.
-    """
-    return {"bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [seed, index]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
@@ -116,15 +98,12 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
 def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
     """Collect shadows as stacked arrays (ws (N, eta, n), zs (N, eta) 1-based).
 
-    Shot j = start_index + i is row j mod _BLOCK of the (_BLOCK, n^2 + 1)
-    uniforms that the block stream (seed, j // _BLOCK) draws in one call:
-    the n^2 of its rotation's network (linalg.haar_network), then its Born
-    uniform.  Of shot i's rotation u only the readout rows
-    ws[i] = u[zs[i] - 1] are formed and kept, eta/n of the whole.  One
-    generator serves the whole call and is re-keyed per block; key
-    (seed, block) with a zero counter and an empty buffer is exactly the
-    state of a fresh shadow_rng(seed, block).  A range that starts or ends
-    inside a block draws that whole block and keeps its slice.
+    Shot j = start_index + i reads numbers j w .. (j+1) w - 1, w = n^2 + 1,
+    of the stream of shadow_rng(seed, 0): the n^2 of its rotation's network
+    (linalg.haar_network), then its Born uniform.  Of shot i's rotation u
+    only the readout rows ws[i] = u[zs[i] - 1] are formed and kept, eta/n
+    of the whole.  One generator serves the whole call: it advances to the
+    first shot once, then draws each chunk's uniforms in one call.
     Raises ValueError before any draw unless seed, count and start_index
     pass _is_uint64 and start_index + count <= _STATE_INDEX = 2^64-1, the
     state's stream, or if the state has no modes (n = 0).  Raises
@@ -145,23 +124,14 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     zs = np.empty((count, eta), dtype=np.int64)
     ranks = subset_index_array(n, eta) + 1
     gen = shadow_rng(seed, 0)
-    bitgen, uniform = gen.bit_generator, gen.random
-    fresh = _fresh_state(seed, 0)      # only the key's index word changes per block
-    key = fresh["state"]["key"]
-    raw = np.empty((0, _BLOCK, width))
+    # Philox yields 4 numbers per counter step: jump whole steps, then drop the rest
+    steps, offset = divmod(start_index * width, 4)
+    gen.bit_generator.advance(steps)
+    gen.random(offset)
+    raw = np.empty((min(count, _CHUNK), width))     # the draw buffer, reused by every chunk
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
-        first = (start_index + lo) // _BLOCK
-        blocks = (start_index + hi - 1) // _BLOCK + 1 - first
-        if len(raw) < blocks:       # the draw buffer, reused by later chunks
-            raw = np.empty((blocks, _BLOCK, width))
-        for b in range(blocks):
-            key[1] = first + b
-            bitgen.state = fresh
-            uniform(out=raw[b])
-        # the chunk's shots: its range within the drawn blocks
-        keep = slice(start_index + lo - first * _BLOCK, start_index + hi - first * _BLOCK)
-        draws = raw[:blocks].reshape(-1, width)[keep]
+        draws = gen.random(out=raw[:hi - lo])
         network = haar_network(draws[:, :-1])
         probs = np.abs(givens_rotate(network, state.amps, eta)) ** 2
         totals = probs.sum(axis=1)
@@ -455,14 +425,19 @@ class Reducer:
         if a < x.shape[1]:      # the start of a batch that a later chunk ends
             self._sums[:, b + whole] += x[:, a:].sum(axis=-1)
 
+    def _check_done(self):
+        if self.seen != self.count:
+            raise ValueError(f"reduced {self.seen} of {self.count} shots")
+
     def variance(self) -> np.ndarray:
-        """(width,) single-shot variance per column: mean of |x - mean|^2."""
-        return (self._m2.real + self._m2.imag) / self.seen
+        """(width,) single-shot variance per column, mean of |x - mean|^2; ValueError
+        before all count shots."""
+        self._check_done()
+        return (self._m2.real + self._m2.imag) / self.count
 
     def result(self):
         """(value, error), two (width,) arrays; ValueError before all count shots."""
-        if self.seen != self.count:
-            raise ValueError(f"reduced {self.seen} of {self.count} shots")
+        self._check_done()
         if self.mode == "mean":
             val, m = self.mean.copy(), self.count
         else:

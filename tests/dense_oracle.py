@@ -4,8 +4,8 @@ Compound route: each shadow's whole rotation is reordered so the readout
 modes come first (u_eff), and its estimate matrix is the transpose of
 B^H E B, with B the k-th compound of u_eff and E the diagonal estimation
 operator.  The collector keeps only the readout rows, so a test that needs
-the whole rotation draws it again from the stream of the shadow's 64-shot
-block (shadow_rng, the block's uniforms, linalg.haar_network).  The compound also rotates
+the whole rotation draws it again: the shadow's n^2 + 1 numbers of its
+seed's stream, then linalg.haar_network.  The compound also rotates
 states for the tests of linalg.givens_rotate and fock.
 
 Dense projector route (batch_estimate_matrices): every C(n,k) x C(n,k)

@@ -402,8 +402,8 @@ from fermishadow import identities
 from fermishadow.channel import (DiagonalOperator, a_coeff, channel_kernel, eigenvalue,
                                  nd_class_values, overlap_class_array, structure_factor,
                                  symmetrized_difference)
-from fermishadow.combinat import binom, check_subsets, falling, subsets
-from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
+from fermishadow.combinat import binom, check_subsets, falling, rank_rows, subsets
+from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix, slater_superposition
 from fermishadow.linalg import givens_rotate, haar_network, network_rows
 from fermishadow.shadows import (Reducer, all_pairs, avg_shadow_norm_sq, check_fast_vs_dense,
                                  collect_shadow_arrays, estimation_entry, estimation_matrix,
@@ -516,6 +516,12 @@ calls = {
     "binom b True": lambda: binom(4, True),
     "binom b 2.0": lambda: binom(4, 2.0),
     "falling b 1.0": lambda: falling(3, 1.0),
+    "rank_rows not increasing": lambda: rank_rows(np.array([2, 1]), 4),
+    "rank_rows mode > n": lambda: rank_rows(np.array([1, 9]), 4),
+    "rank_rows n True": lambda: rank_rows([1, 3], True),
+    "rank_rows n 4.0": lambda: (rank_rows(np.array([1, 3]), 4), rank_rows(np.array([1, 3]), 4.0)),
+    "slater_superposition eta 0": lambda: slater_superposition(basis_state((), 3)),
+    "Reducer variance early": lambda: Reducer(10, 3).variance(),
 }
 for name, call in calls.items():
     try:
@@ -708,7 +714,7 @@ def test_variance_sweep_empirical_column(capsys):
 def test_variance_sweep_collects_once_per_n_eta(monkeypatch, capsys):
     # one collection per chunk feeds every k's table of an (n, eta), where each
     # k once collected the snapshots again; the chunk step is the largest
-    # table's, 256 shots for the 2025 targets of (10, 2, 2)
+    # table's, 2^19 // 2025 = 258 shots for the 2025 targets of (10, 2, 2)
     calls = []
     collect = cli.collect_shadow_arrays
 
@@ -720,7 +726,7 @@ def test_variance_sweep_collects_once_per_n_eta(monkeypatch, capsys):
     assert main(["variance-sweep", "--n", "4,10", "--eta", "2", "--k", "1,2",
                  "--samples", "512", "--seed", "3"]) == 0
     _, rows = _read_csv(capsys.readouterr().out)
-    assert calls == [(4, 2, 512, 0), (10, 2, 256, 0), (10, 2, 256, 256)]
+    assert calls == [(4, 2, 512, 0), (10, 2, 258, 0), (10, 2, 254, 258)]
     # each row's column is a one-table run of its k, to its 12 printed digits
     for row in rows:
         n, eta, k = map(int, row[:3])

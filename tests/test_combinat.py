@@ -91,6 +91,18 @@ def test_rank_rows_match_python_int_oracle(sizes):
         assert np.array_equal(got, np.arange(len(table)))
 
 
+def test_rank_rows_rejects_what_check_subsets_rejects():
+    # once a row out of order ranked as another subset, a mode past n or a
+    # bool n raised IndexError, and a float n ranked from the untyped cache
+    rank_rows(np.array([1, 3]), 4)
+    for table, n, words in [(np.array([2, 1]), 4, r"not increasing: \(2, 1\)"),
+                            (np.array([1, 9]), 4, r"out of range 1..4: \(1, 9\)"),
+                            ([1, 3], True, "integer mode count"),
+                            (np.array([1, 3]), 4.0, "integer mode count")]:
+        with pytest.raises(ValueError, match=words):
+            rank_rows(table, n)
+
+
 def test_check_subsets_rejects():
     with pytest.raises(ValueError):
         check_subsets((2, 1), 4)

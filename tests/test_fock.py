@@ -232,6 +232,13 @@ def test_slater_superposition_layout():
     assert abs(out.norm() - 1.0) < 1e-14
 
 
+def test_slater_superposition_refuses_no_particles():
+    # at eta = 0 the vacuum and the empty reference are one ket, and their
+    # sum over sqrt(2) had norm sqrt(2)
+    with pytest.raises(ValueError, match="eta >= 1"):
+        slater_superposition(basis_state((), 3))
+
+
 def test_slater_superposition_overlap_readout():
     rng = np.random.default_rng(10)
     for n, eta in [(3, 1), (4, 2)]:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,9 +168,10 @@ def test_chunking_is_bit_identical(monkeypatch):
                 assert got.tobytes() == want.tobytes()
 
 
-# (start_index, count) ranges: inside the first block; straddling the edge
-# at 64 (from 63) and just past it; over several blocks, so that 100-shot
-# chunks end inside blocks; and the top range, ending at 2^64-2
+# (start_index, count) ranges: from the stream's start; starting at every
+# residue of start_index (n^2 + 1) mod 4 that n allows, where the collector's
+# jump drops 0..3 numbers; over several chunks, so that 100-shot chunks end
+# mid-range; and the top range, ending at 2^64-2
 _RANGES = [(0, 7), (5, 7), (63, 7), (64, 7), (65, 7), (30, 230), (2**64 - 8, 7)]
 
 
@@ -208,14 +210,20 @@ def _shots(network, lo, hi):
 
 
 def _reference_draws(n, count, seed, start_index):
-    # per shot j a fresh shadow_rng keyed by its 64-shot block, (seed, j // 64):
-    # the block's (64, n^2 + 1) uniforms in one call, of which shot j takes
-    # row j % 64, its network's n^2 then its Born uniform; then one batched
-    # network: (networks, Born uniforms)
-    x = np.empty((count, n * n + 1))
-    for i in range(count):
-        block, pos = divmod(start_index + i, 64)
-        x[i] = shadows.shadow_rng(seed, block).random((64, n * n + 1))[pos]
+    # shot j reads numbers j w .. (j+1) w - 1, w = n^2 + 1, of the stream keyed
+    # (seed, 0), its network's n^2 then its Born uniform; drawn here by
+    # another path than the collector's: a range that starts near 0 as the
+    # whole prefix from a fresh Philox, the top range by a jump 5 counter
+    # steps (20 numbers) short of the collector's, dropping the numbers up to
+    # the first shot.  Then one batched network: (networks, Born uniforms)
+    w = n * n + 1
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    if start_index <= 300:
+        x = gen.random((start_index + count, w))[start_index:]
+    else:
+        steps = start_index * w // 4 - 5
+        gen.bit_generator.advance(steps)
+        x = gen.random(start_index * w - 4 * steps + count * w)[-count * w:].reshape(count, w)
     return haar_network(x[:, :-1]), x[:, -1]
 
 
@@ -232,9 +240,10 @@ def _per_shot_reference(state, count, seed, start_index):
 @pytest.mark.parametrize("chunk", [1, 3, 100, None])
 @pytest.mark.parametrize("n,eta", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (7, 3), (8, 4)])
 def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk):
-    # the collector re-keys one Philox per block; its bits must equal a fresh
-    # shadow_rng(seed, block) per shot, or a numpy change to the state layout
-    # shows here; the snapshots are those networks' readout rows, bit for bit
+    # the collector jumps once to its first shot and draws a chunk per call;
+    # its bits must equal the oracle's slice of the one stream (seed, 0), or a
+    # numpy change to Philox's advance or its 4-number counter step shows
+    # here; the snapshots are those networks' readout rows, bit for bit
     if chunk is not None:
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
     state = random_state(n, eta, np.random.default_rng(n + eta))
@@ -244,31 +253,6 @@ def test_rekeyed_collection_matches_fresh_generators(monkeypatch, n, eta, chunk)
             ref_network, ref_zs = _per_shot_reference(state, count, seed, start)
             assert np.array_equal(zs, ref_zs)
             assert ws.tobytes() == network_rows(ref_network, ref_zs - 1).tobytes()
-
-
-def test_rekeyed_state_equals_fresh_philox():
-    # the collector assigns shadows._fresh_state's plain-int template; it must
-    # leave exactly the state, and the draws, of a fresh Philox keyed (seed, index)
-    for seed, index in [(0, 0), (12345, 7), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)]:
-        gen = shadows.shadow_rng(seed, 0)
-        bitgen = gen.bit_generator
-        # leave counter, buffer and the cached 32-bit half all in use
-        gen.standard_normal(9)
-        gen.integers(0, 2**32, dtype=np.uint32)
-        bitgen.state = shadows._fresh_state(seed, index)
-        got = bitgen.state
-        fresh = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-        want = fresh.state
-        assert set(got) == set(want) and set(got["state"]) == set(want["state"])
-        assert got["bit_generator"] == want["bit_generator"]
-        for field in ("counter", "key"):
-            assert np.array_equal(got["state"][field], want["state"][field])
-        assert np.array_equal(got["buffer"], want["buffer"])
-        for field in ("buffer_pos", "has_uint32", "uinteger"):
-            assert got[field] == want[field]
-        ref = np.random.Generator(fresh)
-        assert gen.standard_normal(9).tobytes() == ref.standard_normal(9).tobytes()
-        assert gen.random() == ref.random()
 
 
 def test_collection_checks_stream_range_before_drawing(monkeypatch):
@@ -340,7 +324,7 @@ def test_collection_memory_grows_by_readout_rows():
 
 
 def test_block_positions_are_distinct_shots():
-    # a slice that repeated a position within its block would repeat a snapshot
+    # a jump or chunk that read a shot's numbers twice would repeat a snapshot
     state = random_state(4, 2, np.random.default_rng(4))
     ws, _ = collect_shadow_arrays(state, 200, seed=0)
     assert len({w.tobytes() for w in ws}) == 200
@@ -470,11 +454,18 @@ def test_reducer_chunks_match_two_pass_oracle(chunk):
 
 def test_reducer_rejects_misuse():
     reducer = Reducer(4, 2)
+    # variance() once divided by the shots seen so far: [nan] and a
+    # RuntimeWarning with none, a partial value after some
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="0 of 4"):
+            reducer.variance()
     with pytest.raises(ValueError, match="chunk"):
         reducer.add(np.ones((2, 3)))
     reducer.add(np.ones((3, 2)))
-    with pytest.raises(ValueError, match="3 of 4"):
-        reducer.result()
+    for early in (reducer.result, reducer.variance):
+        with pytest.raises(ValueError, match="3 of 4"):
+            early()
     with pytest.raises(ValueError, match="chunk"):
         reducer.add(np.ones((2, 2)))
     with pytest.raises(ValueError, match="divide"):
