@@ -101,17 +101,13 @@ def symmetrized_difference(n: int, eta: int, d: int) -> DiagonalOperator:
 
 
 def channel_kernel(n: int, eta: int) -> list:
-    """kappa(t): channel matrix element between occupation projectors.
+    """kappa(t) = C(n, eta) structure_factor(n, eta, t), t = 0..eta.
 
     The channel image of a diagonal D on the eta sector has values
     M[D](r') = sum_r D(r) kappa(|r cap r'|).
     """
     n, eta, _ = check_sizes(n, eta)
-    c = binom(n + 1, eta)
-    return [
-        sum(Fraction(binom(t, j), c * binom(eta, j)) for j in range(t + 1))
-        for t in range(eta + 1)
-    ]
+    return [binom(n, eta) * structure_factor(n, eta, t) for t in range(eta + 1)]
 
 
 def _intersection_table(n: int, eta: int) -> np.ndarray:

@@ -57,6 +57,13 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _aggregation(spec) -> tuple:
+    """Reducer's (mode, batches) from "mean" or "median_of_means:B"; TypeError
+    unless spec is a str, ValueError for a B that int() cannot read."""
+    mode, colon, batches = str.partition(spec, ":")
+    return mode, int(batches) if colon else None
+
+
 @dataclass
 class ExperimentConfig:
     """One run: sizes, sampling budget, state, estimator, aggregation, targets."""
@@ -90,16 +97,11 @@ class ExperimentConfig:
             raise ConfigError(f"state_source must be random_pure, basis:..., or file:..., got {src!r}")
         if self.estimator not in ("dense", "both"):
             raise ConfigError(f"estimator must be dense or both, got {self.estimator!r}")
-        agg = self.aggregation
-        if not (isinstance(agg, str) and (agg == "mean" or agg.startswith("median_of_means:"))):
-            raise ConfigError(f"aggregation must be mean or median_of_means:B, got {agg!r}")
-        if agg.startswith("median_of_means:"):
-            try:
-                b = int(agg.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"bad batch count in {agg!r}") from None
-            if b < 1 or self.samples % b != 0:
-                raise ConfigError(f"batches must divide samples, got {agg!r} with samples={self.samples}")
+        try:        # width 0: Reducer decides the spec and allocates nothing
+            Reducer(self.samples, 0, *_aggregation(self.aggregation))
+        except (TypeError, ValueError):
+            raise ConfigError(f"aggregation must be mean or median_of_means:B with B batches that "
+                              f"divide samples={self.samples}, got {self.aggregation!r}") from None
         if self.targets != "all_krdm" and not isinstance(self.targets, list):
             raise ConfigError(f"targets must be all_krdm or a list, got {self.targets!r}")
 
@@ -319,8 +321,7 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     stays).
     """
     both = config.estimator == "both"
-    mode, _, batches = config.aggregation.partition(":")
-    reducers = [[Reducer(config.samples, len(ps), mode, int(batches) if batches else None)
+    reducers = [[Reducer(config.samples, len(ps), *_aggregation(config.aggregation))
                  for _ in range(2 if both else 1)] for ps, _ in tables]
     agree, gap = True, 0.0
     stages.lap("setup")

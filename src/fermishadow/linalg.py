@@ -44,10 +44,8 @@ def _fold(a: np.ndarray) -> np.ndarray:
 
 
 def _det_stack(a: np.ndarray) -> np.ndarray:
-    """Determinants over the last two axes, cheap closed forms for k <= 3."""
+    """Determinants over the last two axes, cheap closed forms for 1 <= k <= 3."""
     k = a.shape[-1]
-    if k == 0:
-        return np.ones(a.shape[:-2], dtype=a.dtype)
     if k == 1:
         return a[..., 0, 0]
     if k == 2:

@@ -151,7 +151,7 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
     """Diagonal value of the estimation operator on the class s' = |r cap [eta]|.
 
     r runs over k-subsets in the frame where the readout occupies the first
-    eta modes.  Vanishing binomials, and s' outside 0..k, give 0.
+    eta modes.  s' outside 0..k gives 0.
     """
     n, eta, k = check_sizes(n, eta, k)
     if not is_int(s_prime):
@@ -159,8 +159,6 @@ def estimation_entry(n: int, eta: int, k: int, s_prime: int) -> Fraction:
     if not 0 <= s_prime <= k:
         return Fraction(0)
     num = binom(eta - s_prime, k - s_prime) * binom(n - eta + s_prime, s_prime)
-    if num == 0:
-        return Fraction(0)
     return Fraction((-1) ** (k + s_prime) * num, binom(k, s_prime))
 
 
@@ -364,9 +362,9 @@ class Reducer:
     straddle chunks.  Memory is O(batches * width) whatever count is.  A
     column's arithmetic does not depend on the other columns, and a single
     chunk of all the shots gives exactly the one-pass mean and M2.  Raises
-    ValueError unless count, width and batches pass is_int, for count < 1,
-    width < 0, an unknown mode, batches that do not divide count, a chunk not
-    (m, width) or more shots than count.
+    ValueError unless count and width pass is_int, for count < 1, width < 0,
+    a chunk not (m, width), more shots than count, and unless mode is mean
+    with no batches or median_of_means with integer batches >= 1 dividing count.
     """
 
     def __init__(self, count: int, width: int, mode: str = "mean", batches: int = None):
@@ -380,6 +378,8 @@ class Reducer:
             self._sums = np.zeros((width, batches), dtype=np.complex128)
         elif mode != "mean":
             raise ValueError(f"unknown mode {mode!r}")
+        elif batches is not None:
+            raise ValueError(f"batches are given only under median_of_means, got {batches!r}")
         self.count, self.width, self.mode, self.batches = count, width, mode, batches
         self.seen = 0
         self.mean = np.zeros(width, dtype=np.complex128)

@@ -41,12 +41,14 @@ def test_structure_factor_rejects_pole():
 
 def test_structure_factor_sums_to_channel_kernel():
     # kappa(t) = C(n, eta) * f(t): the Haar moment that the twirl check
-    # samples is the channel kernel, up to the sector dimension
+    # samples is the channel kernel, up to the sector dimension.  channel_kernel
+    # is that product, so both meet the oracle's independent sum over j
     for n in range(1, 13):
         for eta in range(n + 1):
+            ks, ell = kernel_numerators(n, eta)
             kappa = channel_kernel(n, eta)
             for t in range(eta + 1):
-                assert kappa[t] == binom(n, eta) * structure_factor(n, eta, t)
+                assert binom(n, eta) * structure_factor(n, eta, t) == Fraction(ks[t], ell) == kappa[t]
 
 
 def test_eigenvalue_and_a_coeff_frozen():

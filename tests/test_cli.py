@@ -61,10 +61,16 @@ def test_config_validation_messages():
         (dict(good, seed=np.float64(1)), "seed"),
         (dict(good, state_source=5), "state_source"),
         (dict(good, aggregation=10), "aggregation"),
-    ]
+        (dict(good, aggregation=None), "aggregation"),
+        (dict(good, aggregation="mean:5"), "aggregation"),
+        (dict(good, aggregation="median_of_means"), "aggregation"),
+    ] + [(dict(good, aggregation="median_of_means" + b), "aggregation")
+         for b in (":", ":0", ":-5", ":5:1")]
     for fields, msg in bad:
         with pytest.raises(ConfigError, match=msg):
             ExperimentConfig(**fields).validate()
+    for agg in ("median_of_means:5", "median_of_means: 5"):
+        ExperimentConfig(**dict(good, aggregation=agg)).validate()
     # numpy integers pass the seed rule that the collector applies, and are
     # kept as Python ints, which the manifest's JSON can hold
     config = ExperimentConfig(**dict(good, seed=np.uint64(2**64 - 1)))
@@ -434,6 +440,8 @@ calls = {
     "Reducer count 10.0": lambda: Reducer(10.0, 3),
     "Reducer count True": lambda: Reducer(True, 3),
     "Reducer batches 2.5": lambda: Reducer(10, 3, "median_of_means", 2.5),
+    "Reducer mean batches 5": lambda: Reducer(10, 3, "mean", 5),
+    "Reducer mean batches 2.5": lambda: Reducer(10, 3, "mean", 2.5),
     "estimation_matrix k True": lambda: estimation_matrix(4, 2, True),
     "structure_factor k 1.0": lambda: structure_factor(4, 2, 1.0),
     "DiagonalOperator eta True": lambda: DiagonalOperator(4, True, [1] * 4),

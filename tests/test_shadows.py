@@ -450,6 +450,19 @@ def test_reducer_chunks_match_two_pass_oracle(chunk):
             mean = table.mean(axis=0)
             want_var = (np.abs(table - mean) ** 2).mean(axis=0)
             assert np.all(np.abs(reducer.variance() - want_var) <= 1e-12 * scale ** 2)
+            # a (0, width) chunk midway changes no bit, and takes no mean of
+            # an empty slice (a RuntimeWarning, and a NaN running mean)
+            padded = Reducer(nsamp, width, mode, batches)
+            starts = range(0, nsamp, chunk)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for lo in starts:
+                    if lo == starts[len(starts) // 2]:
+                        padded.add(table[:0])
+                    padded.add(table[lo:lo + chunk])
+            for got, want in zip((*padded.result(), padded.variance()),
+                                 (val, err, reducer.variance())):
+                assert got.tobytes() == want.tobytes(), (nsamp, mode, batches)
 
 
 def test_reducer_rejects_misuse():
@@ -472,6 +485,9 @@ def test_reducer_rejects_misuse():
         Reducer(6, 1, "median_of_means", 4)
     with pytest.raises(ValueError, match="mode"):
         Reducer(6, 1, "trimmed")
+    for batches in (5, 2.5):        # batches are given only under median_of_means
+        with pytest.raises(ValueError, match="only under median_of_means"):
+            Reducer(10, 3, "mean", batches)
     with pytest.raises(ValueError, match="count"):
         Reducer(0, 1)
 
