@@ -39,8 +39,7 @@ class DiagonalOperator:
     def __post_init__(self):
         self.n, self.eta, _ = check_sizes(self.n, self.eta)
         if len(self.values) != binom(self.n, self.eta):
-            raise ValueError(f"need C({self.n},{self.eta}) = {binom(self.n, self.eta)} values, "
-                             f"got {len(self.values)}")
+            raise ValueError(f"need C({self.n},{self.eta}) values, got {len(self.values)}")
 
 
 def overlap_class_array(n: int, d: int, eta: int) -> np.ndarray:

@@ -35,7 +35,6 @@ from .shadows import (
     all_pairs,
     avg_shadow_norm_sq,
     collect_shadow_arrays,
-    fast_estimate_rdm,
     q_value,
     shadow_rng,
     variance_bound,
@@ -293,15 +292,15 @@ def _check_out(out: str, files):
         raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
 
 
-def _cross_check(ws, k: int, ps, qs) -> tuple:
+def _cross_check(ws, estimate) -> tuple:
     """(gathered, products, passed, worst gap): both block sources' (N, T) estimates.
 
-    The verdict is check_fast_vs_dense, which validate and criterion 07 call
-    as identities.check_fast_vs_dense; it lives in shadows, so the both gate
-    does not import identities.
+    estimate, a table's shadows._block_plan, is applied to the shots ws with
+    gather True and False.  The verdict is check_fast_vs_dense, which validate
+    and criterion 07 call as identities.check_fast_vs_dense; it lives in
+    shadows, so the both gate does not import identities.
     """
-    gathered = shadows._block_estimates(ws, k, ps, qs, gather=True)
-    products = shadows._block_estimates(ws, k, ps, qs, gather=False)
+    gathered, products = estimate(ws, gather=True), estimate(ws, gather=False)
     return (gathered, products, *shadows.check_fast_vs_dense(products, gathered))
 
 
@@ -314,15 +313,16 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     shots, and fewer where the largest table's (shots, T) estimates would
     pass about 2^19 numbers, so peak memory is set by the targets, not by
     config.samples.  Each chunk is its own start_index call, which draws
-    the same bits as one call over all the shots.  dense is
-    one fast_estimate_rdm call per chunk and table into one Reducer.  both
-    reduces the two block sources of _cross_check into a Reducer each;
-    agree says whether every chunk passed, gap is the worst gap (a NaN
-    stays).
+    the same bits as one call over all the shots.  Each table's
+    shadows._block_plan is built once, in setup, and applied to every chunk:
+    dense reduces its estimates into one Reducer, both the two block sources
+    of _cross_check into a Reducer each.  agree says whether every chunk
+    passed, gap is the worst gap (a NaN stays).
     """
     both = config.estimator == "both"
     reducers = [[Reducer(config.samples, len(ps), *_aggregation(config.aggregation))
                  for _ in range(2 if both else 1)] for ps, _ in tables]
+    plans = [shadows._block_plan(state.n, state.eta, ps.shape[1], ps, qs) for ps, qs in tables]
     agree, gap = True, 0.0
     stages.lap("setup")
     widest = max(len(ps) for ps, _ in tables)
@@ -331,13 +331,12 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
         count = min(step, config.samples - lo)
         ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo)
         stages.lap("collect")
-        for (ps, qs), table_reducers in zip(tables, reducers):
-            k = ps.shape[1]
+        for estimate, table_reducers in zip(plans, reducers):
             if both:
-                *chunks, ok, worst = _cross_check(ws, k, ps, qs)
+                *chunks, ok, worst = _cross_check(ws, estimate)
                 agree, gap = agree and ok, float(np.maximum(gap, worst))
             else:
-                chunks = [fast_estimate_rdm(ws, k, ps, qs)]
+                chunks = [estimate(ws)]
             stages.lap("estimate")
             for reducer, chunk in zip(table_reducers, chunks):
                 reducer.add(chunk)
@@ -438,11 +437,11 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
 
     Each check calls the identities.check_* function that an acceptance
     criterion calls too, at this level's sizes and with draws of its own;
-    fast_vs_dense calls it through _cross_check, as the both gate does.
-    States and pairs come from default_rng(seed).  Each (check, size) b
-    collects shots 32 b .. 32 b + 31 of the seed's stream at most, a range
-    of its own, so the shot index tells the draws apart and every 64-bit
-    seed is valid.
+    fast_vs_dense calls it through _cross_check on a _block_plan of its
+    pairs, as the both gate does.  States and pairs come from
+    default_rng(seed).  Each (check, size) b collects shots 32 b .. 32 b + 31
+    of the seed's stream at most, a range of its own, so the shot index
+    tells the draws apart and every 64-bit seed is valid.
     """
     from . import identities
 
@@ -480,7 +479,8 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
             for k in range(1, eta + 1):
                 ss = subset_index_array(n, k) + 1
                 pairs = ss[rng.integers(len(ss), size=8)]       # p, q, p, q, ...
-                _, _, passed, gap = _cross_check(ws, k, pairs[0::2], pairs[1::2])
+                plan = shadows._block_plan(n, eta, k, pairs[0::2], pairs[1::2])
+                _, _, passed, gap = _cross_check(ws, plan)
                 ok, worst = ok and passed, max(worst, gap)
         return ok, f"worst relative gap {worst:.2e}"
 

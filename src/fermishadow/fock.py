@@ -50,8 +50,7 @@ class FermionState:
         self.n, self.eta, _ = check_sizes(self.n, self.eta)
         self.amps = np.asarray(self.amps, dtype=np.complex128)
         if self.amps.shape != (binom(self.n, self.eta),):
-            raise ValueError(f"need C({self.n},{self.eta}) = {binom(self.n, self.eta)} "
-                             f"amplitudes, got shape {self.amps.shape}")
+            raise ValueError(f"need C({self.n},{self.eta}) amplitudes, got shape {self.amps.shape}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

@@ -13,7 +13,9 @@ coefficients.  An entry (p, q) needs only the k x k blocks M(x)[q, p] and
 M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p]: fast_estimate_rdm is the
 one estimator, and evaluates each distinct block of its target table once
 per root, gathered from the whole Pi for large tables and formed from the
-readout rows at O(k^2 eta + k^4) per shot for small ones.
+readout rows at O(k^2 eta + k^4) per shot for small ones.  Its table's work
+(checks, distinct blocks, block source) is _block_plan's, done once: a run
+builds each table's plan once and applies it to every chunk of shots.
 
 A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta), the one
 form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
@@ -249,87 +251,93 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     row of p, then of q, not strictly increasing within 1..n.
     """
     ws = check_shadows(ws)
-    n, eta, k = check_sizes(ws.shape[2], ws.shape[1], k)
+    out = _block_plan(ws.shape[2], ws.shape[1], k, p, q)(ws)
+    return out[:, 0] if np.ndim(p) == 1 else out
+
+
+def _block_plan(n: int, eta: int, k: int, p, q):
+    """The estimator of the target table (p, q) on (n, eta) shadows, planned once.
+
+    Raises fast_estimate_rdm's ValueErrors for sizes and tables, in its order,
+    then finds the table's distinct blocks, the two blocks each target reads
+    and the rule's block source.  Returns
+    estimate(ws, gather=None) -> (N, T): fast_estimate_rdm's estimates of the
+    shadows ws, a stack (N, eta, n) that it does not check.  gather True
+    takes every block from the whole M(x) (n, n, N), False from products of
+    the readout rows, None by the rule.  A tile of B' blocks holds about
+    _TILE numbers in its (k, k, B', N) blocks, or in the (eta, k, k, B', N)
+    products behind them.
+    """
+    n, eta, k = check_sizes(n, eta, k)
     ps, qs = int_table(p), int_table(q)
     if (ps is None or qs is None
             or not (ps.shape == qs.shape and ps.ndim in (1, 2) and ps.shape[-1:] == (k,))):
         raise ValueError(f"need integer p, q of one shape (k,) or (T, k) with k={k}, "
                          f"got p {getattr(ps, 'shape', 'not an integer table')}, "
                          f"q {getattr(qs, 'shape', 'not an integer table')}")
-    single = ps.ndim == 1
-    if single:
-        ps, qs = ps[None], qs[None]
+    ps, qs = np.atleast_2d(ps, qs)      # one pair (k,) as a table (1, k)
     check_subsets(np.concatenate([ps, qs]), n)
-    out = _block_estimates(ws, k, ps, qs)
-    return out[:, 0] if single else out
-
-
-def _block_estimates(ws, k: int, ps, qs, gather: bool = None) -> np.ndarray:
-    """(N, T) estimates of the checked targets (ps_t, qs_t) from one block source.
-
-    gather True takes every block from the whole M(x) (n, n, N), False from
-    products of the readout rows, None by fast_estimate_rdm's rule.  A tile
-    of B' blocks holds about _TILE numbers in its (k, k, B', N) blocks, or in
-    the (eta, k, k, B', N) products behind them.
-    """
-    count, eta, n = ws.shape
     w0, points = _dft_points(n, eta, k)
-    out = np.empty((len(ps), count), dtype=np.complex128)
-    out[:] = np.where((ps == qs).all(axis=1), w0, 0.0)[:, None]
-    if not (points and len(ps)):
-        return out.T
+    diagonal = np.where((ps == qs).all(axis=1), w0, 0.0)[:, None]
     # 0-based (rows, cols) of the blocks M[q_t, p_t], then M[p_t, q_t]; each
     # distinct one is evaluated once, and which maps a target to its two
     keys = np.concatenate([np.hstack([qs, ps]), np.hstack([ps, qs])]) - 1
-    order = np.lexsort(keys.T)
+    order = np.lexsort(keys.T) if k else np.arange(len(keys))    # lexsort needs a key
     first = np.ones(len(keys), dtype=bool)
     first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     blocks = keys[order[first]]
-    which = np.empty(len(keys), dtype=np.int64)
-    which[order] = np.cumsum(first) - 1
-    which = which.reshape(2, -1)
-    if gather is None:
-        gather = len(blocks) * k * k >= n * n
-    # readout rows, shots last: (eta, n, N)
-    uz = np.ascontiguousarray(ws.transpose(1, 2, 0))
-    # The sources sum Pi's eta terms in different orders, so they differ by
-    # rounding (up to 8e-15 at eta >= 4).  The gather sums row by row, which
-    # builds no (eta, n, n, N) array.  The products keep _fold's pairwise
-    # order: a row-by-row loop there makes the sources bit-identical, but at
-    # eta = 64 it raised criterion 10's time per pair from 124 to 600-750 us
-    # (2-core VM), and .sum(axis=0), though faster, gives bits that depend on
-    # the size of the stack it sums.
-    if gather:
-        # Pi (n, n, N)
-        proj = uz[0].conj()[:, None] * uz[0][None]
-        for u in uz[1:]:
-            proj += u.conj()[:, None] * u[None]
-    det = np.empty((len(blocks), count), dtype=np.complex128)
-    block_tile = max(1, _TILE // max(1, count * k * k * (1 if gather else eta)))
-    target_tile = max(1, _TILE // max(1, count))
-    for x, w in points:
-        if x == -1.0:
-            w = w / 2       # M(-1) is hermitian: its one root counts once per orientation
+    which = np.empty((2, len(ps)), dtype=np.int64)
+    which.flat[order] = np.cumsum(first) - 1
+    rule = len(blocks) * k * k >= n * n
+
+    def estimate(ws, gather: bool = None) -> np.ndarray:
+        gather = rule if gather is None else gather
+        count = len(ws)
+        out = np.broadcast_to(diagonal, (len(ps), count)).astype(np.complex128)
+        if not (points and len(ps)):
+            return out.T
+        # readout rows, shots last: (eta, n, N)
+        uz = np.ascontiguousarray(ws.transpose(1, 2, 0))
+        # The sources sum Pi's eta terms in different orders, so they differ by
+        # rounding (up to 8e-15 at eta >= 4).  The gather sums row by row, which
+        # builds no (eta, n, n, N) array.  The products keep _fold's pairwise
+        # order: a row-by-row loop there makes the sources bit-identical, but at
+        # eta = 64 it raised criterion 10's time per pair from 124 to 600-750 us
+        # (2-core VM), and .sum(axis=0), though faster, gives bits that depend on
+        # the size of the stack it sums.
         if gather:
-            mx = (x - 1.0) * proj
-            mx[np.arange(n), np.arange(n)] += 1.0
-        for lo in range(0, len(blocks), block_tile):
-            # block b's entry (i, j) at m[i, j, b], so each entry is one contiguous (B', N)
-            r = blocks[lo:lo + block_tile, :k].T[:, None]
-            c = blocks[lo:lo + block_tile, k:].T[None]
+            # Pi (n, n, N)
+            proj = uz[0].conj()[:, None] * uz[0][None]
+            for u in uz[1:]:
+                proj += u.conj()[:, None] * u[None]
+        det = np.empty((len(blocks), count), dtype=np.complex128)
+        block_tile = max(1, _TILE // max(1, count * k * k * (1 if gather else eta)))
+        target_tile = max(1, _TILE // max(1, count))
+        for x, w in points:
+            if x == -1.0:
+                w = w / 2       # M(-1) is hermitian: its one root counts once per orientation
             if gather:
-                m = mx[r, c]
-            else:
-                m = (r == c)[..., None] + (x - 1.0) * _fold(uz[:, r].conj() * uz[:, c])
-            # not in place: an in-place complex product can round differently
-            # in the last elements of a row, so a shot's bits would follow N
-            det[lo:lo + block_tile] = w * _det_stack(np.moveaxis(m, (0, 1), (2, 3)))
-        for lo in range(0, len(ps), target_tile):
-            # (p, q) adds w det M[q, p] + conj(w det M[p, q]); (q, p) its conjugate
-            term = det[which[0, lo:lo + target_tile]]
-            term += np.conjugate(det[which[1, lo:lo + target_tile]])
-            out[lo:lo + target_tile] += term
-    return out.T
+                mx = (x - 1.0) * proj
+                mx[np.arange(n), np.arange(n)] += 1.0
+            for lo in range(0, len(blocks), block_tile):
+                # block b's entry (i, j) at m[i, j, b], so each entry is one contiguous (B', N)
+                r = blocks[lo:lo + block_tile, :k].T[:, None]
+                c = blocks[lo:lo + block_tile, k:].T[None]
+                if gather:
+                    m = mx[r, c]
+                else:
+                    m = (r == c)[..., None] + (x - 1.0) * _fold(uz[:, r].conj() * uz[:, c])
+                # not in place: an in-place complex product can round differently
+                # in the last elements of a row, so a shot's bits would follow N
+                det[lo:lo + block_tile] = w * _det_stack(np.moveaxis(m, (0, 1), (2, 3)))
+            for lo in range(0, len(ps), target_tile):
+                # (p, q) adds w det M[q, p] + conj(w det M[p, q]); (q, p) its conjugate
+                term = det[which[0, lo:lo + target_tile]]
+                term += np.conjugate(det[which[1, lo:lo + target_tile]])
+                out[lo:lo + target_tile] += term
+        return out.T
+
+    return estimate
 
 
 def check_fast_vs_dense(fast, dense) -> tuple:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -32,6 +33,17 @@ from fermishadow.fock import FermionState, random_state, rdm_matrix, state_to_js
 def _read_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _offset_products(monkeypatch, offset):
+    """Make every table's plan add offset(p, q), one value per target, to its products source."""
+    plan = shadows._block_plan
+
+    def offset_plan(n, eta, k, p, q):
+        estimate, extra = plan(n, eta, k, p, q), offset(p, q)
+        # gather None means "by the rule", so only gather False is the products source
+        return lambda ws, gather=None: estimate(ws, gather) + (gather is False) * extra
+    monkeypatch.setattr(shadows, "_block_plan", offset_plan)
 
 
 def test_config_validation_messages():
@@ -378,6 +390,37 @@ def test_estimate_rejects_wrong_amplitude_count(tmp_path, capsys):
     assert err.startswith("config error:") and "amplitudes" in err
 
 
+def test_sector_past_the_int_str_limit_is_a_config_error(tmp_path, capsys):
+    # C(20000, 10000) has over 6000 digits, past the digits Python's int-to-str
+    # allows by default: the shape message once printed it and reported that
+    # limit instead of the amplitude count
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": 20000, "eta": 10000, "amplitudes": [[1.0, 0.0]]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 20000, "eta": 10000, "k": 1, "samples": 5, "seed": 1,
+                               "state_source": f"file:{path}"}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: cannot load state from {path}")
+    assert "need C(20000,10000) amplitudes" in err and "set_int_max_str_digits" not in err
+    with pytest.raises(ValueError, match=r"^need C\(20000,10000\) values, got 1$"):
+        channel.DiagonalOperator(20000, 10000, [1])
+
+
+def test_no_assert_statement_in_library_or_oracles():
+    # python -O strips assert statements: an input check or an oracle's check
+    # written as one would vanish from the optimized Tier-1 run
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "fermishadow").glob("*.py")) + sorted(
+        (root / "tests").glob("*_oracle.py"))
+    assert {"shadows.py", "cli.py", "dense_oracle.py", "pfaffian_oracle.py"} <= {
+        f.name for f in files}
+    found = [f"{f.name}:{node.lineno}" for f in files
+             for node in ast.walk(ast.parse(f.read_text(), str(f)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_config_errors_survive_optimized_mode(tmp_path):
     # python -O strips assert statements; boundary checks must not depend on them
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -644,16 +687,35 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     # the gate is identities.check_fast_vs_dense per shot and entry
     from fermishadow import identities
     assert shadows.check_fast_vs_dense is identities.check_fast_vs_dense
-    estimates = shadows._block_estimates
-    monkeypatch.setattr(shadows, "_block_estimates", lambda ws, k, p, q, gather: (
-        estimates(ws, k, p, q, gather)
-        + 1e-6 * (not gather) * ((p == [1]) & (q == [3])).all(axis=-1)))
+    _offset_products(monkeypatch, lambda p, q: 1e-6 * ((p == [1]) & (q == [3])).all(axis=-1))
     assert main(["estimate", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert len(_read_csv(out)[1]) == 9
     assert err.startswith("gathered blocks and readout-row products disagree")
     gap = float(err.split()[-1])
     assert 1e-8 < gap <= 1e-6
+
+
+def test_each_table_is_planned_once_per_run(monkeypatch, capsys):
+    # a table's checks and distinct blocks are _block_plan's, built once per
+    # run in the setup stage, then applied to every chunk of shots
+    plans, chunks = [], []
+    plan, collect = shadows._block_plan, cli.collect_shadow_arrays
+    monkeypatch.setattr(shadows, "_block_plan", lambda n, eta, k, p, q: (
+        plans.append((n, eta, k, len(p))) or plan(n, eta, k, p, q)))
+    monkeypatch.setattr(cli, "collect_shadow_arrays", lambda state, count, *args, **kwargs: (
+        chunks.append(count) or collect(state, count, *args, **kwargs)))
+    # the widest table, 784 pairs at k = 2, sets chunks of 2^19 // 784 = 668 shots
+    assert main(["variance-sweep", "--n", "8", "--eta", "2", "--k", "1,2",
+                 "--samples", "1500"]) == 0
+    assert chunks == [668, 668, 164]
+    assert plans == [(8, 2, 1, 64), (8, 2, 2, 784)]
+    # both applies one plan's two block sources to each of three chunks
+    plans.clear(), chunks.clear()
+    config = ExperimentConfig(4, 2, 2, 5000, 3, estimator="both")
+    assert cli.cmd_estimate(config) == 0
+    assert chunks == [2048, 2048, 904] and plans == [(4, 2, 2, 36)]
+    capsys.readouterr()
 
 
 def test_estimator_fast_is_a_config_error(tmp_path, capsys):
@@ -928,9 +990,7 @@ def test_slater_overlap_both_cross_checks(monkeypatch, capsys):
         for row in rows:
             assert abs(float(row[1]) - float(row[8])) < 1e-8
             assert abs(float(row[2]) - float(row[9])) < 1e-8
-    estimates = shadows._block_estimates
-    monkeypatch.setattr(shadows, "_block_estimates", lambda ws, k, p, q, gather: (
-        estimates(ws, k, p, q, gather) + 1e-6 * (not gather) * (np.arange(len(p)) == 0)))
+    _offset_products(monkeypatch, lambda p, q: 1e-6 * (np.arange(len(p)) == 0))
     for n, eta in [(3, 2), (5, 3)]:
         config = ExperimentConfig(n, eta, eta, 60, 4, estimator="both")
         assert cmd_slater_overlap(config) == 1

@@ -98,10 +98,28 @@ def test_pair_and_its_reverse_are_exact_conjugates():
         ss = subset_index_array(n, k) + 1
         ps, qs = ss[rng.integers(len(ss), size=6)], ss[rng.integers(len(ss), size=6)]
         ps, qs = np.concatenate([ps, qs, ps[:1]]), np.concatenate([qs, ps, ps[:1]])
+        estimate = shadows._block_plan(n, eta, k, ps, qs)
         for gather in (True, False):
-            got = shadows._block_estimates(ws, k, ps, qs, gather)
+            got = estimate(ws, gather)
             assert np.array_equal(got[:, 6:12], got[:, :6].conj())
             assert np.all(got[:, 12].imag == 0)
+
+
+@pytest.mark.parametrize("n,eta,k", [(7, 3, 1), (7, 3, 2), (7, 3, 3), (24, 4, 2), (16, 8, 4),
+                                     (12, 6, 6)])
+def test_per_shot_trace_is_binom_eta_k(n, eta, k):
+    # sum_p of the k-body transitions (p, p) is C(eta, k) on the eta-particle
+    # sector, and the inverted channel keeps the trace, so every single shot's
+    # diagonal estimates sum to C(eta, k): an oracle-free check of the kernel
+    # on tables of up to 1820 targets, past any dense route.  A diagonal entry
+    # is w_0 plus terms w d + conj(w d), so its imaginary part is exactly 0
+    state = random_state(n, eta, np.random.default_rng(100 * n + k))
+    ws, _ = collect_shadow_arrays(state, 3, seed=k)
+    ss = subset_index_array(n, k) + 1
+    diagonal = fast_estimate_rdm(ws, k, ss, ss)
+    trace = diagonal.sum(axis=1)
+    assert np.all(diagonal.imag == 0)
+    assert np.all(np.abs(trace.real - binom(eta, k)) <= 1e-10 * np.abs(diagonal).sum(axis=1))
 
 
 def test_batch_matches_single():
@@ -157,14 +175,13 @@ def test_chunking_is_bit_identical(monkeypatch):
         monkeypatch.setattr(shadows, "_CHUNK", chunk)
         cws, czs = collect_shadow_arrays(state, 7, seed=40)
         assert cws.tobytes() == ws.tobytes() and np.array_equal(czs, zs)
-        # the kernel on slices of chunk shots, from either block source
+        # one plan applied to slices of chunk shots, from either block source
         for k in (1, 2, 3):
-            ps, qs = all_pairs(5, k)
+            estimate = shadows._block_plan(5, 3, k, *all_pairs(5, k))
             for gather in (True, False):
-                want = shadows._block_estimates(ws, k, ps, qs, gather)
-                got = np.concatenate([
-                    shadows._block_estimates(ws[lo:lo + chunk], k, ps, qs, gather)
-                    for lo in range(0, 7, chunk)])
+                want = estimate(ws, gather)
+                got = np.concatenate([estimate(ws[lo:lo + chunk], gather)
+                                      for lo in range(0, 7, chunk)])
                 assert got.tobytes() == want.tobytes()
 
 
