@@ -8,10 +8,10 @@ output byte is reproducible.  Exit codes: 0 success, 1 validation failure,
 import argparse
 import csv
 import ctypes
+import gc
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from contextlib import suppress
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shadows
-from .combinat import check_sizes, check_subsets, is_int, rank_rows, subset_index_array
+from .combinat import binom, check_sizes, check_subsets, is_int, rank_rows, subset_index_array
 from .fock import (
     FermionState,
     basis_state,
@@ -105,19 +105,41 @@ class ExperimentConfig:
             raise ConfigError(f"targets must be all_krdm or a list, got {self.targets!r}")
 
 
+def _check_sector(n: int, eta: int):
+    """Raise ConfigError unless numpy can allocate the C(n, eta) amplitudes of a sector.
+
+    The allocation itself decides: numpy refuses a length or a byte count
+    past its index range, and memory the system will not map.  np.empty
+    touches no page, so a sector that fits costs nothing here.  The message
+    names C(n, eta) and never prints it, which may have thousands of digits.
+    """
+    try:
+        np.empty(binom(n, eta), dtype=np.complex128)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"the {eta}-particle sector on {n} modes has C({n},{eta}) "
+                          f"amplitudes, more than numpy can allocate") from None
+
+
 def build_state(config: ExperimentConfig) -> FermionState:
-    """Materialize the input state named by config.state_source."""
+    """Materialize the input state named by config.state_source.
+
+    random_pure and basis: allocate the sector, so _check_sector runs before
+    any draw, after a basis subset's own checks.
+    """
     src = config.state_source
     if src == "random_pure":
+        _check_sector(config.n, config.eta)
         return random_state(config.n, config.eta, shadow_rng(config.seed, _STATE_INDEX))
     if src.startswith("basis:"):
         z = tuple(_parse_int_list(src[len("basis:"):]))
         if len(z) != config.eta:
             raise ConfigError(f"basis state has {len(z)} modes, config says eta={config.eta}")
         try:
-            return basis_state(z, config.n)
+            check_subsets(z, config.n)
         except ValueError:
             raise ConfigError(f"invalid basis subset {z} for n={config.n}") from None
+        _check_sector(config.n, config.eta)
+        return basis_state(z, config.n)
     path = src[len("file:"):]
     try:
         with open(path) as fh:
@@ -183,7 +205,8 @@ def _git_describe():
     """git describe of the checkout holding this package; None outside one.
 
     Without GIT_DIR, git finds a repository only through a .git entry in the
-    package directory or an ancestor, so where there is none no git is spawned.
+    package directory or an ancestor, so where there is none no git is spawned,
+    and subprocess, with its selectors and signal imports, is never imported.
     """
     here = top = os.path.dirname(os.path.abspath(__file__))
     if "GIT_DIR" not in os.environ:
@@ -191,6 +214,7 @@ def _git_describe():
             if os.path.dirname(top) == top:
                 return None
             top = os.path.dirname(top)
+    import subprocess       # here, not at start-up: only a checkout needs it
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -317,13 +341,13 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     shadows._block_plan is built once, in setup, and applied to every chunk:
     dense reduces its estimates into one Reducer, both the two block sources
     of _cross_check into a Reducer each.  agree says whether every chunk
-    passed, gap is the worst gap (a NaN stays).
+    passed, gap is both's worst gap (a NaN stays), None under dense.
     """
     both = config.estimator == "both"
     reducers = [[Reducer(config.samples, len(ps), *_aggregation(config.aggregation))
                  for _ in range(2 if both else 1)] for ps, _ in tables]
     plans = [shadows._block_plan(state.n, state.eta, ps.shape[1], ps, qs) for ps, qs in tables]
-    agree, gap = True, 0.0
+    agree, gap = True, 0.0 if both else None
     stages.lap("setup")
     widest = max(len(ps) for ps, _ in tables)
     step = min(shadows._CHUNK, max(1, 2**19 // max(1, widest)))
@@ -345,14 +369,17 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
 
 
 def _finish(command: str, config: dict, stages: _Stages, rows: list, header: list,
-            out: str, fmt: str, agree: bool = True, gap: float = 0.0) -> int:
+            out: str, fmt: str, agree: bool = True, gap: float = None) -> int:
     """Write rows, with the run manifest when out names a file; return the exit code.
 
-    1 when the both gate failed (agree False): the rows are still written,
-    then stderr names the worst gap.
+    gap, both's worst gap, goes into the manifest as both_worst_gap; None,
+    the dense runs', adds no field.  1 when the both gate failed (agree
+    False): the rows are still written, then stderr names the worst gap.
     """
     stages.lap("aggregate")
     manifest = _run_manifest(command, config, stages) if out else None
+    if manifest and gap is not None:
+        manifest["both_worst_gap"] = gap
     _write_rows(rows, header, out, fmt, manifest)
     if not agree:
         print(f"gathered blocks and readout-row products disagree: "
@@ -540,11 +567,13 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     overlaps in the fast_overlap columns and exits 1, rows still written,
     if a chunk fails check_fast_vs_dense.  Raises ConfigError, before any
     sampling, for eta = 0: the vacuum plus the empty reference is not a
-    normalized state.
+    normalized state, and, by _check_sector, for a doubled register of
+    C(n+eta, eta) amplitudes that numpy cannot allocate.
     """
     config.validate()
     if config.eta == 0:
         raise ConfigError("slater-overlap needs eta >= 1")
+    _check_sector(config.n + config.eta, config.eta)        # the doubled register
     stages = _Stages()
     state = build_state(config)
     n, eta = config.n, config.eta
@@ -620,6 +649,14 @@ def _keep_heap():
 
 
 def main(argv=None) -> int:
+    # main owns its process, as in _keep_heap.  What the imports built, about
+    # 22k objects of numpy and the package, lives until exit, yet every
+    # collection walks it, the full ones of interpreter shutdown too, which
+    # gc.disable does not stop.  Frozen, it is skipped by every later
+    # collection.  Only the first call freezes: a caller that calls main
+    # again keeps what it made since collectable.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="fermishadow",
         description="Randomized occupation measurements for fixed-particle-number states.",

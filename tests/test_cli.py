@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -240,6 +241,37 @@ print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[20480] < 2 * faults[2048], faults
 
 
+def test_main_freezes_the_import_time_heap_once(capsys):
+    # main owns its process: its first call freezes what the imports built, so
+    # no later collection walks it; later calls freeze nothing more
+    argv = ["estimate", "--n", "3", "--eta", "2", "--k", "1", "--samples", "5", "--seed", "1"]
+    assert main(argv) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_importing_the_cli_imports_no_subprocess():
+    # only _git_describe spawns, and only inside a checkout; numpy is imported
+    # first, so what it imports itself does not count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = """
+import sys
+import numpy
+before = "subprocess" in sys.modules
+import fermishadow.cli
+print(before, "subprocess" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    before, after = out.stdout.split()
+    assert after == before, out.stdout
+
+
 def test_build_state_sources(tmp_path):
     basis = build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:1,3"))
     assert basis.amplitude((1, 3)) == 1.0
@@ -405,6 +437,41 @@ def test_sector_past_the_int_str_limit_is_a_config_error(tmp_path, capsys):
     assert "need C(20000,10000) amplitudes" in err and "set_int_max_str_digits" not in err
     with pytest.raises(ValueError, match=r"^need C\(20000,10000\) values, got 1$"):
         channel.DiagonalOperator(20000, 10000, [1])
+
+
+@pytest.mark.parametrize("argv,extra,sector", [
+    # past numpy's largest dimension: once a traceback from the state's draw, exit 1
+    (["estimate", "--n", "20000", "--eta", "10000", "--k", "1"], {}, "C(20000,10000)"),
+    (["variance-sweep", "--n", "20000", "--eta", "10000", "--k", "1"], {}, "C(20000,10000)"),
+    # C(64,32) complex amplitudes pass numpy's byte range: once reported as an
+    # invalid basis subset, though the subset is valid
+    (["estimate", "--n", "64", "--eta", "32", "--k", "1"],
+     {"state_source": "basis:" + ",".join(map(str, range(1, 33)))}, "C(64,32)"),
+    # a one-amplitude state whose doubled register does not fit: once a traceback
+    (["slater-overlap", "--n", "32", "--eta", "32"], {}, "C(64,32)"),
+])
+def test_sector_too_large_to_allocate_is_a_config_error(argv, extra, sector, tmp_path,
+                                                        monkeypatch, capsys):
+    # the rule runs before any draw
+    drawn = []
+    monkeypatch.setattr(cli, "shadow_rng", lambda *args: drawn.append(args))
+    if extra:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--samples", "1", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and drawn == []
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"has {sector} amplitudes, more than numpy can allocate" in err
+
+
+def test_invalid_basis_subset_keeps_its_message(capsys):
+    # check_subsets decides first, also in a sector too large to allocate
+    for n, eta, modes in [(3, 2, "4,9"), (64, 32, ",".join(map(str, range(4, 68, 2))))]:
+        config = ExperimentConfig(n, eta, 1, 1, 1, state_source="basis:" + modes)
+        with pytest.raises(ConfigError, match=rf"^invalid basis subset \(4, .*\) for n={n}$"):
+            build_state(config)
 
 
 def test_no_assert_statement_in_library_or_oracles():
@@ -694,6 +761,20 @@ def test_estimate_both_mode_csv(tmp_path, capsys, monkeypatch):
     assert err.startswith("gathered blocks and readout-row products disagree")
     gap = float(err.split()[-1])
     assert 1e-8 < gap <= 1e-6
+    # every both run records its worst gap in the manifest, the failed one too
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "bad.manifest.json").read_text())
+    assert f"{manifest['both_worst_gap']:.3e}" == err.split()[-1]
+    monkeypatch.undo()
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "good")]) == 0
+    manifest = json.loads((tmp_path / "good.manifest.json").read_text())
+    assert 0 <= manifest["both_worst_gap"] <= 1e-8
+    # a dense run has no gap to record
+    cfg.write_text(json.dumps({"n": 3, "eta": 2, "k": 1, "samples": 32, "seed": 9}))
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "dense")]) == 0
+    capsys.readouterr()
+    assert "both_worst_gap" not in json.loads((tmp_path / "dense.manifest.json").read_text())
 
 
 def test_each_table_is_planned_once_per_run(monkeypatch, capsys):

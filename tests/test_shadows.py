@@ -122,6 +122,60 @@ def test_per_shot_trace_is_binom_eta_k(n, eta, k):
     assert np.all(np.abs(trace.real - binom(eta, k)) <= 1e-10 * np.abs(diagonal).sum(axis=1))
 
 
+def _contraction(n, ps, qs):
+    """(P, Q, S): the k-targets of the contraction of each (k-1)-pair (ps[j], qs[j]).
+
+    Row t of P and Q is a target (p+m, q+m) of one pair j, m a mode in
+    neither p nor q and p+m the sorted p with m put in, and S[t, j] its sign
+    (-1)^(modes of p below m + modes of q below m); 0 off its pair.  So for
+    estimates e (N, T) of the targets, e @ S sums each pair's signed terms.
+    """
+    rows, cols, signs = [], [], []
+    for j, (p, q) in enumerate(zip(ps.tolist(), qs.tolist())):
+        for m in sorted(set(range(1, n + 1)) - set(p) - set(q)):
+            rows.append((sorted(p + [m]), sorted(q + [m])))
+            cols.append(j)
+            signs.append((-1) ** (sum(x < m for x in p) + sum(x < m for x in q)))
+    table = np.array(rows, dtype=np.int64)
+    s = np.zeros((len(rows), len(ps)))
+    s[np.arange(len(rows)), cols] = signs
+    return table[:, 0], table[:, 1], s
+
+
+def test_contraction_sign_convention_on_exact_rdms():
+    # sum over m outside p and q of +- gamma^k[p+m, q+m] = (eta-k+1) gamma^(k-1)[p, q]
+    # on the eta-particle sector, with _contraction's signs; without them it fails
+    n, eta = 7, 3
+    state = random_state(n, eta, np.random.default_rng(73))
+    for k in (1, 2, 3):
+        ps, qs = all_pairs(n, k - 1)
+        big, small = rdm_matrix(state, k), rdm_matrix(state, k - 1)
+        p, q, s = _contraction(n, ps, qs)
+        values = big[rank_rows(p, n), rank_rows(q, n)]
+        want = (eta - k + 1) * small[rank_rows(ps, n), rank_rows(qs, n)]
+        assert np.all(np.abs(values @ s - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        if k == 2:
+            assert not np.allclose(values @ np.abs(s), want)
+
+
+@pytest.mark.parametrize("n,eta,k,pairs", [(7, 3, 2, None), (7, 3, 3, None), (16, 8, 3, 24)])
+def test_per_shot_contraction_of_listed_targets(n, eta, k, pairs):
+    # the contraction holds in every single shot, as the trace does: the inverted
+    # channel is exact on the sector.  At (16, 8) no dense oracle runs; 24
+    # drawn (k-1)-pairs, and their p = q pairs, need a few hundred listed targets
+    rng = np.random.default_rng(10 * n + k)
+    state = random_state(n, eta, rng)
+    ws, _ = collect_shadow_arrays(state, 40 if pairs is None else 3, seed=k)
+    ps, qs = all_pairs(n, k - 1)
+    if pairs is not None:
+        pick = rng.integers(len(ps), size=pairs)
+        ps, qs = np.concatenate([ps[pick], ps[pick]]), np.concatenate([qs[pick], ps[pick]])
+    p, q, s = _contraction(n, ps, qs)
+    got = fast_estimate_rdm(ws, k, p, q) @ s
+    want = (eta - k + 1) * fast_estimate_rdm(ws, k - 1, ps, qs)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 def test_batch_matches_single():
     n, eta, k = 4, 2, 2
     state = random_state(n, eta, np.random.default_rng(5))
