@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from contextlib import suppress
@@ -205,8 +206,7 @@ def _git_describe():
     """git describe of the checkout holding this package; None outside one.
 
     Without GIT_DIR, git finds a repository only through a .git entry in the
-    package directory or an ancestor, so where there is none no git is spawned,
-    and subprocess, with its selectors and signal imports, is never imported.
+    package directory or an ancestor, so where there is none no git is spawned.
     """
     here = top = os.path.dirname(os.path.abspath(__file__))
     if "GIT_DIR" not in os.environ:
@@ -214,7 +214,6 @@ def _git_describe():
             if os.path.dirname(top) == top:
                 return None
             top = os.path.dirname(top)
-    import subprocess       # here, not at start-up: only a checkout needs it
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -443,8 +442,9 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
             emp = [""] * len(orders)
             if samples > 0 and orders:
                 config = ExperimentConfig(n, eta, eta, samples, seed)     # k: per table
+                state = build_state(config)     # the sector check, before any C(n,k)^2 table
                 tables = [all_pairs(n, k) for k in orders]
-                reducers, _, _ = _sample(build_state(config), config, tables, stages)
+                reducers, _, _ = _sample(state, config, tables, stages)
                 emp = [_fmt(float(r.variance().mean())) for r, in reducers]
             for k, e in zip(orders, emp):
                 rows.append([
@@ -649,6 +649,11 @@ def _keep_heap():
 
 
 def main(argv=None) -> int:
+    """Run one command; its first call freezes the caller's heap (gc.freeze).
+
+    An in-process caller whose garbage must stay collectable calls the cmd_*
+    functions instead.
+    """
     # main owns its process, as in _keep_heap.  What the imports built, about
     # 22k objects of numpy and the package, lives until exit, yet every
     # collection walks it, the full ones of interpreter shutdown too, which

@@ -253,25 +253,6 @@ def test_main_freezes_the_import_time_heap_once(capsys):
     capsys.readouterr()
 
 
-def test_importing_the_cli_imports_no_subprocess():
-    # only _git_describe spawns, and only inside a checkout; numpy is imported
-    # first, so what it imports itself does not count
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    script = """
-import sys
-import numpy
-before = "subprocess" in sys.modules
-import fermishadow.cli
-print(before, "subprocess" in sys.modules)
-"""
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    before, after = out.stdout.split()
-    assert after == before, out.stdout
-
-
 def test_build_state_sources(tmp_path):
     basis = build_state(ExperimentConfig(3, 2, 1, 1, 0, state_source="basis:1,3"))
     assert basis.amplitude((1, 3)) == 1.0
@@ -443,6 +424,9 @@ def test_sector_past_the_int_str_limit_is_a_config_error(tmp_path, capsys):
     # past numpy's largest dimension: once a traceback from the state's draw, exit 1
     (["estimate", "--n", "20000", "--eta", "10000", "--k", "1"], {}, "C(20000,10000)"),
     (["variance-sweep", "--n", "20000", "--eta", "10000", "--k", "1"], {}, "C(20000,10000)"),
+    # the check runs before the C(n,k)^2 pair tables: at k = 2 their
+    # np.repeat once ended in a MemoryError traceback
+    (["variance-sweep", "--n", "20000", "--eta", "10000", "--k", "2"], {}, "C(20000,10000)"),
     # C(64,32) complex amplitudes pass numpy's byte range: once reported as an
     # invalid basis subset, though the subset is valid
     (["estimate", "--n", "64", "--eta", "32", "--k", "1"],
