@@ -424,8 +424,8 @@ def test_sector_past_the_int_str_limit_is_a_config_error(tmp_path, capsys):
     # past numpy's largest dimension: once a traceback from the state's draw, exit 1
     (["estimate", "--n", "20000", "--eta", "10000", "--k", "1"], {}, "C(20000,10000)"),
     (["variance-sweep", "--n", "20000", "--eta", "10000", "--k", "1"], {}, "C(20000,10000)"),
-    # the check runs before the C(n,k)^2 pair tables: at k = 2 their
-    # np.repeat once ended in a MemoryError traceback
+    # the check runs before the C(n,k)^2 pair tables, which numpy cannot
+    # allocate at k = 2
     (["variance-sweep", "--n", "20000", "--eta", "10000", "--k", "2"], {}, "C(20000,10000)"),
     # C(64,32) complex amplitudes pass numpy's byte range: once reported as an
     # invalid basis subset, though the subset is valid
