@@ -202,6 +202,20 @@ def _subset_str(z) -> str:
     return "+".join(str(m) for m in z)
 
 
+def _labels(table: np.ndarray, n: int) -> list:
+    """The _subset_str of each subset of a (..., d) table, in row order.
+
+    One string is built per distinct colex rank, and the rows share it.
+    """
+    ranks = rank_rows(table, n).ravel().tolist()
+    rows = table.reshape(len(ranks), table.shape[-1])
+    names = {}
+    for i, r in enumerate(ranks):
+        if r not in names:
+            names[r] = _subset_str(rows[i].tolist())
+    return [names[r] for r in ranks]
+
+
 def _git_describe():
     """git describe of the checkout holding this package; None outside one.
 
@@ -327,62 +341,79 @@ def _cross_check(ws, estimate) -> tuple:
     return (gathered, products, *shadows.check_fast_vs_dense(products, gathered))
 
 
-def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages: _Stages) -> tuple:
-    """(reducers, agree, gap): config.samples shots of state, reduced per target table.
+def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages: _Stages,
+            record: dict) -> tuple:
+    """(results, agree): config.samples shots of state, reduced per target table.
 
-    tables lists (ps, qs) target tables, (T, k) each, and reducers[i] lists
-    table i's Reducers.  Runs collect -> estimate -> reduce one chunk of shots
-    at a time, every table reading the same chunk: at most shadows._CHUNK
-    shots, and fewer where the largest table's (shots, T) estimates would
-    pass about 2^19 numbers, so peak memory is set by the targets, not by
-    config.samples.  Each chunk is its own start_index call, which draws
-    the same bits as one call over all the shots.  Each table's
-    shadows._block_plan is built once, in setup, and applied to every chunk:
-    dense reduces its estimates into one Reducer, both the two block sources
-    of _cross_check into a Reducer each.  agree says whether every chunk
-    passed, gap is both's worst gap (a NaN stays), None under dense.
+    tables lists (ps, qs) target tables, (T, k) each, and results[i] lists,
+    per Reducer of table i, its (value, error, variance), three (T,) arrays.
+    Runs collect -> estimate -> reduce one chunk of shots at a time, every
+    table reading the same chunk: at most shadows._CHUNK shots, and fewer
+    where the largest table's (shots, T) estimates would pass about 2^19
+    numbers, so peak memory is set by the targets, not by config.samples.
+    Each chunk is its own start_index call, which draws the same bits as one
+    call over all the shots.  Each table's shadows._block_plan is built once,
+    in setup, and applied to every chunk.  dense assembles only the plan's
+    distinct columns, which (p, q), (q, p) and repeated targets share, and
+    folds them into one Reducer tile by tile, so no (shots, T) table is
+    built; plan.expand then gives each target its column's values, mirrored
+    where the target is the column's conjugate, the bits of reducing every
+    target.  both reduces the two block sources' whole (shots, T) tables of
+    _cross_check into a Reducer each, the oracle of the dense route.  record,
+    the manifest's extra fields, gets the collector's born_worst_defect and,
+    under both, both_worst_gap (a NaN stays); agree says whether every chunk
+    passed.
     """
     both = config.estimator == "both"
-    reducers = [[Reducer(config.samples, len(ps), *_aggregation(config.aggregation))
-                 for _ in range(2 if both else 1)] for ps, _ in tables]
     plans = [shadows._block_plan(state.n, state.eta, ps.shape[1], ps, qs) for ps, qs in tables]
-    agree, gap = True, 0.0 if both else None
+    reducers = [[Reducer(config.samples, len(ps) if both else plan.width,
+                         *_aggregation(config.aggregation)) for _ in range(2 if both else 1)]
+                for (ps, _), plan in zip(tables, plans)]
+    agree = True
+    if both:
+        record["both_worst_gap"] = 0.0
     stages.lap("setup")
     widest = max(len(ps) for ps, _ in tables)
     step = min(shadows._CHUNK, max(1, 2**19 // max(1, widest)))
     for lo in range(0, config.samples, step):
         count = min(step, config.samples - lo)
-        ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo)
+        ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo, record=record)
         stages.lap("collect")
-        for estimate, table_reducers in zip(plans, reducers):
+        for plan, table_reducers in zip(plans, reducers):
             if both:
-                *chunks, ok, worst = _cross_check(ws, estimate)
-                agree, gap = agree and ok, float(np.maximum(gap, worst))
+                *chunks, ok, worst = _cross_check(ws, plan)
+                agree = agree and ok
+                record["both_worst_gap"] = float(np.maximum(record["both_worst_gap"], worst))
+                stages.lap("estimate")
+                for reducer, chunk in zip(table_reducers, chunks):
+                    reducer.add(chunk)
+                stages.lap("aggregate")
             else:
-                chunks = [estimate(ws)]
-            stages.lap("estimate")
-            for reducer, chunk in zip(table_reducers, chunks):
-                reducer.add(chunk)
-            stages.lap("aggregate")
-    return reducers, agree, gap
+                for col, tile in plan.columns(ws):
+                    stages.lap("estimate")
+                    table_reducers[0].add(tile.T, col)
+                    stages.lap("aggregate")
+    results = [[(*r.result(), r.variance()) for r in table_reducers] for table_reducers in reducers]
+    if not both:
+        results = [[(plan.expand(val, conjugate=True), plan.expand(err), plan.expand(var))]
+                   for plan, [(val, err, var)] in zip(plans, results)]
+    return results, agree
 
 
 def _finish(command: str, config: dict, stages: _Stages, rows: list, header: list,
-            out: str, fmt: str, agree: bool = True, gap: float = None) -> int:
+            out: str, fmt: str, record: dict, agree: bool = True) -> int:
     """Write rows, with the run manifest when out names a file; return the exit code.
 
-    gap, both's worst gap, goes into the manifest as both_worst_gap; None,
-    the dense runs', adds no field.  1 when the both gate failed (agree
-    False): the rows are still written, then stderr names the worst gap.
+    record's fields, _sample's, go into the manifest after the common ones.
+    1 when the both gate failed (agree False): the rows are still written,
+    then stderr names record's both_worst_gap.
     """
     stages.lap("aggregate")
-    manifest = _run_manifest(command, config, stages) if out else None
-    if manifest and gap is not None:
-        manifest["both_worst_gap"] = gap
+    manifest = dict(_run_manifest(command, config, stages), **record) if out else None
     _write_rows(rows, header, out, fmt, manifest)
     if not agree:
         print(f"gathered blocks and readout-row products disagree: "
-              f"worst relative gap {gap:.3e}", file=sys.stderr)
+              f"worst relative gap {record['both_worst_gap']:.3e}", file=sys.stderr)
         return 1
     return 0
 
@@ -399,17 +430,19 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     stages = _Stages()
     state = build_state(config)
     targets = _resolve_targets(config)
-    [reducers], agree, gap = _sample(state, config, [(targets[:, 0], targets[:, 1])], stages)
-    val, err = reducers[0].result()
+    record = {}
+    [results], agree = _sample(state, config, [(targets[:, 0], targets[:, 1])], stages, record)
+    (val, err, _), *fast = results
     header = ["p", "q", "estimate_re", "estimate_im", "stderr_re", "stderr_im"]
     cols = [val.real, val.imag, err.real, err.imag]
-    if len(reducers) == 2:
-        fval, _ = reducers[1].result()
+    if fast:
+        [(fval, _, _)] = fast
         header += ["fast_estimate_re", "fast_estimate_im"]
         cols += [fval.real, fval.imag]
-    rows = [[_subset_str(p), _subset_str(q), *map(_fmt, r)]
-            for (p, q), r in zip(targets.tolist(), np.stack(cols, axis=1).tolist())]
-    return _finish("estimate", vars(config), stages, rows, header, out, fmt, agree, gap)
+    labels = _labels(targets, config.n)
+    rows = [[p, q, *map(_fmt, r)]
+            for p, q, r in zip(labels[0::2], labels[1::2], np.stack(cols, axis=1).tolist())]
+    return _finish("estimate", vars(config), stages, rows, header, out, fmt, record, agree)
 
 
 def _parse_int_list(text: str) -> list:
@@ -435,7 +468,7 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
     stages = _Stages()
     header = ["n", "eta", "k", "q_exact", "avg_shadow_norm_sq", "variance_bound",
               "empirical_avg_variance", "samples"]
-    rows = []
+    rows, record = [], {}
     for n in ns:
         for eta in etas:
             orders = [k for k in ks if 1 <= k <= eta <= n]
@@ -444,8 +477,8 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                 config = ExperimentConfig(n, eta, eta, samples, seed)     # k: per table
                 state = build_state(config)     # the sector check, before any C(n,k)^2 table
                 tables = [all_pairs(n, k) for k in orders]
-                reducers, _, _ = _sample(state, config, tables, stages)
-                emp = [_fmt(float(r.variance().mean())) for r, in reducers]
+                results, _ = _sample(state, config, tables, stages, record)
+                emp = [_fmt(float(var.mean())) for [(_, _, var)] in results]
             for k, e in zip(orders, emp):
                 rows.append([
                     n, eta, k,
@@ -456,7 +489,7 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
                     samples if samples > 0 else "",
                 ])
     grid = {"n": list(ns), "eta": list(etas), "k": list(ks), "samples": samples, "seed": seed}
-    return _finish("variance-sweep", grid, stages, rows, header, out, fmt)
+    return _finish("variance-sweep", grid, stages, rows, header, out, fmt, record)
 
 
 def run_validation(level: str = "quick", seed: int = 2024) -> dict:
@@ -582,20 +615,20 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     else:
         qs = subset_index_array(n, eta) + 1
     refs = np.broadcast_to(np.arange(n + 1, n + eta + 1), qs.shape)
-    [reducers], agree, gap = _sample(slater_superposition(state), config, [(refs, qs)], stages)
-    val, err = reducers[0].result()
+    record = {}
+    [results], agree = _sample(slater_superposition(state), config, [(refs, qs)], stages, record)
+    (val, err, var), *fast = results
     oracle = state.amps[rank_rows(qs, n)]
     header = ["q", "overlap_re", "overlap_im", "stderr_re", "stderr_im",
               "oracle_re", "oracle_im", "overlap_var_single_shot"]
     cols = [2 * val.real, 2 * val.imag, 2 * err.real, 2 * err.imag, oracle.real, oracle.imag,
-            4 * reducers[0].variance()]
-    if len(reducers) == 2:
-        fval, _ = reducers[1].result()
+            4 * var]
+    if fast:
+        [(fval, _, _)] = fast
         header += ["fast_overlap_re", "fast_overlap_im"]
         cols += [2 * fval.real, 2 * fval.imag]
-    rows = [[_subset_str(q), *map(_fmt, r)]
-            for q, r in zip(qs.tolist(), np.stack(cols, axis=1).tolist())]
-    return _finish("slater-overlap", vars(config), stages, rows, header, out, fmt, agree, gap)
+    rows = [[q, *map(_fmt, r)] for q, r in zip(_labels(qs, n), np.stack(cols, axis=1).tolist())]
+    return _finish("slater-overlap", vars(config), stages, rows, header, out, fmt, record, agree)
 
 
 def _load_config(args, need_k: bool = True) -> ExperimentConfig:

@@ -14,8 +14,9 @@ M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p]: fast_estimate_rdm is the
 one estimator, and evaluates each distinct block of its target table once
 per root, gathered from the whole Pi for large tables and formed from the
 readout rows at O(k^2 eta + k^4) per shot for small ones.  Its table's work
-(checks, distinct blocks, block source) is _block_plan's, done once: a run
-builds each table's plan once and applies it to every chunk of shots.
+(checks, distinct blocks, block source, and the distinct columns that
+(p, q), (q, p) and repeated targets share) is _block_plan's, done once: a
+run builds each table's plan once and applies it to every chunk of shots.
 
 A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta), the one
 form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
@@ -97,7 +98,8 @@ def _draw_ranks(probs: np.ndarray, u01: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0):
+def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_index: int = 0,
+                          record: dict = None):
     """Collect shadows as stacked arrays (ws (N, eta, n), zs (N, eta) 1-based).
 
     Shot j = start_index + i reads numbers j w .. (j+1) w - 1, w = n^2 + 1,
@@ -110,7 +112,9 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     pass _is_uint64 and start_index + count <= _STATE_INDEX = 2^64-1, the
     state's stream, or if the state has no modes (n = 0).  Raises
     RuntimeError if a rotated state's Born probabilities miss 1 by more than
-    fock._NORM_SQ_TOL, e.g. for an unnormalized state.
+    fock._NORM_SQ_TOL, e.g. for an unnormalized state.  A record dict, if
+    given, keeps born_worst_defect: the largest such miss |sum probs - 1| of
+    any shot collected with that dict, this call's and earlier ones'.
     """
     if not (_is_uint64(seed) and _is_uint64(count) and _is_uint64(start_index)
             and int(start_index) + int(count) <= _STATE_INDEX):
@@ -141,6 +145,8 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
         if not defect <= _NORM_SQ_TOL:     # NaN fails too
             raise RuntimeError(f"probability defect {defect:.3g} exceeds {_NORM_SQ_TOL:g}; "
                                "is the state normalized?")
+        if record is not None:
+            record["born_worst_defect"] = max(record.get("born_worst_defect", 0.0), defect)
         zs[lo:hi] = ranks[_draw_ranks(probs / totals[:, None], draws[:, -1])]
         ws[lo:hi] = network_rows(network, zs[lo:hi] - 1)
         del network, probs, totals      # freed before the next chunk's draws
@@ -255,18 +261,18 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     return out[:, 0] if np.ndim(p) == 1 else out
 
 
-def _block_plan(n: int, eta: int, k: int, p, q):
+def _block_plan(n: int, eta: int, k: int, p, q) -> "_BlockPlan":
     """The estimator of the target table (p, q) on (n, eta) shadows, planned once.
 
     Raises fast_estimate_rdm's ValueErrors for sizes and tables, in its order,
-    then finds the table's distinct blocks, the two blocks each target reads
-    and the rule's block source.  Returns
-    estimate(ws, gather=None) -> (N, T): fast_estimate_rdm's estimates of the
-    shadows ws, a stack (N, eta, n) that it does not check.  gather True
-    takes every block from the whole M(x) (n, n, N), False from products of
-    the readout rows, None by the rule.  A tile of B' blocks holds about
-    _TILE numbers in its (k, k, B', N) blocks, or in the (eta, k, k, B', N)
-    products behind them.
+    then finds the table's distinct blocks, the two blocks each target reads,
+    the rule's block source and the table's distinct columns, and returns
+    them as a _BlockPlan.  Target t reads the blocks M[q_t, p_t] and
+    M[p_t, q_t]; a column is one unordered pair of blocks, so (p, q), (q, p)
+    and a repeated target share one.  Column u is the pair of the u-th target
+    to read a new pair, in that target's orientation: a target that reads
+    its pair the other way round is the column's exact conjugate (flipped),
+    and a table that shares no pair has one column per target, none flipped.
     """
     n, eta, k = check_sizes(n, eta, k)
     ps, qs = int_table(p), int_table(q)
@@ -278,7 +284,6 @@ def _block_plan(n: int, eta: int, k: int, p, q):
     ps, qs = np.atleast_2d(ps, qs)      # one pair (k,) as a table (1, k)
     check_subsets(np.concatenate([ps, qs]), n)
     w0, points = _dft_points(n, eta, k)
-    diagonal = np.where((ps == qs).all(axis=1), w0, 0.0)[:, None]
     # 0-based (rows, cols) of the blocks M[q_t, p_t], then M[p_t, q_t]; each
     # distinct one is evaluated once, and which maps a target to its two
     keys = np.concatenate([np.hstack([qs, ps]), np.hstack([ps, qs])]) - 1
@@ -288,14 +293,114 @@ def _block_plan(n: int, eta: int, k: int, p, q):
     blocks = keys[order[first]]
     which = np.empty((2, len(ps)), dtype=np.int64)
     which.flat[order] = np.cumsum(first) - 1
-    rule = len(blocks) * k * k >= n * n
+    # columns by unordered block pair, deduplicated as the blocks are: lexsort is
+    # stable, so each pair's run opens with its first target, the head that
+    # numbers its column.  (np.unique, np.sort or np.minimum would page in more
+    # of numpy's code, which raised overlap's peak RSS by 0.2-0.6 MB.)
+    pairs = np.where(which[0] <= which[1], which, which[::-1]).T
+    order = np.lexsort(pairs.T)
+    first = np.ones(len(ps), dtype=bool)
+    first[1:] = (pairs[order[1:]] != pairs[order[:-1]]).any(axis=1)
+    head = np.empty(len(ps), dtype=np.int64)
+    head[order] = order[np.flatnonzero(first)][np.cumsum(first) - 1]
+    is_head = head == np.arange(len(ps))
+    column = (np.cumsum(is_head) - 1)[head]
+    return _BlockPlan(n, k, points, blocks, len(blocks) * k * k >= n * n, which,
+                      np.where((ps == qs).all(axis=1), w0, 0.0), np.flatnonzero(is_head),
+                      column, which[0] != which[0, head])
 
-    def estimate(ws, gather: bool = None) -> np.ndarray:
-        gather = rule if gather is None else gather
+
+class _BlockPlan:
+    """A target table's estimator, made once by _block_plan, applied to chunks of shots.
+
+    plan(ws, gather=None) -> (N, T): fast_estimate_rdm's estimates of the
+    shadows ws, a stack (N, eta, n) that it does not check.  gather True
+    takes every block from the whole M(x) (n, n, N), False from products of
+    the readout rows, None by the rule.  plan.columns(ws) yields the estimates
+    of the table's width distinct columns by the rule's source, tile by tile,
+    and plan.expand(values) maps (width,) values per column to (T,) values
+    per target; column[t] is target t's column, and flip[t] says that target t
+    is its conjugate.  A tile of B' blocks holds about _TILE numbers in its
+    (k, k, B', N) blocks, or in the (eta, k, k, B', N) products behind them,
+    and a tile of targets or columns about _TILE numbers.
+    """
+
+    def __init__(self, n, k, points, blocks, rule, which, diagonal, head, column, flip):
+        self.n, self.k, self.points, self.blocks, self.rule = n, k, points, blocks, rule
+        self.which, self.diagonal = which, diagonal
+        self.width, self.column, self.flip = len(head), column, flip
+        # each column's two blocks and diagonal weight: those of its first target
+        self._pairs, self._column_diagonal = which[:, head], diagonal[head]
+
+    def __call__(self, ws, gather: bool = None) -> np.ndarray:
+        gather = self.rule if gather is None else gather
+        return self._sum(ws, gather, self.which, self.diagonal).T
+
+    def columns(self, ws):
+        """Yield (lo, tile): the (c, N) estimates of columns lo..lo+c-1, in order.
+
+        With one root, each tile is summed from that root's determinants, and
+        no (width, N) table is built.  With (k+1)/2 >= 2 roots every column
+        adds them all, so they are summed into one (width, N) table, holding
+        one root's determinants at a time, which is then yielded tile by
+        tile.  A table with no column yields one empty tile, so that a
+        Reducer still counts the shots.  A column's bits are those of its
+        first target in plan(ws).
+        """
+        count, width = len(ws), self.width
+        step = max(1, _TILE // max(1, count))
+        tiles = range(0, max(width, 1), step)
+        if len(self.points) > 1:
+            out = self._sum(ws, self.rule, self._pairs, self._column_diagonal)
+            for lo in tiles:
+                yield lo, out[lo:lo + step]
+            return
+        det = next(self._determinants(ws, self.rule), None)
+        for lo in tiles:
+            diagonal = self._column_diagonal[lo:lo + step, None]
+            tile = np.broadcast_to(diagonal, (len(diagonal), count)).astype(np.complex128)
+            if det is not None:
+                tile += self._term(det, self._pairs[:, lo:lo + step])
+            yield lo, tile
+
+    def expand(self, values: np.ndarray, conjugate: bool = False) -> np.ndarray:
+        """(T,) values per target of the (width,) values per column.
+
+        conjugate mirrors a flipped target's imaginary part as 0.0 - v, never
+        -v: a Reducer never holds -0.0, so where it reduced a conjugate column
+        directly, +0.0 would stay +0.0.
+        """
+        out = values[self.column]
+        if conjugate:
+            out.imag[self.flip] = 0.0 - out.imag[self.flip]
+        return out
+
+    @staticmethod
+    def _term(det: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        # (p, q) adds w det M[q, p] + conj(w det M[p, q]); (q, p) its conjugate
+        term = det[pairs[0]]
+        term += np.conjugate(det[pairs[1]])
+        return term
+
+    def _sum(self, ws, gather: bool, pairs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        """(len(diagonal), N): diagonal plus, per root, the _term of each block pair."""
         count = len(ws)
-        out = np.broadcast_to(diagonal, (len(ps), count)).astype(np.complex128)
-        if not (points and len(ps)):
-            return out.T
+        out = np.broadcast_to(diagonal[:, None], (len(diagonal), count)).astype(np.complex128)
+        step = max(1, _TILE // max(1, count))
+        for det in self._determinants(ws, gather):
+            for lo in range(0, len(out), step):
+                out[lo:lo + step] += self._term(det, pairs[:, lo:lo + step])
+        return out
+
+    def _determinants(self, ws, gather: bool):
+        """Yield per root x the (B, N) table w det M(x)[block] of the distinct blocks.
+
+        One buffer serves every root, so a table is valid until the next one.
+        """
+        n, k, blocks = self.n, self.k, self.blocks
+        count = len(ws)
+        if not (self.points and len(blocks)):
+            return
         # readout rows, shots last: (eta, n, N)
         uz = np.ascontiguousarray(ws.transpose(1, 2, 0))
         # The sources sum Pi's eta terms in different orders, so they differ by
@@ -311,9 +416,8 @@ def _block_plan(n: int, eta: int, k: int, p, q):
             for u in uz[1:]:
                 proj += u.conj()[:, None] * u[None]
         det = np.empty((len(blocks), count), dtype=np.complex128)
-        block_tile = max(1, _TILE // max(1, count * k * k * (1 if gather else eta)))
-        target_tile = max(1, _TILE // max(1, count))
-        for x, w in points:
+        block_tile = max(1, _TILE // max(1, count * k * k * (1 if gather else len(uz))))
+        for x, w in self.points:
             if x == -1.0:
                 w = w / 2       # M(-1) is hermitian: its one root counts once per orientation
             if gather:
@@ -330,14 +434,7 @@ def _block_plan(n: int, eta: int, k: int, p, q):
                 # not in place: an in-place complex product can round differently
                 # in the last elements of a row, so a shot's bits would follow N
                 det[lo:lo + block_tile] = w * _det_stack(np.moveaxis(m, (0, 1), (2, 3)))
-            for lo in range(0, len(ps), target_tile):
-                # (p, q) adds w det M[q, p] + conj(w det M[p, q]); (q, p) its conjugate
-                term = det[which[0, lo:lo + target_tile]]
-                term += np.conjugate(det[which[1, lo:lo + target_tile]])
-                out[lo:lo + target_tile] += term
-        return out.T
-
-    return estimate
+            yield det
 
 
 def check_fast_vs_dense(fast, dense) -> tuple:
@@ -359,7 +456,9 @@ class Reducer:
     """Mean or median of means over count shots, fed in order chunk by chunk.
 
     Reducer(count, width, mode, batches) takes the shots of width columns
-    through add((m, width) chunk) calls, m shots each, and result() then gives
+    through add((m, width) chunk) calls, m shots each, or through
+    add((m, w) tile, lo) calls that bring a chunk's columns lo..lo+w-1 in
+    order, and result() then gives
     per column the mean with its standard error s/sqrt(count) (ddof=1) per
     real and imaginary part, or under median_of_means the coordinate-wise
     median of the means of batches equal runs of consecutive shots with the
@@ -367,11 +466,15 @@ class Reducer:
     deviations of the real and imaginary parts, and merges each chunk in by
     the pairwise update of Chan, Golub and LeVeque (Am. Stat. 37, 242, 1983).
     median_of_means also keeps one sum per batch and column, so a batch may
-    straddle chunks.  Memory is O(batches * width) whatever count is.  A
-    column's arithmetic does not depend on the other columns, and a single
-    chunk of all the shots gives exactly the one-pass mean and M2.  Raises
+    straddle chunks.  Memory is O(batches * width) whatever count is, and an
+    add's temporaries are O(m w).  A
+    column's arithmetic does not depend on the other columns, so a chunk fed
+    in column tiles gives the bits of one whole-width add, and a single
+    chunk of all the shots gives exactly the one-pass mean and M2.  The sums
+    start at +0.0 and no update makes -0.0, so no stored part is -0.0.  Raises
     ValueError unless count and width pass is_int, for count < 1, width < 0,
-    a chunk not (m, width), more shots than count, and unless mode is mean
+    a tile that is not the chunk's next columns (m, w) with lo = 0 first and
+    the chunk's m after, more shots than count, and unless mode is mean
     with no batches or median_of_means with integer batches >= 1 dividing count.
     """
 
@@ -390,48 +493,58 @@ class Reducer:
             raise ValueError(f"batches are given only under median_of_means, got {batches!r}")
         self.count, self.width, self.mode, self.batches = count, width, mode, batches
         self.seen = 0
+        # the next column of the chunk being fed, and that chunk's shots
+        self._next = self._rows = 0
         self.mean = np.zeros(width, dtype=np.complex128)
         # M2 of the real parts in .real, of the imaginary parts in .imag
         self._m2 = np.zeros(width, dtype=np.complex128)
 
-    def add(self, chunk):
-        """Fold the next m shots, an (m, width) table, into the running sums."""
-        x = np.asarray(chunk, dtype=np.complex128)
-        if x.ndim != 2 or x.shape[1] != self.width or self.seen + x.shape[0] > self.count:
-            raise ValueError(f"need an (m, {self.width}) chunk with at most "
-                             f"{self.count - self.seen} shots, got shape {x.shape}")
-        m = x.shape[0]
-        if m == 0:
-            return
-        # shots on the contiguous last axis: each column then sums in the same
-        # pairwise order as a lone column, so its bits do not depend on width
-        x = np.ascontiguousarray(x.T)
-        mean = x.mean(axis=-1)
-        dev = x - mean[:, None]
-        m2 = (dev.real ** 2).sum(axis=-1) + 1j * (dev.imag ** 2).sum(axis=-1)
-        seen, total = self.seen, self.seen + m
-        delta = mean - self.mean
-        self.mean += delta * (m / total)
-        self._m2 += m2 + (delta.real ** 2 + 1j * delta.imag ** 2) * (seen * m / total)
-        if self.mode == "median_of_means":
-            self._add_batches(x)
-        self.seen = total
+    def add(self, chunk, lo: int = 0):
+        """Fold the next m shots of columns lo..lo+w-1, an (m, w) table, into the running sums.
 
-    def _add_batches(self, x: np.ndarray):
-        """Add the shots x (width, m) to the sums of the batches they fall in."""
+        A chunk's shots count once its last column is in.
+        """
+        x = np.asarray(chunk, dtype=np.complex128)
+        if not (x.ndim == 2 and is_int(lo) and lo == self._next
+                and lo + x.shape[1] <= self.width and self.seen + x.shape[0] <= self.count
+                and (lo == 0 or x.shape[0] == self._rows)):
+            raise ValueError(f"need an (m, w) chunk of columns {self._next}.. of {self.width}, "
+                             f"at most {self.count - self.seen} shots, got shape {x.shape} "
+                             f"at column {lo!r}")
+        m, hi = x.shape[0], lo + x.shape[1]
+        if m:
+            # shots on the contiguous last axis: each column then sums in the same
+            # pairwise order as a lone column, so its bits do not depend on width
+            x = np.ascontiguousarray(x.T)
+            mean = x.mean(axis=-1)
+            dev = x - mean[:, None]
+            m2 = (dev.real ** 2).sum(axis=-1) + 1j * (dev.imag ** 2).sum(axis=-1)
+            seen, total = self.seen, self.seen + m
+            delta = mean - self.mean[lo:hi]
+            self.mean[lo:hi] += delta * (m / total)
+            self._m2[lo:hi] += m2 + (delta.real ** 2 + 1j * delta.imag ** 2) * (seen * m / total)
+            if self.mode == "median_of_means":
+                self._add_batches(x, self._sums[lo:hi])
+        if hi == self.width:
+            self.seen, self._next = self.seen + m, 0
+        else:
+            self._next, self._rows = hi, m
+
+    def _add_batches(self, x: np.ndarray, sums: np.ndarray):
+        """Add the shots x (w, m) to sums (w, batches), the batch sums of their columns."""
         size = self.count // self.batches
         b, done = divmod(self.seen, size)
         a = 0
         if done:        # the rest of a batch that an earlier chunk began
             a = min(x.shape[1], size - done)
-            self._sums[:, b] += x[:, :a].sum(axis=-1)
+            sums[:, b] += x[:, :a].sum(axis=-1)
             b += 1
         whole = (x.shape[1] - a) // size
-        self._sums[:, b:b + whole] += x[:, a:a + whole * size].reshape(
-            self.width, whole, size).sum(axis=-1)
+        sums[:, b:b + whole] += x[:, a:a + whole * size].reshape(
+            len(x), whole, size).sum(axis=-1)
         a += whole * size
         if a < x.shape[1]:      # the start of a batch that a later chunk ends
-            self._sums[:, b + whole] += x[:, a:].sum(axis=-1)
+            sums[:, b + whole] += x[:, a:].sum(axis=-1)
 
     def _check_done(self):
         if self.seen != self.count:

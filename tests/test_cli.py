@@ -28,7 +28,7 @@ from fermishadow.cli import (
     run_validation,
 )
 from fermishadow.combinat import binom, rank_rows, subsets
-from fermishadow.fock import FermionState, random_state, rdm_matrix, state_to_json
+from fermishadow.fock import _NORM_SQ_TOL, FermionState, random_state, rdm_matrix, state_to_json
 
 
 def _read_csv(text):
@@ -853,9 +853,9 @@ def test_variance_sweep_collects_once_per_n_eta(monkeypatch, capsys):
     calls = []
     collect = cli.collect_shadow_arrays
 
-    def spy(state, count, seed, start_index):
+    def spy(state, count, seed, start_index, record):
         calls.append((state.n, state.eta, count, start_index))
-        return collect(state, count, seed, start_index=start_index)
+        return collect(state, count, seed, start_index=start_index, record=record)
 
     monkeypatch.setattr(cli, "collect_shadow_arrays", spy)
     assert main(["variance-sweep", "--n", "4,10", "--eta", "2", "--k", "1,2",
@@ -866,9 +866,118 @@ def test_variance_sweep_collects_once_per_n_eta(monkeypatch, capsys):
     for row in rows:
         n, eta, k = map(int, row[:3])
         config = ExperimentConfig(n, eta, k, 512, 3)
-        [[reducer]], _, _ = cli._sample(build_state(config), config,
-                                        [shadows.all_pairs(n, k)], cli._Stages())
-        assert float(row[6]) == pytest.approx(float(reducer.variance().mean()), rel=1e-11)
+        [[(_, _, var)]], _ = cli._sample(build_state(config), config,
+                                         [shadows.all_pairs(n, k)], cli._Stages(), {})
+        assert float(row[6]) == pytest.approx(float(var.mean()), rel=1e-11)
+
+
+class _WholeTable:
+    """A table's plan that reduces every target as a column of its own: the
+    reduction of the whole (shots, T) table, one add per chunk."""
+
+    def __init__(self, plan):
+        self.plan, self.width = plan, len(plan.column)
+
+    def __call__(self, ws, gather=None):
+        return self.plan(ws, gather)
+
+    def columns(self, ws):
+        yield 0, self.plan(ws).T
+
+    def expand(self, values, conjugate=False):
+        return values
+
+
+def test_shared_columns_print_the_whole_tables_bytes(tmp_path, monkeypatch, capsys):
+    # dense reduces each unordered block pair once and mirrors the flipped
+    # targets; every printed byte must be that of reducing every target.  At
+    # 2100 shots the chunks are 2048 + 52, and at 7000 four, so the batches of
+    # median_of_means:7 straddle them
+    cfg = tmp_path / "cfg.json"
+    listed = [[[1, 2], [2, 3]], [[2, 3], [1, 2]], [[1, 3], [1, 3]], [[2, 4], [1, 4]],
+              [[1, 2], [2, 3]], [[1, 4], [2, 4]], [[3, 4], [3, 4]], [[1, 4], [2, 4]]]
+    configs = [dict(n=5, eta=3, k=k, samples=2100, aggregation=agg)
+               for k in range(4) for agg in ("mean", "median_of_means:7")]
+    configs += [dict(n=4, eta=2, k=2, samples=7000, aggregation=agg)
+                for agg in ("mean", "median_of_means:7")]
+    configs += [dict(n=4, eta=2, k=2, samples=400, aggregation="median_of_means:4", targets=listed),
+                dict(n=6, eta=3, k=3, samples=300, targets=[[[1, 2, 3], [4, 5, 6]],
+                                                            [[4, 5, 6], [1, 2, 3]],
+                                                            [[1, 2, 3], [4, 5, 6]]])]
+    runs = [["estimate", "--config", str(cfg), "--seed", "4"]] * len(configs)
+    runs += [["slater-overlap", "--n", "4", "--eta", "2", "--samples", "500", "--seed", "3"],
+             ["slater-overlap", "--n", "4", "--eta", "3", "--samples", "500", "--seed", "3"],
+             ["variance-sweep", "--n", "4,5", "--eta", "2,3", "--k", "1,2,3",
+              "--samples", "2100", "--seed", "1"]]
+    plan = shadows._block_plan
+    for i, argv in enumerate(runs):
+        if i < len(configs):
+            cfg.write_text(json.dumps(configs[i]))
+        assert main(argv) == 0
+        shared = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setattr(shadows, "_block_plan", lambda *args: _WholeTable(plan(*args)))
+            assert main(argv) == 0
+        assert shared == capsys.readouterr().out, argv
+    # the sharing is real: all pairs at k = 1..3 on 5 modes, and the listed
+    # table's repeats and swaps, have fewer columns than targets
+    for k in (1, 2, 3):
+        c = binom(5, k)
+        assert plan(5, 3, k, *shadows.all_pairs(5, k)).width == c * (c + 1) // 2
+    table = np.array(listed)
+    assert plan(4, 2, 2, table[:, 0], table[:, 1]).width == 4
+
+
+def test_sampling_manifests_record_the_worst_born_defect(tmp_path, capsys):
+    # every sampling command records the largest |sum probs - 1| its shots saw;
+    # a state normalized to 1 + 5e-7, within the loader's tolerance, shows it
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": 3, "eta": 1, "amplitudes": [[np.sqrt(1 + 5e-7), 0],
+                                                                  [0, 0], [0, 0]]}))
+    cfg = tmp_path / "cfg.json"
+    runs = {
+        "dense": {"n": 4, "eta": 2, "k": 2, "samples": 300, "seed": 1},
+        "both": {"n": 4, "eta": 2, "k": 2, "samples": 300, "seed": 1, "estimator": "both"},
+        "off": {"n": 3, "eta": 1, "k": 1, "samples": 300, "seed": 1,
+                "state_source": f"file:{state}"},
+    }
+    for name, body in runs.items():
+        cfg.write_text(json.dumps(body))
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    cfg.write_text(json.dumps({"n": 3, "eta": 2, "samples": 300, "seed": 1}))
+    assert main(["slater-overlap", "--config", str(cfg), "--out", str(tmp_path / "overlap")]) == 0
+    assert main(["variance-sweep", "--n", "4,5", "--eta", "2", "--k", "1,2", "--samples", "300",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["variance-sweep", "--n", "4", "--eta", "2", "--k", "1",
+                 "--out", str(tmp_path / "exact")]) == 0
+    capsys.readouterr()
+    manifests = {path.name.split(".")[0]: json.loads(path.read_text())
+                 for path in tmp_path.glob("*.manifest.json")}
+    assert set(manifests) == {"dense", "both", "off", "overlap", "sweep", "exact"}
+    for name in ("dense", "both", "overlap", "sweep"):
+        assert 0.0 <= manifests[name]["born_worst_defect"] <= _NORM_SQ_TOL
+    assert abs(manifests["off"]["born_worst_defect"] - 5e-7) < 1e-12
+    # a sweep that draws no shot records none, and a dense run no both gap
+    assert "born_worst_defect" not in manifests["exact"]
+    assert "both_worst_gap" not in manifests["dense"] and "both_worst_gap" in manifests["both"]
+
+
+def test_validate_level_is_checked_before_any_check_runs(monkeypatch, capsys):
+    # argparse's choices guard the command line; an in-process call meets the check
+    monkeypatch.setattr(cli, "run_validation", lambda *args, **kwargs: pytest.fail("a check ran"))
+    with pytest.raises(ConfigError, match="level must be quick or full, got 'bogus'"):
+        cli.cmd_validate("bogus")
+    assert capsys.readouterr().out == ""
+
+
+def test_target_table_refuses_modes_that_share_no_integer_table():
+    # int64 and uint64 modes each pass the subset rule alone, but numpy reads
+    # the table they make together as float64: every item passes its own check,
+    # and the last raise names the table
+    pair = [[np.int64(1), np.int64(2)], [np.uint64(1), np.uint64(3)]]
+    for items, pairs in [([pair], True), (pair, False)]:
+        with pytest.raises(ConfigError, match="targets must hold 2-subsets of 1..4 with integer"):
+            cli._target_table(items, 4, 2, pairs=pairs)
 
 
 def test_validate_quick_passes(tmp_path, capsys):
@@ -1078,10 +1187,10 @@ def test_slater_overlap_matches_dense_reference_row(monkeypatch, capsys):
         seen["collect_shadow_arrays"].append(collect(*args, **kwargs))
         return seen["collect_shadow_arrays"][-1]
 
-    def spy_add(self, chunk):
+    def spy_add(self, chunk, lo=0):
         seen["add"].append(np.array(chunk))
         seen["reducer"].append(self)
-        return add(self, chunk)
+        return add(self, chunk, lo)
 
     monkeypatch.setattr(cli, "collect_shadow_arrays", spy_collect)
     monkeypatch.setattr(shadows.Reducer, "add", spy_add)

@@ -28,6 +28,13 @@ def test_basis_state_ranks():
     assert abs(basis_state((1, 3), 4).norm() - 1.0) < 1e-14
 
 
+def test_basis_state_needs_one_subset():
+    # a table of subsets passes the subset rule, but a basis ket has one
+    for z in ([[1, 2]], [[1, 2], [3, 4]]):
+        with pytest.raises(ValueError, match="need one subset"):
+            basis_state(z, 4)
+
+
 def test_fermion_state_rejects_bad_sizes():
     with pytest.raises(ValueError, match="amplitudes"):
         FermionState(4, 2, np.ones(5))

@@ -18,7 +18,7 @@ from haar_oracle import haar, network_unitary
 from fermishadow import shadows
 from fermishadow.channel import overlap_class_array
 from fermishadow.combinat import binom, rank_rows, subsets
-from fermishadow.fock import FermionState, basis_state, random_state, rdm_matrix
+from fermishadow.fock import _NORM_SQ_TOL, FermionState, basis_state, random_state, rdm_matrix
 from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
     Reducer,
@@ -46,6 +46,13 @@ def test_estimation_entry_frozen():
     assert estimation_entry(2, 1, 1, 0) == -1
     assert estimation_entry(3, 3, 1, 1) == 1
     assert estimation_entry(4, 2, 2, 3) == 0
+
+
+def test_estimation_entry_needs_an_integer_class():
+    # s' outside 0..k gives 0, but a non-integer s' names no class at all
+    for s_prime in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="integer s'"):
+            estimation_entry(4, 2, 2, s_prime)
 
 
 def test_estimation_trace_is_eta_at_k1():
@@ -355,6 +362,28 @@ def test_numpy_integer_seeds_draw_as_python_ints():
     assert shadows.shadow_rng(np.int16(5), np.uint64(2**64 - 1)).random(4).tobytes() == ref.tobytes()
 
 
+def test_shadow_rng_keys_only_uint64_pairs():
+    for seed, index in [(1, 2**64), (1, -1), (2**64, 0), (-1, 0), (1.0, 0), (1, True)]:
+        with pytest.raises(ValueError, match=r"integers in 0\.\.2\^64-1"):
+            shadows.shadow_rng(seed, index)
+
+
+def test_collection_records_its_worst_born_defect():
+    # a record dict keeps the largest |sum probs - 1| over every call given it
+    state = random_state(5, 2, np.random.default_rng(3))
+    record = {}
+    collect_shadow_arrays(state, 300, 1, record=record)
+    first = record["born_worst_defect"]
+    assert 0.0 <= first <= _NORM_SQ_TOL
+    collect_shadow_arrays(state, 300, 1, start_index=300, record=record)
+    assert first <= record["born_worst_defect"] <= _NORM_SQ_TOL
+    # a state normalized only to 5e-7 shows that defect, still within the collector's tolerance
+    off = FermionState(state.n, state.eta, state.amps * np.sqrt(1 + 5e-7))
+    record = {}
+    collect_shadow_arrays(off, 10, 1, record=record)
+    assert abs(record["born_worst_defect"] - 5e-7) < 1e-12
+
+
 def test_collection_born_statistics():
     # readout counts against each shot's own Born rule, with compound_batch
     # (not the Givens kernel the collector uses) rotating the state by the
@@ -561,6 +590,91 @@ def test_reducer_rejects_misuse():
             Reducer(10, 3, "mean", batches)
     with pytest.raises(ValueError, match="count"):
         Reducer(0, 1)
+
+
+@pytest.mark.parametrize("mode,batches", [("mean", None), ("median_of_means", 7)])
+def test_column_tiles_and_mirror_match_whole_reductions(mode, batches):
+    # a chunk fed as column tiles gives each column the bits of whole-width
+    # adds, and a column's result mirrored as 0.0 - v gives the bits of
+    # reducing its conjugate, np.signbit included.  The conjugate table holds
+    # no -0.0, as the kernel's estimates hold none; chunks of 20, 13 and 37
+    # shots make batches of 10 straddle them
+    rng = np.random.default_rng(5)
+    nsamp, width = 70, 9
+    table = rng.standard_normal((nsamp, width)) + 1j * rng.standard_normal((nsamp, width))
+    table.imag[:, :2] = 0.0                      # real columns, as a diagonal target's
+    table.imag[::2, 2] = 0.0
+    table[:, 3] = table[0, 3]                    # one value in every shot
+    conj = table.copy()
+    conj.imag = 0.0 - table.imag
+    assert not np.signbit(conj.imag[conj.imag == 0]).any()
+    whole, tiled, mirrored = (Reducer(nsamp, width, mode, batches) for _ in range(3))
+    for lo, hi in [(0, 20), (20, 33), (33, 70)]:
+        whole.add(table[lo:hi])
+        mirrored.add(conj[lo:hi])
+        for c0, c1 in [(0, 4), (4, 5), (5, 5), (5, 9)]:
+            tiled.add(table[lo:hi, c0:c1], c0)
+    (val, err), var = whole.result(), whole.variance()
+    for got, want in zip((*tiled.result(), tiled.variance()), (val, err, var)):
+        assert got.tobytes() == want.tobytes()
+    assert (val.imag == 0).any() and not np.signbit(val.imag[val.imag == 0]).any()
+    flipped = val.copy()
+    flipped.imag = 0.0 - val.imag
+    for got, want in zip((*mirrored.result(), mirrored.variance()), (flipped, err, var)):
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    # -v, the plain negation, would print a mirrored 0 as -0
+    assert np.signbit(-val.imag).any()
+
+
+def test_column_tiles_must_come_in_order():
+    reducer = Reducer(4, 3)
+    reducer.add(np.ones((2, 1)), 0)
+    with pytest.raises(ValueError, match="chunk of columns 1.."):
+        reducer.add(np.ones((2, 1)), 2)         # skips column 1
+    with pytest.raises(ValueError, match="chunk of columns 1.."):
+        reducer.add(np.ones((3, 2)), 1)         # other shots than the chunk's
+    with pytest.raises(ValueError, match="chunk of columns 1.."):
+        reducer.add(np.ones((2, 3)), 1)         # past the last column
+    with pytest.raises(ValueError, match="0 of 4"):
+        reducer.result()                        # the open chunk does not count yet
+    reducer.add(np.ones((2, 2)), 1)
+    assert reducer.seen == 2
+    reducer.add(np.ones((2, 3)))
+    assert reducer.result()[0].tobytes() == np.ones(3, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n,eta,k", [(4, 2, 0), (5, 2, 1), (5, 3, 2), (6, 3, 3), (6, 4, 4)])
+def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
+    # (p, q), (q, p) and a repeated target share one column; each target is its
+    # column's estimate, or where flipped its mirror (re, 0.0 - im), bit for bit
+    # in every shot, from one root's determinants (k <= 2) or from the summed
+    # table of several (k >= 3).  A small _TILE cuts the columns into tiles
+    monkeypatch.setattr(shadows, "_TILE", 40)
+    ws, _ = collect_shadow_arrays(random_state(n, eta, np.random.default_rng(k)), 7, seed=n + k)
+    ps, qs = all_pairs(n, k)
+    ps, qs = np.concatenate([ps, ps[:9], qs[:9]]), np.concatenate([qs, qs[:9], ps[:9]])
+    plan = shadows._block_plan(n, eta, k, ps, qs)
+    c = binom(n, k)
+    assert plan.width == c * (c + 1) // 2
+    tiles = list(plan.columns(ws))
+    assert [lo for lo, _ in tiles] == list(range(0, plan.width, max(1, 40 // 7)))
+    got = np.concatenate([tile for _, tile in tiles])[plan.column]
+    got.imag[plan.flip] = 0.0 - got.imag[plan.flip]
+    assert got.tobytes() == np.ascontiguousarray(plan(ws).T).tobytes()
+    # expand is that map on values per column
+    vals = np.arange(1, plan.width + 1) * (1 + 1j)
+    want = vals[plan.column]
+    assert plan.expand(vals).tobytes() == want.tobytes()
+    assert np.array_equal(plan.expand(vals, conjugate=True),
+                          np.where(plan.flip, want.conj(), want))
+    # a real column's flipped targets keep +0.0, as a Reducer of them would
+    assert not np.signbit(plan.expand(vals.real + 0j, conjugate=True).imag).any()
+    # a table that shares no pair has one column per target, in order, none flipped
+    rank_p, rank_q = np.divmod(np.arange(c * c), c)
+    upper = rank_p <= rank_q
+    plan = shadows._block_plan(n, eta, k, all_pairs(n, k)[0][upper], all_pairs(n, k)[1][upper])
+    assert plan.column.tolist() == list(range(upper.sum())) and not plan.flip.any()
 
 
 def test_q_value_is_average_second_moment():
