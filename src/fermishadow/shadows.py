@@ -295,8 +295,8 @@ def _block_plan(n: int, eta: int, k: int, p, q) -> "_BlockPlan":
     which.flat[order] = np.cumsum(first) - 1
     # columns by unordered block pair, deduplicated as the blocks are: lexsort is
     # stable, so each pair's run opens with its first target, the head that
-    # numbers its column.  (np.unique, np.sort or np.minimum would page in more
-    # of numpy's code, which raised overlap's peak RSS by 0.2-0.6 MB.)
+    # numbers its column.  (A first np.sort or np.unique in a process pages in
+    # about 0.4 MB of numpy's sort code each, and a CLI call is one process.)
     pairs = np.where(which[0] <= which[1], which, which[::-1]).T
     order = np.lexsort(pairs.T)
     first = np.ones(len(ps), dtype=bool)
