@@ -202,18 +202,11 @@ def _subset_str(z) -> str:
     return "+".join(str(m) for m in z)
 
 
-def _labels(table: np.ndarray, n: int) -> list:
-    """The _subset_str of each subset of a (..., d) table, in row order.
-
-    One string is built per distinct colex rank, and the rows share it.
-    """
-    ranks = rank_rows(table, n).ravel().tolist()
-    rows = table.reshape(len(ranks), table.shape[-1])
+def _labels(rows) -> list:
+    """The _subset_str of each subset in rows, one string per distinct subset."""
     names = {}
-    for i, r in enumerate(ranks):
-        if r not in names:
-            names[r] = _subset_str(rows[i].tolist())
-    return [names[r] for r in ranks]
+    return [names[z] if z in names else names.setdefault(z, _subset_str(z))
+            for z in map(tuple, rows)]
 
 
 def _git_describe():
@@ -353,16 +346,11 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     numbers, so peak memory is set by the targets, not by config.samples.
     Each chunk is its own start_index call, which draws the same bits as one
     call over all the shots.  Each table's shadows._block_plan is built once,
-    in setup, and applied to every chunk.  dense assembles only the plan's
-    distinct columns, which (p, q), (q, p) and repeated targets share, and
-    folds them into one Reducer tile by tile, so no (shots, T) table is
-    built; plan.expand then gives each target its column's values, mirrored
-    where the target is the column's conjugate, the bits of reducing every
-    target.  both reduces the two block sources' whole (shots, T) tables of
-    _cross_check into a Reducer each, the oracle of the dense route.  record,
-    the manifest's extra fields, gets the collector's born_worst_defect and,
-    under both, both_worst_gap (a NaN stays); agree says whether every chunk
-    passed.
+    in setup, and applied to every chunk.  dense feeds one Reducer only the
+    plan's distinct columns, tile by tile, and expands its results to the
+    targets; both reduces _cross_check's two whole tables, dense's oracle.
+    record, the manifest's extra fields, gets born_worst_defect and, under
+    both, both_worst_gap (a NaN stays); agree says whether every chunk passed.
     """
     both = config.estimator == "both"
     plans = [shadows._block_plan(state.n, state.eta, ps.shape[1], ps, qs) for ps, qs in tables]
@@ -393,6 +381,7 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
                     stages.lap("estimate")
                     table_reducers[0].add(tile.T, col)
                     stages.lap("aggregate")
+                del tile    # it views the chunk's column table, which the next chunk replaces
     results = [[(*r.result(), r.variance()) for r in table_reducers] for table_reducers in reducers]
     if not both:
         results = [[(plan.expand(val, conjugate=True), plan.expand(err), plan.expand(var))]
@@ -439,7 +428,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
         [(fval, _, _)] = fast
         header += ["fast_estimate_re", "fast_estimate_im"]
         cols += [fval.real, fval.imag]
-    labels = _labels(targets, config.n)
+    labels = _labels(z for pair in targets.tolist() for z in pair)
     rows = [[p, q, *map(_fmt, r)]
             for p, q, r in zip(labels[0::2], labels[1::2], np.stack(cols, axis=1).tolist())]
     return _finish("estimate", vars(config), stages, rows, header, out, fmt, record, agree)
@@ -627,7 +616,8 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
         [(fval, _, _)] = fast
         header += ["fast_overlap_re", "fast_overlap_im"]
         cols += [2 * fval.real, 2 * fval.imag]
-    rows = [[q, *map(_fmt, r)] for q, r in zip(_labels(qs, n), np.stack(cols, axis=1).tolist())]
+    rows = [[q, *map(_fmt, r)]
+            for q, r in zip(_labels(qs.tolist()), np.stack(cols, axis=1).tolist())]
     return _finish("slater-overlap", vars(config), stages, rows, header, out, fmt, record, agree)
 
 

@@ -14,9 +14,9 @@ M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p]: fast_estimate_rdm is the
 one estimator, and evaluates each distinct block of its target table once
 per root, gathered from the whole Pi for large tables and formed from the
 readout rows at O(k^2 eta + k^4) per shot for small ones.  Its table's work
-(checks, distinct blocks, block source, and the distinct columns that
-(p, q), (q, p) and repeated targets share) is _block_plan's, done once: a
-run builds each table's plan once and applies it to every chunk of shots.
+(checks, distinct blocks, block source, distinct columns) is _block_plan's,
+done once: a run builds each table's plan once and applies it to every
+chunk of shots.
 
 A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta), the one
 form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
@@ -51,7 +51,7 @@ Contents
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -112,9 +112,8 @@ def collect_shadow_arrays(state: FermionState, count: int, seed: int, start_inde
     pass _is_uint64 and start_index + count <= _STATE_INDEX = 2^64-1, the
     state's stream, or if the state has no modes (n = 0).  Raises
     RuntimeError if a rotated state's Born probabilities miss 1 by more than
-    fock._NORM_SQ_TOL, e.g. for an unnormalized state.  A record dict, if
-    given, keeps born_worst_defect: the largest such miss |sum probs - 1| of
-    any shot collected with that dict, this call's and earlier ones'.
+    fock._NORM_SQ_TOL, e.g. for an unnormalized state.  A record dict keeps
+    born_worst_defect, the largest miss |sum probs - 1| of the calls given it.
     """
     if not (_is_uint64(seed) and _is_uint64(count) and _is_uint64(start_index)
             and int(start_index) + int(count) <= _STATE_INDEX):
@@ -265,14 +264,9 @@ def _block_plan(n: int, eta: int, k: int, p, q) -> "_BlockPlan":
     """The estimator of the target table (p, q) on (n, eta) shadows, planned once.
 
     Raises fast_estimate_rdm's ValueErrors for sizes and tables, in its order,
-    then finds the table's distinct blocks, the two blocks each target reads,
-    the rule's block source and the table's distinct columns, and returns
-    them as a _BlockPlan.  Target t reads the blocks M[q_t, p_t] and
-    M[p_t, q_t]; a column is one unordered pair of blocks, so (p, q), (q, p)
-    and a repeated target share one.  Column u is the pair of the u-th target
-    to read a new pair, in that target's orientation: a target that reads
-    its pair the other way round is the column's exact conjugate (flipped),
-    and a table that shares no pair has one column per target, none flipped.
+    then finds the table's distinct blocks, the two blocks each target reads
+    and the rule's block source, and returns them as a _BlockPlan, which
+    finds the table's distinct columns on first use.
     """
     n, eta, k = check_sizes(n, eta, k)
     ps, qs = int_table(p), int_table(q)
@@ -293,21 +287,8 @@ def _block_plan(n: int, eta: int, k: int, p, q) -> "_BlockPlan":
     blocks = keys[order[first]]
     which = np.empty((2, len(ps)), dtype=np.int64)
     which.flat[order] = np.cumsum(first) - 1
-    # columns by unordered block pair, deduplicated as the blocks are: lexsort is
-    # stable, so each pair's run opens with its first target, the head that
-    # numbers its column.  (A first np.sort or np.unique in a process pages in
-    # about 0.4 MB of numpy's sort code each, and a CLI call is one process.)
-    pairs = np.where(which[0] <= which[1], which, which[::-1]).T
-    order = np.lexsort(pairs.T)
-    first = np.ones(len(ps), dtype=bool)
-    first[1:] = (pairs[order[1:]] != pairs[order[:-1]]).any(axis=1)
-    head = np.empty(len(ps), dtype=np.int64)
-    head[order] = order[np.flatnonzero(first)][np.cumsum(first) - 1]
-    is_head = head == np.arange(len(ps))
-    column = (np.cumsum(is_head) - 1)[head]
     return _BlockPlan(n, k, points, blocks, len(blocks) * k * k >= n * n, which,
-                      np.where((ps == qs).all(axis=1), w0, 0.0), np.flatnonzero(is_head),
-                      column, which[0] != which[0, head])
+                      np.where((ps == qs).all(axis=1), w0, 0.0))
 
 
 class _BlockPlan:
@@ -316,21 +297,41 @@ class _BlockPlan:
     plan(ws, gather=None) -> (N, T): fast_estimate_rdm's estimates of the
     shadows ws, a stack (N, eta, n) that it does not check.  gather True
     takes every block from the whole M(x) (n, n, N), False from products of
-    the readout rows, None by the rule.  plan.columns(ws) yields the estimates
-    of the table's width distinct columns by the rule's source, tile by tile,
-    and plan.expand(values) maps (width,) values per column to (T,) values
-    per target; column[t] is target t's column, and flip[t] says that target t
-    is its conjugate.  A tile of B' blocks holds about _TILE numbers in its
-    (k, k, B', N) blocks, or in the (eta, k, k, B', N) products behind them,
-    and a tile of targets or columns about _TILE numbers.
+    the readout rows, None by the rule.  A tile of B' blocks holds about
+    _TILE numbers in its (k, k, B', N) blocks, or in the (eta, k, k, B', N)
+    products behind them.
     """
 
-    def __init__(self, n, k, points, blocks, rule, which, diagonal, head, column, flip):
+    def __init__(self, n, k, points, blocks, rule, which, diagonal):
         self.n, self.k, self.points, self.blocks, self.rule = n, k, points, blocks, rule
         self.which, self.diagonal = which, diagonal
-        self.width, self.column, self.flip = len(head), column, flip
-        # each column's two blocks and diagonal weight: those of its first target
-        self._pairs, self._column_diagonal = which[:, head], diagonal[head]
+
+    @cached_property
+    def shared(self):
+        """(head, column, flip) of the table's distinct columns, or None if it has one per target.
+
+        A column is an unordered pair of blocks, so (p, q), (q, p) and a
+        repeated target share one.  Column u is read by target head[u] first,
+        in its orientation; target t reads column[t], flipped (its exact
+        conjugate) where flip[t].  None when the 2T blocks read are distinct.
+        """
+        which = self.which
+        count = which.shape[1]
+        if len(self.blocks) == 2 * count:
+            return None
+        # deduplicated as the blocks are; lexsort is stable, so a run opens at its head
+        pairs = np.where(which[0] <= which[1], which, which[::-1]).T
+        order = np.lexsort(pairs.T)
+        first = np.ones(count, dtype=bool)
+        first[1:] = (pairs[order[1:]] != pairs[order[:-1]]).any(axis=1)
+        head = np.empty(count, dtype=np.int64)
+        head[order] = order[np.flatnonzero(first)][np.cumsum(first) - 1]
+        is_head = head == np.arange(count)
+        return np.flatnonzero(is_head), (np.cumsum(is_head) - 1)[head], which[0] != which[0, head]
+
+    @property
+    def width(self) -> int:
+        return self.which.shape[1] if self.shared is None else len(self.shared[0])
 
     def __call__(self, ws, gather: bool = None) -> np.ndarray:
         gather = self.rule if gather is None else gather
@@ -339,40 +340,44 @@ class _BlockPlan:
     def columns(self, ws):
         """Yield (lo, tile): the (c, N) estimates of columns lo..lo+c-1, in order.
 
-        With one root, each tile is summed from that root's determinants, and
-        no (width, N) table is built.  With (k+1)/2 >= 2 roots every column
-        adds them all, so they are summed into one (width, N) table, holding
-        one root's determinants at a time, which is then yielded tile by
-        tile.  A table with no column yields one empty tile, so that a
-        Reducer still counts the shots.  A column's bits are those of its
-        first target in plan(ws).
+        With one root each tile is summed from its determinants, so no
+        (width, N) table is built; with more, the roots add into one such
+        table, one root's determinants at a time, which is then cut into
+        tiles.  No column yields one empty tile, so that a Reducer still
+        counts the shots.
         """
-        count, width = len(ws), self.width
+        shared = self.shared
+        pairs, diagonal = ((self.which, self.diagonal) if shared is None
+                           else (self.which[:, shared[0]], self.diagonal[shared[0]]))
+        count = len(ws)
         step = max(1, _TILE // max(1, count))
-        tiles = range(0, max(width, 1), step)
+        tiles = range(0, max(len(diagonal), 1), step)
         if len(self.points) > 1:
-            out = self._sum(ws, self.rule, self._pairs, self._column_diagonal)
+            out = self._sum(ws, self.rule, pairs, diagonal)
             for lo in tiles:
                 yield lo, out[lo:lo + step]
             return
         det = next(self._determinants(ws, self.rule), None)
         for lo in tiles:
-            diagonal = self._column_diagonal[lo:lo + step, None]
-            tile = np.broadcast_to(diagonal, (len(diagonal), count)).astype(np.complex128)
+            tile = diagonal[lo:lo + step, None]
+            tile = np.broadcast_to(tile, (len(tile), count)).astype(np.complex128)
             if det is not None:
-                tile += self._term(det, self._pairs[:, lo:lo + step])
+                tile += self._term(det, pairs[:, lo:lo + step])
             yield lo, tile
 
     def expand(self, values: np.ndarray, conjugate: bool = False) -> np.ndarray:
         """(T,) values per target of the (width,) values per column.
 
-        conjugate mirrors a flipped target's imaginary part as 0.0 - v, never
-        -v: a Reducer never holds -0.0, so where it reduced a conjugate column
-        directly, +0.0 would stay +0.0.
+        conjugate mirrors a flipped imaginary part as 0.0 - v, not -v, which
+        would print -0 where a Reducer of the target would hold +0.0.
         """
-        out = values[self.column]
+        shared = self.shared
+        if shared is None:
+            return values
+        _, column, flip = shared
+        out = values[column]
         if conjugate:
-            out.imag[self.flip] = 0.0 - out.imag[self.flip]
+            out.imag[flip] = 0.0 - out.imag[flip]
         return out
 
     @staticmethod
@@ -383,7 +388,7 @@ class _BlockPlan:
         return term
 
     def _sum(self, ws, gather: bool, pairs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        """(len(diagonal), N): diagonal plus, per root, the _term of each block pair."""
+        """(len(diagonal), N): each column's diagonal plus its block pair's terms."""
         count = len(ws)
         out = np.broadcast_to(diagonal[:, None], (len(diagonal), count)).astype(np.complex128)
         step = max(1, _TILE // max(1, count))
@@ -456,9 +461,8 @@ class Reducer:
     """Mean or median of means over count shots, fed in order chunk by chunk.
 
     Reducer(count, width, mode, batches) takes the shots of width columns
-    through add((m, width) chunk) calls, m shots each, or through
-    add((m, w) tile, lo) calls that bring a chunk's columns lo..lo+w-1 in
-    order, and result() then gives
+    through add((m, width) chunk) calls, m shots each, or a chunk's column
+    tiles in order through add((m, w) tile, lo) calls, and result() then gives
     per column the mean with its standard error s/sqrt(count) (ddof=1) per
     real and imaginary part, or under median_of_means the coordinate-wise
     median of the means of batches equal runs of consecutive shots with the
@@ -466,15 +470,13 @@ class Reducer:
     deviations of the real and imaginary parts, and merges each chunk in by
     the pairwise update of Chan, Golub and LeVeque (Am. Stat. 37, 242, 1983).
     median_of_means also keeps one sum per batch and column, so a batch may
-    straddle chunks.  Memory is O(batches * width) whatever count is, and an
-    add's temporaries are O(m w).  A
-    column's arithmetic does not depend on the other columns, so a chunk fed
-    in column tiles gives the bits of one whole-width add, and a single
-    chunk of all the shots gives exactly the one-pass mean and M2.  The sums
-    start at +0.0 and no update makes -0.0, so no stored part is -0.0.  Raises
+    straddle chunks.  Memory is O(batches * width) whatever count is.  A
+    column's arithmetic does not depend on the other columns, so tiles give
+    the bits of whole chunks, and a single chunk of all the shots gives
+    exactly the one-pass mean and M2.  No stored part is -0.0.  Raises
     ValueError unless count and width pass is_int, for count < 1, width < 0,
-    a tile that is not the chunk's next columns (m, w) with lo = 0 first and
-    the chunk's m after, more shots than count, and unless mode is mean
+    a chunk not (m, width), a tile not the next columns of its chunk's m
+    shots, more shots than count, and unless mode is mean
     with no batches or median_of_means with integer batches >= 1 dividing count.
     """
 
@@ -493,24 +495,24 @@ class Reducer:
             raise ValueError(f"batches are given only under median_of_means, got {batches!r}")
         self.count, self.width, self.mode, self.batches = count, width, mode, batches
         self.seen = 0
-        # the next column of the chunk being fed, and that chunk's shots
-        self._next = self._rows = 0
+        self._next = self._rows = 0     # an open tiled chunk's next column and shots
         self.mean = np.zeros(width, dtype=np.complex128)
         # M2 of the real parts in .real, of the imaginary parts in .imag
         self._m2 = np.zeros(width, dtype=np.complex128)
 
-    def add(self, chunk, lo: int = 0):
-        """Fold the next m shots of columns lo..lo+w-1, an (m, w) table, into the running sums.
+    def add(self, chunk, lo: int = None):
+        """Fold the next m shots, an (m, width) table, into the running sums.
 
-        A chunk's shots count once its last column is in.
+        With lo, chunk holds columns lo..lo+w-1; the shots count at the last.
         """
         x = np.asarray(chunk, dtype=np.complex128)
+        whole, lo = lo is None, 0 if lo is None else lo
         if not (x.ndim == 2 and is_int(lo) and lo == self._next
-                and lo + x.shape[1] <= self.width and self.seen + x.shape[0] <= self.count
-                and (lo == 0 or x.shape[0] == self._rows)):
-            raise ValueError(f"need an (m, w) chunk of columns {self._next}.. of {self.width}, "
-                             f"at most {self.count - self.seen} shots, got shape {x.shape} "
-                             f"at column {lo!r}")
+                and (x.shape[1] == self.width if whole else lo + x.shape[1] <= self.width)
+                and self.seen + x.shape[0] <= self.count and (lo == 0 or x.shape[0] == self._rows)):
+            raise ValueError(f"need an (m, {'width' if whole else 'w'}) chunk of columns "
+                             f"{self._next}.. of {self.width}, at most {self.count - self.seen} "
+                             f"shots, got shape {x.shape} at column {lo!r}")
         m, hi = x.shape[0], lo + x.shape[1]
         if m:
             # shots on the contiguous last axis: each column then sums in the same

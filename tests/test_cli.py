@@ -22,6 +22,7 @@ from fermishadow import channel, cli, shadows
 from fermishadow.cli import (
     ConfigError,
     ExperimentConfig,
+    _subset_str,
     build_state,
     cmd_slater_overlap,
     main,
@@ -708,6 +709,22 @@ def test_estimate_past_63_modes(tmp_path, capsys):
         assert abs(est_im - want.imag) < 5 * max(err_im, 1e-12)
 
 
+def test_estimate_labels_subsets_past_int64_ranks(tmp_path, capsys):
+    # C(99, 20) > 2^63, so no colex rank of a 20-subset of 100 modes fits an
+    # int64; the sector C(100, 99) has 100 amplitudes, and a row's label needs
+    # no rank.  The swapped and repeated targets share the first one's column
+    low, high = list(range(1, 21)), list(range(81, 101))
+    targets = [[low, high], [high, low], [low, high], [high, high]]
+    assert binom(99, 20) > 2**63
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 100, "eta": 99, "k": 20, "samples": 3, "seed": 1,
+                               "targets": targets}))
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    _, rows = _read_csv(capsys.readouterr().out)
+    assert [row[:2] for row in rows] == [[_subset_str(p), _subset_str(q)] for p, q in targets]
+    assert rows[2] == rows[0]
+
+
 def test_estimate_both_estimators_agree(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "eta": 2, "k": 2, "samples": 24, "seed": 3,
@@ -876,7 +893,7 @@ class _WholeTable:
     reduction of the whole (shots, T) table, one add per chunk."""
 
     def __init__(self, plan):
-        self.plan, self.width = plan, len(plan.column)
+        self.plan, self.width = plan, plan.which.shape[1]
 
     def __call__(self, ws, gather=None):
         return self.plan(ws, gather)

@@ -575,6 +575,8 @@ def test_reducer_rejects_misuse():
             reducer.variance()
     with pytest.raises(ValueError, match="chunk"):
         reducer.add(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="chunk"):
+        reducer.add(np.ones((2, 1)))        # too narrow: a tile needs its lo
     reducer.add(np.ones((3, 2)))
     for early in (reducer.result, reducer.variance):
         with pytest.raises(ValueError, match="3 of 4"):
@@ -636,6 +638,8 @@ def test_column_tiles_must_come_in_order():
         reducer.add(np.ones((3, 2)), 1)         # other shots than the chunk's
     with pytest.raises(ValueError, match="chunk of columns 1.."):
         reducer.add(np.ones((2, 3)), 1)         # past the last column
+    with pytest.raises(ValueError, match="chunk of columns 1.."):
+        reducer.add(np.ones((2, 3)))            # a whole chunk while a tiled one is open
     with pytest.raises(ValueError, match="0 of 4"):
         reducer.result()                        # the open chunk does not count yet
     reducer.add(np.ones((2, 2)), 1)
@@ -648,8 +652,8 @@ def test_column_tiles_must_come_in_order():
 def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
     # (p, q), (q, p) and a repeated target share one column; each target is its
     # column's estimate, or where flipped its mirror (re, 0.0 - im), bit for bit
-    # in every shot, from one root's determinants (k <= 2) or from the summed
-    # table of several (k >= 3).  A small _TILE cuts the columns into tiles
+    # in every shot, with one root (k <= 2) or several (k >= 3).  A small
+    # _TILE cuts the columns into tiles
     monkeypatch.setattr(shadows, "_TILE", 40)
     ws, _ = collect_shadow_arrays(random_state(n, eta, np.random.default_rng(k)), 7, seed=n + k)
     ps, qs = all_pairs(n, k)
@@ -657,24 +661,34 @@ def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
     plan = shadows._block_plan(n, eta, k, ps, qs)
     c = binom(n, k)
     assert plan.width == c * (c + 1) // 2
+    _, column, flip = plan.shared
     tiles = list(plan.columns(ws))
     assert [lo for lo, _ in tiles] == list(range(0, plan.width, max(1, 40 // 7)))
-    got = np.concatenate([tile for _, tile in tiles])[plan.column]
-    got.imag[plan.flip] = 0.0 - got.imag[plan.flip]
+    got = np.concatenate([tile for _, tile in tiles])[column]
+    got.imag[flip] = 0.0 - got.imag[flip]
     assert got.tobytes() == np.ascontiguousarray(plan(ws).T).tobytes()
     # expand is that map on values per column
     vals = np.arange(1, plan.width + 1) * (1 + 1j)
-    want = vals[plan.column]
+    want = vals[column]
     assert plan.expand(vals).tobytes() == want.tobytes()
-    assert np.array_equal(plan.expand(vals, conjugate=True),
-                          np.where(plan.flip, want.conj(), want))
+    assert np.array_equal(plan.expand(vals, conjugate=True), np.where(flip, want.conj(), want))
     # a real column's flipped targets keep +0.0, as a Reducer of them would
     assert not np.signbit(plan.expand(vals.real + 0j, conjugate=True).imag).any()
-    # a table that shares no pair has one column per target, in order, none flipped
+    # a table that shares no pair has one column per target, in order, none
+    # flipped; where no target reads a block twice, no columns are grouped
     rank_p, rank_q = np.divmod(np.arange(c * c), c)
-    upper = rank_p <= rank_q
-    plan = shadows._block_plan(n, eta, k, all_pairs(n, k)[0][upper], all_pairs(n, k)[1][upper])
-    assert plan.column.tolist() == list(range(upper.sum())) and not plan.flip.any()
+    for upper, grouped in [(rank_p <= rank_q, True), (rank_p < rank_q, False)]:
+        plan = shadows._block_plan(n, eta, k, all_pairs(n, k)[0][upper], all_pairs(n, k)[1][upper])
+        assert plan.width == upper.sum()
+        assert (plan.shared is not None) == grouped
+        if grouped:
+            assert plan.shared[1].tolist() == list(range(upper.sum()))
+            assert not plan.shared[2].any()
+        else:
+            assert plan.expand(vals[:plan.width], conjugate=True).tobytes() \
+                == vals[:plan.width].tobytes()
+        assert np.concatenate([t for _, t in plan.columns(ws)]).tobytes() \
+            == np.ascontiguousarray(plan(ws).T).tobytes()
 
 
 def test_q_value_is_average_second_moment():
