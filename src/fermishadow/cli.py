@@ -347,10 +347,11 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     Each chunk is its own start_index call, which draws the same bits as one
     call over all the shots.  Each table's shadows._block_plan is built once,
     in setup, and applied to every chunk.  dense feeds one Reducer only the
-    plan's distinct columns, tile by tile, and expands its results to the
-    targets; both reduces _cross_check's two whole tables, dense's oracle.
-    record, the manifest's extra fields, gets born_worst_defect and, under
-    both, both_worst_gap (a NaN stays); agree says whether every chunk passed.
+    plan's distinct columns, in tiles assembled from its per-block sums, and
+    expands the results to the targets; both reduces _cross_check's two
+    whole tables, dense's oracle.  record, the manifest's extra fields, gets
+    born_worst_defect and, under both, both_worst_gap (a NaN stays); agree
+    says whether every chunk passed.
     """
     both = config.estimator == "both"
     plans = [shadows._block_plan(state.n, state.eta, ps.shape[1], ps, qs) for ps, qs in tables]
@@ -381,7 +382,6 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
                     stages.lap("estimate")
                     table_reducers[0].add(tile.T, col)
                     stages.lap("aggregate")
-                del tile    # it views the chunk's column table, which the next chunk replaces
     results = [[(*r.result(), r.variance()) for r in table_reducers] for table_reducers in reducers]
     if not both:
         results = [[(plan.expand(val, conjugate=True), plan.expand(err), plan.expand(var))]
@@ -484,13 +484,13 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
 def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     """Run the invariant suites and return a JSON-able report.
 
-    Each check calls the identities.check_* function that an acceptance
-    criterion calls too, at this level's sizes and with draws of its own;
-    fast_vs_dense calls it through _cross_check on a _block_plan of its
-    pairs, as the both gate does.  States and pairs come from
-    default_rng(seed).  Each (check, size) b collects shots 32 b .. 32 b + 31
-    of the seed's stream at most, a range of its own, so the shot index
-    tells the draws apart and every 64-bit seed is valid.
+    Each check calls the identities.check_* function that a Tier-1 test
+    calls too, at this level's sizes and with draws of its own; fast_vs_dense
+    calls it through _cross_check on a _block_plan of its pairs, as the both
+    gate does.  States and pairs come from default_rng(seed).  Each size b of
+    a check collects shots 32 b .. 32 b + 31 of the seed's stream at most, a
+    range of its own (the two per_shadow checks share theirs), so the shot
+    index tells the draws apart and every 64-bit seed is valid.
     """
     from . import identities
 
@@ -507,16 +507,18 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
         ok = all(identities.check_closed_forms(*g)[0] for g in grid)
         return ok and identities.chu_vandermonde_checks(10), f"exact, n <= {n_cap}"
 
-    def norms():
+    shots = [collect_shadow_arrays(random_state(n, eta, rng), 32, seed, start_index=32 * b)[0]
+             for b, (n, eta) in enumerate([(4, 2), (n_cap, min(3, n_cap - 1))])]
+
+    def per_shadow(check, bound):
         bad = []
-        for b, (n, eta) in enumerate([(4, 2), (n_cap, min(3, n_cap - 1))]):
-            ws, _ = collect_shadow_arrays(random_state(n, eta, rng), 32, seed,
-                                          start_index=32 * b)
+        for ws in shots:
+            eta, n = ws.shape[1:]
             for k in range(1, eta + 1):
-                ok, gap, _ = identities.check_shadow_norms(ws, k)
+                ok, gap, _ = check(ws, k)
                 if not ok:
                     bad.append(f"n={n} eta={eta} k={k}: relative gap {gap:.2e}")
-        return not bad, "; ".join(bad) or "within 1e-8 relative"
+        return not bad, "; ".join(bad) or f"within {bound} relative"
 
     def fast_vs_dense():
         ok, worst = True, 0.0
@@ -546,7 +548,8 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     checks = [
         ("projector_expansion_and_eigenrelation", expansion),
         ("closed_form_sums", sums),
-        ("per_shadow_norm_sum", norms),
+        ("per_shadow_norm_sum", lambda: per_shadow(identities.check_shadow_norms, "1e-8")),
+        ("per_shadow_trace", lambda: per_shadow(identities.check_shadow_trace, "1e-10")),
         ("fast_vs_dense", fast_vs_dense),
         ("mc_channel_twirl", twirl),
     ]

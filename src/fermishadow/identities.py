@@ -26,6 +26,7 @@ Contents
                            the channel eigenrelation, exact
     check_closed_forms   : every trace_nd_squared and t_sum point, exact
     check_shadow_norms   : per-shadow squared norm = Tr E^2, 1e-8 relative
+    check_shadow_trace   : per-shadow diagonal sum = C(eta, k), 1e-10 relative
     check_fast_vs_dense  : two routes' estimate tables agree, 1e-8 relative (from shadows)
     check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
@@ -164,6 +165,22 @@ def check_shadow_norms(ws, k: int) -> tuple:
     want = float(trace_e_squared(n, eta, k))
     gap = float(np.max(np.abs(norms - want))) / want
     return gap < 1e-8, gap, norms
+
+
+def check_shadow_trace(ws, k: int) -> tuple:
+    """(passed, worst relative gap, (N,) traces) of a batch of shadows.
+
+    Each shadow's estimates of the C(n,k) diagonal targets (p, p) sum to
+    C(eta, k), whatever the state, and each is w_0 + D + conj(D), exactly
+    real; passed means all are real and every trace is within 1e-10 of
+    C(eta, k), relative to the sum of its |estimates| (a NaN fails).
+    """
+    eta, n = np.shape(ws)[1:]
+    ss = subset_index_array(n, k) + 1
+    diagonal = fast_estimate_rdm(ws, k, ss, ss)
+    traces = diagonal.sum(axis=1)
+    gap = float(np.max(np.abs(traces.real - binom(eta, k)) / np.abs(diagonal).sum(axis=1)))
+    return bool(np.all(diagonal.imag == 0)) and gap <= 1e-10, gap, traces
 
 
 def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:

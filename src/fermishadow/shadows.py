@@ -11,12 +11,12 @@ M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
 C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
 coefficients.  An entry (p, q) needs only the k x k blocks M(x)[q, p] and
 M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p]: fast_estimate_rdm is the
-one estimator, and evaluates each distinct block of its target table once
-per root, gathered from the whole Pi for large tables and formed from the
-readout rows at O(k^2 eta + k^4) per shot for small ones.  Its table's work
-(checks, distinct blocks, block source, distinct columns) is _block_plan's,
-done once: a run builds each table's plan once and applies it to every
-chunk of shots.
+one estimator, and sums the roots once per distinct block of its target
+table, D = sum_x w det M(x)[block] (gathered from the whole Pi for large
+tables, formed from the readout rows for small ones), so that an entry is
+w_0 [p = q] + D[q, p] + conj(D[p, q]).  Its table's work (checks, distinct
+blocks, block source, distinct columns) is _block_plan's, done once: a run
+builds each table's plan once and applies it to every chunk of shots.
 
 A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta), the one
 form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
@@ -243,10 +243,10 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     Pi[q, p] = U_z[:, q]^H U_z[:, p], entry [i, t] is shadow i's
     w_0 [p_t = q_t] plus, per root x in the upper half plane,
     w det M(x)[q_t, p_t] + conj(w det M(x)[p_t, q_t]), at half weight for
-    the hermitian M(-1).  Each distinct k x k block is evaluated once per
-    root, so the all-pairs table (all_pairs) costs C(n,k)^2 determinants per
-    root, and (p, q) and (q, p) read the same two determinants: any table
-    that holds both gives exact conjugates.  The blocks are gathered from the
+    the hermitian M(-1).  The roots of each distinct k x k block are summed
+    once, so the all-pairs table (all_pairs) costs C(n,k)^2 determinants per
+    root, and (p, q) and (q, p) read the same two sums: any table that holds
+    both gives exact conjugates.  The blocks are gathered from the
     whole M(x) when (distinct blocks) k^2 >= n^2, and otherwise formed from
     the readout rows at O(k^2 eta + k^4) per shot and block whatever n is.
     The rule never looks at N, and an entry's bits do not depend on the
@@ -297,9 +297,10 @@ class _BlockPlan:
     plan(ws, gather=None) -> (N, T): fast_estimate_rdm's estimates of the
     shadows ws, a stack (N, eta, n) that it does not check.  gather True
     takes every block from the whole M(x) (n, n, N), False from products of
-    the readout rows, None by the rule.  A tile of B' blocks holds about
-    _TILE numbers in its (k, k, B', N) blocks, or in the (eta, k, k, B', N)
-    products behind them.
+    the readout rows, None by the rule.  It and columns(ws) add the roots
+    into one (B, N) table D of the B distinct blocks, then assemble targets
+    from D.  A tile of targets, or of B' blocks in (k, k, B', N) or the
+    (eta, k, k, B', N) products behind them, holds about _TILE numbers.
     """
 
     def __init__(self, n, k, points, blocks, rule, which, diagonal):
@@ -334,36 +335,20 @@ class _BlockPlan:
         return self.which.shape[1] if self.shared is None else len(self.shared[0])
 
     def __call__(self, ws, gather: bool = None) -> np.ndarray:
-        gather = self.rule if gather is None else gather
-        return self._sum(ws, gather, self.which, self.diagonal).T
+        sums = self._block_sums(ws, self.rule if gather is None else gather)
+        out = np.empty((len(self.diagonal), len(ws)), dtype=np.complex128)
+        for lo, tile in self._targets(sums, slice(None)):
+            out[lo:lo + len(tile)] = tile
+        return out.T
 
     def columns(self, ws):
         """Yield (lo, tile): the (c, N) estimates of columns lo..lo+c-1, in order.
 
-        With one root each tile is summed from its determinants, so no
-        (width, N) table is built; with more, the roots add into one such
-        table, one root's determinants at a time, which is then cut into
-        tiles.  No column yields one empty tile, so that a Reducer still
-        counts the shots.
+        No (width, N) table is built, and no column yields one empty tile,
+        so that a Reducer still counts the shots.
         """
-        shared = self.shared
-        pairs, diagonal = ((self.which, self.diagonal) if shared is None
-                           else (self.which[:, shared[0]], self.diagonal[shared[0]]))
-        count = len(ws)
-        step = max(1, _TILE // max(1, count))
-        tiles = range(0, max(len(diagonal), 1), step)
-        if len(self.points) > 1:
-            out = self._sum(ws, self.rule, pairs, diagonal)
-            for lo in tiles:
-                yield lo, out[lo:lo + step]
-            return
-        det = next(self._determinants(ws, self.rule), None)
-        for lo in tiles:
-            tile = diagonal[lo:lo + step, None]
-            tile = np.broadcast_to(tile, (len(tile), count)).astype(np.complex128)
-            if det is not None:
-                tile += self._term(det, pairs[:, lo:lo + step])
-            yield lo, tile
+        heads = slice(None) if self.shared is None else self.shared[0]
+        yield from self._targets(self._block_sums(ws, self.rule), heads)
 
     def expand(self, values: np.ndarray, conjugate: bool = False) -> np.ndarray:
         """(T,) values per target of the (width,) values per column.
@@ -380,32 +365,23 @@ class _BlockPlan:
             out.imag[flip] = 0.0 - out.imag[flip]
         return out
 
-    @staticmethod
-    def _term(det: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        # (p, q) adds w det M[q, p] + conj(w det M[p, q]); (q, p) its conjugate
-        term = det[pairs[0]]
-        term += np.conjugate(det[pairs[1]])
-        return term
+    def _targets(self, sums: np.ndarray, heads):
+        """Yield (lo, tile): w_0 [p = q] + sums[q, p] + conj(sums[p, q]) of targets heads[lo:]."""
+        pairs, diagonal = self.which[:, heads], self.diagonal[heads] + 0j  # added to tiles uncast
+        step = max(1, _TILE // max(1, sums.shape[1]))
+        for lo in range(0, max(len(diagonal), 1), step):
+            tile = sums[pairs[0, lo:lo + step]]
+            tile += np.conjugate(sums[pairs[1, lo:lo + step]])
+            tile += diagonal[lo:lo + step, None]
+            yield lo, tile
 
-    def _sum(self, ws, gather: bool, pairs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        """(len(diagonal), N): each column's diagonal plus its block pair's terms."""
-        count = len(ws)
-        out = np.broadcast_to(diagonal[:, None], (len(diagonal), count)).astype(np.complex128)
-        step = max(1, _TILE // max(1, count))
-        for det in self._determinants(ws, gather):
-            for lo in range(0, len(out), step):
-                out[lo:lo + step] += self._term(det, pairs[:, lo:lo + step])
-        return out
-
-    def _determinants(self, ws, gather: bool):
-        """Yield per root x the (B, N) table w det M(x)[block] of the distinct blocks.
-
-        One buffer serves every root, so a table is valid until the next one.
-        """
+    def _block_sums(self, ws, gather: bool) -> np.ndarray:
+        """(B, N): D = sum over the roots x of w det M(x)[block], per distinct block and shot."""
         n, k, blocks = self.n, self.k, self.blocks
         count = len(ws)
         if not (self.points and len(blocks)):
-            return
+            return np.zeros((len(blocks), count), dtype=np.complex128)
+        out = np.empty((len(blocks), count), dtype=np.complex128)
         # readout rows, shots last: (eta, n, N)
         uz = np.ascontiguousarray(ws.transpose(1, 2, 0))
         # The sources sum Pi's eta terms in different orders, so they differ by
@@ -420,9 +396,8 @@ class _BlockPlan:
             proj = uz[0].conj()[:, None] * uz[0][None]
             for u in uz[1:]:
                 proj += u.conj()[:, None] * u[None]
-        det = np.empty((len(blocks), count), dtype=np.complex128)
         block_tile = max(1, _TILE // max(1, count * k * k * (1 if gather else len(uz))))
-        for x, w in self.points:
+        for root, (x, w) in enumerate(self.points):
             if x == -1.0:
                 w = w / 2       # M(-1) is hermitian: its one root counts once per orientation
             if gather:
@@ -438,8 +413,12 @@ class _BlockPlan:
                     m = (r == c)[..., None] + (x - 1.0) * _fold(uz[:, r].conj() * uz[:, c])
                 # not in place: an in-place complex product can round differently
                 # in the last elements of a row, so a shot's bits would follow N
-                det[lo:lo + block_tile] = w * _det_stack(np.moveaxis(m, (0, 1), (2, 3)))
-            yield det
+                det = w * _det_stack(np.moveaxis(m, (0, 1), (2, 3)))
+                if root:        # the first root is stored: one root (k <= 2) takes no add
+                    det += out[lo:lo + block_tile]
+                out[lo:lo + block_tile] = det
+                del det     # not held while the next block tile is formed
+        return out
 
 
 def check_fast_vs_dense(fast, dense) -> tuple:

@@ -1008,6 +1008,7 @@ def test_validate_quick_passes(tmp_path, capsys):
         "projector_expansion_and_eigenrelation",
         "closed_form_sums",
         "per_shadow_norm_sum",
+        "per_shadow_trace",
         "fast_vs_dense",
         "mc_channel_twirl",
     ]

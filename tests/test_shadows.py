@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from fermishadow import shadows
 from fermishadow.channel import overlap_class_array
 from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import _NORM_SQ_TOL, FermionState, basis_state, random_state, rdm_matrix
+from fermishadow.identities import check_shadow_trace
 from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
     Reducer,
@@ -118,15 +120,14 @@ def test_per_shot_trace_is_binom_eta_k(n, eta, k):
     # sum_p of the k-body transitions (p, p) is C(eta, k) on the eta-particle
     # sector, and the inverted channel keeps the trace, so every single shot's
     # diagonal estimates sum to C(eta, k): an oracle-free check of the kernel
-    # on tables of up to 1820 targets, past any dense route.  A diagonal entry
-    # is w_0 plus terms w d + conj(w d), so its imaginary part is exactly 0
+    # on tables of up to 1820 targets, past any dense route, and the check
+    # validate runs.  A diagonal entry is w_0 plus terms D + conj(D), so its
+    # imaginary part is exactly 0
     state = random_state(n, eta, np.random.default_rng(100 * n + k))
     ws, _ = collect_shadow_arrays(state, 3, seed=k)
-    ss = subset_index_array(n, k) + 1
-    diagonal = fast_estimate_rdm(ws, k, ss, ss)
-    trace = diagonal.sum(axis=1)
-    assert np.all(diagonal.imag == 0)
-    assert np.all(np.abs(trace.real - binom(eta, k)) <= 1e-10 * np.abs(diagonal).sum(axis=1))
+    ok, gap, traces = check_shadow_trace(ws, k)
+    assert ok, gap
+    assert traces.shape == (3,) and np.all(traces.imag == 0)
 
 
 def _contraction(n, ps, qs):
@@ -689,6 +690,28 @@ def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
                 == vals[:plan.width].tobytes()
         assert np.concatenate([t for _, t in plan.columns(ws)]).tobytes() \
             == np.ascontiguousarray(plan(ws).T).tobytes()
+
+
+def test_columns_hold_one_block_table_not_a_column_table():
+    # at (8,4,3) two roots add into one (B, N) table of the B distinct blocks,
+    # and columns are assembled from it tile by tile: beside it only
+    # _TILE-sized temporaries (Pi, M(x), a block tile, its determinants, a
+    # target tile and its conjugate) are live, no (width, N) column table
+    n, eta, k, count = 8, 4, 3, 512
+    ws, _ = collect_shadow_arrays(random_state(n, eta, np.random.default_rng(5)), count, seed=9)
+    plan = shadows._block_plan(n, eta, k, *all_pairs(n, k))
+    assert len(plan.points) == 2 and plan.width == 56 * 57 // 2
+    for _ in plan.columns(ws[:4]):     # the grouping and the caches, before tracing
+        pass
+    tracemalloc.start()
+    try:
+        for _ in plan.columns(ws):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = len(plan.blocks) * count * 16 + 8 * shadows._TILE * 16
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_q_value_is_average_second_moment():
