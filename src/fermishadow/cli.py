@@ -106,19 +106,34 @@ class ExperimentConfig:
             raise ConfigError(f"targets must be all_krdm or a list, got {self.targets!r}")
 
 
-def _check_sector(n: int, eta: int):
-    """Raise ConfigError unless numpy can allocate the C(n, eta) amplitudes of a sector.
+def _check_alloc(shape, dtype, what: str):
+    """Raise ConfigError, "what, more than numpy can allocate", unless numpy can
+    allocate an array of shape and dtype.
 
     The allocation itself decides: numpy refuses a length or a byte count
     past its index range, and memory the system will not map.  np.empty
-    touches no page, so a sector that fits costs nothing here.  The message
-    names C(n, eta) and never prints it, which may have thousands of digits.
+    touches no page, so an array that fits costs nothing here.  Callers name
+    a size such as C(n, eta) and never print it, which may have thousands of
+    digits.
     """
     try:
-        np.empty(binom(n, eta), dtype=np.complex128)
+        np.empty(shape, dtype=dtype)
     except (ValueError, MemoryError):
-        raise ConfigError(f"the {eta}-particle sector on {n} modes has C({n},{eta}) "
-                          f"amplitudes, more than numpy can allocate") from None
+        raise ConfigError(f"{what}, more than numpy can allocate") from None
+
+
+def _check_sector(n: int, eta: int):
+    """Raise ConfigError unless numpy can allocate the C(n, eta) amplitudes of a sector."""
+    _check_alloc(binom(n, eta), np.complex128,
+                 f"the {eta}-particle sector on {n} modes has C({n},{eta}) amplitudes")
+
+
+def _all_pairs(n: int, k: int) -> tuple:
+    """all_pairs(n, k); ConfigError, before it runs, unless numpy can allocate
+    its pairs as one (C(n,k)^2, 2, k) int64 table."""
+    _check_alloc((binom(n, k) ** 2, 2, k), np.int64,
+                 f"the table of all {k}-body transitions on {n} modes has C({n},{k})^2 rows")
+    return all_pairs(n, k)
 
 
 def build_state(config: ExperimentConfig) -> FermionState:
@@ -190,7 +205,7 @@ def _target_table(items: list, n: int, size: int, pairs: bool) -> np.ndarray:
 def _resolve_targets(config: ExperimentConfig) -> np.ndarray:
     """(T, 2, k) int64 table of the (p, q) subset pairs to estimate, in deterministic order."""
     if config.targets == "all_krdm":
-        return np.stack(all_pairs(config.n, config.k), axis=1)
+        return np.stack(_all_pairs(config.n, config.k), axis=1)
     return _target_table(config.targets, config.n, config.k, pairs=True)
 
 
@@ -346,10 +361,11 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     numbers, so peak memory is set by the targets, not by config.samples.
     Each chunk is its own start_index call, which draws the same bits as one
     call over all the shots.  Each table's shadows._block_plan is built once,
-    in setup, and applied to every chunk.  dense feeds one Reducer only the
-    plan's distinct columns, in tiles assembled from its per-block sums, and
-    expands the results to the targets; both reduces _cross_check's two
-    whole tables, dense's oracle.  record, the manifest's extra fields, gets
+    in setup, and applied to every chunk.  dense feeds one Reducer the
+    plan's columns, one per distinct unordered {p, q}, in tiles assembled
+    from its per-block sums, and expands the results to the targets; both
+    reduces _cross_check's two whole tables, each the expanded columns of
+    one block source.  record, the manifest's extra fields, gets
     born_worst_defect and, under both, both_worst_gap (a NaN stays); agree
     says whether every chunk passed.
     """
@@ -465,7 +481,7 @@ def cmd_variance_sweep(ns, etas, ks, samples: int = 0, seed: int = 0,
             if samples > 0 and orders:
                 config = ExperimentConfig(n, eta, eta, samples, seed)     # k: per table
                 state = build_state(config)     # the sector check, before any C(n,k)^2 table
-                tables = [all_pairs(n, k) for k in orders]
+                tables = [_all_pairs(n, k) for k in orders]
                 results, _ = _sample(state, config, tables, stages, record)
                 emp = [_fmt(float(var.mean())) for [(_, _, var)] in results]
             for k, e in zip(orders, emp):
@@ -489,7 +505,7 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     calls it through _cross_check on a _block_plan of its pairs, as the both
     gate does.  States and pairs come from default_rng(seed).  Each size b of
     a check collects shots 32 b .. 32 b + 31 of the seed's stream at most, a
-    range of its own (the two per_shadow checks share theirs), so the shot
+    range of its own (the per_shadow checks share theirs), so the shot
     index tells the draws apart and every 64-bit seed is valid.
     """
     from . import identities
@@ -510,11 +526,11 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
     shots = [collect_shadow_arrays(random_state(n, eta, rng), 32, seed, start_index=32 * b)[0]
              for b, (n, eta) in enumerate([(4, 2), (n_cap, min(3, n_cap - 1))])]
 
-    def per_shadow(check, bound):
+    def per_shadow(check, bound, orders=None):
         bad = []
         for ws in shots:
             eta, n = ws.shape[1:]
-            for k in range(1, eta + 1):
+            for k in orders or range(1, eta + 1):
                 ok, gap, _ = check(ws, k)
                 if not ok:
                     bad.append(f"n={n} eta={eta} k={k}: relative gap {gap:.2e}")
@@ -550,6 +566,8 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
         ("closed_form_sums", sums),
         ("per_shadow_norm_sum", lambda: per_shadow(identities.check_shadow_norms, "1e-8")),
         ("per_shadow_trace", lambda: per_shadow(identities.check_shadow_trace, "1e-10")),
+        ("per_shadow_one_body", lambda: per_shadow(
+            lambda ws, _: identities.check_shadow_one_body(ws), "1e-12", orders=[1])),
         ("fast_vs_dense", fast_vs_dense),
         ("mc_channel_twirl", twirl),
     ]

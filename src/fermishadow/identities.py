@@ -27,6 +27,7 @@ Contents
     check_closed_forms   : every trace_nd_squared and t_sum point, exact
     check_shadow_norms   : per-shadow squared norm = Tr E^2, 1e-8 relative
     check_shadow_trace   : per-shadow diagonal sum = C(eta, k), 1e-10 relative
+    check_shadow_one_body : per-shadow k = 1 table = (n + 1) Pi^T - eta I, 1e-12 relative
     check_fast_vs_dense  : two routes' estimate tables agree, 1e-8 relative (from shadows)
     check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
@@ -181,6 +182,24 @@ def check_shadow_trace(ws, k: int) -> tuple:
     traces = diagonal.sum(axis=1)
     gap = float(np.max(np.abs(traces.real - binom(eta, k)) / np.abs(diagonal).sum(axis=1)))
     return bool(np.all(diagonal.imag == 0)) and gap <= 1e-10, gap, traces
+
+
+def check_shadow_one_body(ws) -> tuple:
+    """(passed, worst relative gap, (N, n, n) tables) of a batch of shadows.
+
+    Each shadow's estimates of all n^2 one-body transitions (all_pairs, k = 1)
+    form the table E[p, q] = (n + 1) Pi[q, p] - eta [p = q], with
+    Pi[q, p] = U_z[:, q]^H U_z[:, p] from its readout rows ws[i] (eta, n),
+    whatever the state.  passed means every entry is within
+    1e-12 max(1, |entry|) of it (a NaN fails).  The transposed table, to
+    which the norm and trace checks are blind, misses by O(1).
+    """
+    eta, n = np.shape(ws)[1:]
+    tables = fast_estimate_rdm(ws, 1, *all_pairs(n, 1)).reshape(len(ws), n, n)
+    # [i, p, q] = (n + 1) sum_r U_z[r, p] conj(U_z[r, q]) - eta [p = q]
+    want = (n + 1) * np.einsum("irp,irq->ipq", ws, np.conjugate(ws)) - eta * np.eye(n)
+    gap = float(np.max(np.abs(tables - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
+    return gap <= 1e-12, gap, tables
 
 
 def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:

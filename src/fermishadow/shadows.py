@@ -10,13 +10,15 @@ projector form: with U_z the eta readout rows of u, Pi = U_z^H U_z and
 M(x) = I + (x - 1) Pi, the estimate is sum_s e'_s [x^s] C_k(M(x))[q, p],
 C_k the k-th compound.  A DFT over the k+1 roots of unity extracts the
 coefficients.  An entry (p, q) needs only the k x k blocks M(x)[q, p] and
-M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p]: fast_estimate_rdm is the
-one estimator, and sums the roots once per distinct block of its target
-table, D = sum_x w det M(x)[block] (gathered from the whole Pi for large
-tables, formed from the readout rows for small ones), so that an entry is
-w_0 [p = q] + D[q, p] + conj(D[p, q]).  Its table's work (checks, distinct
-blocks, block source, distinct columns) is _block_plan's, done once: a run
-builds each table's plan once and applies it to every chunk of shots.
+M(x)[p, q], with Pi[q, p] = U_z[:, q]^H U_z[:, p], and no other entry
+but (q, p) reads them.  So fast_estimate_rdm, the one estimator, evaluates
+a target table per column, a distinct unordered pair {p, q}: it sums the
+roots once per block of a column, D = sum_x w det M(x)[block] (gathered
+from the whole Pi for large tables, formed from the readout rows for
+small ones), and a column is w_0 [p = q] + D[q, p] + conj(D[p, q]), its
+swapped target the exact conjugate.  A table's work (checks, the one sort
+into columns, block source) is _block_plan's, done once: a run builds
+each table's plan once and applies it to every chunk of shots.
 
 A batch of shadows is the stacked pair ws (N, eta, n), zs (N, eta), the one
 form a shadow takes here: shadow i is the snapshot ws[i] = U_z, the eta rows
@@ -51,7 +53,7 @@ Contents
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -243,10 +245,11 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
     Pi[q, p] = U_z[:, q]^H U_z[:, p], entry [i, t] is shadow i's
     w_0 [p_t = q_t] plus, per root x in the upper half plane,
     w det M(x)[q_t, p_t] + conj(w det M(x)[p_t, q_t]), at half weight for
-    the hermitian M(-1).  The roots of each distinct k x k block are summed
-    once, so the all-pairs table (all_pairs) costs C(n,k)^2 determinants per
-    root, and (p, q) and (q, p) read the same two sums: any table that holds
-    both gives exact conjugates.  The blocks are gathered from the
+    the hermitian M(-1).  Targets (p, q), (q, p) and repeats form one
+    column, evaluated once from the roots summed per block, so the
+    all-pairs table (all_pairs) costs C(n,k)^2 determinants per root, and
+    any table that holds (p, q) and (q, p) gives exact conjugates.  The
+    blocks are gathered from the
     whole M(x) when (distinct blocks) k^2 >= n^2, and otherwise formed from
     the readout rows at O(k^2 eta + k^4) per shot and block whatever n is.
     The rule never looks at N, and an entry's bits do not depend on the
@@ -263,10 +266,13 @@ def fast_estimate_rdm(ws: np.ndarray, k: int, p, q) -> np.ndarray:
 def _block_plan(n: int, eta: int, k: int, p, q) -> "_BlockPlan":
     """The estimator of the target table (p, q) on (n, eta) shadows, planned once.
 
-    Raises fast_estimate_rdm's ValueErrors for sizes and tables, in its order,
-    then finds the table's distinct blocks, the two blocks each target reads
-    and the rule's block source, and returns them as a _BlockPlan, which
-    finds the table's distinct columns on first use.
+    Raises fast_estimate_rdm's ValueErrors for sizes and tables, in its order.
+    Then one stable sort finds the table's columns, its distinct unordered
+    pairs {p, q}: each target is keyed in the orientation, (p, q) or (q, p),
+    whose first differing mode is smaller, so (p, q), (q, p) and a repeat
+    share one.  Block (r, c) is read only by the targets (r, c) and (c, r),
+    so the distinct blocks are those of the columns' heads, their first
+    targets: M[q, p] of each, and M[p, q] where p != q.
     """
     n, eta, k = check_sizes(n, eta, k)
     ps, qs = int_table(p), int_table(q)
@@ -278,102 +284,77 @@ def _block_plan(n: int, eta: int, k: int, p, q) -> "_BlockPlan":
     ps, qs = np.atleast_2d(ps, qs)      # one pair (k,) as a table (1, k)
     check_subsets(np.concatenate([ps, qs]), n)
     w0, points = _dft_points(n, eta, k)
-    # 0-based (rows, cols) of the blocks M[q_t, p_t], then M[p_t, q_t]; each
-    # distinct one is evaluated once, and which maps a target to its two
-    keys = np.concatenate([np.hstack([qs, ps]), np.hstack([ps, qs])]) - 1
-    order = np.lexsort(keys.T) if k else np.arange(len(keys))    # lexsort needs a key
-    first = np.ones(len(keys), dtype=bool)
+    count = len(ps)
+    differ = ps != qs
+    swap = (differ & (np.cumsum(differ, axis=1) == 1) & (qs < ps)).any(axis=1)
+    keys = np.where(swap[:, None], np.hstack([qs, ps]), np.hstack([ps, qs]))
+    # lexsort is stable, so a run of equal keys opens at its head
+    order = np.lexsort(keys.T) if k else np.arange(count)     # lexsort needs a key
+    first = np.ones(count, dtype=bool)
     first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    blocks = keys[order[first]]
-    which = np.empty((2, len(ps)), dtype=np.int64)
-    which.flat[order] = np.cumsum(first) - 1
+    head = np.empty(count, dtype=np.int64)
+    head[order] = order[first][np.cumsum(first) - 1]
+    is_head = head == np.arange(count)
+    heads = np.flatnonzero(is_head)
+    ph, qh = ps[heads], qs[heads]
+    diag = ~differ[heads].any(axis=1)
+    # 0-based (rows, cols) of the blocks M[q, p] of every column, then M[p, q] off the diagonal
+    blocks = np.concatenate([np.hstack([qh, ph]), np.hstack([ph, qh])[~diag]]) - 1
+    which = np.tile(np.arange(len(heads)), (2, 1))
+    which[1, ~diag] = len(heads) + np.arange(len(blocks) - len(heads))
     return _BlockPlan(n, k, points, blocks, len(blocks) * k * k >= n * n, which,
-                      np.where((ps == qs).all(axis=1), w0, 0.0))
+                      np.where(diag, w0, 0.0) + 0j,   # added to tiles uncast
+                      (np.cumsum(is_head) - 1)[head], swap != swap[head])
 
 
 class _BlockPlan:
     """A target table's estimator, made once by _block_plan, applied to chunks of shots.
 
-    plan(ws, gather=None) -> (N, T): fast_estimate_rdm's estimates of the
-    shadows ws, a stack (N, eta, n) that it does not check.  gather True
-    takes every block from the whole M(x) (n, n, N), False from products of
-    the readout rows, None by the rule.  It and columns(ws) add the roots
-    into one (B, N) table D of the B distinct blocks, then assemble targets
-    from D.  A tile of targets, or of B' blocks in (k, k, B', N) or the
-    (eta, k, k, B', N) products behind them, holds about _TILE numbers.
+    Column u of the table's width reads the blocks which[:, u], and target t
+    is column[t], or where flip[t] its exact conjugate.  columns(ws, gather)
+    adds the roots into one (B, N) table D of the B distinct blocks and
+    yields the columns' estimates from it; plan(ws, gather) -> (N, T) is
+    fast_estimate_rdm's estimates, those columns expanded to the targets.
+    ws is a stack (N, eta, n) that neither checks.  gather True takes every
+    block from the whole M(x) (n, n, N), False from products of the readout
+    rows, None by the rule.  A tile of columns, or of B' blocks in
+    (k, k, B', N) or the (eta, k, k, B', N) products behind them, holds
+    about _TILE numbers.
     """
 
-    def __init__(self, n, k, points, blocks, rule, which, diagonal):
+    def __init__(self, n, k, points, blocks, rule, which, diagonal, column, flip):
         self.n, self.k, self.points, self.blocks, self.rule = n, k, points, blocks, rule
-        self.which, self.diagonal = which, diagonal
-
-    @cached_property
-    def shared(self):
-        """(head, column, flip) of the table's distinct columns, or None if it has one per target.
-
-        A column is an unordered pair of blocks, so (p, q), (q, p) and a
-        repeated target share one.  Column u is read by target head[u] first,
-        in its orientation; target t reads column[t], flipped (its exact
-        conjugate) where flip[t].  None when the 2T blocks read are distinct.
-        """
-        which = self.which
-        count = which.shape[1]
-        if len(self.blocks) == 2 * count:
-            return None
-        # deduplicated as the blocks are; lexsort is stable, so a run opens at its head
-        pairs = np.where(which[0] <= which[1], which, which[::-1]).T
-        order = np.lexsort(pairs.T)
-        first = np.ones(count, dtype=bool)
-        first[1:] = (pairs[order[1:]] != pairs[order[:-1]]).any(axis=1)
-        head = np.empty(count, dtype=np.int64)
-        head[order] = order[np.flatnonzero(first)][np.cumsum(first) - 1]
-        is_head = head == np.arange(count)
-        return np.flatnonzero(is_head), (np.cumsum(is_head) - 1)[head], which[0] != which[0, head]
-
-    @property
-    def width(self) -> int:
-        return self.which.shape[1] if self.shared is None else len(self.shared[0])
+        self.which, self.diagonal, self.column, self.flip = which, diagonal, column, flip
+        self.width = which.shape[1]
 
     def __call__(self, ws, gather: bool = None) -> np.ndarray:
-        sums = self._block_sums(ws, self.rule if gather is None else gather)
-        out = np.empty((len(self.diagonal), len(ws)), dtype=np.complex128)
-        for lo, tile in self._targets(sums, slice(None)):
-            out[lo:lo + len(tile)] = tile
-        return out.T
+        tiles = [tile for _, tile in self.columns(ws, gather)]
+        return self.expand(np.concatenate(tiles), conjugate=True).T
 
-    def columns(self, ws):
-        """Yield (lo, tile): the (c, N) estimates of columns lo..lo+c-1, in order.
+    def columns(self, ws, gather: bool = None):
+        """Yield (lo, tile): w_0 [p = q] + D[q, p] + conj(D[p, q]) of columns lo.., (c, N).
 
         No (width, N) table is built, and no column yields one empty tile,
         so that a Reducer still counts the shots.
         """
-        heads = slice(None) if self.shared is None else self.shared[0]
-        yield from self._targets(self._block_sums(ws, self.rule), heads)
+        sums = self._block_sums(ws, self.rule if gather is None else gather)
+        step = max(1, _TILE // max(1, len(ws)))
+        for lo in range(0, max(self.width, 1), step):
+            tile = sums[self.which[0, lo:lo + step]]
+            tile += np.conjugate(sums[self.which[1, lo:lo + step]])
+            tile += self.diagonal[lo:lo + step, None]
+            yield lo, tile
 
     def expand(self, values: np.ndarray, conjugate: bool = False) -> np.ndarray:
-        """(T,) values per target of the (width,) values per column.
+        """(T, ...) values per target of the (width, ...) values per column.
 
         conjugate mirrors a flipped imaginary part as 0.0 - v, not -v, which
         would print -0 where a Reducer of the target would hold +0.0.
         """
-        shared = self.shared
-        if shared is None:
-            return values
-        _, column, flip = shared
-        out = values[column]
+        out = values[self.column]
         if conjugate:
-            out.imag[flip] = 0.0 - out.imag[flip]
+            out.imag[self.flip] = 0.0 - out.imag[self.flip]
         return out
-
-    def _targets(self, sums: np.ndarray, heads):
-        """Yield (lo, tile): w_0 [p = q] + sums[q, p] + conj(sums[p, q]) of targets heads[lo:]."""
-        pairs, diagonal = self.which[:, heads], self.diagonal[heads] + 0j  # added to tiles uncast
-        step = max(1, _TILE // max(1, sums.shape[1]))
-        for lo in range(0, max(len(diagonal), 1), step):
-            tile = sums[pairs[0, lo:lo + step]]
-            tile += np.conjugate(sums[pairs[1, lo:lo + step]])
-            tile += diagonal[lo:lo + step, None]
-            yield lo, tile
 
     def _block_sums(self, ws, gather: bool) -> np.ndarray:
         """(B, N): D = sum over the roots x of w det M(x)[block], per distinct block and shot."""

@@ -451,6 +451,22 @@ def test_sector_too_large_to_allocate_is_a_config_error(argv, extra, sector, tmp
     assert f"has {sector} amplitudes, more than numpy can allocate" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "variance-sweep"])
+def test_pair_table_too_large_to_allocate_is_a_config_error(command, monkeypatch, capsys):
+    # the sector holds C(65536,65535) = 65536 amplitudes, but all C(65536,2)^2,
+    # about 4.6e18, pairs pass numpy's byte range, so the check allocates
+    # nothing on any host.  Once a traceback from all_pairs (exit 1)
+    ran = []
+    monkeypatch.setattr(cli, "all_pairs", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "collect_shadow_arrays", lambda *args, **kwargs: ran.append(args))
+    assert main([command, "--n", "65536", "--eta", "65535", "--k", "2",
+                 "--samples", "1", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ran == []
+    assert err == ("config error: the table of all 2-body transitions on 65536 modes has "
+                   "C(65536,2)^2 rows, more than numpy can allocate\n")
+
+
 def test_invalid_basis_subset_keeps_its_message(capsys):
     # check_subsets decides first, also in a sector too large to allocate
     for n, eta, modes in [(3, 2, "4,9"), (64, 32, ",".join(map(str, range(4, 68, 2))))]:
@@ -893,7 +909,7 @@ class _WholeTable:
     reduction of the whole (shots, T) table, one add per chunk."""
 
     def __init__(self, plan):
-        self.plan, self.width = plan, plan.which.shape[1]
+        self.plan, self.width = plan, len(plan.column)
 
     def __call__(self, ws, gather=None):
         return self.plan(ws, gather)
@@ -1009,6 +1025,7 @@ def test_validate_quick_passes(tmp_path, capsys):
         "closed_form_sums",
         "per_shadow_norm_sum",
         "per_shadow_trace",
+        "per_shadow_one_body",
         "fast_vs_dense",
         "mc_channel_twirl",
     ]

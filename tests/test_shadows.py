@@ -20,7 +20,7 @@ from fermishadow import shadows
 from fermishadow.channel import overlap_class_array
 from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import _NORM_SQ_TOL, FermionState, basis_state, random_state, rdm_matrix
-from fermishadow.identities import check_shadow_trace
+from fermishadow.identities import check_shadow_norms, check_shadow_one_body, check_shadow_trace
 from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
     Reducer,
@@ -128,6 +128,34 @@ def test_per_shot_trace_is_binom_eta_k(n, eta, k):
     ok, gap, traces = check_shadow_trace(ws, k)
     assert ok, gap
     assert traces.shape == (3,) and np.all(traces.imag == 0)
+
+
+@pytest.mark.parametrize("n,eta", [(1, 1), (4, 2), (5, 3), (6, 6), (8, 3), (12, 1), (16, 8)])
+def test_per_shot_one_body_table_is_the_inverted_projector(n, eta):
+    # at k = 1 the inverse channel is linear in Pi: every single shot's table
+    # of all n^2 transitions is (n + 1) Pi^T - eta I, whatever the state
+    state = random_state(n, eta, np.random.default_rng(7 * n + eta))
+    ws, _ = collect_shadow_arrays(state, 5, seed=n)
+    ok, gap, tables = check_shadow_one_body(ws)
+    assert ok, gap
+    assert tables.shape == (5, n, n)
+
+
+def test_one_body_check_sees_a_transposed_table(monkeypatch):
+    # the conjugate put on D[q, p] instead of D[p, q] makes every shot's table
+    # its conjugate, at k = 1 its transpose: the norm and trace checks pass
+    # it, and the one-body check must not
+    ws, _ = collect_shadow_arrays(random_state(5, 2, np.random.default_rng(3)), 6, seed=2)
+
+    def mutant(self, ws, gather=None):
+        sums = self._block_sums(ws, self.rule if gather is None else gather)
+        yield 0, np.conjugate(sums[self.which[0]]) + sums[self.which[1]] + self.diagonal[:, None]
+
+    assert check_shadow_one_body(ws)[0]
+    monkeypatch.setattr(shadows._BlockPlan, "columns", mutant)
+    assert check_shadow_norms(ws, 1)[0] and check_shadow_trace(ws, 1)[0]
+    ok, gap, _ = check_shadow_one_body(ws)
+    assert not ok and gap > 0.1
 
 
 def _contraction(n, ps, qs):
@@ -649,6 +677,21 @@ def test_column_tiles_must_come_in_order():
     assert reducer.result()[0].tobytes() == np.ones(3, dtype=complex).tobytes()
 
 
+def _target_estimates(plan, ws, ps, qs):
+    """(T, N): each target assembled on its own, w_0 [p = q] + D[q, p] + conj(D[p, q]),
+    its two blocks looked up in plan.blocks and read from the plan's block sums."""
+    sums = plan._block_sums(ws, plan.rule)
+    rows = {tuple(b): i for i, b in enumerate(plan.blocks.tolist())}
+    w0 = shadows._dft_points(plan.n, ws.shape[1], plan.k)[0]
+    out = []
+    for p, q in zip(ps.tolist(), qs.tolist()):
+        back, forth = rows[tuple(m - 1 for m in q + p)], rows[tuple(m - 1 for m in p + q)]
+        est = sums[back] + np.conjugate(sums[forth])
+        est += complex(w0 if p == q else 0.0)
+        out.append(est)
+    return np.array(out)
+
+
 @pytest.mark.parametrize("n,eta,k", [(4, 2, 0), (5, 2, 1), (5, 3, 2), (6, 3, 3), (6, 4, 4)])
 def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
     # (p, q), (q, p) and a repeated target share one column; each target is its
@@ -662,11 +705,12 @@ def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
     plan = shadows._block_plan(n, eta, k, ps, qs)
     c = binom(n, k)
     assert plan.width == c * (c + 1) // 2
-    _, column, flip = plan.shared
+    column, flip = plan.column, plan.flip
     tiles = list(plan.columns(ws))
     assert [lo for lo, _ in tiles] == list(range(0, plan.width, max(1, 40 // 7)))
     got = np.concatenate([tile for _, tile in tiles])[column]
     got.imag[flip] = 0.0 - got.imag[flip]
+    assert got.tobytes() == _target_estimates(plan, ws, ps, qs).tobytes()
     assert got.tobytes() == np.ascontiguousarray(plan(ws).T).tobytes()
     # expand is that map on values per column
     vals = np.arange(1, plan.width + 1) * (1 + 1j)
@@ -675,21 +719,61 @@ def test_columns_hold_each_transition_pair_once(monkeypatch, n, eta, k):
     assert np.array_equal(plan.expand(vals, conjugate=True), np.where(flip, want.conj(), want))
     # a real column's flipped targets keep +0.0, as a Reducer of them would
     assert not np.signbit(plan.expand(vals.real + 0j, conjugate=True).imag).any()
-    # a table that shares no pair has one column per target, in order, none
-    # flipped; where no target reads a block twice, no columns are grouped
+    # a table that shares no pair has one column per target, in order, none flipped
     rank_p, rank_q = np.divmod(np.arange(c * c), c)
-    for upper, grouped in [(rank_p <= rank_q, True), (rank_p < rank_q, False)]:
-        plan = shadows._block_plan(n, eta, k, all_pairs(n, k)[0][upper], all_pairs(n, k)[1][upper])
+    for upper in (rank_p <= rank_q, rank_p < rank_q):
+        ps, qs = all_pairs(n, k)[0][upper], all_pairs(n, k)[1][upper]
+        plan = shadows._block_plan(n, eta, k, ps, qs)
         assert plan.width == upper.sum()
-        assert (plan.shared is not None) == grouped
-        if grouped:
-            assert plan.shared[1].tolist() == list(range(upper.sum()))
-            assert not plan.shared[2].any()
-        else:
-            assert plan.expand(vals[:plan.width], conjugate=True).tobytes() \
-                == vals[:plan.width].tobytes()
+        assert plan.column.tolist() == list(range(upper.sum()))
+        assert not plan.flip.any()
+        assert plan.expand(vals[:plan.width], conjugate=True).tobytes() \
+            == vals[:plan.width].tobytes()
         assert np.concatenate([t for _, t in plan.columns(ws)]).tobytes() \
-            == np.ascontiguousarray(plan(ws).T).tobytes()
+            == _target_estimates(plan, ws, ps, qs).tobytes()
+
+
+@st.composite
+def _listed_tables(draw):
+    """(n, eta, k, ps, qs): a listed table with repeats, swaps and diagonal targets."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(4, n)))
+    eta = draw(st.integers(k, n))
+    subset = st.sampled_from((subset_index_array(n, k) + 1).tolist())
+    base = draw(st.lists(st.tuples(subset, subset), min_size=1, max_size=8))
+    pairs = list(base)
+    for p, q in draw(st.lists(st.sampled_from(base), max_size=8)):
+        pairs.append(draw(st.sampled_from([(p, q), (q, p), (p, p)])))
+    pairs = draw(st.permutations(pairs))
+    ps = np.array([p for p, _ in pairs], dtype=np.int64).reshape(len(pairs), k)
+    qs = np.array([q for _, q in pairs], dtype=np.int64).reshape(len(pairs), k)
+    return n, eta, k, ps, qs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_listed_tables())
+def test_one_sort_plans_a_column_per_unordered_pair(table):
+    # a column per distinct unordered {p, q}; the blocks are its M[q, p] and,
+    # off the diagonal, M[p, q], each once, and a target reads its own two
+    # through its column, swapped where it is flipped
+    n, eta, k, ps, qs = table
+    plan = shadows._block_plan(n, eta, k, ps, qs)
+    pairs = list(zip(map(tuple, ps.tolist()), map(tuple, qs.tolist())))
+    assert plan.width == len({frozenset(pair) for pair in pairs})
+    blocks = [tuple(b) for b in plan.blocks.tolist()]
+    assert len(set(blocks)) == len(blocks)
+    diagonal_columns = len({p for p, q in pairs if p == q})
+    assert len(blocks) == 2 * plan.width - diagonal_columns
+    seen = set()
+    for t, (p, q) in enumerate(pairs):
+        u = plan.column[t]
+        back, forth = plan.which[:, u][::-1] if plan.flip[t] else plan.which[:, u]
+        assert blocks[back] == tuple(m - 1 for m in q + p)
+        assert blocks[forth] == tuple(m - 1 for m in p + q)
+        if u not in seen:
+            assert not plan.flip[t]        # a column's first target sets its orientation
+            seen.add(u)
+    assert sorted(seen) == list(range(plan.width))
 
 
 def test_columns_hold_one_block_table_not_a_column_table():
@@ -701,7 +785,7 @@ def test_columns_hold_one_block_table_not_a_column_table():
     ws, _ = collect_shadow_arrays(random_state(n, eta, np.random.default_rng(5)), count, seed=9)
     plan = shadows._block_plan(n, eta, k, *all_pairs(n, k))
     assert len(plan.points) == 2 and plan.width == 56 * 57 // 2
-    for _ in plan.columns(ws[:4]):     # the grouping and the caches, before tracing
+    for _ in plan.columns(ws[:4]):     # the caches, before tracing
         pass
     tracemalloc.start()
     try:
