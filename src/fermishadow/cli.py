@@ -337,18 +337,6 @@ def _check_out(out: str, files):
         raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
 
 
-def _cross_check(ws, estimate) -> tuple:
-    """(gathered, products, passed, worst gap): both block sources' (N, T) estimates.
-
-    estimate, a table's shadows._block_plan, is applied to the shots ws with
-    gather True and False.  The verdict is check_fast_vs_dense, which validate
-    and criterion 07 call as identities.check_fast_vs_dense; it lives in
-    shadows, so the both gate does not import identities.
-    """
-    gathered, products = estimate(ws, gather=True), estimate(ws, gather=False)
-    return (gathered, products, *shadows.check_fast_vs_dense(products, gathered))
-
-
 def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages: _Stages,
             record: dict) -> tuple:
     """(results, agree): config.samples shots of state, reduced per target table.
@@ -357,25 +345,27 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
     per Reducer of table i, its (value, error, variance), three (T,) arrays.
     Runs collect -> estimate -> reduce one chunk of shots at a time, every
     table reading the same chunk: at most shadows._CHUNK shots, and fewer
-    where the largest table's (shots, T) estimates would pass about 2^19
-    numbers, so peak memory is set by the targets, not by config.samples.
-    Each chunk is its own start_index call, which draws the same bits as one
-    call over all the shots.  Each table's shadows._block_plan is built once,
-    in setup, and applied to every chunk.  dense feeds one Reducer the
-    plan's columns, one per distinct unordered {p, q}, in tiles assembled
-    from its per-block sums, and expands the results to the targets; both
-    reduces _cross_check's two whole tables, each the expanded columns of
-    one block source.  record, the manifest's extra fields, gets
-    born_worst_defect and, under both, both_worst_gap (a NaN stays); agree
-    says whether every chunk passed.
+    where the largest table's T targets times the shots would pass about
+    2^19.  That bounds each plan's (B, N) block sums, B <= 2T; no path
+    builds a (shots, T) table, so peak memory is set by the targets, not by
+    config.samples.  Each chunk is its own start_index call, which draws the
+    same bits as one call over all the shots.  Each table's
+    shadows._block_plan is built once, in setup, and applied to every chunk.
+    Every Reducer is fed the plan's columns, one per distinct unordered
+    {p, q}, in tiles assembled from its per-block sums: dense feeds one, from
+    the blocks by the rule; both two, from the gathered blocks and from the
+    readout-row products, and check_fast_vs_dense compares their tiles of
+    the same columns.  Each Reducer's results are then expanded to the
+    targets.  record, the manifest's extra fields, gets born_worst_defect
+    and, under both, both_worst_gap (a NaN stays); agree says whether every
+    tile passed.
     """
-    both = config.estimator == "both"
+    sources = (True, False) if config.estimator == "both" else (None,)
     plans = [shadows._block_plan(state.n, state.eta, ps.shape[1], ps, qs) for ps, qs in tables]
-    reducers = [[Reducer(config.samples, len(ps) if both else plan.width,
-                         *_aggregation(config.aggregation)) for _ in range(2 if both else 1)]
-                for (ps, _), plan in zip(tables, plans)]
+    reducers = [[Reducer(config.samples, plan.width, *_aggregation(config.aggregation))
+                 for _ in sources] for plan in plans]
     agree = True
-    if both:
+    if len(sources) == 2:
         record["both_worst_gap"] = 0.0
     stages.lap("setup")
     widest = max(len(ps) for ps, _ in tables)
@@ -385,23 +375,19 @@ def _sample(state: FermionState, config: ExperimentConfig, tables: list, stages:
         ws, _ = collect_shadow_arrays(state, count, config.seed, start_index=lo, record=record)
         stages.lap("collect")
         for plan, table_reducers in zip(plans, reducers):
-            if both:
-                *chunks, ok, worst = _cross_check(ws, plan)
-                agree = agree and ok
-                record["both_worst_gap"] = float(np.maximum(record["both_worst_gap"], worst))
+            for parts in zip(*(plan.columns(ws, gather) for gather in sources)):
+                col, tiles = parts[0][0], [tile for _, tile in parts]
+                if len(tiles) == 2:     # both: the products' tile against the gathered one
+                    ok, worst = shadows.check_fast_vs_dense(tiles[1], tiles[0])
+                    agree = agree and ok
+                    record["both_worst_gap"] = float(np.maximum(record["both_worst_gap"], worst))
                 stages.lap("estimate")
-                for reducer, chunk in zip(table_reducers, chunks):
-                    reducer.add(chunk)
+                for reducer, tile in zip(table_reducers, tiles):
+                    reducer.add(tile.T, col)
                 stages.lap("aggregate")
-            else:
-                for col, tile in plan.columns(ws):
-                    stages.lap("estimate")
-                    table_reducers[0].add(tile.T, col)
-                    stages.lap("aggregate")
-    results = [[(*r.result(), r.variance()) for r in table_reducers] for table_reducers in reducers]
-    if not both:
-        results = [[(plan.expand(val, conjugate=True), plan.expand(err), plan.expand(var))]
-                   for plan, [(val, err, var)] in zip(plans, results)]
+    results = [[(plan.expand(val, conjugate=True), plan.expand(err), plan.expand(var))
+                for val, err, var in ((*r.result(), r.variance()) for r in table_reducers)]
+               for plan, table_reducers in zip(plans, reducers)]
     return results, agree
 
 
@@ -429,7 +415,7 @@ def cmd_estimate(config: ExperimentConfig, out: str = None, fmt: str = "csv") ->
     The targets are one (T, 2, k) table, reduced by _sample.  both prints the
     gathered blocks' values in the estimate columns and the readout-row
     products' in the fast_estimate columns, and fails the run (exit 1, rows
-    still written) unless every chunk passed check_fast_vs_dense.
+    still written) unless every tile passed check_fast_vs_dense.
     """
     config.validate()
     stages = _Stages()
@@ -502,8 +488,10 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
 
     Each check calls the identities.check_* function that a Tier-1 test
     calls too, at this level's sizes and with draws of its own; fast_vs_dense
-    calls it through _cross_check on a _block_plan of its pairs, as the both
-    gate does.  States and pairs come from default_rng(seed).  Each size b of
+    compares the two block sources of a _block_plan of its pairs, the gate
+    that both runs per column tile.  States and pairs come from
+    default_rng(seed), and per_shadow_swap's 8 pairs per k from
+    default_rng([seed, 1]).  Each size b of
     a check collects shots 32 b .. 32 b + 31 of the seed's stream at most, a
     range of its own (the per_shadow checks share theirs), so the shot
     index tells the draws apart and every 64-bit seed is valid.
@@ -536,6 +524,12 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
                     bad.append(f"n={n} eta={eta} k={k}: relative gap {gap:.2e}")
         return not bad, "; ".join(bad) or f"within {bound} relative"
 
+    swap_rng = np.random.default_rng([seed, 1])     # so the other checks draw as without it
+
+    def swap(ws, k):
+        ss = subset_index_array(ws.shape[2], k) + 1
+        return identities.check_shadow_swap(ws, k, *ss[swap_rng.integers(len(ss), size=(2, 8))])
+
     def fast_vs_dense():
         ok, worst = True, 0.0
         # eta = 4 sums Pi's rows in an order where the two block sources round apart
@@ -547,7 +541,8 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
                 ss = subset_index_array(n, k) + 1
                 pairs = ss[rng.integers(len(ss), size=8)]       # p, q, p, q, ...
                 plan = shadows._block_plan(n, eta, k, pairs[0::2], pairs[1::2])
-                _, _, passed, gap = _cross_check(ws, plan)
+                passed, gap = shadows.check_fast_vs_dense(plan(ws, gather=False),
+                                                          plan(ws, gather=True))
                 ok, worst = ok and passed, max(worst, gap)
         return ok, f"worst relative gap {worst:.2e}"
 
@@ -568,6 +563,7 @@ def run_validation(level: str = "quick", seed: int = 2024) -> dict:
         ("per_shadow_trace", lambda: per_shadow(identities.check_shadow_trace, "1e-10")),
         ("per_shadow_one_body", lambda: per_shadow(
             lambda ws, _: identities.check_shadow_one_body(ws), "1e-12", orders=[1])),
+        ("per_shadow_swap", lambda: per_shadow(swap, "1e-12")),
         ("fast_vs_dense", fast_vs_dense),
         ("mc_channel_twirl", twirl),
     ]
@@ -608,7 +604,7 @@ def cmd_slater_overlap(config: ExperimentConfig, out: str = None, fmt: str = "cs
     4, exact powers of two that give the bits of reducing doubled estimates.
     estimator is handled as by estimate: both prints the product blocks'
     overlaps in the fast_overlap columns and exits 1, rows still written,
-    if a chunk fails check_fast_vs_dense.  Raises ConfigError, before any
+    if a tile fails check_fast_vs_dense.  Raises ConfigError, before any
     sampling, for eta = 0: the vacuum plus the empty reference is not a
     normalized state, and, by _check_sector, for a doubled register of
     C(n+eta, eta) amplitudes that numpy cannot allocate.

@@ -9,9 +9,10 @@ The check_* functions hold one invariant each, with its comparison and its
 bound.  `fermishadow validate` and the acceptance criteria both call them;
 each caller draws its own states, seeds, pairs and unitaries.
 check_fast_vs_dense compares two tables that its caller computed: validate
-and `estimate --estimator both` pass the two block sources of
-shadows.fast_estimate_rdm, and criterion 07 the kernel and the dense oracle
-in tests/.  It is defined in shadows, next to those sources, so that the
+passes a listed table's estimates from the two block sources of a
+shadows._block_plan, `estimate --estimator both` the two sources' tiles of
+the same columns, chunk by chunk, and criterion 07 the kernel and the dense
+oracle in tests/.  It is defined in shadows, next to those sources, so that the
 CLI's gate runs it without importing this module; this one is the same
 function.  Each check returns its verdict:
 alone for the exact expansion, otherwise first in a tuple with what it
@@ -28,6 +29,7 @@ Contents
     check_shadow_norms   : per-shadow squared norm = Tr E^2, 1e-8 relative
     check_shadow_trace   : per-shadow diagonal sum = C(eta, k), 1e-10 relative
     check_shadow_one_body : per-shadow k = 1 table = (n + 1) Pi^T - eta I, 1e-12 relative
+    check_shadow_swap    : per-shadow table (q, p) = conj of table (p, q), 1e-12 relative
     check_fast_vs_dense  : two routes' estimate tables agree, 1e-8 relative (from shadows)
     check_twirl_moments  : Haar fourth moments = structure_factor, z bound
 """
@@ -200,6 +202,24 @@ def check_shadow_one_body(ws) -> tuple:
     want = (n + 1) * np.einsum("irp,irq->ipq", ws, np.conjugate(ws)) - eta * np.eye(n)
     gap = float(np.max(np.abs(tables - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
     return gap <= 1e-12, gap, tables
+
+
+def check_shadow_swap(ws, k: int, p, q) -> tuple:
+    """(passed, worst relative gap, (N, T) estimates) of a batch of shadows.
+
+    Target (q, p) reads the blocks of (p, q) the other way round, so each
+    shadow's estimates of the swapped table (q, p) are the conjugates of its
+    estimates of the listed table (p, q), (T, k) each, whatever the state.
+    The two tables are planned apart and key a target and its swap in
+    opposite orientations, so a flip map taken from a target's own
+    orientation, not from its column head's, conjugates one of the two and
+    not the other, and misses by O(1).  passed means every entry is within
+    1e-12 max(1, |entry|) of the conjugate (a NaN fails).
+    """
+    table = fast_estimate_rdm(ws, k, p, q)
+    want = np.conjugate(fast_estimate_rdm(ws, k, q, p))
+    gap = float(np.max(np.abs(table - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
+    return gap <= 1e-12, gap, table
 
 
 def check_twirl_moments(us, eta: int, z_bound: float) -> tuple:

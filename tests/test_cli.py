@@ -38,13 +38,21 @@ def _read_csv(text):
 
 
 def _offset_products(monkeypatch, offset):
-    """Make every table's plan add offset(p, q), one value per target, to its products source."""
+    """Make every table's plan add offset(p, q), one value per target, to its products
+    source: each column's tiles get the offset of its first target."""
     plan = shadows._block_plan
 
     def offset_plan(n, eta, k, p, q):
-        estimate, extra = plan(n, eta, k, p, q), offset(p, q)
-        # gather None means "by the rule", so only gather False is the products source
-        return lambda ws, gather=None: estimate(ws, gather) + (gather is False) * extra
+        estimate = plan(n, eta, k, p, q)
+        extra = offset(p, q)[np.unique(estimate.column, return_index=True)[1], None]
+        columns = estimate.columns
+
+        def offset_columns(ws, gather=None):
+            for lo, tile in columns(ws, gather):
+                # gather None means "by the rule", so only gather False is the products source
+                yield lo, tile + (gather is False) * extra[lo:lo + len(tile)]
+        estimate.columns = offset_columns
+        return estimate
     monkeypatch.setattr(shadows, "_block_plan", offset_plan)
 
 
@@ -906,7 +914,7 @@ def test_variance_sweep_collects_once_per_n_eta(monkeypatch, capsys):
 
 class _WholeTable:
     """A table's plan that reduces every target as a column of its own: the
-    reduction of the whole (shots, T) table, one add per chunk."""
+    reduction of the whole (shots, T) table, one add per chunk and block source."""
 
     def __init__(self, plan):
         self.plan, self.width = plan, len(plan.column)
@@ -914,18 +922,19 @@ class _WholeTable:
     def __call__(self, ws, gather=None):
         return self.plan(ws, gather)
 
-    def columns(self, ws):
-        yield 0, self.plan(ws).T
+    def columns(self, ws, gather=None):
+        yield 0, self.plan(ws, gather).T
 
     def expand(self, values, conjugate=False):
         return values
 
 
 def test_shared_columns_print_the_whole_tables_bytes(tmp_path, monkeypatch, capsys):
-    # dense reduces each unordered block pair once and mirrors the flipped
-    # targets; every printed byte must be that of reducing every target.  At
-    # 2100 shots the chunks are 2048 + 52, and at 7000 four, so the batches of
-    # median_of_means:7 straddle them
+    # dense and both reduce each unordered block pair once and mirror the
+    # flipped targets; every printed byte must be that of reducing every
+    # target, and under both that of checking the two sources' whole tables.
+    # At 2100 shots the chunks are 2048 + 52, and at 7000 four, so the batches
+    # of median_of_means:7 straddle them
     cfg = tmp_path / "cfg.json"
     listed = [[[1, 2], [2, 3]], [[2, 3], [1, 2]], [[1, 3], [1, 3]], [[2, 4], [1, 4]],
               [[1, 2], [2, 3]], [[1, 4], [2, 4]], [[3, 4], [3, 4]], [[1, 4], [2, 4]]]
@@ -937,15 +946,17 @@ def test_shared_columns_print_the_whole_tables_bytes(tmp_path, monkeypatch, caps
                 dict(n=6, eta=3, k=3, samples=300, targets=[[[1, 2, 3], [4, 5, 6]],
                                                             [[4, 5, 6], [1, 2, 3]],
                                                             [[1, 2, 3], [4, 5, 6]]])]
-    runs = [["estimate", "--config", str(cfg), "--seed", "4"]] * len(configs)
-    runs += [["slater-overlap", "--n", "4", "--eta", "2", "--samples", "500", "--seed", "3"],
-             ["slater-overlap", "--n", "4", "--eta", "3", "--samples", "500", "--seed", "3"],
-             ["variance-sweep", "--n", "4,5", "--eta", "2,3", "--k", "1,2,3",
-              "--samples", "2100", "--seed", "1"]]
+    runs = [(["estimate", "--config", str(cfg), "--seed", "4"], dict(body, estimator=estimator))
+            for body in configs for estimator in ("dense", "both")]
+    runs += [(["slater-overlap", "--n", "4", "--eta", str(eta), "--samples", "500", "--seed", "3",
+               "--config", str(cfg)], {"estimator": estimator})
+             for eta in (2, 3) for estimator in ("dense", "both")]
+    runs += [(["variance-sweep", "--n", "4,5", "--eta", "2,3", "--k", "1,2,3",
+               "--samples", "2100", "--seed", "1"], None)]
     plan = shadows._block_plan
-    for i, argv in enumerate(runs):
-        if i < len(configs):
-            cfg.write_text(json.dumps(configs[i]))
+    for argv, body in runs:
+        if body:
+            cfg.write_text(json.dumps(body))
         assert main(argv) == 0
         shared = capsys.readouterr().out
         with monkeypatch.context() as m:
@@ -1026,6 +1037,7 @@ def test_validate_quick_passes(tmp_path, capsys):
         "per_shadow_norm_sum",
         "per_shadow_trace",
         "per_shadow_one_body",
+        "per_shadow_swap",
         "fast_vs_dense",
         "mc_channel_twirl",
     ]

@@ -20,7 +20,13 @@ from fermishadow import shadows
 from fermishadow.channel import overlap_class_array
 from fermishadow.combinat import binom, rank_rows, subsets
 from fermishadow.fock import _NORM_SQ_TOL, FermionState, basis_state, random_state, rdm_matrix
-from fermishadow.identities import check_shadow_norms, check_shadow_one_body, check_shadow_trace
+from fermishadow.cli import run_validation
+from fermishadow.identities import (
+    check_shadow_norms,
+    check_shadow_one_body,
+    check_shadow_swap,
+    check_shadow_trace,
+)
 from fermishadow.linalg import givens_rotate, haar_network, network_rows, subset_index_array
 from fermishadow.shadows import (
     Reducer,
@@ -156,6 +162,45 @@ def test_one_body_check_sees_a_transposed_table(monkeypatch):
     assert check_shadow_norms(ws, 1)[0] and check_shadow_trace(ws, 1)[0]
     ok, gap, _ = check_shadow_one_body(ws)
     assert not ok and gap > 0.1
+
+
+@pytest.mark.parametrize("n, eta", [(4, 2), (5, 3), (8, 4)])
+def test_swapped_table_is_the_conjugate_per_shot(n, eta):
+    # target (q, p) reads the blocks of (p, q) the other way round: per shot, a
+    # listed table and its swap, planned apart, are conjugates at every k
+    rng = np.random.default_rng(11 * n + eta)
+    ws, _ = collect_shadow_arrays(random_state(n, eta, rng), 5, seed=eta)
+    for k in range(1, eta + 1):
+        ss = subset_index_array(n, k) + 1
+        p, q = ss[rng.integers(len(ss), size=(2, 8))]
+        ok, gap, table = check_shadow_swap(ws, k, p, q)
+        assert ok, (k, gap)
+        assert table.shape == (5, 8)
+
+
+def test_swap_check_sees_a_flip_map_from_each_targets_own_orientation(monkeypatch):
+    # flip taken as each target's own orientation, not relative to its column's
+    # head: in an all-pairs table every head is unswapped, so the two maps agree
+    # there and the other per-shot checks pass the mutant; the swap check, and
+    # with it validate, must not
+    plan = shadows._block_plan
+
+    def mutant(n, eta, k, p, q):
+        estimate = plan(n, eta, k, p, q)
+        ps, qs = np.atleast_2d(p, q)
+        differ = ps != qs
+        estimate.flip = (differ & (np.cumsum(differ, axis=1) == 1) & (qs < ps)).any(axis=1)
+        return estimate
+
+    ws, _ = collect_shadow_arrays(random_state(5, 3, np.random.default_rng(4)), 6, seed=3)
+    p, q = np.array([[1, 2], [2, 4], [1, 5]]), np.array([[3, 4], [1, 3], [2, 3]])
+    assert check_shadow_swap(ws, 2, p, q)[0]
+    monkeypatch.setattr(shadows, "_block_plan", mutant)
+    ok, gap, _ = check_shadow_swap(ws, 2, p, q)
+    assert not ok and gap > 0.1
+    report = run_validation("quick")
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["per_shadow_swap"] and report["passed"] is False
 
 
 def _contraction(n, ps, qs):
